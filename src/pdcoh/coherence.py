@@ -97,7 +97,10 @@ def correlation_map(sg, oversample=16, extent_cells=32):
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
     provenance.update(oversample=oversample, extent_cells=extent_cells)
-    return CoherenceMap(tau_axis=tau, xi_axis=xi, g=unnorm / center,
+    # S is real and even, so the centre is real; dividing re and im by it
+    # apart keeps g(0, 0) exactly 1 (complex division can miss by an ulp)
+    g = (unnorm.view(float) / center.real).view(complex)
+    return CoherenceMap(tau_axis=tau, xi_axis=xi, g=g,
                         carrier_omega=omega_c,
                         intensity=float(center.real * cell),
                         provenance=provenance)

@@ -11,7 +11,9 @@ inputs must produce the same bytes.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -65,6 +67,16 @@ def _axis_from(header, name):
     return start + np.arange(int(count)) * step
 
 
+@contextlib.contextmanager
+def _decoding(path):
+    """Report a file that fails to decode as a ConfigurationError naming it."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, struct.error) as exc:
+        raise ConfigurationError(
+            f"{path}: cannot decode: {type(exc).__name__}: {exc}") from exc
+
+
 def _require(header, key, path):
     try:
         return header.pop(key)
@@ -75,8 +87,48 @@ def _require(header, key, path):
 # --- CSV encoding ---
 
 
-def _fmt(value):
-    return repr(float(value))
+# Rows are formatted in blocks of this many. A file of at least
+# _POOL_CELLS values is formatted on every usable core: repr(float) costs
+# about 1.4 us a value, so a 1025^2 complex map takes seconds on one core,
+# while the largest trace or profile (~13k values) takes milliseconds.
+_BLOCK_ROWS = 32
+_POOL_CELLS = 1 << 18
+
+
+def _float_rows(arr):
+    # complex values become adjacent re/im floats, as the header declares
+    arr = np.atleast_2d(arr)
+    if np.iscomplexobj(arr):
+        return np.ascontiguousarray(arr, dtype=complex).view(float)
+    return np.asarray(arr, dtype=float)
+
+
+def _format_block(block):
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def _usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _block_map(cells, n_blocks):
+    """Yield an ordered map: a fork pool's imap for large files, else map.
+
+    Fork, not spawn: a spawned worker re-imports numpy and pdcoh for every
+    file written, and these workers only run repr on floats, so they touch
+    no lock or BLAS state that a thread of the parent could hold.
+    """
+    workers = min(_usable_cpus(), n_blocks)
+    if cells >= _POOL_CELLS and workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                yield pool.imap
+            return
+    yield map
 
 
 def _write_csv(path, header, arrays):
@@ -86,15 +138,14 @@ def _write_csv(path, header, arrays):
     lines.append("# columns: " + json.dumps(
         [[name, "complex" if np.iscomplexobj(arr) else "real"]
          for name, arr in arrays]))
-    for name, arr in arrays:
-        arr = np.atleast_2d(arr)
-        for row in arr:
-            if np.iscomplexobj(row):
-                cells = [f"{_fmt(v.real)},{_fmt(v.imag)}" for v in row]
-            else:
-                cells = [_fmt(v) for v in row]
-            lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [_float_rows(arr) for _, arr in arrays]
+    blocks = [r[i:i + _BLOCK_ROWS] for r in rows
+              for i in range(0, len(r), _BLOCK_ROWS)]
+    # the pool forks before the file opens, so no worker holds its buffer
+    with _block_map(sum(r.size for r in rows), len(blocks)) as fmap:
+        with open(path, "w") as fh:
+            fh.write("".join(line + "\n" for line in lines))
+            fh.writelines(fmap(_format_block, blocks))
 
 
 def _read_csv(path):
@@ -119,18 +170,28 @@ def _read_csv(path):
     return header, columns, rows
 
 
-def _assemble_csv_arrays(header, columns, rows, path):
+def _assemble_csv_arrays(columns, rows, path):
     # rows divide evenly between the named arrays, in listed order
     if len(columns) == 0 or len(rows) % len(columns):
         raise ConfigurationError(f"{path}: row count does not match columns")
     per = len(rows) // len(columns)
     arrays = {}
     for idx, (name, kind) in enumerate(columns):
-        block = np.array(rows[idx * per:(idx + 1) * per])
+        chunk = rows[idx * per:(idx + 1) * per]
+        if len({row.size for row in chunk}) > 1:
+            raise ConfigurationError(
+                f"{path}: rows of array {name!r} differ in length")
+        block = np.array(chunk)
         if kind == "complex":
             block = block[:, 0::2] + 1j * block[:, 1::2]
         arrays[name] = block
     return arrays
+
+
+def _read_csv_arrays(path):
+    with _decoding(path):
+        header, columns, rows = _read_csv(path)
+        return header, _assemble_csv_arrays(columns, rows, path)
 
 
 # --- binary encoding ---
@@ -152,17 +213,28 @@ def _write_binary(path, header, arrays):
 
 
 def _read_binary(path):
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, _decoding(path):
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise ConfigurationError(f"{path}: not a pdcoh binary file")
         (length,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(length).decode())
+        blob = fh.read(length)
+        if len(blob) != length:
+            raise ConfigurationError(
+                f"{path}: truncated: header needs {length} bytes, "
+                f"{len(blob)} remain")
+        meta = json.loads(blob.decode())
+        if not isinstance(meta, dict):
+            raise ConfigurationError(f"{path}: header is not a JSON object")
         if meta.pop("pdcoh_file", None) != _VERSION:
             raise ConfigurationError(f"{path}: unsupported format version")
         arrays = {}
         for name, dtype, shape in meta.pop("arrays"):
-            count = int(np.prod(shape))
-            raw = fh.read(count * np.dtype(dtype).itemsize)
+            size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise ConfigurationError(
+                    f"{path}: truncated: array {name!r} needs {size} bytes, "
+                    f"{len(raw)} remain")
             arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return meta, arrays
 
@@ -182,8 +254,7 @@ def _dispatch_read(path):
         magic = fh.read(len(_MAGIC))
     if magic == _MAGIC:
         return _read_binary(path)
-    header, columns, rows = _read_csv(path)
-    return header, _assemble_csv_arrays(header, columns, rows, path)
+    return _read_csv_arrays(path)
 
 
 # --- grids and maps ---
@@ -330,8 +401,7 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    header, columns, rows = _read_csv(path)
-    arrays = _assemble_csv_arrays(header, columns, rows, path)
+    header, arrays = _read_csv_arrays(path)
     if _require(header, "kind", path) != "fringe-trace":
         raise ConfigurationError(f"{path}: not a fringe trace")
     return FringeTrace(positions_m=arrays["position_m"].ravel(),

@@ -66,7 +66,7 @@ def test_phasematch_reports_the_collinear_angle(ws):
     record = read_metrics(ws["out"] / "phasematch.txt")
     assert record["theta_pm_deg"] == pytest.approx(19.86659, abs=1e-4)
     assert record["degenerate_wavelength_m"] == pytest.approx(1.6e-6,
-                                                              rel=1e-12)
+                                                              rel=1e-12, abs=0)
     header, cols = read_profile(ws["out"] / "phasematch_19p94_locus.csv",
                                 "phase-matched-locus")
     assert header["theta_deg"] == pytest.approx(19.94, rel=1e-12)
@@ -98,7 +98,7 @@ def test_coherence_emits_maps_cuts_and_metrics(ws, tmp_path):
     assert cmap.g[n // 2, n // 2] == 1.0 + 0.0j
 
     record = read_metrics(out / "coherence_19p94_metrics.txt")
-    assert record["tau_c_s"] == pytest.approx(1.6816e-14, rel=2e-2)
+    assert record["tau_c_s"] == pytest.approx(1.6816e-14, rel=2e-2, abs=0)
     assert record["xi_c_m"] == pytest.approx(4.2020e-05, rel=2e-2)
     assert record["first_ring_height"] == pytest.approx(0.2657, abs=2e-2)
     assert record["coupling"] > 0.1
@@ -118,7 +118,7 @@ def test_interferogram_traces_carry_metadata(ws):
     assert len(paths) == 11
     trace = read_trace(paths[0])
     assert trace.orientation == "19p94"
-    assert trace.bs2_position_m == pytest.approx(-5 * 40e-6, rel=1e-12)
+    assert trace.bs2_position_m == pytest.approx(-5 * 40e-6, rel=1e-12, abs=0)
     assert trace.icfg_hash
     assert trace.positions_m.size >= 8 * 16e-6 / 800e-9
     steps = np.diff([read_trace(p).bs2_position_m for p in paths])

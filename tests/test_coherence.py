@@ -69,6 +69,14 @@ def test_center_is_one_exactly(map94):
     assert map94.xi_axis[n // 2] == 0.0
 
 
+def test_center_is_one_exactly_at_collinear(sell):
+    # on this grid a complex division by the centre gives 1 - 1 ulp
+    cfg = _cfg(19.87, sell)
+    g = correlation_map(build_spectrum(cfg, auto_grid(cfg, 512, 256))).g
+    n = g.shape[0] // 2
+    assert g[n, n] == 1.0 + 0.0j
+
+
 def test_magnitude_bounded(map94):
     assert np.abs(map94.g).max() <= 1 + 1e-9
 
@@ -167,7 +175,7 @@ def test_metric_values_for_the_three_orientations(sell):
     rings = []
     for theta, (tau_c, xi_c, ring) in expected.items():
         m = metrics(correlation_map(build_spectrum(_cfg(theta, sell))))
-        assert m.tau_c == pytest.approx(tau_c, rel=5e-3), theta
+        assert m.tau_c == pytest.approx(tau_c, rel=5e-3, abs=0), theta
         assert m.xi_c == pytest.approx(xi_c, rel=5e-3), theta
         assert m.first_ring_height == pytest.approx(ring, abs=5e-3), theta
         rings.append(m.first_ring_height)
@@ -176,7 +184,7 @@ def test_metric_values_for_the_three_orientations(sell):
 
 def test_metrics_on_synthetic_gaussian():
     m = metrics(_gaussian_map())
-    assert m.tau_c == pytest.approx(FWHM_SIGMA * 2e-14, rel=5e-3)
+    assert m.tau_c == pytest.approx(FWHM_SIGMA * 2e-14, rel=5e-3, abs=0)
     assert m.xi_c == pytest.approx(FWHM_SIGMA * 4e-5, rel=5e-3)
     assert m.first_ring_height == 0.0
     assert m.tau_cut.size == m.tau_axis.size
@@ -200,7 +208,7 @@ def test_grid_convergence_of_downstream_metrics(sell):
     cfg = _cfg(19.90, sell)
     coarse = metrics(correlation_map(build_spectrum(cfg, auto_grid(cfg, 512, 256))))
     fine = metrics(correlation_map(build_spectrum(cfg, auto_grid(cfg, 1024, 512))))
-    assert coarse.tau_c == pytest.approx(fine.tau_c, rel=1e-2)
+    assert coarse.tau_c == pytest.approx(fine.tau_c, rel=1e-2, abs=0)
     assert coarse.xi_c == pytest.approx(fine.xi_c, rel=1e-2)
 
 
@@ -226,7 +234,7 @@ def test_blur_widens_separable_gaussian_widths():
     assert mb.tau_c > m0.tau_c
     assert mb.xi_c > m0.xi_c
     sigma = math.hypot(2e-14, 5e-15 / FWHM_SIGMA)
-    assert mb.tau_c == pytest.approx(FWHM_SIGMA * sigma, rel=5e-3)
+    assert mb.tau_c == pytest.approx(FWHM_SIGMA * sigma, rel=5e-3, abs=0)
 
 
 def test_blur_on_pdc_map_changes_widths_marginally(map94):

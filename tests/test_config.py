@@ -56,13 +56,13 @@ def _write(tmp_path, text):
 
 
 def test_quantity_parsing_covers_the_unit_tables():
-    assert parse_length("800 nm") == pytest.approx(800e-9, rel=1e-15)
-    assert parse_length("0.8um") == pytest.approx(0.8e-6, rel=1e-15)
-    assert parse_length("6 µm") == pytest.approx(6e-6, rel=1e-15)
+    assert parse_length("800 nm") == pytest.approx(800e-9, rel=1e-15, abs=0)
+    assert parse_length("0.8um") == pytest.approx(0.8e-6, rel=1e-15, abs=0)
+    assert parse_length("6 µm") == pytest.approx(6e-6, rel=1e-15, abs=0)
     assert parse_length("10 mm") == pytest.approx(0.01, rel=1e-15)
-    assert parse_length("1.5e-6 m") == pytest.approx(1.5e-6, rel=1e-15)
-    assert parse_time("1 fs") == pytest.approx(1e-15, rel=1e-15)
-    assert parse_time("0.5ps") == pytest.approx(5e-13, rel=1e-15)
+    assert parse_length("1.5e-6 m") == pytest.approx(1.5e-6, rel=1e-15, abs=0)
+    assert parse_time("1 fs") == pytest.approx(1e-15, rel=1e-15, abs=0)
+    assert parse_time("0.5ps") == pytest.approx(5e-13, rel=1e-15, abs=0)
     assert parse_angle("19.87 deg") == pytest.approx(math.radians(19.87),
                                                     rel=1e-15)
     assert parse_angle("2 mrad") == pytest.approx(2e-3, rel=1e-15)
@@ -87,16 +87,16 @@ def test_full_config_loads_in_si_units(tmp_path):
     rc = load_run_config(_write(tmp_path, FULL))
     assert rc.material == "bbo_kato1986"
     assert rc.length_m == pytest.approx(0.01, rel=1e-15)
-    assert rc.pump_wavelength_m == pytest.approx(800e-9, rel=1e-15)
+    assert rc.pump_wavelength_m == pytest.approx(800e-9, rel=1e-15, abs=0)
     assert rc.gain == 6.0
     assert [math.degrees(t) for t in rc.thetas_rad] == pytest.approx(
         [19.87, 19.90, 19.94], rel=1e-12)
     assert (rc.n_omega, rc.n_k) == (256, 128)
     assert rc.interferometer.split_ratio == (0.7, 0.3)
     assert rc.interferometer.magnification == 6.6
-    assert rc.bs2_step_m == pytest.approx(40e-6, rel=1e-15)
+    assert rc.bs2_step_m == pytest.approx(40e-6, rel=1e-15, abs=0)
     assert rc.bs2_count == 11
-    assert rc.stage_span_m == pytest.approx(48e-6, rel=1e-15)
+    assert rc.stage_span_m == pytest.approx(48e-6, rel=1e-15, abs=0)
     assert rc.window_fringes == 1.5
     assert rc.out_dir == "results"
     assert rc.out_format == "binary"
@@ -108,7 +108,7 @@ def test_defaults_fill_optional_sections(tmp_path):
     assert rc.interferometer.split_ratio == (0.5, 0.5)
     assert rc.interferometer.magnification == 6.6
     assert rc.bs2_count == 11
-    assert rc.bs2_step_m == pytest.approx(40e-6, rel=1e-15)
+    assert rc.bs2_step_m == pytest.approx(40e-6, rel=1e-15, abs=0)
     assert rc.out_dir == "out"
     assert rc.out_format == "csv"
     assert rc.window_fringes == 1.0

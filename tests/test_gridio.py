@@ -1,7 +1,12 @@
+import json
+import os
+import re
+import struct
+
 import numpy as np
 import pytest
 
-from pdcoh import ConfigurationError, GridSpec, SpectralGrid
+from pdcoh import ConfigurationError, gridio, GridSpec, SpectralGrid
 from pdcoh.coherence import CoherenceMap
 from pdcoh.gridio import (
     read_assembled_map,
@@ -215,3 +220,120 @@ def test_nonuniform_axis_is_rejected(tmp_path):
 def test_unknown_format_is_rejected(tmp_path, sg):
     with pytest.raises(ConfigurationError, match="format"):
         write_spectral_grid(tmp_path / "grid.xyz", sg, fmt="hdf5")
+
+
+# --- the CSV encoder against a per-cell reference ---
+
+AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1,
+           1 / 3, -2.5e-308, 1.7976931348623157e308, 123456789.0]
+
+
+def _reference_csv(header, arrays):
+    lines = ["# pdcoh_file: 1"]
+    lines += [f"# {key}: {json.dumps(value)}" for key, value in header.items()]
+    lines.append("# columns: " + json.dumps(
+        [[name, "complex" if np.iscomplexobj(arr) else "real"]
+         for name, arr in arrays]))
+    for _, arr in arrays:
+        for row in np.atleast_2d(arr):
+            cells = []
+            for v in row:
+                if np.iscomplexobj(row):
+                    cells += [repr(float(v.real)), repr(float(v.imag))]
+                else:
+                    cells.append(repr(float(v)))
+            lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _awkward_arrays():
+    rng = np.random.default_rng(3)
+    real = rng.choice(AWKWARD, size=(40, 7))
+    cplx = np.empty((40, 5), complex)
+    cplx.real = rng.choice(AWKWARD, size=cplx.shape)
+    cplx.imag = rng.choice(AWKWARD + [-0.0] * 5, size=cplx.shape)
+    return {
+        "real": [("v", real)],
+        "complex": [("g", cplx)],
+        "integer": [("n", np.arange(-60, 60, dtype=np.int64).reshape(40, 3))],
+        "single-row": [("x", np.array(AWKWARD))],
+        "multi-array": [("x", real[:, :5]), ("g", cplx),
+                        ("n", np.arange(200, dtype=np.int32).reshape(40, 5))],
+    }
+
+
+@pytest.mark.parametrize("path_kind", ["serial", "pool"])
+def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, path_kind):
+    if path_kind == "pool":
+        if not hasattr(os, "fork"):
+            pytest.skip("no fork start method")
+        # every file takes the pool, in blocks of 4 rows: 10 blocks, 3 workers
+        monkeypatch.setattr(gridio, "_POOL_CELLS", 1)
+        monkeypatch.setattr(gridio, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(gridio, "_usable_cpus", lambda: 3)
+        with gridio._block_map(cells=1, n_blocks=10) as fmap:
+            assert fmap is not map
+    else:
+        monkeypatch.setattr(gridio, "_POOL_CELLS", 1 << 62)
+    header = {"kind": "test", "theta_deg": 19.94, "tag": "19p94"}
+    for case, arrays in _awkward_arrays().items():
+        path = tmp_path / f"{case}.csv"
+        gridio._write_csv(path, header, arrays)
+        assert path.read_text() == _reference_csv(header, arrays), case
+
+
+# --- malformed files end as ConfigurationError naming the file ---
+
+
+def _map_file(tmp_path, fmt):
+    cmap = CoherenceMap((np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6,
+                        np.ones((5, 3), complex), carrier_omega=1.2e15,
+                        intensity=1.0, provenance={})
+    path = tmp_path / "map.dat"
+    write_coherence_map(path, cmap, fmt=fmt)
+    return path
+
+
+def _binary_file(meta):
+    blob = json.dumps(meta).encode()
+    return b"PDCOHBIN" + struct.pack("<I", len(blob)) + blob
+
+
+def _garble_header(data):
+    (length,) = struct.unpack("<I", data[8:12])
+    return data[:12] + b"}" * length + data[12 + length:]
+
+
+def _replace_line(text, index, new):
+    lines = text.split("\n")
+    lines[index] = new(lines[index])
+    return "\n".join(lines)
+
+
+CORRUPTIONS = {
+    "truncated binary body": ("binary", lambda b: b[:-5]),
+    "oversized length prefix": (
+        "binary", lambda b: b[:8] + struct.pack("<I", 1 << 30) + b[12:]),
+    "non-JSON binary header": ("binary", _garble_header),
+    "binary header without arrays": (
+        "binary", lambda _: _binary_file({"pdcoh_file": 1,
+                                          "kind": "coherence-map"})),
+    "non-JSON CSV header line": (
+        "csv", lambda t: _replace_line(t, 1, lambda _: "# kind: {oops")),
+    "short CSV row": (
+        "csv", lambda t: _replace_line(t, -3, lambda s: s.rsplit(",", 1)[0])),
+    "non-numeric CSV row": (
+        "csv", lambda t: _replace_line(t, -2, lambda s: "abc" + s[3:])),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_malformed_files_are_configuration_errors(tmp_path, corruption):
+    fmt, corrupt = CORRUPTIONS[corruption]
+    path = _map_file(tmp_path, fmt)
+    if fmt == "binary":
+        path.write_bytes(corrupt(path.read_bytes()))
+    else:
+        path.write_text(corrupt(path.read_text()))
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+        read_coherence_map(path)
