@@ -15,12 +15,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c
 
 from .coherence import _fwhm, correlation_map, factorability_defect, \
     instrument_blur, metrics
 from .config import load_run_config, parse_angle, parse_length, parse_time
-from .dispersion import ORDINARY, ExtraordinaryAtAngle, gvd, index, \
+from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
 from .errors import ConfigurationError, PdcohError
 from .gridio import write_assembled_map, write_coherence_map, write_manifest, \

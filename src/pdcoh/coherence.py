@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.ndimage import gaussian_filter
 
 from .errors import EdgeDecayError, MapExtentError, ResolutionError
+from .spectrum import bilinear
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -48,16 +47,11 @@ class CoherenceMap:
 
     def value_at(self, tau, xi):
         """Bilinear envelope sample; raises MapExtentError outside the axes."""
-        interp = RegularGridInterpolator(
-            (self.tau_axis, self.xi_axis), self.g, bounds_error=True)
-        tau = np.asarray(tau, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        scalar = tau.ndim == 0 and xi.ndim == 0
-        try:
-            out = interp(np.stack(np.broadcast_arrays(tau, xi), axis=-1))
-        except ValueError as exc:
-            raise MapExtentError(f"query outside the map extent: {exc}") from exc
-        return complex(out[0]) if scalar else out
+        out, inside = bilinear(self.tau_axis, self.xi_axis, self.g,
+                               np.asarray(tau, dtype=float), np.asarray(xi, dtype=float))
+        if not np.all(inside):
+            raise MapExtentError("query outside the map extent (or NaN)")
+        return complex(out) if out.ndim == 0 else out
 
     def full_value_at(self, tau, xi):
         """Envelope times the carrier e^{-i omega_c tau}."""
@@ -204,6 +198,9 @@ def instrument_blur(cmap, dtau, dxi):
     phase is kept. The result is deliberately not renormalized: a central
     value below 1 is the signature of resolution-limited visibility.
     """
+    # scipy.ndimage takes about 0.4 s to import: only a blur should pay it
+    from scipy.ndimage import gaussian_filter
+
     if dtau < 0 or dxi < 0:
         raise MapExtentError("blur widths must be nonnegative")
     if dtau == 0 and dxi == 0:

@@ -38,17 +38,19 @@ _KNOWN_KEYS = {
 
 
 def parse_quantity(text, units, field="value"):
-    """Number with a mandatory unit suffix, converted to SI."""
+    """Finite number with a mandatory unit suffix, converted to SI."""
     text = str(text).strip()
     for suffix in sorted(units, key=len, reverse=True):
         if text.endswith(suffix):
             head = text[: -len(suffix)].strip()
             try:
-                return float(head) * units[suffix]
+                value = float(head) * units[suffix]
             except ValueError:
                 continue
+            if math.isfinite(value):
+                return value
     raise ConfigurationError(
-        f"{field}: {text!r} is not a number with a unit suffix "
+        f"{field}: {text!r} is not a finite number with a unit suffix "
         f"from {sorted(units)}")
 
 
@@ -161,10 +163,13 @@ def load_run_config(path):
         if not isinstance(raw, str):
             return raw
         try:
-            return float(raw)
-        except ValueError as exc:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
             raise ConfigurationError(
-                f"[{section}] {key}: {raw!r} is not a number") from exc
+                f"[{section}] {key}: {raw!r} is not a finite number")
+        return value
 
     def intval(section, key, default=_REQUIRED):
         raw = _get(cp, section, key, default)

@@ -20,10 +20,11 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.constants import c
-from scipy.optimize import bisect
 
 from .errors import ConfigurationError, RootNotFoundError, WavelengthRangeError
+
+# speed of light in vacuum, m/s (exact by the SI definition of the metre)
+c = 299_792_458.0
 
 SHIPPED_SETS = ("bbo_kato1986", "bbo_eimerl1987")
 
@@ -166,16 +167,23 @@ def zero_dispersion_wavelength(branch, s, samples=129):
     vals = np.array([gvd(x, branch, s) for x in lam])
     signs = np.where(np.abs(vals) < _GVD_ZERO_FLOOR, 0, np.sign(vals))
     nonzero = np.nonzero(signs)[0]
-    bracket = None
     for i, j in zip(nonzero[:-1], nonzero[1:]):
         if signs[i] * signs[j] < 0:
-            bracket = (lam[i], lam[j])
             break
-    if bracket is None:
+    else:
         raise RootNotFoundError(
             f"{s.material} {_branch_name(branch)}: no gvd sign change in "
             f"({lo}, {hi}) um")
-    return float(bisect(lambda x: gvd(x, branch, s), *bracket, xtol=1e-4))
+    # scipy.optimize.bisect's steps: halve from the lower end, keep its sign
+    x_lo, step = lam[i], lam[j] - lam[i]
+    while True:
+        step *= 0.5
+        mid = x_lo + step
+        f_mid = gvd(mid, branch, s)
+        if f_mid * vals[i] >= 0:
+            x_lo = mid
+        if f_mid == 0 or step < 1e-4:
+            return float(mid)
 
 
 def load_sellmeier(source):

@@ -57,14 +57,11 @@ def _axis_spec(name, axis):
             f"n_{name}": int(axis.size)}
 
 
-def _axis_from(header, name):
-    try:
-        start = header.pop(f"{name}_start")
-        step = header.pop(f"{name}_step")
-        count = header.pop(f"n_{name}")
-    except KeyError as exc:
-        raise ConfigurationError(f"header lacks axis key {exc}") from exc
-    return start + np.arange(int(count)) * step
+def _axis_from(header, name, path):
+    start, step, count = (_require(header, key, path) for key in
+                          (f"{name}_start", f"{name}_step", f"n_{name}"))
+    with _decoding(path):
+        return start + np.arange(int(count)) * step
 
 
 @contextlib.contextmanager
@@ -272,8 +269,8 @@ def read_spectral_grid(path):
     header, arrays = _dispatch_read(path)
     if _require(header, "kind", path) != "spectral-density":
         raise ConfigurationError(f"{path}: not a spectral density grid")
-    omega = _axis_from(header, "omega")
-    k = _axis_from(header, "k")
+    omega = _axis_from(header, "omega", path)
+    k = _axis_from(header, "k", path)
     spec = GridSpec(omega_center=float(omega[omega.size // 2]),
                     omega_half_width=omega.size * float(omega[1] - omega[0]) / 2,
                     n_omega=omega.size,
@@ -294,8 +291,8 @@ def read_wavelength_angle_grid(path):
     header, arrays = _dispatch_read(path)
     if _require(header, "kind", path) != "wavelength-angle-density":
         raise ConfigurationError(f"{path}: not a wavelength-angle grid")
-    wavelength = _axis_from(header, "wavelength")
-    angle = _axis_from(header, "angle")
+    wavelength = _axis_from(header, "wavelength", path)
+    angle = _axis_from(header, "angle", path)
     return WavelengthAngleGrid(wavelength_axis_m=wavelength,
                                angle_axis_rad=angle,
                                values=arrays["density"], provenance=header)
@@ -315,8 +312,8 @@ def read_coherence_map(path):
     header, arrays = _dispatch_read(path)
     if _require(header, "kind", path) != "coherence-map":
         raise ConfigurationError(f"{path}: not a coherence map")
-    tau = _axis_from(header, "tau")
-    xi = _axis_from(header, "xi")
+    tau = _axis_from(header, "tau", path)
+    xi = _axis_from(header, "xi", path)
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
                         g=np.asarray(arrays["g"], dtype=complex),
                         carrier_omega=_require(header, "carrier_omega", path),
@@ -336,8 +333,8 @@ def read_assembled_map(path):
     header, arrays = _dispatch_read(path)
     if _require(header, "kind", path) != "assembled-map":
         raise ConfigurationError(f"{path}: not an assembled map")
-    tau = _axis_from(header, "tau")
-    xi = _axis_from(header, "xi")
+    tau = _axis_from(header, "tau", path)
+    xi = _axis_from(header, "xi", path)
     return AssembledMap(tau_axis=tau, xi_axis=xi,
                         magnitude=arrays["magnitude"], provenance=header)
 
@@ -374,7 +371,7 @@ def write_metrics(path, mapping):
 
 def read_metrics(path):
     out = {}
-    with open(path) as fh:
+    with open(path) as fh, _decoding(path):
         first = fh.readline().strip()
         if first != f"# pdcoh_metrics: {_VERSION}":
             raise ConfigurationError(f"{path}: not a pdcoh metrics file")

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c
 
+from .dispersion import c
 from .errors import ConfigurationError, SamplingError
 
 
@@ -42,12 +42,17 @@ class InterferometerConfig:
         if not (0 < r1 < 1 and 0 < r2 < 1 and abs(r1 + r2 - 1) < 1e-9):
             raise ConfigurationError(
                 f"split ratios must lie in (0,1) and sum to 1, got {self.split_ratio}")
-        if self.magnification <= 0:
-            raise ConfigurationError("magnification must be positive")
+        if not (math.isfinite(self.magnification) and self.magnification > 0):
+            raise ConfigurationError(
+                f"magnification must be finite and positive, got {self.magnification}")
         if self.shift_to_xi is None:
             object.__setattr__(self, "shift_to_xi", 1.0 / self.magnification)
         if self.shift_to_delay is None:
             object.__setattr__(self, "shift_to_delay", 1.0 / c)
+        for name in ("shift_to_xi", "shift_to_delay", "stage_to_delay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
 
     def config_hash(self):
         text = "|".join(repr(v) for v in (

@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c
-from scipy.optimize import bisect
 
-from .dispersion import ORDINARY, ExtraordinaryAtAngle, SellmeierSet, wavenumber
+from .dispersion import ORDINARY, ExtraordinaryAtAngle, SellmeierSet, c, wavenumber
 from .errors import ConfigurationError, EvanescentWaveError, RootNotFoundError, WavelengthRangeError
 
-# |delta_k * L| regarded as phase matched when locating ring radii
-_LOCUS_TOL = 1e-3
+# on-axis |delta_k * L| at or below which a ring is reported collapsed to
+# k = 0: delta_k rounds to a few 1e-9 rad/m, and L is centimetres
+_LOCUS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,10 +45,11 @@ class CrystalConfig:
     sellmeier: SellmeierSet
 
     def __post_init__(self):
-        if self.length_m <= 0:
-            raise ConfigurationError(f"crystal length must be > 0, got {self.length_m}")
-        if self.gain < 0:
-            raise ConfigurationError(f"gain must be >= 0, got {self.gain}")
+        if not (math.isfinite(self.length_m) and self.length_m > 0):
+            raise ConfigurationError(
+                f"crystal length must be finite and > 0, got {self.length_m}")
+        if not (math.isfinite(self.gain) and self.gain >= 0):
+            raise ConfigurationError(f"gain must be finite and >= 0, got {self.gain}")
         if not 0.0 < self.theta_rad < math.pi / 2:
             raise ConfigurationError(
                 f"pump angle must lie in (0, pi/2) rad, got {self.theta_rad}")
@@ -115,26 +115,31 @@ def delta_k(omega_s, k, cfg):
 def collinear_degenerate_angle(pump_wavelength_m, sellmeier):
     """Pump angle theta_pm at which collinear degenerate emission is matched.
 
-    Bisection on the collinear degenerate mismatch, resolved to 1e-9 rad so
-    the residual |delta_k * L| stays below 1e-3 for centimeter crystals
-    (the mismatch slope is ~1e6 rad/m per rad of pump angle). Raises
-    RootNotFoundError when no sign change exists in (0, pi/2).
+    The pump wavevector must equal k = 2 k_o(omega_p / 2), and the index
+    ellipse gives it at sin^2(theta) = (k_o^-2 - k^-2) / (k_o^-2 - k_e^-2),
+    with k_o and k_e the principal pump wavevectors. Raises
+    RootNotFoundError when k lies outside (k_e, k_o).
     """
     omega_p = 2 * math.pi * c / pump_wavelength_m
-    k_degen = 2 * wavenumber(omega_p / 2, ORDINARY, sellmeier)
-
-    def mismatch(theta):
-        return wavenumber(omega_p, ExtraordinaryAtAngle(theta), sellmeier) - k_degen
-
-    thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, 181)
-    vals = np.array([mismatch(t) for t in thetas])
-    crossings = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if crossings.size == 0:
+    k_pm = 2 * wavenumber(omega_p / 2, ORDINARY, sellmeier)
+    inv_o = wavenumber(omega_p, ORDINARY, sellmeier) ** -2
+    inv_e = wavenumber(omega_p, ExtraordinaryAtAngle(math.pi / 2), sellmeier) ** -2
+    sin2 = (inv_o - k_pm ** -2) / (inv_o - inv_e)
+    if not 0 < sin2 < 1:
         raise RootNotFoundError(
             f"no collinear degenerate phase matching for pump "
             f"{pump_wavelength_m * 1e9:.4g} nm in {sellmeier.material}")
-    i = crossings[0]
-    return float(bisect(mismatch, thetas[i], thetas[i + 1], xtol=1e-9))
+    return math.asin(math.sqrt(sin2))
+
+
+def in_sellmeier_range(cfg, omega_s):
+    """Mask of signal frequencies whose signal and idler lie in the Sellmeier range."""
+    lo, hi = cfg.sellmeier.valid_range_um
+    omega_i = cfg.pump_omega - omega_s
+    in_band = (omega_s > 0) & (omega_i > 0)
+    lam_s = np.where(in_band, 2e6 * math.pi * c / np.where(in_band, omega_s, 1.0), 0.0)
+    lam_i = np.where(in_band, 2e6 * math.pi * c / np.where(in_band, omega_i, 1.0), 0.0)
+    return in_band & (lam_s >= lo) & (lam_s <= hi) & (lam_i >= lo) & (lam_i <= hi)
 
 
 def phase_matched_locus(cfg, omega_grid):
@@ -142,31 +147,23 @@ def phase_matched_locus(cfg, omega_grid):
 
     Returns a list of (omega, k_ring) for every grid frequency where a root
     exists; frequencies without a root (or outside the dispersion range)
-    contribute nothing. Radii solve |delta_k * L| < 1e-3 by bisection.
+    contribute nothing. With a = (k_p^2 + k_s^2 - k_i^2) / 2 k_p the root
+    is exact, k^2 = k_s^2 - a^2; it exists where the on-axis mismatch is
+    negative, and a ring whose on-axis |delta_k * L| is within rounding of
+    zero is reported collapsed, at k = 0.
     """
-    points = []
-    for omega in np.atleast_1d(np.asarray(omega_grid, dtype=float)):
-        try:
-            at_axis = delta_k(omega, 0.0, cfg)
-        except WavelengthRangeError:
-            continue
-        if abs(at_axis) * cfg.length_m <= _LOCUS_TOL:
-            points.append((float(omega), 0.0))
-            continue
-        if at_axis > 0:
-            continue  # mismatch only grows with |k|
-        omega_i = cfg.pump_omega - omega
-        limit = min(wavenumber(omega, ORDINARY, cfg.sellmeier),
-                    wavenumber(omega_i, ORDINARY, cfg.sellmeier)) * 0.999
-        lo, hi = 0.0, limit / 1024
-        while hi < limit and delta_k(omega, hi, cfg) < 0:
-            lo, hi = hi, hi * 2
-        if hi >= limit or delta_k(omega, hi, cfg) < 0:
-            continue
-        root = bisect(lambda k: delta_k(omega, k, cfg), lo, hi, xtol=1.0)
-        if abs(delta_k(omega, root, cfg)) * cfg.length_m < _LOCUS_TOL:
-            points.append((float(omega), float(root)))
-    return points
+    omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
+    omega = omega[in_sellmeier_range(cfg, omega)]
+    k_s = wavenumber(omega, ORDINARY, cfg.sellmeier)
+    k_i = wavenumber(cfg.pump_omega - omega, ORDINARY, cfg.sellmeier)
+    k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
+                     cfg.sellmeier)
+    at_axis = delta_k(omega, 0.0, cfg) * cfg.length_m
+    collapsed = np.abs(at_axis) <= _LOCUS_TOL
+    k2 = np.square(k_s) - np.square((k_p**2 + np.square(k_s) - np.square(k_i)) / (2 * k_p))
+    ring = np.where(collapsed, 0.0, np.sqrt(np.maximum(k2, 0.0)))
+    keep = collapsed | (at_axis < 0)
+    return [(float(w), float(k)) for w, k in zip(omega[keep], ring[keep])]
 
 
 def external_angle(k, wavelength_m):

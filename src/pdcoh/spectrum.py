@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.constants import c
-from scipy.interpolate import RegularGridInterpolator
 
-from .dispersion import ORDINARY, ExtraordinaryAtAngle, wavenumber
+from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, wavenumber
 from .errors import ConfigurationError
-from .phasematch import delta_k
+from .phasematch import delta_k, in_sellmeier_range
 
 EDGE_DECAY_RATIO = 1e-3
 
@@ -124,12 +122,8 @@ def _masked_density(cfg, omega, k):
     Returns (values, invalid_count). Nodes whose signal or idler leaves the
     dispersion range, or whose k is evanescent, do not evaluate.
     """
-    lo, hi = cfg.sellmeier.valid_range_um
     omega_i = cfg.pump_omega - omega
-    in_band = (omega > 0) & (omega_i > 0)
-    lam_s = np.where(in_band, 2e6 * math.pi * c / np.where(in_band, omega, 1.0), 0.0)
-    lam_i = np.where(in_band, 2e6 * math.pi * c / np.where(in_band, omega_i, 1.0), 0.0)
-    row_ok = in_band & (lam_s >= lo) & (lam_s <= hi) & (lam_i >= lo) & (lam_i <= hi)
+    row_ok = in_sellmeier_range(cfg, omega)
 
     k_s = np.zeros_like(omega)
     k_i = np.zeros_like(omega)
@@ -153,9 +147,12 @@ def auto_grid(cfg, n_omega=1024, n_k=512, margin=1.35):
     A coarse probe locates where the density exceeds 1e-3 of its peak,
     widening itself until that support is interior, and the final
     half-widths add the given margin so the edge-decay requirement holds.
+    A support whose margin would reach past the frequency cap of 0.49
+    omega_c cannot be bounded, and raises ConfigurationError.
     """
     omega_c = cfg.degenerate_omega
-    half_w, half_k = 0.49 * omega_c, 4e5
+    cap = 0.49 * omega_c
+    half_w, half_k = cap, 4e5
     for _ in range(10):
         probe_w = omega_c + np.linspace(-half_w, half_w, 257)
         probe_k = np.linspace(-half_k, half_k, 129)
@@ -167,11 +164,17 @@ def auto_grid(cfg, n_omega=1024, n_k=512, margin=1.35):
         rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
         cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
         if rows[0] or rows[-1] or cols[0] or cols[-1]:
-            half_w = min(half_w * 1.5, 0.49 * omega_c)
+            half_w = min(half_w * 1.5, cap)
             half_k *= 1.5
             continue
         span_w = np.abs(probe_w[rows] - omega_c).max()
         span_k = np.abs(probe_k[cols]).max()
+        if margin * span_w > cap:
+            raise ConfigurationError(
+                f"{cfg.sellmeier.material} at theta "
+                f"{math.degrees(cfg.theta_rad):g} deg: the density spans "
+                f"{span_w / omega_c:.2f} omega_c, and with margin {margin:g} "
+                f"its grid would pass the cap of 0.49 omega_c")
         return GridSpec(omega_center=omega_c,
                         omega_half_width=margin * span_w, n_omega=n_omega,
                         k_half_width=margin * span_k, n_k=n_k)
@@ -210,6 +213,23 @@ def build_spectrum(cfg, grid=None):
     return SpectralGrid(spec=grid, values=values, provenance=provenance)
 
 
+def bilinear(x_axis, y_axis, values, x, y):
+    """Bilinear samples of values[i, j] = f(x_axis[i], y_axis[j]) at (x, y).
+
+    Axes ascend; x and y broadcast. Returns (samples, inside), inside
+    marking queries within both axes (NaN is never inside); the others are
+    extrapolated from the edge cell, for the caller to refuse or fill. A
+    query on a node uses the cell above it, the last node the last cell.
+    """
+    i = np.clip(np.searchsorted(x_axis, x, side="right") - 1, 0, x_axis.size - 2)
+    j = np.clip(np.searchsorted(y_axis, y, side="right") - 1, 0, y_axis.size - 2)
+    u = (x - x_axis[i]) / (x_axis[i + 1] - x_axis[i])
+    v = (y - y_axis[j]) / (y_axis[j + 1] - y_axis[j])
+    inside = (x >= x_axis[0]) & (x <= x_axis[-1]) & (y >= y_axis[0]) & (y <= y_axis[-1])
+    return (values[i, j] * (1 - u) * (1 - v) + values[i, j + 1] * (1 - u) * v
+            + values[i + 1, j] * u * (1 - v) + values[i + 1, j + 1] * u * v), inside
+
+
 @dataclass
 class WavelengthAngleGrid:
     """Density resampled to wavelength and external emission angle."""
@@ -236,10 +256,9 @@ def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, n_angle)
 
-    interp = RegularGridInterpolator((omega, sg.k_axis()), sg.values,
-                                     bounds_error=False, fill_value=0.0)
     lam_q, theta_q = np.meshgrid(lam, theta, indexing="ij")
     omega_q = 2 * math.pi * c / lam_q
     k_q = theta_q * 2 * math.pi / lam_q
-    values = interp(np.stack([omega_q, k_q], axis=-1))
+    values, inside = bilinear(omega, sg.k_axis(), sg.values, omega_q, k_q)
+    values = np.where(inside, values, 0.0)
     return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pdcoh
 from pdcoh.cli import main
 from pdcoh.gridio import (
     read_assembled_map,
@@ -174,6 +179,25 @@ def test_config_problems_exit_1(tmp_path, capsys):
     assert main(["spectrum", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "pump_wavelength" in err
+
+
+def test_non_finite_gain_exits_1_naming_the_field(tmp_path, capsys):
+    bad = tmp_path / "nan.ini"
+    bad.write_text(CONFIG.format(out=tmp_path).replace("gain = 6", "gain = nan"))
+    assert main(["spectrum", str(bad)]) == 1
+    assert "[crystal] gain" in capsys.readouterr().err
+    assert not list(tmp_path.glob("spectrum_*"))
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy takes most of a second to import; only coherence --blur needs it
+    code = ("import sys, pdcoh.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(pdcoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_bad_blur_flag_exits_1(ws, capsys):

@@ -157,6 +157,35 @@ def test_value_at_interpolates_and_checks_extent(map94):
         map94.value_at(map94.tau_axis[-1] * 1.01, 0.0)
 
 
+def test_value_at_matches_scipy_bit_for_bit(map94):
+    # scipy is the reference only; pdcoh does its own lookups
+    from scipy.interpolate import RegularGridInterpolator
+    tau_axis, xi_axis = map94.tau_axis, map94.xi_axis
+    rng = np.random.default_rng(5)
+    ends = [0, 1, tau_axis.size // 2, -2, -1]
+    end_tau, end_xi = np.meshgrid(tau_axis[ends], xi_axis[ends], indexing="ij")
+    tau = np.concatenate([rng.uniform(tau_axis[0], tau_axis[-1], 200_000),
+                          end_tau.ravel()])
+    xi = np.concatenate([rng.uniform(xi_axis[0], xi_axis[-1], 200_000),
+                         end_xi.ravel()])
+    want = RegularGridInterpolator((tau_axis, xi_axis), map94.g)(
+        np.stack([tau, xi], axis=-1))
+    got = map94.value_at(tau, xi)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert map94.value_at(tau_axis[-1], xi_axis[0]) == map94.g[-1, 0]
+    grid = map94.value_at(tau_axis[:3, None], xi_axis[None, :4])
+    assert grid.shape == (3, 4)
+
+
+@pytest.mark.parametrize("tau, xi", [
+    (math.nan, 0.0), (0.0, math.nan), (0.0, 1.0), (-1.0, 0.0)])
+def test_value_at_refuses_nan_and_outside_queries(map94, tau, xi):
+    with pytest.raises(MapExtentError, match="extent"):
+        map94.value_at(tau, xi)
+    with pytest.raises(MapExtentError, match="extent"):
+        map94.value_at(np.array([0.0, tau]), np.array([0.0, xi]))
+
+
 def test_full_value_restores_carrier(map94):
     tau = map94.tau_axis[700]
     full = map94.full_value_at(tau, 0.0)

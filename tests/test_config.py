@@ -83,6 +83,16 @@ def test_quantity_parsing_demands_a_unit():
     assert set(TIME_UNITS) & set(ANGLE_UNITS) == set()
 
 
+@pytest.mark.parametrize("number", ["nan", "inf", "-inf", "1e400"])
+def test_quantity_parsing_refuses_non_finite_numbers(number):
+    with pytest.raises(ConfigurationError, match=r"\[crystal\] length.*finite"):
+        parse_length(f"{number} mm", field="[crystal] length")
+    with pytest.raises(ConfigurationError, match="finite"):
+        parse_time(f"{number} fs")
+    with pytest.raises(ConfigurationError, match="finite"):
+        parse_angle(f"{number} deg")
+
+
 def test_full_config_loads_in_si_units(tmp_path):
     rc = load_run_config(_write(tmp_path, FULL))
     assert rc.material == "bbo_kato1986"
@@ -141,6 +151,16 @@ def test_invalid_values_are_rejected(tmp_path):
         (FULL.replace("window_fringes = 1.5", "window_fringes = 0.5"),
          "window_fringes"),
         (FULL.replace("bs2_count = 11", "bs2_count = 0"), "bs2_count"),
+        (FULL.replace("gain = 6", "gain = nan"), r"\[crystal\] gain.*finite"),
+        (FULL.replace("gain = 6", "gain = inf"), r"\[crystal\] gain.*finite"),
+        (FULL.replace("length = 10 mm", "length = inf mm"),
+         r"\[crystal\] length.*finite"),
+        (FULL.replace("magnification = 6.6", "magnification = nan"),
+         r"magnification.*finite"),
+        (FULL.replace("window_fringes = 1.5", "window_fringes = nan"),
+         "window_fringes"),
+        (FULL.replace("split_ratio = 0.7, 0.3", "split_ratio = nan, 0.3"),
+         "split"),
     ]:
         with pytest.raises(ConfigurationError, match=pattern):
             load_run_config(_write(tmp_path, bad))

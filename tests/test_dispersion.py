@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pdcoh import dispersion
 from pdcoh.dispersion import (
     ORDINARY,
     ExtraordinaryAtAngle,
@@ -130,6 +131,22 @@ def test_gvd_stencil_must_stay_in_range(bbo):
     hi = bbo.valid_range_um[1]
     with pytest.raises(WavelengthRangeError):
         gvd(hi * 0.9999, ORDINARY, bbo)
+
+
+def test_speed_of_light_is_the_exact_si_value():
+    assert dispersion.c == c == 299_792_458.0
+
+
+@pytest.mark.parametrize("name", ["bbo_kato1986", "bbo_eimerl1987"])
+def test_zero_dispersion_bisection_matches_scipy_bit_for_bit(name):
+    # scipy is the reference only: same scan, same bracket, same xtol
+    from scipy.optimize import bisect
+    s = load_sellmeier(name)
+    lam = np.linspace(s.valid_range_um[0] * 1.01, s.valid_range_um[1] * 0.99, 129)
+    vals = np.array([gvd(x, ORDINARY, s) for x in lam])
+    i = int(np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][0])
+    want = bisect(lambda x: gvd(x, ORDINARY, s), lam[i], lam[i + 1], xtol=1e-4)
+    assert zero_dispersion_wavelength(ORDINARY, s) == want
 
 
 def test_validate_rejects_positive_uniaxial():

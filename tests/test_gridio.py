@@ -285,13 +285,18 @@ def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, path_kind):
 # --- malformed files end as ConfigurationError naming the file ---
 
 
-def _map_file(tmp_path, fmt):
+def _product_file(tmp_path, fmt):
+    """A small coherence map (csv or binary) or metrics file, and its reader."""
+    if fmt == "metrics":
+        path = tmp_path / "metrics.txt"
+        write_metrics(path, {"a": 1.5, "tag": "19p94"})
+        return path, read_metrics
     cmap = CoherenceMap((np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6,
                         np.ones((5, 3), complex), carrier_omega=1.2e15,
                         intensity=1.0, provenance={})
     path = tmp_path / "map.dat"
     write_coherence_map(path, cmap, fmt=fmt)
-    return path
+    return path, read_coherence_map
 
 
 def _binary_file(meta):
@@ -324,16 +329,20 @@ CORRUPTIONS = {
         "csv", lambda t: _replace_line(t, -3, lambda s: s.rsplit(",", 1)[0])),
     "non-numeric CSV row": (
         "csv", lambda t: _replace_line(t, -2, lambda s: "abc" + s[3:])),
+    "CSV header without an axis key": (
+        "csv", lambda t: "".join(line for line in t.splitlines(keepends=True)
+                                 if not line.startswith("# n_xi:"))),
+    "non-JSON metrics value": ("metrics", lambda t: t + "b = nope\n"),
 }
 
 
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 def test_malformed_files_are_configuration_errors(tmp_path, corruption):
     fmt, corrupt = CORRUPTIONS[corruption]
-    path = _map_file(tmp_path, fmt)
+    path, read = _product_file(tmp_path, fmt)
     if fmt == "binary":
         path.write_bytes(corrupt(path.read_bytes()))
     else:
         path.write_text(corrupt(path.read_text()))
     with pytest.raises(ConfigurationError, match=re.escape(str(path))):
-        read_coherence_map(path)
+        read(path)

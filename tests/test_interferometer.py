@@ -102,6 +102,15 @@ def test_config_rejects_bad_parameters():
         InterferometerConfig(magnification=-2.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("magnification", math.nan), ("magnification", math.inf),
+    ("shift_to_xi", math.nan), ("shift_to_delay", math.inf),
+    ("stage_to_delay", math.nan)])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field}.*finite"):
+        InterferometerConfig(**{field: value})
+
+
 def test_config_hash_tracks_fields():
     a = InterferometerConfig()
     b = InterferometerConfig()

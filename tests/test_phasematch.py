@@ -4,8 +4,19 @@ import numpy as np
 import pytest
 from scipy.constants import c
 
-from pdcoh.dispersion import ORDINARY, ExtraordinaryAtAngle, load_sellmeier, wavenumber
-from pdcoh.errors import ConfigurationError, EvanescentWaveError, WavelengthRangeError
+from pdcoh.dispersion import (
+    ORDINARY,
+    ExtraordinaryAtAngle,
+    SellmeierSet,
+    load_sellmeier,
+    wavenumber,
+)
+from pdcoh.errors import (
+    ConfigurationError,
+    EvanescentWaveError,
+    RootNotFoundError,
+    WavelengthRangeError,
+)
 from pdcoh.phasematch import (
     CrystalConfig,
     collinear_degenerate_angle,
@@ -31,14 +42,26 @@ def test_collinear_degenerate_angle_value(bbo):
 
 
 def test_mismatch_vanishes_at_the_solved_angle(bbo):
+    # the closed form is exact to rounding; a bisection to 1e-9 rad in
+    # angle would leave ~2e-6
     theta = collinear_degenerate_angle(800e-9, bbo)
     cfg = CrystalConfig(0.01, theta, 800e-9, 6.0, bbo)
-    assert abs(delta_k(cfg.degenerate_omega, 0.0, cfg)) * cfg.length_m < 1e-3
+    assert abs(delta_k(cfg.degenerate_omega, 0.0, cfg)) * cfg.length_m < 1e-8
+
+
+def test_no_collinear_angle_outside_the_index_ellipse(bbo):
+    # birefringence of ~0.003 cannot make up the ~0.015 index dispersion
+    # between 800 nm and 1.6 um, so no pump direction is slow enough
+    weak = SellmeierSet("weak", bbo.ordinary,
+                        (bbo.ordinary[0] - 0.01,) + bbo.ordinary[1:],
+                        bbo.valid_range_um).validate()
+    with pytest.raises(RootNotFoundError):
+        collinear_degenerate_angle(800e-9, weak)
 
 
 def test_single_sign_change_over_angle_scan(bbo):
-    # oracle for the bisection bracket: the collinear degenerate mismatch
-    # crosses zero exactly once between 0 and pi/2
+    # the collinear degenerate mismatch crosses zero exactly once between
+    # 0 and pi/2, so the closed-form angle is the only matching angle
     omega_p = 2 * math.pi * c / 800e-9
     k_degen = 2 * wavenumber(omega_p / 2, ORDINARY, bbo)
     thetas = np.linspace(1e-3, math.pi / 2 - 1e-3, 721)
@@ -118,8 +141,18 @@ def test_locus_points_are_phase_matched(bbo):
     grid = cfg.degenerate_omega + np.linspace(-3e14, 3e14, 101)
     points = phase_matched_locus(cfg, grid)
     assert len(points) > 50
+    # exact roots; a bisection to 1 rad/m in k would leave up to 1.4e-4
     for omega, k_ring in points:
-        assert abs(delta_k(omega, k_ring, cfg)) * cfg.length_m < 1e-3
+        assert abs(delta_k(omega, k_ring, cfg)) * cfg.length_m < 1e-8
+
+
+def test_locus_skips_unmatched_and_out_of_range_frequencies(bbo):
+    cfg = _cfg(bbo, 19.94)
+    far = 2 * math.pi * c / 4.0e-6  # signal beyond the Sellmeier range
+    omega_c = cfg.degenerate_omega
+    assert phase_matched_locus(cfg, [far, -omega_c, 1.2 * cfg.pump_omega]) == []
+    below = _cfg(bbo, 19.80)  # below theta_pm: no ring at all
+    assert phase_matched_locus(below, omega_c * np.linspace(0.9, 1.1, 5)) == []
 
 
 def test_external_angle_relation():
@@ -141,6 +174,20 @@ def test_config_validation(bbo):
     with pytest.raises(ConfigurationError):
         # degenerate wavelength would leave the valid range
         CrystalConfig(0.01, 0.3, 2.0e-6, 6.0, bbo)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("length_m", math.inf), ("length_m", math.nan), ("gain", math.nan),
+    ("gain", math.inf), ("theta_rad", math.nan),
+    ("pump_wavelength_m", math.nan)])
+def test_config_rejects_non_finite_values(bbo, field, value):
+    args = dict(length_m=0.01, theta_rad=0.35, pump_wavelength_m=800e-9,
+                gain=6.0, sellmeier=bbo)
+    args[field] = value
+    name = {"length_m": "length", "theta_rad": "angle",
+            "pump_wavelength_m": "wavelength"}.get(field, field)
+    with pytest.raises(ConfigurationError, match=name):
+        CrystalConfig(**args)
 
 
 def test_config_hash_stability(bbo):

@@ -17,7 +17,8 @@ from pdcoh import (
     spectral_density,
     to_wavelength_angle,
 )
-from pdcoh.spectrum import _density_from_mismatch
+from pdcoh.dispersion import c
+from pdcoh.spectrum import _density_from_mismatch, bilinear
 
 L = 0.01
 G = 6.0
@@ -225,6 +226,18 @@ def test_auto_grid_needs_nonzero_gain(theta_pm, sell):
         auto_grid(cfg)
 
 
+def test_auto_grid_refuses_a_support_past_its_cap(sell):
+    # Eimerl's data match collinearly at 20.66 deg; at 19.94 the density
+    # spreads so wide that the margin would pass 0.49 omega_c
+    cfg = CrystalConfig(length_m=L, theta_rad=math.radians(19.94),
+                        pump_wavelength_m=800e-9, gain=G,
+                        sellmeier=load_sellmeier("bbo_eimerl1987"))
+    with pytest.raises(ConfigurationError, match=r"BBO at theta 19\.94 deg.*cap"):
+        auto_grid(cfg)
+    grid = auto_grid(_cfg(math.radians(19.94), sell))
+    assert grid.omega_half_width < 0.49 * grid.omega_center
+
+
 def test_provenance_records_build(spot, theta_pm, sell):
     assert spot.provenance["config_hash"] == _cfg(theta_pm, sell).config_hash()
     assert "built_at" in spot.provenance
@@ -252,8 +265,47 @@ def test_wavelength_angle_ring_position(ring):
     assert abs(wa.angle_axis_rad[jm] - expected) <= step
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_bilinear_matches_scipy_bit_for_bit(dtype):
+    # scipy is the reference only; pdcoh does its own lookups
+    from scipy.interpolate import RegularGridInterpolator
+    rng = np.random.default_rng(11)
+    x = np.cumsum(rng.uniform(0.5, 2.0, 40))
+    y = np.cumsum(rng.uniform(0.5, 2.0, 30)) - 20.0
+    values = rng.normal(size=(40, 30)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.normal(size=(40, 30))
+    nodes_x, nodes_y = np.meshgrid(x, y, indexing="ij")
+    qx = np.concatenate([rng.uniform(x[0], x[-1], 200_000), nodes_x.ravel()])
+    qy = np.concatenate([rng.uniform(y[0], y[-1], 200_000), nodes_y.ravel()])
+    want = RegularGridInterpolator((x, y), values)(np.stack([qx, qy], axis=-1))
+    got, inside = bilinear(x, y, values, qx, qy)
+    assert inside.all()
+    assert np.array_equal(_bits(got), _bits(want))
+    _, inside = bilinear(x, y, values, np.array([x[0] - 1e-9, np.nan, x[-1]]),
+                         np.array([y[0], y[0], y[-1] + 1e-9]))
+    assert not inside.any()
+
+
+def test_wavelength_angle_matches_scipy_bit_for_bit(ring):
+    from scipy.interpolate import RegularGridInterpolator
+    wa = to_wavelength_angle(ring, n_wavelength=257, n_angle=129)
+    interp = RegularGridInterpolator((ring.omega_axis(), ring.k_axis()),
+                                     ring.values, bounds_error=False,
+                                     fill_value=0.0)
+    lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad,
+                             indexing="ij")
+    want = interp(np.stack([2 * math.pi * c / lam, theta * 2 * math.pi / lam],
+                           axis=-1))
+    assert np.count_nonzero(want == 0) > 0  # the zero fill is exercised
+    assert np.array_equal(_bits(wa.values), _bits(want))
+
+
 def test_wavelength_angle_round_trip(spot):
-    from scipy.constants import c
     omega = spot.omega_axis()[::97]
     k = spot.k_axis()[::61]
     lam = 2 * math.pi * c / omega
