@@ -84,19 +84,37 @@ def correlation_map(sg, oversample=16, extent_cells=32):
     tau = (np.arange(2 * n_side + 1) - n_side) * tau_step
     xi = (np.arange(2 * n_side + 1) - n_side) * xi_step
 
-    e_tau = np.exp(-1j * np.outer(tau, big_omega))
-    e_xi = np.exp(1j * np.outer(xi, k))
-    unnorm = (e_tau @ sg.values) @ e_xi.T
-    center = unnorm[n_side, n_side]
+    # S is real, so g(-tau, -xi) = conj g(tau, xi): only the tau >= 0 rows
+    # are summed, with real kernels, and the tau < 0 rows and the xi < 0
+    # half of the tau = 0 row are mirrored. Each +-k pair folds into an even
+    # part (against cos k xi) and an odd part (against sin k xi), which
+    # keeps the sum exact for any real S; k[0] = -n_k/2 steps has no partner
+    # and enters with both kernels. Columns: k = 0, even pairs, k[0], odd.
+    half = spec.n_k // 2
+    s = sg.values
+    pos, neg = s[:, half + 1:], s[:, half - 1:0:-1]
+    folded = np.concatenate([s[:, half:half + 1], pos + neg, s[:, :1],
+                             pos - neg], axis=1)
+    phase = np.outer(tau[n_side:], big_omega)
+    t_cos = np.cos(phase) @ folded
+    t_sin = np.sin(phase) @ folded
+    x_cos = np.cos(np.outer(np.concatenate([k[half:], k[:1]]), xi))
+    x_sin = np.sin(np.outer(np.concatenate([k[:1], k[half + 1:]]), xi))
+    re = t_cos[:, :half + 1] @ x_cos + t_sin[:, half:] @ x_sin
+    im = t_cos[:, half:] @ x_sin - t_sin[:, :half + 1] @ x_cos
+    center = re[0, n_side]
+    # dividing re and im by the real centre apart keeps g(0, 0) exactly 1
+    g = np.empty((tau.size, xi.size), dtype=complex)
+    g.real[n_side:] = re / center
+    g.imag[n_side:] = im / center
+    g[n_side, :n_side] = np.conj(g[n_side, :n_side:-1])
+    g[:n_side] = np.conj(g[:n_side:-1, ::-1])
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
     provenance.update(oversample=oversample, extent_cells=extent_cells)
-    # S is real and even, so the centre is real; dividing re and im by it
-    # apart keeps g(0, 0) exactly 1 (complex division can miss by an ulp)
-    g = (unnorm.view(float) / center.real).view(complex)
     return CoherenceMap(tau_axis=tau, xi_axis=xi, g=g,
                         carrier_omega=omega_c,
-                        intensity=float(center.real * cell),
+                        intensity=float(center * cell),
                         provenance=provenance)
 
 
@@ -191,6 +209,21 @@ def metrics(cmap):
                             xi_axis=cmap.xi_axis, xi_cut=xi_cut)
 
 
+def _gaussian_rows(x, sigma):
+    """Zero-padded Gaussian along axis 0, bit-identical to scipy.ndimage's
+    gaussian_filter1d: same weights, radius int(4 sigma + 0.5), sum order."""
+    radius = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-radius, radius + 1) ** 2)
+    w = w / w.sum()
+    n = x.shape[0]
+    padded = np.pad(x, ((radius, radius), (0, 0)))  # keeps x's memory order
+    out = x * w[radius]
+    for d in range(radius, 0, -1):
+        out += (padded[radius - d:radius - d + n]
+                + padded[radius + d:radius + d + n]) * w[radius - d]
+    return out
+
+
 def instrument_blur(cmap, dtau, dxi):
     """Map as a finite-resolution instrument would record it.
 
@@ -198,9 +231,6 @@ def instrument_blur(cmap, dtau, dxi):
     phase is kept. The result is deliberately not renormalized: a central
     value below 1 is the signature of resolution-limited visibility.
     """
-    # scipy.ndimage takes about 0.4 s to import: only a blur should pay it
-    from scipy.ndimage import gaussian_filter
-
     if dtau < 0 or dxi < 0:
         raise MapExtentError("blur widths must be nonnegative")
     if dtau == 0 and dxi == 0:
@@ -215,7 +245,11 @@ def instrument_blur(cmap, dtau, dxi):
     mag = np.abs(cmap.g)
     sigma = (dtau / FWHM_TO_SIGMA / cmap.tau_step,
              dxi / FWHM_TO_SIGMA / cmap.xi_step)
-    blurred = gaussian_filter(mag, sigma=sigma, mode="constant", cval=0.0)
+    blurred = mag
+    if sigma[0] > 1e-15:
+        blurred = _gaussian_rows(blurred, sigma[0])
+    if sigma[1] > 1e-15:
+        blurred = _gaussian_rows(blurred.T, sigma[1]).T
     phase = np.where(mag > 0, cmap.g / np.where(mag > 0, mag, 1.0), 1.0)
     provenance = dict(cmap.provenance)
     provenance.update(blur_tau_s=dtau, blur_xi_m=dxi)

@@ -36,12 +36,14 @@ _GVD_ZERO_FLOOR = 1e-4
 
 @dataclass(frozen=True)
 class SellmeierSet:
-    """One material's dispersion data: coefficients per branch, valid range."""
+    """One material's dispersion data: coefficients per branch, valid range,
+    and the source it was loaded from (a shipped set name or a path)."""
 
     material: str
     ordinary: tuple[float, float, float, float]
     extraordinary: tuple[float, float, float, float]
     valid_range_um: tuple[float, float]
+    source: str = ""
 
     def validate(self):
         """Check physical invariants by sampling the valid range.
@@ -235,4 +237,5 @@ def _parse_sellmeier(text, origin):
         ordinary=floats("ordinary", 4),
         extraordinary=floats("extraordinary", 4),
         valid_range_um=floats("valid_range_um", 2),
+        source=origin,
     )

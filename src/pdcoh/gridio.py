@@ -5,8 +5,8 @@ lines (values JSON-encoded, so strings and numbers survive the round
 trip) followed by comma-separated rows; complex grids store re/im column
 pairs. Binary files carry a JSON header after an 8-byte magic and then
 raw little-endian arrays in C order. Uniform axes persist as
-start/step/count. Anything timestamp-like is dropped on write: the same
-inputs must produce the same bytes.
+start/step/count. Headers carry no timestamp: the same inputs must
+produce the same bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
-_DROP_KEYS = ("built_at",)
 
 _FORMATS = ("csv", "binary")
 
@@ -34,8 +33,6 @@ _FORMATS = ("csv", "binary")
 def _clean(header):
     out = {}
     for key, value in header.items():
-        if key in _DROP_KEYS:
-            continue
         if isinstance(value, (np.floating, np.integer)):
             value = value.item()
         if not isinstance(value, (str, int, float, bool)):

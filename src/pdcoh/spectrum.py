@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -171,7 +170,7 @@ def auto_grid(cfg, n_omega=1024, n_k=512, margin=1.35):
         span_k = np.abs(probe_k[cols]).max()
         if margin * span_w > cap:
             raise ConfigurationError(
-                f"{cfg.sellmeier.material} at theta "
+                f"{cfg.sellmeier.source or cfg.sellmeier.material} at theta "
                 f"{math.degrees(cfg.theta_rad):g} deg: the density spans "
                 f"{span_w / omega_c:.2f} omega_c, and with margin {margin:g} "
                 f"its grid would pass the cap of 0.49 omega_c")
@@ -208,7 +207,6 @@ def build_spectrum(cfg, grid=None):
         "gain": cfg.gain,
         "invalid_nodes": invalid,
         "edge_ratio": float(edges / peak) if peak > 0 else math.inf,
-        "built_at": datetime.now(timezone.utc).isoformat(),
     }
     return SpectralGrid(spec=grid, values=values, provenance=provenance)
 

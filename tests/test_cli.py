@@ -189,15 +189,26 @@ def test_non_finite_gain_exits_1_naming_the_field(tmp_path, capsys):
     assert not list(tmp_path.glob("spectrum_*"))
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy takes most of a second to import; only coherence --blur needs it
-    code = ("import sys, pdcoh.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def test_cli_import_loads_no_scipy(tmp_path):
+    # scipy takes most of a second to import: neither the import nor
+    # coherence --blur (its Gaussian blur is in-module) may load it
+    small = tmp_path / "small.ini"
+    small.write_text(CONFIG.format(out=tmp_path / "out")
+                     .replace("= 256", "= 64").replace("= 128", "= 64")
+                     .replace("csv", "binary"))
+    code = ("import sys, pdcoh.cli\n"
+            "def scipy():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(scipy())\n"
+            "code = pdcoh.cli.main(['coherence', sys.argv[1], '--blur', '1fs,6um'])\n"
+            "print(code, scipy())\n")
     src = str(Path(pdcoh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", code, str(small)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[0] == "[]"
+    assert out.splitlines()[-1] == "0 []"
+    assert (tmp_path / "out" / "coherence_19p94_blur_map.bin").is_file()
 
 
 def test_bad_blur_flag_exits_1(ws, capsys):

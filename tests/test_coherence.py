@@ -15,6 +15,7 @@ from pdcoh import (
     load_sellmeier,
 )
 from pdcoh.coherence import (
+    FWHM_TO_SIGMA,
     CoherenceMap,
     correlation_map,
     direct_correlation,
@@ -82,7 +83,21 @@ def test_magnitude_bounded(map94):
 
 
 def test_hermitian_symmetry(map94):
-    assert np.max(np.abs(map94.g[::-1, ::-1] - np.conj(map94.g))) < 1e-9
+    # S is real, so g(-tau, -xi) = conj g(tau, xi) holds bit for bit
+    assert np.array_equal(map94.g[::-1, ::-1], np.conj(map94.g))
+
+
+def test_transform_is_exact_for_a_density_odd_in_k():
+    # a random S, not even in k, with mass in the unpaired k[0] column
+    spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
+                    n_omega=64, k_half_width=1e5, n_k=64)
+    values = np.random.default_rng(3).random((64, 64))
+    sg = SpectralGrid(spec, values, {"edge_ratio": 0.0})
+    cm = correlation_map(sg, oversample=2, extent_cells=4)
+    for i, tau in enumerate(cm.tau_axis):
+        for j, xi in enumerate(cm.xi_axis):
+            envelope = cm.g[i, j] * np.exp(-1j * cm.carrier_omega * tau)
+            assert abs(direct_correlation(sg, tau, xi) - envelope) < 1e-12
 
 
 def test_zero_lag_intensity_is_grid_sum(map94, sell):
@@ -274,6 +289,39 @@ def test_blur_on_pdc_map_changes_widths_marginally(map94):
     assert mb.tau_c > m0.tau_c - 0.5e-15
     assert mb.xi_c > m0.xi_c - 3e-6
     assert mb.xi_c < m0.xi_c * 1.05
+
+
+def _random_map(shape):
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return CoherenceMap(np.arange(shape[0]) * 1e-15, np.arange(shape[1]) * 1e-6,
+                        g, carrier_omega=1.2e15, intensity=1.0, provenance={})
+
+
+@pytest.mark.parametrize("shape, sigma", [
+    (None, None),
+    ((37, 91), (2.2, 0.7)),
+    ((91, 37), (0.0, 3.3)),
+    ((37, 91), (1e-16, 2.0)),
+    ((37, 91), (1e-16, 1e-16)),
+    ((60, 128), (12.5, 30.0))],
+    ids=["map94", "both", "xi_only", "tau_tiny", "both_tiny", "wide"])
+def test_blur_matches_scipy_bit_for_bit(map94, shape, sigma):
+    # scipy is the reference only; pdcoh does its own blur
+    from scipy.ndimage import gaussian_filter
+    cm = map94 if shape is None else _random_map(shape)
+    if sigma is None:
+        dtau, dxi = 1e-15, 6e-6
+    else:
+        dtau = sigma[0] * FWHM_TO_SIGMA * cm.tau_step
+        dxi = sigma[1] * FWHM_TO_SIGMA * cm.xi_step
+    out = instrument_blur(cm, dtau, dxi)
+    mag = np.abs(cm.g)
+    want = gaussian_filter(mag, (dtau / FWHM_TO_SIGMA / cm.tau_step,
+                                 dxi / FWHM_TO_SIGMA / cm.xi_step),
+                           mode="constant", cval=0.0)
+    phase = np.where(mag > 0, cm.g / np.where(mag > 0, mag, 1.0), 1.0)
+    assert np.array_equal((want * phase).view(np.uint64), out.g.view(np.uint64))
 
 
 def test_blur_kernel_must_fit_the_map(map94):

@@ -1,0 +1,67 @@
+"""Invariants of the correlation map, checked on random small grids."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdcoh import GridSpec, SpectralGrid
+from pdcoh.coherence import correlation_map, direct_correlation, factorability_defect
+
+# small maps keep each example to about a millisecond
+SIDE = dict(oversample=2, extent_cells=6)
+
+seeds = st.integers(0, 2**32 - 1)
+n_omegas = st.sampled_from([64, 128])
+
+
+def _grid(values):
+    spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
+                    n_omega=values.shape[0], k_half_width=1e5,
+                    n_k=values.shape[1])
+    return SpectralGrid(spec, values, {"edge_ratio": 0.0})
+
+
+def _random_density(seed, n_omega):
+    return np.random.default_rng(seed).random((n_omega, 64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas)
+def test_center_is_one_and_magnitude_bounded(seed, n_omega):
+    cm = correlation_map(_grid(_random_density(seed, n_omega)), **SIDE)
+    n = cm.tau_axis.size // 2
+    assert cm.g[n, n] == 1.0
+    assert np.abs(cm.g).max() <= 1 + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas)
+def test_density_even_in_k_gives_a_map_even_in_xi(seed, n_omega):
+    # any S(omega, k^2): column half +- m holds the same values; k[0] has
+    # no +k partner on the grid, so it is left empty
+    table = _random_density(seed, n_omega)
+    half = 32
+    values = table[:, np.abs(np.arange(64) - half)]
+    values[:, 0] = 0.0
+    g = correlation_map(_grid(values), **SIDE).g
+    assert np.max(np.abs(g[:, ::-1] - g)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas)
+def test_separable_density_factorizes(seed, n_omega):
+    rng = np.random.default_rng(seed)
+    values = np.outer(rng.random(n_omega), rng.random(64))
+    assert factorability_defect(correlation_map(_grid(values), **SIDE)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas, st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
+                                 min_size=1, max_size=5))
+def test_map_agrees_with_direct_quadrature(seed, n_omega, nodes):
+    sg = _grid(_random_density(seed, n_omega))
+    cm = correlation_map(sg, **SIDE)
+    for i, j in nodes:
+        tau, xi = cm.tau_axis[i], cm.xi_axis[j]
+        envelope = cm.g[i, j] * np.exp(-1j * cm.carrier_omega * tau)
+        assert abs(direct_correlation(sg, tau, xi) - envelope) < 1e-12

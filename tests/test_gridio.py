@@ -38,7 +38,7 @@ def sg():
     values = rng.random((64, 64))
     return SpectralGrid(spec, values, provenance={
         "material": "bbo_kato1986", "gain": 6.0, "edge_ratio": 1e-5,
-        "invalid_nodes": 0, "built_at": "2026-01-01T00:00:00+00:00"})
+        "invalid_nodes": 0})
 
 
 @pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("binary", "bin")])
@@ -51,7 +51,6 @@ def test_spectral_grid_round_trip(tmp_path, sg, fmt, ext):
     assert back.provenance["material"] == "bbo_kato1986"
     assert back.provenance["gain"] == 6.0
     assert back.provenance["invalid_nodes"] == 0
-    assert "built_at" not in back.provenance
 
 
 def test_written_bytes_are_deterministic(tmp_path, sg):
@@ -147,8 +146,7 @@ def test_profile_rejects_ragged_columns(tmp_path):
 
 def test_metrics_round_trip_preserves_types(tmp_path):
     record = {"theta_tag": "19p87", "tau_c_s": 2.79486e-14,
-              "n_traces": 11, "converged": True,
-              "built_at": "2026-01-01T00:00:00+00:00"}
+              "n_traces": 11, "converged": True}
     path = tmp_path / "metrics.txt"
     write_metrics(path, record)
     back = read_metrics(path)
@@ -156,7 +154,6 @@ def test_metrics_round_trip_preserves_types(tmp_path):
     assert back["tau_c_s"] == 2.79486e-14
     assert back["n_traces"] == 11
     assert back["converged"] is True
-    assert "built_at" not in back
 
 
 def test_trace_round_trip(tmp_path):
