@@ -131,18 +131,16 @@ def cmd_phasematch(args):
     return 0
 
 
-def _build_map(rc, theta):
+def _build_spectrum(rc, theta):
     cfg = rc.crystal_config(theta)
-    sg = build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
-    return sg, correlation_map(sg)
+    return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
 
 
 def cmd_spectrum(args):
     rc = load_run_config(_config_path(args))
     out = _outdir(rc, args)
     for theta in _select_thetas(rc, args):
-        cfg = rc.crystal_config(theta)
-        sg = build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
+        sg = _build_spectrum(rc, theta)
         tag = _theta_tag(theta)
         gpath = out / f"spectrum_{tag}_omega_k.{_ext(rc)}"
         write_spectral_grid(gpath, sg, fmt=rc.out_format)
@@ -192,7 +190,7 @@ def cmd_coherence(args):
                 parse_length(parts[1], field="--blur"))
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        _, cmap = _build_map(rc, theta)
+        cmap = correlation_map(_build_spectrum(rc, theta))
         _coherence_products(out, rc, tag, cmap)
         if blur:
             blurred = instrument_blur(cmap, blur[0], blur[1])
@@ -209,7 +207,7 @@ def cmd_interferogram(args):
         raise ConfigurationError("--bs2-steps: must be >= 1")
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        _, cmap = _build_map(rc, theta)
+        cmap = correlation_map(_build_spectrum(rc, theta))
         paths = []
         for j in range(count):
             bs2 = (j - (count - 1) / 2.0) * rc.bs2_step_m

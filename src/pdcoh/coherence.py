@@ -25,6 +25,10 @@ _MIN_SAMPLES_PER_FWHM = 8.0
 
 _NOISE_FLOOR = 1e-3
 
+# narrowest blur sigma, in samples: the sampled Gaussian keeps 0.977 of
+# sigma^2 at 0.6 samples, only 0.86 at 0.5
+_MIN_BLUR_SIGMA = 0.6
+
 
 @dataclass
 class CoherenceMap:
@@ -59,30 +63,34 @@ class CoherenceMap:
                                                * np.asarray(tau, dtype=float))
 
 
-def correlation_map(sg, oversample=16, extent_cells=32):
+def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     """Transform a spectral grid into its normalized correlation map.
 
     The tau and xi axes are the conjugate grids of the omega and k sampling
     (cell 2*pi/span), refined `oversample` times and truncated to
-    +-`extent_cells` conjugate cells so the central structure is resolved
-    well beyond the metric extractor's needs. Refusal to transform a grid
-    whose density has not decayed at the edges guards against aliasing.
+    +-`extent_cells` conjugate cells, each a (tau, xi) pair or one value for
+    both. tau keeps oversample 16 so a 1 fs blur keeps its variance; xi is
+    sized by the metric floor and the BS2 sweep: a 1025 x 257 map. Refusal
+    to transform a grid whose density has not decayed at the edges guards
+    against aliasing.
     """
     edge = sg.edge_ratio
     if not edge < 1e-3:
         raise EdgeDecayError(
             f"spectral density at the grid edge is {edge:.2e} of the peak "
             "(limit 1e-3); widen the grid before transforming")
+    (os_tau, os_xi), (ext_tau, ext_xi) = (
+        v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
     spec = sg.spec
     omega_c = spec.omega_center
     big_omega = sg.omega_axis() - omega_c
     k = sg.k_axis()
 
-    n_side = oversample * extent_cells
-    tau_step = 2.0 * math.pi / (2.0 * spec.omega_half_width) / oversample
-    xi_step = 2.0 * math.pi / (2.0 * spec.k_half_width) / oversample
-    tau = (np.arange(2 * n_side + 1) - n_side) * tau_step
-    xi = (np.arange(2 * n_side + 1) - n_side) * xi_step
+    n_tau, n_xi = os_tau * ext_tau, os_xi * ext_xi
+    tau_step = 2.0 * math.pi / (2.0 * spec.omega_half_width) / os_tau
+    xi_step = 2.0 * math.pi / (2.0 * spec.k_half_width) / os_xi
+    tau = (np.arange(2 * n_tau + 1) - n_tau) * tau_step
+    xi = (np.arange(2 * n_xi + 1) - n_xi) * xi_step
 
     # S is real, so g(-tau, -xi) = conj g(tau, xi): only the tau >= 0 rows
     # are summed, with real kernels, and the tau < 0 rows and the xi < 0
@@ -95,23 +103,24 @@ def correlation_map(sg, oversample=16, extent_cells=32):
     pos, neg = s[:, half + 1:], s[:, half - 1:0:-1]
     folded = np.concatenate([s[:, half:half + 1], pos + neg, s[:, :1],
                              pos - neg], axis=1)
-    phase = np.outer(tau[n_side:], big_omega)
+    phase = np.outer(tau[n_tau:], big_omega)
     t_cos = np.cos(phase) @ folded
     t_sin = np.sin(phase) @ folded
     x_cos = np.cos(np.outer(np.concatenate([k[half:], k[:1]]), xi))
     x_sin = np.sin(np.outer(np.concatenate([k[:1], k[half + 1:]]), xi))
     re = t_cos[:, :half + 1] @ x_cos + t_sin[:, half:] @ x_sin
     im = t_cos[:, half:] @ x_sin - t_sin[:, :half + 1] @ x_cos
-    center = re[0, n_side]
+    center = re[0, n_xi]
     # dividing re and im by the real centre apart keeps g(0, 0) exactly 1
     g = np.empty((tau.size, xi.size), dtype=complex)
-    g.real[n_side:] = re / center
-    g.imag[n_side:] = im / center
-    g[n_side, :n_side] = np.conj(g[n_side, :n_side:-1])
-    g[:n_side] = np.conj(g[:n_side:-1, ::-1])
+    g.real[n_tau:] = re / center
+    g.imag[n_tau:] = im / center
+    g[n_tau, :n_xi] = np.conj(g[n_tau, :n_xi:-1])
+    g[:n_tau] = np.conj(g[:n_tau:-1, ::-1])
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
-    provenance.update(oversample=oversample, extent_cells=extent_cells)
+    provenance.update(oversample_tau=os_tau, oversample_xi=os_xi,
+                      extent_cells_tau=ext_tau, extent_cells_xi=ext_xi)
     return CoherenceMap(tau_axis=tau, xi_axis=xi, g=g,
                         carrier_omega=omega_c,
                         intensity=float(center * cell),
@@ -229,7 +238,9 @@ def instrument_blur(cmap, dtau, dxi):
 
     |g1| is convolved with a normalized Gaussian of FWHM (dtau, dxi); the
     phase is kept. The result is deliberately not renormalized: a central
-    value below 1 is the signature of resolution-limited visibility.
+    value below 1 is the signature of resolution-limited visibility. A
+    sigma of at most 1e-15 samples leaves its axis unblurred; one below 0.6
+    samples raises ResolutionError carrying that axis's refinement factor.
     """
     if dtau < 0 or dxi < 0:
         raise MapExtentError("blur widths must be nonnegative")
@@ -242,9 +253,16 @@ def instrument_blur(cmap, dtau, dxi):
     if dtau > tau_span or dxi > xi_span:
         raise MapExtentError(
             "blur kernel is wider than the map; enlarge the extent")
-    mag = np.abs(cmap.g)
     sigma = (dtau / FWHM_TO_SIGMA / cmap.tau_step,
              dxi / FWHM_TO_SIGMA / cmap.xi_step)
+    for axis, samples in zip(("tau", "xi"), sigma):
+        if 1e-15 < samples < _MIN_BLUR_SIGMA:
+            factor = math.ceil(_MIN_BLUR_SIGMA / samples)
+            raise ResolutionError(
+                f"{axis} blur sigma spans {samples:.2f} samples (need "
+                f"{_MIN_BLUR_SIGMA}); refine the {axis} axis {factor}x or "
+                "widen the blur", refine_factor=factor)
+    mag = np.abs(cmap.g)
     blurred = mag
     if sigma[0] > 1e-15:
         blurred = _gaussian_rows(blurred, sigma[0])

@@ -10,14 +10,13 @@ the section and field.
 from __future__ import annotations
 
 import configparser
-import hashlib
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 from .dispersion import load_sellmeier
 from .errors import ConfigurationError
+from .hashing import config_digest
 from .interferometer import InterferometerConfig
 from .phasematch import CrystalConfig
 
@@ -115,7 +114,7 @@ class RunConfig:
                              gain=self.gain, sellmeier=self.sellmeier)
 
     def config_hash(self):
-        payload = json.dumps({
+        return config_digest({
             "material": self.material, "length_m": self.length_m,
             "pump_wavelength_m": self.pump_wavelength_m, "gain": self.gain,
             "thetas_rad": list(self.thetas_rad), "n_omega": self.n_omega,
@@ -124,8 +123,7 @@ class RunConfig:
             "stage_span_m": self.stage_span_m,
             "window_fringes": self.window_fringes,
             "out_format": self.out_format,
-        }, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        })
 
 
 def _get(cp, section, key, default=_REQUIRED):

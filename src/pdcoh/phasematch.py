@@ -13,7 +13,6 @@ k is a scalar in the plane free of pump walk-off.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, SellmeierSet, c, wavenumber
 from .errors import ConfigurationError, EvanescentWaveError, RootNotFoundError, WavelengthRangeError
+from .hashing import config_digest
 
 # on-axis |delta_k * L| at or below which a ring is reported collapsed to
 # k = 0: delta_k rounds to a few 1e-9 rad/m, and L is centimetres
@@ -73,17 +73,12 @@ class CrystalConfig:
 
     def config_hash(self):
         """Short stable digest of every physics-relevant field."""
-        text = "|".join([
-            self.sellmeier.material,
-            repr(self.sellmeier.ordinary),
-            repr(self.sellmeier.extraordinary),
-            repr(self.sellmeier.valid_range_um),
-            repr(self.length_m),
-            repr(self.theta_rad),
-            repr(self.pump_wavelength_m),
-            repr(self.gain),
-        ])
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
+        s = self.sellmeier
+        return config_digest({
+            "material": s.material, "ordinary": s.ordinary,
+            "extraordinary": s.extraordinary, "valid_range_um": s.valid_range_um,
+            "length_m": self.length_m, "theta_rad": self.theta_rad,
+            "pump_wavelength_m": self.pump_wavelength_m, "gain": self.gain})
 
 
 def delta_k(omega_s, k, cfg):

@@ -23,7 +23,9 @@ from pdcoh.coherence import (
     instrument_blur,
     metrics,
 )
+from pdcoh.gridio import read_coherence_map, write_coherence_map
 
+ANGLES_DEG = (19.87, 19.90, 19.94)
 FWHM_SIGMA = 2.3548200450309493
 
 
@@ -40,6 +42,11 @@ def _cfg(theta_deg, sell):
 @pytest.fixture(scope="module")
 def map94(sell):
     return correlation_map(build_spectrum(_cfg(19.94, sell)))
+
+
+@pytest.fixture(scope="module")
+def spectra(sell):
+    return {deg: build_spectrum(_cfg(deg, sell)) for deg in ANGLES_DEG}
 
 
 def _gaussian_grid(sigma_w=2e13, sigma_k=1e4):
@@ -64,18 +71,47 @@ def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
 
 
 def test_center_is_one_exactly(map94):
-    n = map94.tau_axis.size
-    assert map94.g[n // 2, n // 2] == 1.0 + 0.0j
-    assert map94.tau_axis[n // 2] == 0.0
-    assert map94.xi_axis[n // 2] == 0.0
+    i0, j0 = map94.tau_axis.size // 2, map94.xi_axis.size // 2
+    assert map94.g[i0, j0] == 1.0 + 0.0j
+    assert map94.tau_axis[i0] == 0.0
+    assert map94.xi_axis[j0] == 0.0
 
 
 def test_center_is_one_exactly_at_collinear(sell):
     # on this grid a complex division by the centre gives 1 - 1 ulp
     cfg = _cfg(19.87, sell)
     g = correlation_map(build_spectrum(cfg, auto_grid(cfg, 512, 256))).g
-    n = g.shape[0] // 2
-    assert g[n, n] == 1.0 + 0.0j
+    assert g[g.shape[0] // 2, g.shape[1] // 2] == 1.0 + 0.0j
+
+
+def test_default_map_shape_and_sizes_survive_both_formats(spectra,
+                                                         tmp_path):
+    sg = spectra[19.94]
+    assert sg.values.shape == (1024, 512)
+    cmap = correlation_map(sg)
+    assert cmap.g.shape == (1025, 257)
+    sizes = {"oversample_tau": 16, "oversample_xi": 8,
+             "extent_cells_tau": 32, "extent_cells_xi": 16}
+    for fmt in ("csv", "binary"):
+        path = tmp_path / f"map.{fmt}"
+        write_coherence_map(path, cmap, fmt=fmt)
+        back = read_coherence_map(path)
+        assert back.g.shape == (1025, 257)
+        assert {key: back.provenance[key] for key in sizes} == sizes
+
+
+def test_default_map_sizes_converge(spectra):
+    # against xi at tau's oversample 16 over +-32 cells: a 1025 x 1025 map
+    for deg, sg in spectra.items():
+        small = correlation_map(sg)
+        full = correlation_map(sg, oversample=16, extent_cells=32)
+        m, ref = metrics(small), metrics(full)
+        assert m.tau_c == pytest.approx(ref.tau_c, rel=1e-4, abs=0), deg
+        assert m.xi_c == pytest.approx(ref.xi_c, rel=1e-4, abs=0), deg
+        assert m.first_ring_height == pytest.approx(ref.first_ring_height,
+                                                    rel=1e-4), deg
+        assert factorability_defect(small) == pytest.approx(
+            factorability_defect(full), abs=1e-3), deg
 
 
 def test_magnitude_bounded(map94):
@@ -143,8 +179,9 @@ def test_transform_matches_direct_quadrature(sell):
     sg = build_spectrum(cfg, auto_grid(cfg, n_omega=256, n_k=256))
     cm = correlation_map(sg)
     rng = np.random.default_rng(11)
-    idx = rng.integers(0, cm.tau_axis.size, size=(40, 2))
-    for i, j in idx:
+    rows = rng.integers(0, cm.tau_axis.size, size=40)
+    cols = rng.integers(0, cm.xi_axis.size, size=40)
+    for i, j in zip(rows, cols):
         direct = direct_correlation(sg, cm.tau_axis[i], cm.xi_axis[j])
         envelope = cm.g[i, j] * np.exp(-1j * cm.carrier_omega * cm.tau_axis[i])
         assert abs(direct - envelope) < 1e-6
@@ -162,11 +199,11 @@ def test_correlation_decays_far_outside(sell):
 
 
 def test_value_at_interpolates_and_checks_extent(map94):
-    n = map94.tau_axis.size
+    j0 = map94.xi_axis.size // 2
     assert map94.value_at(0.0, 0.0) == 1.0 + 0.0j
     mid_tau = 0.5 * (map94.tau_axis[600] + map94.tau_axis[601])
     v = map94.value_at(mid_tau, 0.0)
-    lo, hi = map94.g[600, n // 2], map94.g[601, n // 2]
+    lo, hi = map94.g[600, j0], map94.g[601, j0]
     assert v == pytest.approx(0.5 * (lo + hi), rel=1e-12)
     with pytest.raises(MapExtentError):
         map94.value_at(map94.tau_axis[-1] * 1.01, 0.0)
@@ -177,8 +214,10 @@ def test_value_at_matches_scipy_bit_for_bit(map94):
     from scipy.interpolate import RegularGridInterpolator
     tau_axis, xi_axis = map94.tau_axis, map94.xi_axis
     rng = np.random.default_rng(5)
-    ends = [0, 1, tau_axis.size // 2, -2, -1]
-    end_tau, end_xi = np.meshgrid(tau_axis[ends], xi_axis[ends], indexing="ij")
+    ends = [0, 1, -2, -1]
+    end_tau, end_xi = np.meshgrid(tau_axis[ends + [tau_axis.size // 2]],
+                                  xi_axis[ends + [xi_axis.size // 2]],
+                                  indexing="ij")
     tau = np.concatenate([rng.uniform(tau_axis[0], tau_axis[-1], 200_000),
                           end_tau.ravel()])
     xi = np.concatenate([rng.uniform(xi_axis[0], xi_axis[-1], 200_000),
@@ -322,6 +361,21 @@ def test_blur_matches_scipy_bit_for_bit(map94, shape, sigma):
                            mode="constant", cval=0.0)
     phase = np.where(mag > 0, cm.g / np.where(mag > 0, mag, 1.0), 1.0)
     assert np.array_equal((want * phase).view(np.uint64), out.g.view(np.uint64))
+
+
+def test_blur_refuses_sigma_below_the_sampling_floor(spectra):
+    # at tau oversample 8 a 1 fs blur's sigma spans only 0.32-0.40 samples,
+    # where the sampled Gaussian keeps only 15-51 % of its variance
+    for deg, sg in spectra.items():
+        coarse = correlation_map(sg, oversample=8, extent_cells=(32, 16))
+        with pytest.raises(ResolutionError, match="tau") as err:
+            instrument_blur(coarse, 1e-15, 6e-6)
+        assert err.value.refine_factor == 2, deg
+        cmap = correlation_map(sg)
+        blurred = instrument_blur(cmap, 1e-15, 6e-6)
+        assert abs(blurred.g).max() < 1.0, deg
+        with pytest.raises(ResolutionError, match="xi"):
+            instrument_blur(cmap, 0.0, 1e-6)
 
 
 def test_blur_kernel_must_fit_the_map(map94):

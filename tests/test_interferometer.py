@@ -302,6 +302,9 @@ def test_assembly_rejects_inconsistent_inputs(flat_map, icfg):
     t_other = _centered_sweep(flat_map, other, 80e-6, 30e-15)
     with pytest.raises(ConfigurationError, match="mix interferometer"):
         assemble_map([t0, t1, t_other], icfg)
+    # one foreign configuration, e.g. traces written under an old hash
+    with pytest.raises(ConfigurationError, match="different interferometer"):
+        assemble_map([t_other], icfg)
 
     detuned = CoherenceMap(flat_map.tau_axis, flat_map.xi_axis, flat_map.g,
                            carrier_omega=1.01 * OMEGA_DEG, intensity=1.0,
