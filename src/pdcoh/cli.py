@@ -76,7 +76,7 @@ def cmd_dispersion(args):
     header = {
         "material": rc.material,
         "zero_dispersion_wavelength_um":
-            zero_dispersion_wavelength(ORDINARY, s),
+            zero_dispersion_wavelength(s),
         "config_hash": rc.config_hash(),
     }
     path = out / f"dispersion_{rc.material}.{_ext(rc)}"
@@ -178,8 +178,6 @@ def _coherence_products(out, rc, tag, cmap, suffix=""):
 
 
 def cmd_coherence(args):
-    rc = load_run_config(_config_path(args))
-    out = _outdir(rc, args)
     blur = None
     if args.blur:
         parts = args.blur.split(",")
@@ -188,6 +186,10 @@ def cmd_coherence(args):
                 "--blur: expected a time,length pair such as 1fs,6um")
         blur = (parse_time(parts[0], field="--blur"),
                 parse_length(parts[1], field="--blur"))
+        if min(blur) < 0:
+            raise ConfigurationError(f"--blur: widths must be >= 0, got {args.blur}")
+    rc = load_run_config(_config_path(args))
+    out = _outdir(rc, args)
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
         cmap = correlation_map(_build_spectrum(rc, theta))
@@ -203,8 +205,6 @@ def cmd_interferogram(args):
     out = _outdir(rc, args)
     icfg = rc.interferometer
     count = args.bs2_steps or rc.bs2_count
-    if count < 1:
-        raise ConfigurationError("--bs2-steps: must be >= 1")
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
         cmap = correlation_map(_build_spectrum(rc, theta))
@@ -273,6 +273,13 @@ def cmd_analyze(args):
     return 0
 
 
+def _positive_int(text):
+    value = int(text) if text.isdecimal() else 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="pdcoh",
@@ -292,7 +299,7 @@ def _build_parser():
 
     p = sub.add_parser("dispersion", help="refractive index and GVD tables")
     common(p, theta=False)
-    p.add_argument("--points", type=int, default=257)
+    p.add_argument("--points", type=_positive_int, default=257)
     p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("phasematch",
@@ -315,7 +322,7 @@ def _build_parser():
     p = sub.add_parser("interferogram",
                        help="synthesize fringe traces at stepped BS2 positions")
     common(p)
-    p.add_argument("--bs2-steps", type=int, default=None, metavar="N",
+    p.add_argument("--bs2-steps", type=_positive_int, default=None, metavar="N",
                    help="number of BS2 positions (default from config)")
     p.set_defaults(func=cmd_interferogram)
 

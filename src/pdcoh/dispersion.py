@@ -28,10 +28,8 @@ c = 299_792_458.0
 
 SHIPPED_SETS = ("bbo_kato1986", "bbo_eimerl1987")
 
-# |gvd| below this (fs^2/mm) counts as zero when scanning for a sign change;
-# the finite-difference noise floor is ~3e-3 fs^2/mm, a real crossing slope
-# is orders of magnitude steeper.
-_GVD_ZERO_FLOOR = 1e-4
+# gvd's central-difference step, relative to omega
+_GVD_REL_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -135,15 +133,15 @@ def wavenumber(omega, branch, s):
     return index(lam_um, branch, s) * np.asarray(omega) / c
 
 
-def gvd(lam_um, branch, s, rel_step=1e-3):
+def gvd(lam_um, branch, s):
     """Group-velocity dispersion d2k/domega2 in fs^2/mm.
 
     Central finite difference in angular frequency with step
-    rel_step * omega; the three-point stencil must stay inside the valid
-    wavelength range. 1 s^2/m equals 1e27 fs^2/mm.
+    _GVD_REL_STEP * omega; the three-point stencil must stay inside the
+    valid wavelength range. 1 s^2/m equals 1e27 fs^2/mm.
     """
     omega = 2e6 * math.pi * c / np.asarray(lam_um, dtype=float)
-    h = rel_step * omega
+    h = _GVD_REL_STEP * omega
     for probe in (omega - h, omega + h):
         _check_range(2e6 * math.pi * c / probe, s, _branch_name(branch))
     k_minus = wavenumber(omega - h, branch, s)
@@ -156,36 +154,26 @@ def _branch_name(branch):
     return "ordinary" if isinstance(branch, Ordinary) else "extraordinary"
 
 
-def zero_dispersion_wavelength(branch, s, samples=129):
-    """Wavelength (um) where gvd crosses zero, by bisection to 1e-4 um.
+def zero_dispersion_wavelength(s):
+    """Shortest wavelength (um) in the valid range where the ordinary gvd is 0.
 
-    Scans the valid range for a genuine sign change, treating |gvd| below
-    the numerical zero floor as zero, so a dispersionless set reports
-    RootNotFoundError instead of chasing rounding noise.
+    With u = lambda^2 and p = u - c the Sellmeier form has d2n/dlambda2 = 0
+    where 2 (a p + b - d u p) (8 b u - 2 b p - 2 d p^3) = 4 u (b + d p^2)^2,
+    a quintic in u solved exactly. Raises RootNotFoundError when no real
+    root lies in range; a dispersionless set gives the zero polynomial.
     """
+    a, b, cc, d = s.ordinary
     lo, hi = s.valid_range_um
-    # shrink so the finite-difference stencil stays in range
-    lam = np.linspace(lo * 1.01, hi * 0.99, samples)
-    vals = np.array([gvd(x, branch, s) for x in lam])
-    signs = np.where(np.abs(vals) < _GVD_ZERO_FLOOR, 0, np.sign(vals))
-    nonzero = np.nonzero(signs)[0]
-    for i, j in zip(nonzero[:-1], nonzero[1:]):
-        if signs[i] * signs[j] < 0:
-            break
-    else:
+    u = np.polynomial.Polynomial([0.0, 1.0])
+    p = u - cc
+    quintic = (2 * (a * p + b - d * u * p) * (8 * b * u - 2 * b * p - 2 * d * p**3)
+               - 4 * u * (b + d * p**2) ** 2)
+    roots = quintic.roots()
+    roots = roots.real[(roots.imag == 0) & (roots.real > lo**2) & (roots.real < hi**2)]
+    if not roots.size:
         raise RootNotFoundError(
-            f"{s.material} {_branch_name(branch)}: no gvd sign change in "
-            f"({lo}, {hi}) um")
-    # scipy.optimize.bisect's steps: halve from the lower end, keep its sign
-    x_lo, step = lam[i], lam[j] - lam[i]
-    while True:
-        step *= 0.5
-        mid = x_lo + step
-        f_mid = gvd(mid, branch, s)
-        if f_mid * vals[i] >= 0:
-            x_lo = mid
-        if f_mid == 0 or step < 1e-4:
-            return float(mid)
+            f"{s.material} ordinary: no gvd zero in ({lo}, {hi}) um")
+    return math.sqrt(roots.min())
 
 
 def load_sellmeier(source):

@@ -176,9 +176,9 @@ def _assemble_csv_arrays(columns, rows, path):
             raise ConfigurationError(
                 f"{path}: rows of array {name!r} differ in length")
         block = np.array(chunk)
-        if kind == "complex":
-            block = block[:, 0::2] + 1j * block[:, 1::2]
-        arrays[name] = block
+        # the exact inverse of the writer's view(float): signed zeros,
+        # infinities and NaNs keep their own part
+        arrays[name] = block.view(complex) if kind == "complex" else block
     return arrays
 
 
@@ -273,7 +273,7 @@ def read_spectral_grid(path):
                     n_omega=omega.size,
                     k_half_width=k.size * float(k[1] - k[0]) / 2,
                     n_k=k.size)
-    return SpectralGrid(spec, arrays["density"], provenance=header)
+    return SpectralGrid(spec, _require(arrays, "density", path), provenance=header)
 
 
 def write_wavelength_angle_grid(path, wag, fmt="csv"):
@@ -292,7 +292,8 @@ def read_wavelength_angle_grid(path):
     angle = _axis_from(header, "angle", path)
     return WavelengthAngleGrid(wavelength_axis_m=wavelength,
                                angle_axis_rad=angle,
-                               values=arrays["density"], provenance=header)
+                               values=_require(arrays, "density", path),
+                               provenance=header)
 
 
 def write_coherence_map(path, cmap, fmt="csv"):
@@ -312,7 +313,7 @@ def read_coherence_map(path):
     tau = _axis_from(header, "tau", path)
     xi = _axis_from(header, "xi", path)
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
-                        g=np.asarray(arrays["g"], dtype=complex),
+                        g=np.asarray(_require(arrays, "g", path), dtype=complex),
                         carrier_omega=_require(header, "carrier_omega", path),
                         intensity=_require(header, "intensity", path),
                         provenance=header)
@@ -333,7 +334,8 @@ def read_assembled_map(path):
     tau = _axis_from(header, "tau", path)
     xi = _axis_from(header, "xi", path)
     return AssembledMap(tau_axis=tau, xi_axis=xi,
-                        magnitude=arrays["magnitude"], provenance=header)
+                        magnitude=_require(arrays, "magnitude", path),
+                        provenance=header)
 
 
 def write_profile(path, kind, header, columns, fmt="csv"):
@@ -398,8 +400,8 @@ def read_trace(path):
     header, arrays = _read_csv_arrays(path)
     if _require(header, "kind", path) != "fringe-trace":
         raise ConfigurationError(f"{path}: not a fringe trace")
-    return FringeTrace(positions_m=arrays["position_m"].ravel(),
-                       intensities=arrays["intensity"].ravel(),
+    return FringeTrace(positions_m=_require(arrays, "position_m", path).ravel(),
+                       intensities=_require(arrays, "intensity", path).ravel(),
                        bs2_position_m=_require(header, "bs2_position_m", path),
                        tau_offset_s=_require(header, "tau_offset_s", path),
                        carrier_omega=_require(header, "carrier_omega", path),
@@ -423,15 +425,17 @@ def write_manifest(path, trace_paths):
 
 def read_manifest(path):
     base = Path(path).parent.resolve()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read trace manifest {path}: {exc}") from exc
+    if not lines or lines[0].strip() != f"# pdcoh_manifest: {_VERSION}":
+        raise ConfigurationError(f"{path}: not a pdcoh trace manifest")
     out = []
-    with open(path) as fh:
-        first = fh.readline().strip()
-        if first != f"# pdcoh_manifest: {_VERSION}":
-            raise ConfigurationError(f"{path}: not a pdcoh trace manifest")
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            p = Path(line)
-            out.append(p if p.is_absolute() else base / p)
+    for line in lines[1:]:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        p = Path(line)
+        out.append(p if p.is_absolute() else base / p)
     return out

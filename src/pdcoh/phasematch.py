@@ -88,23 +88,33 @@ def delta_k(omega_s, k, cfg):
     range and EvanescentWaveError when |k| reaches the smaller of the two
     ordinary wavevectors; inputs are rejected, never clamped.
     """
+    if not np.all(in_sellmeier_range(cfg, np.asarray(omega_s, dtype=float))):
+        raise WavelengthRangeError("signal or idler outside the Sellmeier range "
+                                   f"{cfg.sellmeier.valid_range_um} um")
+    value, valid = _mismatch(cfg, omega_s, k)
+    if not np.all(valid):
+        raise EvanescentWaveError("transverse wavevector reaches the evanescent "
+                                  f"limit (|k| max {np.max(np.abs(k)):.4g} rad/m)")
+    return value if value.ndim else float(value)
+
+
+def _mismatch(cfg, omega_s, k):
+    """(delta_k, valid) at the broadcast points. Signal frequencies outside
+    the Sellmeier range are evaluated at the degenerate frequency and, like
+    evanescent |k|, marked invalid; their values are placeholders."""
     omega_s = np.asarray(omega_s, dtype=float)
-    k = np.asarray(k, dtype=float)
-    omega_i = cfg.pump_omega - omega_s
-    if np.any(omega_s <= 0) or np.any(omega_i <= 0):
-        raise WavelengthRangeError("signal frequency must lie inside (0, pump)")
+    rows = in_sellmeier_range(cfg, omega_s)
+    omega_s = np.where(rows, omega_s, cfg.degenerate_omega)
     k_s = wavenumber(omega_s, ORDINARY, cfg.sellmeier)
-    k_i = wavenumber(omega_i, ORDINARY, cfg.sellmeier)
+    k_i = wavenumber(cfg.pump_omega - omega_s, ORDINARY, cfg.sellmeier)
     k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
                      cfg.sellmeier)
-    k2 = np.square(k)
-    limit = np.minimum(k_s, k_i)
-    if np.any(k2 >= np.square(limit)):
-        raise EvanescentWaveError(
-            "transverse wavevector reaches the evanescent limit "
-            f"(|k| max {np.sqrt(np.max(k2)):.4g}, limit {np.min(limit):.4g} rad/m)")
-    value = k_p - np.sqrt(np.square(k_s) - k2) - np.sqrt(np.square(k_i) - k2)
-    return value if value.ndim else float(value)
+    k2 = np.square(np.asarray(k, dtype=float))
+    rad_s = np.square(k_s) - k2
+    rad_i = np.square(k_i) - k2
+    valid = rows & (rad_s > 0) & (rad_i > 0)
+    value = k_p - np.sqrt(np.maximum(rad_s, 0.0)) - np.sqrt(np.maximum(rad_i, 0.0))
+    return value, valid
 
 
 def collinear_degenerate_angle(pump_wavelength_m, sellmeier):

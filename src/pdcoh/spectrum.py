@@ -16,11 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, wavenumber
+from .dispersion import c
+from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
 from .errors import ConfigurationError
-from .phasematch import delta_k, in_sellmeier_range
+from .phasematch import _mismatch, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
+
+# auto_grid's half-widths: the probed support of S widened by this factor
+_GRID_MARGIN = 1.35
 
 # series window for sinh(x)/x around the branch point, in u = x^2
 _SERIES_U = 1e-8
@@ -86,18 +90,6 @@ class SpectralGrid:
         return self.provenance.get("edge_ratio", math.inf)
 
 
-def gain_function(mismatch, length_m, gain):
-    """Gain argument for a given mismatch.
-
-    Returns (magnitude, real_branch): the radicand G^2 - (delta_k L)^2/4
-    is positive on the real branch (hyperbolic growth) and negative on the
-    imaginary branch (oscillatory), where the magnitude is |g|.
-    """
-    r = np.asarray(mismatch) * length_m / 2.0
-    u = gain * gain - np.square(r)
-    return np.sqrt(np.abs(u)), u >= 0
-
-
 def _density_from_mismatch(mismatch, length_m, gain):
     r = np.asarray(mismatch, dtype=float) * length_m / 2.0
     u = gain * gain - np.square(r)
@@ -121,31 +113,17 @@ def _masked_density(cfg, omega, k):
     Returns (values, invalid_count). Nodes whose signal or idler leaves the
     dispersion range, or whose k is evanescent, do not evaluate.
     """
-    omega_i = cfg.pump_omega - omega
-    row_ok = in_sellmeier_range(cfg, omega)
-
-    k_s = np.zeros_like(omega)
-    k_i = np.zeros_like(omega)
-    k_s[row_ok] = wavenumber(omega[row_ok], ORDINARY, cfg.sellmeier)
-    k_i[row_ok] = wavenumber(omega_i[row_ok], ORDINARY, cfg.sellmeier)
-    k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
-                     cfg.sellmeier)
-
-    k2 = np.square(k)[None, :]
-    rad_s = np.square(k_s)[:, None] - k2
-    rad_i = np.square(k_i)[:, None] - k2
-    valid = row_ok[:, None] & (rad_s > 0) & (rad_i > 0)
-    mismatch = k_p - np.sqrt(np.maximum(rad_s, 0.0)) - np.sqrt(np.maximum(rad_i, 0.0))
+    mismatch, valid = _mismatch(cfg, omega[:, None], k[None, :])
     values = np.where(valid, _density_from_mismatch(mismatch, cfg.length_m, cfg.gain), 0.0)
     return values, int(valid.size - np.count_nonzero(valid))
 
 
-def auto_grid(cfg, n_omega=1024, n_k=512, margin=1.35):
+def auto_grid(cfg, n_omega=1024, n_k=512):
     """Size a grid from the density's own support.
 
     A coarse probe locates where the density exceeds 1e-3 of its peak,
     widening itself until that support is interior, and the final
-    half-widths add the given margin so the edge-decay requirement holds.
+    half-widths add _GRID_MARGIN so the edge-decay requirement holds.
     A support whose margin would reach past the frequency cap of 0.49
     omega_c cannot be bounded, and raises ConfigurationError.
     """
@@ -168,15 +146,15 @@ def auto_grid(cfg, n_omega=1024, n_k=512, margin=1.35):
             continue
         span_w = np.abs(probe_w[rows] - omega_c).max()
         span_k = np.abs(probe_k[cols]).max()
-        if margin * span_w > cap:
+        if _GRID_MARGIN * span_w > cap:
             raise ConfigurationError(
                 f"{cfg.sellmeier.source or cfg.sellmeier.material} at theta "
                 f"{math.degrees(cfg.theta_rad):g} deg: the density spans "
-                f"{span_w / omega_c:.2f} omega_c, and with margin {margin:g} "
+                f"{span_w / omega_c:.2f} omega_c, and with margin {_GRID_MARGIN:g} "
                 f"its grid would pass the cap of 0.49 omega_c")
         return GridSpec(omega_center=omega_c,
-                        omega_half_width=margin * span_w, n_omega=n_omega,
-                        k_half_width=margin * span_k, n_k=n_k)
+                        omega_half_width=_GRID_MARGIN * span_w, n_omega=n_omega,
+                        k_half_width=_GRID_MARGIN * span_k, n_k=n_k)
     raise ConfigurationError("could not bound the density support; check the "
                              "crystal configuration")
 

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import math
 import os
 import subprocess
@@ -211,9 +213,50 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "coherence_19p94_blur_map.bin").is_file()
 
 
-def test_bad_blur_flag_exits_1(ws, capsys):
+def test_bad_blur_flag_exits_1(ws, tmp_path, capsys):
     assert main(["coherence", str(ws["cfg"]), "--blur", "1fs"]) == 1
     assert "--blur" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["coherence", str(ws["cfg"]), "--blur", "1fs,-6um",
+                 "--out", str(out)]) == 1
+    assert "--blur" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("dispersion", "--points", "-5"),
+    ("dispersion", "--points", "0"),
+    ("dispersion", "--points", "many"),
+    ("interferogram", "--bs2-steps", "0"),
+    ("interferogram", "--bs2-steps", "-3"),
+    ("coherence", "--blur", "-1fs,6um"),
+])
+def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
+                                                          command, flag, value):
+    out = tmp_path / "out"
+    # flag=value: argparse would take a bare "-1fs,6um" for an option
+    assert main([command, str(ws["cfg"]), "--out", str(out), f"{flag}={value}"]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_missing_manifest_exits_1_naming_it(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    assert main(["analyze", str(missing), "--out", str(tmp_path / "out")]) == 1
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_benchmark_wrapped_names_resolve():
+    # perfbench/spans.py WRAPS lists (module, attribute, span) triples that
+    # the traced benchmark launcher replaces; a missing name kills the launch
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    wraps = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "WRAPS")
+    import pdcoh.cli  # noqa: F401 - binds the consumer modules
+    missing = [(module, name) for module, name, _ in wraps
+               if not hasattr(importlib.import_module(module), name)]
+    assert wraps and missing == []
 
 
 def test_unreadable_trace_exits_1_naming_the_file(ws, tmp_path, capsys):

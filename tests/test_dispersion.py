@@ -98,14 +98,17 @@ def test_gvd_signs_and_values(bbo):
 
 
 def test_gvd_step_convergence(bbo):
+    # reference: the same central difference of wavenumber at half the step
     for lam in (0.8, 1.3, 1.6):
-        coarse = gvd(lam, ORDINARY, bbo, rel_step=1e-3)
-        fine = gvd(lam, ORDINARY, bbo, rel_step=5e-4)
-        assert fine == pytest.approx(coarse, rel=0.01, abs=0.01)
+        omega = 2e6 * math.pi * c / lam
+        h = 5e-4 * omega
+        k = [wavenumber(w, ORDINARY, bbo) for w in (omega - h, omega, omega + h)]
+        fine = (k[0] - 2.0 * k[1] + k[2]) / h**2 * 1e27
+        assert fine == pytest.approx(gvd(lam, ORDINARY, bbo), rel=0.01, abs=0.01)
 
 
 def test_zero_dispersion_wavelength(bbo):
-    lam = zero_dispersion_wavelength(ORDINARY, bbo)
+    lam = zero_dispersion_wavelength(bbo)
     assert 1.2 < lam < 1.6
     assert lam == pytest.approx(1.4324, abs=2e-4)
     assert abs(gvd(lam, ORDINARY, bbo)) < 0.05  # re-evaluate at the root
@@ -113,7 +116,7 @@ def test_zero_dispersion_wavelength(bbo):
 
 def test_zero_dispersion_not_found_for_constant_index():
     with pytest.raises(RootNotFoundError):
-        zero_dispersion_wavelength(ORDINARY, _constant_set())
+        zero_dispersion_wavelength(_constant_set())
 
 
 def test_out_of_range_wavelength(bbo):
@@ -138,15 +141,14 @@ def test_speed_of_light_is_the_exact_si_value():
 
 
 @pytest.mark.parametrize("name", ["bbo_kato1986", "bbo_eimerl1987"])
-def test_zero_dispersion_bisection_matches_scipy_bit_for_bit(name):
-    # scipy is the reference only: same scan, same bracket, same xtol
-    from scipy.optimize import bisect
+def test_zero_dispersion_root_matches_brentq_on_gvd(name):
+    # scipy is the reference only: a bracketed root of the finite-difference gvd
+    from scipy.optimize import brentq
     s = load_sellmeier(name)
-    lam = np.linspace(s.valid_range_um[0] * 1.01, s.valid_range_um[1] * 0.99, 129)
-    vals = np.array([gvd(x, ORDINARY, s) for x in lam])
-    i = int(np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0][0])
-    want = bisect(lambda x: gvd(x, ORDINARY, s), lam[i], lam[i + 1], xtol=1e-4)
-    assert zero_dispersion_wavelength(ORDINARY, s) == want
+    want = brentq(lambda x: gvd(x, ORDINARY, s), 1.2, 1.7, xtol=1e-12)
+    got = zero_dispersion_wavelength(s)
+    assert abs(got - want) < 1e-6
+    assert abs(gvd(got, ORDINARY, s)) < 1e-3
 
 
 def test_validate_rejects_positive_uniaxial():

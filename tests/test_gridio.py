@@ -2,11 +2,15 @@ import json
 import os
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdcoh import ConfigurationError, gridio, GridSpec, SpectralGrid
+from pdcoh import ConfigurationError, gridio, GridSpec, PdcohError, SpectralGrid
 from pdcoh.coherence import CoherenceMap
 from pdcoh.gridio import (
     read_assembled_map,
@@ -80,6 +84,22 @@ def test_coherence_map_round_trip_is_exact(tmp_path, fmt):
     assert back.carrier_omega == 1.18e15
     assert back.intensity == 42.5
     assert back.provenance["oversample"] == 16
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_complex_parts_survive_the_round_trip_exactly(tmp_path, fmt):
+    # re + 1j*im would turn an infinite imaginary part into a NaN real
+    # part and lose signed zeros; every pairing of these parts must survive
+    parts = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5]
+    pairs = np.array([(re, im) for re in parts for im in parts])
+    g = pairs.view(complex).reshape(6, 6)
+    cmap = CoherenceMap((np.arange(6) - 3) * 1e-15, (np.arange(6) - 3) * 1e-6,
+                        g, carrier_omega=1.18e15, intensity=1.0, provenance={})
+    path = tmp_path / "map.dat"
+    write_coherence_map(path, cmap, fmt=fmt)
+    back = read_coherence_map(path).g.view(float)
+    assert np.array_equal(back, g.view(float), equal_nan=True)
+    assert np.array_equal(np.signbit(back), np.signbit(g.view(float)))
 
 
 def test_wavelength_angle_round_trip(tmp_path):
@@ -187,6 +207,12 @@ def test_manifest_resolves_relative_to_itself(tmp_path):
     assert "traces/t0.csv" in text and str(tmp_path) not in text.splitlines()[1]
     back = read_manifest(manifest)
     assert [p.resolve() for p in back] == [p.resolve() for p in paths]
+
+
+def test_missing_manifest_is_a_configuration_error(tmp_path):
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(ConfigurationError, match=re.escape(str(missing))):
+        read_manifest(missing)
 
 
 def test_readers_reject_foreign_files(tmp_path, sg):
@@ -330,6 +356,8 @@ CORRUPTIONS = {
         "csv", lambda t: "".join(line for line in t.splitlines(keepends=True)
                                  if not line.startswith("# n_xi:"))),
     "non-JSON metrics value": ("metrics", lambda t: t + "b = nope\n"),
+    "renamed CSV array": ("csv", lambda t: t.replace('[["g", ', '[["h", ')),
+    "renamed binary array": ("binary", lambda b: b.replace(b'[["g",', b'[["h",')),
 }
 
 
@@ -343,3 +371,32 @@ def test_malformed_files_are_configuration_errors(tmp_path, corruption):
         path.write_text(corrupt(path.read_text()))
     with pytest.raises(ConfigurationError, match=re.escape(str(path))):
         read(path)
+
+
+def _intact(kind):
+    """Bytes of a small coherence map (csv or binary) or fringe trace, and its reader."""
+    with tempfile.TemporaryDirectory() as root:
+        if kind != "trace":
+            path, read = _product_file(Path(root), kind)
+            return path.read_bytes(), read
+        path = Path(root) / "trace.csv"
+        pos = np.arange(8) * 4e-8
+        write_trace(path, FringeTrace(pos, 1.0 + np.cos(7.85e6 * pos), 2e-4, 6.67e-13,
+                                      1.18e15, "19p94", "synthetic", "abc123"))
+        return path.read_bytes(), read_trace
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["csv", "binary", "trace"]), st.booleans(),
+       st.integers(0, 1 << 16), st.integers(0, 255))
+def test_truncated_or_flipped_files_decode_or_raise_typed(kind, truncate, at, byte):
+    data, read = _intact(kind)
+    at %= len(data)
+    damaged = data[:at] if truncate else data[:at] + bytes([byte]) + data[at + 1:]
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "damaged.dat"
+        path.write_bytes(damaged)
+        try:
+            read(path)
+        except PdcohError:
+            pass

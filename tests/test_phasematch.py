@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
 
 from pdcoh.dispersion import (
@@ -13,6 +15,7 @@ from pdcoh.dispersion import (
 )
 from pdcoh.errors import (
     ConfigurationError,
+    PdcohError,
     EvanescentWaveError,
     RootNotFoundError,
     WavelengthRangeError,
@@ -24,6 +27,7 @@ from pdcoh.phasematch import (
     external_angle,
     phase_matched_locus,
 )
+from pdcoh.phasematch import _mismatch
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +199,30 @@ def test_config_hash_stability(bbo):
     b = _cfg(bbo, 19.94)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != _cfg(bbo, 19.90).config_hash()
+
+
+# signal frequency in units of the pump frequency, and |k| in units of the
+# degenerate ordinary wavevector: both reach past the valid region
+_points = st.lists(st.tuples(st.floats(-0.2, 1.2), st.floats(-1.3, 1.3)),
+                   min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points)
+def test_delta_k_raises_exactly_where_the_mismatch_is_invalid(bbo, points):
+    cfg = _cfg(bbo, 19.90)
+    k_degen = wavenumber(cfg.degenerate_omega, ORDINARY, bbo)
+    omega = np.array([p[0] for p in points]) * cfg.pump_omega
+    k = np.array([p[1] for p in points]) * k_degen
+    value, valid = _mismatch(cfg, omega, k)
+    for i in range(omega.size):
+        if valid[i]:
+            assert delta_k(omega[i], k[i], cfg) == value[i]
+        else:
+            with pytest.raises(PdcohError):
+                delta_k(omega[i], k[i], cfg)
+    if valid.all():
+        assert np.array_equal(delta_k(omega, k, cfg), value)
+    else:
+        with pytest.raises(PdcohError):
+            delta_k(omega, k, cfg)

@@ -12,7 +12,6 @@ from pdcoh import (
     auto_grid,
     build_spectrum,
     collinear_degenerate_angle,
-    gain_function,
     load_sellmeier,
     spectral_density,
     to_wavelength_angle,
@@ -48,24 +47,6 @@ def spot(theta_pm, sell):
 @pytest.fixture(scope="module")
 def ring(sell):
     return build_spectrum(_cfg(math.radians(19.94), sell))
-
-
-def test_gain_is_g_at_zero_mismatch():
-    mag, real = gain_function(0.0, L, G)
-    assert mag == G
-    assert real
-
-
-def test_gain_vanishes_at_branch_boundary():
-    mag, real = gain_function(2 * G / L, L, G)
-    assert mag == 0.0
-    assert real
-
-
-def test_gain_imaginary_branch_magnitude():
-    mag, real = gain_function(2.0 / L, L, 0.0)
-    assert mag == 1.0
-    assert not real
 
 
 def test_density_peak_is_sinh_squared():
@@ -113,6 +94,14 @@ def test_density_rejects_invalid_points(theta_pm, sell):
         spectral_density(0.05 * cfg.degenerate_omega, 0.0, cfg)
     with pytest.raises(EvanescentWaveError):
         spectral_density(cfg.degenerate_omega, 1e8, cfg)
+
+
+@pytest.mark.parametrize("theta_deg", [19.87, 19.90, 19.94])
+def test_built_grid_is_the_density_over_the_axis_product(sell, theta_deg):
+    cfg = _cfg(math.radians(theta_deg), sell)
+    sg = build_spectrum(cfg)
+    want = spectral_density(sg.omega_axis()[:, None], sg.k_axis()[None, :], cfg)
+    assert sg.values.tobytes() == want.tobytes()
 
 
 def test_grid_spec_validation():
