@@ -9,6 +9,7 @@ configuration or validation problem, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -21,10 +22,10 @@ from .coherence import _fwhm, correlation_map, factorability_defect, \
 from .config import load_run_config, parse_angle, parse_length, parse_time
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
-from .errors import ConfigurationError, PdcohError
-from .gridio import write_assembled_map, write_coherence_map, write_manifest, \
-    write_metrics, write_profile, write_spectral_grid, write_trace, \
-    write_wavelength_angle_grid, read_manifest, read_trace
+from .errors import ConfigurationError, PdcohError, RootNotFoundError
+from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
+    write_manifest, write_metrics, write_profile, write_spectral_grid, \
+    write_trace, write_wavelength_angle_grid, read_manifest, read_trace
 from .interferometer import InterferometerConfig, assemble_map, \
     synthesize_trace
 from .phasematch import collinear_degenerate_angle, external_angle, \
@@ -36,10 +37,6 @@ ENV_CONFIG = "PDCOH_CONFIG"
 
 def _theta_tag(theta_rad):
     return f"{math.degrees(theta_rad):g}".replace(".", "p")
-
-
-def _ext(rc):
-    return "csv" if rc.out_format == "csv" else "bin"
 
 
 def _outdir(rc, args):
@@ -73,13 +70,12 @@ def cmd_dispersion(args):
     lo, hi = s.valid_range_um
     # stay clear of the range ends: the gvd stencil probes +-0.1%
     lam_um = np.linspace(lo * 1.02, hi * 0.98, args.points)
-    header = {
-        "material": rc.material,
-        "zero_dispersion_wavelength_um":
-            zero_dispersion_wavelength(s),
-        "config_hash": rc.config_hash(),
-    }
-    path = out / f"dispersion_{rc.material}.{_ext(rc)}"
+    header = {"material": rc.material}
+    # a set whose ordinary gvd has no zero in range still has its table
+    with contextlib.suppress(RootNotFoundError):
+        header["zero_dispersion_wavelength_um"] = zero_dispersion_wavelength(s)
+    header["config_hash"] = rc.config_hash()
+    path = out / f"dispersion_{rc.material}.{FORMATS[rc.out_format]}"
     write_profile(path, "dispersion-table", header, [
         ("wavelength_um", lam_um),
         ("n_ordinary", index(lam_um, ORDINARY, s)),
@@ -94,6 +90,7 @@ def cmd_dispersion(args):
 def cmd_phasematch(args):
     rc = load_run_config(_config_path(args))
     out = _outdir(rc, args)
+    ext = FORMATS[rc.out_format]
     theta_pm = collinear_degenerate_angle(rc.pump_wavelength_m, rc.sellmeier)
     path = out / "phasematch.txt"
     write_metrics(path, {
@@ -116,7 +113,7 @@ def cmd_phasematch(args):
         w = np.array([p[0] for p in locus])
         k = np.array([p[1] for p in locus])
         lam = 2.0 * math.pi * c / w
-        lpath = out / f"phasematch_{_theta_tag(theta)}_locus.{_ext(rc)}"
+        lpath = out / f"phasematch_{_theta_tag(theta)}_locus.{ext}"
         write_profile(lpath, "phase-matched-locus", {
             "theta_rad": theta,
             "theta_deg": math.degrees(theta),
@@ -139,13 +136,14 @@ def _build_spectrum(rc, theta):
 def cmd_spectrum(args):
     rc = load_run_config(_config_path(args))
     out = _outdir(rc, args)
+    ext = FORMATS[rc.out_format]
     for theta in _select_thetas(rc, args):
         sg = _build_spectrum(rc, theta)
         tag = _theta_tag(theta)
-        gpath = out / f"spectrum_{tag}_omega_k.{_ext(rc)}"
+        gpath = out / f"spectrum_{tag}_omega_k.{ext}"
         write_spectral_grid(gpath, sg, fmt=rc.out_format)
         _emit(gpath)
-        wpath = out / f"spectrum_{tag}_wavelength_angle.{_ext(rc)}"
+        wpath = out / f"spectrum_{tag}_wavelength_angle.{ext}"
         write_wavelength_angle_grid(wpath, to_wavelength_angle(sg),
                                     fmt=rc.out_format)
         _emit(wpath)
@@ -153,13 +151,14 @@ def cmd_spectrum(args):
 
 
 def _coherence_products(out, rc, tag, cmap, suffix=""):
-    mpath = out / f"coherence_{tag}_{suffix}map.{_ext(rc)}"
+    ext = FORMATS[rc.out_format]
+    mpath = out / f"coherence_{tag}_{suffix}map.{ext}"
     write_coherence_map(mpath, cmap, fmt=rc.out_format)
     _emit(mpath)
     m = metrics(cmap)
     for axis, cut, name in ((m.tau_axis, m.tau_cut, "tau_cut"),
                             (m.xi_axis, m.xi_cut, "xi_cut")):
-        cpath = out / f"coherence_{tag}_{suffix}{name}.{_ext(rc)}"
+        cpath = out / f"coherence_{tag}_{suffix}{name}.{ext}"
         write_profile(cpath, "coherence-cut",
                       {"theta_tag": tag, "config_hash": rc.config_hash()},
                       [("position", axis), ("magnitude", cut)],
@@ -239,7 +238,6 @@ def cmd_analyze(args):
         window = 1.0
         fmt = "csv"
         out = Path(args.out) if args.out else Path("out")
-    out.mkdir(parents=True, exist_ok=True)
 
     traces = []
     for tpath in read_manifest(args.manifest):
@@ -250,7 +248,8 @@ def cmd_analyze(args):
                 f"unreadable trace file {tpath}: {exc}") from exc
     amap = assemble_map(traces, icfg, window_fringes=window)
 
-    ext = "csv" if fmt == "csv" else "bin"
+    out.mkdir(parents=True, exist_ok=True)
+    ext = FORMATS[fmt]
     record = {"n_traces": len(traces), "icfg_hash": icfg.config_hash()}
     if len(traces) == 1:
         epath = out / f"analyze_envelope.{ext}"

@@ -16,9 +16,11 @@ from pathlib import Path
 
 from .dispersion import load_sellmeier
 from .errors import ConfigurationError
+from .gridio import FORMATS
 from .hashing import config_digest
 from .interferometer import InterferometerConfig
 from .phasematch import CrystalConfig
+from .spectrum import check_grid_size
 
 LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "µm": 1e-6, "mm": 1e-3,
                 "cm": 1e-2, "m": 1.0}
@@ -91,9 +93,11 @@ class RunConfig:
             raise ConfigurationError("[crystal] theta: needs at least one angle")
         for theta in self.thetas_rad:
             self.crystal_config(theta)
-        if self.out_format not in ("csv", "binary"):
-            raise ConfigurationError(
-                f"[output] format: {self.out_format!r} is not csv or binary")
+        check_grid_size("[grid] n_omega", self.n_omega)
+        check_grid_size("[grid] n_k", self.n_k)
+        if self.out_format not in FORMATS:
+            raise ConfigurationError(f"[output] format: {self.out_format!r} "
+                                     f"is not one of {tuple(FORMATS)}")
         if self.bs2_count < 1:
             raise ConfigurationError("[interferometer] bs2_count: must be >= 1")
         if self.bs2_step_m <= 0:

@@ -4,9 +4,11 @@ Two encodings share one header model. CSV files open with `# key: value`
 lines (values JSON-encoded, so strings and numbers survive the round
 trip) followed by comma-separated rows; complex grids store re/im column
 pairs. Binary files carry a JSON header after an 8-byte magic and then
-raw little-endian arrays in C order. Uniform axes persist as
-start/step/count. Headers carry no timestamp: the same inputs must
-produce the same bytes.
+raw little-endian arrays in C order. Every array product (grids, maps,
+cuts, tables and fringe traces) goes through one writer, `_write`, and
+one reader, `_read`. Uniform axes persist as start/step/count, and an
+array read back must have one sample per axis value. Headers carry no
+timestamp: the same inputs must produce the same bytes.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import numpy as np
 from .coherence import CoherenceMap
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
+    check_grid_size
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
 
-_FORMATS = ("csv", "binary")
+# output format -> file extension
+FORMATS = {"csv": "csv", "binary": "bin"}
 
 
 def _clean(header):
@@ -52,13 +56,6 @@ def _axis_spec(name, axis):
             raise ConfigurationError(f"axis {name} is not uniform")
     return {f"{name}_start": float(axis[0]), f"{name}_step": step,
             f"n_{name}": int(axis.size)}
-
-
-def _axis_from(header, name, path):
-    start, step, count = (_require(header, key, path) for key in
-                          (f"{name}_start", f"{name}_step", f"n_{name}"))
-    with _decoding(path):
-        return start + np.arange(int(count)) * step
 
 
 @contextlib.contextmanager
@@ -161,10 +158,6 @@ def _read_csv(path):
                 rows.append(np.array(line.split(","), dtype=float))
     if columns is None:
         raise ConfigurationError(f"{path}: header lacks the column listing")
-    return header, columns, rows
-
-
-def _assemble_csv_arrays(columns, rows, path):
     # rows divide evenly between the named arrays, in listed order
     if len(columns) == 0 or len(rows) % len(columns):
         raise ConfigurationError(f"{path}: row count does not match columns")
@@ -179,13 +172,7 @@ def _assemble_csv_arrays(columns, rows, path):
         # the exact inverse of the writer's view(float): signed zeros,
         # infinities and NaNs keep their own part
         arrays[name] = block.view(complex) if kind == "complex" else block
-    return arrays
-
-
-def _read_csv_arrays(path):
-    with _decoding(path):
-        header, columns, rows = _read_csv(path)
-        return header, _assemble_csv_arrays(columns, rows, path)
+    return header, arrays
 
 
 # --- binary encoding ---
@@ -207,9 +194,8 @@ def _write_binary(path, header, arrays):
 
 
 def _read_binary(path):
-    with open(path, "rb") as fh, _decoding(path):
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise ConfigurationError(f"{path}: not a pdcoh binary file")
+    with open(path, "rb") as fh:
+        fh.seek(len(_MAGIC))
         (length,) = struct.unpack("<I", fh.read(4))
         blob = fh.read(length)
         if len(blob) != length:
@@ -233,63 +219,79 @@ def _read_binary(path):
     return meta, arrays
 
 
-def _dispatch_write(path, fmt, header, arrays):
-    if fmt not in _FORMATS:
+# --- one writer and one reader for every array product ---
+
+
+def _write(path, fmt, head, axes, provenance, arrays):
+    """Write the head fields, each (name, axis) as start/step/count, the
+    provenance, then the named arrays, in that header order."""
+    if fmt not in FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}; "
-                                 f"choose one of {_FORMATS}")
-    if fmt == "csv":
-        _write_csv(path, header, arrays)
-    else:
-        _write_binary(path, header, arrays)
+                                 f"choose one of {tuple(FORMATS)}")
+    header = dict(head)
+    for name, axis in axes:
+        header.update(_axis_spec(name, axis))
+    header.update(_clean(provenance))
+    (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
 
 
-def _dispatch_read(path):
+def _read(path, kind, axes=()):
+    """(provenance, axes, arrays) of a product of this kind.
+
+    The encoding is sniffed from the magic. With axes named, every array
+    must have one row per value of the first and one column per value
+    of the second.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-    if magic == _MAGIC:
-        return _read_binary(path)
-    return _read_csv_arrays(path)
-
-
-# --- grids and maps ---
+        binary = fh.read(len(_MAGIC)) == _MAGIC
+    with _decoding(path):
+        header, arrays = (_read_binary if binary else _read_csv)(path)
+        found = _require(header, "kind", path)
+        if found != kind:
+            raise ConfigurationError(
+                f"{path}: expected a {kind} file, found {found!r}")
+        shape = tuple(_require(header, f"n_{name}", path) for name in axes)
+        for name, arr in arrays.items() if axes else ():
+            if arr.shape != shape:
+                raise ConfigurationError(f"{path}: array {name!r} has shape "
+                                         f"{arr.shape}, its axes give {shape}")
+        grid = [_require(header, f"{name}_start", path)
+                + np.arange(int(count)) * _require(header, f"{name}_step", path)
+                for name, count in zip(axes, shape)]
+    return header, grid, arrays
 
 
 def write_spectral_grid(path, sg, fmt="csv"):
-    header = {"kind": "spectral-density"}
-    header.update(_axis_spec("omega", sg.omega_axis()))
-    header.update(_axis_spec("k", sg.k_axis()))
-    header.update(_clean(sg.provenance))
-    _dispatch_write(path, fmt, header, [("density", sg.values)])
+    _write(path, fmt, {"kind": "spectral-density"},
+           [("omega", sg.omega_axis()), ("k", sg.k_axis())], sg.provenance,
+           [("density", sg.values)])
 
 
 def read_spectral_grid(path):
-    header, arrays = _dispatch_read(path)
-    if _require(header, "kind", path) != "spectral-density":
-        raise ConfigurationError(f"{path}: not a spectral density grid")
-    omega = _axis_from(header, "omega", path)
-    k = _axis_from(header, "k", path)
-    spec = GridSpec(omega_center=float(omega[omega.size // 2]),
-                    omega_half_width=omega.size * float(omega[1] - omega[0]) / 2,
-                    n_omega=omega.size,
-                    k_half_width=k.size * float(k[1] - k[0]) / 2,
-                    n_k=k.size)
+    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"))
+    try:
+        # the grid-size rule first: the steps below need two samples
+        check_grid_size("n_omega", omega.size)
+        check_grid_size("n_k", k.size)
+        spec = GridSpec(omega_center=float(omega[omega.size // 2]),
+                        omega_half_width=omega.size * float(omega[1] - omega[0]) / 2,
+                        n_omega=omega.size,
+                        k_half_width=k.size * float(k[1] - k[0]) / 2,
+                        n_k=k.size)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return SpectralGrid(spec, _require(arrays, "density", path), provenance=header)
 
 
 def write_wavelength_angle_grid(path, wag, fmt="csv"):
-    header = {"kind": "wavelength-angle-density"}
-    header.update(_axis_spec("wavelength", wag.wavelength_axis_m))
-    header.update(_axis_spec("angle", wag.angle_axis_rad))
-    header.update(_clean(wag.provenance))
-    _dispatch_write(path, fmt, header, [("density", wag.values)])
+    _write(path, fmt, {"kind": "wavelength-angle-density"},
+           [("wavelength", wag.wavelength_axis_m), ("angle", wag.angle_axis_rad)],
+           wag.provenance, [("density", wag.values)])
 
 
 def read_wavelength_angle_grid(path):
-    header, arrays = _dispatch_read(path)
-    if _require(header, "kind", path) != "wavelength-angle-density":
-        raise ConfigurationError(f"{path}: not a wavelength-angle grid")
-    wavelength = _axis_from(header, "wavelength", path)
-    angle = _axis_from(header, "angle", path)
+    header, (wavelength, angle), arrays = _read(
+        path, "wavelength-angle-density", ("wavelength", "angle"))
     return WavelengthAngleGrid(wavelength_axis_m=wavelength,
                                angle_axis_rad=angle,
                                values=_require(arrays, "density", path),
@@ -297,21 +299,15 @@ def read_wavelength_angle_grid(path):
 
 
 def write_coherence_map(path, cmap, fmt="csv"):
-    header = {"kind": "coherence-map",
-              "carrier_omega": float(cmap.carrier_omega),
-              "intensity": float(cmap.intensity)}
-    header.update(_axis_spec("tau", cmap.tau_axis))
-    header.update(_axis_spec("xi", cmap.xi_axis))
-    header.update(_clean(cmap.provenance))
-    _dispatch_write(path, fmt, header, [("g", cmap.g)])
+    _write(path, fmt, {"kind": "coherence-map",
+                       "carrier_omega": float(cmap.carrier_omega),
+                       "intensity": float(cmap.intensity)},
+           [("tau", cmap.tau_axis), ("xi", cmap.xi_axis)], cmap.provenance,
+           [("g", cmap.g)])
 
 
 def read_coherence_map(path):
-    header, arrays = _dispatch_read(path)
-    if _require(header, "kind", path) != "coherence-map":
-        raise ConfigurationError(f"{path}: not a coherence map")
-    tau = _axis_from(header, "tau", path)
-    xi = _axis_from(header, "xi", path)
+    header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"))
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
                         g=np.asarray(_require(arrays, "g", path), dtype=complex),
                         carrier_omega=_require(header, "carrier_omega", path),
@@ -320,19 +316,13 @@ def read_coherence_map(path):
 
 
 def write_assembled_map(path, amap, fmt="csv"):
-    header = {"kind": "assembled-map"}
-    header.update(_axis_spec("tau", amap.tau_axis))
-    header.update(_axis_spec("xi", amap.xi_axis))
-    header.update(_clean(amap.provenance))
-    _dispatch_write(path, fmt, header, [("magnitude", amap.magnitude)])
+    _write(path, fmt, {"kind": "assembled-map"},
+           [("tau", amap.tau_axis), ("xi", amap.xi_axis)], amap.provenance,
+           [("magnitude", amap.magnitude)])
 
 
 def read_assembled_map(path):
-    header, arrays = _dispatch_read(path)
-    if _require(header, "kind", path) != "assembled-map":
-        raise ConfigurationError(f"{path}: not an assembled map")
-    tau = _axis_from(header, "tau", path)
-    xi = _axis_from(header, "xi", path)
+    header, (tau, xi), arrays = _read(path, "assembled-map", ("tau", "xi"))
     return AssembledMap(tau_axis=tau, xi_axis=xi,
                         magnitude=_require(arrays, "magnitude", path),
                         provenance=header)
@@ -343,21 +333,39 @@ def write_profile(path, kind, header, columns, fmt="csv"):
     sizes = {np.asarray(arr).size for _, arr in columns}
     if len(sizes) != 1:
         raise ConfigurationError("profile columns differ in length")
-    full = {"kind": kind}
-    full.update(_clean(header))
-    _dispatch_write(path, fmt, full,
-                    [(name, np.asarray(arr).reshape(1, -1))
-                     for name, arr in columns])
+    _write(path, fmt, {"kind": kind}, [], header,
+           [(name, np.asarray(arr).reshape(1, -1)) for name, arr in columns])
 
 
 def read_profile(path, kind):
-    header, arrays = _dispatch_read(path)
-    if _require(header, "kind", path) != kind:
-        raise ConfigurationError(f"{path}: expected a {kind} file")
+    header, _, arrays = _read(path, kind)
     return header, {name: arr.ravel() for name, arr in arrays.items()}
 
 
-# --- metrics, traces, manifests ---
+def write_trace(path, trace):
+    write_profile(path, "fringe-trace", {
+        "bs2_position_m": float(trace.bs2_position_m),
+        "tau_offset_s": float(trace.tau_offset_s),
+        "carrier_omega": float(trace.carrier_omega),
+        "orientation": trace.orientation,
+        "source": trace.source,
+        "icfg_hash": trace.icfg_hash,
+    }, [("position_m", trace.positions_m), ("intensity", trace.intensities)])
+
+
+def read_trace(path):
+    header, cols = read_profile(path, "fringe-trace")
+    return FringeTrace(positions_m=_require(cols, "position_m", path),
+                       intensities=_require(cols, "intensity", path),
+                       bs2_position_m=_require(header, "bs2_position_m", path),
+                       tau_offset_s=_require(header, "tau_offset_s", path),
+                       carrier_omega=_require(header, "carrier_omega", path),
+                       orientation=header.get("orientation", ""),
+                       source=header.get("source", ""),
+                       icfg_hash=header.get("icfg_hash", ""))
+
+
+# --- metrics and manifests ---
 
 
 def write_metrics(path, mapping):
@@ -381,33 +389,6 @@ def read_metrics(path):
             key, _, raw = line.partition("=")
             out[key.strip()] = json.loads(raw.strip())
     return out
-
-
-def write_trace(path, trace):
-    header = {"kind": "fringe-trace",
-              "bs2_position_m": float(trace.bs2_position_m),
-              "tau_offset_s": float(trace.tau_offset_s),
-              "carrier_omega": float(trace.carrier_omega),
-              "orientation": trace.orientation,
-              "source": trace.source,
-              "icfg_hash": trace.icfg_hash}
-    _write_csv(path, header,
-               [("position_m", trace.positions_m.reshape(1, -1)),
-                ("intensity", trace.intensities.reshape(1, -1))])
-
-
-def read_trace(path):
-    header, arrays = _read_csv_arrays(path)
-    if _require(header, "kind", path) != "fringe-trace":
-        raise ConfigurationError(f"{path}: not a fringe trace")
-    return FringeTrace(positions_m=_require(arrays, "position_m", path).ravel(),
-                       intensities=_require(arrays, "intensity", path).ravel(),
-                       bs2_position_m=_require(header, "bs2_position_m", path),
-                       tau_offset_s=_require(header, "tau_offset_s", path),
-                       carrier_omega=_require(header, "carrier_omega", path),
-                       orientation=header.get("orientation", ""),
-                       source=header.get("source", ""),
-                       icfg_hash=header.get("icfg_hash", ""))
 
 
 def write_manifest(path, trace_paths):

@@ -140,11 +140,10 @@ def collinear_degenerate_angle(pump_wavelength_m, sellmeier):
 def in_sellmeier_range(cfg, omega_s):
     """Mask of signal frequencies whose signal and idler lie in the Sellmeier range."""
     lo, hi = cfg.sellmeier.valid_range_um
+    w_lo, w_hi = 2e6 * math.pi * c / hi, 2e6 * math.pi * c / lo
     omega_i = cfg.pump_omega - omega_s
-    in_band = (omega_s > 0) & (omega_i > 0)
-    lam_s = np.where(in_band, 2e6 * math.pi * c / np.where(in_band, omega_s, 1.0), 0.0)
-    lam_i = np.where(in_band, 2e6 * math.pi * c / np.where(in_band, omega_i, 1.0), 0.0)
-    return in_band & (lam_s >= lo) & (lam_s <= hi) & (lam_i >= lo) & (lam_i <= hi)
+    return ((omega_s >= w_lo) & (omega_s <= w_hi)
+            & (omega_i >= w_lo) & (omega_i <= w_hi))
 
 
 def phase_matched_locus(cfg, omega_grid):

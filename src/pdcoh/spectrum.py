@@ -30,6 +30,12 @@ _GRID_MARGIN = 1.35
 _SERIES_U = 1e-8
 
 
+def check_grid_size(field, n):
+    """The rule for a grid's sample count: a power of two, at least 64."""
+    if n < 64 or n & (n - 1):
+        raise ConfigurationError(f"{field} must be a power of two >= 64, got {n}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform sampling of the (omega, k) plane.
@@ -46,10 +52,8 @@ class GridSpec:
     n_k: int
 
     def __post_init__(self):
-        for name, n in (("n_omega", self.n_omega), ("n_k", self.n_k)):
-            if n < 64 or n & (n - 1):
-                raise ConfigurationError(
-                    f"{name} must be a power of two >= 64, got {n}")
+        check_grid_size("n_omega", self.n_omega)
+        check_grid_size("n_k", self.n_k)
         if self.omega_half_width <= 0 or self.k_half_width <= 0:
             raise ConfigurationError("grid half-widths must be positive")
         if self.omega_center <= self.omega_half_width:

@@ -68,6 +68,23 @@ def test_dispersion_writes_a_table(ws):
     assert np.all(cols["n_ordinary"] > cols["n_extraordinary_principal"])
 
 
+def test_dispersion_table_without_a_gvd_zero(tmp_path, monkeypatch):
+    # Kato's set without its infrared term: the ordinary gvd has no zero
+    # in range, so the table is written without the zero's header field
+    monkeypatch.chdir(tmp_path)
+    kato = (Path(pdcoh.__file__).parent / "data" / "bbo_kato1986.txt").read_text()
+    Path("flat.txt").write_text(kato.replace("0.01822 0.01354", "0.01822 0"))
+    cfg = tmp_path / "flat.ini"
+    cfg.write_text(CONFIG.format(out="out").replace("bbo_kato1986", "flat.txt"))
+    assert main(["dispersion", str(cfg), "--points", "33"]) == 0
+    header, cols = read_profile(Path("out") / "dispersion_flat.txt.csv",
+                                "dispersion-table")
+    assert "zero_dispersion_wavelength_um" not in header
+    assert header["material"] == "flat.txt"
+    assert cols["gvd_ordinary_fs2_per_mm"].size == 33
+    assert np.all(cols["gvd_ordinary_fs2_per_mm"] > 0)
+
+
 def test_phasematch_reports_the_collinear_angle(ws):
     assert main(["phasematch", str(ws["cfg"])]) == 0
     record = read_metrics(ws["out"] / "phasematch.txt")
@@ -242,8 +259,10 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
 
 def test_missing_manifest_exits_1_naming_it(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
-    assert main(["analyze", str(missing), "--out", str(tmp_path / "out")]) == 1
+    out = tmp_path / "out"
+    assert main(["analyze", str(missing), "--out", str(out)]) == 1
     assert str(missing) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchmark_wrapped_names_resolve():

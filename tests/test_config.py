@@ -161,6 +161,9 @@ def test_invalid_values_are_rejected(tmp_path):
          "window_fringes"),
         (FULL.replace("split_ratio = 0.7, 0.3", "split_ratio = nan, 0.3"),
          "split"),
+        (FULL.replace("n_omega = 256", "n_omega = 1000"),
+         r"\[grid\] n_omega.*power of two"),
+        (FULL.replace("n_k = 128", "n_k = 32"), r"\[grid\] n_k.*power of two"),
     ]:
         with pytest.raises(ConfigurationError, match=pattern):
             load_run_config(_write(tmp_path, bad))

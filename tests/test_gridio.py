@@ -227,7 +227,7 @@ def test_readers_reject_foreign_files(tmp_path, sg):
 
     gridfile = tmp_path / "grid.csv"
     write_spectral_grid(gridfile, sg)
-    with pytest.raises(ConfigurationError, match="not a coherence map"):
+    with pytest.raises(ConfigurationError, match="expected a coherence-map"):
         read_coherence_map(gridfile)
 
 
@@ -308,18 +308,52 @@ def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, path_kind):
 # --- malformed files end as ConfigurationError naming the file ---
 
 
+_TAU, _XI = (np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6
+_POS = np.arange(8) * 4e-8
+_SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
+                 k_half_width=1e5, n_k=64)
+
+# product -> (writer taking a path and an encoding, reader)
+_PRODUCTS = {
+    "map": (lambda p, fmt: write_coherence_map(p, CoherenceMap(
+        _TAU, _XI, np.ones((5, 3), complex), carrier_omega=1.2e15,
+        intensity=1.0, provenance={}), fmt=fmt), read_coherence_map),
+    "spectral": (lambda p, fmt: write_spectral_grid(p, SpectralGrid(
+        _SPEC, np.ones((64, 64)), provenance={"gain": 6.0}), fmt=fmt),
+        read_spectral_grid),
+    "wavelength-angle": (lambda p, fmt: write_wavelength_angle_grid(
+        p, WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
+                               np.linspace(-0.02, 0.02, 3), np.ones((5, 3)),
+                               provenance={}), fmt=fmt),
+        read_wavelength_angle_grid),
+    "assembled": (lambda p, fmt: write_assembled_map(p, AssembledMap(
+        _TAU, _XI, np.linspace(0, 1, 15).reshape(5, 3), provenance={}),
+        fmt=fmt), read_assembled_map),
+    "profile": (lambda p, fmt: write_profile(
+        p, "coherence-cut", {"theta_tag": "19p94"},
+        [("position", _TAU), ("magnitude", np.abs(_TAU))], fmt=fmt),
+        lambda p: read_profile(p, "coherence-cut")),
+    "trace": (lambda p, _: write_trace(p, FringeTrace(
+        _POS, 1.0 + np.cos(7.85e6 * _POS), 2e-4, 6.67e-13, 1.18e15, "19p94",
+        "synthetic", "abc123")), read_trace),
+    "metrics": (lambda p, _: write_metrics(p, {"a": 1.5, "tag": "19p94"}),
+                read_metrics),
+    "manifest": (lambda p, _: write_manifest(p, [p.parent / "t0.csv"]),
+                 read_manifest),
+}
+
+
 def _product_file(tmp_path, fmt):
-    """A small coherence map (csv or binary) or metrics file, and its reader."""
-    if fmt == "metrics":
-        path = tmp_path / "metrics.txt"
-        write_metrics(path, {"a": 1.5, "tag": "19p94"})
-        return path, read_metrics
-    cmap = CoherenceMap((np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6,
-                        np.ones((5, 3), complex), carrier_omega=1.2e15,
-                        intensity=1.0, provenance={})
-    path = tmp_path / "map.dat"
-    write_coherence_map(path, cmap, fmt=fmt)
-    return path, read_coherence_map
+    """A small product file and its reader. fmt is "csv" or "binary" for a
+    coherence map, "<product> csv" or "<product> binary" for another array
+    product, or "metrics", "manifest" or "trace"."""
+    product, _, encoding = fmt.rpartition(" ")
+    if not product:
+        product = "map" if fmt in ("csv", "binary") else fmt
+    write, read = _PRODUCTS[product]
+    path = tmp_path / "product.dat"
+    write(path, encoding)
+    return path, read
 
 
 def _binary_file(meta):
@@ -336,6 +370,13 @@ def _replace_line(text, index, new):
     lines = text.split("\n")
     lines[index] = new(lines[index])
     return "\n".join(lines)
+
+
+def _one_omega_row(text):
+    lines = text.splitlines(keepends=True)
+    head = [line.replace("# n_omega: 64", "# n_omega: 1")
+            for line in lines if line.startswith("#")]
+    return "".join(head) + lines[len(head)]
 
 
 CORRUPTIONS = {
@@ -358,6 +399,15 @@ CORRUPTIONS = {
     "non-JSON metrics value": ("metrics", lambda t: t + "b = nope\n"),
     "renamed CSV array": ("csv", lambda t: t.replace('[["g", ', '[["h", ')),
     "renamed binary array": ("binary", lambda b: b.replace(b'[["g",', b'[["h",')),
+    "CSV axis count unlike the rows": (
+        "csv", lambda t: t.replace("# n_tau: 5", "# n_tau: 4")),
+    "binary axis count unlike the rows": (
+        "binary", lambda b: b.replace(b'"n_tau":5', b'"n_tau":4')),
+    "CSV assembled map axis count unlike the columns": (
+        "assembled csv", lambda t: t.replace("# n_xi: 3", "# n_xi: 2")),
+    "binary assembled map axis count unlike the columns": (
+        "assembled binary", lambda b: b.replace(b'"n_xi":3', b'"n_xi":2')),
+    "one-row spectral grid": ("spectral csv", _one_omega_row),
 }
 
 
@@ -365,7 +415,7 @@ CORRUPTIONS = {
 def test_malformed_files_are_configuration_errors(tmp_path, corruption):
     fmt, corrupt = CORRUPTIONS[corruption]
     path, read = _product_file(tmp_path, fmt)
-    if fmt == "binary":
+    if fmt.endswith("binary"):
         path.write_bytes(corrupt(path.read_bytes()))
     else:
         path.write_text(corrupt(path.read_text()))
@@ -374,20 +424,20 @@ def test_malformed_files_are_configuration_errors(tmp_path, corruption):
 
 
 def _intact(kind):
-    """Bytes of a small coherence map (csv or binary) or fringe trace, and its reader."""
+    """Bytes of a small product file (see _product_file), and its reader."""
     with tempfile.TemporaryDirectory() as root:
-        if kind != "trace":
-            path, read = _product_file(Path(root), kind)
-            return path.read_bytes(), read
-        path = Path(root) / "trace.csv"
-        pos = np.arange(8) * 4e-8
-        write_trace(path, FringeTrace(pos, 1.0 + np.cos(7.85e6 * pos), 2e-4, 6.67e-13,
-                                      1.18e15, "19p94", "synthetic", "abc123"))
-        return path.read_bytes(), read_trace
+        path, read = _product_file(Path(root), kind)
+        return path.read_bytes(), read
+
+
+FUZZED = ["csv", "binary", "trace", "metrics", "manifest"] + [
+    f"{product} {encoding}" for product in
+    ("spectral", "wavelength-angle", "assembled", "profile")
+    for encoding in ("csv", "binary")]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["csv", "binary", "trace"]), st.booleans(),
+@given(st.sampled_from(FUZZED), st.booleans(),
        st.integers(0, 1 << 16), st.integers(0, 255))
 def test_truncated_or_flipped_files_decode_or_raise_typed(kind, truncate, at, byte):
     data, read = _intact(kind)

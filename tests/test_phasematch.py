@@ -25,6 +25,7 @@ from pdcoh.phasematch import (
     collinear_degenerate_angle,
     delta_k,
     external_angle,
+    in_sellmeier_range,
     phase_matched_locus,
 )
 from pdcoh.phasematch import _mismatch
@@ -107,6 +108,23 @@ def test_out_of_range_frequency_rejected(bbo):
         delta_k(2 * math.pi * c / 4.0e-6, 0.0, cfg)  # signal beyond range
     with pytest.raises(WavelengthRangeError):
         delta_k(1.2 * cfg.pump_omega, 0.0, cfg)  # idler frequency negative
+
+
+def test_range_mask_raises_no_floating_point_error(bbo):
+    # the mask compares frequencies, so no frequency, however close to 0,
+    # overflows; it agrees with the wavelengths' mask everywhere
+    cfg = _cfg(bbo, 19.90)
+    lo, hi = bbo.valid_range_um
+    omega = np.concatenate([[0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan],
+                            cfg.pump_omega * np.linspace(-0.2, 1.2, 141)])
+    with np.errstate(all="raise"):
+        mask = in_sellmeier_range(cfg, omega)
+    with np.errstate(all="ignore"):
+        lam_s = 2e6 * math.pi * c / omega
+        lam_i = 2e6 * math.pi * c / (cfg.pump_omega - omega)
+    expected = (lam_s >= lo) & (lam_s <= hi) & (lam_i >= lo) & (lam_i <= hi)
+    assert np.array_equal(mask, expected)
+    assert mask.any()
 
 
 def test_ring_opens_monotonically_past_matching(bbo):
