@@ -75,7 +75,7 @@ def cmd_dispersion(args):
     with contextlib.suppress(RootNotFoundError):
         header["zero_dispersion_wavelength_um"] = zero_dispersion_wavelength(s)
     header["config_hash"] = rc.config_hash()
-    path = out / f"dispersion_{rc.material}.{FORMATS[rc.out_format]}"
+    path = out / f"dispersion_{Path(rc.material).stem}.{FORMATS[rc.out_format]}"
     write_profile(path, "dispersion-table", header, [
         ("wavelength_um", lam_um),
         ("n_ordinary", index(lam_um, ORDINARY, s)),

@@ -144,21 +144,15 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_center_m=0.0,
                        orientation=orientation, icfg_hash=icfg.config_hash())
 
 
-def _parabolic_extremum(y0, y1, y2):
-    """Vertex value of the parabola through three uniform samples."""
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0:
-        return y1
-    return y1 - (y0 - y2) ** 2 / (8.0 * denom)
-
-
 def extract_visibility(trace, icfg, window_fringes=1.0):
     """Sliding-window fringe visibility along a trace.
 
-    Each window one fringe long (by default) yields (I_max - I_min) /
-    (I_max + I_min) with the extrema refined parabolically, positioned at
-    the window center. Returns (tau_s, visibility) with tau from the
-    stage positions alone; the BS2 delay offset recorded on the trace is
+    Every window one fringe long (by default) is taken at once and yields
+    (I_max - I_min) / (I_max + I_min), each extremum refined to the vertex
+    of the parabola through it and its neighbours (an extremum on the
+    window edge, or with zero curvature, keeps its sample), positioned at
+    the window center. Returns (tau_s, visibility) with tau from the stage
+    positions alone; the BS2 delay offset recorded on the trace is
     deliberately not applied here (assemble_map undoes it).
     """
     if trace.icfg_hash and trace.icfg_hash != icfg.config_hash():
@@ -182,20 +176,22 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     if w > n:
         raise SamplingError("window is longer than the trace")
 
-    def refined(idx, values):
-        if 0 < idx < values.size - 1:
-            return _parabolic_extremum(values[idx - 1], values[idx], values[idx + 1])
-        return values[idx]
+    windows = np.lib.stride_tricks.sliding_window_view(trace.intensities, w)
+    rows = np.arange(n - w + 1)
 
-    taus = np.empty(n - w + 1)
-    vis = np.empty(n - w + 1)
-    for i in range(n - w + 1):
-        window = trace.intensities[i:i + w]
-        crest = refined(int(np.argmax(window)), window)
-        trough = refined(int(np.argmin(window)), window)
-        vis[i] = (crest - trough) / (crest + trough)
-        center = 0.5 * (trace.positions_m[i] + trace.positions_m[i + w - 1])
-        taus[i] = center * icfg.stage_to_delay
+    def refined(idx):
+        at = np.clip(idx, 1, w - 2)
+        y0, y1, y2 = windows[rows, at - 1], windows[rows, at], windows[rows, at + 1]
+        denom = y0 - 2.0 * y1 + y2
+        keep = (idx == 0) | (idx == w - 1) | (denom == 0)
+        vertex = y1 - (y0 - y2) ** 2 / (8.0 * np.where(keep, 1.0, denom))
+        return np.where(keep, windows[rows, idx], vertex)
+
+    crest = refined(np.argmax(windows, axis=1))
+    trough = refined(np.argmin(windows, axis=1))
+    vis = (crest - trough) / (crest + trough)
+    taus = 0.5 * (trace.positions_m[:n - w + 1] + trace.positions_m[w - 1:]) \
+        * icfg.stage_to_delay
     return taus, vis
 
 

@@ -114,12 +114,15 @@ def spectral_density(omega_s, k, cfg):
 def _masked_density(cfg, omega, k):
     """Density over an axis product with invalid nodes set to 0.
 
-    Returns (values, invalid_count). Nodes whose signal or idler leaves the
-    dispersion range, or whose k is evanescent, do not evaluate.
+    Returns (values, invalid_count). The mismatch depends on k only
+    through k^2, so each distinct |k| is evaluated once and indexed back
+    out to its columns. Nodes whose signal or idler leaves the dispersion
+    range, or whose k is evanescent, do not evaluate.
     """
-    mismatch, valid = _mismatch(cfg, omega[:, None], k[None, :])
+    abs_k, column = np.unique(np.abs(k), return_inverse=True)
+    mismatch, valid = _mismatch(cfg, omega[:, None], abs_k[None, :])
     values = np.where(valid, _density_from_mismatch(mismatch, cfg.length_m, cfg.gain), 0.0)
-    return values, int(valid.size - np.count_nonzero(valid))
+    return values[:, column], int(np.count_nonzero(~valid[:, column]))
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -236,9 +239,9 @@ def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, n_angle)
 
-    lam_q, theta_q = np.meshgrid(lam, theta, indexing="ij")
-    omega_q = 2 * math.pi * c / lam_q
-    k_q = theta_q * 2 * math.pi / lam_q
-    values, inside = bilinear(omega, sg.k_axis(), sg.values, omega_q, k_q)
+    # a column of omega: bilinear finds each wavelength's row once
+    lam_q = lam[:, None]
+    values, inside = bilinear(omega, sg.k_axis(), sg.values,
+                              2 * math.pi * c / lam_q, theta * 2 * math.pi / lam_q)
     values = np.where(inside, values, 0.0)
     return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))

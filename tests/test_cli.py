@@ -77,12 +77,28 @@ def test_dispersion_table_without_a_gvd_zero(tmp_path, monkeypatch):
     cfg = tmp_path / "flat.ini"
     cfg.write_text(CONFIG.format(out="out").replace("bbo_kato1986", "flat.txt"))
     assert main(["dispersion", str(cfg), "--points", "33"]) == 0
-    header, cols = read_profile(Path("out") / "dispersion_flat.txt.csv",
+    header, cols = read_profile(Path("out") / "dispersion_flat.csv",
                                 "dispersion-table")
     assert "zero_dispersion_wavelength_um" not in header
     assert header["material"] == "flat.txt"
     assert cols["gvd_ordinary_fs2_per_mm"].size == 33
     assert np.all(cols["gvd_ordinary_fs2_per_mm"] > 0)
+
+
+@pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("binary", "bin")])
+def test_dispersion_names_a_sellmeier_file_by_its_stem(tmp_path, fmt, ext):
+    kato = (Path(pdcoh.__file__).parent / "data" / "bbo_kato1986.txt").read_text()
+    (tmp_path / "bbo.txt").write_text(kato)
+    cfg = tmp_path / "abs.ini"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("bbo_kato1986", str(tmp_path / "bbo.txt"))
+                   .replace("format = csv", f"format = {fmt}"))
+    assert main(["dispersion", str(cfg), "--points", "17"]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [f"dispersion_bbo.{ext}"]
+    header, cols = read_profile(tmp_path / "out" / f"dispersion_bbo.{ext}",
+                                "dispersion-table")
+    assert header["material"] == str(tmp_path / "bbo.txt")
+    assert cols["wavelength_um"].size == 17
 
 
 def test_phasematch_reports_the_collinear_angle(ws):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import struct
@@ -450,3 +451,121 @@ def test_truncated_or_flipped_files_decode_or_raise_typed(kind, truncate, at, by
             read(path)
         except PdcohError:
             pass
+
+
+# --- write/read round trips over random shapes ---
+
+
+def _dyadic(draw):
+    return math.ldexp(draw(st.integers(1, 1023)), draw(st.integers(-60, 20)))
+
+
+def _exact_axis(draw, n=None):
+    """A uniform axis that the start/step/count header holds exactly: a
+    dyadic step, and nodes that are small integer multiples of it."""
+    n = n or draw(st.integers(1, 12))
+    return (draw(st.integers(-600, 600)) + np.arange(n)) * _dyadic(draw)
+
+
+def _values(draw, shape, dtype=float):
+    """Random values over many decades, a fifth of them AWKWARD."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = math.prod(shape) * (2 if dtype is complex else 1)
+    flat = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    special = rng.random(size) < 0.2
+    flat[special] = rng.choice(AWKWARD, int(special.sum()))
+    return flat.view(dtype).reshape(shape)
+
+
+def _header_float(draw):
+    return draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _coherence_round_trip(draw, path, fmt):
+    tau, xi = _exact_axis(draw), _exact_axis(draw)
+    g = _values(draw, (tau.size, xi.size), complex)
+    write_coherence_map(path, CoherenceMap(
+        tau, xi, g, carrier_omega=_header_float(draw),
+        intensity=_header_float(draw), provenance={}), fmt=fmt)
+    back = read_coherence_map(path)
+    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.g, g)]
+
+
+def _spectral_round_trip(draw, path, fmt):
+    n_omega, n_k = draw(st.sampled_from([64, 128])), draw(st.sampled_from([64, 128]))
+    omega_step, k_step = _dyadic(draw), _dyadic(draw)
+    spec = GridSpec(omega_center=(n_omega + draw(st.integers(0, 999))) * omega_step,
+                    omega_half_width=n_omega // 2 * omega_step, n_omega=n_omega,
+                    k_half_width=n_k // 2 * k_step, n_k=n_k)
+    values = _values(draw, (n_omega, n_k))
+    write_spectral_grid(path, SpectralGrid(spec, values), fmt=fmt)
+    back = read_spectral_grid(path)
+    assert back.spec == spec
+    return [(back.omega_axis(), spec.omega_axis()), (back.k_axis(), spec.k_axis()),
+            (back.values, values)]
+
+
+def _wavelength_angle_round_trip(draw, path, fmt):
+    lam, theta = _exact_axis(draw), _exact_axis(draw)
+    values = _values(draw, (lam.size, theta.size))
+    write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, values), fmt=fmt)
+    back = read_wavelength_angle_grid(path)
+    return [(back.wavelength_axis_m, lam), (back.angle_axis_rad, theta),
+            (back.values, values)]
+
+
+def _assembled_round_trip(draw, path, fmt):
+    tau, xi = _exact_axis(draw), _exact_axis(draw)
+    magnitude = _values(draw, (tau.size, xi.size))
+    write_assembled_map(path, AssembledMap(tau, xi, magnitude), fmt=fmt)
+    back = read_assembled_map(path)
+    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.magnitude, magnitude)]
+
+
+def _profile_round_trip(draw, path, fmt):
+    n = draw(st.integers(1, 30))
+    columns = [(f"c{i}", _values(draw, (n,), draw(st.sampled_from([float, complex]))))
+               for i in range(draw(st.integers(1, 4)))]
+    write_profile(path, "coherence-cut", {"theta_tag": "19p94"}, columns, fmt=fmt)
+    _, back = read_profile(path, "coherence-cut")
+    assert list(back) == [name for name, _ in columns]
+    return [(back[name], arr) for name, arr in columns]
+
+
+def _trace_round_trip(draw, path, fmt):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    positions = np.cumsum(rng.uniform(1e-9, 1e-7, n)) - 1e-6
+    values = _values(draw, (n,))
+    intensities = np.where(values < 0, -values, values)
+    trace = FringeTrace(positions, intensities, _header_float(draw),
+                        _header_float(draw), _header_float(draw), "19p94")
+    write_trace(path, trace)
+    back = read_trace(path)
+    assert (back.bs2_position_m, back.tau_offset_s, back.carrier_omega) == (
+        trace.bs2_position_m, trace.tau_offset_s, trace.carrier_omega)
+    return [(back.positions_m, positions), (back.intensities, intensities)]
+
+
+ROUND_TRIPS = {
+    "coherence map": _coherence_round_trip,
+    "spectral grid": _spectral_round_trip,
+    "wavelength-angle grid": _wavelength_angle_round_trip,
+    "assembled map": _assembled_round_trip,
+    "profile": _profile_round_trip,
+    "trace": _trace_round_trip,
+}
+
+
+# traces have one encoding, csv
+@pytest.mark.parametrize("kind, fmt", [(kind, fmt) for kind in ROUND_TRIPS
+                                       for fmt in ("csv", "binary")
+                                       if kind != "trace" or fmt == "csv"])
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_every_product_round_trips_bit_for_bit(kind, fmt, data):
+    with tempfile.TemporaryDirectory() as root:
+        pairs = ROUND_TRIPS[kind](data.draw, Path(root) / "product.dat", fmt)
+    for back, written in pairs:
+        assert back.dtype == written.dtype and back.shape == written.shape
+        assert back.tobytes() == written.tobytes()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import c
 
 from pdcoh import (
@@ -216,6 +218,67 @@ def test_extraction_preconditions(flat_map, icfg):
                          0.0, 0.0, OMEGA_DEG)
     with pytest.raises(SamplingError, match="at least 8"):
         extract_visibility(coarse, icfg)
+
+
+def _visibility_per_window(trace, icfg, window_fringes):
+    """One window at a time, as the paper slides its one-fringe window."""
+    step = np.diff(trace.positions_m).mean()
+    w = int(round(window_fringes * fringe_period_stage_m(trace.carrier_omega)
+                  / step)) + 1
+
+    def refined(idx, values):
+        if 0 < idx < values.size - 1:
+            y0, y1, y2 = values[idx - 1], values[idx], values[idx + 1]
+            denom = y0 - 2.0 * y1 + y2
+            if denom != 0:
+                return y1 - (y0 - y2) ** 2 / (8.0 * denom)
+        return values[idx]
+
+    n = trace.positions_m.size
+    taus, vis = np.empty(n - w + 1), np.empty(n - w + 1)
+    for i in range(n - w + 1):
+        window = trace.intensities[i:i + w]
+        crest = refined(int(np.argmax(window)), window)
+        trough = refined(int(np.argmin(window)), window)
+        vis[i] = (crest - trough) / (crest + trough)
+        center = 0.5 * (trace.positions_m[i] + trace.positions_m[i + w - 1])
+        taus[i] = center * icfg.stage_to_delay
+    return taus, vis
+
+
+@st.composite
+def _traces(draw):
+    """Uniformly stepped traces: smooth fringes, few-level plateaus whose
+    extrema tie, two adjacent floats whose crest parabolas round to zero
+    curvature, and monotone runs whose extrema sit on the window edges."""
+    per_fringe = draw(st.floats(8.5, 24.0))
+    n = draw(st.integers(int(3 * per_fringe) + 2, int(3 * per_fringe) + 60))
+    kind = draw(st.sampled_from(["fringes", "plateaus", "ulps", "monotone", "noise"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.arange(n) / per_fringe
+    if kind == "fringes":
+        y = 1.0 + rng.uniform(0.0, 0.99) * np.cos(2 * math.pi * x + rng.uniform(0, 6))
+    elif kind == "plateaus":
+        y = rng.integers(1, 4, n).astype(float)
+    elif kind == "ulps":
+        y = rng.choice([np.nextafter(1.0, 0.0), 1.0], n)
+    elif kind == "monotone":
+        y = np.sort(rng.uniform(0.1, 2.0, n))[::draw(st.sampled_from([1, -1]))].copy()
+    else:
+        y = rng.uniform(0.01, 2.0, n)
+    period = fringe_period_stage_m(OMEGA_DEG)
+    positions = draw(st.floats(-1e-5, 1e-5)) + x * period
+    return FringeTrace(positions, y, 0.0, 0.0, OMEGA_DEG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_traces(), st.sampled_from([1.0, 1.5, 3.0]))
+def test_visibility_equals_the_per_window_loop_bit_for_bit(trace, window_fringes):
+    icfg = InterferometerConfig()
+    taus, vis = extract_visibility(trace, icfg, window_fringes)
+    ref_taus, ref_vis = _visibility_per_window(trace, icfg, window_fringes)
+    assert taus.tobytes() == ref_taus.tobytes()
+    assert vis.tobytes() == ref_vis.tobytes()
 
 
 def test_envelope_tracks_the_map_cut(map94, icfg):

@@ -17,7 +17,8 @@ from pdcoh import (
     to_wavelength_angle,
 )
 from pdcoh.dispersion import c
-from pdcoh.spectrum import _density_from_mismatch, bilinear
+from pdcoh.phasematch import _mismatch
+from pdcoh.spectrum import _density_from_mismatch, _masked_density, bilinear
 
 L = 0.01
 G = 6.0
@@ -102,6 +103,38 @@ def test_built_grid_is_the_density_over_the_axis_product(sell, theta_deg):
     sg = build_spectrum(cfg)
     want = spectral_density(sg.omega_axis()[:, None], sg.k_axis()[None, :], cfg)
     assert sg.values.tobytes() == want.tobytes()
+
+
+def _density_by_column(cfg, omega, k):
+    """_masked_density's definition, one k column at a time."""
+    columns, invalid = [], 0
+    for kj in k:
+        mismatch, valid = _mismatch(cfg, omega, kj)
+        columns.append(np.where(
+            valid, _density_from_mismatch(mismatch, cfg.length_m, cfg.gain), 0.0))
+        invalid += int(valid.size - np.count_nonzero(valid))
+    return np.column_stack(columns), invalid
+
+
+@pytest.mark.parametrize("axis", ["random", "probe"])
+def test_masked_density_equals_the_column_by_column_evaluation(theta_pm, sell, axis):
+    cfg = _cfg(theta_pm, sell)
+    wc = cfg.degenerate_omega
+    if axis == "random":
+        # no +-k pairs; the outermost rows leave the Sellmeier range and the
+        # outermost columns are evanescent, so both masks count
+        rng = np.random.default_rng(3)
+        omega = wc + np.linspace(-0.4855 * wc, 0.4855 * wc, 300)
+        k = np.sort(np.concatenate([rng.uniform(-4e5, 4e5, 95),
+                                    rng.uniform(7e6, 9e6, 2) * [-1, 1]]))
+    else:
+        # auto_grid's first probe axes
+        omega = wc + np.linspace(-0.49 * wc, 0.49 * wc, 257)
+        k = np.linspace(-4e5, 4e5, 129)
+    values, invalid = _masked_density(cfg, omega, k)
+    want, want_invalid = _density_by_column(cfg, omega, k)
+    assert values.tobytes() == want.tobytes()
+    assert invalid == want_invalid and invalid > 0
 
 
 def test_grid_spec_validation():
@@ -293,6 +326,32 @@ def test_wavelength_angle_matches_scipy_bit_for_bit(ring):
                            axis=-1))
     assert np.count_nonzero(want == 0) > 0  # the zero fill is exercised
     assert np.array_equal(_bits(wa.values), _bits(want))
+
+
+def _wavelength_angle_on_a_meshgrid(sg, n_wavelength, n_angle):
+    """The resample node by node: one (omega, k) query per grid node."""
+    omega = sg.omega_axis()
+    lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
+                      n_wavelength)
+    theta_max = sg.spec.k_half_width * lam[-1] / (2 * math.pi)
+    theta = np.linspace(-theta_max, theta_max, n_angle)
+    lam_q, theta_q = np.meshgrid(lam, theta, indexing="ij")
+    values, inside = bilinear(omega, sg.k_axis(), sg.values,
+                              2 * math.pi * c / lam_q, theta_q * 2 * math.pi / lam_q)
+    return lam, theta, np.where(inside, values, 0.0)
+
+
+@pytest.mark.parametrize("theta_deg", [19.87, 19.90, 19.94])
+def test_wavelength_angle_equals_the_meshgrid_resample_bit_for_bit(sell, theta_deg):
+    sg = build_spectrum(_cfg(math.radians(theta_deg), sell))
+    for n_wavelength, n_angle in ((None, None), (300, 77)):
+        wa = to_wavelength_angle(sg, n_wavelength, n_angle)
+        lam, theta, values = _wavelength_angle_on_a_meshgrid(
+            sg, n_wavelength or sg.spec.n_omega, n_angle or sg.spec.n_k)
+        assert wa.values.shape == values.shape
+        assert wa.wavelength_axis_m.tobytes() == lam.tobytes()
+        assert wa.angle_axis_rad.tobytes() == theta.tobytes()
+        assert wa.values.tobytes() == values.tobytes()
 
 
 def test_wavelength_angle_round_trip(spot):
