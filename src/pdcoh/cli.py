@@ -19,10 +19,12 @@ import numpy as np
 
 from .coherence import _fwhm, correlation_map, factorability_defect, \
     instrument_blur, metrics
-from .config import load_run_config, parse_angle, parse_length, parse_time
+from .config import default, load_run_config, parse_angle, parse_length, \
+    parse_time
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
-from .errors import ConfigurationError, PdcohError, RootNotFoundError
+from .errors import ConfigurationError, MapExtentError, PdcohError, \
+    RootNotFoundError, SamplingError, blamed
 from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
     write_manifest, write_metrics, write_profile, write_spectral_grid, \
     write_trace, write_wavelength_angle_grid, read_manifest, read_trace
@@ -39,10 +41,12 @@ def _theta_tag(theta_rad):
     return f"{math.degrees(theta_rad):g}".replace(".", "p")
 
 
-def _outdir(rc, args):
-    out = Path(args.out) if args.out else Path(rc.out_dir)
+def _load(args):
+    """The run config, and its output directory, created."""
+    rc = load_run_config(_config_path(args))
+    out = Path(args.out or rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return rc, out
 
 
 def _config_path(args):
@@ -64,8 +68,7 @@ def _emit(path):
 
 
 def cmd_dispersion(args):
-    rc = load_run_config(_config_path(args))
-    out = _outdir(rc, args)
+    rc, out = _load(args)
     s = rc.sellmeier
     lo, hi = s.valid_range_um
     # stay clear of the range ends: the gvd stencil probes +-0.1%
@@ -88,8 +91,7 @@ def cmd_dispersion(args):
 
 
 def cmd_phasematch(args):
-    rc = load_run_config(_config_path(args))
-    out = _outdir(rc, args)
+    rc, out = _load(args)
     ext = FORMATS[rc.out_format]
     theta_pm = collinear_degenerate_angle(rc.pump_wavelength_m, rc.sellmeier)
     path = out / "phasematch.txt"
@@ -130,12 +132,12 @@ def cmd_phasematch(args):
 
 def _build_spectrum(rc, theta):
     cfg = rc.crystal_config(theta)
-    return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
+    with blamed("[crystal]", ConfigurationError):
+        return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
 
 
 def cmd_spectrum(args):
-    rc = load_run_config(_config_path(args))
-    out = _outdir(rc, args)
+    rc, out = _load(args)
     ext = FORMATS[rc.out_format]
     for theta in _select_thetas(rc, args):
         sg = _build_spectrum(rc, theta)
@@ -187,8 +189,7 @@ def cmd_coherence(args):
                 parse_length(parts[1], field="--blur"))
         if min(blur) < 0:
             raise ConfigurationError(f"--blur: widths must be >= 0, got {args.blur}")
-    rc = load_run_config(_config_path(args))
-    out = _outdir(rc, args)
+    rc, out = _load(args)
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
         cmap = correlation_map(_build_spectrum(rc, theta))
@@ -200,8 +201,7 @@ def cmd_coherence(args):
 
 
 def cmd_interferogram(args):
-    rc = load_run_config(_config_path(args))
-    out = _outdir(rc, args)
+    rc, out = _load(args)
     icfg = rc.interferometer
     count = args.bs2_steps or rc.bs2_count
     for theta in _select_thetas(rc, args):
@@ -210,12 +210,13 @@ def cmd_interferogram(args):
         paths = []
         for j in range(count):
             bs2 = (j - (count - 1) / 2.0) * rc.bs2_step_m
-            # restart each sweep where the BS2 delay is compensated
-            center = -bs2 * icfg.shift_to_delay / icfg.stage_to_delay
-            trace = synthesize_trace(cmap, icfg, bs2_position_m=bs2,
-                                     stage_center_m=center,
-                                     stage_span_m=rc.stage_span_m,
-                                     orientation=tag)
+            # the fields that place the sweep on the map
+            with blamed("[interferometer] stage_span, bs2_step, bs2_count and "
+                        f"magnification: BS2 at {bs2 * 1e6:g} um",
+                        SamplingError, MapExtentError):
+                trace = synthesize_trace(cmap, icfg, bs2_position_m=bs2,
+                                         stage_span_m=rc.stage_span_m,
+                                         orientation=tag)
             tpath = out / f"interferogram_{tag}_trace{j:02d}.csv"
             write_trace(tpath, trace)
             _emit(tpath)
@@ -229,15 +230,13 @@ def cmd_interferogram(args):
 def cmd_analyze(args):
     if args.config or os.environ.get(ENV_CONFIG):
         rc = load_run_config(_config_path(args))
-        icfg = rc.interferometer
-        window = rc.window_fringes
-        fmt = rc.out_format
-        out = Path(args.out) if args.out else Path(rc.out_dir)
+        icfg, window, fmt, out_dir = (rc.interferometer, rc.window_fringes,
+                                      rc.out_format, rc.out_dir)
     else:
         icfg = InterferometerConfig()
-        window = 1.0
-        fmt = "csv"
-        out = Path(args.out) if args.out else Path("out")
+        window, fmt, out_dir = map(default, ("window_fringes", "out_format",
+                                             "out_dir"))
+    out = Path(args.out or out_dir)
 
     traces = []
     for tpath in read_manifest(args.manifest):
@@ -246,25 +245,26 @@ def cmd_analyze(args):
         except (OSError, ValueError, ConfigurationError) as exc:
             raise ConfigurationError(
                 f"unreadable trace file {tpath}: {exc}") from exc
-    amap = assemble_map(traces, icfg, window_fringes=window)
+    with blamed(f"[interferometer] on {args.manifest}", ConfigurationError,
+                SamplingError):
+        amap = assemble_map(traces, icfg, window_fringes=window)
 
     out.mkdir(parents=True, exist_ok=True)
     ext = FORMATS[fmt]
     record = {"n_traces": len(traces), "icfg_hash": icfg.config_hash()}
     if len(traces) == 1:
-        epath = out / f"analyze_envelope.{ext}"
-        write_profile(epath, "coherence-cut", {"icfg_hash": icfg.config_hash()},
+        path = out / f"analyze_envelope.{ext}"
+        write_profile(path, "coherence-cut", {"icfg_hash": icfg.config_hash()},
                       [("position", amap.tau_axis),
                        ("magnitude", amap.magnitude[:, 0])], fmt=fmt)
-        _emit(epath)
-        record["tau_c_s"] = _fwhm(amap.tau_axis, amap.magnitude[:, 0])
     else:
-        mpath = out / f"analyze_map.{ext}"
-        write_assembled_map(mpath, amap, fmt=fmt)
-        _emit(mpath)
-        jc = int(np.argmin(np.abs(amap.xi_axis)))
+        path = out / f"analyze_map.{ext}"
+        write_assembled_map(path, amap, fmt=fmt)
+    _emit(path)
+    jc = int(np.argmin(np.abs(amap.xi_axis)))
+    record["tau_c_s"] = _fwhm(amap.tau_axis, amap.magnitude[:, jc])
+    if len(traces) > 1:
         ic = int(np.argmax(amap.magnitude[:, jc]))
-        record["tau_c_s"] = _fwhm(amap.tau_axis, amap.magnitude[:, jc])
         record["xi_c_m"] = _fwhm(amap.xi_axis, amap.magnitude[ic, :])
     path = out / "analyze_metrics.txt"
     write_metrics(path, record)

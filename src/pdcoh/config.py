@@ -2,20 +2,24 @@
 
 Flat sectioned key = value text ([crystal], [grid], [interferometer],
 [output]), every dimensional quantity carrying an explicit unit suffix
-(800 nm, 10 mm, 19.87 deg, 40 um) so nothing is silently misread. The
-whole file validates before any computation starts; diagnostics name
-the section and field.
+(800 nm, 10 mm, 19.87 deg, 40 um) so nothing is silently misread. Each
+field is declared once, in FIELDS: its section, key, RunConfig
+attribute, parser with its range check, and default. The loader walks
+that table; a field it does not list is unknown. The whole file
+validates before any computation starts, and every refusal names the
+section and field.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .dispersion import load_sellmeier
-from .errors import ConfigurationError
+from .errors import ConfigurationError, blamed
 from .gridio import FORMATS
 from .hashing import config_digest
 from .interferometer import InterferometerConfig
@@ -26,16 +30,6 @@ LENGTH_UNITS = {"nm": 1e-9, "um": 1e-6, "µm": 1e-6, "mm": 1e-3,
                 "cm": 1e-2, "m": 1.0}
 TIME_UNITS = {"fs": 1e-15, "ps": 1e-12, "ns": 1e-9, "s": 1.0}
 ANGLE_UNITS = {"deg": math.pi / 180.0, "mrad": 1e-3, "rad": 1.0}
-
-_REQUIRED = object()
-
-_KNOWN_KEYS = {
-    "crystal": {"material", "length", "pump_wavelength", "gain", "theta"},
-    "grid": {"n_omega", "n_k"},
-    "interferometer": {"split_ratio", "magnification", "bs2_step",
-                       "bs2_count", "stage_span", "window_fringes"},
-    "output": {"directory", "format"},
-}
 
 
 def parse_quantity(text, units, field="value"):
@@ -55,16 +49,108 @@ def parse_quantity(text, units, field="value"):
         f"from {sorted(units)}")
 
 
-def parse_length(text, field="length"):
+def parse_length(text, field="value"):
     return parse_quantity(text, LENGTH_UNITS, field)
 
 
-def parse_time(text, field="time"):
+def parse_time(text, field="value"):
     return parse_quantity(text, TIME_UNITS, field)
 
 
-def parse_angle(text, field="angle"):
+def parse_angle(text, field="value"):
     return parse_quantity(text, ANGLE_UNITS, field)
+
+
+# Field parsers take (text, field) and name the field in every refusal.
+
+
+def _text(text, field):
+    return text
+
+
+def _finite(kind):
+    def parse(text, field):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{field}: {text!r} is not a finite {kind.__name__}")
+        return value
+    return parse
+
+
+def _listed(parse):
+    def parse_all(text, field):
+        return tuple(parse(part, field) for part in text.split(",") if part.strip())
+    return parse_all
+
+
+def _where(parse, holds, rule):
+    def checked(text, field):
+        value = parse(text, field)
+        if not holds(value):
+            raise ConfigurationError(f"{field}: must be {rule}, got {text!r}")
+        return value
+    return checked
+
+
+def _grid_size(text, field):
+    n = _finite(int)(text, field)
+    check_grid_size(field, n)
+    return n
+
+
+class Field(NamedTuple):
+    section: str
+    key: str
+    parse: Callable
+    # the text a file that omits the field would hold; None: required, or
+    # for an InterferometerConfig attribute, that class's own default
+    default: str | None = None
+    attribute: str | None = None  # when not the key
+
+    @property
+    def name(self):
+        return f"[{self.section}] {self.key}"
+
+
+_POSITIVE_LENGTH = _where(parse_length, lambda v: v > 0, "> 0")
+
+FIELDS = (
+    Field("crystal", "material", _text),
+    Field("crystal", "length", parse_length, attribute="length_m"),
+    Field("crystal", "pump_wavelength", parse_length,
+          attribute="pump_wavelength_m"),
+    Field("crystal", "gain", _finite(float)),
+    Field("crystal", "theta", _where(_listed(parse_angle), len, "one or more angles"),
+          attribute="thetas_rad"),
+    Field("grid", "n_omega", _grid_size, "1024"),
+    Field("grid", "n_k", _grid_size, "512"),
+    Field("interferometer", "split_ratio",
+          _where(_listed(_finite(float)), lambda v: len(v) == 2, "two numbers")),
+    Field("interferometer", "magnification", _finite(float)),
+    Field("interferometer", "bs2_step", _POSITIVE_LENGTH, "40 um", "bs2_step_m"),
+    Field("interferometer", "bs2_count",
+          _where(_finite(int), lambda v: v >= 1, ">= 1"), "11"),
+    Field("interferometer", "stage_span", _POSITIVE_LENGTH, "48 um",
+          "stage_span_m"),
+    Field("interferometer", "window_fringes",
+          _where(_finite(float), lambda v: v >= 1.0, ">= 1"), "1.0"),
+    Field("output", "directory", _text, "out", "out_dir"),
+    Field("output", "format",
+          _where(_text, lambda v: v in FORMATS, f"one of {tuple(FORMATS)}"),
+          "csv", "out_format"),
+)
+
+_INTERFEROMETER = {f.name for f in fields(InterferometerConfig)}
+
+
+def default(attribute):
+    """The value of a field that a file omits, by RunConfig attribute."""
+    f = next(f for f in FIELDS if (f.attribute or f.key) == attribute)
+    return f.parse(f.default, f.name)
 
 
 @dataclass(frozen=True)
@@ -88,25 +174,11 @@ class RunConfig:
 
     def __post_init__(self):
         # triggers every downstream invariant before any command runs
-        object.__setattr__(self, "_sellmeier", load_sellmeier(self.material))
-        if not self.thetas_rad:
-            raise ConfigurationError("[crystal] theta: needs at least one angle")
-        for theta in self.thetas_rad:
-            self.crystal_config(theta)
-        check_grid_size("[grid] n_omega", self.n_omega)
-        check_grid_size("[grid] n_k", self.n_k)
-        if self.out_format not in FORMATS:
-            raise ConfigurationError(f"[output] format: {self.out_format!r} "
-                                     f"is not one of {tuple(FORMATS)}")
-        if self.bs2_count < 1:
-            raise ConfigurationError("[interferometer] bs2_count: must be >= 1")
-        if self.bs2_step_m <= 0:
-            raise ConfigurationError("[interferometer] bs2_step: must be > 0")
-        if self.stage_span_m <= 0:
-            raise ConfigurationError("[interferometer] stage_span: must be > 0")
-        if self.window_fringes < 1.0:
-            raise ConfigurationError(
-                "[interferometer] window_fringes: must be >= 1")
+        with blamed("[crystal] material"):
+            object.__setattr__(self, "_sellmeier", load_sellmeier(self.material))
+        with blamed("[crystal]"):
+            for theta in self.thetas_rad:
+                self.crystal_config(theta)
 
     @property
     def sellmeier(self):
@@ -118,108 +190,45 @@ class RunConfig:
                              gain=self.gain, sellmeier=self.sellmeier)
 
     def config_hash(self):
-        return config_digest({
-            "material": self.material, "length_m": self.length_m,
-            "pump_wavelength_m": self.pump_wavelength_m, "gain": self.gain,
-            "thetas_rad": list(self.thetas_rad), "n_omega": self.n_omega,
-            "n_k": self.n_k, "icfg": self.interferometer.config_hash(),
-            "bs2_step_m": self.bs2_step_m, "bs2_count": self.bs2_count,
-            "stage_span_m": self.stage_span_m,
-            "window_fringes": self.window_fringes,
-            "out_format": self.out_format,
-        })
-
-
-def _get(cp, section, key, default=_REQUIRED):
-    if not cp.has_option(section, key):
-        if default is _REQUIRED:
-            raise ConfigurationError(f"[{section}] {key}: missing")
-        return default
-    return cp.get(section, key)
+        """Digest of every attribute but the output directory, with the
+        interferometer by its own digest."""
+        record = {f.name: getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("interferometer", "out_dir")}
+        record["icfg"] = self.interferometer.config_hash()
+        return config_digest(record)
 
 
 def load_run_config(path):
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
 
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   interpolation=None)
     try:
         cp.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from exc
 
+    known = {(f.section, f.key) for f in FIELDS}
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if not any(s == section for s, _ in known):
             raise ConfigurationError(f"[{section}]: unknown section")
         for key in cp.options(section):
-            if key not in _KNOWN_KEYS[section]:
+            if (section, key) not in known:
                 raise ConfigurationError(f"[{section}] {key}: unknown field")
-    if not cp.has_section("crystal"):
-        raise ConfigurationError("[crystal]: section missing")
 
-    def floatval(section, key, default=_REQUIRED):
-        raw = _get(cp, section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            value = float(raw)
-        except ValueError:
-            value = math.nan
-        if not math.isfinite(value):
-            raise ConfigurationError(
-                f"[{section}] {key}: {raw!r} is not a finite number")
-        return value
-
-    def intval(section, key, default=_REQUIRED):
-        raw = _get(cp, section, key, default)
-        if not isinstance(raw, str):
-            return raw
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"[{section}] {key}: {raw!r} is not an integer") from exc
-
-    thetas = tuple(
-        parse_angle(part, field="[crystal] theta")
-        for part in _get(cp, "crystal", "theta").split(",") if part.strip())
-
-    split_raw = _get(cp, "interferometer", "split_ratio", "0.5, 0.5")
-    try:
-        split = tuple(float(p) for p in split_raw.split(","))
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"[interferometer] split_ratio: {split_raw!r} is not a pair "
-            "of numbers") from exc
-    if len(split) != 2:
-        raise ConfigurationError(
-            "[interferometer] split_ratio: needs exactly two numbers")
-
-    icfg = InterferometerConfig(
-        split_ratio=split,
-        magnification=floatval("interferometer", "magnification", 6.6))
-
-    return RunConfig(
-        material=_get(cp, "crystal", "material"),
-        length_m=parse_length(_get(cp, "crystal", "length"),
-                              field="[crystal] length"),
-        pump_wavelength_m=parse_length(_get(cp, "crystal", "pump_wavelength"),
-                                       field="[crystal] pump_wavelength"),
-        gain=floatval("crystal", "gain"),
-        thetas_rad=thetas,
-        n_omega=intval("grid", "n_omega", 1024),
-        n_k=intval("grid", "n_k", 512),
-        interferometer=icfg,
-        bs2_step_m=parse_length(_get(cp, "interferometer", "bs2_step", "40 um"),
-                                field="[interferometer] bs2_step"),
-        bs2_count=intval("interferometer", "bs2_count", 11),
-        stage_span_m=parse_length(
-            _get(cp, "interferometer", "stage_span", "48 um"),
-            field="[interferometer] stage_span"),
-        window_fringes=floatval("interferometer", "window_fringes", 1.0),
-        out_dir=_get(cp, "output", "directory", "out"),
-        out_format=_get(cp, "output", "format", "csv"),
-    )
+    values, owned = {}, {}
+    for f in FIELDS:
+        text = cp.get(f.section, f.key, fallback=f.default)
+        attribute = f.attribute or f.key
+        if text is not None:
+            into = owned if attribute in _INTERFEROMETER else values
+            into[attribute] = f.parse(text, f.name)
+        elif attribute not in _INTERFEROMETER:
+            raise ConfigurationError(f"{f.name}: missing")
+    with blamed("[interferometer]"):
+        values["interferometer"] = InterferometerConfig(**owned)
+    return RunConfig(**values)

@@ -43,6 +43,11 @@ class SellmeierSet:
     valid_range_um: tuple[float, float]
     source: str = ""
 
+    @property
+    def name(self):
+        """The set's name in products: its source, else its material."""
+        return self.source or self.material
+
     def validate(self):
         """Check physical invariants by sampling the valid range.
 

@@ -5,6 +5,8 @@ so callers (and the command-line front end) can separate input problems
 from genuine bugs.
 """
 
+import contextlib
+
 
 class PdcohError(Exception):
     """Base class for all errors raised by pdcoh."""
@@ -48,3 +50,13 @@ class SamplingError(PdcohError):
 
 class MapExtentError(PdcohError):
     """Requested (tau, xi) point lies outside the correlation map."""
+
+
+@contextlib.contextmanager
+def blamed(field, *kinds):
+    """Re-raise a refusal of the given kinds (any PdcohError by default) as
+    a ConfigurationError prefixed with the field that caused it."""
+    try:
+        yield
+    except kinds or PdcohError as exc:
+        raise ConfigurationError(f"{field}: {exc}") from exc

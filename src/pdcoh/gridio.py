@@ -24,8 +24,7 @@ import numpy as np
 from .coherence import CoherenceMap
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    check_grid_size
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -261,24 +260,28 @@ def _read(path, kind, axes=()):
     return header, grid, arrays
 
 
+# the GridSpec numbers that the axes' start/step/count do not carry exactly
+_SPEC_KEYS = ("omega_center", "omega_half_width", "k_half_width")
+
+
 def write_spectral_grid(path, sg, fmt="csv"):
-    _write(path, fmt, {"kind": "spectral-density"},
+    _write(path, fmt, {"kind": "spectral-density",
+                       **{key: getattr(sg.spec, key) for key in _SPEC_KEYS}},
            [("omega", sg.omega_axis()), ("k", sg.k_axis())], sg.provenance,
            [("density", sg.values)])
 
 
 def read_spectral_grid(path):
     header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"))
+    spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
     try:
-        # the grid-size rule first: the steps below need two samples
-        check_grid_size("n_omega", omega.size)
-        check_grid_size("n_k", k.size)
-        spec = GridSpec(omega_center=float(omega[omega.size // 2]),
-                        omega_half_width=omega.size * float(omega[1] - omega[0]) / 2,
-                        n_omega=omega.size,
-                        k_half_width=k.size * float(k[1] - k[0]) / 2,
-                        n_k=k.size)
-    except ConfigurationError as exc:
+        spec = GridSpec(n_omega=omega.size, n_k=k.size, **spec)
+        for name, ours, read, step in (
+                ("omega", spec.omega_axis(), omega, spec.omega_step),
+                ("k", spec.k_axis(), k, spec.k_step)):
+            if not np.allclose(ours, read, rtol=0, atol=1e-6 * step):
+                raise ConfigurationError(f"the grid spec disagrees with the {name} axis")
+    except (ConfigurationError, TypeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return SpectralGrid(spec, _require(arrays, "density", path), provenance=header)
 

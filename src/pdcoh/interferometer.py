@@ -3,9 +3,12 @@
 One retroreflector sets the time delay (double pass: 2/c per meter of
 stage travel); translating the second beam splitter displaces one beam,
 which shows up as a transverse shift xi in the crystal near-field plane
-and, inseparably, as an extra time delay. Fringe traces are synthesized
-from a CoherenceMap, their visibility envelopes extracted with a sliding
-window, and stepped-BS2 trace sets reassembled into |g1|(tau, xi).
+and, inseparably, as an extra time delay. The split ratios and the
+magnification are the only settable parameters; the kinematics follow
+from them. Fringe traces are synthesized from a CoherenceMap, each sweep
+centred where the BS2 delay is compensated, their visibility envelopes
+extracted with a sliding window, and stepped-BS2 trace sets reassembled
+into |g1|(tau, xi).
 """
 
 from __future__ import annotations
@@ -22,20 +25,19 @@ from .hashing import config_digest
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Geometry and calibration constants of the interferometer.
+    """Split ratios and imaging magnification of the interferometer.
 
-    The BS2 coupling coefficients default to a 45-degree thin-splitter
-    geometry: one meter of BS2 travel displaces the beam one meter
-    (1/magnification in the crystal plane) and lengthens the arm one
-    meter (1/c of delay). Both are calibration inputs; override them
-    when the real kinematics are known.
+    The BS2 kinematics follow a 45-degree thin-splitter geometry: one
+    meter of BS2 travel displaces the beam one meter (1/magnification in
+    the crystal plane) and lengthens the arm one meter (1/c of delay); one
+    meter of stage travel adds 2/c of delay (double pass).
     """
 
     split_ratio: tuple = (0.5, 0.5)
     magnification: float = 6.6
-    shift_to_xi: float = None
-    shift_to_delay: float = None
-    stage_to_delay: float = 2.0 / c
+    # the kinematics, not fields: no caller sets them
+    shift_to_delay = 1.0 / c
+    stage_to_delay = 2.0 / c
 
     def __post_init__(self):
         r1, r2 = self.split_ratio
@@ -45,14 +47,10 @@ class InterferometerConfig:
         if not (math.isfinite(self.magnification) and self.magnification > 0):
             raise ConfigurationError(
                 f"magnification must be finite and positive, got {self.magnification}")
-        if self.shift_to_xi is None:
-            object.__setattr__(self, "shift_to_xi", 1.0 / self.magnification)
-        if self.shift_to_delay is None:
-            object.__setattr__(self, "shift_to_delay", 1.0 / c)
-        for name in ("shift_to_xi", "shift_to_delay", "stage_to_delay"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+
+    @property
+    def shift_to_xi(self):
+        return 1.0 / self.magnification
 
     def config_hash(self):
         return config_digest({name: getattr(self, name) for name in (
@@ -83,10 +81,11 @@ class FringeTrace:
         self.intensities = np.asarray(self.intensities, dtype=float)
         if self.positions_m.size != self.intensities.size:
             raise ConfigurationError("positions and intensities differ in length")
-        if self.positions_m.size < 2 or np.any(np.diff(self.positions_m) <= 0):
-            raise ConfigurationError("stage positions must increase strictly")
-        if np.any(self.intensities < 0):
-            raise ConfigurationError("detector intensities must be nonnegative")
+        if not (self.positions_m.size >= 2 and np.all(np.isfinite(self.positions_m))
+                and np.all(np.diff(self.positions_m) > 0)):
+            raise ConfigurationError("stage positions must be finite and increase strictly")
+        if not np.all(np.isfinite(self.intensities) & (self.intensities >= 0)):
+            raise ConfigurationError("detector intensities must be finite and nonnegative")
 
 
 def fringe_period_path_m(carrier_omega):
@@ -110,14 +109,15 @@ def detector_signal(cmap, tau, xi, icfg):
     return (r1 + r2) + 2.0 * math.sqrt(r1 * r2) * term
 
 
-def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_center_m=0.0,
-                     stage_span_m=None, n_samples=None, orientation=""):
+def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
+                     orientation=""):
     """Sample a fringe trace along a delay-stage sweep.
 
-    The sweep must cover at least 3 fringes with at least 8 samples per
-    fringe; the default sampling is 20 per fringe. The BS2-induced extra
-    delay enters the synthesized signal and is recorded as tau_offset_s
-    so analysis can realign the trace.
+    The sweep is centred where the stage compensates the BS2-induced
+    delay, as an operator re-finding the fringe packet would, and must
+    cover at least 3 fringes (default 4), sampled 20 times per fringe.
+    The BS2 delay enters the synthesized signal and is recorded as
+    tau_offset_s so analysis can realign the trace.
     """
     period = fringe_period_stage_m(cmap.carrier_omega)
     if stage_span_m is None:
@@ -126,14 +126,10 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_center_m=0.0,
     if fringes < 3.0:
         raise SamplingError(
             f"sweep spans {fringes:.2f} fringes; cover at least 3")
-    if n_samples is None:
-        n_samples = int(math.ceil(20.0 * fringes)) + 1
-    if (n_samples - 1) / fringes < 8.0:
-        raise SamplingError(
-            f"{(n_samples - 1) / fringes:.1f} samples per fringe; "
-            "Nyquist margin requires at least 8")
-    positions = stage_center_m + (np.arange(n_samples) / (n_samples - 1)
-                                  - 0.5) * stage_span_m
+    n_samples = int(math.ceil(20.0 * fringes)) + 1
+    center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
+    positions = center + (np.arange(n_samples) / (n_samples - 1)
+                          - 0.5) * stage_span_m
     tau_offset = bs2_position_m * icfg.shift_to_delay
     tau = positions * icfg.stage_to_delay + tau_offset
     xi = bs2_position_m * icfg.shift_to_xi
@@ -153,7 +149,8 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     window edge, or with zero curvature, keeps its sample), positioned at
     the window center. Returns (tau_s, visibility) with tau from the stage
     positions alone; the BS2 delay offset recorded on the trace is
-    deliberately not applied here (assemble_map undoes it).
+    deliberately not applied here (assemble_map undoes it). A window
+    that is dark throughout is refused: it has no visibility.
     """
     if trace.icfg_hash and trace.icfg_hash != icfg.config_hash():
         raise ConfigurationError(
@@ -174,7 +171,8 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     w = int(round(window_fringes * per_fringe)) + 1
     n = trace.positions_m.size
     if w > n:
-        raise SamplingError("window is longer than the trace")
+        raise SamplingError(f"window of window_fringes {window_fringes:g} ({w} "
+                            f"samples) is longer than the trace ({n} samples)")
 
     windows = np.lib.stride_tricks.sliding_window_view(trace.intensities, w)
     rows = np.arange(n - w + 1)
@@ -189,6 +187,12 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
 
     crest = refined(np.argmax(windows, axis=1))
     trough = refined(np.argmin(windows, axis=1))
+    # a refined trough dips at most crest/8 below zero: only a dark window does
+    dark = np.count_nonzero(crest + trough <= 0)
+    if dark:
+        raise SamplingError(
+            f"trace {trace.orientation} at BS2 {trace.bs2_position_m * 1e6:g} um: "
+            f"{dark} windows are dark throughout; their visibility is undefined")
     vis = (crest - trough) / (crest + trough)
     taus = 0.5 * (trace.positions_m[:n - w + 1] + trace.positions_m[w - 1:]) \
         * icfg.stage_to_delay

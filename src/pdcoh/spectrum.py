@@ -140,11 +140,13 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
     for _ in range(10):
         probe_w = omega_c + np.linspace(-half_w, half_w, 257)
         probe_k = np.linspace(-half_k, half_k, 129)
-        values, _ = _masked_density(cfg, probe_w, probe_k)
+        # a gain or length so large that S overflows is refused just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, _ = _masked_density(cfg, probe_w, probe_k)
         peak = values.max()
-        if peak <= 0:
-            raise ConfigurationError(
-                "density is zero everywhere (gain 0?); supply a GridSpec explicitly")
+        if not 0 < peak < math.inf:
+            raise ConfigurationError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
+                                     f"length {cfg.length_m:g} m; supply a GridSpec")
         rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
         cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
         if rows[0] or rows[-1] or cols[0] or cols[-1]:
@@ -155,7 +157,7 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
         span_k = np.abs(probe_k[cols]).max()
         if _GRID_MARGIN * span_w > cap:
             raise ConfigurationError(
-                f"{cfg.sellmeier.source or cfg.sellmeier.material} at theta "
+                f"{cfg.sellmeier.name} at theta "
                 f"{math.degrees(cfg.theta_rad):g} deg: the density spans "
                 f"{span_w / omega_c:.2f} omega_c, and with margin {_GRID_MARGIN:g} "
                 f"its grid would pass the cap of 0.49 omega_c")
@@ -185,7 +187,7 @@ def build_spectrum(cfg, grid=None):
                 values[:, 0].max(), values[:, -1].max())
     provenance = {
         "config_hash": cfg.config_hash(),
-        "material": cfg.sellmeier.material,
+        "material": cfg.sellmeier.name,
         "length_m": cfg.length_m,
         "theta_rad": cfg.theta_rad,
         "pump_wavelength_m": cfg.pump_wavelength_m,

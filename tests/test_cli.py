@@ -2,6 +2,8 @@ import ast
 import importlib
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -302,12 +304,56 @@ def test_unreadable_trace_exits_1_naming_the_file(ws, tmp_path, capsys):
     assert "ghost.csv" in capsys.readouterr().err
 
 
-def test_runtime_failures_exit_2(ws, tmp_path, capsys):
-    cramped = tmp_path / "cramped.ini"
-    cramped.write_text(CONFIG.format(out=tmp_path)
-                       .replace("stage_span = 16 um", "stage_span = 1 um"))
-    assert main(["interferogram", str(cramped)]) == 2
-    assert "at least 3" in capsys.readouterr().err
+def test_runtime_failures_exit_2(tmp_path, capsys):
+    # a sweep too short for the envelope to fall to half its peak: the
+    # width, not any one field, is what fails
+    short = tmp_path / "short.ini"
+    short.write_text(CONFIG.format(out=tmp_path)
+                     .replace("stage_span = 16 um", "stage_span = 3 um"))
+    assert main(["interferogram", str(short)]) == 0
+    assert main(["analyze", str(tmp_path / "interferogram_19p94_manifest.txt"),
+                 "--config", str(short), "--out", str(tmp_path / "an")]) == 2
+    assert "half-maximum crossing lies outside the map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, old, new, fields", [
+    ("interferogram", "stage_span = 16 um", "stage_span = 1 um",
+     r"\[interferometer\] stage_span.*cover at least 3"),
+    ("interferogram", "bs2_step = 40 um", "bs2_step = 5 mm",
+     r"\[interferometer\] .*bs2_step.*BS2 at -25000 um.*outside the map"),
+    ("interferogram", "bs2_count = 11", "bs2_count = 11\nmagnification = 1e-6",
+     r"\[interferometer\] .*magnification.*outside the map"),
+    ("analyze", "stage_span = 16 um", "stage_span = 16 um\nwindow_fringes = 100",
+     r"\[interferometer\] .*window_fringes 100 .*longer than the trace"),
+    ("spectrum", "gain = 6", "gain = 0", r"\[crystal\]: density peak is 0"),
+    ("spectrum", "length = 10 mm", "length = 1e300 mm",
+     r"\[crystal\]: density peak is nan"),
+])
+def test_refusals_that_config_values_cause_exit_1_naming_them(
+        ws, tmp_path, capsys, command, old, new, fields):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG.format(out=tmp_path).replace(old, new))
+    argv = [command, str(bad)]
+    if command == "analyze":
+        argv = ["analyze", str(ws["manifest"]), "--config", str(bad)]
+    assert main(argv) == 1
+    assert re.search(fields, capsys.readouterr().err)
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the README's command block, line by line, on a 64 x 64 example grid
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("pdcoh ")]
+    assert len(lines) == 6
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "example.ini").write_text(
+        (root / "configs" / "example.ini").read_text()
+        .replace("n_omega = 1024", "n_omega = 64").replace("n_k = 512", "n_k = 64"))
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_usage_errors_and_help(capsys):

@@ -1,12 +1,16 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from pdcoh import ConfigurationError
+from pdcoh import ConfigurationError, InterferometerConfig
 from pdcoh.config import (
     ANGLE_UNITS,
+    FIELDS,
     LENGTH_UNITS,
     TIME_UNITS,
+    default,
     load_run_config,
     parse_angle,
     parse_length,
@@ -187,3 +191,52 @@ def test_inline_comments_are_ignored(tmp_path):
     rc = load_run_config(_write(
         tmp_path, MINIMAL.replace("gain = 6", "gain = 6  # high gain")))
     assert rc.gain == 6.0
+
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+
+
+def test_digests_are_pinned():
+    # products carry these; a refactor of the loader must not move them
+    assert load_run_config(EXAMPLE).config_hash() == "28ae62fb584b44c9"
+    assert InterferometerConfig().config_hash() == "b627084064ac68bf"
+
+
+def test_an_omitted_field_loads_as_its_default_text(tmp_path):
+    sections = {}
+    for f in FIELDS:
+        if f.default is not None:
+            sections.setdefault(f.section, []).append(f"{f.key} = {f.default}")
+    spelled = load_run_config(_write(tmp_path, MINIMAL + "".join(
+        f"\n[{section}]\n" + "\n".join(lines) + "\n"
+        for section, lines in sections.items())))
+    assert load_run_config(_write(tmp_path, MINIMAL)) == spelled
+    assert default("window_fringes") == 1.0
+    assert (default("out_format"), default("out_dir")) == ("csv", "out")
+
+
+def test_the_table_lists_each_field_once():
+    assert len({(f.section, f.key) for f in FIELDS}) == len(FIELDS) == 15
+
+
+@pytest.mark.parametrize("field", [f for f in FIELDS if f.key != "directory"],
+                         ids=lambda f: f.name)
+def test_every_refusal_names_its_field(tmp_path, field):
+    lines = [f"{field.key} = nan" if line.startswith(f"{field.key} =") else line
+             for line in FULL.splitlines()]
+    with pytest.raises(ConfigurationError, match=re.escape(field.name)):
+        load_run_config(_write(tmp_path, "\n".join(lines)))
+
+
+@pytest.mark.parametrize("old, new, section", [
+    ("length = 10 mm", "length = -10 mm", "[crystal]"),
+    ("theta = 19.87 deg, 19.90 deg, 19.94 deg", "theta = 95 deg", "[crystal]"),
+    ("material = bbo_kato1986", "material = nosuch", "[crystal] material"),
+    ("magnification = 6.6", "magnification = -1", "[interferometer]"),
+    ("split_ratio = 0.7, 0.3", "split_ratio = 0.6, 0.6", "[interferometer]"),
+    ("pump_wavelength = 800 nm", "pump_wavelength = 5000 nm", "[crystal]"),
+])
+def test_refusals_from_the_value_classes_name_the_section(tmp_path, old, new,
+                                                          section):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(section)}:"):
+        load_run_config(_write(tmp_path, FULL.replace(old, new)))

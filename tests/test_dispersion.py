@@ -162,6 +162,7 @@ def test_shipped_sets_load_and_validate():
     for name in ("bbo_kato1986", "bbo_eimerl1987"):
         s = load_sellmeier(name)
         assert s.material == "BBO"
+        assert s.name == name
         lam = np.linspace(*s.valid_range_um, 65)
         n_o = index(lam, ORDINARY, s)
         n_e = index(lam, ExtraordinaryAtAngle(math.pi / 2), s)

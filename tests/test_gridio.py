@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdcoh import ConfigurationError, gridio, GridSpec, PdcohError, SpectralGrid
+from pdcoh import ConfigurationError, CrystalConfig, gridio, GridSpec, \
+    PdcohError, SpectralGrid, auto_grid, build_spectrum, load_sellmeier
 from pdcoh.coherence import CoherenceMap
 from pdcoh.gridio import (
     read_assembled_map,
@@ -44,6 +45,43 @@ def sg():
     return SpectralGrid(spec, values, provenance={
         "material": "bbo_kato1986", "gain": 6.0, "edge_ratio": 1e-5,
         "invalid_nodes": 0})
+
+
+@pytest.mark.parametrize("theta_deg", [19.87, 19.90, 19.94])
+def test_example_grid_specs_round_trip(tmp_path, theta_deg):
+    cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(theta_deg),
+                        pump_wavelength_m=800e-9, gain=6.0,
+                        sellmeier=load_sellmeier("bbo_kato1986"))
+    sg = build_spectrum(cfg, auto_grid(cfg, 64, 64))
+    write_spectral_grid(tmp_path / "grid.bin", sg, fmt="binary")
+    back = read_spectral_grid(tmp_path / "grid.bin")
+    assert back.spec == sg.spec
+    assert back.omega_axis().tobytes() == sg.omega_axis().tobytes()
+    assert back.provenance["material"] == "bbo_kato1986"
+
+
+def test_spectral_grid_spec_must_match_its_axes(tmp_path, sg):
+    path = tmp_path / "grid.csv"
+    write_spectral_grid(path, sg)
+    text = path.read_text()
+    path.write_text(text.replace("# omega_center: 1200000000000000.0",
+                                 "# omega_center: 1300000000000000.0"))
+    with pytest.raises(ConfigurationError, match="disagrees with the omega axis"):
+        read_spectral_grid(path)
+    path.write_text(text.replace("# k_half_width: ", "# k_half: "))
+    with pytest.raises(ConfigurationError, match="k_half_width"):
+        read_spectral_grid(path)
+
+
+def test_trace_with_a_non_finite_intensity_is_refused(tmp_path):
+    pos = np.linspace(0.0, 1e-6, 5)
+    path = tmp_path / "trace.csv"
+    write_trace(path, FringeTrace(pos, np.ones(5), 0.0, 0.0, 1.2e15))
+    lines = path.read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="finite"):
+        read_trace(path)
 
 
 @pytest.mark.parametrize("fmt,ext", [("csv", "csv"), ("binary", "bin")])
@@ -492,11 +530,12 @@ def _coherence_round_trip(draw, path, fmt):
 
 
 def _spectral_round_trip(draw, path, fmt):
+    # any spec, not one whose axes the start/step/count header holds exactly
     n_omega, n_k = draw(st.sampled_from([64, 128])), draw(st.sampled_from([64, 128]))
-    omega_step, k_step = _dyadic(draw), _dyadic(draw)
-    spec = GridSpec(omega_center=(n_omega + draw(st.integers(0, 999))) * omega_step,
-                    omega_half_width=n_omega // 2 * omega_step, n_omega=n_omega,
-                    k_half_width=n_k // 2 * k_step, n_k=n_k)
+    half_w = draw(st.floats(1e9, 1e16))
+    spec = GridSpec(omega_center=half_w * draw(st.floats(1.001, 1e3)),
+                    omega_half_width=half_w, n_omega=n_omega,
+                    k_half_width=draw(st.floats(1.0, 1e9)), n_k=n_k)
     values = _values(draw, (n_omega, n_k))
     write_spectral_grid(path, SpectralGrid(spec, values), fmt=fmt)
     back = read_spectral_grid(path)
@@ -536,7 +575,9 @@ def _trace_round_trip(draw, path, fmt):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
     positions = np.cumsum(rng.uniform(1e-9, 1e-7, n)) - 1e-6
+    # a trace holds finite, nonnegative intensities
     values = _values(draw, (n,))
+    values = np.where(np.isfinite(values), values, 1e308)
     intensities = np.where(values < 0, -values, values)
     trace = FringeTrace(positions, intensities, _header_float(draw),
                         _header_float(draw), _header_float(draw), "19p94")

@@ -68,11 +68,8 @@ def map94():
 
 
 def _centered_sweep(cmap, icfg, bs2, tau_span_s, **kw):
-    # start the stage where the BS2-induced delay is compensated, as an
-    # operator re-finding the fringe packet would
-    center = -bs2 * icfg.shift_to_delay / icfg.stage_to_delay
+    # a sweep covering tau_span_s of delay
     return synthesize_trace(cmap, icfg, bs2_position_m=bs2,
-                            stage_center_m=center,
                             stage_span_m=tau_span_s / icfg.stage_to_delay, **kw)
 
 
@@ -105,9 +102,7 @@ def test_config_rejects_bad_parameters():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("magnification", math.nan), ("magnification", math.inf),
-    ("shift_to_xi", math.nan), ("shift_to_delay", math.inf),
-    ("stage_to_delay", math.nan)])
+    ("magnification", math.nan), ("magnification", math.inf)])
 def test_config_rejects_non_finite_values(field, value):
     with pytest.raises(ConfigurationError, match=f"{field}.*finite"):
         InterferometerConfig(**{field: value})
@@ -184,14 +179,19 @@ def test_trace_rejects_malformed_data():
         FringeTrace(pos[::-1], good, 0.0, 0.0, OMEGA_DEG)
     with pytest.raises(ConfigurationError, match="nonnegative"):
         FringeTrace(pos, good - 2.0, 0.0, 0.0, OMEGA_DEG)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FringeTrace(pos, np.where(pos == pos[7], bad, good), 0.0, 0.0,
+                        OMEGA_DEG)
+    with pytest.raises(ConfigurationError, match="finite"):
+        FringeTrace(np.where(pos == pos[7], np.nan, pos), good, 0.0, 0.0,
+                    OMEGA_DEG)
 
 
 def test_sweep_preconditions(flat_map, icfg):
     period = fringe_period_stage_m(OMEGA_DEG)
     with pytest.raises(SamplingError, match="at least 3"):
         synthesize_trace(flat_map, icfg, stage_span_m=2 * period)
-    with pytest.raises(SamplingError, match="at least 8"):
-        synthesize_trace(flat_map, icfg, stage_span_m=4 * period, n_samples=25)
 
 
 def test_extraction_preconditions(flat_map, icfg):
@@ -218,6 +218,19 @@ def test_extraction_preconditions(flat_map, icfg):
                          0.0, 0.0, OMEGA_DEG)
     with pytest.raises(SamplingError, match="at least 8"):
         extract_visibility(coarse, icfg)
+
+
+def test_dark_window_is_refused_naming_the_trace(icfg):
+    # 30 dark samples hold 10 whole one-fringe windows (21 samples each)
+    period = fringe_period_stage_m(OMEGA_DEG)
+    pos = np.arange(400) * period / 20.0
+    intensities = 1.0 + np.cos(2 * math.pi * pos / period)
+    intensities[201:231] = 0.0
+    trace = FringeTrace(pos, intensities, 40e-6, 0.0, OMEGA_DEG,
+                        orientation="19p94")
+    with pytest.raises(SamplingError, match=r"19p94 at BS2 40 um: 10 windows "
+                                            "are dark throughout"):
+        extract_visibility(trace, icfg)
 
 
 def _visibility_per_window(trace, icfg, window_fringes):
@@ -324,16 +337,20 @@ def test_gaussian_closed_loop_reconstruction(gauss_map, icfg):
     assert np.max(np.abs(err)) < 0.07
 
 
-def test_bs2_delay_offset_is_undone(gauss_map):
-    # pure-delay kinematics: every BS2 setting sees the same envelope, so
-    # the realigned peaks must coincide (peak position taken as the
+def test_bs2_delay_offset_is_undone(icfg):
+    # a map flat along xi: every BS2 setting sees the same envelope, so the
+    # realigned peaks must coincide (peak position taken as the
     # half-maximum midpoint; the envelope top is plateau-flat)
-    icfg0 = InterferometerConfig(shift_to_xi=0.0)
+    tau = (np.arange(513) - 256) * 1e-15
+    xi = (np.arange(257) - 128) * 2e-6
+    g = np.repeat(np.exp(-0.5 * (tau / SIG_TAU) ** 2)[:, None], xi.size, axis=1)
+    flat_in_xi = CoherenceMap(tau, xi, g.astype(complex), carrier_omega=1.2e15,
+                              intensity=1.0, provenance={})
     mids = []
     env_step = None
     for bs2 in (0.0, 200e-6, 400e-6):
-        trace = _centered_sweep(gauss_map, icfg0, bs2, 150e-15)
-        taus, vis = extract_visibility(trace, icfg0)
+        trace = _centered_sweep(flat_in_xi, icfg, bs2, 150e-15)
+        taus, vis = extract_visibility(trace, icfg)
         taus = taus + trace.tau_offset_s
         mids.append(_fwhm_midpoint(taus, vis))
         env_step = taus[1] - taus[0]
@@ -342,8 +359,9 @@ def test_bs2_delay_offset_is_undone(gauss_map):
 
 def test_single_trace_assembles_to_one_column(flat_map):
     unbalanced = InterferometerConfig(split_ratio=(0.7, 0.3))
-    trace = synthesize_trace(flat_map, unbalanced, bs2_position_m=40e-6,
-                             stage_center_m=-20e-6)
+    trace = synthesize_trace(flat_map, unbalanced, bs2_position_m=40e-6)
+    # the sweep is centred where the stage undoes the BS2 delay
+    assert np.mean(trace.positions_m) == pytest.approx(-20e-6, rel=1e-9)
     amap = assemble_map([trace], unbalanced)
     assert isinstance(amap, AssembledMap)
     assert amap.magnitude.shape == (amap.tau_axis.size, 1)

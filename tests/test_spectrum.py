@@ -265,6 +265,8 @@ def test_provenance_records_build(spot, theta_pm, sell):
     assert spot.provenance["config_hash"] == _cfg(theta_pm, sell).config_hash()
     assert "built_at" not in spot.provenance
     assert spot.provenance["gain"] == G
+    # the set's name, which tells the shipped BBO sets apart
+    assert spot.provenance["material"] == "bbo_kato1986"
 
 
 def test_wavelength_angle_spot_position(spot):
