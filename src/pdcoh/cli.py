@@ -203,13 +203,12 @@ def cmd_coherence(args):
 def cmd_interferogram(args):
     rc, out = _load(args)
     icfg = rc.interferometer
-    count = args.bs2_steps or rc.bs2_count
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
         cmap = correlation_map(_build_spectrum(rc, theta))
         paths = []
-        for j in range(count):
-            bs2 = (j - (count - 1) / 2.0) * rc.bs2_step_m
+        for j in range(rc.bs2_count):
+            bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m
             # the fields that place the sweep on the map
             with blamed("[interferometer] stage_span, bs2_step, bs2_count and "
                         f"magnification: BS2 at {bs2 * 1e6:g} um",
@@ -250,20 +249,13 @@ def cmd_analyze(args):
         amap = assemble_map(traces, icfg, window_fringes=window)
 
     out.mkdir(parents=True, exist_ok=True)
-    ext = FORMATS[fmt]
-    record = {"n_traces": len(traces), "icfg_hash": icfg.config_hash()}
-    if len(traces) == 1:
-        path = out / f"analyze_envelope.{ext}"
-        write_profile(path, "coherence-cut", {"icfg_hash": icfg.config_hash()},
-                      [("position", amap.tau_axis),
-                       ("magnitude", amap.magnitude[:, 0])], fmt=fmt)
-    else:
-        path = out / f"analyze_map.{ext}"
-        write_assembled_map(path, amap, fmt=fmt)
+    path = out / f"analyze_map.{FORMATS[fmt]}"
+    write_assembled_map(path, amap, fmt=fmt)
     _emit(path)
     jc = int(np.argmin(np.abs(amap.xi_axis)))
-    record["tau_c_s"] = _fwhm(amap.tau_axis, amap.magnitude[:, jc])
-    if len(traces) > 1:
+    record = {"n_traces": len(traces), "icfg_hash": icfg.config_hash(),
+              "tau_c_s": _fwhm(amap.tau_axis, amap.magnitude[:, jc])}
+    if amap.xi_axis.size > 1:
         ic = int(np.argmax(amap.magnitude[:, jc]))
         record["xi_c_m"] = _fwhm(amap.xi_axis, amap.magnitude[ic, :])
     path = out / "analyze_metrics.txt"
@@ -321,8 +313,6 @@ def _build_parser():
     p = sub.add_parser("interferogram",
                        help="synthesize fringe traces at stepped BS2 positions")
     common(p)
-    p.add_argument("--bs2-steps", type=_positive_int, default=None, metavar="N",
-                   help="number of BS2 positions (default from config)")
     p.set_defaults(func=cmd_interferogram)
 
     p = sub.add_parser("analyze",

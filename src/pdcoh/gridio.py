@@ -348,23 +348,21 @@ def read_profile(path, kind):
 def write_trace(path, trace):
     write_profile(path, "fringe-trace", {
         "bs2_position_m": float(trace.bs2_position_m),
-        "tau_offset_s": float(trace.tau_offset_s),
         "carrier_omega": float(trace.carrier_omega),
         "orientation": trace.orientation,
-        "source": trace.source,
         "icfg_hash": trace.icfg_hash,
     }, [("position_m", trace.positions_m), ("intensity", trace.intensities)])
 
 
 def read_trace(path):
+    """A fringe trace; header keys it does not use (older files carried
+    tau_offset_s and source) are ignored."""
     header, cols = read_profile(path, "fringe-trace")
     return FringeTrace(positions_m=_require(cols, "position_m", path),
                        intensities=_require(cols, "intensity", path),
                        bs2_position_m=_require(header, "bs2_position_m", path),
-                       tau_offset_s=_require(header, "tau_offset_s", path),
                        carrier_omega=_require(header, "carrier_omega", path),
                        orientation=header.get("orientation", ""),
-                       source=header.get("source", ""),
                        icfg_hash=header.get("icfg_hash", ""))
 
 

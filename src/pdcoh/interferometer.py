@@ -5,10 +5,11 @@ stage travel); translating the second beam splitter displaces one beam,
 which shows up as a transverse shift xi in the crystal near-field plane
 and, inseparably, as an extra time delay. The split ratios and the
 magnification are the only settable parameters; the kinematics follow
-from them. Fringe traces are synthesized from a CoherenceMap, each sweep
+from them, so a trace records only its BS2 position and analysis derives
+the rest. Fringe traces are synthesized from a CoherenceMap, each sweep
 centred where the BS2 delay is compensated, their visibility envelopes
-extracted with a sliding window, and stepped-BS2 trace sets reassembled
-into |g1|(tau, xi).
+extracted with a sliding window, and any number of traces but two
+reassembled into |g1|(tau, xi) by one path.
 """
 
 from __future__ import annotations
@@ -70,10 +71,8 @@ class FringeTrace:
     positions_m: np.ndarray
     intensities: np.ndarray
     bs2_position_m: float
-    tau_offset_s: float
     carrier_omega: float
     orientation: str = ""
-    source: str = "synthetic"
     icfg_hash: str = ""
 
     def __post_init__(self):
@@ -116,8 +115,8 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     The sweep is centred where the stage compensates the BS2-induced
     delay, as an operator re-finding the fringe packet would, and must
     cover at least 3 fringes (default 4), sampled 20 times per fringe.
-    The BS2 delay enters the synthesized signal and is recorded as
-    tau_offset_s so analysis can realign the trace.
+    The BS2 delay enters the synthesized signal; analysis derives it
+    from the recorded BS2 position to realign the trace.
     """
     period = fringe_period_stage_m(cmap.carrier_omega)
     if stage_span_m is None:
@@ -130,12 +129,11 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
     positions = center + (np.arange(n_samples) / (n_samples - 1)
                           - 0.5) * stage_span_m
-    tau_offset = bs2_position_m * icfg.shift_to_delay
-    tau = positions * icfg.stage_to_delay + tau_offset
+    tau = positions * icfg.stage_to_delay + bs2_position_m * icfg.shift_to_delay
     xi = bs2_position_m * icfg.shift_to_xi
     intensities = detector_signal(cmap, tau, np.full_like(tau, xi), icfg)
     return FringeTrace(positions_m=positions, intensities=intensities,
-                       bs2_position_m=bs2_position_m, tau_offset_s=tau_offset,
+                       bs2_position_m=bs2_position_m,
                        carrier_omega=cmap.carrier_omega,
                        orientation=orientation, icfg_hash=icfg.config_hash())
 
@@ -148,9 +146,9 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     of the parabola through it and its neighbours (an extremum on the
     window edge, or with zero curvature, keeps its sample), positioned at
     the window center. Returns (tau_s, visibility) with tau from the stage
-    positions alone; the BS2 delay offset recorded on the trace is
-    deliberately not applied here (assemble_map undoes it). A window
-    that is dark throughout is refused: it has no visibility.
+    positions alone; the BS2 delay is deliberately not applied here
+    (assemble_map undoes it). A window that is dark throughout is
+    refused: it has no visibility.
     """
     if trace.icfg_hash and trace.icfg_hash != icfg.config_hash():
         raise ConfigurationError(
@@ -213,37 +211,30 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     """Rebuild |g1|(tau, xi) from traces taken at stepped BS2 positions.
 
     Per-trace envelopes are divided by the split-ratio visibility ceiling,
-    shifted by their recorded BS2 delay offsets, and linearly resampled
-    onto the common tau range; xi comes from the BS2 kinematics. A single
-    trace yields a one-column map of its own envelope.
+    shifted by the delay their BS2 position adds, and linearly resampled
+    onto the common tau range, one row per window step; xi comes from the
+    BS2 kinematics. One trace goes the same way and gives a one-column
+    map; two are refused as ambiguous.
     """
     if not traces:
         raise ConfigurationError("no traces given")
     if len(traces) == 2:
         raise ConfigurationError(
             "a two-trace map is ambiguous; supply one trace or at least 3")
-    hashes = {t.icfg_hash for t in traces if t.icfg_hash}
-    if len(hashes) > 1:
-        raise ConfigurationError("traces mix interferometer configurations")
     if len({t.carrier_omega for t in traces}) > 1:
         raise ConfigurationError("traces mix carrier frequencies")
 
     scale = icfg.fringe_amplitude / sum(icfg.split_ratio)
     envelopes = []
     for t in sorted(traces, key=lambda t: t.bs2_position_m):
+        # extract_visibility refuses a trace of another configuration
         tau, vis = extract_visibility(t, icfg, window_fringes)
-        envelopes.append((tau + t.tau_offset_s, vis / scale,
-                          t.bs2_position_m * icfg.shift_to_xi))
+        envelopes.append((tau + t.bs2_position_m * icfg.shift_to_delay,
+                          vis / scale, t.bs2_position_m * icfg.shift_to_xi))
 
     xi_axis = np.array([xi for _, _, xi in envelopes])
-    if len(envelopes) == 1:
-        tau, mag, _ = envelopes[0]
-        return AssembledMap(tau_axis=tau, xi_axis=xi_axis,
-                            magnitude=mag[:, None],
-                            provenance={"icfg_hash": icfg.config_hash(),
-                                        "n_traces": 1})
     dxi = np.diff(xi_axis)
-    if np.any(dxi <= 0) or np.max(np.abs(dxi - dxi.mean())) > 0.01 * abs(dxi.mean()):
+    if np.any(dxi <= 0) or np.any(np.abs(dxi - dxi[:1]) > 0.01 * dxi[:1]):
         raise ConfigurationError(
             "BS2 positions must step uniformly for a uniform xi axis")
 
@@ -252,7 +243,8 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     if hi <= lo:
         raise ConfigurationError("traces share no common delay range")
     step = float(np.median([t[0][1] - t[0][0] for t in envelopes]))
-    n = int(math.floor((hi - lo) / step)) + 1
+    # a range of a whole number of steps keeps its last row under rounding
+    n = int(math.floor((hi - lo) / step + 1e-6)) + 1
     tau_axis = lo + np.arange(n) * step
     magnitude = np.column_stack(
         [np.interp(tau_axis, tau, mag) for tau, mag, _ in envelopes])

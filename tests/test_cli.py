@@ -13,6 +13,7 @@ import pytest
 
 import pdcoh
 from pdcoh.cli import main
+from pdcoh.config import load_run_config
 from pdcoh.gridio import (
     read_assembled_map,
     read_coherence_map,
@@ -23,6 +24,7 @@ from pdcoh.gridio import (
     read_trace,
     write_manifest,
 )
+from pdcoh.interferometer import extract_visibility
 
 CONFIG = """\
 [crystal]
@@ -183,14 +185,38 @@ def test_analyze_rebuilds_the_map(ws, tmp_path):
     assert 3.0e-05 < record["xi_c_m"] < 5.5e-05
 
 
+def test_analyze_keeps_every_window_of_the_sweep(tmp_path):
+    # the example's 48 um sweeps: their common delay range is a whole
+    # number of window steps only up to rounding, and must keep its last row
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("stage_span = 16 um", "stage_span = 48 um"))
+    assert main(["interferogram", str(cfg)]) == 0
+    manifest = tmp_path / "out" / "interferogram_19p94_manifest.txt"
+    assert main(["analyze", str(manifest), "--config", str(cfg),
+                 "--out", str(tmp_path / "an")]) == 0
+    amap = read_assembled_map(tmp_path / "an" / "analyze_map.csv")
+    icfg = load_run_config(cfg).interferometer
+    for path in read_manifest(manifest):
+        taus, _ = extract_visibility(read_trace(path), icfg)
+        assert amap.tau_axis.size == taus.size
+
+
 def test_analyze_single_trace_gives_an_envelope(ws, tmp_path):
     solo = tmp_path / "solo_manifest.txt"
     write_manifest(solo, [read_manifest(ws["manifest"])[5]])
     out = tmp_path / "solo"
     assert main(["analyze", str(solo), "--config", str(ws["cfg"]),
                  "--out", str(out)]) == 0
-    _, cols = read_profile(out / "analyze_envelope.csv", "coherence-cut")
-    assert cols["magnitude"].max() <= 1.0 + 1e-9
+    amap = read_assembled_map(out / "analyze_map.csv")
+    taus, _ = extract_visibility(read_trace(read_manifest(solo)[0]),
+                                 load_run_config(ws["cfg"]).interferometer)
+    assert amap.magnitude.shape == (taus.size, 1)
+    assert amap.xi_axis == pytest.approx([0.0], abs=1e-18)
+    assert amap.magnitude.max() <= 1.0 + 1e-9
+    assert amap.provenance["window_fringes"] == 1.0
+    assert sorted(p.name for p in out.iterdir()) == ["analyze_map.csv",
+                                                    "analyze_metrics.txt"]
     record = read_metrics(out / "analyze_metrics.txt")
     assert record["n_traces"] == 1
     assert "xi_c_m" not in record
@@ -262,8 +288,6 @@ def test_bad_blur_flag_exits_1(ws, tmp_path, capsys):
     ("dispersion", "--points", "-5"),
     ("dispersion", "--points", "0"),
     ("dispersion", "--points", "many"),
-    ("interferogram", "--bs2-steps", "0"),
-    ("interferogram", "--bs2-steps", "-3"),
     ("coherence", "--blur", "-1fs,6um"),
 ])
 def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
@@ -354,6 +378,17 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         .replace("n_omega = 1024", "n_omega = 64").replace("n_k = 512", "n_k = 64"))
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+def test_readme_library_block_runs():
+    # the README's python block, as written: it builds the 1024 x 512 example
+    root = Path(__file__).resolve().parents[1]
+    block = (root / "README.md").read_text().split("## Library use", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    assert scope["cmap"].g.shape == (1025, 257)
+    assert np.ptp(scope["trace"].positions_m) == pytest.approx(48e-6, rel=1e-12)
 
 
 def test_usage_errors_and_help(capsys):

@@ -219,19 +219,35 @@ def test_trace_round_trip(tmp_path):
     pos = np.arange(100) * 4e-8
     trace = FringeTrace(positions_m=pos,
                         intensities=1.0 + np.cos(7.85e6 * pos),
-                        bs2_position_m=2e-4, tau_offset_s=6.67e-13,
-                        carrier_omega=1.18e15, orientation="19p94",
-                        source="synthetic", icfg_hash="abc123")
+                        bs2_position_m=2e-4, carrier_omega=1.18e15,
+                        orientation="19p94", icfg_hash="abc123")
     path = tmp_path / "trace.csv"
     write_trace(path, trace)
     back = read_trace(path)
     assert np.array_equal(back.positions_m, trace.positions_m)
     assert np.array_equal(back.intensities, trace.intensities)
     assert back.bs2_position_m == 2e-4
-    assert back.tau_offset_s == 6.67e-13
     assert back.carrier_omega == 1.18e15
     assert back.orientation == "19p94"
     assert back.icfg_hash == "abc123"
+
+
+def test_trace_in_the_older_format_still_reads(tmp_path):
+    # traces once also carried tau_offset_s (always bs2_position_m / c) and
+    # source; both header keys are ignored
+    path = tmp_path / "old.csv"
+    path.write_text(
+        '# pdcoh_file: 1\n# kind: "fringe-trace"\n# bs2_position_m: 0.0002\n'
+        '# tau_offset_s: 6.67e-13\n# carrier_omega: 1180000000000000.0\n'
+        '# orientation: "19p94"\n# source: "synthetic"\n# icfg_hash: "abc123"\n'
+        '# columns: [["position_m", "real"], ["intensity", "real"]]\n'
+        '0.0,4e-08,8e-08\n2.0,1.0,0.5\n')
+    back = read_trace(path)
+    assert np.array_equal(back.positions_m, [0.0, 4e-8, 8e-8])
+    assert np.array_equal(back.intensities, [2.0, 1.0, 0.5])
+    assert (back.bs2_position_m, back.carrier_omega) == (2e-4, 1.18e15)
+    assert (back.orientation, back.icfg_hash) == ("19p94", "abc123")
+    assert not hasattr(back, "tau_offset_s") and not hasattr(back, "source")
 
 
 def test_manifest_resolves_relative_to_itself(tmp_path):
@@ -373,8 +389,8 @@ _PRODUCTS = {
         [("position", _TAU), ("magnitude", np.abs(_TAU))], fmt=fmt),
         lambda p: read_profile(p, "coherence-cut")),
     "trace": (lambda p, _: write_trace(p, FringeTrace(
-        _POS, 1.0 + np.cos(7.85e6 * _POS), 2e-4, 6.67e-13, 1.18e15, "19p94",
-        "synthetic", "abc123")), read_trace),
+        _POS, 1.0 + np.cos(7.85e6 * _POS), 2e-4, 1.18e15, "19p94",
+        "abc123")), read_trace),
     "metrics": (lambda p, _: write_metrics(p, {"a": 1.5, "tag": "19p94"}),
                 read_metrics),
     "manifest": (lambda p, _: write_manifest(p, [p.parent / "t0.csv"]),
@@ -580,11 +596,11 @@ def _trace_round_trip(draw, path, fmt):
     values = np.where(np.isfinite(values), values, 1e308)
     intensities = np.where(values < 0, -values, values)
     trace = FringeTrace(positions, intensities, _header_float(draw),
-                        _header_float(draw), _header_float(draw), "19p94")
+                        _header_float(draw), "19p94")
     write_trace(path, trace)
     back = read_trace(path)
-    assert (back.bs2_position_m, back.tau_offset_s, back.carrier_omega) == (
-        trace.bs2_position_m, trace.tau_offset_s, trace.carrier_omega)
+    assert (back.bs2_position_m, back.carrier_omega) == (
+        trace.bs2_position_m, trace.carrier_omega)
     return [(back.positions_m, positions), (back.intensities, intensities)]
 
 

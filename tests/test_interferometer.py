@@ -174,18 +174,16 @@ def test_trace_rejects_malformed_data():
     pos = np.linspace(0.0, 1e-6, 50)
     good = 1.0 + np.cos(1e7 * pos)
     with pytest.raises(ConfigurationError, match="length"):
-        FringeTrace(pos, good[:-1], 0.0, 0.0, OMEGA_DEG)
+        FringeTrace(pos, good[:-1], 0.0, OMEGA_DEG)
     with pytest.raises(ConfigurationError, match="increase"):
-        FringeTrace(pos[::-1], good, 0.0, 0.0, OMEGA_DEG)
+        FringeTrace(pos[::-1], good, 0.0, OMEGA_DEG)
     with pytest.raises(ConfigurationError, match="nonnegative"):
-        FringeTrace(pos, good - 2.0, 0.0, 0.0, OMEGA_DEG)
+        FringeTrace(pos, good - 2.0, 0.0, OMEGA_DEG)
     for bad in (np.nan, np.inf):
         with pytest.raises(ConfigurationError, match="finite"):
-            FringeTrace(pos, np.where(pos == pos[7], bad, good), 0.0, 0.0,
-                        OMEGA_DEG)
+            FringeTrace(pos, np.where(pos == pos[7], bad, good), 0.0, OMEGA_DEG)
     with pytest.raises(ConfigurationError, match="finite"):
-        FringeTrace(np.where(pos == pos[7], np.nan, pos), good, 0.0, 0.0,
-                    OMEGA_DEG)
+        FringeTrace(np.where(pos == pos[7], np.nan, pos), good, 0.0, OMEGA_DEG)
 
 
 def test_sweep_preconditions(flat_map, icfg):
@@ -208,14 +206,14 @@ def test_extraction_preconditions(flat_map, icfg):
     pos = np.arange(100) * period / 20.0
     pos[50:] += 0.3 * period / 20.0
     jittered = FringeTrace(pos, 1.0 + np.cos(2 * math.pi * pos / period),
-                           0.0, 0.0, OMEGA_DEG)
+                           0.0, OMEGA_DEG)
     with pytest.raises(SamplingError, match="resample"):
         extract_visibility(jittered, icfg)
 
     coarse_pos = np.arange(30) * period / 6.0
     coarse = FringeTrace(coarse_pos,
                          1.0 + np.cos(2 * math.pi * coarse_pos / period),
-                         0.0, 0.0, OMEGA_DEG)
+                         0.0, OMEGA_DEG)
     with pytest.raises(SamplingError, match="at least 8"):
         extract_visibility(coarse, icfg)
 
@@ -226,7 +224,7 @@ def test_dark_window_is_refused_naming_the_trace(icfg):
     pos = np.arange(400) * period / 20.0
     intensities = 1.0 + np.cos(2 * math.pi * pos / period)
     intensities[201:231] = 0.0
-    trace = FringeTrace(pos, intensities, 40e-6, 0.0, OMEGA_DEG,
+    trace = FringeTrace(pos, intensities, 40e-6, OMEGA_DEG,
                         orientation="19p94")
     with pytest.raises(SamplingError, match=r"19p94 at BS2 40 um: 10 windows "
                                             "are dark throughout"):
@@ -281,7 +279,7 @@ def _traces(draw):
         y = rng.uniform(0.01, 2.0, n)
     period = fringe_period_stage_m(OMEGA_DEG)
     positions = draw(st.floats(-1e-5, 1e-5)) + x * period
-    return FringeTrace(positions, y, 0.0, 0.0, OMEGA_DEG)
+    return FringeTrace(positions, y, 0.0, OMEGA_DEG)
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,7 +349,8 @@ def test_bs2_delay_offset_is_undone(icfg):
     for bs2 in (0.0, 200e-6, 400e-6):
         trace = _centered_sweep(flat_in_xi, icfg, bs2, 150e-15)
         taus, vis = extract_visibility(trace, icfg)
-        taus = taus + trace.tau_offset_s
+        # the delay this BS2 position adds: 1/c per meter of BS2 travel
+        taus = taus + bs2 / c
         mids.append(_fwhm_midpoint(taus, vis))
         env_step = taus[1] - taus[0]
     assert max(mids) - min(mids) < 0.01 * env_step
@@ -381,7 +380,8 @@ def test_assembly_rejects_inconsistent_inputs(flat_map, icfg):
 
     other = InterferometerConfig(split_ratio=(0.7, 0.3))
     t_other = _centered_sweep(flat_map, other, 80e-6, 30e-15)
-    with pytest.raises(ConfigurationError, match="mix interferometer"):
+    # a mix of configurations holds a trace foreign to the analyzing one
+    with pytest.raises(ConfigurationError, match="different interferometer"):
         assemble_map([t0, t1, t_other], icfg)
     # one foreign configuration, e.g. traces written under an old hash
     with pytest.raises(ConfigurationError, match="different interferometer"):
@@ -402,8 +402,7 @@ def test_assembly_rejects_inconsistent_inputs(flat_map, icfg):
 def test_trace_records_offsets_and_hash(gauss_map, icfg):
     trace = _centered_sweep(gauss_map, icfg, 200e-6, 100e-15,
                             orientation="19.94deg")
-    assert trace.tau_offset_s == pytest.approx(200e-6 / c, rel=1e-12)
+    assert trace.bs2_position_m == 200e-6
     assert trace.icfg_hash == icfg.config_hash()
     assert trace.orientation == "19.94deg"
-    assert trace.source == "synthetic"
     assert trace.carrier_omega == gauss_map.carrier_omega
