@@ -63,6 +63,19 @@ class CoherenceMap:
                                                * np.asarray(tau, dtype=float))
 
 
+def _fold(a, axis):
+    """a along axis in fold order: the centre node, the even parts a[c + m]
+    + a[c - m] for m = 1 .. c - 1, the unpaired a[0], the odd parts a[c + m]
+    - a[c - m]; c = n // 2, and the layout of a is kept."""
+    a = np.moveaxis(a, axis, 0)
+    c = a.shape[0] // 2
+    out = np.empty_like(a)
+    out[0], out[c] = a[c], a[0]
+    np.add(a[c + 1:], a[c - 1:0:-1], out=out[1:c])
+    np.subtract(a[c + 1:], a[c - 1:0:-1], out=out[c + 1:])
+    return np.moveaxis(out, 0, axis)
+
+
 def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     """Transform a spectral grid into its normalized correlation map.
 
@@ -73,6 +86,11 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     sized by the metric floor and the BS2 sweep: a 1025 x 257 map. Refusal
     to transform a grid whose density has not decayed at the edges guards
     against aliasing.
+
+    Every node is the exact Riemann sum over the grid, computed as real
+    matrix products: S is folded into even and odd parts along Omega and
+    along k, and the tau kernels are read from one table of cos and sin
+    (2 pi j / L), L = n_omega * oversample_tau.
     """
     edge = sg.edge_ratio
     if not edge < 1e-3:
@@ -83,7 +101,6 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
         v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
     spec = sg.spec
     omega_c = spec.omega_center
-    big_omega = sg.omega_axis() - omega_c
     k = sg.k_axis()
 
     n_tau, n_xi = os_tau * ext_tau, os_xi * ext_xi
@@ -94,20 +111,25 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
 
     # S is real, so g(-tau, -xi) = conj g(tau, xi): only the tau >= 0 rows
     # are summed, with real kernels, and the tau < 0 rows and the xi < 0
-    # half of the tau = 0 row are mirrored. Each +-k pair folds into an even
-    # part (against cos k xi) and an odd part (against sin k xi), which
-    # keeps the sum exact for any real S; k[0] = -n_k/2 steps has no partner
-    # and enters with both kernels. Columns: k = 0, even pairs, k[0], odd.
-    half = spec.n_k // 2
-    s = sg.values
-    pos, neg = s[:, half + 1:], s[:, half - 1:0:-1]
-    folded = np.concatenate([s[:, half:half + 1], pos + neg, s[:, :1],
-                             pos - neg], axis=1)
-    phase = np.outer(tau[n_tau:], big_omega)
-    t_cos = np.cos(phase) @ folded
-    t_sin = np.sin(phase) @ folded
-    x_cos = np.cos(np.outer(np.concatenate([k[half:], k[:1]]), xi))
-    x_sin = np.sin(np.outer(np.concatenate([k[:1], k[half + 1:]]), xi))
+    # half of the tau = 0 row are mirrored. S is folded along both axes:
+    # each +-Omega pair and each +-k pair splits into an even part (against
+    # cos) and an odd part (against sin), which keeps the sum exact for any
+    # real S. The unpaired first node (-n/2 steps) enters both parts. In
+    # fold order an axis reads 0, the even pairs, -n/2, the odd pairs, so
+    # the cos kernel takes its first n/2 + 1 nodes and the sin kernel its
+    # last n/2. tau_step * Omega_step = 2 pi / L, so the tau kernels are
+    # one table of cos and sin(2 pi j / L) at j = (n * m) mod L.
+    n_w, half = spec.n_omega // 2, spec.n_k // 2
+    folded = _fold(_fold(sg.values, 1), 0)
+    steps = np.concatenate([np.arange(n_w), [-n_w], np.arange(1, n_w)])
+    period = spec.n_omega * os_tau
+    table = 2.0 * math.pi / period * np.arange(period)
+    rows = np.arange(n_tau + 1)[:, None]
+    t_cos = np.cos(table)[rows * steps[:n_w + 1] % period] @ folded[:n_w + 1]
+    t_sin = np.sin(table)[rows * steps[n_w:] % period] @ folded[n_w:]
+    k_fold = np.concatenate([k[half:], k[:1], k[half + 1:]])
+    x_cos = np.cos(np.outer(k_fold[:half + 1], xi))
+    x_sin = np.sin(np.outer(k_fold[half:], xi))
     re = t_cos[:, :half + 1] @ x_cos + t_sin[:, half:] @ x_sin
     im = t_cos[:, half:] @ x_sin - t_sin[:, :half + 1] @ x_cos
     center = re[0, n_xi]
@@ -195,11 +217,10 @@ def metrics(cmap):
     measured consistently. A peak resolved by fewer than 8 samples per
     FWHM raises ResolutionError carrying the needed refinement factor.
     """
-    mag = np.abs(cmap.g)
     i0 = int(np.argmin(np.abs(cmap.tau_axis)))
     j0 = int(np.argmin(np.abs(cmap.xi_axis)))
-    tau_cut = mag[:, j0]
-    xi_cut = mag[i0, :]
+    tau_cut = np.abs(cmap.g[:, j0])
+    xi_cut = np.abs(cmap.g[i0, :])
 
     tau_c = _fwhm(cmap.tau_axis, tau_cut)
     xi_c = _fwhm(cmap.xi_axis, xi_cut)
@@ -268,10 +289,13 @@ def instrument_blur(cmap, dtau, dxi):
         blurred = _gaussian_rows(blurred, sigma[0])
     if sigma[1] > 1e-15:
         blurred = _gaussian_rows(blurred.T, sigma[1]).T
-    phase = np.where(mag > 0, cmap.g / np.where(mag > 0, mag, 1.0), 1.0)
+    # the phase g / |g| (1 where g = 0), times the blurred magnitude in place
+    g = np.ones_like(cmap.g)
+    np.divide(cmap.g, mag, out=g, where=mag > 0)
+    g *= blurred
     provenance = dict(cmap.provenance)
     provenance.update(blur_tau_s=dtau, blur_xi_m=dxi)
-    return CoherenceMap(cmap.tau_axis, cmap.xi_axis, blurred * phase,
+    return CoherenceMap(cmap.tau_axis, cmap.xi_axis, g,
                         cmap.carrier_omega, cmap.intensity, provenance)
 
 
@@ -284,4 +308,4 @@ def factorability_defect(cmap):
     i0 = int(np.argmin(np.abs(cmap.tau_axis)))
     j0 = int(np.argmin(np.abs(cmap.xi_axis)))
     outer = np.outer(cmap.g[:, j0], cmap.g[i0, :])
-    return float(np.max(np.abs(cmap.g - outer)))
+    return float(np.max(np.abs(np.subtract(cmap.g, outer, out=outer))))

@@ -188,8 +188,9 @@ def _write_binary(path, header, arrays):
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for _, arr in arrays:
-            data = np.ascontiguousarray(np.atleast_2d(arr))
-            fh.write(data.astype(data.dtype.newbyteorder("<")).tobytes())
+            # the array's own buffer when it is already C-ordered little-endian
+            data = np.atleast_2d(arr)
+            fh.write(np.ascontiguousarray(data, data.dtype.newbyteorder("<")).data)
 
 
 def _read_binary(path):

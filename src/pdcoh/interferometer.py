@@ -125,7 +125,11 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     if fringes < 3.0:
         raise SamplingError(
             f"sweep spans {fringes:.2f} fringes; cover at least 3")
-    n_samples = int(math.ceil(20.0 * fringes)) + 1
+    # a sweep of whole fringes is whole only up to the carrier's last bits
+    samples = 20.0 * fringes
+    if abs(samples - round(samples)) < 1e-9:
+        samples = round(samples)
+    n_samples = int(math.ceil(samples)) + 1
     center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
     positions = center + (np.arange(n_samples) / (n_samples - 1)
                           - 0.5) * stage_span_m

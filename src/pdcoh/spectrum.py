@@ -29,6 +29,10 @@ _GRID_MARGIN = 1.35
 # series window for sinh(x)/x around the branch point, in u = x^2
 _SERIES_U = 1e-8
 
+# frequency rows per block of the density and resample passes: a block's
+# temporaries (a few 64 x 512 float arrays) stay in cache
+_ROW_BLOCK = 64
+
 
 def check_grid_size(field, n):
     """The rule for a grid's sample count: a power of two, at least 64."""
@@ -98,11 +102,15 @@ def _density_from_mismatch(mismatch, length_m, gain):
     r = np.asarray(mismatch, dtype=float) * length_m / 2.0
     u = gain * gain - np.square(r)
     au = np.sqrt(np.abs(u))
-    # sinh(x)/x and sin(x)/x meet at 1; series keeps the branch point smooth
-    safe = np.where(au < 1e-300, 1.0, au)
-    f = np.where(np.abs(u) < _SERIES_U, 1.0 + u / 6.0,
-                 np.where(u >= 0, np.sinh(np.where(u >= 0, safe, 0.0)) / safe,
-                          np.sin(np.where(u < 0, safe, 0.0)) / safe))
+    # sinh(x)/x and sin(x)/x meet at 1; series keeps the branch point smooth.
+    # Each branch is evaluated only where it applies.
+    series = np.abs(u) < _SERIES_U
+    grow = u >= 0
+    f = np.empty_like(au)
+    np.sinh(au, out=f, where=grow & ~series)
+    np.sin(au, out=f, where=~(grow | series))
+    np.divide(f, au, out=f, where=~series)
+    np.add(1.0, u / 6.0, out=f, where=series)
     return np.square(gain * f)
 
 
@@ -114,15 +122,25 @@ def spectral_density(omega_s, k, cfg):
 def _masked_density(cfg, omega, k):
     """Density over an axis product with invalid nodes set to 0.
 
-    Returns (values, invalid_count). The mismatch depends on k only
-    through k^2, so each distinct |k| is evaluated once and indexed back
-    out to its columns. Nodes whose signal or idler leaves the dispersion
-    range, or whose k is evanescent, do not evaluate.
+    Returns (values, invalid_count), values C-ordered. The mismatch
+    depends on k only through k^2, so each distinct |k| is evaluated once
+    and taken back out to its columns. Rows are evaluated _ROW_BLOCK
+    frequencies at a time, so a block's temporaries stay in cache. Nodes
+    whose signal or idler leaves the dispersion range, or whose k is
+    evanescent, do not evaluate.
     """
     abs_k, column = np.unique(np.abs(k), return_inverse=True)
-    mismatch, valid = _mismatch(cfg, omega[:, None], abs_k[None, :])
-    values = np.where(valid, _density_from_mismatch(mismatch, cfg.length_m, cfg.gain), 0.0)
-    return values[:, column], int(np.count_nonzero(~valid[:, column]))
+    repeats = np.bincount(column)
+    values = np.empty((omega.size, k.size))
+    invalid = 0
+    for lo in range(0, omega.size, _ROW_BLOCK):
+        mismatch, valid = _mismatch(cfg, omega[lo:lo + _ROW_BLOCK, None], abs_k)
+        density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
+        density[~valid] = 0.0
+        # mode="clip" lets take write straight into out (indices are in range)
+        np.take(density, column, axis=1, out=values[lo:lo + _ROW_BLOCK], mode="clip")
+        invalid += int(np.count_nonzero(~valid, axis=0) @ repeats)
+    return values, invalid
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -211,8 +229,11 @@ def bilinear(x_axis, y_axis, values, x, y):
     u = (x - x_axis[i]) / (x_axis[i + 1] - x_axis[i])
     v = (y - y_axis[j]) / (y_axis[j + 1] - y_axis[j])
     inside = (x >= x_axis[0]) & (x <= x_axis[-1]) & (y >= y_axis[0]) & (y <= y_axis[-1])
-    return (values[i, j] * (1 - u) * (1 - v) + values[i, j + 1] * (1 - u) * v
-            + values[i + 1, j] * u * (1 - v) + values[i + 1, j + 1] * u * v), inside
+    # one flat index per query; ravel copies values only when not in C order
+    flat, n = np.ravel(values), values.shape[1]
+    corner = i * n + j
+    return (flat[corner] * (1 - u) * (1 - v) + flat[corner + 1] * (1 - u) * v
+            + flat[corner + n] * u * (1 - v) + flat[corner + n + 1] * u * v), inside
 
 
 @dataclass
@@ -230,20 +251,23 @@ def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
 
     Wavelength is 2*pi*c/omega and the external angle is k * wavelength /
     (2*pi); values are bilinearly interpolated, with zero outside the
-    source grid.
+    source grid. Wavelength rows are resampled _ROW_BLOCK at a time into
+    one C-ordered array.
     """
     spec = sg.spec
     n_wavelength = n_wavelength or spec.n_omega
     n_angle = n_angle or spec.n_k
-    omega = sg.omega_axis()
+    omega, k = sg.omega_axis(), sg.k_axis()
     lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
                       n_wavelength)
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, n_angle)
 
-    # a column of omega: bilinear finds each wavelength's row once
-    lam_q = lam[:, None]
-    values, inside = bilinear(omega, sg.k_axis(), sg.values,
-                              2 * math.pi * c / lam_q, theta * 2 * math.pi / lam_q)
-    values = np.where(inside, values, 0.0)
+    values = np.empty((n_wavelength, n_angle))
+    for lo in range(0, n_wavelength, _ROW_BLOCK):
+        # a column of omega: bilinear finds each wavelength's row once
+        lam_q = lam[lo:lo + _ROW_BLOCK, None]
+        block, inside = bilinear(omega, k, sg.values,
+                                 2 * math.pi * c / lam_q, theta * 2 * math.pi / lam_q)
+        values[lo:lo + _ROW_BLOCK] = np.where(inside, block, 0.0)
     return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))

@@ -55,13 +55,25 @@ def test_separable_density_factorizes(seed, n_omega):
     assert factorability_defect(correlation_map(_grid(values), **SIDE)) < 1e-12
 
 
+# per-axis (tau, xi) sizes: with oversample o the tau kernel's table has
+# L = o * n_omega entries, and extents past 2 cells make n * m wrap it
+oversamples = st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from([2, 3]))
+extents = st.tuples(st.sampled_from([4, 6]), st.sampled_from([3, 6]))
+
+
 @settings(max_examples=25, deadline=None)
-@given(seeds, n_omegas, st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)),
-                                 min_size=1, max_size=5))
-def test_map_agrees_with_direct_quadrature(seed, n_omega, nodes):
+@given(seeds, n_omegas, oversamples, extents,
+       st.lists(st.tuples(st.integers(0, 48), st.integers(0, 36)),
+                min_size=1, max_size=5))
+def test_map_agrees_with_direct_quadrature(seed, n_omega, oversample, extent, nodes):
+    # a random S is asymmetric in Omega and k, and its unpaired first row
+    # and column (-n/2 steps) are not zero; the physical S is symmetric in
+    # Omega to ~1e-12, so a sign slip in the Omega-odd part would move a
+    # real map by only ~3e-8
     sg = _grid(_random_density(seed, n_omega))
-    cm = correlation_map(sg, **SIDE)
+    cm = correlation_map(sg, oversample=oversample, extent_cells=extent)
     for i, j in nodes:
+        i, j = i % cm.tau_axis.size, j % cm.xi_axis.size
         tau, xi = cm.tau_axis[i], cm.xi_axis[j]
         envelope = cm.g[i, j] * np.exp(-1j * cm.carrier_omega * tau)
         assert abs(direct_correlation(sg, tau, xi) - envelope) < 1e-12

@@ -125,6 +125,24 @@ def test_coherence_map_round_trip_is_exact(tmp_path, fmt):
     assert back.provenance["oversample"] == 16
 
 
+@pytest.mark.parametrize("layout", ["fortran", "complex view", "big-endian"])
+def test_binary_arrays_round_trip_bit_for_bit_from_any_layout(tmp_path, layout):
+    # the writer sends C-ordered little-endian buffers as they are; every
+    # other layout must still land as the same values, in C order
+    rng = np.random.default_rng(3)
+    arr = {"fortran": lambda: np.asfortranarray(rng.standard_normal((7, 5))),
+           "complex view": lambda: (rng.standard_normal((9, 12))
+                                    + 1j * rng.standard_normal((9, 12)))[::2, 1::3],
+           "big-endian": lambda: rng.standard_normal((6, 4)).astype(">f8")}[layout]()
+    assert not (arr.flags.c_contiguous and arr.dtype.isnative)
+    path = tmp_path / "a.bin"
+    gridio._write(path, "binary", {"kind": "test"}, [], {}, [("a", arr)])
+    _, _, arrays = gridio._read(path, "test")
+    back = arrays["a"]
+    assert back.shape == arr.shape and back.dtype == arr.dtype.newbyteorder("=")
+    assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(arr, back.dtype).view(np.uint64))
+
+
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
 def test_complex_parts_survive_the_round_trip_exactly(tmp_path, fmt):
     # re + 1j*im would turn an infinite imaginary part into a NaN real

@@ -16,6 +16,7 @@ from pdcoh import (
     load_sellmeier,
 )
 from pdcoh.coherence import CoherenceMap, correlation_map, instrument_blur
+from pdcoh.config import parse_length
 from pdcoh.interferometer import (
     AssembledMap,
     FringeTrace,
@@ -150,6 +151,22 @@ def test_flat_trace_fringes_at_the_stage_period(flat_map, icfg):
     gaps = np.diff(crests)
     assert gaps.size >= 6
     assert np.max(np.abs(gaps - period)) < 1e-6 * period
+
+
+@pytest.mark.parametrize("pump", ["800 nm", "800e-9 m"])
+def test_whole_fringe_sweep_count_ignores_carrier_rounding(flat_map, icfg, pump):
+    # 48 um of stage is 60 fringes up to the carrier's last bits: "800 nm"
+    # parses to 8.000000000000001e-07 m (59.999999999999986 fringes), 800e-9
+    # m gives 60.00000000000001; both are 1,201 samples
+    pump_m = parse_length(pump)
+    cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
+                        pump_wavelength_m=pump_m, gain=6.0,
+                        sellmeier=load_sellmeier("bbo_kato1986"))
+    cmap = CoherenceMap(flat_map.tau_axis, flat_map.xi_axis, flat_map.g,
+                        carrier_omega=cfg.degenerate_omega, intensity=1.0,
+                        provenance={})
+    trace = synthesize_trace(cmap, icfg, stage_span_m=48e-6)
+    assert trace.positions_m.size == 1201
 
 
 def test_flat_trace_visibility_is_unity_everywhere(flat_map, icfg):

@@ -103,6 +103,8 @@ def test_built_grid_is_the_density_over_the_axis_product(sell, theta_deg):
     sg = build_spectrum(cfg)
     want = spectral_density(sg.omega_axis()[:, None], sg.k_axis()[None, :], cfg)
     assert sg.values.tobytes() == want.tobytes()
+    # later stages gather rows of S
+    assert sg.values.flags.c_contiguous
 
 
 def _density_by_column(cfg, omega, k):
@@ -294,9 +296,11 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_bilinear_matches_scipy_bit_for_bit(dtype):
-    # scipy is the reference only; pdcoh does its own lookups
+@pytest.mark.parametrize("dtype, order", [(float, "C"), (complex, "C"), (float, "F")],
+                         ids=["float", "complex", "float-fortran"])
+def test_bilinear_matches_scipy_bit_for_bit(dtype, order):
+    # scipy is the reference only; pdcoh does its own lookups, through a
+    # flat index that must not assume C order
     from scipy.interpolate import RegularGridInterpolator
     rng = np.random.default_rng(11)
     x = np.cumsum(rng.uniform(0.5, 2.0, 40))
@@ -304,6 +308,7 @@ def test_bilinear_matches_scipy_bit_for_bit(dtype):
     values = rng.normal(size=(40, 30)).astype(dtype)
     if dtype is complex:
         values += 1j * rng.normal(size=(40, 30))
+    values = np.asarray(values, order=order)
     nodes_x, nodes_y = np.meshgrid(x, y, indexing="ij")
     qx = np.concatenate([rng.uniform(x[0], x[-1], 200_000), nodes_x.ravel()])
     qy = np.concatenate([rng.uniform(y[0], y[-1], 200_000), nodes_y.ravel()])
