@@ -9,11 +9,20 @@ cuts, tables and fringe traces) goes through one writer, `_write`, and
 one reader, `_read`. Uniform axes persist as start/step/count, and an
 array read back must have one sample per axis value. Headers carry no
 timestamp: the same inputs must produce the same bytes.
+
+The CSV writer formats a mirror image once. A row that is even after its
+first value (every row of S, whose k axis is symmetric) formats its first
+half and mirrors those strings. A complex row that is bit for bit the
+conjugate mirror of an earlier row (each tau > 0 row of a correlation
+map, mirrored from a tau < 0 row) is written from that row's line, read
+back from the file. Both are proven per row on the bits, so the bytes
+are those of repr on every value.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import struct
@@ -79,10 +88,12 @@ def _require(header, key, path):
 
 # Rows are formatted in blocks of this many. A file of at least
 # _POOL_CELLS values is formatted on every usable core: repr(float) costs
-# about 1.4 us a value: 0.7 s on one core for a 1025 x 257 complex map, but
-# milliseconds for the largest trace or profile (~13k values).
+# about 1.4 us a value: 0.7 s on one core for a 1025 x 257 complex map (half
+# of it reused from mirror rows), but milliseconds for the largest trace or
+# profile (~13k values).
 _BLOCK_ROWS = 32
 _POOL_CELLS = 1 << 18
+_SIGN = np.uint64(1 << 63)
 
 
 def _float_rows(arr):
@@ -94,7 +105,68 @@ def _float_rows(arr):
 
 
 def _format_block(block):
-    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+    """The lines of a block of float rows. A row whose value j equals value
+    n - j bit for bit formats its first n // 2 + 1 values and takes the
+    rest from those strings."""
+    n = block.shape[1]
+    half = n // 2 + 1
+    bits = block.view(np.uint64)
+    even = (bits[:, 1:] == bits[:, :0:-1]).all(axis=1).tolist()
+    lines = []
+    for row, mirrored in zip(block.tolist(), even):
+        if mirrored:
+            cells = list(map(repr, row[:half]))
+            cells += cells[n - half:0:-1]
+        else:
+            cells = map(repr, row)
+        lines.append(",".join(cells) + "\n")
+    return lines
+
+
+def _conjugate_twins(arr, rows):
+    """Mask of the rows of a complex array written from an earlier line:
+    row k past the middle whose re/im bits are those of conj(row n - 1 - k)
+    reversed. A row holding a NaN is formatted, since repr drops its sign."""
+    n = len(rows)
+    twins = np.zeros(n, bool)
+    half = n // 2
+    if np.iscomplexobj(arr) and half and rows.shape[1]:
+        bits = rows.view(np.uint64).reshape(n, -1, 2)
+        later, mirror = bits[n - half:], bits[half - 1::-1, ::-1]
+        twins[n - half:] = (((later[..., 0] == mirror[..., 0])
+                             & (later[..., 1] == (mirror[..., 1] ^ _SIGN))).all(axis=1)
+                            & ~np.isnan(rows[n - half:]).any(axis=1))
+    return twins
+
+
+def _conjugate_mirror(line):
+    """The line of conj(row[::-1]) from the line of row: the real strings
+    reversed, the imaginary strings reversed with their sign flipped."""
+    cells = line[:-1].split(",")[::-1]
+    cells[0::2], cells[1::2] = cells[1::2], [
+        s[1:] if s[0] == "-" else "-" + s for s in cells[0::2]]
+    return ",".join(cells) + "\n"
+
+
+def _write_rows(fh, rows, twins, lines):
+    """Write every row's line in file order. A twin row's line is made from
+    its mirror's line, read back from the file, so that no earlier line is
+    held in memory; every other row's is the next of the formatted lines."""
+    for r, twin in zip(rows, twins):
+        n, flags, spans = len(r), twin.tolist(), {}
+        for k, is_twin in enumerate(flags):
+            if is_twin:
+                start, size = spans.pop(n - 1 - k)
+                end = fh.tell()
+                fh.seek(start)
+                line = _conjugate_mirror(fh.read(size).decode())
+                fh.seek(end)
+            else:
+                line = next(lines)
+                if flags[n - 1 - k]:
+                    # lines are ASCII: one byte a character
+                    spans[k] = fh.tell(), len(line)
+            fh.write(line.encode())
 
 
 def _usable_cpus():
@@ -129,13 +201,18 @@ def _write_csv(path, header, arrays):
         [[name, "complex" if np.iscomplexobj(arr) else "real"]
          for name, arr in arrays]))
     rows = [_float_rows(arr) for _, arr in arrays]
-    blocks = [r[i:i + _BLOCK_ROWS] for r in rows
+    twins = [_conjugate_twins(arr, r) for (_, arr), r in zip(arrays, rows)]
+    # only rows that are not twins are formatted
+    sources = [r[~twin] if twin.any() else r for r, twin in zip(rows, twins)]
+    blocks = [r[i:i + _BLOCK_ROWS] for r in sources
               for i in range(0, len(r), _BLOCK_ROWS)]
-    # the pool forks before the file opens, so no worker holds its buffer
+    # the pool forks before the file opens, so no worker holds its buffer;
+    # the serial/pool choice counts every value, twins included
     with _block_map(sum(r.size for r in rows), len(blocks)) as fmap:
-        with open(path, "w") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-            fh.writelines(fmap(_format_block, blocks))
+        with open(path, "w+b") as fh:
+            fh.write("".join(line + "\n" for line in lines).encode())
+            _write_rows(fh, rows, twins, itertools.chain.from_iterable(
+                fmap(_format_block, blocks)))
 
 
 def _read_csv(path):

@@ -15,23 +15,36 @@ from hypothesis import strategies as st
 from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
     load_sellmeier
 from pdcoh.coherence import correlation_map
+from pdcoh.phasematch import phase_matched_locus
 
 SELL = load_sellmeier("bbo_kato1986")
 
+# the box the README states as a limit: theta 19.6-20.1 deg, gain 0.5-8,
+# length 2-20 mm
+BOX = (st.floats(19.6, 20.1), st.floats(0.5, 8.0), st.floats(2e-3, 20e-3))
 
-@settings(max_examples=60, deadline=None)
-@given(st.floats(19.6, 20.1), st.floats(0.5, 8.0), st.floats(2e-3, 20e-3))
-def test_density_is_bounded_and_exchange_symmetric(theta_deg, gain, length_m):
+
+def _spectrum(theta_deg, gain, length_m):
+    """(config, 256 x 128 density) of a drawn crystal, or None when auto_grid
+    refuses it up front, by name: its support reaches the 0.49 omega_c cap."""
     cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
                         pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
     try:
         spec = auto_grid(cfg, 256, 128)
     except ConfigurationError as exc:
-        # the support reaches the 0.49 omega_c cap: refused up front, by name
         assert str(exc).startswith(
             f"{SELL.name} at theta {math.degrees(cfg.theta_rad):g} deg: ")
+        return None
+    return cfg, build_spectrum(cfg, spec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*BOX)
+def test_density_is_bounded_and_exchange_symmetric(theta_deg, gain, length_m):
+    drawn = _spectrum(theta_deg, gain, length_m)
+    if drawn is None:
         return
-    sg = build_spectrum(cfg, spec)
+    _, sg = drawn
     values = sg.values
     # G^2 f^2 is largest at delta_k = 0, where it is sinh^2 G
     assert values.min() >= 0.0
@@ -42,3 +55,22 @@ def test_density_is_bounded_and_exchange_symmetric(theta_deg, gain, length_m):
     assert pairs.max() <= 1e-10 * values.max()
     # the edge check that guards the transform passes on every accepted grid
     correlation_map(sg, oversample=2, extent_cells=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*BOX)
+def test_density_peaks_on_the_phase_matched_ring(theta_deg, gain, length_m):
+    """On each omega row where the locus has a ring, S is largest within
+    one k step of the ring's k."""
+    drawn = _spectrum(theta_deg, gain, length_m)
+    if drawn is None:
+        return
+    cfg, sg = drawn
+    omega, k = sg.omega_axis(), sg.k_axis()
+    locus = phase_matched_locus(cfg, omega)
+    rows = np.searchsorted(omega, [w for w, _ in locus])
+    assert omega[rows].tolist() == [w for w, _ in locus]
+    ring = np.array([k_ring for _, k_ring in locus])
+    # S is even in k, so the first maximum may sit at -k_ring
+    peak_k = np.abs(k[np.argmax(sg.values[rows], axis=1)])
+    assert np.all(np.abs(peak_k - ring) <= sg.spec.k_step)

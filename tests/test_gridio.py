@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, gridio, GridSpec, \
     PdcohError, SpectralGrid, auto_grid, build_spectrum, load_sellmeier
-from pdcoh.coherence import CoherenceMap
+from pdcoh.coherence import CoherenceMap, correlation_map, instrument_blur
 from pdcoh.gridio import (
     read_assembled_map,
     read_coherence_map,
@@ -342,12 +343,40 @@ def _reference_csv(header, arrays):
     return "\n".join(lines) + "\n"
 
 
+def _even_after_first(a):
+    """a with column n - j a copy of column j: every row even after its first value."""
+    a = np.array(a)
+    n = a.shape[1]
+    a[:, n // 2 + 1:] = a[:, (n - 1) // 2:0:-1]
+    return a
+
+
+def _conjugate_mirrored(a):
+    """a with each row k past the middle conj(row n - 1 - k) reversed."""
+    a = np.array(a, dtype=complex)
+    half = len(a) // 2
+    if half:
+        a[len(a) - half:] = np.conj(a[half - 1::-1, ::-1])
+    return a
+
+
 def _awkward_arrays():
     rng = np.random.default_rng(3)
     real = rng.choice(AWKWARD, size=(40, 7))
     cplx = np.empty((40, 5), complex)
     cplx.real = rng.choice(AWKWARD, size=cplx.shape)
     cplx.imag = rng.choice(AWKWARD + [-0.0] * 5, size=cplx.shape)
+    # a mirror that differs only in the sign of one zero is not reused
+    zero_sign = _even_after_first(rng.random((6, 8)))
+    zero_sign[2, [3, 5]] = 0.0, -0.0
+    # +-inf and imaginary zeros of both signs; row 33 of 40 holds a NaN and
+    # its twin, row 6, none, so row 33 is formatted; the twin of row 34,
+    # row 5, differs from its mirror in the sign of an imaginary zero
+    finite = np.where(np.isnan(cplx), 1.5, cplx)
+    mirrored = _conjugate_mirrored(finite)
+    mirrored[33, 2], mirrored[6, 2] = complex(np.nan, 0.5), complex(1.0, -0.5)
+    mirrored[34, 0] = complex(mirrored[34, 0].real, 0.0)
+    mirrored[5, 4] = complex(mirrored[5, 4].real, 0.0)
     return {
         "real": [("v", real)],
         "complex": [("g", cplx)],
@@ -355,6 +384,14 @@ def _awkward_arrays():
         "single-row": [("x", np.array(AWKWARD))],
         "multi-array": [("x", real[:, :5]), ("g", cplx),
                         ("n", np.arange(200, dtype=np.int32).reshape(40, 5))],
+        # NaN, +-inf and signed zeros in mirrored cells; odd and even lengths
+        "even rows": [("v", _even_after_first(real)),
+                      ("w", _even_after_first(rng.choice(AWKWARD, (40, 8))))],
+        "one and two columns": [("a", real[:, :1]), ("b", _even_after_first(real[:, :2]))],
+        "zero-sign mirror": [("v", zero_sign)],
+        # with 4-row blocks, twin pairs (0, 39) and (19, 20) land in different blocks
+        "conjugate mirrors": [("g", mirrored)],
+        "odd mirrors": [("g", _conjugate_mirrored(finite[:9]))],
     }
 
 
@@ -376,6 +413,87 @@ def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, path_kind):
         path = tmp_path / f"{case}.csv"
         gridio._write_csv(path, header, arrays)
         assert path.read_text() == _reference_csv(header, arrays), case
+
+
+@pytest.fixture()
+def repr_calls(monkeypatch):
+    """The values gridio formats, through a counting repr in its globals."""
+    calls = []
+    monkeypatch.setattr(gridio, "repr", lambda v: calls.append(v) or repr(v),
+                        raising=False)
+    return calls
+
+
+def test_awkward_mirrors_reach_the_reuse_rules(repr_calls):
+    calls = repr_calls
+    arrays = _awkward_arrays()
+    # (array, rows formatted in full): row 2 of the zero-sign mirror is not even
+    cases = [(arr, 0) for _, arr in arrays["even rows"]] + [
+        (arrays["zero-sign mirror"][0][1], 1)]
+    for values, in_full in cases:
+        calls.clear()
+        gridio._format_block(gridio._float_rows(values))
+        n = values.shape[1]
+        assert len(calls) == (len(values) - in_full) * (n // 2 + 1) + in_full * n
+    g = arrays["conjugate mirrors"][0][1]
+    twins = gridio._conjugate_twins(g, gridio._float_rows(g))
+    assert np.flatnonzero(twins).tolist() == [k for k in range(20, 40) if k not in (33, 34)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mirror_images_match_per_cell_repr(data):
+    """An even or conjugate-mirrored array, with one cell perhaps perturbed,
+    writes the per-cell reference on the serial and the pool path."""
+    draw = data.draw
+    dtype = draw(st.sampled_from([float, complex]))
+    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 7)))
+    values = _values(draw, shape, dtype)
+    values = (_even_after_first if dtype is float else _conjugate_mirrored)(values)
+    perturb = draw(st.sampled_from([None, "value", "zero sign", "nan"]))
+    if perturb:
+        i, j = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        if perturb == "zero sign":
+            # the cell and its mirror become zeros that the mirror rule
+            # would give opposite signs
+            twin = (i, (shape[1] - j) % shape[1]) if dtype is float else (
+                shape[0] - 1 - i, shape[1] - 1 - j)
+            values[i, j], values[twin] = 0.0, (-0.0 if dtype is float else 0.0)
+        else:
+            values[i, j] = np.nan if perturb == "nan" else _values(draw, (), dtype)
+    arrays = [("v", values)]
+    header = {"kind": "test"}
+    expected = _reference_csv(header, arrays)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "mirror.csv"
+        for pool_cells, block_rows in ((1 << 62, 32), (1, 2)):
+            with mock.patch.multiple(gridio, _POOL_CELLS=pool_cells,
+                                     _BLOCK_ROWS=block_rows,
+                                     _usable_cpus=lambda: 2):
+                gridio._write_csv(path, header, arrays)
+            assert path.read_text() == expected
+
+
+def test_example_products_format_about_half_their_values(tmp_path, monkeypatch,
+                                                          repr_calls):
+    """S, the map and the blurred map of the example format at most about
+    half their values, and still write the per-cell bytes."""
+    cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
+                        pump_wavelength_m=800e-9, gain=6.0,
+                        sellmeier=load_sellmeier("bbo_kato1986"))
+    sg = build_spectrum(cfg, auto_grid(cfg, 256, 128))
+    cmap = correlation_map(sg)
+    products = {"density": sg.values, "map": cmap.g,
+                "blurred map": instrument_blur(cmap, 1e-15, 6e-6).g}
+    monkeypatch.setattr(gridio, "_POOL_CELLS", 1 << 62)
+    header = {"kind": "test"}
+    for name, values in products.items():
+        repr_calls.clear()
+        path = tmp_path / "product.csv"
+        gridio._write_csv(path, header, [("v", values)])
+        assert path.read_text() == _reference_csv(header, [("v", values)]), name
+        n_values = gridio._float_rows(values).size
+        assert len(repr_calls) <= 0.51 * n_values, (name, len(repr_calls), n_values)
 
 
 # --- malformed files end as ConfigurationError naming the file ---
