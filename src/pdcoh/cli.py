@@ -24,7 +24,7 @@ from .config import default, load_run_config, parse_angle, parse_length, \
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
 from .errors import ConfigurationError, MapExtentError, PdcohError, \
-    RootNotFoundError, SamplingError, blamed
+    ResolutionError, RootNotFoundError, SamplingError, blamed
 from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
     write_manifest, write_metrics, write_profile, write_spectral_grid, \
     write_trace, write_wavelength_angle_grid, read_manifest, read_trace
@@ -44,9 +44,26 @@ def _theta_tag(theta_rad):
 def _load(args):
     """The run config, and its output directory, created."""
     rc = load_run_config(_config_path(args))
-    out = Path(args.out or rc.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return rc, out
+    return rc, _out_dir(args, rc.out_dir)
+
+
+def _out_dir(args, configured):
+    out = Path(args.out or configured)
+    with _writing(args, out):
+        out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+@contextlib.contextmanager
+def _writing(args, path):
+    """Report a path that cannot be written as a ConfigurationError naming
+    it and the setting that placed it."""
+    try:
+        yield
+    except OSError as exc:
+        where = "--out" if args.out else "[output] directory"
+        raise ConfigurationError(
+            f"{where}: cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _config_path(args):
@@ -60,10 +77,17 @@ def _config_path(args):
 def _select_thetas(rc, args):
     if not getattr(args, "theta", None):
         return list(rc.thetas_rad)
-    return [parse_angle(t, field="--theta") for t in args.theta]
+    thetas = [parse_angle(t, field="--theta") for t in args.theta]
+    with blamed("--theta", ConfigurationError):
+        for theta in thetas:
+            rc.crystal_config(theta)
+    return thetas
 
 
-def _emit(path):
+def _write(args, write, path, *data, **kwargs):
+    """Write one product with the given writer and report its path."""
+    with _writing(args, path):
+        write(path, *data, **kwargs)
     print(f"wrote {path}")
 
 
@@ -79,23 +103,22 @@ def cmd_dispersion(args):
         header["zero_dispersion_wavelength_um"] = zero_dispersion_wavelength(s)
     header["config_hash"] = rc.config_hash()
     path = out / f"dispersion_{Path(rc.material).stem}.{FORMATS[rc.out_format]}"
-    write_profile(path, "dispersion-table", header, [
+    _write(args, write_profile, path, "dispersion-table", header, [
         ("wavelength_um", lam_um),
         ("n_ordinary", index(lam_um, ORDINARY, s)),
         ("n_extraordinary_principal",
          index(lam_um, ExtraordinaryAtAngle(math.pi / 2), s)),
         ("gvd_ordinary_fs2_per_mm", gvd(lam_um, ORDINARY, s)),
     ], fmt=rc.out_format)
-    _emit(path)
     return 0
 
 
 def cmd_phasematch(args):
     rc, out = _load(args)
     ext = FORMATS[rc.out_format]
+    thetas = _select_thetas(rc, args)
     theta_pm = collinear_degenerate_angle(rc.pump_wavelength_m, rc.sellmeier)
-    path = out / "phasematch.txt"
-    write_metrics(path, {
+    _write(args, write_metrics, out / "phasematch.txt", {
         "material": rc.material,
         "pump_wavelength_m": rc.pump_wavelength_m,
         "degenerate_wavelength_m": 2.0 * rc.pump_wavelength_m,
@@ -103,8 +126,7 @@ def cmd_phasematch(args):
         "theta_pm_deg": math.degrees(theta_pm),
         "config_hash": rc.config_hash(),
     })
-    _emit(path)
-    for theta in _select_thetas(rc, args):
+    for theta in thetas:
         cfg = rc.crystal_config(theta)
         omega = cfg.degenerate_omega * np.linspace(0.55, 1.45, 181)
         locus = phase_matched_locus(cfg, omega)
@@ -116,7 +138,7 @@ def cmd_phasematch(args):
         k = np.array([p[1] for p in locus])
         lam = 2.0 * math.pi * c / w
         lpath = out / f"phasematch_{_theta_tag(theta)}_locus.{ext}"
-        write_profile(lpath, "phase-matched-locus", {
+        _write(args, write_profile, lpath, "phase-matched-locus", {
             "theta_rad": theta,
             "theta_deg": math.degrees(theta),
             "config_hash": rc.config_hash(),
@@ -126,13 +148,12 @@ def cmd_phasematch(args):
             ("wavelength_m", lam),
             ("external_angle_rad", external_angle(k, lam)),
         ], fmt=rc.out_format)
-        _emit(lpath)
     return 0
 
 
-def _build_spectrum(rc, theta):
+def _build_spectrum(rc, theta, args):
     cfg = rc.crystal_config(theta)
-    with blamed("[crystal]", ConfigurationError):
+    with blamed("--theta" if args.theta else "[crystal]", ConfigurationError):
         return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
 
 
@@ -140,34 +161,27 @@ def cmd_spectrum(args):
     rc, out = _load(args)
     ext = FORMATS[rc.out_format]
     for theta in _select_thetas(rc, args):
-        sg = _build_spectrum(rc, theta)
+        sg = _build_spectrum(rc, theta, args)
         tag = _theta_tag(theta)
-        gpath = out / f"spectrum_{tag}_omega_k.{ext}"
-        write_spectral_grid(gpath, sg, fmt=rc.out_format)
-        _emit(gpath)
-        wpath = out / f"spectrum_{tag}_wavelength_angle.{ext}"
-        write_wavelength_angle_grid(wpath, to_wavelength_angle(sg),
-                                    fmt=rc.out_format)
-        _emit(wpath)
+        _write(args, write_spectral_grid, out / f"spectrum_{tag}_omega_k.{ext}",
+               sg, fmt=rc.out_format)
+        _write(args, write_wavelength_angle_grid,
+               out / f"spectrum_{tag}_wavelength_angle.{ext}",
+               to_wavelength_angle(sg), fmt=rc.out_format)
     return 0
 
 
-def _coherence_products(out, rc, tag, cmap, suffix=""):
+def _coherence_products(args, out, rc, tag, cmap, suffix=""):
     ext = FORMATS[rc.out_format]
-    mpath = out / f"coherence_{tag}_{suffix}map.{ext}"
-    write_coherence_map(mpath, cmap, fmt=rc.out_format)
-    _emit(mpath)
+    _write(args, write_coherence_map, out / f"coherence_{tag}_{suffix}map.{ext}",
+           cmap, fmt=rc.out_format)
     m = metrics(cmap)
     for axis, cut, name in ((m.tau_axis, m.tau_cut, "tau_cut"),
                             (m.xi_axis, m.xi_cut, "xi_cut")):
-        cpath = out / f"coherence_{tag}_{suffix}{name}.{ext}"
-        write_profile(cpath, "coherence-cut",
-                      {"theta_tag": tag, "config_hash": rc.config_hash()},
-                      [("position", axis), ("magnitude", cut)],
-                      fmt=rc.out_format)
-        _emit(cpath)
-    path = out / f"coherence_{tag}_{suffix}metrics.txt"
-    write_metrics(path, {
+        _write(args, write_profile, out / f"coherence_{tag}_{suffix}{name}.{ext}",
+               "coherence-cut", {"theta_tag": tag, "config_hash": rc.config_hash()},
+               [("position", axis), ("magnitude", cut)], fmt=rc.out_format)
+    _write(args, write_metrics, out / f"coherence_{tag}_{suffix}metrics.txt", {
         "theta_tag": tag,
         "tau_c_s": m.tau_c,
         "xi_c_m": m.xi_c,
@@ -175,7 +189,6 @@ def _coherence_products(out, rc, tag, cmap, suffix=""):
         "coupling": factorability_defect(cmap),
         "config_hash": rc.config_hash(),
     })
-    _emit(path)
 
 
 def cmd_coherence(args):
@@ -192,11 +205,12 @@ def cmd_coherence(args):
     rc, out = _load(args)
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = correlation_map(_build_spectrum(rc, theta))
-        _coherence_products(out, rc, tag, cmap)
+        cmap = correlation_map(_build_spectrum(rc, theta, args))
+        _coherence_products(args, out, rc, tag, cmap)
         if blur:
-            blurred = instrument_blur(cmap, blur[0], blur[1])
-            _coherence_products(out, rc, tag, blurred, suffix="blur_")
+            with blamed("--blur", MapExtentError, ResolutionError):
+                blurred = instrument_blur(cmap, blur[0], blur[1])
+            _coherence_products(args, out, rc, tag, blurred, suffix="blur_")
     return 0
 
 
@@ -205,7 +219,7 @@ def cmd_interferogram(args):
     icfg = rc.interferometer
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = correlation_map(_build_spectrum(rc, theta))
+        cmap = correlation_map(_build_spectrum(rc, theta, args))
         paths = []
         for j in range(rc.bs2_count):
             bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m
@@ -217,12 +231,10 @@ def cmd_interferogram(args):
                                          stage_span_m=rc.stage_span_m,
                                          orientation=tag)
             tpath = out / f"interferogram_{tag}_trace{j:02d}.csv"
-            write_trace(tpath, trace)
-            _emit(tpath)
+            _write(args, write_trace, tpath, trace)
             paths.append(tpath)
-        mpath = out / f"interferogram_{tag}_manifest.txt"
-        write_manifest(mpath, paths)
-        _emit(mpath)
+        _write(args, write_manifest, out / f"interferogram_{tag}_manifest.txt",
+               paths)
     return 0
 
 
@@ -235,8 +247,6 @@ def cmd_analyze(args):
         icfg = InterferometerConfig()
         window, fmt, out_dir = map(default, ("window_fringes", "out_format",
                                              "out_dir"))
-    out = Path(args.out or out_dir)
-
     traces = []
     for tpath in read_manifest(args.manifest):
         try:
@@ -248,19 +258,16 @@ def cmd_analyze(args):
                 SamplingError):
         amap = assemble_map(traces, icfg, window_fringes=window)
 
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"analyze_map.{FORMATS[fmt]}"
-    write_assembled_map(path, amap, fmt=fmt)
-    _emit(path)
+    out = _out_dir(args, out_dir)
+    _write(args, write_assembled_map, out / f"analyze_map.{FORMATS[fmt]}",
+           amap, fmt=fmt)
     jc = int(np.argmin(np.abs(amap.xi_axis)))
     record = {"n_traces": len(traces), "icfg_hash": icfg.config_hash(),
               "tau_c_s": _fwhm(amap.tau_axis, amap.magnitude[:, jc])}
     if amap.xi_axis.size > 1:
         ic = int(np.argmax(amap.magnitude[:, jc]))
         record["xi_c_m"] = _fwhm(amap.xi_axis, amap.magnitude[ic, :])
-    path = out / "analyze_metrics.txt"
-    write_metrics(path, record)
-    _emit(path)
+    _write(args, write_metrics, out / "analyze_metrics.txt", record)
     return 0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EdgeDecayError, MapExtentError, ResolutionError
+from .errors import ConfigurationError, EdgeDecayError, MapExtentError, ResolutionError
 from .spectrum import bilinear
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -63,17 +63,16 @@ class CoherenceMap:
                                                * np.asarray(tau, dtype=float))
 
 
-def _fold(a, axis):
-    """a along axis in fold order: the centre node, the even parts a[c + m]
-    + a[c - m] for m = 1 .. c - 1, the unpaired a[0], the odd parts a[c + m]
-    - a[c - m]; c = n // 2, and the layout of a is kept."""
-    a = np.moveaxis(a, axis, 0)
+def _fold(a):
+    """The rows of a in fold order: the centre row, the even parts a[c + m]
+    + a[c - m] for m = 1 .. c - 1, the unpaired a[0], the odd parts a[c - m]
+    - a[c + m] for m = c - 1 .. 1; c = n // 2."""
     c = a.shape[0] // 2
     out = np.empty_like(a)
     out[0], out[c] = a[c], a[0]
     np.add(a[c + 1:], a[c - 1:0:-1], out=out[1:c])
-    np.subtract(a[c + 1:], a[c - 1:0:-1], out=out[c + 1:])
-    return np.moveaxis(out, 0, axis)
+    np.subtract(a[1:c], a[:c:-1], out=out[c + 1:])
+    return out
 
 
 def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
@@ -87,64 +86,65 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     to transform a grid whose density has not decayed at the edges guards
     against aliasing.
 
-    Every node is the exact Riemann sum over the grid, computed as real
-    matrix products: S is folded into even and odd parts along Omega and
-    along k, and the tau kernels are read from one table of cos and sin
-    (2 pi j / L), L = n_omega * oversample_tau.
+    S must be even in k, as S(Omega, k^2) is; the unpaired -k_max column is
+    free, any other asymmetric column raises ConfigurationError. Each node
+    is the exact Riemann sum over the grid, as real matrix products: S is
+    folded along Omega, and the tau kernels are read from one table of cos
+    and sin (2 pi j / L), L = n_omega * oversample_tau.
     """
     edge = sg.edge_ratio
     if not edge < 1e-3:
         raise EdgeDecayError(
             f"spectral density at the grid edge is {edge:.2e} of the peak "
             "(limit 1e-3); widen the grid before transforming")
+    spec = sg.spec
+    odd = np.flatnonzero((sg.values[:, 1:] != sg.values[:, :0:-1]).any(axis=0))
+    if odd.size:
+        raise ConfigurationError(f"S is not even in k: column {odd[0] + 1} "
+                                 f"differs from its mirror {spec.n_k - 1 - odd[0]}")
     (os_tau, os_xi), (ext_tau, ext_xi) = (
         v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
-    spec = sg.spec
-    omega_c = spec.omega_center
-    k = sg.k_axis()
-
     n_tau, n_xi = os_tau * ext_tau, os_xi * ext_xi
     tau_step = 2.0 * math.pi / (2.0 * spec.omega_half_width) / os_tau
     xi_step = 2.0 * math.pi / (2.0 * spec.k_half_width) / os_xi
     tau = (np.arange(2 * n_tau + 1) - n_tau) * tau_step
     xi = (np.arange(2 * n_xi + 1) - n_xi) * xi_step
 
-    # S is real, so g(-tau, -xi) = conj g(tau, xi): only the tau >= 0 rows
-    # are summed, with real kernels, and the tau < 0 rows and the xi < 0
-    # half of the tau = 0 row are mirrored. S is folded along both axes:
-    # each +-Omega pair and each +-k pair splits into an even part (against
-    # cos) and an odd part (against sin), which keeps the sum exact for any
-    # real S. The unpaired first node (-n/2 steps) enters both parts. In
-    # fold order an axis reads 0, the even pairs, -n/2, the odd pairs, so
-    # the cos kernel takes its first n/2 + 1 nodes and the sin kernel its
-    # last n/2. tau_step * Omega_step = 2 pi / L, so the tau kernels are
-    # one table of cos and sin(2 pi j / L) at j = (n * m) mod L.
+    # S is real, so g(-tau, -xi) = conj g(tau, xi): only tau >= 0 is summed,
+    # with real kernels. The tau stage is sum_Omega S e^{-i Omega tau}, with
+    # S folded along Omega: cos takes steps 0 .. n/2 and sin steps n/2 .. 1.
+    # tau_step * Omega_step = 2 pi / L, so both read one table at j = n m
+    # mod L. S is even in k: k = 0, each k > 0 at weight 2 and the unpaired
+    # -k_max go against cos(k xi), and -k_max against sin(k xi) too.
     n_w, half = spec.n_omega // 2, spec.n_k // 2
-    folded = _fold(_fold(sg.values, 1), 0)
-    steps = np.concatenate([np.arange(n_w), [-n_w], np.arange(1, n_w)])
+    cols = np.r_[half:spec.n_k, 0]
+    folded = _fold(sg.values[:, cols])
     period = spec.n_omega * os_tau
     table = 2.0 * math.pi / period * np.arange(period)
-    rows = np.arange(n_tau + 1)[:, None]
-    t_cos = np.cos(table)[rows * steps[:n_w + 1] % period] @ folded[:n_w + 1]
-    t_sin = np.sin(table)[rows * steps[n_w:] % period] @ folded[n_w:]
-    k_fold = np.concatenate([k[half:], k[:1], k[half + 1:]])
-    x_cos = np.cos(np.outer(k_fold[:half + 1], xi))
-    x_sin = np.sin(np.outer(k_fold[half:], xi))
-    re = t_cos[:, :half + 1] @ x_cos + t_sin[:, half:] @ x_sin
-    im = t_cos[:, half:] @ x_sin - t_sin[:, :half + 1] @ x_cos
+    idx = np.arange(n_tau + 1)[:, None] * np.arange(n_w + 1)
+    idx %= period
+    t_cos = np.cos(table)[idx] @ folded[:n_w + 1]
+    t_sin = np.sin(table)[idx[:, :0:-1]] @ folded[n_w:]
+    del idx, folded
+    x_cos = np.cos(np.outer(sg.k_axis()[cols], xi))
+    x_cos[1:half] *= 2.0
+    x_sin = np.sin(sg.k_axis()[0] * xi)
+    re = t_cos @ x_cos - np.outer(t_sin[:, -1], x_sin)
+    im = np.outer(t_cos[:, -1], x_sin) + t_sin @ x_cos
+    del t_cos, t_sin
     center = re[0, n_xi]
     # dividing re and im by the real centre apart keeps g(0, 0) exactly 1
     g = np.empty((tau.size, xi.size), dtype=complex)
-    g.real[n_tau:] = re / center
-    g.imag[n_tau:] = im / center
+    np.divide(re, center, out=g.real[n_tau:])
+    np.divide(im, center, out=g.imag[n_tau:])
     g[n_tau, :n_xi] = np.conj(g[n_tau, :n_xi:-1])
-    g[:n_tau] = np.conj(g[:n_tau:-1, ::-1])
+    np.conj(g[:n_tau:-1, ::-1], out=g[:n_tau])
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
     provenance.update(oversample_tau=os_tau, oversample_xi=os_xi,
                       extent_cells_tau=ext_tau, extent_cells_xi=ext_xi)
     return CoherenceMap(tau_axis=tau, xi_axis=xi, g=g,
-                        carrier_omega=omega_c,
+                        carrier_omega=spec.omega_center,
                         intensity=float(center * cell),
                         provenance=provenance)
 

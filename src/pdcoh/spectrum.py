@@ -204,7 +204,7 @@ def build_spectrum(cfg, grid=None):
     edges = max(values[0].max(), values[-1].max(),
                 values[:, 0].max(), values[:, -1].max())
     provenance = {
-        "config_hash": cfg.config_hash(),
+        "crystal_hash": cfg.config_hash(),
         "material": cfg.sellmeier.name,
         "length_m": cfg.length_m,
         "theta_rad": cfg.theta_rad,

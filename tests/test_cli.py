@@ -299,6 +299,41 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    pytest.param("coherence", ["--blur=1fs,1000um", "--out={taken}"],
+                 "--blur: blur kernel is wider than the map", id="blur-too-wide"),
+    pytest.param("coherence", ["--blur=0.01fs,6um", "--out={taken}"],
+                 r"--blur: tau blur sigma spans .* refine the tau axis \d+x",
+                 id="blur-too-narrow"),
+    pytest.param("coherence", ["--out={file}/out"],
+                 "--out: cannot write {file}/out: ", id="out-under-a-file"),
+    pytest.param("spectrum", ["--out={file}"], "--out: cannot write {file}: ",
+                 id="out-a-file"),
+    pytest.param("spectrum", [], r"\[output\] directory: cannot write {file}: ",
+                 id="directory-a-file"),
+    pytest.param("spectrum", ["--out={taken}"],
+                 "--out: cannot write {taken}/spectrum_19p94_omega_k.bin: ",
+                 id="product-a-directory"),
+])
+def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
+                                                    flags, message):
+    # a flag value the program can only refuse after the config loads, and
+    # an output path that cannot be written: a file, a path under a file,
+    # or a product name taken by a directory
+    file, taken = tmp_path / "file", tmp_path / "taken"
+    file.write_text("not a directory\n")
+    (taken / "spectrum_19p94_omega_k.bin").mkdir(parents=True)
+    small = tmp_path / "small.ini"
+    small.write_text(CONFIG.format(out=file).replace("= 256", "= 64")
+                     .replace("= 128", "= 64").replace("csv", "binary"))
+    flags = [f.format(file=file, taken=taken) for f in flags]
+    assert main([command, str(small), *flags]) == 1
+    err = capsys.readouterr().err
+    assert re.search(message.format(file=re.escape(str(file)),
+                                    taken=re.escape(str(taken))), err), err
+    assert "internal error" not in err
+
+
 def test_missing_manifest_exits_1_naming_it(tmp_path, capsys):
     missing = tmp_path / "missing.txt"
     out = tmp_path / "out"

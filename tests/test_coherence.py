@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdcoh import (
+    ConfigurationError,
     CrystalConfig,
     EdgeDecayError,
     GridSpec,
@@ -73,6 +74,7 @@ def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
 def test_center_is_one_exactly(map94):
     i0, j0 = map94.tau_axis.size // 2, map94.xi_axis.size // 2
     assert map94.g[i0, j0] == 1.0 + 0.0j
+    assert not np.signbit(map94.g[i0, j0].imag)
     assert map94.tau_axis[i0] == 0.0
     assert map94.xi_axis[j0] == 0.0
 
@@ -123,11 +125,34 @@ def test_hermitian_symmetry(map94):
     assert np.array_equal(map94.g[::-1, ::-1], np.conj(map94.g))
 
 
-def test_transform_is_exact_for_a_density_odd_in_k():
-    # a random S, not even in k, with mass in the unpaired k[0] column
+def _mirrored_in_k(table):
+    """S even in k from its k >= 0 columns: column n/2 +- m is table column
+    m, and the unpaired first column (-n/2 steps) is table column n/2."""
+    n_k = table.shape[1]
+    return table[:, np.abs(np.arange(n_k) - n_k // 2)]
+
+
+def test_transform_refuses_a_density_odd_in_k():
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=64, k_half_width=1e5, n_k=64)
-    values = np.random.default_rng(3).random((64, 64))
+    values = _mirrored_in_k(np.random.default_rng(3).random((64, 64)))
+    values[:, 0] = 5.0  # the unpaired column is free
+    correlation_map(SpectralGrid(spec, values, {"edge_ratio": 0.0}),
+                    oversample=2, extent_cells=4)
+    values[10, 37] += 1e-3
+    with pytest.raises(ConfigurationError,
+                       match="^S is not even in k: column 27 differs from its mirror 37$"):
+        correlation_map(SpectralGrid(spec, values, {"edge_ratio": 0.0}))
+
+
+def test_transform_is_exact_for_a_k_mirrored_density():
+    # a random S, asymmetric in Omega, even in k, with mass in the unpaired
+    # Omega row and k column
+    spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
+                    n_omega=64, k_half_width=1e5, n_k=64)
+    values = _mirrored_in_k(np.random.default_rng(3).random((64, 64)))
+    assert np.all(values[0] > 0) and np.all(values[:, 0] > 0)
+    assert np.abs(values[1:] - values[:0:-1]).max() > 0.5
     sg = SpectralGrid(spec, values, {"edge_ratio": 0.0})
     cm = correlation_map(sg, oversample=2, extent_cells=4)
     for i, tau in enumerate(cm.tau_axis):
@@ -387,7 +412,7 @@ def test_blur_kernel_must_fit_the_map(map94):
 
 
 def test_provenance_flows_through(map94, sell):
-    assert map94.provenance["config_hash"] == _cfg(19.94, sell).config_hash()
+    assert map94.provenance["crystal_hash"] == _cfg(19.94, sell).config_hash()
     out = instrument_blur(map94, 1e-15, 6e-6)
     assert out.provenance["blur_tau_s"] == 1e-15
     assert map94.provenance.get("blur_tau_s") is None

@@ -21,8 +21,14 @@ def _grid(values):
     return SpectralGrid(spec, values, {"edge_ratio": 0.0})
 
 
+# column n/2 +- m of a k-even S is column m of a table drawn on k >= 0; the
+# unpaired first column (-n/2 steps) is table column n/2, drawn on its own
+MIRROR = np.abs(np.arange(64) - 32)
+
+
 def _random_density(seed, n_omega):
-    return np.random.default_rng(seed).random((n_omega, 64))
+    """A random S, even in k as every S(Omega, k^2) is."""
+    return np.random.default_rng(seed).random((n_omega, 64))[:, MIRROR]
 
 
 @settings(max_examples=25, deadline=None)
@@ -30,18 +36,16 @@ def _random_density(seed, n_omega):
 def test_center_is_one_and_magnitude_bounded(seed, n_omega):
     cm = correlation_map(_grid(_random_density(seed, n_omega)), **SIDE)
     n = cm.tau_axis.size // 2
-    assert cm.g[n, n] == 1.0
+    m = cm.xi_axis.size // 2
+    assert cm.g[n, m] == 1.0 + 0.0j and not np.signbit(cm.g[n, m].imag)
     assert np.abs(cm.g).max() <= 1 + 1e-12
 
 
 @settings(max_examples=25, deadline=None)
 @given(seeds, n_omegas)
 def test_density_even_in_k_gives_a_map_even_in_xi(seed, n_omega):
-    # any S(omega, k^2): column half +- m holds the same values; k[0] has
-    # no +k partner on the grid, so it is left empty
-    table = _random_density(seed, n_omega)
-    half = 32
-    values = table[:, np.abs(np.arange(64) - half)]
+    # k[0] has no +k partner on the grid, so it is left empty
+    values = _random_density(seed, n_omega)
     values[:, 0] = 0.0
     g = correlation_map(_grid(values), **SIDE).g
     assert np.max(np.abs(g[:, ::-1] - g)) < 1e-12
@@ -51,7 +55,7 @@ def test_density_even_in_k_gives_a_map_even_in_xi(seed, n_omega):
 @given(seeds, n_omegas)
 def test_separable_density_factorizes(seed, n_omega):
     rng = np.random.default_rng(seed)
-    values = np.outer(rng.random(n_omega), rng.random(64))
+    values = np.outer(rng.random(n_omega), rng.random(64)[MIRROR])
     assert factorability_defect(correlation_map(_grid(values), **SIDE)) < 1e-12
 
 
@@ -66,8 +70,8 @@ extents = st.tuples(st.sampled_from([4, 6]), st.sampled_from([3, 6]))
        st.lists(st.tuples(st.integers(0, 48), st.integers(0, 36)),
                 min_size=1, max_size=5))
 def test_map_agrees_with_direct_quadrature(seed, n_omega, oversample, extent, nodes):
-    # a random S is asymmetric in Omega and k, and its unpaired first row
-    # and column (-n/2 steps) are not zero; the physical S is symmetric in
+    # a random S is asymmetric in Omega, and its unpaired first row and
+    # column (-n/2 steps) are not zero; the physical S is symmetric in
     # Omega to ~1e-12, so a sign slip in the Omega-odd part would move a
     # real map by only ~3e-8
     sg = _grid(_random_density(seed, n_omega))

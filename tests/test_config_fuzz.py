@@ -1,5 +1,6 @@
-"""Every one-field mistake in a config file ends with exit 0 or 1 and a
-message naming what is wrong: never a traceback or an internal error."""
+"""Every one-field mistake in a config file, and every drawn value of a
+command-line flag, ends with exit 0 or 1 and a message naming what is
+wrong: never a traceback or an internal error."""
 
 import configparser
 import contextlib
@@ -94,3 +95,52 @@ def test_one_bad_field_exits_0_or_1_naming_it(mutation, command):
     assert "internal error" not in message and "Traceback" not in message
     if code:
         assert re.search(rf"\[{section}\]|\b{key}\b", message), message
+
+
+_ANGLES = st.one_of(st.floats(0.0, 95.0).map(lambda d: f"{d:g}deg"),
+                    st.floats(19.5, 20.4).map(lambda d: f"{d:.3f} deg"),
+                    st.sampled_from(["-1deg", "0.35rad", "nan deg", "20", "", "abc"]))
+_WIDTHS = st.one_of(
+    st.tuples(st.floats(0.0, 3000.0), st.floats(0.0, 3000.0)).map(
+        lambda p: f"{p[0]:g}fs,{p[1]:g}um"),
+    st.sampled_from(["1fs", "1fs,6um,6um", "1fs,-6um", "1000fs,6um",
+                     "1fs,1000um", "0.01fs,6um", "1um,6fs", ","]))
+_COUNTS = st.one_of(st.integers(-3, 600).map(str),
+                    st.sampled_from(["many", "", "2.5", "1e3"]))
+# --out: the file "taken", a path under it, an empty string, a directory
+# still to be made, or no flag at all
+_OUTS = st.sampled_from(["taken", "taken/out", "", "new/out", None])
+
+
+@st.composite
+def _commands(draw):
+    """(argv, flags): one command on base.ini with drawn flag values."""
+    command = draw(st.sampled_from(COMMANDS[:-1]))
+    flags = {"dispersion": {"--points": _COUNTS},
+             "coherence": {"--theta": _ANGLES, "--blur": _WIDTHS}}.get(
+                 command, {"--theta": _ANGLES})
+    argv = [command, "base.ini"]
+    for flag, values in flags.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    out = draw(_OUTS)
+    if out is not None:
+        argv.append(f"--out={out}")
+    return argv, [a.partition("=")[0] for a in argv[2:]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_commands())
+def test_drawn_flags_exit_0_or_1_naming_the_flag(command):
+    argv, flags = command
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, _inside(root), \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        Path("base.ini").write_text(_config_text(dict(BASE, directory="base")))
+        Path("taken").write_text("a file, not a directory\n")
+        code = main(argv)
+    message = err.getvalue()
+    assert code in (0, 1), (argv, message)
+    assert "internal error" not in message and "Traceback" not in message
+    if code:
+        assert any(flag in message for flag in flags), (argv, message)

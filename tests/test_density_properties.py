@@ -1,8 +1,9 @@
-"""Physical invariants of S(omega, k), checked over the crystal parameter box.
+"""Physical invariants of S(omega, k) and of its map g1(tau, xi), checked
+over the crystal parameter box.
 
 The orientation, gain and length are drawn; each draw is either accepted
-by `auto_grid` on a 256 x 128 grid, and then its density must obey the
-invariants below, or refused with the one refusal that names the
+by `auto_grid` on a 256 x 128 grid, and then its density and map must obey
+the invariants below, or refused with the one refusal that names the
 Sellmeier set and the angle.
 """
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
     load_sellmeier
-from pdcoh.coherence import correlation_map
+from pdcoh.coherence import correlation_map, metrics
+from pdcoh.dispersion import ORDINARY, gvd, index
 from pdcoh.phasematch import phase_matched_locus
 
 SELL = load_sellmeier("bbo_kato1986")
@@ -74,3 +76,39 @@ def test_density_peaks_on_the_phase_matched_ring(theta_deg, gain, length_m):
     # S is even in k, so the first maximum may sit at -k_ring
     peak_k = np.abs(k[np.argmax(sg.values[rows], axis=1)])
     assert np.all(np.abs(peak_k - ring) <= sg.spec.k_step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*BOX)
+def test_map_is_real_and_even_in_xi_but_for_the_unpaired_edge(theta_deg, gain,
+                                                              length_m):
+    """S is even in k and symmetric under Omega -> -Omega, so g1 is real and
+    even in xi; only the unpaired -Omega_max row and -k_max column of the
+    grid break both, by at most about their share of the mass."""
+    drawn = _spectrum(theta_deg, gain, length_m)
+    if drawn is None:
+        return
+    values = drawn[1].values
+    edge = (values[0].sum() + values[1:, 0].sum()) / values.sum()
+    g = correlation_map(drawn[1]).g
+    assert np.abs(g.imag).max() < 2 * edge + 1e-12
+    assert np.abs(g - g[:, ::-1]).max() < 2 * edge + 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(3.0, 8.0), st.floats(5e-3, 20e-3))
+def test_width_ratio_follows_the_near_degenerate_dispersion(gain, length_m):
+    """Near degeneracy S depends on |k''| Omega^2 + k^2 / k_c only, so
+    xi_c / tau_c is 1 / sqrt(|k''| k_c) = 2.65 um/fs at 1.6 um whatever G
+    and L; the map gives 2.44-2.62 um/fs over the gains and lengths where
+    that was measured."""
+    drawn = _spectrum(19.90, gain, length_m)
+    if drawn is None:
+        return
+    m = metrics(correlation_map(drawn[1]))
+    ratio = m.xi_c / m.tau_c * 1e-9  # um/fs
+    lam_um = np.array([1.6])
+    k_c = 2 * math.pi * index(lam_um, ORDINARY, SELL)[0] / 1.6e-6
+    k2 = abs(gvd(lam_um, ORDINARY, SELL)[0]) * 1e-27  # fs^2/mm -> s^2/m
+    assert 2.60 < 1e-9 / math.sqrt(k2 * k_c) < 2.70
+    assert 2.44 <= ratio <= 2.62

@@ -264,7 +264,10 @@ def test_auto_grid_refuses_a_support_past_its_cap(sell):
 
 
 def test_provenance_records_build(spot, theta_pm, sell):
-    assert spot.provenance["config_hash"] == _cfg(theta_pm, sell).config_hash()
+    # the crystal's digest, under a key of its own: config_hash in the CLI's
+    # cuts and metrics is the digest of the whole run
+    assert spot.provenance["crystal_hash"] == _cfg(theta_pm, sell).config_hash()
+    assert "config_hash" not in spot.provenance
     assert "built_at" not in spot.provenance
     assert spot.provenance["gain"] == G
     # the set's name, which tells the shipped BBO sets apart
