@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import _fwhm, correlation_map, factorability_defect, \
-    instrument_blur, metrics
+from .coherence import _fwhm, blur_sigma, correlation_map, \
+    factorability_defect, instrument_blur, metrics
 from .config import default, load_run_config, parse_angle, parse_length, \
     parse_time
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
@@ -35,6 +35,9 @@ from .phasematch import collinear_degenerate_angle, external_angle, \
 from .spectrum import auto_grid, build_spectrum, to_wavelength_angle
 
 ENV_CONFIG = "PDCOH_CONFIG"
+# floats (a complex value is two) of a CSV product that takes a writer
+_WRITER_VALUES = 1 << 18
+_writers = {}  # pid -> path of each running writer
 
 
 def _theta_tag(theta_rad):
@@ -48,7 +51,9 @@ def _load(args):
 
 
 def _out_dir(args, configured):
-    out = Path(args.out or configured)
+    if args.out == "":
+        raise ConfigurationError("--out: empty; name an output directory")
+    out = Path(configured if args.out is None else args.out)
     with _writing(args, out):
         out.mkdir(parents=True, exist_ok=True)
     return out
@@ -61,7 +66,7 @@ def _writing(args, path):
     try:
         yield
     except OSError as exc:
-        where = "--out" if args.out else "[output] directory"
+        where = "[output] directory" if args.out is None else "--out"
         raise ConfigurationError(
             f"{where}: cannot write {path}: {exc.strerror or exc}") from exc
 
@@ -84,11 +89,58 @@ def _select_thetas(rc, args):
     return thetas
 
 
+def _usable_cpus():
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _write(args, write, path, *data, **kwargs):
-    """Write one product with the given writer and report its path."""
+    """Write one product; report its path once the file is complete. A CSV
+    product of _WRITER_VALUES floats or more (a grid or a map) is written
+    whole by a forked writer while the command goes on, if fewer than (usable
+    CPUs - 1) writers run. The writer inherits the product, unpickled, and
+    only formats floats: it touches no BLAS state."""
+    _reap(args, os.WNOHANG)
+    values = sum(a.nbytes // 8 for a in getattr(data[0], "__dict__", {}).values()
+                 if isinstance(a, np.ndarray))
+    if (kwargs.get("fmt") == "csv" and values >= _WRITER_VALUES
+            and len(_writers) < _usable_cpus() - 1 and hasattr(os, "fork")):
+        sys.stdout.flush()
+        sys.stderr.flush()
+        pid = os.fork()
+        if pid:
+            _writers[pid] = path
+            return
+        code = 255
+        try:  # the writer ends here, running no atexit handler
+            write(path, *data, **kwargs)
+            code = 0
+        except OSError as exc:
+            code = exc.errno or 255
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+        finally:
+            os._exit(code)
     with _writing(args, path):
         write(path, *data, **kwargs)
     print(f"wrote {path}")
+
+
+def _reap(args, flags=0):
+    """Reap the writers that have ended (all, with flags 0), report each
+    complete file, then raise the first failure as the write would have."""
+    ended = {}
+    for pid in list(_writers):
+        done, status = os.waitpid(pid, flags)
+        if done:
+            ended[_writers.pop(pid)] = os.waitstatus_to_exitcode(status)
+    for path, code in ended.items():
+        if not 0 <= code < 255:  # a failure other than an OSError's errno
+            raise PdcohError(f"the writer of {path} exited with {code}")
+        with _writing(args, path):
+            if code:
+                raise OSError(code, os.strerror(code))
+        print(f"wrote {path}")
 
 
 def cmd_dispersion(args):
@@ -206,11 +258,13 @@ def cmd_coherence(args):
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
         cmap = correlation_map(_build_spectrum(rc, theta, args))
+        if blur:  # refused before this orientation writes anything
+            with blamed("--blur", MapExtentError, ResolutionError):
+                blur_sigma(cmap, *blur)
         _coherence_products(args, out, rc, tag, cmap)
         if blur:
-            with blamed("--blur", MapExtentError, ResolutionError):
-                blurred = instrument_blur(cmap, blur[0], blur[1])
-            _coherence_products(args, out, rc, tag, blurred, suffix="blur_")
+            _coherence_products(args, out, rc, tag,
+                                instrument_blur(cmap, *blur), suffix="blur_")
     return 0
 
 
@@ -340,7 +394,10 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:  # no writer outlives the command
+            _reap(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -254,21 +254,12 @@ def _gaussian_rows(x, sigma):
     return out
 
 
-def instrument_blur(cmap, dtau, dxi):
-    """Map as a finite-resolution instrument would record it.
-
-    |g1| is convolved with a normalized Gaussian of FWHM (dtau, dxi); the
-    phase is kept. The result is deliberately not renormalized: a central
-    value below 1 is the signature of resolution-limited visibility. A
-    sigma of at most 1e-15 samples leaves its axis unblurred; one below 0.6
-    samples raises ResolutionError carrying that axis's refinement factor.
-    """
+def blur_sigma(cmap, dtau, dxi):
+    """(tau, xi) sigma in samples of a blur of FWHM (dtau, dxi) on this map.
+    Negative widths or a kernel wider than the map raise MapExtentError; a
+    sigma of 1e-15 to 0.6 samples, ResolutionError with its refine factor."""
     if dtau < 0 or dxi < 0:
         raise MapExtentError("blur widths must be nonnegative")
-    if dtau == 0 and dxi == 0:
-        return CoherenceMap(cmap.tau_axis, cmap.xi_axis, cmap.g.copy(),
-                            cmap.carrier_omega, cmap.intensity,
-                            dict(cmap.provenance))
     tau_span = cmap.tau_axis[-1] - cmap.tau_axis[0]
     xi_span = cmap.xi_axis[-1] - cmap.xi_axis[0]
     if dtau > tau_span or dxi > xi_span:
@@ -283,6 +274,23 @@ def instrument_blur(cmap, dtau, dxi):
                 f"{axis} blur sigma spans {samples:.2f} samples (need "
                 f"{_MIN_BLUR_SIGMA}); refine the {axis} axis {factor}x or "
                 "widen the blur", refine_factor=factor)
+    return sigma
+
+
+def instrument_blur(cmap, dtau, dxi):
+    """Map as a finite-resolution instrument would record it.
+
+    |g1| is convolved with a normalized Gaussian of FWHM (dtau, dxi); the
+    phase is kept. The result is deliberately not renormalized: a central
+    value below 1 is the signature of resolution-limited visibility. A
+    sigma of at most 1e-15 samples leaves its axis unblurred; blur_sigma
+    states what is refused.
+    """
+    sigma = blur_sigma(cmap, dtau, dxi)
+    if dtau == 0 and dxi == 0:
+        return CoherenceMap(cmap.tau_axis, cmap.xi_axis, cmap.g.copy(),
+                            cmap.carrier_omega, cmap.intensity,
+                            dict(cmap.provenance))
     mag = np.abs(cmap.g)
     blurred = mag
     if sigma[0] > 1e-15:

@@ -16,15 +16,15 @@ half and mirrors those strings. A complex row that is bit for bit the
 conjugate mirror of an earlier row (each tau > 0 row of a correlation
 map, mirrored from a tau < 0 row) is written from that row's line, read
 back from the file. Both are proven per row on the bits, so the bytes
-are those of repr on every value.
+are those of repr on every value. The encoder is serial, and every
+write_* returns with its file complete; the command line writes its large
+CSV products in forked writer processes (see pdcoh.cli._write).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
-import os
 import struct
 from pathlib import Path
 
@@ -86,13 +86,11 @@ def _require(header, key, path):
 # --- CSV encoding ---
 
 
-# Rows are formatted in blocks of this many. A file of at least
-# _POOL_CELLS values is formatted on every usable core: repr(float) costs
-# about 1.4 us a value: 0.7 s on one core for a 1025 x 257 complex map (half
-# of it reused from mirror rows), but milliseconds for the largest trace or
-# profile (~13k values).
+# Rows are formatted in blocks of this many, so that the lines of one
+# block are held at a time and each block's mirror test is one array pass.
+# repr(float) costs about 1.4 us a value: 0.7 s for a 1025 x 257 complex
+# map (half of it reused from mirror rows), milliseconds for a trace.
 _BLOCK_ROWS = 32
-_POOL_CELLS = 1 << 18
 _SIGN = np.uint64(1 << 63)
 
 
@@ -169,30 +167,6 @@ def _write_rows(fh, rows, twins, lines):
             fh.write(line.encode())
 
 
-def _usable_cpus():
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _block_map(cells, n_blocks):
-    """Yield an ordered map: a fork pool's imap for large files, else map.
-
-    Fork, not spawn: a spawned worker re-imports numpy and pdcoh for every
-    file written, and these workers only run repr on floats, so they touch
-    no lock or BLAS state that a thread of the parent could hold.
-    """
-    workers = min(_usable_cpus(), n_blocks)
-    if cells >= _POOL_CELLS and workers > 1:
-        import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                yield pool.imap
-            return
-    yield map
-
-
 def _write_csv(path, header, arrays):
     lines = [f"# pdcoh_file: {_VERSION}"]
     for key, value in header.items():
@@ -204,15 +178,11 @@ def _write_csv(path, header, arrays):
     twins = [_conjugate_twins(arr, r) for (_, arr), r in zip(arrays, rows)]
     # only rows that are not twins are formatted
     sources = [r[~twin] if twin.any() else r for r, twin in zip(rows, twins)]
-    blocks = [r[i:i + _BLOCK_ROWS] for r in sources
-              for i in range(0, len(r), _BLOCK_ROWS)]
-    # the pool forks before the file opens, so no worker holds its buffer;
-    # the serial/pool choice counts every value, twins included
-    with _block_map(sum(r.size for r in rows), len(blocks)) as fmap:
-        with open(path, "w+b") as fh:
-            fh.write("".join(line + "\n" for line in lines).encode())
-            _write_rows(fh, rows, twins, itertools.chain.from_iterable(
-                fmap(_format_block, blocks)))
+    formatted = (line for r in sources for i in range(0, len(r), _BLOCK_ROWS)
+                 for line in _format_block(r[i:i + _BLOCK_ROWS]))
+    with open(path, "w+b") as fh:
+        fh.write("".join(line + "\n" for line in lines).encode())
+        _write_rows(fh, rows, twins, formatted)
 
 
 def _read_csv(path):

@@ -1,4 +1,6 @@
 import ast
+import errno
+import hashlib
 import importlib
 import math
 import os
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import pdcoh
+from pdcoh import cli, gridio
 from pdcoh.cli import main
 from pdcoh.config import load_run_config
 from pdcoh.gridio import (
@@ -47,6 +50,15 @@ stage_span = 16 um
 directory = {out}
 format = csv
 """
+
+
+@pytest.fixture(autouse=True)
+def no_writer_outlives_a_command():
+    """Every forked writer is reaped before main returns, whatever its
+    exit: after each test the process has no child left."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +326,7 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
     pytest.param("spectrum", ["--out={taken}"],
                  "--out: cannot write {taken}/spectrum_19p94_omega_k.bin: ",
                  id="product-a-directory"),
+    pytest.param("spectrum", ["--out="], "--out: empty", id="out-empty"),
 ])
 def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
                                                     flags, message):
@@ -331,6 +344,81 @@ def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert re.search(message.format(file=re.escape(str(file)),
                                     taken=re.escape(str(taken))), err), err
+    assert "internal error" not in err
+    # a refused --blur writes nothing for its orientation
+    assert not list(taken.glob("coherence_*"))
+
+
+def _two_orientation_csv(tmp_path):
+    small = tmp_path / "small.ini"
+    small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
+                     .replace("= 128", "= 64")
+                     .replace("theta = 19.94 deg", "theta = 19.90 deg, 19.94 deg"))
+    return small
+
+
+def test_forked_writers_write_the_bytes_of_a_serial_run(tmp_path, monkeypatch,
+                                                          capfd):
+    # every grid or map takes a writer while one is free (two with three
+    # CPUs); with one usable CPU every file is written in-process
+    small = _two_orientation_csv(tmp_path)
+    monkeypatch.setattr(cli, "_WRITER_VALUES", 1)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    sizes = {}  # path -> its size when its wrote line was printed
+
+    def report(line):
+        path = Path(line.removeprefix("wrote "))
+        sizes[path] = path.stat().st_size if path.exists() else None
+        print(line)
+
+    monkeypatch.setattr(cli, "print", report, raising=False)
+    sums = {}
+    for cpus in (3, 1):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["coherence", str(small), "--blur=1fs,6um", f"--out={out}"]) == 0
+        files = sorted(out.iterdir())
+        # one line per file, once it is complete; none printed twice
+        wrote = capfd.readouterr().out.splitlines()
+        assert sorted(wrote) == sorted(f"wrote {f}" for f in files)
+        assert all(sizes[f] == f.stat().st_size for f in files)
+        sums[cpus] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                      for f in files}
+        # the first orientation's map and blurred map always find a writer
+        assert len(forks) >= 2 if cpus == 3 else forks == []
+        forks.clear()
+    assert len(sums[3]) == 16 and sums[3] == sums[1]
+
+
+def test_a_refusal_waits_for_the_running_writers(tmp_path, monkeypatch, capsys):
+    # 21 deg is refused after the 19.94 deg map went to a writer: the
+    # command waits for that writer, whose file is complete
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    out = tmp_path / "out"
+    assert main(["coherence", str(_two_orientation_csv(tmp_path)), f"--out={out}",
+                 "--theta=19.94deg", "--theta=21deg"]) == 1
+    assert "--theta: bbo_kato1986 at theta 21 deg" in capsys.readouterr().err
+    assert read_coherence_map(out / "coherence_19p94_map.csv").g.shape == (1025, 257)
+
+
+def test_a_writer_that_cannot_write_exits_1_naming_the_path(tmp_path,
+                                                             monkeypatch, capsys):
+    parent, encode = os.getpid(), gridio._write_csv
+
+    def full_disk(path, *args):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        encode(path, *args)
+
+    monkeypatch.setattr(gridio, "_write_csv", full_disk)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
+    assert main(["coherence", str(_two_orientation_csv(tmp_path)),
+                 f"--out={out}"]) == 1
+    err = capsys.readouterr().err
+    assert f"--out: cannot write {out}/coherence_19p9_map.csv: No space left" in err
     assert "internal error" not in err
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import re
 import struct
 import tempfile
@@ -395,19 +394,10 @@ def _awkward_arrays():
     }
 
 
-@pytest.mark.parametrize("path_kind", ["serial", "pool"])
-def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, path_kind):
-    if path_kind == "pool":
-        if not hasattr(os, "fork"):
-            pytest.skip("no fork start method")
-        # every file takes the pool, in blocks of 4 rows: 10 blocks, 3 workers
-        monkeypatch.setattr(gridio, "_POOL_CELLS", 1)
-        monkeypatch.setattr(gridio, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(gridio, "_usable_cpus", lambda: 3)
-        with gridio._block_map(cells=1, n_blocks=10) as fmap:
-            assert fmap is not map
-    else:
-        monkeypatch.setattr(gridio, "_POOL_CELLS", 1 << 62)
+@pytest.mark.parametrize("block_rows", [32, 4])
+def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, block_rows):
+    # 4-row blocks split the 40-row arrays into 10 blocks
+    monkeypatch.setattr(gridio, "_BLOCK_ROWS", block_rows)
     header = {"kind": "test", "theta_deg": 19.94, "tag": "19p94"}
     for case, arrays in _awkward_arrays().items():
         path = tmp_path / f"{case}.csv"
@@ -444,7 +434,7 @@ def test_awkward_mirrors_reach_the_reuse_rules(repr_calls):
 @given(st.data())
 def test_mirror_images_match_per_cell_repr(data):
     """An even or conjugate-mirrored array, with one cell perhaps perturbed,
-    writes the per-cell reference on the serial and the pool path."""
+    writes the per-cell reference in 32-row and in 2-row blocks."""
     draw = data.draw
     dtype = draw(st.sampled_from([float, complex]))
     shape = (draw(st.integers(1, 9)), draw(st.integers(1, 7)))
@@ -466,16 +456,13 @@ def test_mirror_images_match_per_cell_repr(data):
     expected = _reference_csv(header, arrays)
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "mirror.csv"
-        for pool_cells, block_rows in ((1 << 62, 32), (1, 2)):
-            with mock.patch.multiple(gridio, _POOL_CELLS=pool_cells,
-                                     _BLOCK_ROWS=block_rows,
-                                     _usable_cpus=lambda: 2):
+        for block_rows in (32, 2):
+            with mock.patch.object(gridio, "_BLOCK_ROWS", block_rows):
                 gridio._write_csv(path, header, arrays)
             assert path.read_text() == expected
 
 
-def test_example_products_format_about_half_their_values(tmp_path, monkeypatch,
-                                                          repr_calls):
+def test_example_products_format_about_half_their_values(tmp_path, repr_calls):
     """S, the map and the blurred map of the example format at most about
     half their values, and still write the per-cell bytes."""
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
@@ -485,7 +472,6 @@ def test_example_products_format_about_half_their_values(tmp_path, monkeypatch,
     cmap = correlation_map(sg)
     products = {"density": sg.values, "map": cmap.g,
                 "blurred map": instrument_blur(cmap, 1e-15, 6e-6).g}
-    monkeypatch.setattr(gridio, "_POOL_CELLS", 1 << 62)
     header = {"kind": "test"}
     for name, values in products.items():
         repr_calls.clear()
