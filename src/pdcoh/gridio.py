@@ -10,12 +10,14 @@ one reader, `_read`. Uniform axes persist as start/step/count, and an
 array read back must have one sample per axis value. Headers carry no
 timestamp: the same inputs must produce the same bytes.
 
-The CSV writer formats a mirror image once. A row that is even after its
-first value (every row of S, whose k axis is symmetric) formats its first
-half and mirrors those strings. A complex row that is bit for bit the
-conjugate mirror of an earlier row (each tau > 0 row of a correlation
-map, mirrored from a tau < 0 row) is written from that row's line, read
-back from the file. Both are proven per row on the bits, so the bytes
+The CSV writer formats a mirror image once. A row that is even about its
+middle (every row of S, even in k, and of the wavelength-angle grid, even
+in angle) formats its first half and mirrors those strings. A row that is
+bit for bit the mirror of an earlier row is written from that row's line,
+read back from the file: as the conjugate mirror for a complex row (each
+tau > 0 row of a correlation map, mirrored from a tau < 0 row), as it is
+for a real one (S's rows either side of the centre frequency, where signal
+and idler exchange). Each rule is proven per row on the bits, so the bytes
 are those of repr on every value. The encoder is serial, and every
 write_* returns with its file complete; the command line writes its large
 CSV products in forked writer processes (see pdcoh.cli._write).
@@ -91,7 +93,8 @@ def _require(header, key, path):
 # repr(float) costs about 1.4 us a value: 0.7 s for a 1025 x 257 complex
 # map (half of it reused from mirror rows), milliseconds for a trace.
 _BLOCK_ROWS = 32
-_SIGN = np.uint64(1 << 63)
+# xor of a complex value's re/im bits that conjugates it
+_CONJ = np.array([0, 1 << 63], dtype=np.uint64)
 
 
 def _float_rows(arr):
@@ -103,38 +106,55 @@ def _float_rows(arr):
 
 
 def _format_block(block):
-    """The lines of a block of float rows. A row whose value j equals value
-    n - j bit for bit formats its first n // 2 + 1 values and takes the
-    rest from those strings."""
+    """The lines of a block of float rows. A row even about its middle
+    formats its first half and takes the rest from those strings: value j
+    equals value n - 1 - j (offset 0, an axis with no node at its centre,
+    such as a linspace of angles) or value n - j (offset 1, an axis whose
+    first node has no mirror, such as k)."""
     n = block.shape[1]
-    half = n // 2 + 1
     bits = block.view(np.uint64)
-    even = (bits[:, 1:] == bits[:, :0:-1]).all(axis=1).tolist()
+    # value j + offset against value n - 1 - j, both offsets in one pass
+    even = (np.stack((bits[:, :-1], bits[:, 1:]), axis=1)
+            == bits[:, None, :0:-1]).all(axis=2)
+    offsets = np.where(even[:, 0], 0, np.where(even[:, 1], 1, -1)).tolist()
     lines = []
-    for row, mirrored in zip(block.tolist(), even):
-        if mirrored:
-            cells = list(map(repr, row[:half]))
-            cells += cells[n - half:0:-1]
-        else:
+    for row, offset in zip(block.tolist(), offsets):
+        if offset < 0:
             cells = map(repr, row)
+        else:
+            half = (n + offset + 1) // 2
+            cells = list(map(repr, row[:half]))
+            cells += cells[offset:n - half + offset][::-1]
         lines.append(",".join(cells) + "\n")
     return lines
 
 
-def _conjugate_twins(arr, rows):
-    """Mask of the rows of a complex array written from an earlier line:
-    row k past the middle whose re/im bits are those of conj(row n - 1 - k)
-    reversed. A row holding a NaN is formatted, since repr drops its sign."""
-    n = len(rows)
+def _twins(arr, rows):
+    """(mask, s, mirror) for the rows written from an earlier row's line:
+    row k of the mask is written as mirror(line of row s - k).
+
+    A complex row past the middle whose re/im bits are those of
+    conj(row n - 1 - k) reversed takes that line with _conjugate_mirror
+    (the tau > 0 half of a map); a row holding a NaN is formatted, since
+    repr drops its sign. A real row past c = n // 2 whose bits are those
+    of row 2c - k takes that line as it is (S about its centre frequency,
+    where the signal and idler exchange)."""
+    n, c = len(rows), len(rows) // 2
+    cplx = np.iscomplexobj(arr)
+    s = n - 1 if cplx else 2 * c
     twins = np.zeros(n, bool)
-    half = n // 2
-    if np.iscomplexobj(arr) and half and rows.shape[1]:
-        bits = rows.view(np.uint64).reshape(n, -1, 2)
-        later, mirror = bits[n - half:], bits[half - 1::-1, ::-1]
-        twins[n - half:] = (((later[..., 0] == mirror[..., 0])
-                             & (later[..., 1] == (mirror[..., 1] ^ _SIGN))).all(axis=1)
-                            & ~np.isnan(rows[n - half:]).any(axis=1))
-    return twins
+    if c and rows.shape[1]:
+        bits = rows.view(np.uint64)
+        # rows s - c + 1 .. n - 1 against rows c - 1 .. s - n + 1
+        later, earlier = bits[s - c + 1:], bits[s - n + 1:c][::-1]
+        if cplx:
+            m = len(earlier)
+            earlier = (earlier.reshape(m, -1, 2)[:, ::-1] ^ _CONJ).reshape(m, -1)
+        twins[s - c + 1:] = (later == earlier).all(axis=1)
+        if cplx:
+            twins &= ~np.isnan(rows).any(axis=1)
+    # str returns a line as it is
+    return twins, s, _conjugate_mirror if cplx else str
 
 
 def _conjugate_mirror(line):
@@ -146,22 +166,23 @@ def _conjugate_mirror(line):
     return ",".join(cells) + "\n"
 
 
-def _write_rows(fh, rows, twins, lines):
+def _write_rows(fh, twins, lines):
     """Write every row's line in file order. A twin row's line is made from
-    its mirror's line, read back from the file, so that no earlier line is
-    held in memory; every other row's is the next of the formatted lines."""
-    for r, twin in zip(rows, twins):
-        n, flags, spans = len(r), twin.tolist(), {}
-        for k, is_twin in enumerate(flags):
+    its source row's line, read back from the file, so that no earlier line
+    is held in memory; every other row's is the next of the formatted lines."""
+    for twin, s, mirror in twins:
+        # source row -> (offset, size) of its line in the file
+        spans = dict.fromkeys((s - np.flatnonzero(twin)).tolist())
+        for k, is_twin in enumerate(twin.tolist()):
             if is_twin:
-                start, size = spans.pop(n - 1 - k)
+                start, size = spans.pop(s - k)
                 end = fh.tell()
                 fh.seek(start)
-                line = _conjugate_mirror(fh.read(size).decode())
+                line = mirror(fh.read(size).decode())
                 fh.seek(end)
             else:
                 line = next(lines)
-                if flags[n - 1 - k]:
+                if k in spans:
                     # lines are ASCII: one byte a character
                     spans[k] = fh.tell(), len(line)
             fh.write(line.encode())
@@ -175,14 +196,14 @@ def _write_csv(path, header, arrays):
         [[name, "complex" if np.iscomplexobj(arr) else "real"]
          for name, arr in arrays]))
     rows = [_float_rows(arr) for _, arr in arrays]
-    twins = [_conjugate_twins(arr, r) for (_, arr), r in zip(arrays, rows)]
+    twins = [_twins(arr, r) for (_, arr), r in zip(arrays, rows)]
     # only rows that are not twins are formatted
-    sources = [r[~twin] if twin.any() else r for r, twin in zip(rows, twins)]
+    sources = [r[~twin] if twin.any() else r for r, (twin, _, _) in zip(rows, twins)]
     formatted = (line for r in sources for i in range(0, len(r), _BLOCK_ROWS)
                  for line in _format_block(r[i:i + _BLOCK_ROWS]))
     with open(path, "w+b") as fh:
         fh.write("".join(line + "\n" for line in lines).encode())
-        _write_rows(fh, rows, twins, formatted)
+        _write_rows(fh, twins, formatted)
 
 
 def _read_csv(path):

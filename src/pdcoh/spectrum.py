@@ -246,28 +246,40 @@ class WavelengthAngleGrid:
     provenance: dict = field(default_factory=dict)
 
 
+def _resample_size(name, n, default):
+    if n is None:
+        return default
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ConfigurationError(f"{name} must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
 def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
     """Resample S(omega, k) onto a uniform (wavelength, external angle) grid.
 
     Wavelength is 2*pi*c/omega and the external angle is k * wavelength /
-    (2*pi); values are bilinearly interpolated, with zero outside the
-    source grid. Wavelength rows are resampled _ROW_BLOCK at a time into
-    one C-ordered array.
+    (2*pi); values are bilinearly interpolated, with zero where |k| passes
+    the largest positive k node. S is even in k, so only the theta >= 0
+    columns (and the centre one, for an odd n_angle) are resampled; each
+    theta < 0 column is a copy of its mirror. Wavelength rows are
+    resampled _ROW_BLOCK at a time into one C-ordered array.
     """
     spec = sg.spec
-    n_wavelength = n_wavelength or spec.n_omega
-    n_angle = n_angle or spec.n_k
+    n_wavelength = _resample_size("n_wavelength", n_wavelength, spec.n_omega)
+    n_angle = _resample_size("n_angle", n_angle, spec.n_k)
     omega, k = sg.omega_axis(), sg.k_axis()
     lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
                       n_wavelength)
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, n_angle)
 
+    half = n_angle // 2  # columns on each side of the centre
     values = np.empty((n_wavelength, n_angle))
     for lo in range(0, n_wavelength, _ROW_BLOCK):
         # a column of omega: bilinear finds each wavelength's row once
         lam_q = lam[lo:lo + _ROW_BLOCK, None]
-        block, inside = bilinear(omega, k, sg.values,
-                                 2 * math.pi * c / lam_q, theta * 2 * math.pi / lam_q)
-        values[lo:lo + _ROW_BLOCK] = np.where(inside, block, 0.0)
+        block, inside = bilinear(omega, k, sg.values, 2 * math.pi * c / lam_q,
+                                 theta[half:] * 2 * math.pi / lam_q)
+        values[lo:lo + _ROW_BLOCK, half:] = np.where(inside, block, 0.0)
+    values[:, :half] = values[:, ::-1][:, :half]
     return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))

@@ -25,6 +25,7 @@ from pdcoh.gridio import (
     read_profile,
     read_spectral_grid,
     read_trace,
+    read_wavelength_angle_grid,
     write_manifest,
 )
 from pdcoh.interferometer import extract_visibility
@@ -374,22 +375,28 @@ def test_forked_writers_write_the_bytes_of_a_serial_run(tmp_path, monkeypatch,
         print(line)
 
     monkeypatch.setattr(cli, "print", report, raising=False)
-    sums = {}
-    for cpus in (3, 1):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["coherence", str(small), "--blur=1fs,6um", f"--out={out}"]) == 0
-        files = sorted(out.iterdir())
-        # one line per file, once it is complete; none printed twice
-        wrote = capfd.readouterr().out.splitlines()
-        assert sorted(wrote) == sorted(f"wrote {f}" for f in files)
-        assert all(sizes[f] == f.stat().st_size for f in files)
-        sums[cpus] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                      for f in files}
-        # the first orientation's map and blurred map always find a writer
-        assert len(forks) >= 2 if cpus == 3 else forks == []
-        forks.clear()
-    assert len(sums[3]) == 16 and sums[3] == sums[1]
+    # (command, its flags, the files it writes): the maps, and S with the
+    # mirrored wavelength-angle grid
+    for command, flags, n_files in (("coherence", ["--blur=1fs,6um"], 16),
+                                    ("spectrum", [], 4)):
+        sums = {}
+        for cpus in (3, 1):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"{command}{cpus}"
+            assert main([command, str(small), *flags, f"--out={out}"]) == 0
+            files = sorted(out.iterdir())
+            # one line per file, once it is complete; none printed twice
+            wrote = capfd.readouterr().out.splitlines()
+            assert sorted(wrote) == sorted(f"wrote {f}" for f in files)
+            assert all(sizes[f] == f.stat().st_size for f in files)
+            sums[cpus] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                          for f in files}
+            # the first orientation's two large products always find a writer
+            assert len(forks) >= 2 if cpus == 3 else forks == []
+            forks.clear()
+        assert len(sums[3]) == n_files and sums[3] == sums[1], command
+    wag = read_wavelength_angle_grid(out / "spectrum_19p94_wavelength_angle.csv")
+    assert wag.values.tobytes() == wag.values[:, ::-1].tobytes()
 
 
 def test_a_refusal_waits_for_the_running_writers(tmp_path, monkeypatch, capsys):

@@ -33,7 +33,7 @@ from pdcoh.gridio import (
     write_wavelength_angle_grid,
 )
 from pdcoh.interferometer import AssembledMap, FringeTrace
-from pdcoh.spectrum import WavelengthAngleGrid
+from pdcoh.spectrum import WavelengthAngleGrid, to_wavelength_angle
 
 
 @pytest.fixture()
@@ -350,6 +350,23 @@ def _even_after_first(a):
     return a
 
 
+def _even_about_centre(a):
+    """a with column n - 1 - j a copy of column j: every row even about a
+    centre that is no column when n is even."""
+    a = np.array(a)
+    n = a.shape[1]
+    a[:, n - n // 2:] = a[:, :n // 2][:, ::-1]
+    return a
+
+
+def _exchange_twins(a):
+    """a with each row k past c = n // 2 a copy of row 2c - k."""
+    a = np.array(a)
+    c = len(a) // 2
+    a[c + 1:] = a[2 * c - len(a) + 1:c][::-1]
+    return a
+
+
 def _conjugate_mirrored(a):
     """a with each row k past the middle conj(row n - 1 - k) reversed."""
     a = np.array(a, dtype=complex)
@@ -368,14 +385,26 @@ def _awkward_arrays():
     # a mirror that differs only in the sign of one zero is not reused
     zero_sign = _even_after_first(rng.random((6, 8)))
     zero_sign[2, [3, 5]] = 0.0, -0.0
-    # +-inf and imaginary zeros of both signs; row 33 of 40 holds a NaN and
-    # its twin, row 6, none, so row 33 is formatted; the twin of row 34,
-    # row 5, differs from its mirror in the sign of an imaginary zero
+    # +-inf and imaginary zeros of both signs; row 33 of 40 is bit for bit
+    # the conjugate mirror of its twin, row 6, but holds an imaginary NaN,
+    # so row 33 is formatted; the twin of row 34, row 5, differs from its
+    # mirror in the sign of an imaginary zero
     finite = np.where(np.isnan(cplx), 1.5, cplx)
     mirrored = _conjugate_mirrored(finite)
-    mirrored[33, 2], mirrored[6, 2] = complex(np.nan, 0.5), complex(1.0, -0.5)
+    mirrored[6, 2] = complex(1.0, np.nan)
+    mirrored[33, 2] = np.conj(mirrored[6, 2])
     mirrored[34, 0] = complex(mirrored[34, 0].real, 0.0)
     mirrored[5, 4] = complex(mirrored[5, 4].real, 0.0)
+    # row 1 of each width holds +0 and -0 in mirror cells, row 2 one NaN
+    # whose mirror is not NaN: those two are formatted in full
+    centred = [_even_about_centre(rng.choice(AWKWARD, (12, n))) for n in (8, 7)]
+    for a in centred:
+        a[1, [0, -1]] = 0.0, -0.0
+        a[2, [1, -2]] = np.nan, 1.0
+    # exchange twins over 41 and 40 rows; row 30 of 41 differs from its
+    # source, row 10, in the sign of a zero, so row 30 is formatted
+    odd_twins = _exchange_twins(rng.choice(AWKWARD, (41, 6)))
+    odd_twins[10, 2], odd_twins[30, 2] = 0.0, -0.0
     return {
         "real": [("v", real)],
         "complex": [("g", cplx)],
@@ -391,6 +420,10 @@ def _awkward_arrays():
         # with 4-row blocks, twin pairs (0, 39) and (19, 20) land in different blocks
         "conjugate mirrors": [("g", mirrored)],
         "odd mirrors": [("g", _conjugate_mirrored(finite[:9]))],
+        "centre-even rows": [("v", centred[0]), ("w", centred[1])],
+        # with 4-row blocks, twin pairs (19, 21) and (1, 39) land in different blocks
+        "exchange twins": [("v", odd_twins),
+                           ("w", _exchange_twins(rng.choice(AWKWARD, (40, 5))))],
     }
 
 
@@ -414,41 +447,68 @@ def repr_calls(monkeypatch):
     return calls
 
 
-def test_awkward_mirrors_reach_the_reuse_rules(repr_calls):
+def test_awkward_mirrors_reach_the_reuse_rules(tmp_path, repr_calls):
     calls = repr_calls
     arrays = _awkward_arrays()
-    # (array, rows formatted in full): row 2 of the zero-sign mirror is not even
-    cases = [(arr, 0) for _, arr in arrays["even rows"]] + [
-        (arrays["zero-sign mirror"][0][1], 1)]
-    for values, in_full in cases:
+    # (array, values formatted in a reused row, rows formatted in full):
+    # row 2 of the zero-sign mirror is not even, nor rows 1 and 2 of each
+    # centre-even array
+    cases = [(arr, arr.shape[1] // 2 + 1, 0) for _, arr in arrays["even rows"]]
+    cases += [(arrays["zero-sign mirror"][0][1], 5, 1)]
+    cases += [(arr, (arr.shape[1] + 1) // 2, 2) for _, arr in arrays["centre-even rows"]]
+    for values, reused, in_full in cases:
         calls.clear()
         gridio._format_block(gridio._float_rows(values))
         n = values.shape[1]
-        assert len(calls) == (len(values) - in_full) * (n // 2 + 1) + in_full * n
+        assert len(calls) == (len(values) - in_full) * reused + in_full * n
+    # (array, the rows written from an earlier line, its line transform)
     g = arrays["conjugate mirrors"][0][1]
-    twins = gridio._conjugate_twins(g, gridio._float_rows(g))
-    assert np.flatnonzero(twins).tolist() == [k for k in range(20, 40) if k not in (33, 34)]
+    (_, odd), (_, even) = arrays["exchange twins"]
+    for values, twins, mirror in (
+            (g, [k for k in range(20, 40) if k not in (33, 34)],
+             gridio._conjugate_mirror),
+            (odd, [k for k in range(21, 41) if k != 30], str),
+            (even, list(range(21, 40)), str)):
+        mask, s, transform = gridio._twins(values, gridio._float_rows(values))
+        assert np.flatnonzero(mask).tolist() == twins
+        assert s == (2 * (len(values) // 2) if mirror is str else len(values) - 1)
+        assert transform is mirror
+    # only the 22 and 21 rows that are not twins are formatted
+    calls.clear()
+    gridio._write_csv(tmp_path / "twins.csv", {}, arrays["exchange twins"])
+    assert len(calls) == (41 - 19) * 6 + (40 - 19) * 5
 
 
-@settings(max_examples=40, deadline=None)
+# shape -> (dtype, mirror maker, the mirror cell of cell (i, j) of an n x m array)
+MIRRORS = {
+    "even after first": (float, _even_after_first, lambda i, j, n, m: (i, (m - j) % m)),
+    "even about centre": (float, _even_about_centre, lambda i, j, n, m: (i, m - 1 - j)),
+    "exchange twins": (float, _exchange_twins,
+                       lambda i, j, n, m: ((2 * (n // 2) - i) % n, j)),
+    "conjugate mirror": (complex, _conjugate_mirrored,
+                         lambda i, j, n, m: (n - 1 - i, m - 1 - j)),
+}
+
+
+@settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_mirror_images_match_per_cell_repr(data):
-    """An even or conjugate-mirrored array, with one cell perhaps perturbed,
-    writes the per-cell reference in 32-row and in 2-row blocks."""
+    """A mirror image of each shape the encoder reuses, with one cell
+    perhaps perturbed, writes the per-cell reference in 32-row and in 2-row
+    blocks."""
     draw = data.draw
-    dtype = draw(st.sampled_from([float, complex]))
-    shape = (draw(st.integers(1, 9)), draw(st.integers(1, 7)))
-    values = _values(draw, shape, dtype)
-    values = (_even_after_first if dtype is float else _conjugate_mirrored)(values)
+    shape = draw(st.sampled_from(sorted(MIRRORS)))
+    dtype, mirrored, twin_of = MIRRORS[shape]
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    values = mirrored(_values(draw, (n, m), dtype))
     perturb = draw(st.sampled_from([None, "value", "zero sign", "nan"]))
     if perturb:
-        i, j = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
         if perturb == "zero sign":
             # the cell and its mirror become zeros that the mirror rule
             # would give opposite signs
-            twin = (i, (shape[1] - j) % shape[1]) if dtype is float else (
-                shape[0] - 1 - i, shape[1] - 1 - j)
-            values[i, j], values[twin] = 0.0, (-0.0 if dtype is float else 0.0)
+            values[i, j], values[twin_of(i, j, n, m)] = 0.0, (
+                -0.0 if dtype is float else 0.0)
         else:
             values[i, j] = np.nan if perturb == "nan" else _values(draw, (), dtype)
     arrays = [("v", values)]
@@ -463,14 +523,16 @@ def test_mirror_images_match_per_cell_repr(data):
 
 
 def test_example_products_format_about_half_their_values(tmp_path, repr_calls):
-    """S, the map and the blurred map of the example format at most about
-    half their values, and still write the per-cell bytes."""
+    """S, the wavelength-angle grid, the map and the blurred map of the
+    example format at most about half their values, and still write the
+    per-cell bytes."""
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=6.0,
                         sellmeier=load_sellmeier("bbo_kato1986"))
     sg = build_spectrum(cfg, auto_grid(cfg, 256, 128))
     cmap = correlation_map(sg)
-    products = {"density": sg.values, "map": cmap.g,
+    products = {"density": sg.values,
+                "wavelength-angle grid": to_wavelength_angle(sg).values, "map": cmap.g,
                 "blurred map": instrument_blur(cmap, 1e-15, 6e-6).g}
     header = {"kind": "test"}
     for name, values in products.items():

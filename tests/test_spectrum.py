@@ -324,6 +324,21 @@ def test_bilinear_matches_scipy_bit_for_bit(dtype, order):
     assert not inside.any()
 
 
+def _assert_mirrored_resample(got, want, sg):
+    """got, the resample, is want, the node-by-node reference, bit for bit
+    on the theta >= 0 columns; its theta < 0 columns are their mirror bit for
+    bit, within 1e-10 relative of the reference where both are nonzero and
+    zero elsewhere only where the reference is at most edge_ratio x peak."""
+    half = got.shape[1] // 2
+    assert np.array_equal(_bits(got[:, half:]), _bits(want[:, half:]))
+    assert np.array_equal(_bits(got[:, :half]), _bits(got[:, ::-1][:, :half]))
+    got, want = got[:, :half], want[:, :half]
+    both = (got != 0) & (want != 0)
+    assert np.all(np.abs(got - want)[both] <= 1e-10 * np.abs(want[both]))
+    assert np.all(got[~both] == 0)
+    assert np.all(want[~both] <= sg.edge_ratio * sg.values.max())
+
+
 def test_wavelength_angle_matches_scipy_bit_for_bit(ring):
     from scipy.interpolate import RegularGridInterpolator
     wa = to_wavelength_angle(ring, n_wavelength=257, n_angle=129)
@@ -335,7 +350,7 @@ def test_wavelength_angle_matches_scipy_bit_for_bit(ring):
     want = interp(np.stack([2 * math.pi * c / lam, theta * 2 * math.pi / lam],
                            axis=-1))
     assert np.count_nonzero(want == 0) > 0  # the zero fill is exercised
-    assert np.array_equal(_bits(wa.values), _bits(want))
+    _assert_mirrored_resample(wa.values, want, ring)
 
 
 def _wavelength_angle_on_a_meshgrid(sg, n_wavelength, n_angle):
@@ -361,7 +376,15 @@ def test_wavelength_angle_equals_the_meshgrid_resample_bit_for_bit(sell, theta_d
         assert wa.values.shape == values.shape
         assert wa.wavelength_axis_m.tobytes() == lam.tobytes()
         assert wa.angle_axis_rad.tobytes() == theta.tobytes()
-        assert wa.values.tobytes() == values.tobytes()
+        _assert_mirrored_resample(wa.values, values, sg)
+
+
+@pytest.mark.parametrize("field, size", [
+    ("n_wavelength", 0), ("n_wavelength", 1), ("n_angle", 0), ("n_angle", -3),
+    ("n_angle", 3.5), ("n_angle", "64")])
+def test_wavelength_angle_refuses_bad_grid_sizes(spot, field, size):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be an integer >= 2"):
+        to_wavelength_angle(spot, **{field: size})
 
 
 def test_wavelength_angle_round_trip(spot):
