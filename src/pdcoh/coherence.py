@@ -86,11 +86,15 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     to transform a grid whose density has not decayed at the edges guards
     against aliasing.
 
-    S must be even in k, as S(Omega, k^2) is; the unpaired -k_max column is
-    free, any other asymmetric column raises ConfigurationError. Each node
-    is the exact Riemann sum over the grid, as real matrix products: S is
-    folded along Omega, and the tau kernels are read from one table of cos
-    and sin (2 pi j / L), L = n_omega * oversample_tau.
+    S must be even in k, as S(Omega, k^2) is; the unpaired -k_max column
+    may hold any values, any other asymmetric column raises
+    ConfigurationError. Each node is the exact Riemann sum over the grid,
+    with the unpaired column counted half at -k_max and half at +k_max (the
+    even quadrature of an even S), so the map is even in xi bit for bit:
+    the xi >= 0 half is summed and the rest is its mirror. The sums are
+    real matrix products: S is folded along Omega, and the tau kernels are
+    read from one table of cos and sin (2 pi j / L), L = n_omega *
+    oversample_tau.
     """
     edge = sg.edge_ratio
     if not edge < 1e-3:
@@ -115,7 +119,8 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     # S folded along Omega: cos takes steps 0 .. n/2 and sin steps n/2 .. 1.
     # tau_step * Omega_step = 2 pi / L, so both read one table at j = n m
     # mod L. S is even in k: k = 0, each k > 0 at weight 2 and the unpaired
-    # -k_max go against cos(k xi), and -k_max against sin(k xi) too.
+    # -k_max, half at -k_max and half at +k_max, go against cos(k xi) alone,
+    # so g is even in xi and only xi >= 0 is summed.
     n_w, half = spec.n_omega // 2, spec.n_k // 2
     cols = np.r_[half:spec.n_k, 0]
     folded = _fold(sg.values[:, cols])
@@ -126,18 +131,17 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     t_cos = np.cos(table)[idx] @ folded[:n_w + 1]
     t_sin = np.sin(table)[idx[:, :0:-1]] @ folded[n_w:]
     del idx, folded
-    x_cos = np.cos(np.outer(sg.k_axis()[cols], xi))
+    x_cos = np.cos(np.outer(sg.k_axis()[cols], xi[n_xi:]))
     x_cos[1:half] *= 2.0
-    x_sin = np.sin(sg.k_axis()[0] * xi)
-    re = t_cos @ x_cos - np.outer(t_sin[:, -1], x_sin)
-    im = np.outer(t_cos[:, -1], x_sin) + t_sin @ x_cos
+    re, im = t_cos @ x_cos, t_sin @ x_cos
     del t_cos, t_sin
-    center = re[0, n_xi]
-    # dividing re and im by the real centre apart keeps g(0, 0) exactly 1
+    center = re[0, 0]
+    # dividing re and im by the real centre apart keeps g(0, 0) exactly 1;
+    # the tau = 0 row is real, as sin 0 = 0 is row 0 of the sin kernel
     g = np.empty((tau.size, xi.size), dtype=complex)
-    np.divide(re, center, out=g.real[n_tau:])
-    np.divide(im, center, out=g.imag[n_tau:])
-    g[n_tau, :n_xi] = np.conj(g[n_tau, :n_xi:-1])
+    np.divide(re, center, out=g.real[n_tau:, n_xi:])
+    np.divide(im, center, out=g.imag[n_tau:, n_xi:])
+    g[n_tau:, :n_xi] = g[n_tau:, :n_xi:-1]
     np.conj(g[:n_tau:-1, ::-1], out=g[:n_tau])
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
@@ -153,11 +157,15 @@ def direct_correlation(sg, tau, xi):
     """Riemann-sum value of the full correlation at one point.
 
     Brute-force reference for correlation_map, carrier oscillation
-    included; normalized by the zero-lag sum.
+    included; normalized by the zero-lag sum. Each k node has the phase
+    e^{i k xi}, but the unpaired -k_max node, counted half at -k_max and
+    half at +k_max, has cos(k_max xi).
     """
     omega = sg.omega_axis()
     phase_w = np.exp(-1j * (omega - sg.spec.omega_center) * tau)
-    phase_k = np.exp(1j * sg.k_axis() * xi)
+    k = sg.k_axis()
+    phase_k = np.exp(1j * k * xi)
+    phase_k[0] = math.cos(k[0] * xi)
     val = phase_w @ (sg.values @ phase_k)
     return val / sg.values.sum() * np.exp(-1j * sg.spec.omega_center * tau)
 

@@ -11,13 +11,15 @@ array read back must have one sample per axis value. Headers carry no
 timestamp: the same inputs must produce the same bytes.
 
 The CSV writer formats a mirror image once. A row that is even about its
-middle (every row of S, even in k, and of the wavelength-angle grid, even
-in angle) formats its first half and mirrors those strings. A row that is
-bit for bit the mirror of an earlier row is written from that row's line,
-read back from the file: as the conjugate mirror for a complex row (each
-tau > 0 row of a correlation map, mirrored from a tau < 0 row), as it is
-for a real one (S's rows either side of the centre frequency, where signal
-and idler exchange). Each rule is proven per row on the bits, so the bytes
+middle, value by value (every row of S, even in k, of the wavelength-angle
+grid, even in angle, and of a correlation map, even in xi, whose values
+are (re, im) pairs), formats its first half and mirrors those strings. A
+row that is bit for bit the mirror of an earlier row is written from that
+row's line, read back from the file: as the conjugate mirror for a complex
+row (each tau > 0 row of a correlation map, mirrored from a tau < 0 row),
+as it is for a real one (S's rows either side of the centre frequency,
+where signal and idler exchange). So a map formats a quarter of its
+floats: the first half of each tau <= 0 row. Each rule is proven per row on the bits, so the bytes
 are those of repr on every value. The encoder is serial, and every
 write_* returns with its file complete; the command line writes its large
 CSV products in forked writer processes (see pdcoh.cli._write).
@@ -90,8 +92,9 @@ def _require(header, key, path):
 
 # Rows are formatted in blocks of this many, so that the lines of one
 # block are held at a time and each block's mirror test is one array pass.
-# repr(float) costs about 1.4 us a value: 0.7 s for a 1025 x 257 complex
-# map (half of it reused from mirror rows), milliseconds for a trace.
+# repr(float) costs about 1.4 us a value: 0.74 s for every float of a
+# 1025 x 257 complex map (a quarter of them is formatted, the rest are
+# mirror images), milliseconds for a trace.
 _BLOCK_ROWS = 32
 # xor of a complex value's re/im bits that conjugates it
 _CONJ = np.array([0, 1 << 63], dtype=np.uint64)
@@ -105,17 +108,19 @@ def _float_rows(arr):
     return np.asarray(arr, dtype=float)
 
 
-def _format_block(block):
-    """The lines of a block of float rows. A row even about its middle
-    formats its first half and takes the rest from those strings: value j
-    equals value n - 1 - j (offset 0, an axis with no node at its centre,
-    such as a linspace of angles) or value n - j (offset 1, an axis whose
-    first node has no mirror, such as k)."""
-    n = block.shape[1]
-    bits = block.view(np.uint64)
+def _format_block(block, width):
+    """The lines of a block of float rows, whose values are `width` floats
+    each: 1 for a real array, 2 for a complex one's (re, im) pairs. A row
+    even about its middle formats its first half and takes the rest from
+    those strings, value by value: value j equals value n - 1 - j (offset
+    0, an axis with no node at its centre, such as a linspace of angles, or
+    one whose centre node is its own mirror, such as a map's xi) or value
+    n - j (offset 1, an axis whose first node has no mirror, such as k)."""
+    rows, n = block.shape[0], block.shape[1] // width
+    bits = block.view(np.uint64).reshape(rows, n, width)
     # value j + offset against value n - 1 - j, both offsets in one pass
     even = (np.stack((bits[:, :-1], bits[:, 1:]), axis=1)
-            == bits[:, None, :0:-1]).all(axis=2)
+            == bits[:, None, :0:-1]).all(axis=(2, 3))
     offsets = np.where(even[:, 0], 0, np.where(even[:, 1], 1, -1)).tolist()
     lines = []
     for row, offset in zip(block.tolist(), offsets):
@@ -123,8 +128,14 @@ def _format_block(block):
             cells = map(repr, row)
         else:
             half = (n + offset + 1) // 2
-            cells = list(map(repr, row[:half]))
-            cells += cells[offset:n - half + offset][::-1]
+            cells = list(map(repr, row[:half * width]))
+            mirror = cells[offset * width:(n - half + offset) * width]
+            if width == 1:
+                mirror.reverse()
+            else:
+                # whole (re, im) pairs in reverse order, re before im
+                mirror[0::2], mirror[1::2] = mirror[-2::-2], mirror[::-2]
+            cells += mirror
         lines.append(",".join(cells) + "\n")
     return lines
 
@@ -199,8 +210,10 @@ def _write_csv(path, header, arrays):
     twins = [_twins(arr, r) for (_, arr), r in zip(arrays, rows)]
     # only rows that are not twins are formatted
     sources = [r[~twin] if twin.any() else r for r, (twin, _, _) in zip(rows, twins)]
-    formatted = (line for r in sources for i in range(0, len(r), _BLOCK_ROWS)
-                 for line in _format_block(r[i:i + _BLOCK_ROWS]))
+    widths = [2 if np.iscomplexobj(arr) else 1 for _, arr in arrays]
+    formatted = (line for r, width in zip(sources, widths)
+                 for i in range(0, len(r), _BLOCK_ROWS)
+                 for line in _format_block(r[i:i + _BLOCK_ROWS], width))
     with open(path, "w+b") as fh:
         fh.write("".join(line + "\n" for line in lines).encode())
         _write_rows(fh, twins, formatted)

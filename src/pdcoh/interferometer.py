@@ -246,7 +246,10 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     hi = min(t[0][-1] for t in envelopes)
     if hi <= lo:
         raise ConfigurationError("traces share no common delay range")
-    step = float(np.median([t[0][1] - t[0][0] for t in envelopes]))
+    # the median step; np.median would import numpy.ma, about 18 ms
+    steps = sorted(t[0][1] - t[0][0] for t in envelopes)
+    mid = len(steps) // 2
+    step = float((steps[~mid] + steps[mid]) / 2)
     # a range of a whole number of steps keeps its last row under rounding
     n = int(math.floor((hi - lo) / step + 1e-6)) + 1
     tau_axis = lo + np.arange(n) * step

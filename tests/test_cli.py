@@ -287,6 +287,20 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "coherence_19p94_blur_map.bin").is_file()
 
 
+def test_analyze_loads_no_numpy_ma(ws, tmp_path):
+    # numpy.ma takes about 18 ms to import; np.median loads it lazily
+    code = ("import sys, pdcoh.cli\n"
+            "code = pdcoh.cli.main(['analyze', *sys.argv[1:]])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(pdcoh.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, str(ws["manifest"]),
+                          "--config", str(ws["cfg"]), "--out", str(tmp_path / "an")],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
+    assert (tmp_path / "an" / "analyze_metrics.txt").is_file()
+
+
 def test_bad_blur_flag_exits_1(ws, tmp_path, capsys):
     assert main(["coherence", str(ws["cfg"]), "--blur", "1fs"]) == 1
     assert "--blur" in capsys.readouterr().err

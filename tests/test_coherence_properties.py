@@ -44,11 +44,28 @@ def test_center_is_one_and_magnitude_bounded(seed, n_omega):
 @settings(max_examples=25, deadline=None)
 @given(seeds, n_omegas)
 def test_density_even_in_k_gives_a_map_even_in_xi(seed, n_omega):
-    # k[0] has no +k partner on the grid, so it is left empty
+    # k[0] has no +k partner on the grid; it counts half at -k_max and half
+    # at +k_max, so its mass keeps the map even bit for bit
+    values = _random_density(seed, n_omega)
+    assert np.all(values[:, 0] > 0)
+    g = correlation_map(_grid(values), **SIDE).g
+    assert np.array_equal(np.ascontiguousarray(g[:, ::-1]).view(np.uint64),
+                          g.view(np.uint64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_reference_differs_from_the_plain_sum_only_in_the_unpaired_column(
+        seed, n_omega, tau_cells, xi_cells):
+    # with the unpaired column empty, direct_correlation is the plain sum of
+    # S e^{-i omega tau + i k xi} over the grid, normalized
     values = _random_density(seed, n_omega)
     values[:, 0] = 0.0
-    g = correlation_map(_grid(values), **SIDE).g
-    assert np.max(np.abs(g[:, ::-1] - g)) < 1e-12
+    sg = _grid(values)
+    tau = tau_cells * 2 * np.pi / sg.spec.omega_step
+    xi = xi_cells * 2 * np.pi / sg.spec.k_step
+    plain = np.exp(-1j * sg.omega_axis() * tau) @ values @ np.exp(1j * sg.k_axis() * xi)
+    assert abs(direct_correlation(sg, tau, xi) - plain / values.sum()) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
     load_sellmeier
-from pdcoh.coherence import correlation_map, metrics
+from pdcoh.coherence import FWHM_TO_SIGMA, correlation_map, instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, gvd, index
 from pdcoh.phasematch import phase_matched_locus
 
@@ -24,6 +24,10 @@ SELL = load_sellmeier("bbo_kato1986")
 # the box the README states as a limit: theta 19.6-20.1 deg, gain 0.5-8,
 # length 2-20 mm
 BOX = (st.floats(19.6, 20.1), st.floats(0.5, 8.0), st.floats(2e-3, 20e-3))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def _spectrum(theta_deg, gain, length_m):
@@ -83,16 +87,23 @@ def test_density_peaks_on_the_phase_matched_ring(theta_deg, gain, length_m):
 def test_map_is_real_and_even_in_xi_but_for_the_unpaired_edge(theta_deg, gain,
                                                               length_m):
     """S is even in k and symmetric under Omega -> -Omega, so g1 is real and
-    even in xi; only the unpaired -Omega_max row and -k_max column of the
-    grid break both, by at most about their share of the mass."""
+    even in xi. The transform counts the unpaired -k_max column half at
+    -k_max and half at +k_max, so the map and its blur are even in xi bit
+    for bit; only the unpaired -Omega_max row breaks the reality, by at
+    most about its share of the mass."""
     drawn = _spectrum(theta_deg, gain, length_m)
     if drawn is None:
         return
     values = drawn[1].values
     edge = (values[0].sum() + values[1:, 0].sum()) / values.sum()
-    g = correlation_map(drawn[1]).g
-    assert np.abs(g.imag).max() < 2 * edge + 1e-12
-    assert np.abs(g - g[:, ::-1]).max() < 2 * edge + 1e-12
+    cm = correlation_map(drawn[1])
+    assert np.abs(cm.g.imag).max() < 2 * edge + 1e-12
+    # the example's 1 fs, 6 um blur, widened to 0.7 samples on a coarser map
+    floor = 0.7 * FWHM_TO_SIGMA
+    blurred = instrument_blur(cm, max(1e-15, floor * cm.tau_step),
+                              max(6e-6, floor * cm.xi_step)).g
+    for g in (cm.g, blurred):
+        assert np.array_equal(_bits(g), _bits(g[:, ::-1]))
 
 
 @settings(max_examples=20, deadline=None)
