@@ -23,8 +23,8 @@ from .config import default, load_run_config, parse_angle, parse_length, \
     parse_time
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
-from .errors import ConfigurationError, MapExtentError, PdcohError, \
-    ResolutionError, RootNotFoundError, SamplingError, blamed
+from .errors import ConfigurationError, EdgeDecayError, MapExtentError, \
+    PdcohError, ResolutionError, RootNotFoundError, SamplingError, blamed
 from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
     write_manifest, write_metrics, write_profile, write_spectral_grid, \
     write_trace, write_wavelength_angle_grid, read_manifest, read_trace
@@ -209,6 +209,14 @@ def _build_spectrum(rc, theta, args):
         return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
 
 
+def _correlation_map(rc, theta, args):
+    sg = _build_spectrum(rc, theta, args)
+    # auto_grid sizes the grid from a coarse probe, which at angles far
+    # from the example's can leave density on the grid's edge
+    with blamed("--theta" if args.theta else "[crystal]", EdgeDecayError):
+        return correlation_map(sg)
+
+
 def cmd_spectrum(args):
     rc, out = _load(args)
     ext = FORMATS[rc.out_format]
@@ -257,7 +265,7 @@ def cmd_coherence(args):
     rc, out = _load(args)
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = correlation_map(_build_spectrum(rc, theta, args))
+        cmap = _correlation_map(rc, theta, args)
         if blur:  # refused before this orientation writes anything
             with blamed("--blur", MapExtentError, ResolutionError):
                 blur_sigma(cmap, *blur)
@@ -273,7 +281,7 @@ def cmd_interferogram(args):
     icfg = rc.interferometer
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = correlation_map(_build_spectrum(rc, theta, args))
+        cmap = _correlation_map(rc, theta, args)
         paths = []
         for j in range(rc.bs2_count):
             bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m

@@ -7,8 +7,9 @@ pairs. Binary files carry a JSON header after an 8-byte magic and then
 raw little-endian arrays in C order. Every array product (grids, maps,
 cuts, tables and fringe traces) goes through one writer, `_write`, and
 one reader, `_read`. Uniform axes persist as start/step/count, and an
-array read back must have one sample per axis value. Headers carry no
-timestamp: the same inputs must produce the same bytes.
+array read back must have one sample per axis value: a fringe trace is
+one row of intensities under the `position` axis of its stage sweep.
+Headers carry no timestamp: the same inputs must produce the same bytes.
 
 The CSV writer formats a mirror image once. A row that is even about its
 middle, value by value (every row of S, even in k, of the wavelength-angle
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -428,24 +430,61 @@ def read_profile(path, kind):
 
 
 def write_trace(path, trace):
-    write_profile(path, "fringe-trace", {
-        "bs2_position_m": float(trace.bs2_position_m),
-        "carrier_omega": float(trace.carrier_omega),
-        "orientation": trace.orientation,
-        "icfg_hash": trace.icfg_hash,
-    }, [("position_m", trace.positions_m), ("intensity", trace.intensities)])
+    """A fringe trace as CSV: its stage sweep as the uniform `position`
+    axis (a sweep that is not uniform is refused), its intensities as the
+    one row of the `intensity` array."""
+    _write(path, "csv", {"kind": "fringe-trace"},
+           [("position", trace.positions_m)], {
+               "bs2_position_m": float(trace.bs2_position_m),
+               "carrier_omega": float(trace.carrier_omega),
+               "orientation": trace.orientation,
+               "icfg_hash": trace.icfg_hash,
+           }, [("intensity", np.reshape(trace.intensities, (1, -1)))])
+
+
+def _stage_axis(header, shape, path):
+    """The stage positions start + j * step of a trace's `position` axis,
+    which must be an increasing sweep of one position per intensity."""
+    start, step, n = (_require(header, key, path) for key in
+                      ("position_start", "position_step", "n_position"))
+    if type(n) is not int or n < 2:
+        raise ConfigurationError(
+            f"{path}: n_position must be an integer >= 2, got {n!r}")
+    for key, value in (("position_start", start), ("position_step", step)):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigurationError(
+                f"{path}: {key} must be a finite number, got {value!r}")
+    if step <= 0:
+        raise ConfigurationError(
+            f"{path}: position_step must be positive, got {step!r}")
+    if shape != (1, n):
+        raise ConfigurationError(f"{path}: array 'intensity' has shape "
+                                 f"{shape}, n_position gives {(1, n)}")
+    return start + np.arange(n) * step
 
 
 def read_trace(path):
-    """A fringe trace; header keys it does not use (older files carried
-    tau_offset_s and source) are ignored."""
-    header, cols = read_profile(path, "fringe-trace")
-    return FringeTrace(positions_m=_require(cols, "position_m", path),
-                       intensities=_require(cols, "intensity", path),
-                       bs2_position_m=_require(header, "bs2_position_m", path),
-                       carrier_omega=_require(header, "carrier_omega", path),
-                       orientation=header.get("orientation", ""),
-                       icfg_hash=header.get("icfg_hash", ""))
+    """A fringe trace. Older files held the stage positions as a
+    `position_m` array beside `intensity` and still read; header keys
+    that a trace does not use (older files carried tau_offset_s and
+    source) are ignored."""
+    header, _, arrays = _read(path, "fringe-trace")
+    intensities = _require(arrays, "intensity", path)
+    if "position_m" in arrays:
+        positions = arrays["position_m"]
+    else:
+        positions = _stage_axis(header, intensities.shape, path)
+    bs2, carrier = (_require(header, key, path)
+                    for key in ("bs2_position_m", "carrier_omega"))
+    try:
+        return FringeTrace(positions_m=positions.ravel(),
+                           intensities=intensities.ravel(),
+                           bs2_position_m=bs2, carrier_omega=carrier,
+                           orientation=header.get("orientation", ""),
+                           icfg_hash=header.get("icfg_hash", ""))
+    except ConfigurationError as exc:
+        # a sweep that does not advance, or a negative or non-finite sample
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 # --- metrics and manifests ---

@@ -115,7 +115,9 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     The sweep is centred where the stage compensates the BS2-induced
     delay, as an operator re-finding the fringe packet would, and must
     cover at least 3 fringes (default 4), sampled 20 times per fringe.
-    The BS2 delay enters the synthesized signal; analysis derives it
+    The sweep is start + j * step, with a step that start + step holds
+    exactly, so a trace file's start/step/count axis rebuilds it bit for
+    bit. The BS2 delay enters the synthesized signal; analysis derives it
     from the recorded BS2 position to realign the trace.
     """
     period = fringe_period_stage_m(cmap.carrier_omega)
@@ -131,8 +133,9 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
         samples = round(samples)
     n_samples = int(math.ceil(samples)) + 1
     center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
-    positions = center + (np.arange(n_samples) / (n_samples - 1)
-                          - 0.5) * stage_span_m
+    start = center - 0.5 * stage_span_m
+    step = (start + stage_span_m / (n_samples - 1)) - start
+    positions = start + np.arange(n_samples) * step
     tau = positions * icfg.stage_to_delay + bs2_position_m * icfg.shift_to_delay
     xi = bs2_position_m * icfg.shift_to_xi
     intensities = detector_signal(cmap, tau, np.full_like(tau, xi), icfg)
@@ -218,7 +221,8 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     shifted by the delay their BS2 position adds, and linearly resampled
     onto the common tau range, one row per window step; xi comes from the
     BS2 kinematics. One trace goes the same way and gives a one-column
-    map; two are refused as ambiguous.
+    map; two are refused as ambiguous, and so are traces of different
+    orientations.
     """
     if not traces:
         raise ConfigurationError("no traces given")
@@ -227,6 +231,11 @@ def assemble_map(traces, icfg, window_fringes=1.0):
             "a two-trace map is ambiguous; supply one trace or at least 3")
     if len({t.carrier_omega for t in traces}) > 1:
         raise ConfigurationError("traces mix carrier frequencies")
+    # every orientation has the same degenerate carrier
+    tags = sorted({t.orientation for t in traces})
+    if len(tags) > 1:
+        raise ConfigurationError(
+            "traces mix orientations " + " and ".join(map(repr, tags)))
 
     scale = icfg.fringe_amplitude / sum(icfg.split_ratio)
     envelopes = []

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,9 +27,11 @@ from pdcoh.gridio import (
     read_spectral_grid,
     read_trace,
     read_wavelength_angle_grid,
+    write_assembled_map,
     write_manifest,
+    write_trace,
 )
-from pdcoh.interferometer import extract_visibility
+from pdcoh.interferometer import assemble_map, extract_visibility
 
 CONFIG = """\
 [crystal]
@@ -64,13 +67,21 @@ def no_writer_outlives_a_command():
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """One interferogram run shared by the read-side tests."""
+    """One interferogram run shared by the read-side tests, with the
+    traces it synthesized in memory, in file order."""
     root = tmp_path_factory.mktemp("cli")
     out = root / "out"
     cfg = root / "run.ini"
     cfg.write_text(CONFIG.format(out=out))
-    assert main(["interferogram", str(cfg)]) == 0
-    return {"cfg": cfg, "out": out,
+    synthesize, traces = cli.synthesize_trace, []
+
+    def recorded(*args, **kwargs):
+        traces.append(synthesize(*args, **kwargs))
+        return traces[-1]
+
+    with mock.patch.object(cli, "synthesize_trace", recorded):
+        assert main(["interferogram", str(cfg)]) == 0
+    return {"cfg": cfg, "out": out, "traces": traces,
             "manifest": out / "interferogram_19p94_manifest.txt"}
 
 
@@ -180,6 +191,58 @@ def test_interferogram_traces_carry_metadata(ws):
     assert trace.positions_m.size >= 8 * 16e-6 / 800e-9
     steps = np.diff([read_trace(p).bs2_position_m for p in paths])
     assert np.allclose(steps, 40e-6, rtol=1e-9)
+
+
+def test_trace_files_hand_analyze_the_synthesized_traces_bit_for_bit(ws, tmp_path):
+    paths = read_manifest(ws["manifest"])
+    assert len(paths) == len(ws["traces"]) == 11
+    for path, made in zip(paths, ws["traces"]):
+        # one row of intensities under the stage axis: a 16 um sweep is 20
+        # fringes of 20 samples
+        lines = path.read_text().splitlines()
+        assert sum(not line.startswith("#") for line in lines) == 1
+        assert "# n_position: 401" in lines
+        back = read_trace(path)
+        assert back.positions_m.tobytes() == made.positions_m.tobytes()
+        assert back.intensities.tobytes() == made.intensities.tobytes()
+    out = tmp_path / "an"
+    assert main(["analyze", str(ws["manifest"]), "--config", str(ws["cfg"]),
+                 "--out", str(out)]) == 0
+    rc = load_run_config(ws["cfg"])
+    ours = tmp_path / "ours.csv"
+    write_assembled_map(ours, assemble_map(ws["traces"], rc.interferometer,
+                                           rc.window_fringes))
+    assert (out / "analyze_map.csv").read_bytes() == ours.read_bytes()
+
+
+def test_analyze_refuses_traces_of_two_orientations(ws, tmp_path, capsys):
+    # both orientations share the degenerate carrier: only the tags differ
+    paths = []
+    for j, path in enumerate(read_manifest(ws["manifest"])):
+        trace = read_trace(path)
+        if j > 5:
+            trace.orientation = "19p90"
+        paths.append(tmp_path / path.name)
+        write_trace(paths[-1], trace)
+    mixed = tmp_path / "mixed_manifest.txt"
+    write_manifest(mixed, paths)
+    out = tmp_path / "an"
+    assert main(["analyze", str(mixed), "--config", str(ws["cfg"]),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert str(mixed) in err and "orientations '19p90' and '19p94'" in err
+    assert not out.exists()
+
+
+def test_a_malformed_stage_header_exits_1_naming_the_trace(ws, tmp_path, capsys):
+    first = read_manifest(ws["manifest"])[0]
+    bad = tmp_path / first.name
+    bad.write_text(first.read_text().replace("# n_position: 401", "# n_position: 400"))
+    manifest = tmp_path / "bad_manifest.txt"
+    write_manifest(manifest, [bad])
+    assert main(["analyze", str(manifest), "--config", str(ws["cfg"]),
+                 "--out", str(tmp_path / "an")]) == 1
+    assert f"unreadable trace file {bad}" in capsys.readouterr().err
 
 
 def test_analyze_rebuilds_the_map(ws, tmp_path):
@@ -342,6 +405,9 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
                  "--out: cannot write {taken}/spectrum_19p94_omega_k.bin: ",
                  id="product-a-directory"),
     pytest.param("spectrum", ["--out="], "--out: empty", id="out-empty"),
+    pytest.param("interferogram", ["--theta=75.25deg", "--out={taken}"],
+                 r"--theta: spectral density at the grid edge is .* of the peak",
+                 id="theta-with-density-on-the-grid-edge"),
 ])
 def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
                                                     flags, message):

@@ -32,7 +32,13 @@ from pdcoh.gridio import (
     write_trace,
     write_wavelength_angle_grid,
 )
-from pdcoh.interferometer import AssembledMap, FringeTrace
+from pdcoh.interferometer import (
+    AssembledMap,
+    FringeTrace,
+    InterferometerConfig,
+    fringe_period_stage_m,
+    synthesize_trace,
+)
 from pdcoh.spectrum import WavelengthAngleGrid, to_wavelength_angle
 
 
@@ -266,6 +272,99 @@ def test_trace_in_the_older_format_still_reads(tmp_path):
     assert (back.bs2_position_m, back.carrier_omega) == (2e-4, 1.18e15)
     assert (back.orientation, back.icfg_hash) == ("19p94", "abc123")
     assert not hasattr(back, "tau_offset_s") and not hasattr(back, "source")
+
+
+# a trace as written today: its stage sweep as the position axis
+TRACE = ('# pdcoh_file: 1\n# kind: "fringe-trace"\n# position_start: 0.0\n'
+         '# position_step: 4e-08\n# n_position: 3\n# bs2_position_m: 0.0002\n'
+         '# carrier_omega: 1180000000000000.0\n# orientation: "19p94"\n'
+         '# icfg_hash: "abc123"\n# columns: [["intensity", "real"]]\n'
+         '2.0,1.0,0.5\n')
+
+
+def test_trace_reads_its_stage_sweep_from_the_position_axis(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(TRACE)
+    back = read_trace(path)
+    assert np.array_equal(back.positions_m, np.arange(3) * 4e-8)
+    assert np.array_equal(back.intensities, [2.0, 1.0, 0.5])
+
+
+MALFORMED_STAGE = {
+    "missing position_step": (
+        "# position_step: 4e-08\n", "", "lacks 'position_step'"),
+    "fractional n_position": (
+        "n_position: 3", "n_position: 3.0", "n_position must be an integer"),
+    "one-sample n_position": (
+        "n_position: 3", "n_position: 1", "n_position must be an integer >= 2"),
+    "boolean n_position": (
+        "n_position: 3", "n_position: true", "n_position must be an integer"),
+    "non-finite position_start": (
+        "position_start: 0.0", "position_start: NaN",
+        "position_start must be a finite number"),
+    "infinite position_step": (
+        "position_step: 4e-08", "position_step: Infinity",
+        "position_step must be a finite number"),
+    "text position_start": (
+        "position_start: 0.0", 'position_start: "0.0"',
+        "position_start must be a finite number"),
+    "zero position_step": (
+        "position_step: 4e-08", "position_step: 0.0",
+        "position_step must be positive"),
+    "negative position_step": (
+        "position_step: 4e-08", "position_step: -4e-08",
+        "position_step must be positive"),
+    "position_step too small to advance the sweep": (
+        "position_start: 0.0\n# position_step: 4e-08",
+        "position_start: 1.0\n# position_step: 1e-20", "increase strictly"),
+    "intensity row shorter than n_position": (
+        "2.0,1.0,0.5", "2.0,1.0", r"shape \(1, 2\), n_position gives \(1, 3\)"),
+    "intensities in two rows": (
+        "2.0,1.0,0.5", "2.0,1.0,0.5\n0.5,1.0,2.0",
+        r"shape \(2, 3\), n_position gives \(1, 3\)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_STAGE))
+def test_a_malformed_stage_header_is_refused_naming_the_file(tmp_path, case):
+    old, new, message = MALFORMED_STAGE[case]
+    assert old in TRACE
+    path = tmp_path / "trace.csv"
+    path.write_text(TRACE.replace(old, new))
+    with pytest.raises(ConfigurationError, match=message) as info:
+        read_trace(path)
+    assert str(path) in str(info.value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(-100e-6, 100e-6), st.floats(3.0, 60.0))
+def test_a_synthesized_sweep_reads_back_bit_for_bit(bs2, fringes):
+    # the sweep is start + j * step with a step that start + step holds
+    # exactly, so the file's start/step/count axis rebuilds it
+    omega = 1.18e15
+    tau = (np.arange(4097) - 2048) * 2e-16
+    xi = (np.arange(65) - 32) * 1e-6
+    # half coherence keeps every sample clear of zero
+    flat = CoherenceMap(tau, xi, np.full((tau.size, xi.size), 0.5 + 0j),
+                        carrier_omega=omega, intensity=1.0, provenance={})
+    icfg = InterferometerConfig()
+    trace = synthesize_trace(flat, icfg, bs2_position_m=bs2,
+                             stage_span_m=fringes * fringe_period_stage_m(omega))
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "trace.csv"
+        write_trace(path, trace)
+        back = read_trace(path)
+    assert back.positions_m.tobytes() == trace.positions_m.tobytes()
+    assert back.intensities.tobytes() == trace.intensities.tobytes()
+
+
+def test_write_trace_refuses_a_sweep_that_is_not_uniform(tmp_path):
+    positions = np.arange(100) * 4e-8
+    positions[50] += 1e-12
+    trace = FringeTrace(positions, np.ones(100), 0.0, 1.18e15)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ConfigurationError, match="axis position is not uniform"):
+        write_trace(path, trace)
 
 
 def test_manifest_resolves_relative_to_itself(tmp_path):
@@ -799,9 +898,9 @@ def _profile_round_trip(draw, path, fmt):
 
 
 def _trace_round_trip(draw, path, fmt):
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(2, 40))
-    positions = np.cumsum(rng.uniform(1e-9, 1e-7, n)) - 1e-6
+    # a trace file holds its stage sweep as a uniform axis
+    positions = _exact_axis(draw, draw(st.integers(2, 40)))
+    n = positions.size
     # a trace holds finite, nonnegative intensities
     values = _values(draw, (n,))
     values = np.where(np.isfinite(values), values, 1e308)

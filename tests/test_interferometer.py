@@ -416,6 +416,19 @@ def test_assembly_rejects_inconsistent_inputs(flat_map, icfg):
         assemble_map([t0, t1, t_skew], icfg)
 
 
+def test_assembly_refuses_traces_of_two_orientations(flat_map, icfg):
+    # every orientation has the same degenerate carrier, so only the tags
+    # tell two orientations' traces apart
+    traces = [_centered_sweep(flat_map, icfg, bs2, 30e-15, orientation=tag)
+              for bs2, tag in ((0.0, "19p94"), (40e-6, "19p94"), (80e-6, "19p90"))]
+    with pytest.raises(ConfigurationError,
+                       match="traces mix orientations '19p90' and '19p94'"):
+        assemble_map(traces, icfg)
+    for trace in traces:
+        trace.orientation = "19p94"
+    assert assemble_map(traces, icfg).magnitude.shape[1] == 3
+
+
 def test_trace_records_offsets_and_hash(gauss_map, icfg):
     trace = _centered_sweep(gauss_map, icfg, 200e-6, 100e-15,
                             orientation="19.94deg")
