@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EdgeDecayError, MapExtentError, ResolutionError
-from .spectrum import bilinear
+from .spectrum import bilinear, mirror
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -61,6 +61,14 @@ class CoherenceMap:
         """Envelope times the carrier e^{-i omega_c tau}."""
         return self.value_at(tau, xi) * np.exp(-1j * self.carrier_omega
                                                * np.asarray(tau, dtype=float))
+
+
+def map_mirror(g):
+    """(domain, mirror pairs) of a map g1 of a real S: the tau >= 0, xi >= 0
+    quadrant. g1 is even in xi, and g1(-tau, -xi) = conj g1(tau, xi)."""
+    n, m = g.shape[0] // 2, g.shape[1] // 2
+    return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m], np.positive),
+                       (g[:n], g[::-1, ::-1][:n], np.conjugate)]
 
 
 def _fold(a):
@@ -139,10 +147,10 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     # dividing re and im by the real centre apart keeps g(0, 0) exactly 1;
     # the tau = 0 row is real, as sin 0 = 0 is row 0 of the sin kernel
     g = np.empty((tau.size, xi.size), dtype=complex)
-    np.divide(re, center, out=g.real[n_tau:, n_xi:])
-    np.divide(im, center, out=g.imag[n_tau:, n_xi:])
-    g[n_tau:, :n_xi] = g[n_tau:, :n_xi:-1]
-    np.conj(g[:n_tau:-1, ::-1], out=g[:n_tau])
+    quadrant, pairs = map_mirror(g)
+    np.divide(re, center, out=quadrant.real)
+    np.divide(im, center, out=quadrant.imag)
+    mirror(pairs)
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
     provenance.update(oversample_tau=os_tau, oversample_xi=os_xi,

@@ -11,19 +11,15 @@ array read back must have one sample per axis value: a fringe trace is
 one row of intensities under the `position` axis of its stage sweep.
 Headers carry no timestamp: the same inputs must produce the same bytes.
 
-The CSV writer formats a mirror image once. A row that is even about its
-middle, value by value (every row of S, even in k, of the wavelength-angle
-grid, even in angle, and of a correlation map, even in xi, whose values
-are (re, im) pairs), formats its first half and mirrors those strings. A
-row that is bit for bit the mirror of an earlier row is written from that
-row's line, read back from the file: as the conjugate mirror for a complex
-row (each tau > 0 row of a correlation map, mirrored from a tau < 0 row),
-as it is for a real one (S's rows either side of the centre frequency,
-where signal and idler exchange). So a map formats a quarter of its
-floats: the first half of each tau <= 0 row. Each rule is proven per row on the bits, so the bytes
-are those of repr on every value. The encoder is serial, and every
-write_* returns with its file complete; the command line writes its large
-CSV products in forked writer processes (see pdcoh.cli._write).
+A symmetric product stores only its fundamental domain, named by a `fold`
+header field: a coherence map its tau >= 0, xi >= 0 quadrant, S its columns
+at |k| = 0 .. k_max, a wavelength-angle grid its angle >= 0 columns. The
+reader rebuilds the full array bit for bit with the producer's own symmetry
+(coherence.map_mirror, spectrum.k_mirror and angle_mirror), so a file does
+not hold the full grid for a tool such as numpy.loadtxt. Where that would
+not give every bit back, the writer stores the whole array with no fold
+field, as older files do. Every write_* returns with its file complete; the
+command line writes its large CSV products in forked writer processes.
 """
 
 from __future__ import annotations
@@ -36,16 +32,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import CoherenceMap
+from .coherence import CoherenceMap, map_mirror
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
+    angle_mirror, k_mirror, mirror
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
 
 # output format -> file extension
 FORMATS = {"csv": "csv", "binary": "bin"}
+
+# kind -> (the fold field of a file of its fundamental domain, its symmetry)
+_FOLDS = {"spectral-density": ("|k|", k_mirror),
+          "wavelength-angle-density": ("angle >= 0", angle_mirror),
+          "coherence-map": ("tau >= 0, xi >= 0", map_mirror)}
 
 
 def _clean(header):
@@ -92,16 +94,6 @@ def _require(header, key, path):
 # --- CSV encoding ---
 
 
-# Rows are formatted in blocks of this many, so that the lines of one
-# block are held at a time and each block's mirror test is one array pass.
-# repr(float) costs about 1.4 us a value: 0.74 s for every float of a
-# 1025 x 257 complex map (a quarter of them is formatted, the rest are
-# mirror images), milliseconds for a trace.
-_BLOCK_ROWS = 32
-# xor of a complex value's re/im bits that conjugates it
-_CONJ = np.array([0, 1 << 63], dtype=np.uint64)
-
-
 def _float_rows(arr):
     # complex values become adjacent re/im floats, as the header declares
     arr = np.atleast_2d(arr)
@@ -110,95 +102,37 @@ def _float_rows(arr):
     return np.asarray(arr, dtype=float)
 
 
-def _format_block(block, width):
-    """The lines of a block of float rows, whose values are `width` floats
-    each: 1 for a real array, 2 for a complex one's (re, im) pairs. A row
-    even about its middle formats its first half and takes the rest from
-    those strings, value by value: value j equals value n - 1 - j (offset
-    0, an axis with no node at its centre, such as a linspace of angles, or
-    one whose centre node is its own mirror, such as a map's xi) or value
-    n - j (offset 1, an axis whose first node has no mirror, such as k)."""
-    rows, n = block.shape[0], block.shape[1] // width
-    bits = block.view(np.uint64).reshape(rows, n, width)
-    # value j + offset against value n - 1 - j, both offsets in one pass
-    even = (np.stack((bits[:, :-1], bits[:, 1:]), axis=1)
-            == bits[:, None, :0:-1]).all(axis=(2, 3))
-    offsets = np.where(even[:, 0], 0, np.where(even[:, 1], 1, -1)).tolist()
-    lines = []
-    for row, offset in zip(block.tolist(), offsets):
-        if offset < 0:
-            cells = map(repr, row)
-        else:
-            half = (n + offset + 1) // 2
-            cells = list(map(repr, row[:half * width]))
-            mirror = cells[offset * width:(n - half + offset) * width]
-            if width == 1:
-                mirror.reverse()
-            else:
-                # whole (re, im) pairs in reverse order, re before im
-                mirror[0::2], mirror[1::2] = mirror[-2::-2], mirror[::-2]
-            cells += mirror
-        lines.append(",".join(cells) + "\n")
-    return lines
-
-
-def _twins(arr, rows):
-    """(mask, s, mirror) for the rows written from an earlier row's line:
-    row k of the mask is written as mirror(line of row s - k).
-
-    A complex row past the middle whose re/im bits are those of
-    conj(row n - 1 - k) reversed takes that line with _conjugate_mirror
-    (the tau > 0 half of a map); a row holding a NaN is formatted, since
-    repr drops its sign. A real row past c = n // 2 whose bits are those
-    of row 2c - k takes that line as it is (S about its centre frequency,
-    where the signal and idler exchange)."""
+def _twins(rows):
+    """The rows k past c = n // 2 whose bits are those of row 2c - k (S
+    about its centre frequency, where signal and idler exchange)."""
     n, c = len(rows), len(rows) // 2
-    cplx = np.iscomplexobj(arr)
-    s = n - 1 if cplx else 2 * c
     twins = np.zeros(n, bool)
     if c and rows.shape[1]:
         bits = rows.view(np.uint64)
-        # rows s - c + 1 .. n - 1 against rows c - 1 .. s - n + 1
-        later, earlier = bits[s - c + 1:], bits[s - n + 1:c][::-1]
-        if cplx:
-            m = len(earlier)
-            earlier = (earlier.reshape(m, -1, 2)[:, ::-1] ^ _CONJ).reshape(m, -1)
-        twins[s - c + 1:] = (later == earlier).all(axis=1)
-        if cplx:
-            twins &= ~np.isnan(rows).any(axis=1)
-    # str returns a line as it is
-    return twins, s, _conjugate_mirror if cplx else str
+        twins[c + 1:] = (bits[c + 1:] == bits[2 * c - n + 1:c][::-1]).all(axis=1)
+    return twins
 
 
-def _conjugate_mirror(line):
-    """The line of conj(row[::-1]) from the line of row: the real strings
-    reversed, the imaginary strings reversed with their sign flipped."""
-    cells = line[:-1].split(",")[::-1]
-    cells[0::2], cells[1::2] = cells[1::2], [
-        s[1:] if s[0] == "-" else "-" + s for s in cells[0::2]]
-    return ",".join(cells) + "\n"
-
-
-def _write_rows(fh, twins, lines):
-    """Write every row's line in file order. A twin row's line is made from
-    its source row's line, read back from the file, so that no earlier line
-    is held in memory; every other row's is the next of the formatted lines."""
-    for twin, s, mirror in twins:
-        # source row -> (offset, size) of its line in the file
-        spans = dict.fromkeys((s - np.flatnonzero(twin)).tolist())
-        for k, is_twin in enumerate(twin.tolist()):
-            if is_twin:
-                start, size = spans.pop(s - k)
-                end = fh.tell()
-                fh.seek(start)
-                line = mirror(fh.read(size).decode())
-                fh.seek(end)
-            else:
-                line = next(lines)
-                if k in spans:
-                    # lines are ASCII: one byte a character
-                    spans[k] = fh.tell(), len(line)
-            fh.write(line.encode())
+def _write_rows(fh, rows):
+    """Write each row's line, its values' repr (about 1.4 us each) comma-
+    separated. A twin row's line is its source row's, read back from the
+    file, so that no earlier line is held in memory."""
+    twins = _twins(rows)
+    s = 2 * (len(rows) // 2)
+    # source row -> (offset, size) of its line in the file
+    spans = dict.fromkeys((s - np.flatnonzero(twins)).tolist())
+    for k, (row, twin) in enumerate(zip(rows, twins.tolist())):
+        if twin:
+            start, size = spans.pop(s - k)
+            end = fh.tell()
+            fh.seek(start)
+            line = fh.read(size)
+            fh.seek(end)
+        else:
+            line = (",".join(map(repr, row.tolist())) + "\n").encode()
+            if k in spans:
+                spans[k] = fh.tell(), len(line)
+        fh.write(line)
 
 
 def _write_csv(path, header, arrays):
@@ -208,17 +142,10 @@ def _write_csv(path, header, arrays):
     lines.append("# columns: " + json.dumps(
         [[name, "complex" if np.iscomplexobj(arr) else "real"]
          for name, arr in arrays]))
-    rows = [_float_rows(arr) for _, arr in arrays]
-    twins = [_twins(arr, r) for (_, arr), r in zip(arrays, rows)]
-    # only rows that are not twins are formatted
-    sources = [r[~twin] if twin.any() else r for r, (twin, _, _) in zip(rows, twins)]
-    widths = [2 if np.iscomplexobj(arr) else 1 for _, arr in arrays]
-    formatted = (line for r, width in zip(sources, widths)
-                 for i in range(0, len(r), _BLOCK_ROWS)
-                 for line in _format_block(r[i:i + _BLOCK_ROWS], width))
     with open(path, "w+b") as fh:
         fh.write("".join(line + "\n" for line in lines).encode())
-        _write_rows(fh, twins, formatted)
+        for _, arr in arrays:
+            _write_rows(fh, _float_rows(arr))
 
 
 def _read_csv(path):
@@ -307,7 +234,9 @@ def _read_binary(path):
 
 def _write(path, fmt, head, axes, provenance, arrays):
     """Write the head fields, each (name, axis) as start/step/count, the
-    provenance, then the named arrays, in that header order."""
+    provenance, then the named arrays, in that header order; a symmetric
+    kind's arrays as their fundamental domain, where that gives every bit
+    back, declared by a last `fold` field."""
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}; "
                                  f"choose one of {tuple(FORMATS)}")
@@ -315,15 +244,45 @@ def _write(path, fmt, head, axes, provenance, arrays):
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
     header.update(_clean(provenance))
+    fold, symmetry = _FOLDS.get(head["kind"], (None, None))
+    if symmetry:
+        parts = [(name, *symmetry(np.atleast_2d(arr))) for name, arr in arrays]
+        if all(_mirrored(pairs) for _, _, pairs in parts):
+            header["fold"] = fold
+            arrays = [(name, domain) for name, domain, _ in parts]
     (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
+
+
+def _mirrored(pairs):
+    """Whether mirror(pairs) would leave every bit as it is, compared 64
+    rows at a time so that no temporary of the array's size is made."""
+    return all(op(source[i:i + 64]).tobytes() == image[i:i + 64].tobytes()
+               for image, source, op in pairs for i in range(0, len(image), 64))
+
+
+def _unfold(path, kind, fold, name, stored, shape):
+    """The array of `shape` whose fundamental domain a folded file stored."""
+    if fold != _FOLDS.get(kind, (None,))[0]:
+        raise ConfigurationError(f"{path}: {kind} files have no fold {fold!r}")
+    symmetry = _FOLDS[kind][1]
+    # the domain's shape, from a view of the shape that holds no memory
+    domain, _ = symmetry(np.broadcast_to(stored.dtype.type(0), shape))
+    if domain.shape != stored.shape:
+        raise ConfigurationError(f"{path}: folded array {name!r} has shape "
+                                 f"{stored.shape}, its axes give {domain.shape}")
+    full = np.empty(shape, stored.dtype)
+    domain, pairs = symmetry(full)
+    domain[...] = stored
+    mirror(pairs)
+    return full
 
 
 def _read(path, kind, axes=()):
     """(provenance, axes, arrays) of a product of this kind.
 
-    The encoding is sniffed from the magic. With axes named, every array
-    must have one row per value of the first and one column per value
-    of the second.
+    The encoding is sniffed from the magic. With axes named, every array,
+    rebuilt from its fundamental domain in a folded file, must have one
+    row per value of the first and one column per value of the second.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
@@ -334,7 +293,10 @@ def _read(path, kind, axes=()):
             raise ConfigurationError(
                 f"{path}: expected a {kind} file, found {found!r}")
         shape = tuple(_require(header, f"n_{name}", path) for name in axes)
+        fold = header.pop("fold", None)
         for name, arr in arrays.items() if axes else ():
+            if fold is not None:
+                arrays[name] = arr = _unfold(path, kind, fold, name, arr, shape)
             if arr.shape != shape:
                 raise ConfigurationError(f"{path}: array {name!r} has shape "
                                          f"{arr.shape}, its axes give {shape}")

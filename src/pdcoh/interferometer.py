@@ -108,6 +108,12 @@ def detector_signal(cmap, tau, xi, icfg):
     return (r1 + r2) + 2.0 * math.sqrt(r1 * r2) * term
 
 
+def _uniform(start, step, n):
+    """start + j * step, j < n, with a step that start + step holds exactly:
+    a file's start/step/count axis rebuilds it bit for bit."""
+    return start + np.arange(n) * ((start + step) - start)
+
+
 def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
                      orientation=""):
     """Sample a fringe trace along a delay-stage sweep.
@@ -115,9 +121,8 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     The sweep is centred where the stage compensates the BS2-induced
     delay, as an operator re-finding the fringe packet would, and must
     cover at least 3 fringes (default 4), sampled 20 times per fringe.
-    The sweep is start + j * step, with a step that start + step holds
-    exactly, so a trace file's start/step/count axis rebuilds it bit for
-    bit. The BS2 delay enters the synthesized signal; analysis derives it
+    The sweep is a _uniform axis, so a trace file rebuilds it bit for bit.
+    The BS2 delay enters the synthesized signal; analysis derives it
     from the recorded BS2 position to realign the trace.
     """
     period = fringe_period_stage_m(cmap.carrier_omega)
@@ -134,8 +139,7 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     n_samples = int(math.ceil(samples)) + 1
     center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
     start = center - 0.5 * stage_span_m
-    step = (start + stage_span_m / (n_samples - 1)) - start
-    positions = start + np.arange(n_samples) * step
+    positions = _uniform(start, stage_span_m / (n_samples - 1), n_samples)
     tau = positions * icfg.stage_to_delay + bs2_position_m * icfg.shift_to_delay
     xi = bs2_position_m * icfg.shift_to_xi
     intensities = detector_signal(cmap, tau, np.full_like(tau, xi), icfg)
@@ -220,7 +224,8 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     Per-trace envelopes are divided by the split-ratio visibility ceiling,
     shifted by the delay their BS2 position adds, and linearly resampled
     onto the common tau range, one row per window step; xi comes from the
-    BS2 kinematics. One trace goes the same way and gives a one-column
+    BS2 kinematics. Both axes are _uniform, so a file of the map rebuilds
+    them bit for bit. One trace goes the same way and gives a one-column
     map; two are refused as ambiguous, and so are traces of different
     orientations.
     """
@@ -245,11 +250,12 @@ def assemble_map(traces, icfg, window_fringes=1.0):
         envelopes.append((tau + t.bs2_position_m * icfg.shift_to_delay,
                           vis / scale, t.bs2_position_m * icfg.shift_to_xi))
 
-    xi_axis = np.array([xi for _, _, xi in envelopes])
-    dxi = np.diff(xi_axis)
+    xi = np.array([xi for _, _, xi in envelopes])
+    dxi = np.diff(xi)
     if np.any(dxi <= 0) or np.any(np.abs(dxi - dxi[:1]) > 0.01 * dxi[:1]):
         raise ConfigurationError(
             "BS2 positions must step uniformly for a uniform xi axis")
+    xi_axis = _uniform(xi[0], dxi.mean() if dxi.size else 0.0, xi.size)
 
     lo = max(t[0][0] for t in envelopes)
     hi = min(t[0][-1] for t in envelopes)
@@ -261,7 +267,7 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     step = float((steps[~mid] + steps[mid]) / 2)
     # a range of a whole number of steps keeps its last row under rounding
     n = int(math.floor((hi - lo) / step + 1e-6)) + 1
-    tau_axis = lo + np.arange(n) * step
+    tau_axis = _uniform(lo, step, n)
     magnitude = np.column_stack(
         [np.interp(tau_axis, tau, mag) for tau, mag, _ in envelopes])
     return AssembledMap(tau_axis=tau_axis, xi_axis=xi_axis,

@@ -143,6 +143,22 @@ def _masked_density(cfg, omega, k):
     return values, invalid
 
 
+def mirror(pairs):
+    """Fill a symmetric product from its fundamental domain: each image view
+    of the (image, source, op) pairs, in order, with op(source)."""
+    for image, source, op in pairs:
+        op(source, out=image)
+
+
+def k_mirror(values):
+    """(domain, mirror pairs) of an S even in k: the columns k = 0 .. -k_max,
+    S at the distinct |k| that _masked_density evaluates, copied onto k > 0
+    (the unpaired -k_max column is the k_max node)."""
+    n, half = values.shape[1], values.shape[1] // 2
+    return values[:, half::-1], [
+        (values[:, half + 1:], values[:, half - 1::-1][:, :n - half - 1], np.positive)]
+
+
 def auto_grid(cfg, n_omega=1024, n_k=512):
     """Size a grid from the density's own support.
 
@@ -254,15 +270,20 @@ def _resample_size(name, n, default):
     return int(n)
 
 
+def angle_mirror(values):
+    """(domain, mirror pairs) of a wavelength-angle grid of an S even in k:
+    the theta >= 0 columns, copied onto theta < 0."""
+    half = values.shape[1] // 2
+    return values[:, half:], [(values[:, :half], values[:, ::-1][:, :half], np.positive)]
+
+
 def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
     """Resample S(omega, k) onto a uniform (wavelength, external angle) grid.
 
     Wavelength is 2*pi*c/omega and the external angle is k * wavelength /
     (2*pi); values are bilinearly interpolated, with zero where |k| passes
-    the largest positive k node. S is even in k, so only the theta >= 0
-    columns (and the centre one, for an odd n_angle) are resampled; each
-    theta < 0 column is a copy of its mirror. Wavelength rows are
-    resampled _ROW_BLOCK at a time into one C-ordered array.
+    the largest positive k node. Only angle_mirror's domain is resampled,
+    _ROW_BLOCK wavelength rows at a time into one C-ordered array.
     """
     spec = sg.spec
     n_wavelength = _resample_size("n_wavelength", n_wavelength, spec.n_omega)
@@ -273,13 +294,13 @@ def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, n_angle)
 
-    half = n_angle // 2  # columns on each side of the centre
     values = np.empty((n_wavelength, n_angle))
+    domain, pairs = angle_mirror(values)
     for lo in range(0, n_wavelength, _ROW_BLOCK):
         # a column of omega: bilinear finds each wavelength's row once
         lam_q = lam[lo:lo + _ROW_BLOCK, None]
         block, inside = bilinear(omega, k, sg.values, 2 * math.pi * c / lam_q,
-                                 theta[half:] * 2 * math.pi / lam_q)
-        values[lo:lo + _ROW_BLOCK, half:] = np.where(inside, block, 0.0)
-    values[:, :half] = values[:, ::-1][:, :half]
+                                 theta[n_angle // 2:] * 2 * math.pi / lam_q)
+        domain[lo:lo + _ROW_BLOCK] = np.where(inside, block, 0.0)
+    mirror(pairs)
     return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))

@@ -210,9 +210,12 @@ def test_trace_files_hand_analyze_the_synthesized_traces_bit_for_bit(ws, tmp_pat
                  "--out", str(out)]) == 0
     rc = load_run_config(ws["cfg"])
     ours = tmp_path / "ours.csv"
-    write_assembled_map(ours, assemble_map(ws["traces"], rc.interferometer,
-                                           rc.window_fringes))
+    made = assemble_map(ws["traces"], rc.interferometer, rc.window_fringes)
+    write_assembled_map(ours, made)
     assert (out / "analyze_map.csv").read_bytes() == ours.read_bytes()
+    back = read_assembled_map(out / "analyze_map.csv")
+    assert back.tau_axis.tobytes() == made.tau_axis.tobytes()
+    assert back.xi_axis.tobytes() == made.xi_axis.tobytes()
 
 
 def test_analyze_refuses_traces_of_two_orientations(ws, tmp_path, capsys):

@@ -4,7 +4,6 @@ import re
 import struct
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,6 +273,49 @@ def test_trace_in_the_older_format_still_reads(tmp_path):
     assert not hasattr(back, "tau_offset_s") and not hasattr(back, "source")
 
 
+# a map as written before symmetric products were folded: every value of
+# the grid, and no fold field
+OLD_MAP = ('# pdcoh_file: 1\n# kind: "coherence-map"\n'
+           '# carrier_omega: 1180000000000000.0\n# intensity: 2.5\n'
+           '# tau_start: -2e-15\n# tau_step: 2e-15\n# n_tau: 3\n'
+           '# xi_start: -3e-06\n# xi_step: 3e-06\n# n_xi: 3\n'
+           '# oversample_tau: 16\n# columns: [["g", "complex"]]\n'
+           '1.0,-2.0,3.0,0.5,1.0,-2.0\n0.25,-0.0,1.0,-0.0,0.25,-0.0\n'
+           '1.0,2.0,3.0,-0.5,1.0,2.0\n')
+OLD_S_HEAD = ('# pdcoh_file: 1\n# kind: "spectral-density"\n'
+              '# omega_center: 1200000000000000.0\n'
+              '# omega_half_width: 200000000000000.0\n# k_half_width: 100000.0\n'
+              '# omega_start: 1000000000000000.0\n# omega_step: 6250000000000.0\n'
+              '# n_omega: 64\n# k_start: -100000.0\n# k_step: 3125.0\n# n_k: 64\n'
+              '# gain: 6.0\n# columns: [["density", "real"]]\n')
+
+
+def test_products_in_the_older_full_layout_still_read(tmp_path):
+    # both arrays have the symmetry that a file written today would fold
+    g = np.array([[1 - 2j, 3 + 0.5j, 1 - 2j],
+                  [complex(0.25, -0.0), complex(1.0, -0.0), complex(0.25, -0.0)],
+                  [1 + 2j, 3 - 0.5j, 1 + 2j]])
+    (tmp_path / "map.csv").write_text(OLD_MAP)
+    (tmp_path / "map.bin").write_bytes(_binary_file({
+        "arrays": [["g", "<c16", [3, 3]]], "carrier_omega": 1.18e15,
+        "intensity": 2.5, "kind": "coherence-map", "n_tau": 3, "n_xi": 3,
+        "oversample_tau": 16, "pdcoh_file": 1, "tau_start": -2e-15,
+        "tau_step": 2e-15, "xi_start": -3e-06, "xi_step": 3e-06}) + g.tobytes())
+    for name in ("map.csv", "map.bin"):
+        back = read_coherence_map(tmp_path / name)
+        assert back.g.tobytes() == g.tobytes()
+        assert back.tau_axis.tolist() == [-2e-15, 0.0, 2e-15]
+        assert (back.intensity, back.provenance) == (2.5, {"oversample_tau": 16})
+    # S even in k, its unpaired first column odd one out
+    density = np.arange(64.0)[:, None] + np.abs(np.arange(64) - 32) / 64
+    density[:, 0] = -1.0
+    (tmp_path / "s.csv").write_text(OLD_S_HEAD + "".join(
+        ",".join(map(repr, row)) + "\n" for row in density.tolist()))
+    back = read_spectral_grid(tmp_path / "s.csv")
+    assert back.values.tobytes() == density.tobytes()
+    assert back.spec == _SPEC and back.provenance == {"gain": 6.0}
+
+
 # a trace as written today: its stage sweep as the position axis
 TRACE = ('# pdcoh_file: 1\n# kind: "fringe-trace"\n# position_start: 0.0\n'
          '# position_step: 4e-08\n# n_position: 3\n# bs2_position_m: 0.0002\n'
@@ -441,14 +483,6 @@ def _reference_csv(header, arrays):
     return "\n".join(lines) + "\n"
 
 
-def _even_after_first(a):
-    """a with column n - j a copy of column j: every row even after its first value."""
-    a = np.array(a)
-    n = a.shape[1]
-    a[:, n // 2 + 1:] = a[:, (n - 1) // 2:0:-1]
-    return a
-
-
 def _even_about_centre(a):
     """a with column n - 1 - j a copy of column j: every row even about a
     centre that is no column when n is even."""
@@ -456,6 +490,24 @@ def _even_about_centre(a):
     n = a.shape[1]
     a[:, n - n // 2:] = a[:, :n // 2][:, ::-1]
     return a
+
+
+def _even_in_k(a):
+    """a, of an even number n of columns, with column n // 2 + j a copy of
+    column n // 2 - j: even in k, as S is; column 0 is any."""
+    a = np.array(a)
+    half = a.shape[1] // 2
+    a[:, half + 1:] = a[:, half - 1:0:-1]
+    return a
+
+
+def _conjugate_even(g):
+    """g even in its columns, and row k the conjugate of row n - 1 - k
+    reversed for k < n // 2: the symmetries of g1(tau, xi) of a real S."""
+    g = _even_about_centre(np.asarray(g, dtype=complex))
+    half = len(g) // 2
+    g[:half] = np.conj(g[::-1, ::-1][:half])
+    return g
 
 
 def _exchange_twins(a):
@@ -466,87 +518,36 @@ def _exchange_twins(a):
     return a
 
 
-def _conjugate_mirrored(a):
-    """a with each row k past the middle conj(row n - 1 - k) reversed."""
-    a = np.array(a, dtype=complex)
-    half = len(a) // 2
-    if half:
-        a[len(a) - half:] = np.conj(a[half - 1::-1, ::-1])
-    return a
-
-
-def _awkward_arrays():
+def _awkward_arrays(n=40):
+    """Arrays of n rows, n even, of the values repr finds awkward."""
     rng = np.random.default_rng(3)
-    real = rng.choice(AWKWARD, size=(40, 7))
-    cplx = np.empty((40, 5), complex)
+    real = rng.choice(AWKWARD, size=(n, 7))
+    cplx = np.empty((n, 5), complex)
     cplx.real = rng.choice(AWKWARD, size=cplx.shape)
     cplx.imag = rng.choice(AWKWARD + [-0.0] * 5, size=cplx.shape)
-    # a mirror that differs only in the sign of one zero is not reused
-    zero_sign = _even_after_first(rng.random((6, 8)))
-    zero_sign[2, [3, 5]] = 0.0, -0.0
-    # +-inf and imaginary zeros of both signs; row 33 of 40 is bit for bit
-    # the conjugate mirror of its twin, row 6, but holds an imaginary NaN,
-    # so row 33 is formatted; the twin of row 34, row 5, differs from its
-    # mirror in the sign of an imaginary zero
-    finite = np.where(np.isnan(cplx), 1.5, cplx)
-    mirrored = _conjugate_mirrored(finite)
-    mirrored[6, 2] = complex(1.0, np.nan)
-    mirrored[33, 2] = np.conj(mirrored[6, 2])
-    mirrored[34, 0] = complex(mirrored[34, 0].real, 0.0)
-    mirrored[5, 4] = complex(mirrored[5, 4].real, 0.0)
-    # row 1 of each width holds +0 and -0 in mirror cells, row 2 one NaN
-    # whose mirror is not NaN: those two are formatted in full
-    centred = [_even_about_centre(rng.choice(AWKWARD, (12, n))) for n in (8, 7)]
-    for a in centred:
-        a[1, [0, -1]] = 0.0, -0.0
-        a[2, [1, -2]] = np.nan, 1.0
-    # exchange twins over 41 and 40 rows; row 30 of 41 differs from its
-    # source, row 10, in the sign of a zero, so row 30 is formatted
-    odd_twins = _exchange_twins(rng.choice(AWKWARD, (41, 6)))
-    odd_twins[10, 2], odd_twins[30, 2] = 0.0, -0.0
-    # complex rows even in xi over 5 and 6 values: row 1 holds imaginary
-    # zeros of both signs in mirror values and is formatted in full; row 2
-    # a NaN pair in mirror values, which is even; row 3 mirrors only with
-    # re and im swapped, its floats a palindrome, and is formatted in full
-    xi_even = []
-    for n in (5, 6):
-        a = np.empty((12, n), complex)
-        a.real, a.imag = rng.choice(AWKWARD, (2, 12, n))
-        a = _even_about_centre(a)
-        a[1, [0, -1]] = complex(1.5, 0.0), complex(1.5, -0.0)
-        a[2, [1, -2]] = complex(np.nan, np.nan)
-        floats = rng.random(n)
-        a[3] = np.r_[floats, floats[::-1]].view(complex)
-        xi_even.append(a)
+    # exchange twins over n + 1 and n rows; row n - n // 4 of n + 1 (30 of
+    # 41) differs from its source, row n // 4, in the sign of a zero, so it
+    # is formatted
+    odd_twins = _exchange_twins(rng.choice(AWKWARD, (n + 1, 6)))
+    odd_twins[n // 4, 2], odd_twins[n - n // 4, 2] = 0.0, -0.0
     return {
         "real": [("v", real)],
         "complex": [("g", cplx)],
-        "integer": [("n", np.arange(-60, 60, dtype=np.int64).reshape(40, 3))],
+        "integer": [("n", np.arange(-3 * n // 2, 3 * n // 2,
+                                    dtype=np.int64).reshape(n, 3))],
         "single-row": [("x", np.array(AWKWARD))],
         "multi-array": [("x", real[:, :5]), ("g", cplx),
-                        ("n", np.arange(200, dtype=np.int32).reshape(40, 5))],
-        # NaN, +-inf and signed zeros in mirrored cells; odd and even lengths
-        "even rows": [("v", _even_after_first(real)),
-                      ("w", _even_after_first(rng.choice(AWKWARD, (40, 8))))],
-        "one and two columns": [("a", real[:, :1]), ("b", _even_after_first(real[:, :2]))],
-        "zero-sign mirror": [("v", zero_sign)],
-        # with 4-row blocks, twin pairs (0, 39) and (19, 20) land in different blocks
-        "conjugate mirrors": [("g", mirrored)],
-        "odd mirrors": [("g", _conjugate_mirrored(finite[:9]))],
-        "centre-even rows": [("v", centred[0]), ("w", centred[1])],
-        # with 4-row blocks, twin pairs (19, 21) and (1, 39) land in different blocks
+                        ("n", np.arange(5 * n, dtype=np.int32).reshape(n, 5))],
+        "one and two columns": [("a", real[:, :1]), ("b", real[:, :2])],
         "exchange twins": [("v", odd_twins),
-                           ("w", _exchange_twins(rng.choice(AWKWARD, (40, 5))))],
-        "xi-even complex rows": [("g", xi_even[0]), ("h", xi_even[1])],
+                           ("w", _exchange_twins(rng.choice(AWKWARD, (n, 5))))],
     }
 
 
-@pytest.mark.parametrize("block_rows", [32, 4])
-def test_csv_encoder_matches_per_cell_repr(tmp_path, monkeypatch, block_rows):
-    # 4-row blocks split the 40-row arrays into 10 blocks
-    monkeypatch.setattr(gridio, "_BLOCK_ROWS", block_rows)
+@pytest.mark.parametrize("n_rows", [40, 32, 4])
+def test_csv_encoder_matches_per_cell_repr(tmp_path, n_rows):
     header = {"kind": "test", "theta_deg": 19.94, "tag": "19p94"}
-    for case, arrays in _awkward_arrays().items():
+    for case, arrays in _awkward_arrays(n_rows).items():
         path = tmp_path / f"{case}.csv"
         gridio._write_csv(path, header, arrays)
         assert path.read_text() == _reference_csv(header, arrays), case
@@ -562,118 +563,95 @@ def repr_calls(monkeypatch):
 
 
 def test_awkward_mirrors_reach_the_reuse_rules(tmp_path, repr_calls):
-    calls = repr_calls
-    arrays = _awkward_arrays()
-    # (array, floats a value, values formatted in a reused row, rows
-    # formatted in full): row 2 of the zero-sign mirror is not even, nor
-    # rows 1 and 2 of each centre-even array, nor rows 1 and 3 of each
-    # xi-even complex array
-    cases = [(arr, 1, arr.shape[1] // 2 + 1, 0) for _, arr in arrays["even rows"]]
-    cases += [(arrays["zero-sign mirror"][0][1], 1, 5, 1)]
-    cases += [(arr, 1, (arr.shape[1] + 1) // 2, 2) for _, arr in arrays["centre-even rows"]]
-    cases += [(arr, 2, (arr.shape[1] + 1) // 2, 2)
-              for _, arr in arrays["xi-even complex rows"]]
-    for values, width, reused, in_full in cases:
-        calls.clear()
-        gridio._format_block(gridio._float_rows(values), width)
-        n = values.shape[1]
-        assert len(calls) == width * ((len(values) - in_full) * reused + in_full * n)
-    # (array, the rows written from an earlier line, its line transform)
-    g = arrays["conjugate mirrors"][0][1]
-    (_, odd), (_, even) = arrays["exchange twins"]
-    for values, twins, mirror in (
-            (g, [k for k in range(20, 40) if k not in (33, 34)],
-             gridio._conjugate_mirror),
-            (odd, [k for k in range(21, 41) if k != 30], str),
-            (even, list(range(21, 40)), str)):
-        mask, s, transform = gridio._twins(values, gridio._float_rows(values))
-        assert np.flatnonzero(mask).tolist() == twins
-        assert s == (2 * (len(values) // 2) if mirror is str else len(values) - 1)
-        assert transform is mirror
+    twins = _awkward_arrays()["exchange twins"]
+    (_, odd), (_, even) = twins
+    # the rows written from an earlier row's line
+    for values, written in ((odd, [k for k in range(21, 41) if k != 30]),
+                            (even, list(range(21, 40)))):
+        mask = gridio._twins(gridio._float_rows(values))
+        assert np.flatnonzero(mask).tolist() == written
     # only the 22 and 21 rows that are not twins are formatted
-    calls.clear()
-    gridio._write_csv(tmp_path / "twins.csv", {}, arrays["exchange twins"])
-    assert len(calls) == (41 - 19) * 6 + (40 - 19) * 5
+    gridio._write_csv(tmp_path / "twins.csv", {}, twins)
+    assert len(repr_calls) == (41 - 19) * 6 + (40 - 19) * 5
 
 
-# shape -> (dtype, mirror maker, the mirror cell of cell (i, j) of an n x m
-# array, a zero for that mirror cell that the mirror rule would not give
-# when the cell is 0.0)
-MIRRORS = {
-    "even after first": (float, _even_after_first,
-                         lambda i, j, n, m: (i, (m - j) % m), -0.0),
-    "even about centre": (float, _even_about_centre,
-                          lambda i, j, n, m: (i, m - 1 - j), -0.0),
-    "exchange twins": (float, _exchange_twins,
-                       lambda i, j, n, m: ((2 * (n // 2) - i) % n, j), -0.0),
-    "conjugate mirror": (complex, _conjugate_mirrored,
-                         lambda i, j, n, m: (n - 1 - i, m - 1 - j), 0.0),
-    "complex even about centre": (complex, _even_about_centre,
-                                  lambda i, j, n, m: (i, m - 1 - j), complex(0.0, -0.0)),
-}
-
-
-@settings(max_examples=75, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_mirror_images_match_per_cell_repr(data):
-    """A mirror image of each shape the encoder reuses, with one cell
-    perhaps perturbed, writes the per-cell reference in 32-row and in 2-row
-    blocks."""
+    """Exchange twins, each row k past c = n // 2 a copy of row 2c - k,
+    with one cell perhaps perturbed, write the per-cell reference."""
     draw = data.draw
-    shape = draw(st.sampled_from(sorted(MIRRORS)))
-    dtype, mirrored, twin_of, twin_zero = MIRRORS[shape]
     n, m = draw(st.integers(1, 9)), draw(st.integers(1, 7))
-    values = mirrored(_values(draw, (n, m), dtype))
+    values = _exchange_twins(_values(draw, (n, m)))
     perturb = draw(st.sampled_from([None, "value", "zero sign", "nan"]))
     if perturb:
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
         if perturb == "zero sign":
-            # the cell and its mirror become zeros that the mirror rule
-            # would give opposite signs
-            values[i, j], values[twin_of(i, j, n, m)] = 0.0, twin_zero
+            # the cell and its twin become zeros of opposite signs
+            values[i, j], values[(2 * (n // 2) - i) % n, j] = 0.0, -0.0
         else:
-            values[i, j] = np.nan if perturb == "nan" else _values(draw, (), dtype)
+            values[i, j] = np.nan if perturb == "nan" else _values(draw, ())
     arrays = [("v", values)]
     header = {"kind": "test"}
-    expected = _reference_csv(header, arrays)
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "mirror.csv"
-        for block_rows in (32, 2):
-            with mock.patch.object(gridio, "_BLOCK_ROWS", block_rows):
-                gridio._write_csv(path, header, arrays)
-            assert path.read_text() == expected
+        gridio._write_csv(path, header, arrays)
+        assert path.read_text() == _reference_csv(header, arrays)
 
 
-def test_example_products_format_about_half_their_values(tmp_path, repr_calls):
-    """S and the wavelength-angle grid of the example format at most about
-    half their values, the map and the blurred map about a quarter, and
-    each still writes the per-cell bytes."""
+def _stored(path):
+    """The header and the one array a product file stores, as it stores them."""
+    with open(path, "rb") as fh:
+        binary = fh.read(8) == b"PDCOHBIN"
+    header, arrays = (gridio._read_binary if binary else gridio._read_csv)(path)
+    (stored,) = arrays.values()
+    return header, stored
+
+
+def test_example_products_store_their_fundamental_domain(tmp_path, repr_calls):
+    """At 256 x 128, S stores its 65 columns at |k| = 0 .. k_max and formats
+    only the rows that are not exchange twins, the wavelength-angle grid
+    its 64 angle >= 0 columns, the map and the blurred map their 513 x 129
+    tau >= 0, xi >= 0 quadrant; each reads back bit for bit."""
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=6.0,
                         sellmeier=load_sellmeier("bbo_kato1986"))
     sg = build_spectrum(cfg, auto_grid(cfg, 256, 128))
     cmap = correlation_map(sg)
-    # product -> the share of its values that may be formatted
-    products = {"density": (sg.values, 0.51),
-                "wavelength-angle grid": (to_wavelength_angle(sg).values, 0.51),
-                "map": (cmap.g, 0.26),
-                "blurred map": (instrument_blur(cmap, 1e-15, 6e-6).g, 0.26)}
-    header = {"kind": "test"}
-    for name, (values, share) in products.items():
-        repr_calls.clear()
-        path = tmp_path / "product.csv"
-        gridio._write_csv(path, header, [("v", values)])
-        # a bool, so that a failure does not diff two 12 MB strings
-        same = path.read_text() == _reference_csv(header, [("v", values)])
-        assert same, name
-        n_values = gridio._float_rows(values).size
-        assert len(repr_calls) <= share * n_values, (name, len(repr_calls), n_values)
+    domain = sg.values[:, 64::-1]
+    twins = sum(domain[k].tobytes() == domain[256 - k].tobytes()
+                for k in range(129, 256))
+    assert twins > 64
+    # product -> (writer, reader, its array, stored shape, floats formatted)
+    products = {
+        "S": (write_spectral_grid, read_spectral_grid, sg, "values",
+              (256, 65), (256 - twins) * 65),
+        "wavelength-angle grid": (
+            write_wavelength_angle_grid, read_wavelength_angle_grid,
+            to_wavelength_angle(sg), "values", (256, 64), 256 * 64),
+        "map": (write_coherence_map, read_coherence_map, cmap, "g",
+                (513, 129), 513 * 129 * 2),
+        "blurred map": (write_coherence_map, read_coherence_map,
+                        instrument_blur(cmap, 1e-15, 6e-6), "g",
+                        (513, 129), 513 * 129 * 2)}
+    for name, (write, read, product, field, shape, formatted) in products.items():
+        for fmt in ("csv", "binary"):
+            repr_calls.clear()
+            path = tmp_path / f"product.{fmt}"
+            write(path, product, fmt=fmt)
+            assert len(repr_calls) == (formatted if fmt == "csv" else 0), name
+            header, stored = _stored(path)
+            assert "fold" in header and stored.shape == shape, (name, fmt)
+            back = getattr(read(path), field)
+            assert back.tobytes() == getattr(product, field).tobytes(), (name, fmt)
 
 
 # --- malformed files end as ConfigurationError naming the file ---
 
 
 _TAU, _XI = (np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6
+# conjugate-even and xi-even, so that it is stored folded
+_G = _conjugate_even(np.ones((5, 3), complex))
 _POS = np.arange(8) * 4e-8
 _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
                  k_half_width=1e5, n_k=64)
@@ -681,7 +659,7 @@ _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
 # product -> (writer taking a path and an encoding, reader)
 _PRODUCTS = {
     "map": (lambda p, fmt: write_coherence_map(p, CoherenceMap(
-        _TAU, _XI, np.ones((5, 3), complex), carrier_omega=1.2e15,
+        _TAU, _XI, _G, carrier_omega=1.2e15,
         intensity=1.0, provenance={}), fmt=fmt), read_coherence_map),
     "spectral": (lambda p, fmt: write_spectral_grid(p, SpectralGrid(
         _SPEC, np.ones((64, 64)), provenance={"gain": 6.0}), fmt=fmt),
@@ -773,6 +751,12 @@ CORRUPTIONS = {
     "binary assembled map axis count unlike the columns": (
         "assembled binary", lambda b: b.replace(b'"n_xi":3', b'"n_xi":2')),
     "one-row spectral grid": ("spectral csv", _one_omega_row),
+    "folded CSV spectral grid with more k than it stores": (
+        "spectral csv", lambda t: t.replace("# n_k: 64", "# n_k: 128")),
+    "folded binary wavelength-angle grid with more angles than it stores": (
+        "wavelength-angle binary", lambda b: b.replace(b'"n_angle":3', b'"n_angle":9')),
+    "CSV map of an unknown fold": (
+        "csv", lambda t: t.replace('# fold: "tau >= 0, xi >= 0"', '# fold: "xi"')),
 }
 
 
@@ -784,8 +768,9 @@ def test_malformed_files_are_configuration_errors(tmp_path, corruption):
         path.write_bytes(corrupt(path.read_bytes()))
     else:
         path.write_text(corrupt(path.read_text()))
-    with pytest.raises(ConfigurationError, match=re.escape(str(path))):
+    with pytest.raises(ConfigurationError, match=re.escape(str(path))) as info:
         read(path)
+    assert "broadcast" not in str(info.value)
 
 
 def _intact(kind):
@@ -845,12 +830,57 @@ def _header_float(draw):
     return draw(st.floats(allow_nan=False, allow_infinity=False))
 
 
+# product -> (what makes a drawn array symmetric as the product is, the
+# fundamental domain that a file of a symmetric array stores)
+SYMMETRIES = {
+    "coherence map": (_conjugate_even, lambda a: a[len(a) // 2:, a.shape[1] // 2:]),
+    "spectral grid": (_even_in_k, lambda a: a[:, a.shape[1] // 2::-1]),
+    "wavelength-angle grid": (_even_about_centre, lambda a: a[:, a.shape[1] // 2:]),
+}
+
+
+def _laid_out(draw, kind, values):
+    """(values, expected): the drawn values as they are, made symmetric
+    (NaN, +-inf and signed zeros land in mirror cells), or made symmetric
+    and then one mirror cell's real part set to a zero that differs from
+    it in its bits; and, unless the values are as drawn, whether the file
+    stores them folded and the array it stores."""
+    symmetric, domain = SYMMETRIES[kind]
+    layout = draw(st.sampled_from(["as drawn", "symmetric", "one cell off"]))
+    if layout == "as drawn":
+        return values, None
+    if layout == "one cell off" and np.iscomplexobj(values):
+        # a whole map in CSV cannot hold the sign of a NaN that conj flips
+        values.imag[np.isnan(values.imag)] = 1.5
+    values = symmetric(values)
+    mirror_cells = np.ones(values.shape, bool)
+    domain(mirror_cells)[...] = False
+    cells = np.flatnonzero(mirror_cells)
+    if layout == "symmetric" or not cells.size:
+        return values, (True, domain(values))
+    cell = np.unravel_index(cells[draw(st.integers(0, cells.size - 1))], values.shape)
+    part = values.real[cell]
+    values.real[cell] = 0.0 if part == 0 and np.signbit(part) else -0.0
+    return values, (False, values)
+
+
+def _check_stored(path, expected):
+    if expected is not None:
+        folded, array = expected
+        header, stored = _stored(path)
+        assert ("fold" in header) == folded
+        assert stored.shape == array.shape
+        assert stored.tobytes() == np.ascontiguousarray(array).tobytes()
+
+
 def _coherence_round_trip(draw, path, fmt):
     tau, xi = _exact_axis(draw), _exact_axis(draw)
-    g = _values(draw, (tau.size, xi.size), complex)
+    g, expected = _laid_out(draw, "coherence map",
+                            _values(draw, (tau.size, xi.size), complex))
     write_coherence_map(path, CoherenceMap(
         tau, xi, g, carrier_omega=_header_float(draw),
         intensity=_header_float(draw), provenance={}), fmt=fmt)
+    _check_stored(path, expected)
     back = read_coherence_map(path)
     return [(back.tau_axis, tau), (back.xi_axis, xi), (back.g, g)]
 
@@ -862,8 +892,9 @@ def _spectral_round_trip(draw, path, fmt):
     spec = GridSpec(omega_center=half_w * draw(st.floats(1.001, 1e3)),
                     omega_half_width=half_w, n_omega=n_omega,
                     k_half_width=draw(st.floats(1.0, 1e9)), n_k=n_k)
-    values = _values(draw, (n_omega, n_k))
+    values, expected = _laid_out(draw, "spectral grid", _values(draw, (n_omega, n_k)))
     write_spectral_grid(path, SpectralGrid(spec, values), fmt=fmt)
+    _check_stored(path, expected)
     back = read_spectral_grid(path)
     assert back.spec == spec
     return [(back.omega_axis(), spec.omega_axis()), (back.k_axis(), spec.k_axis()),
@@ -872,8 +903,10 @@ def _spectral_round_trip(draw, path, fmt):
 
 def _wavelength_angle_round_trip(draw, path, fmt):
     lam, theta = _exact_axis(draw), _exact_axis(draw)
-    values = _values(draw, (lam.size, theta.size))
+    values, expected = _laid_out(draw, "wavelength-angle grid",
+                                 _values(draw, (lam.size, theta.size)))
     write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, values), fmt=fmt)
+    _check_stored(path, expected)
     back = read_wavelength_angle_grid(path)
     return [(back.wavelength_axis_m, lam), (back.angle_axis_rad, theta),
             (back.values, values)]
