@@ -5,7 +5,8 @@ through a two-dimensional Fourier transform with kernel e^{i k xi - i omega
 tau}, integrated over frequency and transverse wavevector and divided by the
 zero-lag value. Maps store the envelope relative to the degenerate carrier
 frequency; the rapidly oscillating full correlation is recovered by
-multiplying with e^{-i omega_c tau}.
+multiplying with e^{-i omega_c tau}. S is even in k and, about omega_c, in
+Omega, so the envelope is real and even in tau and xi.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, EdgeDecayError, MapExtentError, ResolutionError
-from .spectrum import bilinear, mirror
+from .spectrum import bilinear, mirror, s_mirror
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -65,22 +66,11 @@ class CoherenceMap:
 
 def map_mirror(g):
     """(domain, mirror pairs) of a map g1 of a real S: the tau >= 0, xi >= 0
-    quadrant. g1 is even in xi, and g1(-tau, -xi) = conj g1(tau, xi)."""
+    quadrant. g1 is even in xi, and g1(-tau, -xi) = conj g1(tau, xi) (for
+    an S even in Omega, g1 is real and this is g1(tau, xi))."""
     n, m = g.shape[0] // 2, g.shape[1] // 2
     return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m], np.positive),
                        (g[:n], g[::-1, ::-1][:n], np.conjugate)]
-
-
-def _fold(a):
-    """The rows of a in fold order: the centre row, the even parts a[c + m]
-    + a[c - m] for m = 1 .. c - 1, the unpaired a[0], the odd parts a[c - m]
-    - a[c + m] for m = c - 1 .. 1; c = n // 2."""
-    c = a.shape[0] // 2
-    out = np.empty_like(a)
-    out[0], out[c] = a[c], a[0]
-    np.add(a[c + 1:], a[c - 1:0:-1], out=out[1:c])
-    np.subtract(a[1:c], a[:c:-1], out=out[c + 1:])
-    return out
 
 
 def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
@@ -94,26 +84,29 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     to transform a grid whose density has not decayed at the edges guards
     against aliasing.
 
-    S must be even in k, as S(Omega, k^2) is; the unpaired -k_max column
-    may hold any values, any other asymmetric column raises
+    S must be even in k and in Omega, as S(Omega^2, k^2) about the
+    degenerate frequency is; the unpaired -k_max column and -Omega_max row
+    may hold any values, any other asymmetric column or row raises
     ConfigurationError. Each node is the exact Riemann sum over the grid,
-    with the unpaired column counted half at -k_max and half at +k_max (the
-    even quadrature of an even S), so the map is even in xi bit for bit:
-    the xi >= 0 half is summed and the rest is its mirror. The sums are
-    real matrix products: S is folded along Omega, and the tau kernels are
-    read from one table of cos and sin (2 pi j / L), L = n_omega *
-    oversample_tau.
+    with the unpaired column and row counted half at each end (the even
+    quadrature of an even S), so g is real and even in tau and xi bit for
+    bit: only the (|Omega|, |k|) quadrant of S (spectrum.s_mirror) is
+    summed, into the tau >= 0, xi >= 0 quadrant of g, against cos kernels,
+    and the rest of g is its mirror. The tau kernel is read from one table
+    of cos(2 pi j / L), L = n_omega * oversample_tau.
     """
     edge = sg.edge_ratio
     if not edge < 1e-3:
         raise EdgeDecayError(
             f"spectral density at the grid edge is {edge:.2e} of the peak "
             "(limit 1e-3); widen the grid before transforming")
-    spec = sg.spec
-    odd = np.flatnonzero((sg.values[:, 1:] != sg.values[:, :0:-1]).any(axis=0))
-    if odd.size:
-        raise ConfigurationError(f"S is not even in k: column {odd[0] + 1} "
-                                 f"differs from its mirror {spec.n_k - 1 - odd[0]}")
+    spec, s = sg.spec, sg.values
+    for axis, name, unequal in (("k", "column", s[:, 1:] != s[:, :0:-1]),
+                                ("Omega", "row", (s[1:] != s[:0:-1]).T)):
+        odd = np.flatnonzero(unequal.any(axis=0))
+        if odd.size:
+            raise ConfigurationError(f"S is not even in {axis}: {name} {odd[0] + 1} "
+                                     f"differs from its mirror {unequal.shape[1] - odd[0]}")
     (os_tau, os_xi), (ext_tau, ext_xi) = (
         v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
     n_tau, n_xi = os_tau * ext_tau, os_xi * ext_xi
@@ -122,34 +115,24 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     tau = (np.arange(2 * n_tau + 1) - n_tau) * tau_step
     xi = (np.arange(2 * n_xi + 1) - n_xi) * xi_step
 
-    # S is real, so g(-tau, -xi) = conj g(tau, xi): only tau >= 0 is summed,
-    # with real kernels. The tau stage is sum_Omega S e^{-i Omega tau}, with
-    # S folded along Omega: cos takes steps 0 .. n/2 and sin steps n/2 .. 1.
-    # tau_step * Omega_step = 2 pi / L, so both read one table at j = n m
-    # mod L. S is even in k: k = 0, each k > 0 at weight 2 and the unpaired
-    # -k_max, half at -k_max and half at +k_max, go against cos(k xi) alone,
-    # so g is even in xi and only xi >= 0 is summed.
+    # Each |Omega| and |k| step m counts at weight 2, but m = 0 and the
+    # unpaired edge (half at each end) at weight 1: the cos sum of the whole
+    # grid. tau_step * Omega_step = 2 pi / L, so the tau kernel reads its
+    # table at j = n m mod L.
     n_w, half = spec.n_omega // 2, spec.n_k // 2
-    cols = np.r_[half:spec.n_k, 0]
-    folded = _fold(sg.values[:, cols])
     period = spec.n_omega * os_tau
-    table = 2.0 * math.pi / period * np.arange(period)
     idx = np.arange(n_tau + 1)[:, None] * np.arange(n_w + 1)
     idx %= period
-    t_cos = np.cos(table)[idx] @ folded[:n_w + 1]
-    t_sin = np.sin(table)[idx[:, :0:-1]] @ folded[n_w:]
-    del idx, folded
-    x_cos = np.cos(np.outer(sg.k_axis()[cols], xi[n_xi:]))
+    t_cos = np.cos(2.0 * math.pi / period * np.arange(period))[idx]
+    t_cos[:, 1:n_w] *= 2.0
+    x_cos = np.cos(np.outer(np.arange(half + 1) * spec.k_step, xi[n_xi:]))
     x_cos[1:half] *= 2.0
-    re, im = t_cos @ x_cos, t_sin @ x_cos
-    del t_cos, t_sin
+    # a C-ordered copy of the quadrant, so that the products go to BLAS
+    re = t_cos @ np.ascontiguousarray(s_mirror(s)[0]) @ x_cos
     center = re[0, 0]
-    # dividing re and im by the real centre apart keeps g(0, 0) exactly 1;
-    # the tau = 0 row is real, as sin 0 = 0 is row 0 of the sin kernel
-    g = np.empty((tau.size, xi.size), dtype=complex)
+    g = np.empty((tau.size, xi.size))
     quadrant, pairs = map_mirror(g)
-    np.divide(re, center, out=quadrant.real)
-    np.divide(im, center, out=quadrant.imag)
+    np.divide(re, center, out=quadrant)
     mirror(pairs)
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
@@ -165,12 +148,14 @@ def direct_correlation(sg, tau, xi):
     """Riemann-sum value of the full correlation at one point.
 
     Brute-force reference for correlation_map, carrier oscillation
-    included; normalized by the zero-lag sum. Each k node has the phase
-    e^{i k xi}, but the unpaired -k_max node, counted half at -k_max and
-    half at +k_max, has cos(k_max xi).
+    included; normalized by the zero-lag sum. Each node has the phase
+    e^{-i Omega tau + i k xi}, but the unpaired -Omega_max row and -k_max
+    column, each counted half at its edge and half at the opposite one,
+    have cos(Omega_max tau) and cos(k_max xi).
     """
-    omega = sg.omega_axis()
-    phase_w = np.exp(-1j * (omega - sg.spec.omega_center) * tau)
+    big_omega = sg.omega_axis() - sg.spec.omega_center
+    phase_w = np.exp(-1j * big_omega * tau)
+    phase_w[0] = math.cos(big_omega[0] * tau)
     k = sg.k_axis()
     phase_k = np.exp(1j * k * xi)
     phase_k[0] = math.cos(k[0] * xi)
@@ -297,7 +282,8 @@ def instrument_blur(cmap, dtau, dxi):
     """Map as a finite-resolution instrument would record it.
 
     |g1| is convolved with a normalized Gaussian of FWHM (dtau, dxi); the
-    phase is kept. The result is deliberately not renormalized: a central
+    phase is kept, which for a real map is its sign, so a real map blurs
+    to a real map. The result is deliberately not renormalized: a central
     value below 1 is the signature of resolution-limited visibility. A
     sigma of at most 1e-15 samples leaves its axis unblurred; blur_sigma
     states what is refused.

@@ -12,14 +12,16 @@ one row of intensities under the `position` axis of its stage sweep.
 Headers carry no timestamp: the same inputs must produce the same bytes.
 
 A symmetric product stores only its fundamental domain, named by a `fold`
-header field: a coherence map its tau >= 0, xi >= 0 quadrant, S its columns
-at |k| = 0 .. k_max, a wavelength-angle grid its angle >= 0 columns. The
-reader rebuilds the full array bit for bit with the producer's own symmetry
-(coherence.map_mirror, spectrum.k_mirror and angle_mirror), so a file does
-not hold the full grid for a tool such as numpy.loadtxt. Where that would
-not give every bit back, the writer stores the whole array with no fold
-field, as older files do. Every write_* returns with its file complete; the
-command line writes its large CSV products in forked writer processes.
+header field: a coherence map its tau >= 0, xi >= 0 quadrant, S its
+(|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0 columns.
+The reader rebuilds the full array bit for bit with the producer's own
+symmetry (coherence.map_mirror, spectrum.s_mirror and angle_mirror; older
+S files folded in k alone, spectrum.k_mirror), so a file does not hold the
+full grid for a tool such as numpy.loadtxt. Where that would not give every
+bit back, the writer stores the whole array with no fold field, as older
+files do. A CSV value is its repr, a NaN whose sign bit is set -nan. Every
+write_* returns with its file complete; the command line writes its large
+CSV products in forked writer processes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .coherence import CoherenceMap, map_mirror
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
 from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    angle_mirror, k_mirror, mirror
+    angle_mirror, k_mirror, mirror, s_mirror
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -44,10 +46,10 @@ _MAGIC = b"PDCOHBIN"
 # output format -> file extension
 FORMATS = {"csv": "csv", "binary": "bin"}
 
-# kind -> (the fold field of a file of its fundamental domain, its symmetry)
-_FOLDS = {"spectral-density": ("|k|", k_mirror),
-          "wavelength-angle-density": ("angle >= 0", angle_mirror),
-          "coherence-map": ("tau >= 0, xi >= 0", map_mirror)}
+# kind -> {fold field: its symmetry}; written under the first, read under any
+_FOLDS = {"spectral-density": {"|Omega|, |k|": s_mirror, "|k|": k_mirror},
+          "wavelength-angle-density": {"angle >= 0": angle_mirror},
+          "coherence-map": {"tau >= 0, xi >= 0": map_mirror}}
 
 
 def _clean(header):
@@ -102,37 +104,16 @@ def _float_rows(arr):
     return np.asarray(arr, dtype=float)
 
 
-def _twins(rows):
-    """The rows k past c = n // 2 whose bits are those of row 2c - k (S
-    about its centre frequency, where signal and idler exchange)."""
-    n, c = len(rows), len(rows) // 2
-    twins = np.zeros(n, bool)
-    if c and rows.shape[1]:
-        bits = rows.view(np.uint64)
-        twins[c + 1:] = (bits[c + 1:] == bits[2 * c - n + 1:c][::-1]).all(axis=1)
-    return twins
-
-
 def _write_rows(fh, rows):
     """Write each row's line, its values' repr (about 1.4 us each) comma-
-    separated. A twin row's line is its source row's, read back from the
-    file, so that no earlier line is held in memory."""
-    twins = _twins(rows)
-    s = 2 * (len(rows) // 2)
-    # source row -> (offset, size) of its line in the file
-    spans = dict.fromkeys((s - np.flatnonzero(twins)).tolist())
-    for k, (row, twin) in enumerate(zip(rows, twins.tolist())):
-        if twin:
-            start, size = spans.pop(s - k)
-            end = fh.tell()
-            fh.seek(start)
-            line = fh.read(size)
-            fh.seek(end)
-        else:
-            line = (",".join(map(repr, row.tolist())) + "\n").encode()
-            if k in spans:
-                spans[k] = fh.tell(), len(line)
-        fh.write(line)
+    separated; repr drops a NaN's sign, so in the rows that hold a negative
+    NaN, that is written -nan, which the reader's float parse keeps."""
+    negative_nan = np.isnan(rows) & np.signbit(rows)
+    for row, signed in zip(rows, negative_nan):
+        cells = map(repr, row.tolist())
+        if signed.any():
+            cells = ["-nan" if s else cell for cell, s in zip(cells, signed.tolist())]
+        fh.write((",".join(cells) + "\n").encode())
 
 
 def _write_csv(path, header, arrays):
@@ -142,7 +123,7 @@ def _write_csv(path, header, arrays):
     lines.append("# columns: " + json.dumps(
         [[name, "complex" if np.iscomplexobj(arr) else "real"]
          for name, arr in arrays]))
-    with open(path, "w+b") as fh:
+    with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in lines).encode())
         for _, arr in arrays:
             _write_rows(fh, _float_rows(arr))
@@ -244,8 +225,9 @@ def _write(path, fmt, head, axes, provenance, arrays):
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
     header.update(_clean(provenance))
-    fold, symmetry = _FOLDS.get(head["kind"], (None, None))
-    if symmetry:
+    folds = _FOLDS.get(head["kind"])
+    if folds:
+        fold, symmetry = next(iter(folds.items()))
         parts = [(name, *symmetry(np.atleast_2d(arr))) for name, arr in arrays]
         if all(_mirrored(pairs) for _, _, pairs in parts):
             header["fold"] = fold
@@ -262,9 +244,9 @@ def _mirrored(pairs):
 
 def _unfold(path, kind, fold, name, stored, shape):
     """The array of `shape` whose fundamental domain a folded file stored."""
-    if fold != _FOLDS.get(kind, (None,))[0]:
+    symmetry = _FOLDS.get(kind, {}).get(fold)
+    if symmetry is None:
         raise ConfigurationError(f"{path}: {kind} files have no fold {fold!r}")
-    symmetry = _FOLDS[kind][1]
     # the domain's shape, from a view of the shape that holds no memory
     domain, _ = symmetry(np.broadcast_to(stored.dtype.type(0), shape))
     if domain.shape != stored.shape:
@@ -280,9 +262,11 @@ def _unfold(path, kind, fold, name, stored, shape):
 def _read(path, kind, axes=()):
     """(provenance, axes, arrays) of a product of this kind.
 
-    The encoding is sniffed from the magic. With axes named, every array,
-    rebuilt from its fundamental domain in a folded file, must have one
-    row per value of the first and one column per value of the second.
+    The encoding is sniffed from the magic. With axes named, each axis
+    must hold an integer count and a finite start and step (_axis), and
+    every array, rebuilt from its fundamental domain in a folded file, must
+    have one row per value of the first and one column per value of the
+    second.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
@@ -292,7 +276,8 @@ def _read(path, kind, axes=()):
         if found != kind:
             raise ConfigurationError(
                 f"{path}: expected a {kind} file, found {found!r}")
-        shape = tuple(_require(header, f"n_{name}", path) for name in axes)
+        specs = [_axis(header, name, path) for name in axes]
+        shape = tuple(n for _, _, n in specs)
         fold = header.pop("fold", None)
         for name, arr in arrays.items() if axes else ():
             if fold is not None:
@@ -300,10 +285,21 @@ def _read(path, kind, axes=()):
             if arr.shape != shape:
                 raise ConfigurationError(f"{path}: array {name!r} has shape "
                                          f"{arr.shape}, its axes give {shape}")
-        grid = [_require(header, f"{name}_start", path)
-                + np.arange(int(count)) * _require(header, f"{name}_step", path)
-                for name, count in zip(axes, shape)]
-    return header, grid, arrays
+    return header, [start + np.arange(n) * step for start, step, n in specs], arrays
+
+
+def _axis(header, name, path):
+    """(start, step, count) of an axis: an integer count, finite start and step."""
+    start, step, n = (_require(header, key, path) for key in
+                      (f"{name}_start", f"{name}_step", f"n_{name}"))
+    if type(n) is not int:
+        raise ConfigurationError(
+            f"{path}: n_{name} must be an integer, got {n!r}")
+    for key, value in ((f"{name}_start", start), (f"{name}_step", step)):
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ConfigurationError(
+                f"{path}: {key} must be a finite number, got {value!r}")
+    return start, step, n
 
 
 # the GridSpec numbers that the axes' start/step/count do not carry exactly
@@ -356,9 +352,10 @@ def write_coherence_map(path, cmap, fmt="csv"):
 
 
 def read_coherence_map(path):
+    """A coherence map; g is real, or complex in older files."""
     header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"))
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
-                        g=np.asarray(_require(arrays, "g", path), dtype=complex),
+                        g=_require(arrays, "g", path),
                         carrier_omega=_require(header, "carrier_omega", path),
                         intensity=_require(header, "intensity", path),
                         provenance=header)
@@ -407,15 +404,10 @@ def write_trace(path, trace):
 def _stage_axis(header, shape, path):
     """The stage positions start + j * step of a trace's `position` axis,
     which must be an increasing sweep of one position per intensity."""
-    start, step, n = (_require(header, key, path) for key in
-                      ("position_start", "position_step", "n_position"))
-    if type(n) is not int or n < 2:
+    start, step, n = _axis(header, "position", path)
+    if n < 2:
         raise ConfigurationError(
             f"{path}: n_position must be an integer >= 2, got {n!r}")
-    for key, value in (("position_start", start), ("position_step", step)):
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ConfigurationError(
-                f"{path}: {key} must be a finite number, got {value!r}")
     if step <= 0:
         raise ConfigurationError(
             f"{path}: position_step must be positive, got {step!r}")

@@ -4,9 +4,12 @@ The density at mismatch delta_k is
 
     S = (G * sinh(g) / g)^2,    g = sqrt(G^2 - (delta_k * L)^2 / 4),
 
-continued analytically to sin for an imaginary g. Grids are sized so the
-density decays below 1e-3 of its peak at every edge, which the correlation
-transform later relies on.
+continued analytically to sin for an imaginary g. delta_k is unchanged when
+signal and idler exchange and depends on k only through k^2, so on a grid
+centred on the degenerate frequency S is even in Omega and k: it is
+evaluated once per (|Omega|, |k|). Grids are sized so the density decays
+below 1e-3 of its peak at every edge, which the correlation transform
+relies on.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def spectral_density(omega_s, k, cfg):
 def _masked_density(cfg, omega, k):
     """Density over an axis product with invalid nodes set to 0.
 
-    Returns (values, invalid_count), values C-ordered. The mismatch
+    Returns (values, invalid count per row), values C-ordered. The mismatch
     depends on k only through k^2, so each distinct |k| is evaluated once
     and taken back out to its columns. Rows are evaluated _ROW_BLOCK
     frequencies at a time, so a block's temporaries stay in cache. Nodes
@@ -132,14 +135,14 @@ def _masked_density(cfg, omega, k):
     abs_k, column = np.unique(np.abs(k), return_inverse=True)
     repeats = np.bincount(column)
     values = np.empty((omega.size, k.size))
-    invalid = 0
+    invalid = np.empty(omega.size, int)
     for lo in range(0, omega.size, _ROW_BLOCK):
         mismatch, valid = _mismatch(cfg, omega[lo:lo + _ROW_BLOCK, None], abs_k)
         density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
         density[~valid] = 0.0
         # mode="clip" lets take write straight into out (indices are in range)
         np.take(density, column, axis=1, out=values[lo:lo + _ROW_BLOCK], mode="clip")
-        invalid += int(np.count_nonzero(~valid, axis=0) @ repeats)
+        invalid[lo:lo + _ROW_BLOCK] = ~valid @ repeats
     return values, invalid
 
 
@@ -151,12 +154,20 @@ def mirror(pairs):
 
 
 def k_mirror(values):
-    """(domain, mirror pairs) of an S even in k: the columns k = 0 .. -k_max,
-    S at the distinct |k| that _masked_density evaluates, copied onto k > 0
-    (the unpaired -k_max column is the k_max node)."""
+    """(domain, mirror pairs) of an array even in k, as older S files fold:
+    the columns k = 0 .. -k_max (-k_max is the k_max node), copied onto k > 0."""
     n, half = values.shape[1], values.shape[1] // 2
     return values[:, half::-1], [
         (values[:, half + 1:], values[:, half - 1::-1][:, :n - half - 1], np.positive)]
+
+
+def s_mirror(values):
+    """(domain, mirror pairs) of an S even in Omega and k, as S(Omega^2, k^2)
+    is: the rows Omega = 0 .. -Omega_max (-Omega_max is the Omega_max node)
+    of k_mirror's domain, copied onto Omega > 0."""
+    n = values.shape[0] // 2
+    domain, pairs = k_mirror(values[:n + 1])
+    return domain[::-1], pairs + [(values[n + 1:], values[n - 1:0:-1], np.positive)]
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -205,13 +216,23 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
 def build_spectrum(cfg, grid=None):
     """Evaluate the density on a grid (auto-sized when grid is None).
 
-    Invalid nodes are zeroed and counted; more than 1% of them is a
-    configuration error. The provenance records the edge decay ratio that
-    the correlation transform checks before trusting the grid.
+    The grid is centred on the degenerate frequency, where S is even in
+    Omega: the rows Omega <= 0 are evaluated and s_mirror fills the rest.
+    Invalid nodes are zeroed and counted at their mirror weight; more than
+    1% of them is a configuration error. The provenance records the edge
+    decay ratio that the correlation transform checks before trusting it.
     """
     if grid is None:
         grid = auto_grid(cfg)
-    values, invalid = _masked_density(cfg, grid.omega_axis(), grid.k_axis())
+    if grid.omega_center != cfg.degenerate_omega:
+        raise ConfigurationError(f"grid omega_center {grid.omega_center!r} is not the "
+                                 f"degenerate frequency {cfg.degenerate_omega!r} rad/s")
+    n = grid.n_omega // 2
+    values = np.empty((grid.n_omega, grid.n_k))
+    values[:n + 1], rows = _masked_density(cfg, grid.omega_axis()[:n + 1], grid.k_axis())
+    mirror(s_mirror(values)[1])
+    # row 0 (-Omega_max) and row n (Omega = 0) have no mirror on the grid
+    invalid = int(2 * rows.sum() - rows[0] - rows[n])
     if invalid > 0.01 * values.size:
         raise ConfigurationError(
             f"{invalid} of {values.size} grid nodes are unphysical "

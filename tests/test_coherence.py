@@ -125,35 +125,47 @@ def test_hermitian_symmetry(map94):
     assert np.array_equal(map94.g[::-1, ::-1], np.conj(map94.g))
 
 
-def _mirrored_in_k(table):
-    """S even in k from its k >= 0 columns: column n/2 +- m is table column
-    m, and the unpaired first column (-n/2 steps) is table column n/2."""
-    n_k = table.shape[1]
-    return table[:, np.abs(np.arange(n_k) - n_k // 2)]
+def _mirrored(table):
+    """S even in Omega and k, as S(Omega^2, k^2) is, from its Omega >= 0,
+    k >= 0 quadrant: row n/2 +- m and column n/2 +- m are table row and
+    column m, and the unpaired first row and column (-n/2 steps) are table
+    row and column n/2."""
+    n_w, n_k = table.shape
+    return table[np.abs(np.arange(n_w) - n_w // 2)][:, np.abs(np.arange(n_k) - n_k // 2)]
+
+
+_SPEC64 = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
+                   n_omega=64, k_half_width=1e5, n_k=64)
+
+
+def _refused(cell, message):
+    """A random even S is transformed, with its unpaired row and column
+    free; with the cell moved it is refused with the message."""
+    values = _mirrored(np.random.default_rng(3).random((64, 64)))
+    values[:, 0] = 5.0
+    values[0] = 7.0
+    correlation_map(SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0}),
+                    oversample=2, extent_cells=4)
+    values[cell] += 1e-3
+    with pytest.raises(ConfigurationError, match=message):
+        correlation_map(SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0}))
 
 
 def test_transform_refuses_a_density_odd_in_k():
-    spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
-                    n_omega=64, k_half_width=1e5, n_k=64)
-    values = _mirrored_in_k(np.random.default_rng(3).random((64, 64)))
-    values[:, 0] = 5.0  # the unpaired column is free
-    correlation_map(SpectralGrid(spec, values, {"edge_ratio": 0.0}),
-                    oversample=2, extent_cells=4)
-    values[10, 37] += 1e-3
-    with pytest.raises(ConfigurationError,
-                       match="^S is not even in k: column 27 differs from its mirror 37$"):
-        correlation_map(SpectralGrid(spec, values, {"edge_ratio": 0.0}))
+    _refused((10, 37), "^S is not even in k: column 27 differs from its mirror 37$")
+
+
+def test_transform_refuses_a_density_odd_in_omega():
+    # both columns move, so S stays even in k
+    _refused((10, [27, 37]), "^S is not even in Omega: row 10 differs from its mirror 54$")
 
 
 def test_transform_is_exact_for_a_k_mirrored_density():
-    # a random S, asymmetric in Omega, even in k, with mass in the unpaired
-    # Omega row and k column
-    spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
-                    n_omega=64, k_half_width=1e5, n_k=64)
-    values = _mirrored_in_k(np.random.default_rng(3).random((64, 64)))
+    # a random S, even in Omega and k, with mass in the unpaired Omega row
+    # and k column
+    values = _mirrored(np.random.default_rng(3).random((64, 64)))
     assert np.all(values[0] > 0) and np.all(values[:, 0] > 0)
-    assert np.abs(values[1:] - values[:0:-1]).max() > 0.5
-    sg = SpectralGrid(spec, values, {"edge_ratio": 0.0})
+    sg = SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0})
     cm = correlation_map(sg, oversample=2, extent_cells=4)
     for i, tau in enumerate(cm.tau_axis):
         for j, xi in enumerate(cm.xi_axis):

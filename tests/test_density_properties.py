@@ -86,23 +86,26 @@ def test_density_peaks_on_the_phase_matched_ring(theta_deg, gain, length_m):
 @given(*BOX)
 def test_map_is_real_and_even_in_xi_but_for_the_unpaired_edge(theta_deg, gain,
                                                               length_m):
-    """S is even in k and symmetric under Omega -> -Omega, so g1 is real and
-    even in xi. The transform counts the unpaired -k_max column half at
-    -k_max and half at +k_max, so the map and its blur are even in xi bit
-    for bit; only the unpaired -Omega_max row breaks the reality, by at
-    most about its share of the mass."""
+    """S(Omega, k) depends on Omega and k only through Omega^2 and k^2
+    about the degenerate frequency, where signal and idler exchange, so it
+    is even in both, and its g1 is real and even in tau and xi. The
+    transform counts the unpaired -Omega_max row and -k_max column half at
+    each end, so the map and its blur hold all of this bit for bit."""
     drawn = _spectrum(theta_deg, gain, length_m)
     if drawn is None:
         return
     values = drawn[1].values
-    edge = (values[0].sum() + values[1:, 0].sum()) / values.sum()
+    assert np.array_equal(_bits(values[1:]), _bits(values[:0:-1]))
+    assert np.array_equal(_bits(values[:, 1:]), _bits(values[:, :0:-1]))
     cm = correlation_map(drawn[1])
-    assert np.abs(cm.g.imag).max() < 2 * edge + 1e-12
+    assert cm.g[cm.g.shape[0] // 2, cm.g.shape[1] // 2] == 1.0
     # the example's 1 fs, 6 um blur, widened to 0.7 samples on a coarser map
     floor = 0.7 * FWHM_TO_SIGMA
     blurred = instrument_blur(cm, max(1e-15, floor * cm.tau_step),
                               max(6e-6, floor * cm.xi_step)).g
     for g in (cm.g, blurred):
+        assert g.dtype == np.float64
+        assert np.array_equal(_bits(g), _bits(g[::-1]))
         assert np.array_equal(_bits(g), _bits(g[:, ::-1]))
 
 

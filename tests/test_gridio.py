@@ -151,11 +151,12 @@ def test_binary_arrays_round_trip_bit_for_bit_from_any_layout(tmp_path, layout):
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
 def test_complex_parts_survive_the_round_trip_exactly(tmp_path, fmt):
     # re + 1j*im would turn an infinite imaginary part into a NaN real
-    # part and lose signed zeros; every pairing of these parts must survive
-    parts = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5]
+    # part and lose signed zeros and NaN signs; every pairing of these parts
+    # must survive
+    parts = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5]
     pairs = np.array([(re, im) for re in parts for im in parts])
-    g = pairs.view(complex).reshape(6, 6)
-    cmap = CoherenceMap((np.arange(6) - 3) * 1e-15, (np.arange(6) - 3) * 1e-6,
+    g = pairs.view(complex).reshape(7, 7)
+    cmap = CoherenceMap((np.arange(7) - 3) * 1e-15, (np.arange(7) - 3) * 1e-6,
                         g, carrier_omega=1.18e15, intensity=1.0, provenance={})
     path = tmp_path / "map.dat"
     write_coherence_map(path, cmap, fmt=fmt)
@@ -314,6 +315,13 @@ def test_products_in_the_older_full_layout_still_read(tmp_path):
     back = read_spectral_grid(tmp_path / "s.csv")
     assert back.values.tobytes() == density.tobytes()
     assert back.spec == _SPEC and back.provenance == {"gain": 6.0}
+    # S as written when it was folded in k alone: its columns at |k| = 0 ..
+    # k_max, every row
+    (tmp_path / "s_k.csv").write_text(OLD_S_HEAD.replace(
+        "# columns:", '# fold: "|k|"\n# columns:') + "".join(
+        ",".join(map(repr, row)) + "\n" for row in density[:, 32::-1].tolist()))
+    back = read_spectral_grid(tmp_path / "s_k.csv")
+    assert back.values.tobytes() == density.tobytes()
 
 
 # a trace as written today: its stage sweep as the position axis
@@ -461,8 +469,14 @@ def test_unknown_format_is_rejected(tmp_path, sg):
 
 # --- the CSV encoder against a per-cell reference ---
 
-AWKWARD = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1,
+AWKWARD = [np.nan, -np.nan, np.inf, -np.inf, -0.0, 0.0, 1e16, 1e-5, 5e-324, 0.1,
            1 / 3, -2.5e-308, 1.7976931348623157e308, 123456789.0]
+
+
+def _cell(v):
+    """A float as CSV writes it: its repr, but -nan for a NaN whose sign
+    bit is set."""
+    return "-nan" if np.isnan(v) and np.signbit(v) else repr(float(v))
 
 
 def _reference_csv(header, arrays):
@@ -476,9 +490,9 @@ def _reference_csv(header, arrays):
             cells = []
             for v in row:
                 if np.iscomplexobj(row):
-                    cells += [repr(float(v.real)), repr(float(v.imag))]
+                    cells += [_cell(v.real), _cell(v.imag)]
                 else:
-                    cells.append(repr(float(v)))
+                    cells.append(_cell(v))
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -492,30 +506,25 @@ def _even_about_centre(a):
     return a
 
 
-def _even_in_k(a):
-    """a, of an even number n of columns, with column n // 2 + j a copy of
-    column n // 2 - j: even in k, as S is; column 0 is any."""
+def _even_in_omega_and_k(a):
+    """a, of even numbers of rows and columns, with row n // 2 + j a copy of
+    row n // 2 - j and column m // 2 + j a copy of column m // 2 - j: even
+    in Omega and k, as S is; row and column 0 are any."""
     a = np.array(a)
-    half = a.shape[1] // 2
-    a[:, half + 1:] = a[:, half - 1:0:-1]
+    for b in (a, a.T):
+        half = len(b) // 2
+        b[half + 1:] = b[half - 1:0:-1]
     return a
 
 
 def _conjugate_even(g):
     """g even in its columns, and row k the conjugate of row n - 1 - k
-    reversed for k < n // 2: the symmetries of g1(tau, xi) of a real S."""
-    g = _even_about_centre(np.asarray(g, dtype=complex))
+    reversed for k < n // 2: the symmetries of g1(tau, xi) of a real S
+    (for a real g, even in tau and xi)."""
+    g = _even_about_centre(g)
     half = len(g) // 2
     g[:half] = np.conj(g[::-1, ::-1][:half])
     return g
-
-
-def _exchange_twins(a):
-    """a with each row k past c = n // 2 a copy of row 2c - k."""
-    a = np.array(a)
-    c = len(a) // 2
-    a[c + 1:] = a[2 * c - len(a) + 1:c][::-1]
-    return a
 
 
 def _awkward_arrays(n=40):
@@ -525,11 +534,6 @@ def _awkward_arrays(n=40):
     cplx = np.empty((n, 5), complex)
     cplx.real = rng.choice(AWKWARD, size=cplx.shape)
     cplx.imag = rng.choice(AWKWARD + [-0.0] * 5, size=cplx.shape)
-    # exchange twins over n + 1 and n rows; row n - n // 4 of n + 1 (30 of
-    # 41) differs from its source, row n // 4, in the sign of a zero, so it
-    # is formatted
-    odd_twins = _exchange_twins(rng.choice(AWKWARD, (n + 1, 6)))
-    odd_twins[n // 4, 2], odd_twins[n - n // 4, 2] = 0.0, -0.0
     return {
         "real": [("v", real)],
         "complex": [("g", cplx)],
@@ -539,8 +543,6 @@ def _awkward_arrays(n=40):
         "multi-array": [("x", real[:, :5]), ("g", cplx),
                         ("n", np.arange(5 * n, dtype=np.int32).reshape(n, 5))],
         "one and two columns": [("a", real[:, :1]), ("b", real[:, :2])],
-        "exchange twins": [("v", odd_twins),
-                           ("w", _exchange_twins(rng.choice(AWKWARD, (n, 5))))],
     }
 
 
@@ -562,43 +564,6 @@ def repr_calls(monkeypatch):
     return calls
 
 
-def test_awkward_mirrors_reach_the_reuse_rules(tmp_path, repr_calls):
-    twins = _awkward_arrays()["exchange twins"]
-    (_, odd), (_, even) = twins
-    # the rows written from an earlier row's line
-    for values, written in ((odd, [k for k in range(21, 41) if k != 30]),
-                            (even, list(range(21, 40)))):
-        mask = gridio._twins(gridio._float_rows(values))
-        assert np.flatnonzero(mask).tolist() == written
-    # only the 22 and 21 rows that are not twins are formatted
-    gridio._write_csv(tmp_path / "twins.csv", {}, twins)
-    assert len(repr_calls) == (41 - 19) * 6 + (40 - 19) * 5
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_mirror_images_match_per_cell_repr(data):
-    """Exchange twins, each row k past c = n // 2 a copy of row 2c - k,
-    with one cell perhaps perturbed, write the per-cell reference."""
-    draw = data.draw
-    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 7))
-    values = _exchange_twins(_values(draw, (n, m)))
-    perturb = draw(st.sampled_from([None, "value", "zero sign", "nan"]))
-    if perturb:
-        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))
-        if perturb == "zero sign":
-            # the cell and its twin become zeros of opposite signs
-            values[i, j], values[(2 * (n // 2) - i) % n, j] = 0.0, -0.0
-        else:
-            values[i, j] = np.nan if perturb == "nan" else _values(draw, ())
-    arrays = [("v", values)]
-    header = {"kind": "test"}
-    with tempfile.TemporaryDirectory() as root:
-        path = Path(root) / "mirror.csv"
-        gridio._write_csv(path, header, arrays)
-        assert path.read_text() == _reference_csv(header, arrays)
-
-
 def _stored(path):
     """The header and the one array a product file stores, as it stores them."""
     with open(path, "rb") as fh:
@@ -609,31 +574,27 @@ def _stored(path):
 
 
 def test_example_products_store_their_fundamental_domain(tmp_path, repr_calls):
-    """At 256 x 128, S stores its 65 columns at |k| = 0 .. k_max and formats
-    only the rows that are not exchange twins, the wavelength-angle grid
-    its 64 angle >= 0 columns, the map and the blurred map their 513 x 129
-    tau >= 0, xi >= 0 quadrant; each reads back bit for bit."""
+    """At 256 x 128, S stores its 129 x 65 (|Omega|, |k|) quadrant, the
+    wavelength-angle grid its 64 angle >= 0 columns, the real map and
+    blurred map their 513 x 129 tau >= 0, xi >= 0 quadrant; CSV formats
+    each stored value once, and each product reads back bit for bit."""
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=6.0,
                         sellmeier=load_sellmeier("bbo_kato1986"))
     sg = build_spectrum(cfg, auto_grid(cfg, 256, 128))
     cmap = correlation_map(sg)
-    domain = sg.values[:, 64::-1]
-    twins = sum(domain[k].tobytes() == domain[256 - k].tobytes()
-                for k in range(129, 256))
-    assert twins > 64
     # product -> (writer, reader, its array, stored shape, floats formatted)
     products = {
         "S": (write_spectral_grid, read_spectral_grid, sg, "values",
-              (256, 65), (256 - twins) * 65),
+              (129, 65), 129 * 65),
         "wavelength-angle grid": (
             write_wavelength_angle_grid, read_wavelength_angle_grid,
             to_wavelength_angle(sg), "values", (256, 64), 256 * 64),
         "map": (write_coherence_map, read_coherence_map, cmap, "g",
-                (513, 129), 513 * 129 * 2),
+                (513, 129), 513 * 129),
         "blurred map": (write_coherence_map, read_coherence_map,
                         instrument_blur(cmap, 1e-15, 6e-6), "g",
-                        (513, 129), 513 * 129 * 2)}
+                        (513, 129), 513 * 129)}
     for name, (write, read, product, field, shape, formatted) in products.items():
         for fmt in ("csv", "binary"):
             repr_calls.clear()
@@ -643,6 +604,7 @@ def test_example_products_store_their_fundamental_domain(tmp_path, repr_calls):
             header, stored = _stored(path)
             assert "fold" in header and stored.shape == shape, (name, fmt)
             back = getattr(read(path), field)
+            assert back.dtype == np.float64, (name, fmt)
             assert back.tobytes() == getattr(product, field).tobytes(), (name, fmt)
 
 
@@ -650,8 +612,8 @@ def test_example_products_store_their_fundamental_domain(tmp_path, repr_calls):
 
 
 _TAU, _XI = (np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6
-# conjugate-even and xi-even, so that it is stored folded
-_G = _conjugate_even(np.ones((5, 3), complex))
+# real and even in tau and xi, so that it is stored folded
+_G = _conjugate_even(np.arange(15.0).reshape(5, 3))
 _POS = np.arange(8) * 4e-8
 _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
                  k_half_width=1e5, n_k=64)
@@ -757,6 +719,12 @@ CORRUPTIONS = {
         "wavelength-angle binary", lambda b: b.replace(b'"n_angle":3', b'"n_angle":9')),
     "CSV map of an unknown fold": (
         "csv", lambda t: t.replace('# fold: "tau >= 0, xi >= 0"', '# fold: "xi"')),
+    "CSV map with a NaN tau_start": (
+        "csv", lambda t: t.replace("# tau_start: -2e-15", "# tau_start: NaN")),
+    "CSV spectral grid with an infinite k_step": (
+        "spectral csv", lambda t: t.replace("# k_step: 3125.0", "# k_step: Infinity")),
+    "binary map with a fractional axis count": (
+        "binary", lambda b: b.replace(b'"n_xi":3', b'"n_xi":3.0')),
 }
 
 
@@ -834,7 +802,7 @@ def _header_float(draw):
 # fundamental domain that a file of a symmetric array stores)
 SYMMETRIES = {
     "coherence map": (_conjugate_even, lambda a: a[len(a) // 2:, a.shape[1] // 2:]),
-    "spectral grid": (_even_in_k, lambda a: a[:, a.shape[1] // 2::-1]),
+    "spectral grid": (_even_in_omega_and_k, lambda a: a[len(a) // 2::-1, a.shape[1] // 2::-1]),
     "wavelength-angle grid": (_even_about_centre, lambda a: a[:, a.shape[1] // 2:]),
 }
 
@@ -849,9 +817,6 @@ def _laid_out(draw, kind, values):
     layout = draw(st.sampled_from(["as drawn", "symmetric", "one cell off"]))
     if layout == "as drawn":
         return values, None
-    if layout == "one cell off" and np.iscomplexobj(values):
-        # a whole map in CSV cannot hold the sign of a NaN that conj flips
-        values.imag[np.isnan(values.imag)] = 1.5
     values = symmetric(values)
     mirror_cells = np.ones(values.shape, bool)
     domain(mirror_cells)[...] = False
@@ -874,9 +839,10 @@ def _check_stored(path, expected):
 
 
 def _coherence_round_trip(draw, path, fmt):
+    # real as written today, complex as in older files
     tau, xi = _exact_axis(draw), _exact_axis(draw)
-    g, expected = _laid_out(draw, "coherence map",
-                            _values(draw, (tau.size, xi.size), complex))
+    g, expected = _laid_out(draw, "coherence map", _values(
+        draw, (tau.size, xi.size), draw(st.sampled_from([float, complex]))))
     write_coherence_map(path, CoherenceMap(
         tau, xi, g, carrier_omega=_header_float(draw),
         intensity=_header_float(draw), provenance={}), fmt=fmt)

@@ -99,10 +99,15 @@ def test_density_rejects_invalid_points(theta_pm, sell):
 
 @pytest.mark.parametrize("theta_deg", [19.87, 19.90, 19.94])
 def test_built_grid_is_the_density_over_the_axis_product(sell, theta_deg):
+    # the rows Omega <= 0 are evaluated, the rows Omega > 0 are their
+    # mirrors, within rounding of their own evaluation
     cfg = _cfg(math.radians(theta_deg), sell)
     sg = build_spectrum(cfg)
+    n = sg.spec.n_omega // 2
     want = spectral_density(sg.omega_axis()[:, None], sg.k_axis()[None, :], cfg)
-    assert sg.values.tobytes() == want.tobytes()
+    assert sg.values[:n + 1].tobytes() == want[:n + 1].tobytes()
+    assert sg.values[n + 1:].tobytes() == sg.values[n - 1:0:-1].tobytes()
+    assert np.abs(sg.values - want).max() <= 1e-11 * want.max()
     # later stages gather rows of S
     assert sg.values.flags.c_contiguous
 
@@ -114,7 +119,7 @@ def _density_by_column(cfg, omega, k):
         mismatch, valid = _mismatch(cfg, omega, kj)
         columns.append(np.where(
             valid, _density_from_mismatch(mismatch, cfg.length_m, cfg.gain), 0.0))
-        invalid += int(valid.size - np.count_nonzero(valid))
+        invalid = invalid + ~valid
     return np.column_stack(columns), invalid
 
 
@@ -136,7 +141,7 @@ def test_masked_density_equals_the_column_by_column_evaluation(theta_pm, sell, a
     values, invalid = _masked_density(cfg, omega, k)
     want, want_invalid = _density_by_column(cfg, omega, k)
     assert values.tobytes() == want.tobytes()
-    assert invalid == want_invalid and invalid > 0
+    assert invalid.tolist() == want_invalid.tolist() and invalid.sum() > 0
 
 
 def test_grid_spec_validation():
@@ -170,6 +175,15 @@ def test_build_counts_and_zeroes_invalid_nodes(theta_pm, sell):
     assert sg.provenance["invalid_nodes"] == 1536
     assert sg.values[0].max() == 0.0
     assert sg.values[-1].max() == 0.0
+
+
+def test_build_refuses_a_grid_off_the_degenerate_frequency(theta_pm, sell):
+    cfg = _cfg(theta_pm, sell)
+    g = GridSpec(omega_center=cfg.degenerate_omega * 1.001, omega_half_width=3e14,
+                 n_omega=256, k_half_width=1e5, n_k=128)
+    with pytest.raises(ConfigurationError,
+                       match="^grid omega_center .* is not the degenerate frequency"):
+        build_spectrum(cfg, g)
 
 
 def test_build_rejects_mostly_invalid_grid(theta_pm, sell):
@@ -225,7 +239,7 @@ def test_signal_idler_symmetry(sell):
                  n_omega=256, k_half_width=1.2e5, n_k=128)
     v = build_spectrum(cfg, g).values
     m = np.arange(1, 128)
-    assert np.allclose(v[128 - m], v[128 + m], rtol=0, atol=1e-12 * v.max())
+    assert np.array_equal(v[128 - m], v[128 + m])
 
 
 def test_values_are_bounded(spot, ring):
