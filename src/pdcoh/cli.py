@@ -35,9 +35,6 @@ from .phasematch import collinear_degenerate_angle, external_angle, \
 from .spectrum import auto_grid, build_spectrum, to_wavelength_angle
 
 ENV_CONFIG = "PDCOH_CONFIG"
-# floats (a complex value is two) of a CSV product that takes a writer
-_WRITER_VALUES = 1 << 18
-_writers = {}  # pid -> path of each running writer
 
 
 def _theta_tag(theta_rad):
@@ -80,67 +77,29 @@ def _config_path(args):
 
 
 def _select_thetas(rc, args):
-    if not getattr(args, "theta", None):
-        return list(rc.thetas_rad)
-    thetas = [parse_angle(t, field="--theta") for t in args.theta]
-    with blamed("--theta", ConfigurationError):
-        for theta in thetas:
-            rc.crystal_config(theta)
+    """The orientations to run, checked before any work, each with a product
+    tag of its own."""
+    field, thetas = "[crystal] theta", list(rc.thetas_rad)
+    if getattr(args, "theta", None):
+        field, thetas = "--theta", [parse_angle(t, field="--theta") for t in args.theta]
+        with blamed(field, ConfigurationError):
+            for theta in thetas:
+                rc.crystal_config(theta)
+    tags = [_theta_tag(theta) for theta in thetas]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise ConfigurationError(
+                f"{field}: {math.degrees(thetas[tags.index(tag)]):.10g} and "
+                f"{math.degrees(thetas[i]):.10g} deg share the product tag {tag}")
     return thetas
 
 
-def _usable_cpus():
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 def _write(args, write, path, *data, **kwargs):
-    """Write one product; report its path once the file is complete. A CSV
-    product of _WRITER_VALUES floats or more (a grid or a map) is written
-    whole by a forked writer while the command goes on, if fewer than (usable
-    CPUs - 1) writers run. The writer inherits the product, unpickled, and
-    only formats floats: it touches no BLAS state."""
-    _reap(args, os.WNOHANG)
-    values = sum(a.nbytes // 8 for a in getattr(data[0], "__dict__", {}).values()
-                 if isinstance(a, np.ndarray))
-    if (kwargs.get("fmt") == "csv" and values >= _WRITER_VALUES
-            and len(_writers) < _usable_cpus() - 1 and hasattr(os, "fork")):
-        sys.stdout.flush()
-        sys.stderr.flush()
-        pid = os.fork()
-        if pid:
-            _writers[pid] = path
-            return
-        code = 255
-        try:  # the writer ends here, running no atexit handler
-            write(path, *data, **kwargs)
-            code = 0
-        except OSError as exc:
-            code = exc.errno or 255
-        except Exception:
-            sys.excepthook(*sys.exc_info())
-        finally:
-            os._exit(code)
+    """Write one product in this process; report its path once the file is
+    complete."""
     with _writing(args, path):
         write(path, *data, **kwargs)
     print(f"wrote {path}")
-
-
-def _reap(args, flags=0):
-    """Reap the writers that have ended (all, with flags 0), report each
-    complete file, then raise the first failure as the write would have."""
-    ended = {}
-    for pid in list(_writers):
-        done, status = os.waitpid(pid, flags)
-        if done:
-            ended[_writers.pop(pid)] = os.waitstatus_to_exitcode(status)
-    for path, code in ended.items():
-        if not 0 <= code < 255:  # a failure other than an OSError's errno
-            raise PdcohError(f"the writer of {path} exited with {code}")
-        with _writing(args, path):
-            if code:
-                raise OSError(code, os.strerror(code))
-        print(f"wrote {path}")
 
 
 def cmd_dispersion(args):
@@ -204,17 +163,15 @@ def cmd_phasematch(args):
 
 
 def _build_spectrum(rc, theta, args):
+    """S at one orientation, refused as correlation_map would refuse it:
+    auto_grid sizes the grid from a coarse probe, which at angles far from
+    the example's can leave density on the grid's edge."""
     cfg = rc.crystal_config(theta)
-    with blamed("--theta" if args.theta else "[crystal]", ConfigurationError):
-        return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
-
-
-def _correlation_map(rc, theta, args):
-    sg = _build_spectrum(rc, theta, args)
-    # auto_grid sizes the grid from a coarse probe, which at angles far
-    # from the example's can leave density on the grid's edge
-    with blamed("--theta" if args.theta else "[crystal]", EdgeDecayError):
-        return correlation_map(sg)
+    with blamed("--theta" if args.theta else "[crystal]", ConfigurationError,
+                EdgeDecayError):
+        sg = build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
+        sg.check_edge_decay()
+    return sg
 
 
 def cmd_spectrum(args):
@@ -265,7 +222,7 @@ def cmd_coherence(args):
     rc, out = _load(args)
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = _correlation_map(rc, theta, args)
+        cmap = correlation_map(_build_spectrum(rc, theta, args))
         if blur:  # refused before this orientation writes anything
             with blamed("--blur", MapExtentError, ResolutionError):
                 blur_sigma(cmap, *blur)
@@ -281,7 +238,7 @@ def cmd_interferogram(args):
     icfg = rc.interferometer
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = _correlation_map(rc, theta, args)
+        cmap = correlation_map(_build_spectrum(rc, theta, args))
         paths = []
         for j in range(rc.bs2_count):
             bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m
@@ -402,10 +359,7 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        try:
-            return args.func(args)
-        finally:  # no writer outlives the command
-            _reap(args)
+        return args.func(args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, EdgeDecayError, MapExtentError, ResolutionError
+from .errors import ConfigurationError, MapExtentError, ResolutionError
 from .spectrum import bilinear, mirror, s_mirror
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -95,11 +95,7 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
     and the rest of g is its mirror. The tau kernel is read from one table
     of cos(2 pi j / L), L = n_omega * oversample_tau.
     """
-    edge = sg.edge_ratio
-    if not edge < 1e-3:
-        raise EdgeDecayError(
-            f"spectral density at the grid edge is {edge:.2e} of the peak "
-            "(limit 1e-3); widen the grid before transforming")
+    sg.check_edge_decay()
     spec, s = sg.spec, sg.values
     for axis, name, unequal in (("k", "column", s[:, 1:] != s[:, :0:-1]),
                                 ("Omega", "row", (s[1:] != s[:0:-1]).T)):

@@ -20,8 +20,8 @@ S files folded in k alone, spectrum.k_mirror), so a file does not hold the
 full grid for a tool such as numpy.loadtxt. Where that would not give every
 bit back, the writer stores the whole array with no fold field, as older
 files do. A CSV value is its repr, a NaN whose sign bit is set -nan. Every
-write_* returns with its file complete; the command line writes its large
-CSV products in forked writer processes.
+write_* returns with its file complete, written by the calling process:
+the command line writes every product itself.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dispersion import c
 from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
-from .errors import ConfigurationError
+from .errors import ConfigurationError, EdgeDecayError
 from .phasematch import _mismatch, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
@@ -99,6 +99,14 @@ class SpectralGrid:
     def edge_ratio(self):
         """Largest edge value relative to the grid peak."""
         return self.provenance.get("edge_ratio", math.inf)
+
+    def check_edge_decay(self):
+        """Refuse a grid whose density has not decayed below EDGE_DECAY_RATIO
+        of its peak at every edge: its correlation transform would alias."""
+        if not self.edge_ratio < EDGE_DECAY_RATIO:
+            raise EdgeDecayError(
+                f"spectral density at the grid edge is {self.edge_ratio:.2e} of the "
+                f"peak (limit {EDGE_DECAY_RATIO:.0e}); widen the grid before transforming")
 
 
 def _density_from_mismatch(mismatch, length_m, gain):

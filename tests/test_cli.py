@@ -1,6 +1,5 @@
 import ast
 import errno
-import hashlib
 import importlib
 import math
 import os
@@ -54,15 +53,6 @@ stage_span = 16 um
 directory = {out}
 format = csv
 """
-
-
-@pytest.fixture(autouse=True)
-def no_writer_outlives_a_command():
-    """Every forked writer is reaped before main returns, whatever its
-    exit: after each test the process has no child left."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="module")
@@ -411,6 +401,9 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
     pytest.param("interferogram", ["--theta=75.25deg", "--out={taken}"],
                  r"--theta: spectral density at the grid edge is .* of the peak",
                  id="theta-with-density-on-the-grid-edge"),
+    pytest.param("spectrum", ["--theta=75.25deg", "--out={taken}"],
+                 r"--theta: spectral density at the grid edge is .* of the peak",
+                 id="spectrum-theta-with-density-on-the-grid-edge"),
 ])
 def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
                                                     flags, message):
@@ -429,8 +422,8 @@ def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
     assert re.search(message.format(file=re.escape(str(file)),
                                     taken=re.escape(str(taken))), err), err
     assert "internal error" not in err
-    # a refused --blur writes nothing for its orientation
-    assert not list(taken.glob("coherence_*"))
+    # a refused --blur or --theta writes nothing for its orientation
+    assert not list(taken.glob("coherence_*")) and not list(taken.glob("*_75p25_*"))
 
 
 def _two_orientation_csv(tmp_path):
@@ -441,15 +434,11 @@ def _two_orientation_csv(tmp_path):
     return small
 
 
-def test_forked_writers_write_the_bytes_of_a_serial_run(tmp_path, monkeypatch,
-                                                          capfd):
-    # every grid or map takes a writer while one is free (two with three
-    # CPUs); with one usable CPU every file is written in-process
+def test_each_command_reports_each_file_once_it_is_complete(tmp_path, monkeypatch,
+                                                            capsys):
+    # every file is written by the command itself: one wrote line per file,
+    # printed once the file is complete
     small = _two_orientation_csv(tmp_path)
-    monkeypatch.setattr(cli, "_WRITER_VALUES", 1)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     sizes = {}  # path -> its size when its wrote line was printed
 
     def report(line):
@@ -458,34 +447,29 @@ def test_forked_writers_write_the_bytes_of_a_serial_run(tmp_path, monkeypatch,
         print(line)
 
     monkeypatch.setattr(cli, "print", report, raising=False)
-    # (command, its flags, the files it writes): the maps, and S with the
-    # mirrored wavelength-angle grid
-    for command, flags, n_files in (("coherence", ["--blur=1fs,6um"], 16),
-                                    ("spectrum", [], 4)):
-        sums = {}
-        for cpus in (3, 1):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"{command}{cpus}"
-            assert main([command, str(small), *flags, f"--out={out}"]) == 0
-            files = sorted(out.iterdir())
-            # one line per file, once it is complete; none printed twice
-            wrote = capfd.readouterr().out.splitlines()
-            assert sorted(wrote) == sorted(f"wrote {f}" for f in files)
-            assert all(sizes[f] == f.stat().st_size for f in files)
-            sums[cpus] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                          for f in files}
-            # the first orientation's two large products always find a writer
-            assert len(forks) >= 2 if cpus == 3 else forks == []
-            forks.clear()
-        assert len(sums[3]) == n_files and sums[3] == sums[1], command
-    wag = read_wavelength_angle_grid(out / "spectrum_19p94_wavelength_angle.csv")
+    manifest = tmp_path / "interferogram" / "interferogram_19p94_manifest.txt"
+    for command, flags, n_files in (
+            ("dispersion", [str(small), "--points=17"], 1),
+            ("phasematch", [str(small)], 3),
+            ("spectrum", [str(small)], 4),
+            ("coherence", [str(small), "--blur=1fs,6um"], 16),
+            ("interferogram", [str(small)], 24),
+            ("analyze", [str(manifest), f"--config={small}"], 2)):
+        out = tmp_path / command
+        assert main([command, *flags, f"--out={out}"]) == 0
+        files = sorted(out.iterdir())
+        wrote = capsys.readouterr().out.splitlines()
+        assert len(files) == n_files, command
+        assert sorted(wrote) == sorted(f"wrote {f}" for f in files)
+        assert all(sizes[f] == f.stat().st_size for f in files)
+    wag = read_wavelength_angle_grid(tmp_path / "spectrum"
+                                     / "spectrum_19p94_wavelength_angle.csv")
     assert wag.values.tobytes() == wag.values[:, ::-1].tobytes()
 
 
-def test_a_refusal_waits_for_the_running_writers(tmp_path, monkeypatch, capsys):
-    # 21 deg is refused after the 19.94 deg map went to a writer: the
-    # command waits for that writer, whose file is complete
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+def test_a_refused_later_orientation_leaves_the_earlier_map_complete(
+        tmp_path, capsys):
+    # 21 deg is refused after the 19.94 deg products were written
     out = tmp_path / "out"
     assert main(["coherence", str(_two_orientation_csv(tmp_path)), f"--out={out}",
                  "--theta=19.94deg", "--theta=21deg"]) == 1
@@ -495,21 +479,36 @@ def test_a_refusal_waits_for_the_running_writers(tmp_path, monkeypatch, capsys):
 
 def test_a_writer_that_cannot_write_exits_1_naming_the_path(tmp_path,
                                                              monkeypatch, capsys):
-    parent, encode = os.getpid(), gridio._write_csv
-
+    # a disk that fills up under the command's own first CSV write
     def full_disk(path, *args):
-        if os.getpid() != parent:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        encode(path, *args)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
     monkeypatch.setattr(gridio, "_write_csv", full_disk)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "out"
     assert main(["coherence", str(_two_orientation_csv(tmp_path)),
                  f"--out={out}"]) == 1
     err = capsys.readouterr().err
     assert f"--out: cannot write {out}/coherence_19p9_map.csv: No space left" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("thetas, flags, field", [
+    ("19.94 deg", ["--theta=19.94deg", "--theta=19.940001deg"], "--theta"),
+    ("19.94 deg, 19.90 deg, 19.940001 deg", [], r"\[crystal\] theta"),
+], ids=["flags", "config"])
+def test_orientations_that_share_a_product_tag_are_refused(tmp_path, capsys,
+                                                           thetas, flags, field):
+    # a tag keeps 6 significant digits: the second orientation would
+    # overwrite the first one's products
+    small = _two_orientation_csv(tmp_path)
+    small.write_text(small.read_text().replace("19.90 deg, 19.94 deg", thetas))
+    out = tmp_path / "out"
+    for command in ("phasematch", "spectrum", "coherence", "interferogram"):
+        assert main([command, str(small), f"--out={out}", *flags]) == 1
+        err = capsys.readouterr().err
+        assert re.search(f"{field}: 19.94 and 19.940001 deg share the product "
+                         "tag 19p94", err), err
+    assert list(out.iterdir()) == []
 
 
 def test_missing_manifest_exits_1_naming_it(tmp_path, capsys):
