@@ -165,12 +165,18 @@ def cmd_phasematch(args):
 def _build_spectrum(rc, theta, args):
     """S at one orientation, refused as correlation_map would refuse it:
     auto_grid sizes the grid from a coarse probe, which at angles far from
-    the example's can leave density on the grid's edge."""
+    the example's can leave density on the grid's edge. No setting widens
+    that grid, so the refusal names its extent instead of a remedy."""
     cfg = rc.crystal_config(theta)
     with blamed("--theta" if args.theta else "[crystal]", ConfigurationError,
                 EdgeDecayError):
-        sg = build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
-        sg.check_edge_decay()
+        spec = auto_grid(cfg, rc.n_omega, rc.n_k)
+        sg = build_spectrum(cfg, spec)
+        sg.check_edge_decay(
+            f"the grid sized automatically at {math.degrees(theta):g} deg ends at "
+            f"|Omega| = {spec.omega_half_width / cfg.degenerate_omega:.3f} omega_c "
+            f"and |k| = {spec.k_half_width:.3g} rad/m, and no setting widens it: "
+            f"S at this orientation cannot be transformed")
     return sg
 
 

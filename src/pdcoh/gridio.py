@@ -19,7 +19,9 @@ symmetry (coherence.map_mirror, spectrum.s_mirror and angle_mirror; older
 S files folded in k alone, spectrum.k_mirror), so a file does not hold the
 full grid for a tool such as numpy.loadtxt. Where that would not give every
 bit back, the writer stores the whole array with no fold field, as older
-files do. A CSV value is its repr, a NaN whose sign bit is set -nan. Every
+files do. A CSV value is its repr, a NaN whose sign bit is set -nan, byte
+for byte; one numpy kernel formats a block of values at a time and calls
+repr only for the few values it cannot settle exactly (_write_rows). Every
 write_* returns with its file complete, written by the calling process:
 the command line writes every product itself.
 """
@@ -27,6 +29,7 @@ the command line writes every product itself.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 import struct
@@ -104,16 +107,191 @@ def _float_rows(arr):
     return np.asarray(arr, dtype=float)
 
 
+# The CSV encoder: see _write_rows.
+_K_MIN, _K_MAX = -240, 272  # the 10^k table
+_FAST_RANGE = (1e-250, 1e250)
+_MARGIN = 1e-9  # in units of the 17th digit
+_BLOCK = 1 << 14  # values per block
+_SLOT = 25  # bytes per value: sign, at most 23 characters, separator
+
+
+@functools.cache
+def _tables():
+    """10^k as hi + lo doubles, hi also as its two halves; the text of
+    each 4-digit group, in full and without its trailing zeros; the text
+    of each decimal exponent. Built on the first CSV write."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX):
+        if k >= 0:
+            hi.append(float(10 ** k))
+            lo.append(float(10 ** k - int(hi[-1])))
+        else:
+            # int / int is correctly rounded
+            hi.append(1 / 10 ** -k)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+    hi = np.array(hi)
+    n = np.arange(10000)
+    text = np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], 1).astype(np.uint8)
+    trailing = np.logical_and.accumulate(text[:, ::-1] == 0, axis=1)[:, ::-1]
+    groups = np.concatenate([text + ord("0"), np.where(trailing, 0, text + ord("0"))])
+    exponents = np.array([b"e%+03d" % e for e in range(-400, 400)], "S5")
+    return (hi, *_split(hi), np.array(lo), groups.view(np.uint32).ravel(),
+            exponents.view(np.uint8).reshape(-1, 5))
+
+
+def _split(a):
+    """Dekker's split of a into two halves of at most 26 bits."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(x, i):
+    """x 10^k, k = _K_MIN + i, as the integer P nearest to it plus f in
+    [-0.5, 0.5]."""
+    hi, hh, hl, lo = (table.take(i) for table in _tables()[:4])
+    p = x * hi
+    xh, xl = _split(x)
+    t = xl * hl - (((p - xh * hh) - xl * hh) - xh * hl) + x * lo
+    r = np.rint(t)
+    # p is above 2^53, so a whole number
+    return p.astype(np.int64) + r.astype(np.int64), t - r
+
+
+def _shortest(x):
+    """(settled, D, decpt) of positive normal doubles: repr's digits are
+    those of the 17-digit D, less its trailing zeros, with the decimal
+    point decpt places from their start, where settled."""
+    i = (16 - _K_MIN) - np.floor(np.log10(x)).astype(np.int64)
+    P, f = _scaled(x, i)
+    off = (P < 10 ** 16) | (P > 10 ** 17)
+    if off.any():  # log10 was a unit off, next to a power of ten
+        i[off] += np.where(P[off] < 10 ** 16, 1, -1)
+        P[off], f[off] = _scaled(x[off], i[off])
+    settled = (P >= 10 ** 16) & (P <= 10 ** 17)
+    half_ulp = np.ldexp(_tables()[0].take(i), np.frexp(x)[1] - 54)
+    inside, outside = half_ulp - _MARGIN, half_ulp + _MARGIN
+    D = P
+    near = np.abs(np.abs(f) - 0.5) <= _MARGIN  # a tie for the 17 digits
+    for unit in (10, 100):
+        q = P // unit
+        s = (P - q * unit) + f
+        up = s > unit / 2
+        dist = np.where(up, unit - s, np.abs(s))
+        take = dist < inside
+        D = np.where(take, (q + up) * unit, D)
+        # a tie between two roundings can only be taken at 16 digits
+        near = np.where(take, np.abs(s - unit / 2) <= _MARGIN, near | (dist < outside))
+    top = D == 10 ** 17
+    return settled & ~near, np.where(top, 10 ** 16, D), (17 - _K_MIN) - i + top
+
+
+def _encode(rows):
+    """The CSV lines of a block of rows, as a uint8 array.
+
+    Each value gets a _SLOT-byte slot: a sign byte, its text, its separator
+    last, zero bytes between, which are dropped at the end. The text is laid
+    out by the place of the decimal point, as repr lays it out: fixed for
+    decpt in -3..16, with an exponent beyond (layout 17). Sorted by layout,
+    each layout's values are a run of slots that slice copies fill.
+    """
+    *_, groups, exponents = _tables()
+    v = rows.ravel()
+    a = np.abs(v)
+    neg = np.signbit(v)
+    # finite, normal, inside _FAST_RANGE and not a power of two
+    fast = (a >= _FAST_RANGE[0]) & (a < _FAST_RANGE[1]) & (v.view(np.uint64) << 12 != 0)
+    # 1.5 stands in for the values the kernel does not write
+    settled, D, decpt = _shortest(np.where(fast, a, 1.5))
+    layout = np.where((decpt > -4) & (decpt <= 16), decpt, 17).astype(np.int8)
+    order = np.argsort(layout, kind="stable")
+    bounds = np.cumsum(np.bincount(layout + 4, minlength=22)).tolist()
+    D, decpt = D.take(order), decpt.take(order)
+    # D's 17 digits: the first in byte 3, then four groups of four in
+    # words 1-4; words 5-8 hold those groups trimmed: a group followed by
+    # zero groups alone has its trailing zeros as zero bytes
+    top = D // 10 ** 8
+    low = (D - top * 10 ** 8).astype(np.uint32)
+    top = top.astype(np.uint32)
+    first = top // 10 ** 8
+    top -= first * 10 ** 8
+    g = np.empty((len(v), 8), np.intp)
+    for j, part in ((0, top), (2, low)):
+        g[:, j] = part // 10 ** 4
+        g[:, j + 1] = part - g[:, j] * 10 ** 4
+    tail = np.ones(len(v), bool)
+    for j in (3, 2, 1, 0):
+        g[:, 4 + j] = g[:, j] + 10000 * tail
+        tail &= g[:, j] == 0
+    words = np.empty((len(v), 9), np.uint32)
+    words[:, 1:] = groups.take(g)
+    digits = words.view(np.uint8)
+    digits[:, 3] = first + ord("0")
+    full, trim = digits[:, 3:20], digits[:, 20:]
+    laid = np.zeros((len(v), _SLOT), np.uint8)
+    laid[:, 0] = neg.take(order) * np.uint8(ord("-"))
+    for q in range(-3, 18):
+        lo, hi = bounds[q + 3], bounds[q + 4]
+        if lo == hi:
+            continue
+        run = laid[lo:hi]
+        if q <= 0:  # 0.000ddd
+            run[:, 1:3 - q] = np.frombuffer(b"0.000"[:2 - q], np.uint8)
+            run[:, 3 - q] = full[lo:hi, 0]
+            run[:, 4 - q:20 - q] = trim[lo:hi]
+        elif q <= 16:  # ddd.ddd, at least one digit after the point
+            run[:, 1:1 + q] = full[lo:hi, :q]
+            run[:, 1 + q] = ord(".")
+            run[:, 2 + q] = full[lo:hi, q]
+            run[:, 3 + q:19] = trim[lo:hi, q:]
+        else:  # d.ddde+XX, the point only before a digit
+            run[:, 1] = full[lo:hi, 0]
+            run[:, 2] = (trim[lo:hi, 0] != 0) * np.uint8(ord("."))
+            run[:, 3:19] = trim[lo:hi]
+            run[:, 19:24] = exponents.take(decpt[lo:hi] + 399, axis=0)
+    # back in value order: a take of rows is far faster than a scatter
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(v))
+    slot = laid.take(inv, axis=0)
+    zero = a == 0
+    slot[zero, 1:] = np.frombuffer(b"0.0".ljust(_SLOT - 1, b"\0"), np.uint8)
+    rest = np.flatnonzero(~(fast & settled) & ~zero)
+    if rest.size:
+        # repr drops a NaN's sign: -nan, which the reader's float parse keeps
+        text = [b"-nan" if nan else repr(x).encode() for x, nan in
+                zip(v[rest].tolist(), (np.isnan(v[rest]) & neg[rest]).tolist())]
+        slot[rest, :-1] = np.array(text, f"S{_SLOT - 1}").view(np.uint8).reshape(-1, _SLOT - 1)
+    slot[:, -1] = ord(",")
+    slot[rows.shape[1] - 1::rows.shape[1], -1] = ord("\n")
+    flat = slot.reshape(-1)
+    return flat[flat != 0]
+
+
 def _write_rows(fh, rows):
-    """Write each row's line, its values' repr (about 1.4 us each) comma-
-    separated; repr drops a NaN's sign, so in the rows that hold a negative
-    NaN, that is written -nan, which the reader's float parse keeps."""
-    negative_nan = np.isnan(rows) & np.signbit(rows)
-    for row, signed in zip(rows, negative_nan):
-        cells = map(repr, row.tolist())
-        if signed.any():
-            cells = ["-nan" if s else cell for cell, s in zip(cells, signed.tolist())]
-        fh.write((",".join(cells) + "\n").encode())
+    """Write each row's line: its values comma-separated, each as repr
+    writes it, but -nan for a NaN whose sign bit is set, which the reader's
+    float parse keeps.
+
+    The bytes are those of a repr call per value, but one numpy kernel
+    (_encode) makes them for _BLOCK values at a time. The digits are repr's
+    shortest round-trip decimal (Adams, "Ryu", PLDI 2018): y = |x| 10^k in
+    [1e16, 1e17] is formed as a double-double with Dekker's exact product
+    (1971), and the first of the 15-, 16- and 17-digit roundings of y that
+    lies within half an ulp of x is taken, as repr takes it. The computed y
+    and half ulp are off by less than 1e-13 of a unit of the 17th digit. A
+    value whose rounding lies within _MARGIN (1e-9 units) of a tie or of
+    the half-ulp bound, where that error could decide, is formatted by
+    repr itself, as are NaN, infinities, |x| outside _FAST_RANGE
+    (subnormals among them), and powers of two, whose neighbour below is
+    nearer than the one above. Zeros are written directly.
+    """
+    if rows.shape[1] == 0:
+        fh.write(b"\n" * len(rows))
+        return
+    step = max(1, _BLOCK // rows.shape[1])
+    for start in range(0, len(rows), step):
+        fh.write(_encode(rows[start:start + step]))
 
 
 def _write_csv(path, header, arrays):

@@ -100,13 +100,14 @@ class SpectralGrid:
         """Largest edge value relative to the grid peak."""
         return self.provenance.get("edge_ratio", math.inf)
 
-    def check_edge_decay(self):
+    def check_edge_decay(self, remedy="widen the grid before transforming"):
         """Refuse a grid whose density has not decayed below EDGE_DECAY_RATIO
-        of its peak at every edge: its correlation transform would alias."""
+        of its peak at every edge: its correlation transform would alias.
+        The message ends with the remedy, for a caller who built the grid."""
         if not self.edge_ratio < EDGE_DECAY_RATIO:
             raise EdgeDecayError(
                 f"spectral density at the grid edge is {self.edge_ratio:.2e} of the "
-                f"peak (limit {EDGE_DECAY_RATIO:.0e}); widen the grid before transforming")
+                f"peak (limit {EDGE_DECAY_RATIO:.0e}); {remedy}")
 
 
 def _density_from_mismatch(mismatch, length_m, gain):

@@ -1,6 +1,7 @@
 import ast
 import errno
 import importlib
+import json
 import math
 import os
 import re
@@ -343,18 +344,36 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "coherence_19p94_blur_map.bin").is_file()
 
 
-def test_analyze_loads_no_numpy_ma(ws, tmp_path):
-    # numpy.ma takes about 18 ms to import; np.median loads it lazily
-    code = ("import sys, pdcoh.cli\n"
-            "code = pdcoh.cli.main(['analyze', *sys.argv[1:]])\n"
-            "print(code, 'numpy.ma' in sys.modules)\n")
+def _numpy_ma_after(*argvs):
+    """Each command's exit code and whether numpy.ma was loaded after it,
+    the commands run in turn in one fresh interpreter."""
+    code = ("import json, sys, pdcoh.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    print(pdcoh.cli.main(argv), 'numpy.ma' in sys.modules)\n")
     src = str(Path(pdcoh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, str(ws["manifest"]),
-                          "--config", str(ws["cfg"]), "--out", str(tmp_path / "an")],
-                         env=env, check=True, capture_output=True, text=True).stdout
-    assert out.splitlines()[-1] == "0 False"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return [line for line in out.splitlines() if not line.startswith("wrote ")]
+
+
+def test_analyze_loads_no_numpy_ma(ws, tmp_path):
+    # numpy.ma takes about 18 ms to import; np.median loads it lazily
+    assert _numpy_ma_after(["analyze", str(ws["manifest"]), "--config", str(ws["cfg"]),
+                            "--out", str(tmp_path / "an")]) == ["0 False"]
     assert (tmp_path / "an" / "analyze_metrics.txt").is_file()
+
+
+def test_csv_spectrum_and_blurred_coherence_load_no_numpy_ma(tmp_path):
+    # the CSV encoder must not load it either (np.union1d and other set
+    # operations do)
+    small = tmp_path / "small.ini"
+    small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
+                     .replace("= 128", "= 64"))
+    assert _numpy_ma_after(["spectrum", str(small)],
+                           ["coherence", str(small), "--blur", "1fs,6um"]) == ["0 False"] * 2
+    assert (tmp_path / "out" / "spectrum_19p94_omega_k.csv").is_file()
+    assert (tmp_path / "out" / "coherence_19p94_blur_map.csv").is_file()
 
 
 def test_bad_blur_flag_exits_1(ws, tmp_path, capsys):
@@ -424,6 +443,23 @@ def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
     assert "internal error" not in err
     # a refused --blur or --theta writes nothing for its orientation
     assert not list(taken.glob("coherence_*")) and not list(taken.glob("*_75p25_*"))
+
+
+def test_density_on_an_automatic_grid_edge_is_refused_without_a_remedy(tmp_path,
+                                                                        capsys):
+    # no setting widens the grid that auto_grid sizes, so the command line
+    # names its extent instead of the library's "widen the grid"
+    small = tmp_path / "small.ini"
+    small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
+                     .replace("= 128", "= 64").replace("csv", "binary"))
+    assert main(["spectrum", str(small), "--theta=75.25deg"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"--theta: spectral density at the grid edge is .* of the peak "
+                     r"\(limit 1e-03\); the grid sized automatically at 75.25 deg ends "
+                     r"at \|Omega\| = 0\.\d+ omega_c and \|k\| = .* rad/m, and no "
+                     r"setting widens it", err), err
+    assert "widen the grid" not in err
+
 
 
 def _two_orientation_csv(tmp_path):

@@ -1,9 +1,11 @@
+import io
 import json
 import math
 import re
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -486,15 +488,22 @@ def _reference_csv(header, arrays):
         [[name, "complex" if np.iscomplexobj(arr) else "real"]
          for name, arr in arrays]))
     for _, arr in arrays:
-        for row in np.atleast_2d(arr):
-            cells = []
-            for v in row:
-                if np.iscomplexobj(row):
-                    cells += [_cell(v.real), _cell(v.imag)]
-                else:
-                    cells.append(_cell(v))
-            lines.append(",".join(cells))
+        lines += _reference_lines(arr)
     return "\n".join(lines) + "\n"
+
+
+def _reference_lines(arr):
+    """The CSV lines of an array, a repr call per value."""
+    lines = []
+    for row in np.atleast_2d(arr):
+        cells = []
+        for v in row:
+            if np.iscomplexobj(row):
+                cells += [_cell(v.real), _cell(v.imag)]
+            else:
+                cells.append(_cell(v))
+        lines.append(",".join(cells))
+    return lines
 
 
 def _even_about_centre(a):
@@ -555,13 +564,87 @@ def test_csv_encoder_matches_per_cell_repr(tmp_path, n_rows):
         assert path.read_text() == _reference_csv(header, arrays), case
 
 
+def _from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _ulps_from(x, n):
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, math.copysign(math.inf, n)))
+    return x
+
+
+# doubles where a shortest-decimal formatter goes wrong, either sign
+_HARD_FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),  # any bit pattern
+    st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),  # powers of two
+    st.builds(lambda k, n: _ulps_from(float(f"1e{k}"), n),  # next to 10^k
+              st.integers(-323, 308), st.integers(-3, 3)),
+    st.builds(lambda m, e: float(f"{m}e{e}"),  # short decimals
+              st.integers(1, 10**7), st.integers(-40, 40)),
+    st.builds(lambda base, d: float(base + d),  # integers near 2^53, 1e16, 1e17
+              st.sampled_from([2**53, 10**16, 10**17]), st.integers(-10**4, 10**4)),
+    st.builds(math.ldexp, st.integers(1, 2**20), st.integers(-70, 10)),  # few bits: ties
+    st.integers(1, 2**52 - 1).map(_from_bits),  # subnormals
+    st.floats(9e-6, 2e-4), st.floats(9e15, 2e16),  # fixed / exponent switches
+    st.sampled_from([0.0, math.inf, math.nan]),
+)
+
+
+@st.composite
+def _signed(draw):
+    x = draw(_HARD_FLOATS)
+    return -x if draw(st.booleans()) else x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_csv_encoder_bytes_equal_per_value_repr(data):
+    """The block encoder writes the bytes of a repr call per value, -nan for
+    a NaN whose sign bit is set: one row or many, a row count that blocks
+    do not divide, and complex arrays as re/im pairs."""
+    shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12)))
+    is_complex = data.draw(st.booleans())
+    size = math.prod(shape) * (1 + is_complex)
+    values = data.draw(st.lists(_signed(), min_size=size, max_size=size))
+    arr = np.array(values).view(complex if is_complex else float).reshape(shape)
+    block = data.draw(st.sampled_from([gridio._BLOCK, 1, 5, 13, 40]))
+    fh = io.BytesIO()
+    with mock.patch.object(gridio, "_BLOCK", block):
+        gridio._write_rows(fh, gridio._float_rows(arr))
+    assert fh.getvalue().decode() == "".join(line + "\n" for line in _reference_lines(arr))
+
+
+def test_csv_encoder_matches_repr_over_a_seeded_sweep():
+    """Random bit patterns, log-uniform values, short decimals, large
+    integers, the neighbours of 10^k and 2^e, and doubles of few bits,
+    whose decimals tie, in many blocks."""
+    rng = np.random.default_rng(24)
+    n = 20000
+    pow10 = 10.0 ** rng.integers(-300, 300, n)
+    pow2 = np.ldexp(1.0, rng.integers(-1074, 1024, n))
+    values = np.concatenate([
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(float),
+        10.0 ** rng.uniform(-310, 308, n),
+        np.round(rng.uniform(0, 1e4, n), rng.integers(0, 8)) * 10.0 ** rng.integers(-20, 20, n),
+        rng.integers(-2**62, 2**62, n).astype(float),
+        np.nextafter(pow10, rng.choice([0, np.inf], n)), pow10,
+        np.nextafter(pow2, rng.choice([0, np.inf], n)), pow2,
+        np.ldexp(rng.integers(1, 2**20, n).astype(float), rng.integers(-70, 10, n)),
+    ])
+    values.view(np.uint64)[rng.random(values.size) < 0.5] ^= np.uint64(1 << 63)
+    rows = values.reshape(-1, 125)
+    fh = io.BytesIO()
+    gridio._write_rows(fh, rows)
+    assert fh.getvalue().decode() == "".join(line + "\n" for line in _reference_lines(rows))
+
+
 @pytest.fixture()
-def repr_calls(monkeypatch):
-    """The values gridio formats, through a counting repr in its globals."""
-    calls = []
-    monkeypatch.setattr(gridio, "repr", lambda v: calls.append(v) or repr(v),
-                        raising=False)
-    return calls
+def encoded(monkeypatch):
+    """The blocks of values handed to gridio's CSV encoder."""
+    blocks, encode = [], gridio._encode
+    monkeypatch.setattr(gridio, "_encode", lambda rows: blocks.append(rows) or encode(rows))
+    return blocks
 
 
 def _stored(path):
@@ -573,11 +656,12 @@ def _stored(path):
     return header, stored
 
 
-def test_example_products_store_their_fundamental_domain(tmp_path, repr_calls):
+def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
     """At 256 x 128, S stores its 129 x 65 (|Omega|, |k|) quadrant, the
     wavelength-angle grid its 64 angle >= 0 columns, the real map and
-    blurred map their 513 x 129 tau >= 0, xi >= 0 quadrant; CSV formats
-    each stored value once, and each product reads back bit for bit."""
+    blurred map their 513 x 129 tau >= 0, xi >= 0 quadrant; CSV hands
+    each stored value to the encoder once, and each product reads back bit
+    for bit."""
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=6.0,
                         sellmeier=load_sellmeier("bbo_kato1986"))
@@ -597,10 +681,11 @@ def test_example_products_store_their_fundamental_domain(tmp_path, repr_calls):
                         (513, 129), 513 * 129)}
     for name, (write, read, product, field, shape, formatted) in products.items():
         for fmt in ("csv", "binary"):
-            repr_calls.clear()
+            encoded.clear()
             path = tmp_path / f"product.{fmt}"
             write(path, product, fmt=fmt)
-            assert len(repr_calls) == (formatted if fmt == "csv" else 0), name
+            assert sum(rows.size for rows in encoded) == (
+                formatted if fmt == "csv" else 0), name
             header, stored = _stored(path)
             assert "fold" in header and stored.shape == shape, (name, fmt)
             back = getattr(read(path), field)
