@@ -23,8 +23,9 @@ from .config import default, load_run_config, parse_angle, parse_length, \
     parse_time
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
-from .errors import ConfigurationError, EdgeDecayError, MapExtentError, \
-    PdcohError, ResolutionError, RootNotFoundError, SamplingError, blamed
+from .errors import ConfigurationError, DensityPeakError, EdgeDecayError, \
+    MapExtentError, PdcohError, ResolutionError, RootNotFoundError, \
+    SamplingError, blamed
 from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
     write_manifest, write_metrics, write_profile, write_spectral_grid, \
     write_trace, write_wavelength_angle_grid, read_manifest, read_trace
@@ -168,8 +169,7 @@ def _build_spectrum(rc, theta, args):
     the example's can leave density on the grid's edge. No setting widens
     that grid, so the refusal names its extent instead of a remedy."""
     cfg = rc.crystal_config(theta)
-    with blamed("--theta" if args.theta else "[crystal]", ConfigurationError,
-                EdgeDecayError):
+    try:
         spec = auto_grid(cfg, rc.n_omega, rc.n_k)
         sg = build_spectrum(cfg, spec)
         sg.check_edge_decay(
@@ -177,6 +177,11 @@ def _build_spectrum(rc, theta, args):
             f"|Omega| = {spec.omega_half_width / cfg.degenerate_omega:.3f} omega_c "
             f"and |k| = {spec.k_half_width:.3g} rad/m, and no setting widens it: "
             f"S at this orientation cannot be transformed")
+    except DensityPeakError as exc:
+        raise ConfigurationError(f"[crystal] gain and length: {exc}") from exc
+    except (ConfigurationError, EdgeDecayError) as exc:
+        field = "--theta" if args.theta else "[crystal] theta"
+        raise ConfigurationError(f"{field}: {exc}") from exc
     return sg
 
 

@@ -16,6 +16,10 @@ class ConfigurationError(PdcohError):
     """Invalid configuration value, file, or combination of inputs."""
 
 
+class DensityPeakError(ConfigurationError):
+    """Spectral density with no finite positive peak at its gain and length."""
+
+
 class WavelengthRangeError(PdcohError):
     """Wavelength outside the valid range of a Sellmeier coefficient set."""
 

@@ -13,15 +13,15 @@ Headers carry no timestamp: the same inputs must produce the same bytes.
 
 A symmetric product stores only its fundamental domain, named by a `fold`
 header field: a coherence map its tau >= 0, xi >= 0 quadrant, S its
-(|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0 columns.
-The reader rebuilds the full array bit for bit with the producer's own
-symmetry (coherence.map_mirror, spectrum.s_mirror and angle_mirror; older
-S files folded in k alone, spectrum.k_mirror), so a file does not hold the
-full grid for a tool such as numpy.loadtxt. Where that would not give every
-bit back, the writer stores the whole array with no fold field, as older
-files do. A CSV value is its repr, a NaN whose sign bit is set -nan, byte
-for byte; one numpy kernel formats a block of values at a time and calls
-repr only for the few values it cannot settle exactly (_write_rows). Every
+(|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0 columns,
+and no other fold reads. The reader rebuilds the full array bit for bit
+with the producer's own symmetry (coherence.map_mirror, spectrum.s_mirror
+and angle_mirror), so a file does not hold the full grid for a tool such
+as numpy.loadtxt. Where a fold would not give every bit back, the writer
+stores the whole array with no fold field, as files from before folding
+do. A CSV value is its repr, a NaN whose sign bit is set -nan, byte for
+byte; one numpy kernel formats a block of values at a time and calls repr
+only for the few values it cannot settle exactly (_write_rows). Every
 write_* returns with its file complete, written by the calling process:
 the command line writes every product itself.
 """
@@ -41,7 +41,7 @@ from .coherence import CoherenceMap, map_mirror
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
 from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    angle_mirror, k_mirror, mirror, s_mirror
+    angle_mirror, mirror, s_mirror
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -49,10 +49,10 @@ _MAGIC = b"PDCOHBIN"
 # output format -> file extension
 FORMATS = {"csv": "csv", "binary": "bin"}
 
-# kind -> {fold field: its symmetry}; written under the first, read under any
-_FOLDS = {"spectral-density": {"|Omega|, |k|": s_mirror, "|k|": k_mirror},
-          "wavelength-angle-density": {"angle >= 0": angle_mirror},
-          "coherence-map": {"tau >= 0, xi >= 0": map_mirror}}
+# kind -> (its fold field, the symmetry that fold stores the domain of)
+_FOLDS = {"spectral-density": ("|Omega|, |k|", s_mirror),
+          "wavelength-angle-density": ("angle >= 0", angle_mirror),
+          "coherence-map": ("tau >= 0, xi >= 0", map_mirror)}
 
 
 def _clean(header):
@@ -403,9 +403,8 @@ def _write(path, fmt, head, axes, provenance, arrays):
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
     header.update(_clean(provenance))
-    folds = _FOLDS.get(head["kind"])
-    if folds:
-        fold, symmetry = next(iter(folds.items()))
+    if head["kind"] in _FOLDS:
+        fold, symmetry = _FOLDS[head["kind"]]
         parts = [(name, *symmetry(np.atleast_2d(arr))) for name, arr in arrays]
         if all(_mirrored(pairs) for _, _, pairs in parts):
             header["fold"] = fold
@@ -422,8 +421,8 @@ def _mirrored(pairs):
 
 def _unfold(path, kind, fold, name, stored, shape):
     """The array of `shape` whose fundamental domain a folded file stored."""
-    symmetry = _FOLDS.get(kind, {}).get(fold)
-    if symmetry is None:
+    ours, symmetry = _FOLDS.get(kind, (None, None))
+    if fold != ours:
         raise ConfigurationError(f"{path}: {kind} files have no fold {fold!r}")
     # the domain's shape, from a view of the shape that holds no memory
     domain, _ = symmetry(np.broadcast_to(stored.dtype.type(0), shape))
@@ -530,7 +529,7 @@ def write_coherence_map(path, cmap, fmt="csv"):
 
 
 def read_coherence_map(path):
-    """A coherence map; g is real, or complex in older files."""
+    """A coherence map; g is real, or complex in files from before maps were real."""
     header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"))
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
                         g=_require(arrays, "g", path),
@@ -596,16 +595,12 @@ def _stage_axis(header, shape, path):
 
 
 def read_trace(path):
-    """A fringe trace. Older files held the stage positions as a
-    `position_m` array beside `intensity` and still read; header keys
-    that a trace does not use (older files carried tau_offset_s and
-    source) are ignored."""
+    """A fringe trace: the stage sweep from its `position` axis, which a file
+    must have, the intensities from its one `intensity` row; header keys a
+    trace does not use (tau_offset_s, source) are ignored."""
     header, _, arrays = _read(path, "fringe-trace")
     intensities = _require(arrays, "intensity", path)
-    if "position_m" in arrays:
-        positions = arrays["position_m"]
-    else:
-        positions = _stage_axis(header, intensities.shape, path)
+    positions = _stage_axis(header, intensities.shape, path)
     bs2, carrier = (_require(header, key, path)
                     for key in ("bs2_position_m", "carrier_omega"))
     try:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dispersion import c
 from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
-from .errors import ConfigurationError, EdgeDecayError
+from .errors import ConfigurationError, DensityPeakError, EdgeDecayError
 from .phasematch import _mismatch, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
@@ -162,21 +162,15 @@ def mirror(pairs):
         op(source, out=image)
 
 
-def k_mirror(values):
-    """(domain, mirror pairs) of an array even in k, as older S files fold:
-    the columns k = 0 .. -k_max (-k_max is the k_max node), copied onto k > 0."""
-    n, half = values.shape[1], values.shape[1] // 2
-    return values[:, half::-1], [
-        (values[:, half + 1:], values[:, half - 1::-1][:, :n - half - 1], np.positive)]
-
-
 def s_mirror(values):
     """(domain, mirror pairs) of an S even in Omega and k, as S(Omega^2, k^2)
-    is: the rows Omega = 0 .. -Omega_max (-Omega_max is the Omega_max node)
-    of k_mirror's domain, copied onto Omega > 0."""
-    n = values.shape[0] // 2
-    domain, pairs = k_mirror(values[:n + 1])
-    return domain[::-1], pairs + [(values[n + 1:], values[n - 1:0:-1], np.positive)]
+    is: the block Omega = 0 .. -Omega_max, k = 0 .. -k_max (-Omega_max and
+    -k_max are the Omega_max and k_max nodes), copied onto k > 0, then Omega > 0."""
+    n, half = values.shape[0] // 2, values.shape[1] // 2
+    low = values[:n + 1]
+    return low[::-1, half::-1], [
+        (low[:, half + 1:], low[:, half - 1::-1][:, :low.shape[1] - half - 1], np.positive),
+        (values[n + 1:], values[n - 1:0:-1], np.positive)]
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -186,7 +180,8 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
     widening itself until that support is interior, and the final
     half-widths add _GRID_MARGIN so the edge-decay requirement holds.
     A support whose margin would reach past the frequency cap of 0.49
-    omega_c cannot be bounded, and raises ConfigurationError.
+    omega_c cannot be bounded, and raises ConfigurationError; a density
+    with no finite positive peak raises DensityPeakError.
     """
     omega_c = cfg.degenerate_omega
     cap = 0.49 * omega_c
@@ -199,8 +194,8 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
             values, _ = _masked_density(cfg, probe_w, probe_k)
         peak = values.max()
         if not 0 < peak < math.inf:
-            raise ConfigurationError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
-                                     f"length {cfg.length_m:g} m; supply a GridSpec")
+            raise DensityPeakError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
+                                   f"length {cfg.length_m:g} m; supply a GridSpec")
         rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
         cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
         if rows[0] or rows[-1] or cols[0] or cols[-1]:

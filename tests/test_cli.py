@@ -239,6 +239,28 @@ def test_a_malformed_stage_header_exits_1_naming_the_trace(ws, tmp_path, capsys)
     assert f"unreadable trace file {bad}" in capsys.readouterr().err
 
 
+def test_a_two_column_trace_exits_1_naming_it(ws, tmp_path, capsys):
+    # a trace that held its stage sweep as a position_m array beside the
+    # intensities, with no position axis
+    first = read_trace(read_manifest(ws["manifest"])[0])
+    bad = tmp_path / "two_column.csv"
+    bad.write_text(
+        '# pdcoh_file: 1\n# kind: "fringe-trace"\n'
+        f'# bs2_position_m: {first.bs2_position_m!r}\n'
+        f'# carrier_omega: {first.carrier_omega!r}\n# orientation: "19p94"\n'
+        '# columns: [["position_m", "real"], ["intensity", "real"]]\n'
+        + ",".join(map(repr, first.positions_m.tolist())) + "\n"
+        + ",".join(map(repr, first.intensities.tolist())) + "\n")
+    manifest = tmp_path / "old_manifest.txt"
+    write_manifest(manifest, [bad, *read_manifest(ws["manifest"])[1:]])
+    out = tmp_path / "an"
+    assert main(["analyze", str(manifest), "--config", str(ws["cfg"]),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"unreadable trace file {bad}: {bad}: header lacks 'position_start'" in err
+    assert not out.exists()
+
+
 def test_analyze_rebuilds_the_map(ws, tmp_path):
     out = tmp_path / "an"
     assert main(["analyze", str(ws["manifest"]), "--config", str(ws["cfg"]),
@@ -423,23 +445,36 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
     pytest.param("spectrum", ["--theta=75.25deg", "--out={taken}"],
                  r"--theta: spectral density at the grid edge is .* of the peak",
                  id="spectrum-theta-with-density-on-the-grid-edge"),
+    pytest.param("coherence", ["theta = 75.25 deg", "--out={taken}"],
+                 r"^error: \[crystal\] theta: spectral density at the grid edge "
+                 r"is 3.99e-03 of the peak",
+                 id="config-theta-with-density-on-the-grid-edge"),
+    pytest.param("spectrum", ["gain = 1e3", "--out={taken}"],
+                 r"^error: \[crystal\] gain and length: density peak is inf at "
+                 r"gain 1000, length 0.01 m",
+                 id="gain-overflowing-the-density"),
 ])
 def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
                                                     flags, message):
-    # a flag value the program can only refuse after the config loads, and
-    # an output path that cannot be written: a file, a path under a file,
-    # or a product name taken by a directory
+    # a flag or config value the program can only refuse after the config
+    # loads, and an output path that cannot be written: a file, a path
+    # under a file, or a product name taken by a directory. An entry that
+    # is not a flag is a config line, which replaces the line of its key.
     file, taken = tmp_path / "file", tmp_path / "taken"
     file.write_text("not a directory\n")
     (taken / "spectrum_19p94_omega_k.bin").mkdir(parents=True)
+    text = (CONFIG.format(out=file).replace("= 256", "= 64")
+            .replace("= 128", "= 64").replace("csv", "binary"))
+    for line in [f for f in flags if not f.startswith("--")]:
+        key = line.split(" ", 1)[0]
+        text = re.sub(rf"^{key} = .*$", line, text, flags=re.M)
     small = tmp_path / "small.ini"
-    small.write_text(CONFIG.format(out=file).replace("= 256", "= 64")
-                     .replace("= 128", "= 64").replace("csv", "binary"))
-    flags = [f.format(file=file, taken=taken) for f in flags]
+    small.write_text(text)
+    flags = [f.format(file=file, taken=taken) for f in flags if f.startswith("--")]
     assert main([command, str(small), *flags]) == 1
     err = capsys.readouterr().err
     assert re.search(message.format(file=re.escape(str(file)),
-                                    taken=re.escape(str(taken))), err), err
+                                    taken=re.escape(str(taken))), err, re.M), err
     assert "internal error" not in err
     # a refused --blur or --theta writes nothing for its orientation
     assert not list(taken.glob("coherence_*")) and not list(taken.glob("*_75p25_*"))
@@ -470,6 +505,12 @@ def _two_orientation_csv(tmp_path):
     return small
 
 
+# kind -> the one fold of a symmetric kind
+FOLDS = {"spectral-density": "|Omega|, |k|",
+         "wavelength-angle-density": "angle >= 0",
+         "coherence-map": "tau >= 0, xi >= 0"}
+
+
 def test_each_command_reports_each_file_once_it_is_complete(tmp_path, monkeypatch,
                                                             capsys):
     # every file is written by the command itself: one wrote line per file,
@@ -484,6 +525,7 @@ def test_each_command_reports_each_file_once_it_is_complete(tmp_path, monkeypatc
 
     monkeypatch.setattr(cli, "print", report, raising=False)
     manifest = tmp_path / "interferogram" / "interferogram_19p94_manifest.txt"
+    layouts = {}  # kind -> (header, array names) of each CSV product
     for command, flags, n_files in (
             ("dispersion", [str(small), "--points=17"], 1),
             ("phasematch", [str(small)], 3),
@@ -498,6 +540,16 @@ def test_each_command_reports_each_file_once_it_is_complete(tmp_path, monkeypatc
         assert len(files) == n_files, command
         assert sorted(wrote) == sorted(f"wrote {f}" for f in files)
         assert all(sizes[f] == f.stat().st_size for f in files)
+        for f in files:
+            if f.suffix == ".csv":
+                header, arrays = gridio._read_csv(f)
+                layouts.setdefault(header["kind"], []).append((header, list(arrays)))
+    # each symmetric kind in its one fold, each trace under its position axis
+    for kind, fold in FOLDS.items():
+        assert layouts[kind] and all(h.get("fold") == fold for h, _ in layouts[kind])
+    assert len(layouts["fringe-trace"]) == 22
+    assert all({"position_start", "position_step", "n_position"} <= h.keys()
+               and names == ["intensity"] for h, names in layouts["fringe-trace"])
     wag = read_wavelength_angle_grid(tmp_path / "spectrum"
                                      / "spectrum_19p94_wavelength_angle.csv")
     assert wag.values.tobytes() == wag.values[:, ::-1].tobytes()
@@ -597,9 +649,10 @@ def test_runtime_failures_exit_2(tmp_path, capsys):
      r"\[interferometer\] .*magnification.*outside the map"),
     ("analyze", "stage_span = 16 um", "stage_span = 16 um\nwindow_fringes = 100",
      r"\[interferometer\] .*window_fringes 100 .*longer than the trace"),
-    ("spectrum", "gain = 6", "gain = 0", r"\[crystal\]: density peak is 0"),
+    ("spectrum", "gain = 6", "gain = 0",
+     r"\[crystal\] gain and length: density peak is 0"),
     ("spectrum", "length = 10 mm", "length = 1e300 mm",
-     r"\[crystal\]: density peak is nan"),
+     r"\[crystal\] gain and length: density peak is nan"),
 ])
 def test_refusals_that_config_values_cause_exit_1_naming_them(
         ws, tmp_path, capsys, command, old, new, fields):

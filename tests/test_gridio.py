@@ -258,24 +258,6 @@ def test_trace_round_trip(tmp_path):
     assert back.icfg_hash == "abc123"
 
 
-def test_trace_in_the_older_format_still_reads(tmp_path):
-    # traces once also carried tau_offset_s (always bs2_position_m / c) and
-    # source; both header keys are ignored
-    path = tmp_path / "old.csv"
-    path.write_text(
-        '# pdcoh_file: 1\n# kind: "fringe-trace"\n# bs2_position_m: 0.0002\n'
-        '# tau_offset_s: 6.67e-13\n# carrier_omega: 1180000000000000.0\n'
-        '# orientation: "19p94"\n# source: "synthetic"\n# icfg_hash: "abc123"\n'
-        '# columns: [["position_m", "real"], ["intensity", "real"]]\n'
-        '0.0,4e-08,8e-08\n2.0,1.0,0.5\n')
-    back = read_trace(path)
-    assert np.array_equal(back.positions_m, [0.0, 4e-8, 8e-8])
-    assert np.array_equal(back.intensities, [2.0, 1.0, 0.5])
-    assert (back.bs2_position_m, back.carrier_omega) == (2e-4, 1.18e15)
-    assert (back.orientation, back.icfg_hash) == ("19p94", "abc123")
-    assert not hasattr(back, "tau_offset_s") and not hasattr(back, "source")
-
-
 # a map as written before symmetric products were folded: every value of
 # the grid, and no fold field
 OLD_MAP = ('# pdcoh_file: 1\n# kind: "coherence-map"\n'
@@ -317,13 +299,27 @@ def test_products_in_the_older_full_layout_still_read(tmp_path):
     back = read_spectral_grid(tmp_path / "s.csv")
     assert back.values.tobytes() == density.tobytes()
     assert back.spec == _SPEC and back.provenance == {"gain": 6.0}
-    # S as written when it was folded in k alone: its columns at |k| = 0 ..
-    # k_max, every row
-    (tmp_path / "s_k.csv").write_text(OLD_S_HEAD.replace(
+
+
+def test_s_folded_in_k_alone_is_refused_naming_the_file(tmp_path):
+    # S's one fold is (|Omega|, |k|); a file of its columns at |k| = 0 ..
+    # k_max in every row is refused, in either encoding
+    columns = np.arange(64.0)[:, None] + np.arange(33) / 64
+    (tmp_path / "s.csv").write_text(OLD_S_HEAD.replace(
         "# columns:", '# fold: "|k|"\n# columns:') + "".join(
-        ",".join(map(repr, row)) + "\n" for row in density[:, 32::-1].tolist()))
-    back = read_spectral_grid(tmp_path / "s_k.csv")
-    assert back.values.tobytes() == density.tobytes()
+        ",".join(map(repr, row)) + "\n" for row in columns.tolist()))
+    (tmp_path / "s.bin").write_bytes(_binary_file({
+        "arrays": [["density", "<f8", [64, 33]]], "fold": "|k|", "gain": 6.0,
+        "k_half_width": 1e5, "k_start": -1e5, "k_step": 3125.0,
+        "kind": "spectral-density", "n_k": 64, "n_omega": 64,
+        "omega_center": 1.2e15, "omega_half_width": 2e14, "omega_start": 1e15,
+        "omega_step": 6.25e12, "pdcoh_file": 1}) + columns.tobytes())
+    for name in ("s.csv", "s.bin"):
+        path = tmp_path / name
+        with pytest.raises(ConfigurationError,
+                           match=r"spectral-density files have no fold '\|k\|'") as info:
+            read_spectral_grid(path)
+        assert str(path) in str(info.value)
 
 
 # a trace as written today: its stage sweep as the position axis
@@ -335,14 +331,31 @@ TRACE = ('# pdcoh_file: 1\n# kind: "fringe-trace"\n# position_start: 0.0\n'
 
 
 def test_trace_reads_its_stage_sweep_from_the_position_axis(tmp_path):
+    # traces once also carried tau_offset_s (always bs2_position_m / c) and
+    # source; both header keys are ignored
     path = tmp_path / "trace.csv"
-    path.write_text(TRACE)
+    path.write_text(TRACE.replace("# icfg_hash", '# tau_offset_s: 6.67e-13\n'
+                                  '# source: "synthetic"\n# icfg_hash'))
     back = read_trace(path)
     assert np.array_equal(back.positions_m, np.arange(3) * 4e-8)
     assert np.array_equal(back.intensities, [2.0, 1.0, 0.5])
+    assert (back.bs2_position_m, back.carrier_omega) == (2e-4, 1.18e15)
+    assert (back.orientation, back.icfg_hash) == ("19p94", "abc123")
+    assert not hasattr(back, "tau_offset_s") and not hasattr(back, "source")
+
+
+# a trace that held its stage sweep as a position_m array beside intensity
+TWO_COLUMN_TRACE = (
+    '# pdcoh_file: 1\n# kind: "fringe-trace"\n# bs2_position_m: 0.0002\n'
+    '# carrier_omega: 1180000000000000.0\n# orientation: "19p94"\n'
+    '# icfg_hash: "abc123"\n'
+    '# columns: [["position_m", "real"], ["intensity", "real"]]\n'
+    '0.0,4e-08,8e-08\n2.0,1.0,0.5\n')
 
 
 MALFORMED_STAGE = {
+    "two-column trace": (
+        TRACE, TWO_COLUMN_TRACE, "header lacks 'position_start'"),
     "missing position_step": (
         "# position_step: 4e-08\n", "", "lacks 'position_step'"),
     "fractional n_position": (
