@@ -8,8 +8,10 @@ magnification are the only settable parameters; the kinematics follow
 from them, so a trace records only its BS2 position and analysis derives
 the rest. Fringe traces are synthesized from a CoherenceMap, each sweep
 centred where the BS2 delay is compensated, their visibility envelopes
-extracted with a sliding window, and any number of traces but two
-reassembled into |g1|(tau, xi) by one path.
+extracted by a least-squares fit per window window_fringes long (J. E.
+Greivenkamp, Opt. Eng. 23, 350 (1984); a window of fitted level a <= 0 is
+dark), and any number of traces but two reassembled into |g1|(tau, xi)
+by one path.
 """
 
 from __future__ import annotations
@@ -152,14 +154,13 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
 def extract_visibility(trace, icfg, window_fringes=1.0):
     """Sliding-window fringe visibility along a trace.
 
-    Every window one fringe long (by default) is taken at once and yields
-    (I_max - I_min) / (I_max + I_min), each extremum refined to the vertex
-    of the parabola through it and its neighbours (an extremum on the
-    window edge, or with zero curvature, keeps its sample), positioned at
-    the window center. Returns (tau_s, visibility) with tau from the stage
-    positions alone; the BS2 delay is deliberately not applied here
-    (assemble_map undoes it). A window that is dark throughout is
-    refused: it has no visibility.
+    Each window, window_fringes long, is fitted by least squares with
+    I = a + b cos(phi) + c sin(phi), phi the carrier phase of the stage
+    position (J. E. Greivenkamp, Opt. Eng. 23, 350 (1984)), and yields
+    hypot(b, c) / a at its center. Returns (tau_s, visibility) with tau
+    from the stage positions alone; the BS2 delay is deliberately not
+    applied here (assemble_map undoes it). A window whose fitted a is <= 0
+    is dark and refused: it has no visibility.
     """
     if trace.icfg_hash and trace.icfg_hash != icfg.config_hash():
         raise ConfigurationError(
@@ -183,26 +184,25 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
         raise SamplingError(f"window of window_fringes {window_fringes:g} ({w} "
                             f"samples) is longer than the trace ({n} samples)")
 
-    windows = np.lib.stride_tricks.sliding_window_view(trace.intensities, w)
-    rows = np.arange(n - w + 1)
-
-    def refined(idx):
-        at = np.clip(idx, 1, w - 2)
-        y0, y1, y2 = windows[rows, at - 1], windows[rows, at], windows[rows, at + 1]
-        denom = y0 - 2.0 * y1 + y2
-        keep = (idx == 0) | (idx == w - 1) | (denom == 0)
-        vertex = y1 - (y0 - y2) ** 2 / (8.0 * np.where(keep, 1.0, denom))
-        return np.where(keep, windows[rows, idx], vertex)
-
-    crest = refined(np.argmax(windows, axis=1))
-    trough = refined(np.argmin(windows, axis=1))
-    # a refined trough dips at most crest/8 below zero: only a dark window does
-    dark = np.count_nonzero(crest + trough <= 0)
+    phase = (2.0 * math.pi / period) * (trace.positions_m - trace.positions_m[0])
+    cos, sin, y = np.cos(phase), np.sin(phase), trace.intensities
+    # each window's sums of the normal equations, from running sums
+    run = np.zeros((8, n + 1))
+    np.cumsum([cos, sin, cos * cos, cos * sin, sin * sin, y, y * cos, y * sin],
+              axis=1, out=run[:, 1:])
+    c1, s1, cc, cs, ss, y1, yc, ys = run[:, w:] - run[:, :n - w + 1]
+    # Cramer's rule, by the adjugate of [[w, c1, s1], [c1, cc, cs],
+    # [s1, cs, ss]]; its determinant is positive and cancels from the ratio
+    m00, m01, m02 = cc * ss - cs * cs, cs * s1 - c1 * ss, c1 * cs - cc * s1
+    m11, m12, m22 = w * ss - s1 * s1, c1 * s1 - w * cs, w * cc - c1 * c1
+    a = m00 * y1 + m01 * yc + m02 * ys
+    dark = np.count_nonzero(a <= 0)
     if dark:
         raise SamplingError(
             f"trace {trace.orientation} at BS2 {trace.bs2_position_m * 1e6:g} um: "
             f"{dark} windows are dark throughout; their visibility is undefined")
-    vis = (crest - trough) / (crest + trough)
+    vis = np.hypot(m01 * y1 + m11 * yc + m12 * ys,
+                   m02 * y1 + m12 * yc + m22 * ys) / a
     taus = 0.5 * (trace.positions_m[:n - w + 1] + trace.positions_m[w - 1:]) \
         * icfg.stage_to_delay
     return taus, vis

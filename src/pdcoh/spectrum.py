@@ -170,7 +170,7 @@ def s_mirror(values):
     low = values[:n + 1]
     return low[::-1, half::-1], [
         (low[:, half + 1:], low[:, half - 1::-1][:, :low.shape[1] - half - 1], np.positive),
-        (values[n + 1:], values[n - 1:0:-1], np.positive)]
+        (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1], np.positive)]
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -195,7 +195,7 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
         peak = values.max()
         if not 0 < peak < math.inf:
             raise DensityPeakError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
-                                   f"length {cfg.length_m:g} m; supply a GridSpec")
+                                   f"length {cfg.length_m:g} m")
         rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
         cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
         if rows[0] or rows[-1] or cols[0] or cols[-1]:

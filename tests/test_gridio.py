@@ -813,6 +813,9 @@ CORRUPTIONS = {
     "one-row spectral grid": ("spectral csv", _one_omega_row),
     "folded CSV spectral grid with more k than it stores": (
         "spectral csv", lambda t: t.replace("# n_k: 64", "# n_k: 128")),
+    "folded CSV spectral grid with an odd Omega count": (
+        "spectral csv", lambda t: t.replace("# n_omega: 64", "# n_omega: 63")
+        .rsplit("\n", 2)[0] + "\n"),
     "folded binary wavelength-angle grid with more angles than it stores": (
         "wavelength-angle binary", lambda b: b.replace(b'"n_angle":3', b'"n_angle":9')),
     "CSV map of an unknown fold": (
