@@ -17,15 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import _fwhm, blur_sigma, correlation_map, \
-    factorability_defect, instrument_blur, metrics
+from .coherence import _fwhm, blur_sigma, correlation_columns, \
+    correlation_map, factorability_defect, instrument_blur, metrics
 from .config import default, load_run_config, parse_angle, parse_length, \
     parse_time
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, c, gvd, index, \
     zero_dispersion_wavelength
-from .errors import ConfigurationError, DensityPeakError, EdgeDecayError, \
-    MapExtentError, PdcohError, ResolutionError, RootNotFoundError, \
-    SamplingError, blamed
+from .errors import ConfigurationError, DensityPeakError, MapExtentError, \
+    PdcohError, ResolutionError, RootNotFoundError, SamplingError, blamed
 from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
     write_manifest, write_metrics, write_profile, write_spectral_grid, \
     write_trace, write_wavelength_angle_grid, read_manifest, read_trace
@@ -164,25 +163,16 @@ def cmd_phasematch(args):
 
 
 def _build_spectrum(rc, theta, args):
-    """S at one orientation, refused as correlation_map would refuse it:
-    auto_grid sizes the grid from a coarse probe, which at angles far from
-    the example's can leave density on the grid's edge. No setting widens
-    that grid, so the refusal names its extent instead of a remedy."""
+    """S at one orientation, on the grid auto_grid sizes from rc's counts,
+    refused naming the field behind the refusal."""
     cfg = rc.crystal_config(theta)
     try:
-        spec = auto_grid(cfg, rc.n_omega, rc.n_k)
-        sg = build_spectrum(cfg, spec)
-        sg.check_edge_decay(
-            f"the grid sized automatically at {math.degrees(theta):g} deg ends at "
-            f"|Omega| = {spec.omega_half_width / cfg.degenerate_omega:.3f} omega_c "
-            f"and |k| = {spec.k_half_width:.3g} rad/m, and no setting widens it: "
-            f"S at this orientation cannot be transformed")
+        return build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
     except DensityPeakError as exc:
         raise ConfigurationError(f"[crystal] gain and length: {exc}") from exc
-    except (ConfigurationError, EdgeDecayError) as exc:
+    except ConfigurationError as exc:
         field = "--theta" if args.theta else "[crystal] theta"
         raise ConfigurationError(f"{field}: {exc}") from exc
-    return sg
 
 
 def cmd_spectrum(args):
@@ -195,7 +185,8 @@ def cmd_spectrum(args):
                sg, fmt=rc.out_format)
         _write(args, write_wavelength_angle_grid,
                out / f"spectrum_{tag}_wavelength_angle.{ext}",
-               to_wavelength_angle(sg), fmt=rc.out_format)
+               to_wavelength_angle(sg, rc.crystal_config(theta)),
+               fmt=rc.out_format)
     return 0
 
 
@@ -249,15 +240,16 @@ def cmd_interferogram(args):
     icfg = rc.interferometer
     for theta in _select_thetas(rc, args):
         tag = _theta_tag(theta)
-        cmap = correlation_map(_build_spectrum(rc, theta, args))
+        column = correlation_columns(_build_spectrum(rc, theta, args))
         paths = []
         for j in range(rc.bs2_count):
             bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m
-            # the fields that place the sweep on the map
+            # the fields that place the sweep in tau and xi
             with blamed("[interferometer] stage_span, bs2_step, bs2_count and "
                         f"magnification: BS2 at {bs2 * 1e6:g} um",
                         SamplingError, MapExtentError):
-                trace = synthesize_trace(cmap, icfg, bs2_position_m=bs2,
+                trace = synthesize_trace(column(bs2 * icfg.shift_to_xi), icfg,
+                                         bs2_position_m=bs2,
                                          stage_span_m=rc.stage_span_m,
                                          orientation=tag)
             tpath = out / f"interferogram_{tag}_trace{j:02d}.csv"

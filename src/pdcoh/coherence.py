@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, MapExtentError, ResolutionError
-from .spectrum import bilinear, mirror, s_mirror
+from .spectrum import mirror, s_mirror
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -25,6 +25,9 @@ FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 _MIN_SAMPLES_PER_FWHM = 8.0
 
 _NOISE_FLOOR = 1e-3
+
+# correlation_map's default (tau, xi) settings; correlation_columns' tau ones
+OVERSAMPLE, EXTENT_CELLS = (16, 8), (32, 16)
 
 # narrowest blur sigma, in samples: the sampled Gaussian keeps 0.977 of
 # sigma^2 at 0.6 samples, only 0.86 at 0.5
@@ -50,18 +53,14 @@ class CoherenceMap:
     def xi_step(self):
         return float(self.xi_axis[1] - self.xi_axis[0])
 
-    def value_at(self, tau, xi):
-        """Bilinear envelope sample; raises MapExtentError outside the axes."""
-        out, inside = bilinear(self.tau_axis, self.xi_axis, self.g,
-                               np.asarray(tau, dtype=float), np.asarray(xi, dtype=float))
-        if not np.all(inside):
-            raise MapExtentError("query outside the map extent (or NaN)")
-        return complex(out) if out.ndim == 0 else out
 
-    def full_value_at(self, tau, xi):
-        """Envelope times the carrier e^{-i omega_c tau}."""
-        return self.value_at(tau, xi) * np.exp(-1j * self.carrier_omega
-                                               * np.asarray(tau, dtype=float))
+@dataclass
+class CoherenceColumn:
+    """Real envelope of g1 along a uniform ascending tau axis, at one xi."""
+
+    tau_axis: np.ndarray
+    g: np.ndarray
+    carrier_omega: float
 
 
 def map_mirror(g):
@@ -73,28 +72,13 @@ def map_mirror(g):
                        (g[:n], g[::-1, ::-1][:n], np.conjugate)]
 
 
-def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
-    """Transform a spectral grid into its normalized correlation map.
-
-    The tau and xi axes are the conjugate grids of the omega and k sampling
-    (cell 2*pi/span), refined `oversample` times and truncated to
-    +-`extent_cells` conjugate cells, each a (tau, xi) pair or one value for
-    both. tau keeps oversample 16 so a 1 fs blur keeps its variance; xi is
-    sized by the metric floor and the BS2 sweep: a 1025 x 257 map. Refusal
-    to transform a grid whose density has not decayed at the edges guards
-    against aliasing.
-
-    S must be even in k and in Omega, as S(Omega^2, k^2) about the
-    degenerate frequency is; the unpaired -k_max column and -Omega_max row
-    may hold any values, any other asymmetric column or row raises
-    ConfigurationError. Each node is the exact Riemann sum over the grid,
-    with the unpaired column and row counted half at each end (the even
-    quadrature of an even S), so g is real and even in tau and xi bit for
-    bit: only the (|Omega|, |k|) quadrant of S (spectrum.s_mirror) is
-    summed, into the tau >= 0, xi >= 0 quadrant of g, against cos kernels,
-    and the rest of g is its mirror. The tau kernel is read from one table
-    of cos(2 pi j / L), L = n_omega * oversample_tau.
-    """
+def _tau_stage(sg, os_tau, ext_tau):
+    """(tau axis, R, kernel) after correlation_map's refusals: R = t_cos @ S_q
+    on the (|Omega|, |k|) quadrant of S (spectrum.s_mirror), and R @ kernel(xi)
+    the unnormalized envelope on the tau >= 0 nodes at each xi. Each step m
+    of |Omega| and |k| weighs 2, m = 0 and the unpaired edge 1: the cos sum
+    of the whole grid. tau_step * Omega_step = 2 pi / L, so t_cos reads one
+    table of cos(2 pi j / L), L = n_omega * os_tau, at j = n m mod L."""
     sg.check_edge_decay()
     spec, s = sg.spec, sg.values
     for axis, name, unequal in (("k", "column", s[:, 1:] != s[:, :0:-1]),
@@ -103,28 +87,52 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
         if odd.size:
             raise ConfigurationError(f"S is not even in {axis}: {name} {odd[0] + 1} "
                                      f"differs from its mirror {unequal.shape[1] - odd[0]}")
-    (os_tau, os_xi), (ext_tau, ext_xi) = (
-        v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
-    n_tau, n_xi = os_tau * ext_tau, os_xi * ext_xi
-    tau_step = 2.0 * math.pi / (2.0 * spec.omega_half_width) / os_tau
-    xi_step = 2.0 * math.pi / (2.0 * spec.k_half_width) / os_xi
-    tau = (np.arange(2 * n_tau + 1) - n_tau) * tau_step
-    xi = (np.arange(2 * n_xi + 1) - n_xi) * xi_step
-
-    # Each |Omega| and |k| step m counts at weight 2, but m = 0 and the
-    # unpaired edge (half at each end) at weight 1: the cos sum of the whole
-    # grid. tau_step * Omega_step = 2 pi / L, so the tau kernel reads its
-    # table at j = n m mod L.
+    n_tau = os_tau * ext_tau
+    tau = (np.arange(2 * n_tau + 1) - n_tau) * (
+        2.0 * math.pi / (2.0 * spec.omega_half_width) / os_tau)
     n_w, half = spec.n_omega // 2, spec.n_k // 2
     period = spec.n_omega * os_tau
     idx = np.arange(n_tau + 1)[:, None] * np.arange(n_w + 1)
     idx %= period
     t_cos = np.cos(2.0 * math.pi / period * np.arange(period))[idx]
     t_cos[:, 1:n_w] *= 2.0
-    x_cos = np.cos(np.outer(np.arange(half + 1) * spec.k_step, xi[n_xi:]))
-    x_cos[1:half] *= 2.0
-    # a C-ordered copy of the quadrant, so that the products go to BLAS
-    re = t_cos @ np.ascontiguousarray(s_mirror(s)[0]) @ x_cos
+    k = np.arange(half + 1) * spec.k_step
+    weight = np.r_[1.0, np.full(half - 1, 2.0), 1.0]
+
+    def kernel(xi):
+        return weight[:, None] * np.cos(np.outer(k, xi))
+
+    # a C-ordered copy of the quadrant, so that the product goes to BLAS
+    return tau, t_cos @ np.ascontiguousarray(s_mirror(s)[0]), kernel
+
+
+def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
+    """Transform a spectral grid into its normalized correlation map.
+
+    The tau and xi axes are the conjugate grids of the omega and k sampling
+    (cell 2*pi/span), refined `oversample` times and truncated to
+    +-`extent_cells` conjugate cells, each a (tau, xi) pair or one value for
+    both. tau keeps oversample 16 so a 1 fs blur keeps its variance; xi is
+    sized by the metric floor: a 1025 x 257 map. Refusal to transform a
+    grid whose density has not decayed at the edges guards against
+    aliasing.
+
+    S must be even in k and in Omega, as S(Omega^2, k^2) about the
+    degenerate frequency is; the unpaired -k_max column and -Omega_max row
+    may hold any values, any other asymmetric column or row raises
+    ConfigurationError. Each node is the exact Riemann sum over the grid,
+    with the unpaired column and row counted half at each end (the even
+    quadrature of an even S), so g is real and even in tau and xi bit for
+    bit: _tau_stage's R @ kernel(xi >= 0) is its tau >= 0, xi >= 0
+    quadrant, and the rest of g is the mirror.
+    """
+    (os_tau, os_xi), (ext_tau, ext_xi) = (
+        v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
+    tau, r, kernel = _tau_stage(sg, os_tau, ext_tau)
+    spec, n_xi = sg.spec, os_xi * ext_xi
+    xi = (np.arange(2 * n_xi + 1) - n_xi) * (
+        2.0 * math.pi / (2.0 * spec.k_half_width) / os_xi)
+    re = r @ kernel(xi[n_xi:])
     center = re[0, 0]
     g = np.empty((tau.size, xi.size))
     quadrant, pairs = map_mirror(g)
@@ -138,6 +146,25 @@ def correlation_map(sg, oversample=(16, 8), extent_cells=(32, 16)):
                         carrier_omega=spec.omega_center,
                         intensity=float(center * cell),
                         provenance=provenance)
+
+
+def correlation_columns(sg):
+    """column(xi): g1's CoherenceColumn at any xi on correlation_map(sg)'s tau
+    axis, R @ kernel(xi) / (R[0] @ w) from the map's own tau stage, so at a
+    map node it is the map's column to rounding. The sum over k is periodic
+    in xi: an xi past |xi| < pi / k_step, or NaN, raises MapExtentError."""
+    tau, r, kernel = _tau_stage(sg, OVERSAMPLE[0], EXTENT_CELLS[0])
+    norm, limit = r[0] @ kernel([0.0])[:, 0], math.pi / sg.spec.k_step
+
+    def column(xi):
+        if not abs(xi) < limit:
+            raise MapExtentError(f"xi {xi:.4g} m lies outside the map's alias-free "
+                                 f"range, |xi| < pi / k_step = {limit:.4g} m")
+        half = (r @ kernel([xi]))[:, 0] / norm
+        return CoherenceColumn(tau, np.concatenate([half[:0:-1], half]),
+                               sg.spec.omega_center)
+
+    return column
 
 
 def direct_correlation(sg, tau, xi):

@@ -6,12 +6,12 @@ which shows up as a transverse shift xi in the crystal near-field plane
 and, inseparably, as an extra time delay. The split ratios and the
 magnification are the only settable parameters; the kinematics follow
 from them, so a trace records only its BS2 position and analysis derives
-the rest. Fringe traces are synthesized from a CoherenceMap, each sweep
-centred where the BS2 delay is compensated, their visibility envelopes
-extracted by a least-squares fit per window window_fringes long (J. E.
-Greivenkamp, Opt. Eng. 23, 350 (1984); a window of fitted level a <= 0 is
-dark), and any number of traces but two reassembled into |g1|(tau, xi)
-by one path.
+the rest. Fringe traces are synthesized from g1's real column along tau
+at their xi, each sweep centred where the BS2 delay is compensated, their
+visibility envelopes extracted by a least-squares fit per window
+window_fringes long (J. E. Greivenkamp, Opt. Eng. 23, 350 (1984); a window
+of fitted level a <= 0 is dark), and any number of traces but two
+reassembled into |g1|(tau, xi) by one path.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dispersion import c
-from .errors import ConfigurationError, SamplingError
+from .errors import ConfigurationError, MapExtentError, SamplingError
 from .hashing import config_digest
 
 
@@ -99,35 +99,27 @@ def fringe_period_stage_m(carrier_omega):
     return math.pi * c / carrier_omega
 
 
-def detector_signal(cmap, tau, xi, icfg):
-    """Two-beam interference level at the given delay and displacement.
-
-    I = (r1 + r2) + 2 sqrt(r1 r2) Re[g1(tau, xi) e^{-i omega_c tau}],
-    in units of the incoherent sum, which is 1 for ratios summing to 1.
-    """
-    r1, r2 = icfg.split_ratio
-    term = np.real(cmap.full_value_at(tau, xi))
-    return (r1 + r2) + 2.0 * math.sqrt(r1 * r2) * term
-
-
 def _uniform(start, step, n):
     """start + j * step, j < n, with a step that start + step holds exactly:
     a file's start/step/count axis rebuilds it bit for bit."""
     return start + np.arange(n) * ((start + step) - start)
 
 
-def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
+def synthesize_trace(column, icfg, bs2_position_m=0.0, stage_span_m=None,
                      orientation=""):
     """Sample a fringe trace along a delay-stage sweep.
 
-    The sweep is centred where the stage compensates the BS2-induced
-    delay, as an operator re-finding the fringe packet would, and must
-    cover at least 3 fringes (default 4), sampled 20 times per fringe.
-    The sweep is a _uniform axis, so a trace file rebuilds it bit for bit.
-    The BS2 delay enters the synthesized signal; analysis derives it
-    from the recorded BS2 position to realign the trace.
+    column is g1's CoherenceColumn at the trace's xi, bs2_position_m *
+    icfg.shift_to_xi, linear between its tau nodes, which the sweep must
+    not pass (MapExtentError); the detector reads (r1 + r2) + 2 sqrt(r1 r2)
+    g(tau) cos(omega_c tau). The sweep is centred where the stage
+    compensates the BS2-induced delay, as an operator re-finding the fringe
+    packet would, and must cover at least 3 fringes (default 4), sampled 20
+    times per fringe. The sweep is a _uniform axis, so a trace file rebuilds
+    it bit for bit. The BS2 delay enters the synthesized signal; analysis
+    derives it from the recorded BS2 position to realign the trace.
     """
-    period = fringe_period_stage_m(cmap.carrier_omega)
+    period = fringe_period_stage_m(column.carrier_omega)
     if stage_span_m is None:
         stage_span_m = 4.0 * period
     fringes = stage_span_m / period
@@ -143,11 +135,14 @@ def synthesize_trace(cmap, icfg, bs2_position_m=0.0, stage_span_m=None,
     start = center - 0.5 * stage_span_m
     positions = _uniform(start, stage_span_m / (n_samples - 1), n_samples)
     tau = positions * icfg.stage_to_delay + bs2_position_m * icfg.shift_to_delay
-    xi = bs2_position_m * icfg.shift_to_xi
-    intensities = detector_signal(cmap, tau, np.full_like(tau, xi), icfg)
+    if not column.tau_axis[0] <= tau[0] <= tau[-1] <= column.tau_axis[-1]:
+        raise MapExtentError(f"sweep delays {tau[0]:.4g} to {tau[-1]:.4g} s pass "
+                             f"the map's tau axis, +-{column.tau_axis[-1]:.4g} s")
+    intensities = sum(icfg.split_ratio) + icfg.fringe_amplitude * np.interp(
+        tau, column.tau_axis, column.g) * np.cos(column.carrier_omega * tau)
     return FringeTrace(positions_m=positions, intensities=intensities,
                        bs2_position_m=bs2_position_m,
-                       carrier_omega=cmap.carrier_omega,
+                       carrier_omega=column.carrier_omega,
                        orientation=orientation, icfg_hash=icfg.config_hash())
 
 

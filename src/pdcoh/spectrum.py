@@ -26,13 +26,15 @@ from .phasematch import _mismatch, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
 
-# auto_grid's half-widths: the probed support of S widened by this factor
+# auto_grid's half-widths: the probed support of S widened by this factor,
+# then by 1% per round, for at most this many rounds, until the edges decay
 _GRID_MARGIN = 1.35
+_WIDEN_ROUNDS = 100
 
 # series window for sinh(x)/x around the branch point, in u = x^2
 _SERIES_U = 1e-8
 
-# frequency rows per block of the density and resample passes: a block's
+# frequency or wavelength rows per block of the density passes: a block's
 # temporaries (a few 64 x 512 float arrays) stay in cache
 _ROW_BLOCK = 64
 
@@ -100,14 +102,14 @@ class SpectralGrid:
         """Largest edge value relative to the grid peak."""
         return self.provenance.get("edge_ratio", math.inf)
 
-    def check_edge_decay(self, remedy="widen the grid before transforming"):
+    def check_edge_decay(self):
         """Refuse a grid whose density has not decayed below EDGE_DECAY_RATIO
-        of its peak at every edge: its correlation transform would alias.
-        The message ends with the remedy, for a caller who built the grid."""
+        of its peak at every edge: its correlation transform would alias."""
         if not self.edge_ratio < EDGE_DECAY_RATIO:
             raise EdgeDecayError(
                 f"spectral density at the grid edge is {self.edge_ratio:.2e} of the "
-                f"peak (limit {EDGE_DECAY_RATIO:.0e}); {remedy}")
+                f"peak (limit {EDGE_DECAY_RATIO:.0e}); widen the grid before "
+                "transforming")
 
 
 def _density_from_mismatch(mismatch, length_m, gain):
@@ -173,15 +175,34 @@ def s_mirror(values):
         (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1], np.positive)]
 
 
+def _edge_ratios(cfg, grid):
+    """(Omega, k) edge ratios of the S build_spectrum builds on grid, from
+    its Omega <= 0 half as there (row 1 is the last row's mirror, column 1
+    the last column's |k|). The Omega = 0 row and k = 0 column bound the
+    peak from below; the whole half is searched only when that bound does
+    not clear the edges."""
+    n, half = grid.n_omega // 2, grid.n_k // 2
+    omega, k = grid.omega_axis()[:n + 1], grid.k_axis()
+    rows, _ = _masked_density(cfg, omega[[0, 1, n]], k)
+    cols, _ = _masked_density(cfg, omega, k[[0, 1, half]])
+    edges = np.array([rows[:2].max(), cols[:, :2].max()])
+    peak = max(rows.max(), cols.max())
+    if edges.max() >= EDGE_DECAY_RATIO * peak:
+        peak = _masked_density(cfg, omega, k)[0].max()
+    return edges / peak
+
+
 def auto_grid(cfg, n_omega=1024, n_k=512):
     """Size a grid from the density's own support.
 
     A coarse probe locates where the density exceeds 1e-3 of its peak,
-    widening itself until that support is interior, and the final
-    half-widths add _GRID_MARGIN so the edge-decay requirement holds.
-    A support whose margin would reach past the frequency cap of 0.49
-    omega_c cannot be bounded, and raises ConfigurationError; a density
-    with no finite positive peak raises DensityPeakError.
+    widening itself until that support is interior, and the half-widths add
+    _GRID_MARGIN. The probe can miss density between its nodes, so a
+    half-width whose grid edge still holds EDGE_DECAY_RATIO of the peak is
+    widened 1% at a time until every edge decays: every grid returned
+    passes the edge check. A grid past the frequency cap of 0.49 omega_c
+    raises ConfigurationError naming the angle; a density with no finite
+    positive peak raises DensityPeakError.
     """
     omega_c = cfg.degenerate_omega
     cap = 0.49 * omega_c
@@ -204,15 +225,21 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
             continue
         span_w = np.abs(probe_w[rows] - omega_c).max()
         span_k = np.abs(probe_k[cols]).max()
-        if _GRID_MARGIN * span_w > cap:
-            raise ConfigurationError(
-                f"{cfg.sellmeier.name} at theta "
-                f"{math.degrees(cfg.theta_rad):g} deg: the density spans "
-                f"{span_w / omega_c:.2f} omega_c, and with margin {_GRID_MARGIN:g} "
-                f"its grid would pass the cap of 0.49 omega_c")
-        return GridSpec(omega_center=omega_c,
-                        omega_half_width=_GRID_MARGIN * span_w, n_omega=n_omega,
-                        k_half_width=_GRID_MARGIN * span_k, n_k=n_k)
+        half_w, half_k = _GRID_MARGIN * span_w, _GRID_MARGIN * span_k
+        for _ in range(_WIDEN_ROUNDS):
+            if half_w > cap:
+                raise ConfigurationError(
+                    f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} "
+                    f"deg: the density needs a grid to |Omega| = "
+                    f"{half_w / omega_c:.3f} omega_c, past the cap of 0.49 omega_c")
+            grid = GridSpec(omega_center=omega_c, omega_half_width=half_w,
+                            n_omega=n_omega, k_half_width=half_k, n_k=n_k)
+            edges = _edge_ratios(cfg, grid)
+            if edges.max() < EDGE_DECAY_RATIO:
+                return grid
+            grow = np.where(edges < EDGE_DECAY_RATIO, 1.0, 1.01)
+            half_w, half_k = half_w * grow[0], half_k * grow[1]
+        break
     raise ConfigurationError("could not bound the density support; check the "
                              "crystal configuration")
 
@@ -257,42 +284,14 @@ def build_spectrum(cfg, grid=None):
     return SpectralGrid(spec=grid, values=values, provenance=provenance)
 
 
-def bilinear(x_axis, y_axis, values, x, y):
-    """Bilinear samples of values[i, j] = f(x_axis[i], y_axis[j]) at (x, y).
-
-    Axes ascend; x and y broadcast. Returns (samples, inside), inside
-    marking queries within both axes (NaN is never inside); the others are
-    extrapolated from the edge cell, for the caller to refuse or fill. A
-    query on a node uses the cell above it, the last node the last cell.
-    """
-    i = np.clip(np.searchsorted(x_axis, x, side="right") - 1, 0, x_axis.size - 2)
-    j = np.clip(np.searchsorted(y_axis, y, side="right") - 1, 0, y_axis.size - 2)
-    u = (x - x_axis[i]) / (x_axis[i + 1] - x_axis[i])
-    v = (y - y_axis[j]) / (y_axis[j + 1] - y_axis[j])
-    inside = (x >= x_axis[0]) & (x <= x_axis[-1]) & (y >= y_axis[0]) & (y <= y_axis[-1])
-    # one flat index per query; ravel copies values only when not in C order
-    flat, n = np.ravel(values), values.shape[1]
-    corner = i * n + j
-    return (flat[corner] * (1 - u) * (1 - v) + flat[corner + 1] * (1 - u) * v
-            + flat[corner + n] * u * (1 - v) + flat[corner + n + 1] * u * v), inside
-
-
 @dataclass
 class WavelengthAngleGrid:
-    """Density resampled to wavelength and external emission angle."""
+    """Density on a uniform wavelength and external emission angle grid."""
 
     wavelength_axis_m: np.ndarray
     angle_axis_rad: np.ndarray
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
-
-
-def _resample_size(name, n, default):
-    if n is None:
-        return default
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ConfigurationError(f"{name} must be an integer >= 2, got {n!r}")
-    return int(n)
 
 
 def angle_mirror(values):
@@ -302,30 +301,31 @@ def angle_mirror(values):
     return values[:, half:], [(values[:, :half], values[:, ::-1][:, :half], np.positive)]
 
 
-def to_wavelength_angle(sg, n_wavelength=None, n_angle=None):
-    """Resample S(omega, k) onto a uniform (wavelength, external angle) grid.
-
-    Wavelength is 2*pi*c/omega and the external angle is k * wavelength /
-    (2*pi); values are bilinearly interpolated, with zero where |k| passes
-    the largest positive k node. Only angle_mirror's domain is resampled,
-    _ROW_BLOCK wavelength rows at a time into one C-ordered array.
-    """
+def to_wavelength_angle(sg, cfg):
+    """S's closed form on a uniform (wavelength 2*pi*c/omega, external angle
+    k * wavelength / (2*pi)) grid over S's omega range and k half-width, of
+    S's node counts. Each node of angle_mirror's domain, _ROW_BLOCK rows at a
+    time, is the density of cfg at its (omega, k), or zero where |k| passes
+    S's largest k node or the node does not evaluate. A cfg whose digest is
+    not S's crystal_hash is refused."""
+    if sg.provenance.get("crystal_hash") != cfg.config_hash():
+        raise ConfigurationError(
+            f"S was built from crystal_hash {sg.provenance.get('crystal_hash')}, "
+            f"not from this crystal config ({cfg.config_hash()})")
     spec = sg.spec
-    n_wavelength = _resample_size("n_wavelength", n_wavelength, spec.n_omega)
-    n_angle = _resample_size("n_angle", n_angle, spec.n_k)
-    omega, k = sg.omega_axis(), sg.k_axis()
+    omega, k_max = sg.omega_axis(), sg.k_axis()[-1]
     lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
-                      n_wavelength)
+                      spec.n_omega)
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
-    theta = np.linspace(-theta_max, theta_max, n_angle)
+    theta = np.linspace(-theta_max, theta_max, spec.n_k)
 
-    values = np.empty((n_wavelength, n_angle))
+    values = np.empty((spec.n_omega, spec.n_k))
     domain, pairs = angle_mirror(values)
-    for lo in range(0, n_wavelength, _ROW_BLOCK):
-        # a column of omega: bilinear finds each wavelength's row once
+    for lo in range(0, spec.n_omega, _ROW_BLOCK):
         lam_q = lam[lo:lo + _ROW_BLOCK, None]
-        block, inside = bilinear(omega, k, sg.values, 2 * math.pi * c / lam_q,
-                                 theta[n_angle // 2:] * 2 * math.pi / lam_q)
-        domain[lo:lo + _ROW_BLOCK] = np.where(inside, block, 0.0)
+        k = theta[spec.n_k // 2:] * 2 * math.pi / lam_q
+        mismatch, valid = _mismatch(cfg, 2 * math.pi * c / lam_q, k)
+        density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
+        domain[lo:lo + _ROW_BLOCK] = np.where(valid & (k <= k_max), density, 0.0)
     mirror(pairs)
     return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))

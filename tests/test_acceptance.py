@@ -25,7 +25,8 @@ from pdcoh import (
 )
 from pdcoh.cli import main
 from pdcoh.coherence import (
-    CoherenceMap,
+    CoherenceColumn,
+    correlation_columns,
     correlation_map,
     direct_correlation,
     factorability_defect,
@@ -124,7 +125,7 @@ def test_criterion_2_degenerate_wavelength_peak(sell):
     theta_pm = collinear_degenerate_angle(800e-9, sell)
     cfg = _cfg(theta_pm, sell)
     sg = build_spectrum(cfg, auto_grid(cfg, 1024, 512))
-    wag = to_wavelength_angle(sg)
+    wag = to_wavelength_angle(sg, cfg)
     i, j = np.unravel_index(np.argmax(wag.values), wag.values.shape)
     lam = wag.wavelength_axis_m[i]
     cell = abs(wag.wavelength_axis_m[1] - wag.wavelength_axis_m[0])
@@ -242,10 +243,12 @@ def test_criterion_8_interferometer_closed_loop(pipelines, tmp_path):
     assert main(["analyze", str(manifest), "--config", str(cfg),
                  "--out", str(out)]) == 0
 
-    source = pipelines[19.94][1]
+    sg, source = pipelines[19.94][:2]
     amap = read_assembled_map(out / "analyze_map.csv")
-    ref = np.abs(source.value_at(amap.tau_axis[:, None],
-                                 amap.xi_axis[None, :]))
+    # S's exact column at each trace's xi, linear between its tau nodes
+    column = correlation_columns(sg)
+    ref = np.abs(np.column_stack([np.interp(amap.tau_axis, c.tau_axis, c.g) for c in
+                                  map(column, amap.xi_axis)]))
     err = amap.magnitude - ref
     rms = math.sqrt(np.mean(err ** 2))
 
@@ -264,14 +267,14 @@ def test_criterion_8_interferometer_closed_loop(pipelines, tmp_path):
 
     icfg = InterferometerConfig()
     tau_flat = (np.arange(4097) - 2048) * 2e-16
-    flat = CoherenceMap(tau_flat, (np.arange(17) - 8) * 2e-6,
-                        np.ones((4097, 17), complex),
-                        carrier_omega=source.carrier_omega, intensity=1.0,
-                        provenance={})
+    flat = CoherenceColumn(tau_flat, np.ones(4097), carrier_omega=source.carrier_omega)
     taus, vis = extract_visibility(synthesize_trace(flat, icfg), icfg)
     vis_ideal = vis[np.argmin(np.abs(taus))]
-    taus, vis = extract_visibility(
-        synthesize_trace(instrument_blur(source, 1e-15, 6e-6), icfg), icfg)
+    # the blurred map's xi = 0 node column
+    blurred = instrument_blur(source, 1e-15, 6e-6)
+    taus, vis = extract_visibility(synthesize_trace(CoherenceColumn(
+        blurred.tau_axis, blurred.g[:, blurred.xi_axis.size // 2],
+        blurred.carrier_omega), icfg), icfg)
     vis_blurred = vis[np.argmin(np.abs(taus))]
 
     ok = (rms < 0.03 and period_ok and abs(vis_ideal - 1.0) < 1e-3

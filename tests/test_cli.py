@@ -145,7 +145,7 @@ def test_spectrum_emits_both_grids_deterministically(ws, tmp_path):
     sg = read_spectral_grid(a / "spectrum_19p94_omega_k.csv")
     assert sg.values.shape == (256, 128)
     assert sg.provenance["theta_rad"] == pytest.approx(math.radians(19.94),
-                                                       rel=1e-12)
+                                                       rel=1e-12, abs=0)
 
 
 def test_coherence_emits_maps_cuts_and_metrics(ws, tmp_path):
@@ -423,6 +423,10 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
     assert not out.exists()
 
 
+# config lines of a crystal whose grid auto_grid cannot widen within its cap
+CAPPED = ("gain = 3.4", "length = 23.3 mm")
+
+
 @pytest.mark.parametrize("command, flags, message", [
     pytest.param("coherence", ["--blur=1fs,1000um", "--out={taken}"],
                  "--blur: blur kernel is wider than the map", id="blur-too-wide"),
@@ -439,15 +443,20 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
                  "--out: cannot write {taken}/spectrum_19p94_omega_k.bin: ",
                  id="product-a-directory"),
     pytest.param("spectrum", ["--out="], "--out: empty", id="out-empty"),
-    pytest.param("interferogram", ["--theta=75.25deg", "--out={taken}"],
-                 r"--theta: spectral density at the grid edge is .* of the peak",
+    # a crystal whose density stays on the grid edge until widening it
+    # would pass the 0.49 omega_c cap
+    pytest.param("interferogram", ["--theta=60.17deg", *CAPPED, "--out={taken}"],
+                 r"--theta: bbo_kato1986 at theta 60.17 deg: the density needs a grid "
+                 r"to \|Omega\| = 0.491 omega_c, past the cap of 0.49 omega_c",
                  id="theta-with-density-on-the-grid-edge"),
-    pytest.param("spectrum", ["--theta=75.25deg", "--out={taken}"],
-                 r"--theta: spectral density at the grid edge is .* of the peak",
+    pytest.param("spectrum", ["--theta=60.17deg", *CAPPED, "--out={taken}"],
+                 r"--theta: bbo_kato1986 at theta 60.17 deg: the density needs a grid "
+                 r"to \|Omega\| = 0.491 omega_c, past the cap of 0.49 omega_c",
                  id="spectrum-theta-with-density-on-the-grid-edge"),
-    pytest.param("coherence", ["theta = 75.25 deg", "--out={taken}"],
-                 r"^error: \[crystal\] theta: spectral density at the grid edge "
-                 r"is 3.99e-03 of the peak",
+    pytest.param("coherence", ["theta = 60.17 deg", *CAPPED, "--out={taken}"],
+                 r"^error: \[crystal\] theta: bbo_kato1986 at theta 60.17 deg: the "
+                 r"density needs a grid to \|Omega\| = 0.491 omega_c, past the cap of "
+                 r"0.49 omega_c$",
                  id="config-theta-with-density-on-the-grid-edge"),
     pytest.param("spectrum", ["gain = 1e3", "--out={taken}"],
                  r"^error: \[crystal\] gain and length: density peak is inf at "
@@ -477,24 +486,27 @@ def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
                                     taken=re.escape(str(taken))), err, re.M), err
     assert "internal error" not in err
     # a refused --blur or --theta writes nothing for its orientation
-    assert not list(taken.glob("coherence_*")) and not list(taken.glob("*_75p25_*"))
+    assert not list(taken.glob("coherence_*")) and not list(taken.glob("*_60p17_*"))
 
 
 def test_density_on_an_automatic_grid_edge_is_refused_without_a_remedy(tmp_path,
                                                                         capsys):
-    # no setting widens the grid that auto_grid sizes, so the command line
-    # names its extent instead of the library's "widen the grid"
+    # auto_grid widens its grid until S decays on every edge: at 75.25 deg
+    # its coarse probe leaves 3.99e-3 of the peak on a 64 x 64 grid's edge.
+    # No setting widens it past the cap, so there the refusal names the
+    # angle and the cap instead of a remedy
     small = tmp_path / "small.ini"
     small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
                      .replace("= 128", "= 64").replace("csv", "binary"))
-    assert main(["spectrum", str(small), "--theta=75.25deg"]) == 1
+    assert main(["spectrum", str(small), "--theta=75.25deg"]) == 0
+    small.write_text(small.read_text().replace("gain = 6", CAPPED[0])
+                     .replace("length = 10 mm", CAPPED[1]))
+    assert main(["spectrum", str(small), "--theta=60.17deg"]) == 1
     err = capsys.readouterr().err
-    assert re.search(r"--theta: spectral density at the grid edge is .* of the peak "
-                     r"\(limit 1e-03\); the grid sized automatically at 75.25 deg ends "
-                     r"at \|Omega\| = 0\.\d+ omega_c and \|k\| = .* rad/m, and no "
-                     r"setting widens it", err), err
+    assert re.search(r"^error: --theta: bbo_kato1986 at theta 60.17 deg: the density "
+                     r"needs a grid to \|Omega\| = 0\.\d+ omega_c, past the cap of "
+                     r"0.49 omega_c$", err, re.M), err
     assert "widen the grid" not in err
-
 
 
 def _two_orientation_csv(tmp_path):
@@ -689,7 +701,7 @@ def test_readme_library_block_runs():
     scope = {}
     exec(compile(block, "README.md", "exec"), scope)
     assert scope["cmap"].g.shape == (1025, 257)
-    assert np.ptp(scope["trace"].positions_m) == pytest.approx(48e-6, rel=1e-12)
+    assert np.ptp(scope["trace"].positions_m) == pytest.approx(48e-6, rel=1e-12, abs=0)
 
 
 def test_usage_errors_and_help(capsys):

@@ -18,6 +18,7 @@ from pdcoh import (
 from pdcoh.coherence import (
     FWHM_TO_SIGMA,
     CoherenceMap,
+    correlation_columns,
     correlation_map,
     direct_correlation,
     factorability_defect,
@@ -235,54 +236,14 @@ def test_correlation_decays_far_outside(sell):
     assert abs(direct_correlation(sg, 0.0, 3e-3)) < 1e-2
 
 
-def test_value_at_interpolates_and_checks_extent(map94):
-    j0 = map94.xi_axis.size // 2
-    assert map94.value_at(0.0, 0.0) == 1.0 + 0.0j
-    mid_tau = 0.5 * (map94.tau_axis[600] + map94.tau_axis[601])
-    v = map94.value_at(mid_tau, 0.0)
-    lo, hi = map94.g[600, j0], map94.g[601, j0]
-    assert v == pytest.approx(0.5 * (lo + hi), rel=1e-12)
-    with pytest.raises(MapExtentError):
-        map94.value_at(map94.tau_axis[-1] * 1.01, 0.0)
-
-
-def test_value_at_matches_scipy_bit_for_bit(map94):
-    # scipy is the reference only; pdcoh does its own lookups
-    from scipy.interpolate import RegularGridInterpolator
-    tau_axis, xi_axis = map94.tau_axis, map94.xi_axis
-    rng = np.random.default_rng(5)
-    ends = [0, 1, -2, -1]
-    end_tau, end_xi = np.meshgrid(tau_axis[ends + [tau_axis.size // 2]],
-                                  xi_axis[ends + [xi_axis.size // 2]],
-                                  indexing="ij")
-    tau = np.concatenate([rng.uniform(tau_axis[0], tau_axis[-1], 200_000),
-                          end_tau.ravel()])
-    xi = np.concatenate([rng.uniform(xi_axis[0], xi_axis[-1], 200_000),
-                         end_xi.ravel()])
-    want = RegularGridInterpolator((tau_axis, xi_axis), map94.g)(
-        np.stack([tau, xi], axis=-1))
-    got = map94.value_at(tau, xi)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert map94.value_at(tau_axis[-1], xi_axis[0]) == map94.g[-1, 0]
-    grid = map94.value_at(tau_axis[:3, None], xi_axis[None, :4])
-    assert grid.shape == (3, 4)
-
-
-@pytest.mark.parametrize("tau, xi", [
-    (math.nan, 0.0), (0.0, math.nan), (0.0, 1.0), (-1.0, 0.0)])
-def test_value_at_refuses_nan_and_outside_queries(map94, tau, xi):
-    with pytest.raises(MapExtentError, match="extent"):
-        map94.value_at(tau, xi)
-    with pytest.raises(MapExtentError, match="extent"):
-        map94.value_at(np.array([0.0, tau]), np.array([0.0, xi]))
-
-
-def test_full_value_restores_carrier(map94):
-    tau = map94.tau_axis[700]
-    full = map94.full_value_at(tau, 0.0)
-    assert abs(full) == pytest.approx(abs(map94.value_at(tau, 0.0)), rel=1e-12)
-    assert full == pytest.approx(map94.value_at(tau, 0.0)
-                                 * np.exp(-1j * map94.carrier_omega * tau))
+def test_column_refuses_xi_past_the_alias_free_range_and_nan(spectra):
+    sg = spectra[19.94]
+    column = correlation_columns(sg)
+    limit = math.pi / sg.spec.k_step
+    assert column(np.nextafter(limit, 0)).g.size == 1025
+    for xi in (limit, -limit, math.nan):
+        with pytest.raises(MapExtentError, match="outside the map's alias-free range"):
+            column(xi)
 
 
 def test_metric_values_for_the_three_orientations(sell):

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdcoh import GridSpec, SpectralGrid
-from pdcoh.coherence import correlation_map, direct_correlation, factorability_defect
+from pdcoh.coherence import correlation_columns, correlation_map, direct_correlation, \
+    factorability_defect
 
 # small maps keep each example to about a millisecond
 SIDE = dict(oversample=2, extent_cells=6)
@@ -101,3 +102,30 @@ def test_map_agrees_with_direct_quadrature(seed, n_omega, oversample, extent, no
         tau, xi = cm.tau_axis[i], cm.xi_axis[j]
         envelope = cm.g[i, j] * np.exp(-1j * cm.carrier_omega * tau)
         assert abs(direct_correlation(sg, tau, xi) - envelope) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas, st.lists(st.integers(0, 1024), min_size=1, max_size=5),
+       st.floats(-0.999, 0.999))
+def test_column_restores_to_the_direct_quadrature_at_any_xi(seed, n_omega, nodes,
+                                                            xi_range):
+    # any xi of the alias-free range |xi| < pi / k_step, which on 64 k nodes
+    # is twice the xi extent of the map
+    sg = _grid(_random_density(seed, n_omega))
+    xi = xi_range * np.pi / sg.spec.k_step
+    column = correlation_columns(sg)(xi)
+    for i in nodes:
+        tau = column.tau_axis[i]
+        full = column.g[i] * np.exp(-1j * column.carrier_omega * tau)
+        assert abs(direct_correlation(sg, tau, xi) - full) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seeds, n_omegas, st.integers(0, 256))
+def test_column_at_a_map_node_is_the_maps_column(seed, n_omega, j):
+    sg = _grid(_random_density(seed, n_omega))
+    cm = correlation_map(sg)
+    column = correlation_columns(sg)(cm.xi_axis[j])
+    assert column.tau_axis.tobytes() == cm.tau_axis.tobytes()
+    assert column.g.dtype == float
+    assert np.max(np.abs(column.g - cm.g[:, j])) < 1e-13

@@ -63,14 +63,14 @@ def test_quantity_parsing_covers_the_unit_tables():
     assert parse_length("800 nm") == pytest.approx(800e-9, rel=1e-15, abs=0)
     assert parse_length("0.8um") == pytest.approx(0.8e-6, rel=1e-15, abs=0)
     assert parse_length("6 µm") == pytest.approx(6e-6, rel=1e-15, abs=0)
-    assert parse_length("10 mm") == pytest.approx(0.01, rel=1e-15)
+    assert parse_length("10 mm") == pytest.approx(0.01, rel=1e-15, abs=0)
     assert parse_length("1.5e-6 m") == pytest.approx(1.5e-6, rel=1e-15, abs=0)
     assert parse_time("1 fs") == pytest.approx(1e-15, rel=1e-15, abs=0)
     assert parse_time("0.5ps") == pytest.approx(5e-13, rel=1e-15, abs=0)
     assert parse_angle("19.87 deg") == pytest.approx(math.radians(19.87),
-                                                    rel=1e-15)
-    assert parse_angle("2 mrad") == pytest.approx(2e-3, rel=1e-15)
-    assert parse_angle("0.34 rad") == pytest.approx(0.34, rel=1e-15)
+                                                    rel=1e-15, abs=0)
+    assert parse_angle("2 mrad") == pytest.approx(2e-3, rel=1e-15, abs=0)
+    assert parse_angle("0.34 rad") == pytest.approx(0.34, rel=1e-15, abs=0)
 
 
 def test_quantity_parsing_demands_a_unit():
@@ -100,7 +100,7 @@ def test_quantity_parsing_refuses_non_finite_numbers(number):
 def test_full_config_loads_in_si_units(tmp_path):
     rc = load_run_config(_write(tmp_path, FULL))
     assert rc.material == "bbo_kato1986"
-    assert rc.length_m == pytest.approx(0.01, rel=1e-15)
+    assert rc.length_m == pytest.approx(0.01, rel=1e-15, abs=0)
     assert rc.pump_wavelength_m == pytest.approx(800e-9, rel=1e-15, abs=0)
     assert rc.gain == 6.0
     assert [math.degrees(t) for t in rc.thetas_rad] == pytest.approx(

@@ -10,7 +10,7 @@ Sellmeier set and the angle.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
@@ -126,3 +126,32 @@ def test_width_ratio_follows_the_near_degenerate_dispersion(gain, length_m):
     k2 = abs(gvd(lam_um, ORDINARY, SELL)[0]) * 1e-27  # fs^2/mm -> s^2/m
     assert 2.60 < 1e-9 / math.sqrt(k2 * k_c) < 2.70
     assert 2.44 <= ratio <= 2.62
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(BOX[0], st.floats(20.1, 80.0)), *BOX[1:],
+       st.sampled_from([64, 256, 1024]), st.sampled_from([64, 128, 512]))
+@example(75.25, 6.0, 0.01, 64, 64)
+@example(80.5, 6.0, 0.01, 64, 64)
+def test_every_automatic_grid_passes_its_edge_check(theta_deg, gain, length_m,
+                                                     n_omega, n_k):
+    """auto_grid widens the grid its coarse probe sizes until S decays on
+    every edge (at 75.25 and 80.5 deg the probe leaves 3.99e-3 and 3.67e-3
+    of the peak on a 64 x 64 grid's edge), or refuses by name where that
+    would pass its cap.
+    Near the cap a grid may reach past the dispersion range; build_spectrum
+    refuses that one by its unphysical nodes."""
+    cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
+                        pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
+    try:
+        grid = auto_grid(cfg, n_omega, n_k)
+    except ConfigurationError as exc:
+        assert str(exc).startswith(
+            f"{SELL.name} at theta {math.degrees(cfg.theta_rad):g} deg: ")
+        return
+    try:
+        sg = build_spectrum(cfg, grid)
+    except ConfigurationError as exc:
+        assert "grid nodes are unphysical" in str(exc)
+        return
+    sg.check_edge_decay()

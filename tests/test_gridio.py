@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, gridio, GridSpec, \
     PdcohError, SpectralGrid, auto_grid, build_spectrum, load_sellmeier
-from pdcoh.coherence import CoherenceMap, correlation_map, instrument_blur
+from pdcoh.coherence import CoherenceColumn, CoherenceMap, correlation_map, \
+    instrument_blur
 from pdcoh.gridio import (
     read_assembled_map,
     read_coherence_map,
@@ -408,10 +409,8 @@ def test_a_synthesized_sweep_reads_back_bit_for_bit(bs2, fringes):
     # exactly, so the file's start/step/count axis rebuilds it
     omega = 1.18e15
     tau = (np.arange(4097) - 2048) * 2e-16
-    xi = (np.arange(65) - 32) * 1e-6
     # half coherence keeps every sample clear of zero
-    flat = CoherenceMap(tau, xi, np.full((tau.size, xi.size), 0.5 + 0j),
-                        carrier_omega=omega, intensity=1.0, provenance={})
+    flat = CoherenceColumn(tau, np.full(tau.size, 0.5), carrier_omega=omega)
     icfg = InterferometerConfig()
     trace = synthesize_trace(flat, icfg, bs2_position_m=bs2,
                              stage_span_m=fringes * fringe_period_stage_m(omega))
@@ -686,7 +685,7 @@ def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
               (129, 65), 129 * 65),
         "wavelength-angle grid": (
             write_wavelength_angle_grid, read_wavelength_angle_grid,
-            to_wavelength_angle(sg), "values", (256, 64), 256 * 64),
+            to_wavelength_angle(sg, cfg), "values", (256, 64), 256 * 64),
         "map": (write_coherence_map, read_coherence_map, cmap, "g",
                 (513, 129), 513 * 129),
         "blurred map": (write_coherence_map, read_coherence_map,

@@ -15,14 +15,14 @@ from pdcoh import (
     build_spectrum,
     load_sellmeier,
 )
-from pdcoh.coherence import CoherenceMap, _fwhm, correlation_map, instrument_blur, metrics
+from pdcoh.coherence import CoherenceColumn, _fwhm, correlation_columns, \
+    correlation_map, instrument_blur, metrics
 from pdcoh.config import parse_length
 from pdcoh.interferometer import (
     AssembledMap,
     FringeTrace,
     InterferometerConfig,
     assemble_map,
-    detector_signal,
     extract_visibility,
     fringe_period_path_m,
     fringe_period_stage_m,
@@ -41,36 +41,42 @@ def icfg():
 
 
 @pytest.fixture(scope="module")
-def flat_map():
-    # unit-magnitude envelope everywhere: pure carrier fringes
+def flat():
+    # unit-magnitude envelope at every xi: pure carrier fringes
     tau = (np.arange(4097) - 2048) * 2e-16
-    xi = (np.arange(17) - 8) * 2e-6
-    g = np.ones((tau.size, xi.size), dtype=complex)
-    return CoherenceMap(tau, xi, g, carrier_omega=OMEGA_DEG, intensity=1.0,
-                        provenance={})
+    return CoherenceColumn(tau, np.ones(tau.size), carrier_omega=OMEGA_DEG)
 
 
 @pytest.fixture(scope="module")
-def gauss_map():
+def gauss():
+    """The column at xi of a Gaussian envelope, SIG_TAU by SIG_XI."""
     tau = (np.arange(513) - 256) * 1e-15
-    xi = (np.arange(257) - 128) * 2e-6
-    g = np.exp(-0.5 * (tau[:, None] / SIG_TAU) ** 2
-               - 0.5 * (xi[None, :] / SIG_XI) ** 2).astype(complex)
-    return CoherenceMap(tau, xi, g, carrier_omega=1.2e15, intensity=1.0,
-                        provenance={})
+    return lambda xi: CoherenceColumn(
+        tau, np.exp(-0.5 * (tau / SIG_TAU) ** 2 - 0.5 * (xi / SIG_XI) ** 2),
+        carrier_omega=1.2e15)
 
 
 @pytest.fixture(scope="module")
-def map94():
+def sg94():
     sell = load_sellmeier("bbo_kato1986")
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=6.0, sellmeier=sell)
-    return correlation_map(build_spectrum(cfg, auto_grid(cfg)))
+    return build_spectrum(cfg, auto_grid(cfg))
 
 
-def _centered_sweep(cmap, icfg, bs2, tau_span_s, **kw):
+@pytest.fixture(scope="module")
+def map94(sg94):
+    return correlation_map(sg94)
+
+
+@pytest.fixture(scope="module")
+def columns94(sg94):
+    return correlation_columns(sg94)
+
+
+def _centered_sweep(column, icfg, bs2, tau_span_s, **kw):
     # a sweep covering tau_span_s of delay
-    return synthesize_trace(cmap, icfg, bs2_position_m=bs2,
+    return synthesize_trace(column, icfg, bs2_position_m=bs2,
                             stage_span_m=tau_span_s / icfg.stage_to_delay, **kw)
 
 
@@ -87,9 +93,9 @@ def _fwhm_midpoint(x, y):
 def test_config_defaults_follow_kinematics():
     icfg = InterferometerConfig()
     assert icfg.split_ratio == (0.5, 0.5)
-    assert icfg.shift_to_xi == pytest.approx(1.0 / 6.6, rel=1e-12)
-    assert icfg.shift_to_delay == pytest.approx(1.0 / c, rel=1e-12)
-    assert icfg.stage_to_delay == pytest.approx(2.0 / c, rel=1e-12)
+    assert icfg.shift_to_xi == pytest.approx(1.0 / 6.6, rel=1e-12, abs=0)
+    assert icfg.shift_to_delay == pytest.approx(1.0 / c, rel=1e-12, abs=0)
+    assert icfg.stage_to_delay == pytest.approx(2.0 / c, rel=1e-12, abs=0)
     assert icfg.fringe_amplitude == 1.0
 
 
@@ -121,26 +127,31 @@ def test_config_hash_tracks_fields():
 
 def test_fringe_periods_at_the_degenerate_carrier():
     # double-pass stage geometry: one fringe per half carrier wavelength
-    assert fringe_period_path_m(OMEGA_DEG) == pytest.approx(1600e-9, rel=1e-12)
-    assert fringe_period_stage_m(OMEGA_DEG) == pytest.approx(800e-9, rel=1e-12)
+    assert fringe_period_path_m(OMEGA_DEG) == pytest.approx(1600e-9, rel=1e-12, abs=0)
+    assert fringe_period_stage_m(OMEGA_DEG) == pytest.approx(800e-9, rel=1e-12, abs=0)
     assert fringe_period_path_m(OMEGA_DEG) == 2 * fringe_period_stage_m(OMEGA_DEG)
 
 
-def test_detector_signal_levels(flat_map, gauss_map, icfg):
-    assert detector_signal(flat_map, 0.0, 0.0, icfg) == 2.0
+def test_detector_signal_levels(flat, gauss, icfg):
+    # the level at zero delay, the centre of a sweep at BS2 0
+    trace = synthesize_trace(flat, icfg)
+    assert trace.intensities[np.argmin(np.abs(trace.positions_m))] == 2.0
     unbalanced = InterferometerConfig(split_ratio=(0.7, 0.3))
-    assert detector_signal(flat_map, 0.0, 0.0, unbalanced) == pytest.approx(
-        1.0 + 2.0 * math.sqrt(0.21), rel=1e-12)
+    trace = synthesize_trace(flat, unbalanced)
+    assert trace.intensities[np.argmin(np.abs(trace.positions_m))] == pytest.approx(
+        1.0 + 2.0 * math.sqrt(0.21), rel=1e-12, abs=0)
     # incoherent level once the envelope has died off (5 sigma)
-    assert detector_signal(gauss_map, 1.5e-13, 0.0, icfg) == pytest.approx(
-        1.0, abs=1e-4)
-    with pytest.raises(MapExtentError):
-        detector_signal(gauss_map, 1.0, 0.0, icfg)
+    trace = _centered_sweep(gauss(0.0), icfg, 0.0, 400e-15)
+    tau = trace.positions_m * icfg.stage_to_delay
+    assert np.max(np.abs(trace.intensities[np.abs(tau) >= 1.5e-13] - 1.0)) < 1e-4
+    # a sweep past the column's +-256 fs
+    with pytest.raises(MapExtentError, match="pass the map's tau axis"):
+        _centered_sweep(gauss(0.0), icfg, 0.0, 520e-15)
 
 
-def test_flat_trace_fringes_at_the_stage_period(flat_map, icfg):
+def test_flat_trace_fringes_at_the_stage_period(flat, icfg):
     period = fringe_period_stage_m(OMEGA_DEG)
-    trace = synthesize_trace(flat_map, icfg, stage_span_m=8 * period)
+    trace = synthesize_trace(flat, icfg, stage_span_m=8 * period)
     y, pos = trace.intensities, trace.positions_m
     step = pos[1] - pos[0]
     crests = []
@@ -154,7 +165,7 @@ def test_flat_trace_fringes_at_the_stage_period(flat_map, icfg):
 
 
 @pytest.mark.parametrize("pump", ["800 nm", "800e-9 m"])
-def test_whole_fringe_sweep_count_ignores_carrier_rounding(flat_map, icfg, pump):
+def test_whole_fringe_sweep_count_ignores_carrier_rounding(flat, icfg, pump):
     # 48 um of stage is 60 fringes up to the carrier's last bits: "800 nm"
     # parses to 8.000000000000001e-07 m (59.999999999999986 fringes), 800e-9
     # m gives 60.00000000000001; both are 1,201 samples
@@ -162,15 +173,13 @@ def test_whole_fringe_sweep_count_ignores_carrier_rounding(flat_map, icfg, pump)
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=pump_m, gain=6.0,
                         sellmeier=load_sellmeier("bbo_kato1986"))
-    cmap = CoherenceMap(flat_map.tau_axis, flat_map.xi_axis, flat_map.g,
-                        carrier_omega=cfg.degenerate_omega, intensity=1.0,
-                        provenance={})
-    trace = synthesize_trace(cmap, icfg, stage_span_m=48e-6)
+    column = CoherenceColumn(flat.tau_axis, flat.g, carrier_omega=cfg.degenerate_omega)
+    trace = synthesize_trace(column, icfg, stage_span_m=48e-6)
     assert trace.positions_m.size == 1201
 
 
-def test_flat_trace_visibility_is_unity_everywhere(flat_map, icfg):
-    trace = synthesize_trace(flat_map, icfg)
+def test_flat_trace_visibility_is_unity_everywhere(flat, icfg):
+    trace = synthesize_trace(flat, icfg)
     taus, vis = extract_visibility(trace, icfg)
     assert taus.size == trace.positions_m.size - 21 + 1
     assert np.max(np.abs(vis - 1.0)) < 1e-9
@@ -178,9 +187,9 @@ def test_flat_trace_visibility_is_unity_everywhere(flat_map, icfg):
     assert np.min(np.abs(taus)) < 1e-24
 
 
-def test_split_ratio_caps_the_visibility(flat_map):
+def test_split_ratio_caps_the_visibility(flat):
     unbalanced = InterferometerConfig(split_ratio=(0.7, 0.3))
-    trace = synthesize_trace(flat_map, unbalanced)
+    trace = synthesize_trace(flat, unbalanced)
     taus, vis = extract_visibility(trace, unbalanced)
     v0 = vis[np.argmin(np.abs(taus))]
     assert v0 == pytest.approx(2.0 * math.sqrt(0.21), rel=1e-9)
@@ -203,14 +212,14 @@ def test_trace_rejects_malformed_data():
         FringeTrace(np.where(pos == pos[7], np.nan, pos), good, 0.0, OMEGA_DEG)
 
 
-def test_sweep_preconditions(flat_map, icfg):
+def test_sweep_preconditions(flat, icfg):
     period = fringe_period_stage_m(OMEGA_DEG)
     with pytest.raises(SamplingError, match="at least 3"):
-        synthesize_trace(flat_map, icfg, stage_span_m=2 * period)
+        synthesize_trace(flat, icfg, stage_span_m=2 * period)
 
 
-def test_extraction_preconditions(flat_map, icfg):
-    trace = synthesize_trace(flat_map, icfg)
+def test_extraction_preconditions(flat, icfg):
+    trace = synthesize_trace(flat, icfg)
     with pytest.raises(ConfigurationError, match="at least one fringe"):
         extract_visibility(trace, icfg, window_fringes=0.5)
     with pytest.raises(SamplingError, match="longer than the trace"):
@@ -348,10 +357,11 @@ def test_visibility_moves_by_the_order_of_a_perturbation(fringes, window_fringes
     assert np.max(np.abs(moved_vis - vis)) < 4 * delta
 
 
-def test_envelope_tracks_the_map_cut(map94, icfg):
-    trace = _centered_sweep(map94, icfg, 0.0, 120e-15)
+def test_envelope_tracks_the_map_cut(columns94, icfg):
+    column = columns94(0.0)
+    trace = _centered_sweep(column, icfg, 0.0, 120e-15)
     taus, vis = extract_visibility(trace, icfg)
-    cut = np.abs(np.array([map94.value_at(t, 0.0) for t in taus]))
+    cut = np.abs(np.interp(taus, column.tau_axis, column.g))
     err = vis - cut
     # the one-fringe window's fit smooths the envelope over a fringe, low
     # where it bends down and high where it bends up; tails are clean
@@ -360,10 +370,10 @@ def test_envelope_tracks_the_map_cut(map94, icfg):
     assert 0.9 < vis.max() < 1.0
 
 
-def test_central_visibility_reads_below_unity_on_a_real_map(map94, icfg):
+def test_central_visibility_reads_below_unity_on_a_real_map(columns94, icfg):
     # the envelope decays within one fringe window, so the window's fit
     # averages it below its peak even without instrument blur
-    trace = synthesize_trace(map94, icfg)
+    trace = synthesize_trace(columns94(0.0), icfg)
     taus, vis = extract_visibility(trace, icfg)
     v0 = vis[np.argmin(np.abs(taus))]
     assert v0 == pytest.approx(0.9620966349738181, rel=1e-3)
@@ -371,17 +381,20 @@ def test_central_visibility_reads_below_unity_on_a_real_map(map94, icfg):
 
 
 def test_blurred_central_visibility_stays_high(map94, icfg):
+    # the blurred map's xi = 0 node column
     blurred = instrument_blur(map94, 1e-15, 6e-6)
-    trace = synthesize_trace(blurred, icfg)
+    trace = synthesize_trace(CoherenceColumn(
+        blurred.tau_axis, blurred.g[:, blurred.xi_axis.size // 2],
+        blurred.carrier_omega), icfg)
     taus, vis = extract_visibility(trace, icfg)
     v0 = vis[np.argmin(np.abs(taus))]
     assert v0 == pytest.approx(0.9523331625175023, rel=1e-3)
     assert v0 >= 0.8
 
 
-def test_gaussian_closed_loop_reconstruction(gauss_map, icfg):
-    traces = [_centered_sweep(gauss_map, icfg, j * 40e-6, 200e-15)
-              for j in range(-5, 6)]
+def test_gaussian_closed_loop_reconstruction(gauss, icfg):
+    traces = [_centered_sweep(gauss(j * 40e-6 * icfg.shift_to_xi), icfg, j * 40e-6,
+                              200e-15) for j in range(-5, 6)]
     amap = assemble_map(traces, icfg)
     assert amap.magnitude.shape == (amap.tau_axis.size, 11)
     assert np.allclose(amap.xi_axis, np.arange(-5, 6) * 40e-6 / 6.6, rtol=1e-12)
@@ -392,10 +405,12 @@ def test_gaussian_closed_loop_reconstruction(gauss_map, icfg):
     assert np.max(np.abs(err)) < 0.07
 
 
-def test_assembled_coherence_time_tracks_the_map(map94, icfg):
-    # the example config's sweeps: 11 BS2 steps of 40 um, 48 um of stage
-    traces = [synthesize_trace(map94, icfg, bs2_position_m=(j - 5) * 40e-6,
-                               stage_span_m=48e-6) for j in range(11)]
+def test_assembled_coherence_time_tracks_the_map(map94, columns94, icfg):
+    # the example config's sweeps: 11 BS2 steps of 40 um, 48 um of stage,
+    # each from S's exact column at its xi
+    bs2 = (np.arange(11) - 5) * 40e-6
+    traces = [synthesize_trace(columns94(b * icfg.shift_to_xi), icfg, bs2_position_m=b,
+                               stage_span_m=48e-6) for b in bs2]
     amap = assemble_map(traces, icfg)
     jc = int(np.argmin(np.abs(amap.xi_axis)))
     tau_c = _fwhm(amap.tau_axis, amap.magnitude[:, jc])
@@ -408,10 +423,8 @@ def test_bs2_delay_offset_is_undone(icfg):
     # realigned peaks must coincide (peak position taken as the
     # half-maximum midpoint; the envelope top is plateau-flat)
     tau = (np.arange(513) - 256) * 1e-15
-    xi = (np.arange(257) - 128) * 2e-6
-    g = np.repeat(np.exp(-0.5 * (tau / SIG_TAU) ** 2)[:, None], xi.size, axis=1)
-    flat_in_xi = CoherenceMap(tau, xi, g.astype(complex), carrier_omega=1.2e15,
-                              intensity=1.0, provenance={})
+    flat_in_xi = CoherenceColumn(tau, np.exp(-0.5 * (tau / SIG_TAU) ** 2),
+                                 carrier_omega=1.2e15)
     mids = []
     env_step = None
     for bs2 in (0.0, 200e-6, 400e-6):
@@ -424,30 +437,30 @@ def test_bs2_delay_offset_is_undone(icfg):
     assert max(mids) - min(mids) < 0.01 * env_step
 
 
-def test_single_trace_assembles_to_one_column(flat_map):
+def test_single_trace_assembles_to_one_column(flat):
     unbalanced = InterferometerConfig(split_ratio=(0.7, 0.3))
-    trace = synthesize_trace(flat_map, unbalanced, bs2_position_m=40e-6)
+    trace = synthesize_trace(flat, unbalanced, bs2_position_m=40e-6)
     # the sweep is centred where the stage undoes the BS2 delay
-    assert np.mean(trace.positions_m) == pytest.approx(-20e-6, rel=1e-9)
+    assert np.mean(trace.positions_m) == pytest.approx(-20e-6, rel=1e-9, abs=0)
     amap = assemble_map([trace], unbalanced)
     assert isinstance(amap, AssembledMap)
     assert amap.magnitude.shape == (amap.tau_axis.size, 1)
-    assert amap.xi_axis == pytest.approx([40e-6 / 6.6], rel=1e-12)
+    assert amap.xi_axis == pytest.approx([40e-6 / 6.6], rel=1e-12, abs=0)
     # the split-ratio ceiling is divided out: flat envelope reads 1
     assert np.max(np.abs(amap.magnitude - 1.0)) < 1e-9
 
 
-def test_assembly_rejects_inconsistent_inputs(flat_map, icfg):
+def test_assembly_rejects_inconsistent_inputs(flat, icfg):
     with pytest.raises(ConfigurationError, match="no traces"):
         assemble_map([], icfg)
-    t0 = _centered_sweep(flat_map, icfg, 0.0, 30e-15)
-    t1 = _centered_sweep(flat_map, icfg, 40e-6, 30e-15)
-    t2 = _centered_sweep(flat_map, icfg, 80e-6, 30e-15)
+    t0 = _centered_sweep(flat, icfg, 0.0, 30e-15)
+    t1 = _centered_sweep(flat, icfg, 40e-6, 30e-15)
+    t2 = _centered_sweep(flat, icfg, 80e-6, 30e-15)
     with pytest.raises(ConfigurationError, match="ambiguous"):
         assemble_map([t0, t1], icfg)
 
     other = InterferometerConfig(split_ratio=(0.7, 0.3))
-    t_other = _centered_sweep(flat_map, other, 80e-6, 30e-15)
+    t_other = _centered_sweep(flat, other, 80e-6, 30e-15)
     # a mix of configurations holds a trace foreign to the analyzing one
     with pytest.raises(ConfigurationError, match="different interferometer"):
         assemble_map([t0, t1, t_other], icfg)
@@ -455,22 +468,20 @@ def test_assembly_rejects_inconsistent_inputs(flat_map, icfg):
     with pytest.raises(ConfigurationError, match="different interferometer"):
         assemble_map([t_other], icfg)
 
-    detuned = CoherenceMap(flat_map.tau_axis, flat_map.xi_axis, flat_map.g,
-                           carrier_omega=1.01 * OMEGA_DEG, intensity=1.0,
-                           provenance={})
+    detuned = CoherenceColumn(flat.tau_axis, flat.g, carrier_omega=1.01 * OMEGA_DEG)
     t_detuned = _centered_sweep(detuned, icfg, 80e-6, 30e-15)
     with pytest.raises(ConfigurationError, match="carrier"):
         assemble_map([t0, t1, t_detuned], icfg)
 
-    t_skew = _centered_sweep(flat_map, icfg, 100e-6, 30e-15)
+    t_skew = _centered_sweep(flat, icfg, 100e-6, 30e-15)
     with pytest.raises(ConfigurationError, match="uniform"):
         assemble_map([t0, t1, t_skew], icfg)
 
 
-def test_assembly_refuses_traces_of_two_orientations(flat_map, icfg):
+def test_assembly_refuses_traces_of_two_orientations(flat, icfg):
     # every orientation has the same degenerate carrier, so only the tags
     # tell two orientations' traces apart
-    traces = [_centered_sweep(flat_map, icfg, bs2, 30e-15, orientation=tag)
+    traces = [_centered_sweep(flat, icfg, bs2, 30e-15, orientation=tag)
               for bs2, tag in ((0.0, "19p94"), (40e-6, "19p94"), (80e-6, "19p90"))]
     with pytest.raises(ConfigurationError,
                        match="traces mix orientations '19p90' and '19p94'"):
@@ -480,10 +491,10 @@ def test_assembly_refuses_traces_of_two_orientations(flat_map, icfg):
     assert assemble_map(traces, icfg).magnitude.shape[1] == 3
 
 
-def test_trace_records_offsets_and_hash(gauss_map, icfg):
-    trace = _centered_sweep(gauss_map, icfg, 200e-6, 100e-15,
+def test_trace_records_offsets_and_hash(gauss, icfg):
+    trace = _centered_sweep(gauss(200e-6 * icfg.shift_to_xi), icfg, 200e-6, 100e-15,
                             orientation="19.94deg")
     assert trace.bs2_position_m == 200e-6
     assert trace.icfg_hash == icfg.config_hash()
     assert trace.orientation == "19.94deg"
-    assert trace.carrier_omega == gauss_map.carrier_omega
+    assert trace.carrier_omega == 1.2e15

@@ -18,7 +18,7 @@ from pdcoh import (
 )
 from pdcoh.dispersion import c
 from pdcoh.phasematch import _mismatch
-from pdcoh.spectrum import _density_from_mismatch, _masked_density, bilinear
+from pdcoh.spectrum import _density_from_mismatch, _masked_density
 
 L = 0.01
 G = 6.0
@@ -288,20 +288,22 @@ def test_provenance_records_build(spot, theta_pm, sell):
     assert spot.provenance["material"] == "bbo_kato1986"
 
 
-def test_wavelength_angle_spot_position(spot):
-    wa = to_wavelength_angle(spot, n_wavelength=513, n_angle=257)
-    assert wa.angle_axis_rad[128] == 0.0
+def test_wavelength_angle_spot_position(spot, theta_pm, sell):
+    wa = to_wavelength_angle(spot, _cfg(theta_pm, sell))
+    # an even angle count puts no node at 0: the spot peaks on the two
+    # nodes about it
+    assert wa.angle_axis_rad[255] < 0 < wa.angle_axis_rad[256]
     i, j = np.unravel_index(np.argmax(wa.values), wa.values.shape)
     lam_step = wa.wavelength_axis_m[1] - wa.wavelength_axis_m[0]
     assert abs(wa.wavelength_axis_m[i] - 1.6e-6) <= lam_step
-    assert wa.angle_axis_rad[j] == 0.0
+    assert j in (255, 256)
 
 
-def test_wavelength_angle_ring_position(ring):
-    wa = to_wavelength_angle(ring, n_wavelength=257, n_angle=257)
+def test_wavelength_angle_ring_position(ring, sell):
+    wa = to_wavelength_angle(ring, _cfg(math.radians(19.94), sell))
     i = int(np.argmin(np.abs(wa.wavelength_axis_m - 1.6e-6)))
     row = wa.values[i]
-    jc = 128
+    jc = 256
     jm = jc + np.argmax(row[jc:])
     step = wa.angle_axis_rad[1] - wa.angle_axis_rad[0]
     # k_ring * lambda / (2 pi) at the degenerate wavelength
@@ -309,96 +311,56 @@ def test_wavelength_angle_ring_position(ring):
     assert abs(wa.angle_axis_rad[jm] - expected) <= step
 
 
+def test_wavelength_angle_refuses_another_crystal(ring, sell):
+    other = _cfg(math.radians(19.90), sell)
+    with pytest.raises(ConfigurationError,
+                       match=f"crystal_hash {ring.provenance['crystal_hash']}, not "
+                             f"from this crystal config \\({other.config_hash()}\\)"):
+        to_wavelength_angle(ring, other)
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-@pytest.mark.parametrize("dtype, order", [(float, "C"), (complex, "C"), (float, "F")],
-                         ids=["float", "complex", "float-fortran"])
-def test_bilinear_matches_scipy_bit_for_bit(dtype, order):
-    # scipy is the reference only; pdcoh does its own lookups, through a
-    # flat index that must not assume C order
-    from scipy.interpolate import RegularGridInterpolator
-    rng = np.random.default_rng(11)
-    x = np.cumsum(rng.uniform(0.5, 2.0, 40))
-    y = np.cumsum(rng.uniform(0.5, 2.0, 30)) - 20.0
-    values = rng.normal(size=(40, 30)).astype(dtype)
-    if dtype is complex:
-        values += 1j * rng.normal(size=(40, 30))
-    values = np.asarray(values, order=order)
-    nodes_x, nodes_y = np.meshgrid(x, y, indexing="ij")
-    qx = np.concatenate([rng.uniform(x[0], x[-1], 200_000), nodes_x.ravel()])
-    qy = np.concatenate([rng.uniform(y[0], y[-1], 200_000), nodes_y.ravel()])
-    want = RegularGridInterpolator((x, y), values)(np.stack([qx, qy], axis=-1))
-    got, inside = bilinear(x, y, values, qx, qy)
-    assert inside.all()
-    assert np.array_equal(_bits(got), _bits(want))
-    _, inside = bilinear(x, y, values, np.array([x[0] - 1e-9, np.nan, x[-1]]),
-                         np.array([y[0], y[0], y[-1] + 1e-9]))
-    assert not inside.any()
+def _assert_closed_form(wa, sg, cfg):
+    """Every node of the grid is spectral_density at its (omega, k), bit for
+    bit, or 0 where |k| passes S's largest k node or the node does not
+    evaluate; the theta < 0 columns are the theta >= 0 ones, mirrored bit
+    for bit."""
+    lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad, indexing="ij")
+    omega, k = 2 * math.pi * c / lam, np.abs(theta) * 2 * math.pi / lam
+    support = _mismatch(cfg, omega, k)[1] & (k <= sg.k_axis()[-1])
+    assert np.count_nonzero(~support) > 0  # the zero rule is exercised
+    half = wa.values.shape[1] // 2
+    want = np.zeros_like(wa.values)
+    want[support] = spectral_density(omega[support], k[support], cfg)
+    assert np.array_equal(_bits(wa.values[:, half:]), _bits(want[:, half:]))
+    assert np.array_equal(_bits(wa.values[:, :half]),
+                          _bits(wa.values[:, ::-1][:, :half]))
 
 
-def _assert_mirrored_resample(got, want, sg):
-    """got, the resample, is want, the node-by-node reference, bit for bit
-    on the theta >= 0 columns; its theta < 0 columns are their mirror bit for
-    bit, within 1e-10 relative of the reference where both are nonzero and
-    zero elsewhere only where the reference is at most edge_ratio x peak."""
-    half = got.shape[1] // 2
-    assert np.array_equal(_bits(got[:, half:]), _bits(want[:, half:]))
-    assert np.array_equal(_bits(got[:, :half]), _bits(got[:, ::-1][:, :half]))
-    got, want = got[:, :half], want[:, :half]
-    both = (got != 0) & (want != 0)
-    assert np.all(np.abs(got - want)[both] <= 1e-10 * np.abs(want[both]))
-    assert np.all(got[~both] == 0)
-    assert np.all(want[~both] <= sg.edge_ratio * sg.values.max())
-
-
-def test_wavelength_angle_matches_scipy_bit_for_bit(ring):
-    from scipy.interpolate import RegularGridInterpolator
-    wa = to_wavelength_angle(ring, n_wavelength=257, n_angle=129)
-    interp = RegularGridInterpolator((ring.omega_axis(), ring.k_axis()),
-                                     ring.values, bounds_error=False,
-                                     fill_value=0.0)
-    lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad,
-                             indexing="ij")
-    want = interp(np.stack([2 * math.pi * c / lam, theta * 2 * math.pi / lam],
-                           axis=-1))
-    assert np.count_nonzero(want == 0) > 0  # the zero fill is exercised
-    _assert_mirrored_resample(wa.values, want, ring)
-
-
-def _wavelength_angle_on_a_meshgrid(sg, n_wavelength, n_angle):
-    """The resample node by node: one (omega, k) query per grid node."""
-    omega = sg.omega_axis()
-    lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
-                      n_wavelength)
-    theta_max = sg.spec.k_half_width * lam[-1] / (2 * math.pi)
-    theta = np.linspace(-theta_max, theta_max, n_angle)
-    lam_q, theta_q = np.meshgrid(lam, theta, indexing="ij")
-    values, inside = bilinear(omega, sg.k_axis(), sg.values,
-                              2 * math.pi * c / lam_q, theta_q * 2 * math.pi / lam_q)
-    return lam, theta, np.where(inside, values, 0.0)
+def test_wavelength_angle_matches_spectral_density_per_node(ring, sell):
+    cfg = _cfg(math.radians(19.94), sell)
+    _assert_closed_form(to_wavelength_angle(ring, cfg), ring, cfg)
 
 
 @pytest.mark.parametrize("theta_deg", [19.87, 19.90, 19.94])
 def test_wavelength_angle_equals_the_meshgrid_resample_bit_for_bit(sell, theta_deg):
-    sg = build_spectrum(_cfg(math.radians(theta_deg), sell))
-    for n_wavelength, n_angle in ((None, None), (300, 77)):
-        wa = to_wavelength_angle(sg, n_wavelength, n_angle)
-        lam, theta, values = _wavelength_angle_on_a_meshgrid(
-            sg, n_wavelength or sg.spec.n_omega, n_angle or sg.spec.n_k)
-        assert wa.values.shape == values.shape
-        assert wa.wavelength_axis_m.tobytes() == lam.tobytes()
-        assert wa.angle_axis_rad.tobytes() == theta.tobytes()
-        _assert_mirrored_resample(wa.values, values, sg)
-
-
-@pytest.mark.parametrize("field, size", [
-    ("n_wavelength", 0), ("n_wavelength", 1), ("n_angle", 0), ("n_angle", -3),
-    ("n_angle", 3.5), ("n_angle", "64")])
-def test_wavelength_angle_refuses_bad_grid_sizes(spot, field, size):
-    with pytest.raises(ConfigurationError, match=f"^{field} must be an integer >= 2"):
-        to_wavelength_angle(spot, **{field: size})
+    # the axes as a (wavelength, angle) meshgrid would lay them out, and the
+    # density on the whole meshgrid at once
+    cfg = _cfg(math.radians(theta_deg), sell)
+    sg = build_spectrum(cfg)
+    wa = to_wavelength_angle(sg, cfg)
+    omega = sg.omega_axis()
+    lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
+                      sg.spec.n_omega)
+    theta_max = sg.spec.k_half_width * lam[-1] / (2 * math.pi)
+    theta = np.linspace(-theta_max, theta_max, sg.spec.n_k)
+    assert wa.values.shape == (sg.spec.n_omega, sg.spec.n_k)
+    assert wa.wavelength_axis_m.tobytes() == lam.tobytes()
+    assert wa.angle_axis_rad.tobytes() == theta.tobytes()
+    _assert_closed_form(wa, sg, cfg)
 
 
 def test_wavelength_angle_round_trip(spot):

@@ -1,0 +1,73 @@
+"""sha256 of every product the six commands write for one config.
+
+Runs dispersion, phasematch, spectrum, coherence --blur 1fs,6um and
+interferogram on the config, once with CSV and once with binary output,
+then analyze of each manifest into a directory of its own, all with the
+pdcoh of this checkout and into a temporary directory. Prints each
+command's exit code, then one sorted "sha256  format/path" line per
+product. Diff its output for two checkouts to list the products a change
+moves:
+
+    python3 tools/product_digests.py > change.txt
+    python3 /path/to/parent/tools/product_digests.py > parent.txt
+    diff parent.txt change.txt
+"""
+
+import argparse
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = (["dispersion"], ["phasematch"], ["spectrum"],
+            ["coherence", "--blur", "1fs,6um"], ["interferogram"])
+
+
+def _run(argv, env):
+    done = subprocess.run([sys.executable, "-m", "pdcoh.cli", *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True)
+    return done.returncode, done.stderr.strip()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--config", default=str(ROOT / "configs" / "example.ini"))
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the products into DIR, which must be empty "
+                             "or absent, and keep them")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    text = Path(args.config).read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(args.keep or tmp)
+        root.mkdir(parents=True, exist_ok=True)
+        if any(root.iterdir()):
+            parser.error(f"--keep: {root} is not empty")
+        for fmt in ("csv", "binary"):
+            out = root / fmt
+            cfg = root / f"{fmt}.ini"
+            cfg.write_text(re.sub(r"(?m)^directory = .*$", f"directory = {out}",
+                                  re.sub(r"(?m)^format = \w+", f"format = {fmt}",
+                                         text)))
+            for command in COMMANDS:
+                code, err = _run([command[0], str(cfg), *command[1:]], env)
+                print(f"exit {code}  {fmt} {' '.join(command)}  {err}".rstrip())
+            for manifest in sorted(out.glob("*_manifest.txt")):
+                tag = manifest.name.split("_")[1]
+                code, err = _run(["analyze", str(manifest), "--config", str(cfg),
+                                  "--out", str(out / f"analyze_{tag}")], env)
+                print(f"exit {code}  {fmt} analyze {tag}  {err}".rstrip())
+        for path in sorted(p for p in root.rglob("*") if p.is_file()
+                           and p.parent != root):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
