@@ -155,14 +155,14 @@ def correlation_columns(sg):
     in xi: an xi past |xi| < pi / k_step, or NaN, raises MapExtentError."""
     tau, r, kernel = _tau_stage(sg, OVERSAMPLE[0], EXTENT_CELLS[0])
     norm, limit = r[0] @ kernel([0.0])[:, 0], math.pi / sg.spec.k_step
+    carrier = sg.spec.omega_center  # column holds no reference to S
 
     def column(xi):
         if not abs(xi) < limit:
             raise MapExtentError(f"xi {xi:.4g} m lies outside the map's alias-free "
                                  f"range, |xi| < pi / k_step = {limit:.4g} m")
         half = (r @ kernel([xi]))[:, 0] / norm
-        return CoherenceColumn(tau, np.concatenate([half[:0:-1], half]),
-                               sg.spec.omega_center)
+        return CoherenceColumn(tau, np.concatenate([half[:0:-1], half]), carrier)
 
     return column
 

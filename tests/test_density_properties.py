@@ -14,10 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
-    load_sellmeier
+    load_sellmeier, spectral_density, to_wavelength_angle
 from pdcoh.coherence import FWHM_TO_SIGMA, correlation_map, instrument_blur, metrics
-from pdcoh.dispersion import ORDINARY, gvd, index
-from pdcoh.phasematch import phase_matched_locus
+from pdcoh.dispersion import ORDINARY, c, gvd, index
+from pdcoh.phasematch import _mismatch, phase_matched_locus
 
 SELL = load_sellmeier("bbo_kato1986")
 
@@ -80,6 +80,32 @@ def test_density_peaks_on_the_phase_matched_ring(theta_deg, gain, length_m):
     # S is even in k, so the first maximum may sit at -k_ring
     peak_k = np.abs(k[np.argmax(sg.values[rows], axis=1)])
     assert np.all(np.abs(peak_k - ring) <= sg.spec.k_step)
+
+
+@settings(max_examples=30, deadline=None)
+@given(*BOX)
+def test_wavelength_angle_nodes_are_the_closed_form(theta_deg, gain, length_m):
+    """Every angle >= 0 node of the wavelength-angle grid is spectral_density
+    at its own (omega, k), or 0 where |k| passes S's largest k node or the
+    node does not evaluate; the grid is even in angle bit for bit. The
+    angle axis is a linspace, whose theta_j and -theta_(n-1-j) can differ
+    by an ulp, so a mirrored node is S at its own angle to within the
+    peak's rounding (3.2e-12 of the peak, 4.8e-10 relative near a zero of
+    S, at 20 deg, G 1, 15.6 mm)."""
+    drawn = _spectrum(theta_deg, gain, length_m)
+    if drawn is None:
+        return
+    cfg, sg = drawn
+    wa = to_wavelength_angle(sg, cfg)
+    lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad, indexing="ij")
+    omega, k = 2 * math.pi * c / lam, theta * 2 * math.pi / lam
+    support = _mismatch(cfg, omega, k)[1] & (np.abs(k) <= sg.k_axis()[-1])
+    want = np.zeros_like(wa.values)
+    want[support] = spectral_density(omega[support], k[support], cfg)
+    half = wa.values.shape[1] // 2
+    assert np.all(np.abs(wa.values - want)[:, half:] <= 1e-12 * want[:, half:])
+    assert np.max(np.abs(wa.values - want)) <= 1e-11 * want.max()
+    assert np.array_equal(_bits(wa.values), _bits(wa.values[:, ::-1]))
 
 
 @settings(max_examples=30, deadline=None)
