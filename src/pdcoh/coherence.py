@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, MapExtentError, ResolutionError
-from .spectrum import mirror, s_mirror
+from .errors import MapExtentError, ResolutionError
+from .spectrum import mirror
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -28,6 +28,9 @@ _NOISE_FLOOR = 1e-3
 
 # correlation_map's default (tau, xi) settings; correlation_columns' tau ones
 OVERSAMPLE, EXTENT_CELLS = (16, 8), (32, 16)
+
+# tau rows per block of _tau_stage's cos-table index
+_TAU_BLOCK = 64
 
 # narrowest blur sigma, in samples: the sampled Gaussian keeps 0.977 of
 # sigma^2 at 0.6 samples, only 0.86 at 0.5
@@ -73,28 +76,28 @@ def map_mirror(g):
 
 
 def _tau_stage(sg, os_tau, ext_tau):
-    """(tau axis, R, kernel) after correlation_map's refusals: R = t_cos @ S_q
-    on the (|Omega|, |k|) quadrant of S (spectrum.s_mirror), and R @ kernel(xi)
-    the unnormalized envelope on the tau >= 0 nodes at each xi. Each step m
-    of |Omega| and |k| weighs 2, m = 0 and the unpaired edge 1: the cos sum
-    of the whole grid. tau_step * Omega_step = 2 pi / L, so t_cos reads one
-    table of cos(2 pi j / L), L = n_omega * os_tau, at j = n m mod L."""
+    """(tau axis, R, kernel) of an S that passes its edge check: R = t_cos @
+    sg.quadrant, the (|Omega|, |k|) quadrant of S, and R @ kernel(xi) the
+    unnormalized envelope on the tau >= 0 nodes at each xi. Each step m of
+    |Omega| and |k| weighs 2, m = 0 and the unpaired edge 1: the cos sum of
+    the whole grid. tau_step * Omega_step = 2 pi / L, so t_cos reads one
+    table of cos(2 pi j / L), L = n_omega * os_tau, at j = n m mod L,
+    _TAU_BLOCK rows of the index j at a time."""
     sg.check_edge_decay()
-    spec, s = sg.spec, sg.values
-    for axis, name, unequal in (("k", "column", s[:, 1:] != s[:, :0:-1]),
-                                ("Omega", "row", (s[1:] != s[:0:-1]).T)):
-        odd = np.flatnonzero(unequal.any(axis=0))
-        if odd.size:
-            raise ConfigurationError(f"S is not even in {axis}: {name} {odd[0] + 1} "
-                                     f"differs from its mirror {unequal.shape[1] - odd[0]}")
+    spec = sg.spec
     n_tau = os_tau * ext_tau
     tau = (np.arange(2 * n_tau + 1) - n_tau) * (
         2.0 * math.pi / (2.0 * spec.omega_half_width) / os_tau)
     n_w, half = spec.n_omega // 2, spec.n_k // 2
     period = spec.n_omega * os_tau
-    idx = np.arange(n_tau + 1)[:, None] * np.arange(n_w + 1)
-    idx %= period
-    t_cos = np.cos(2.0 * math.pi / period * np.arange(period))[idx]
+    table = np.cos(2.0 * math.pi / period * np.arange(period))
+    rows, m = np.arange(n_tau + 1), np.arange(n_w + 1)
+    t_cos = np.empty((n_tau + 1, n_w + 1))
+    for lo in range(0, n_tau + 1, _TAU_BLOCK):
+        idx = rows[lo:lo + _TAU_BLOCK, None] * m
+        idx %= period
+        # mode="clip" lets take write straight into out (indices are in range)
+        table.take(idx, out=t_cos[lo:lo + _TAU_BLOCK], mode="clip")
     t_cos[:, 1:n_w] *= 2.0
     k = np.arange(half + 1) * spec.k_step
     weight = np.r_[1.0, np.full(half - 1, 2.0), 1.0]
@@ -102,8 +105,7 @@ def _tau_stage(sg, os_tau, ext_tau):
     def kernel(xi):
         return weight[:, None] * np.cos(np.outer(k, xi))
 
-    # a C-ordered copy of the quadrant, so that the product goes to BLAS
-    return tau, t_cos @ np.ascontiguousarray(s_mirror(s)[0]), kernel
+    return tau, t_cos @ sg.quadrant, kernel
 
 
 def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
@@ -117,10 +119,10 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     grid whose density has not decayed at the edges guards against
     aliasing.
 
-    S must be even in k and in Omega, as S(Omega^2, k^2) about the
-    degenerate frequency is; the unpaired -k_max column and -Omega_max row
-    may hold any values, any other asymmetric column or row raises
-    ConfigurationError. Each node is the exact Riemann sum over the grid,
+    S is even in k and in Omega, as S(Omega^2, k^2) about the degenerate
+    frequency is, and SpectralGrid holds its (|Omega|, |k|) quadrant (it
+    refuses a full array that is not even). Each node is the exact Riemann
+    sum over the grid,
     with the unpaired column and row counted half at each end (the even
     quadrature of an even S), so g is real and even in tau and xi bit for
     bit: _tau_stage's R @ kernel(xi >= 0) is its tau >= 0, xi >= 0
@@ -272,9 +274,12 @@ def _gaussian_rows(x, sigma):
     n = x.shape[0]
     padded = np.pad(x, ((radius, radius), (0, 0)))  # keeps x's memory order
     out = x * w[radius]
+    pair = np.empty_like(out)
     for d in range(radius, 0, -1):
-        out += (padded[radius - d:radius - d + n]
-                + padded[radius + d:radius + d + n]) * w[radius - d]
+        np.add(padded[radius - d:radius - d + n], padded[radius + d:radius + d + n],
+               out=pair)
+        pair *= w[radius - d]
+        out += pair
     return out
 
 
@@ -316,13 +321,14 @@ def instrument_blur(cmap, dtau, dxi):
         return CoherenceMap(cmap.tau_axis, cmap.xi_axis, cmap.g.copy(),
                             cmap.carrier_omega, cmap.intensity,
                             dict(cmap.provenance))
-    mag = np.abs(cmap.g)
-    blurred = mag
+    blurred = np.abs(cmap.g)
     if sigma[0] > 1e-15:
         blurred = _gaussian_rows(blurred, sigma[0])
     if sigma[1] > 1e-15:
         blurred = _gaussian_rows(blurred.T, sigma[1]).T
-    # the phase g / |g| (1 where g = 0), times the blurred magnitude in place
+    # the phase g / |g| (1 where g = 0), times the blurred magnitude in place;
+    # |g| is taken again here so that no copy of it lives through the blur
+    mag = np.abs(cmap.g)
     g = np.ones_like(cmap.g)
     np.divide(cmap.g, mag, out=g, where=mag > 0)
     g *= blurred

@@ -14,16 +14,19 @@ Headers carry no timestamp: the same inputs must produce the same bytes.
 A symmetric product stores only its fundamental domain, named by a `fold`
 header field: a coherence map its tau >= 0, xi >= 0 quadrant, S its
 (|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0 columns,
-and no other fold reads. The reader rebuilds the full array bit for bit
-with the producer's own symmetry (coherence.map_mirror, spectrum.s_mirror
-and angle_mirror), so a file does not hold the full grid for a tool such
-as numpy.loadtxt. Where a fold would not give every bit back, the writer
-stores the whole array with no fold field, as files from before folding
-do. A CSV value is its repr, a NaN whose sign bit is set -nan, byte for
-byte; one numpy kernel formats a block of values at a time and calls repr
-only for the few values it cannot settle exactly (_write_rows). Every
-write_* returns with its file complete, written by the calling process:
-the command line writes every product itself.
+and no other fold reads. The reader rebuilds a map or wavelength-angle
+grid bit for bit with the producer's own symmetry (coherence.map_mirror
+and spectrum.angle_mirror), so a file does not hold the full grid for a
+tool such as numpy.loadtxt. S is written from and read into the quadrant
+that SpectralGrid holds, and never unfolded. Where a fold would not give
+every bit back, the writer stores the whole array of a map or
+wavelength-angle grid with no fold field, as files from before folding
+do; S in that layout is folded as it is read. A CSV value is its repr, a
+NaN whose sign bit is set -nan, byte for byte; one numpy kernel formats a
+block of values at a time and calls repr only for the few values it
+cannot settle exactly (_write_rows). Every write_* returns with its file
+complete, written by the calling process: the command line writes every
+product itself.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .coherence import CoherenceMap, map_mirror
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
 from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    angle_mirror, mirror, s_mirror
+    angle_mirror, s_mirror, unfold
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -391,11 +394,12 @@ def _read_binary(path):
 # --- one writer and one reader for every array product ---
 
 
-def _write(path, fmt, head, axes, provenance, arrays):
+def _write(path, fmt, head, axes, provenance, arrays, folded=False):
     """Write the head fields, each (name, axis) as start/step/count, the
     provenance, then the named arrays, in that header order; a symmetric
     kind's arrays as their fundamental domain, where that gives every bit
-    back, declared by a last `fold` field."""
+    back, declared by a last `fold` field. folded arrays are that domain
+    already."""
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}; "
                                  f"choose one of {tuple(FORMATS)}")
@@ -403,7 +407,9 @@ def _write(path, fmt, head, axes, provenance, arrays):
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
     header.update(_clean(provenance))
-    if head["kind"] in _FOLDS:
+    if folded:
+        header["fold"] = _FOLDS[head["kind"]][0]
+    elif head["kind"] in _FOLDS:
         fold, symmetry = _FOLDS[head["kind"]]
         parts = [(name, *symmetry(np.atleast_2d(arr))) for name, arr in arrays]
         if all(_mirrored(pairs) for _, _, pairs in parts):
@@ -419,8 +425,9 @@ def _mirrored(pairs):
                for image, source, op in pairs for i in range(0, len(image), 64))
 
 
-def _unfold(path, kind, fold, name, stored, shape):
-    """The array of `shape` whose fundamental domain a folded file stored."""
+def _unfold(path, kind, fold, name, stored, shape, full):
+    """The array of `shape` whose fundamental domain a folded file stored,
+    or, unless full, that domain, once its shape is checked."""
     ours, symmetry = _FOLDS.get(kind, (None, None))
     if fold != ours:
         raise ConfigurationError(f"{path}: {kind} files have no fold {fold!r}")
@@ -429,21 +436,17 @@ def _unfold(path, kind, fold, name, stored, shape):
     if domain.shape != stored.shape:
         raise ConfigurationError(f"{path}: folded array {name!r} has shape "
                                  f"{stored.shape}, its axes give {domain.shape}")
-    full = np.empty(shape, stored.dtype)
-    domain, pairs = symmetry(full)
-    domain[...] = stored
-    mirror(pairs)
-    return full
+    return unfold(symmetry, stored, shape) if full else stored
 
 
-def _read(path, kind, axes=()):
+def _read(path, kind, axes=(), full=True):
     """(provenance, axes, arrays) of a product of this kind.
 
     The encoding is sniffed from the magic. With axes named, each axis
     must hold an integer count and a finite start and step (_axis), and
-    every array, rebuilt from its fundamental domain in a folded file, must
-    have one row per value of the first and one column per value of the
-    second.
+    every array, rebuilt from its fundamental domain in a folded file
+    (left as that domain unless full), must have one row per value of the
+    first and one column per value of the second.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
@@ -458,8 +461,8 @@ def _read(path, kind, axes=()):
         fold = header.pop("fold", None)
         for name, arr in arrays.items() if axes else ():
             if fold is not None:
-                arrays[name] = arr = _unfold(path, kind, fold, name, arr, shape)
-            if arr.shape != shape:
+                arrays[name] = _unfold(path, kind, fold, name, arr, shape, full)
+            elif arr.shape != shape:
                 raise ConfigurationError(f"{path}: array {name!r} has shape "
                                          f"{arr.shape}, its axes give {shape}")
     return header, [start + np.arange(n) * step for start, step, n in specs], arrays
@@ -487,12 +490,17 @@ def write_spectral_grid(path, sg, fmt="csv"):
     _write(path, fmt, {"kind": "spectral-density",
                        **{key: getattr(sg.spec, key) for key in _SPEC_KEYS}},
            [("omega", sg.omega_axis()), ("k", sg.k_axis())], sg.provenance,
-           [("density", sg.values)])
+           [("density", sg.quadrant)], folded=True)
 
 
 def read_spectral_grid(path):
-    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"))
+    """S, built from the (|Omega|, |k|) quadrant a folded file stores; S in
+    a full-layout file is folded, and refused naming the file where it is
+    not even in Omega and k."""
+    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"),
+                                       full=False)
     spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
+    density = _require(arrays, "density", path)
     try:
         spec = GridSpec(n_omega=omega.size, n_k=k.size, **spec)
         for name, ours, read, step in (
@@ -500,9 +508,9 @@ def read_spectral_grid(path):
                 ("k", spec.k_axis(), k, spec.k_step)):
             if not np.allclose(ours, read, rtol=0, atol=1e-6 * step):
                 raise ConfigurationError(f"the grid spec disagrees with the {name} axis")
+        return SpectralGrid(spec, density, provenance=header)
     except (ConfigurationError, TypeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    return SpectralGrid(spec, _require(arrays, "density", path), provenance=header)
 
 
 def write_wavelength_angle_grid(path, wag, fmt="csv"):

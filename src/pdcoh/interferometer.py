@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coherence import CoherenceColumn
 from .dispersion import c
 from .errors import ConfigurationError, MapExtentError, SamplingError
 from .hashing import config_digest
@@ -118,7 +119,12 @@ def synthesize_trace(column, icfg, bs2_position_m=0.0, stage_span_m=None,
     times per fringe. The sweep is a _uniform axis, so a trace file rebuilds
     it bit for bit. The BS2 delay enters the synthesized signal; analysis
     derives it from the recorded BS2 position to realign the trace.
+    Anything but a CoherenceColumn raises ConfigurationError.
     """
+    if not isinstance(column, CoherenceColumn):
+        raise ConfigurationError(
+            f"synthesize_trace takes a CoherenceColumn, got {type(column).__name__}; "
+            "coherence.correlation_columns(sg) gives g1's column at any xi")
     period = fringe_period_stage_m(column.carrier_omega)
     if stage_span_m is None:
         stage_span_m = 4.0 * period

@@ -83,13 +83,27 @@ class GridSpec:
         return (np.arange(self.n_k) - self.n_k // 2) * self.k_step
 
 
-@dataclass
 class SpectralGrid:
-    """Sampled density: values[i, j] = S(omega_axis[i], k_axis[j])."""
+    """Sampled density S(omega_axis[i], k_axis[j]), held only as s_mirror's
+    domain, the C-ordered (|Omega|, |k|) quadrant: quadrant[i, j] is S at
+    Omega = -i omega_step, |k| = j k_step, i <= n_omega / 2, j <= n_k / 2.
 
-    spec: GridSpec
-    values: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    values is that quadrant, or S over the whole grid, folded on entry: S
+    is even in Omega and k, as S(Omega^2, k^2) about the degenerate
+    frequency is, and a full array that is not, bit for bit (the unpaired
+    -Omega_max row and -k_max column may hold any values), raises
+    ConfigurationError naming its first asymmetric column or row.
+    """
+
+    def __init__(self, spec, values, provenance=None):
+        self.spec = spec
+        self.quadrant = _fold(spec, values)
+        self.provenance = {} if provenance is None else provenance
+
+    @property
+    def values(self):
+        """S over the whole grid, unfolded from the quadrant (a new array)."""
+        return unfold(s_mirror, self.quadrant, (self.spec.n_omega, self.spec.n_k))
 
     def omega_axis(self):
         return self.spec.omega_axis()
@@ -110,6 +124,25 @@ class SpectralGrid:
                 f"spectral density at the grid edge is {self.edge_ratio:.2e} of the "
                 f"peak (limit {EDGE_DECAY_RATIO:.0e}); widen the grid before "
                 "transforming")
+
+
+def _fold(spec, values):
+    """S's (|Omega|, |k|) quadrant from values of its shape or of the grid's."""
+    values = np.ascontiguousarray(values, dtype=float)
+    shape, n, half = (spec.n_omega, spec.n_k), spec.n_omega // 2, spec.n_k // 2
+    if values.shape == (n + 1, half + 1):
+        return values
+    if values.shape != shape:
+        raise ConfigurationError(f"S has shape {values.shape}; its grid gives {shape}, "
+                                 f"its (|Omega|, |k|) quadrant {(n + 1, half + 1)}")
+    bits = values.view(np.uint64)
+    for axis, name, unequal in (("k", "column", bits[:, 1:] != bits[:, :0:-1]),
+                                ("Omega", "row", (bits[1:] != bits[:0:-1]).T)):
+        odd = np.flatnonzero(unequal.any(axis=0))
+        if odd.size:
+            raise ConfigurationError(f"S is not even in {axis}: {name} {odd[0] + 1} "
+                                     f"differs from its mirror {unequal.shape[1] - odd[0]}")
+    return np.ascontiguousarray(s_mirror(values)[0])
 
 
 def _density_from_mismatch(mismatch, length_m, gain):
@@ -133,24 +166,30 @@ def spectral_density(omega_s, k, cfg):
     return _density_from_mismatch(delta_k(omega_s, k, cfg), cfg.length_m, cfg.gain)
 
 
+def _density_blocks(cfg, omega, k):
+    """(row offset, density, valid) over omega x k, _ROW_BLOCK frequencies
+    at a time, so a block's temporaries stay in cache; invalid nodes are 0.
+    Nodes whose signal or idler leaves the dispersion range, or whose k is
+    evanescent, do not evaluate."""
+    for lo in range(0, omega.size, _ROW_BLOCK):
+        mismatch, valid = _mismatch(cfg, omega[lo:lo + _ROW_BLOCK, None], k)
+        density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
+        density[~valid] = 0.0
+        yield lo, density, valid
+
+
 def _masked_density(cfg, omega, k):
     """Density over an axis product with invalid nodes set to 0.
 
     Returns (values, invalid count per row), values C-ordered. The mismatch
     depends on k only through k^2, so each distinct |k| is evaluated once
-    and taken back out to its columns. Rows are evaluated _ROW_BLOCK
-    frequencies at a time, so a block's temporaries stay in cache. Nodes
-    whose signal or idler leaves the dispersion range, or whose k is
-    evanescent, do not evaluate.
+    (_density_blocks) and taken back out to its columns.
     """
     abs_k, column = np.unique(np.abs(k), return_inverse=True)
     repeats = np.bincount(column)
     values = np.empty((omega.size, k.size))
     invalid = np.empty(omega.size, int)
-    for lo in range(0, omega.size, _ROW_BLOCK):
-        mismatch, valid = _mismatch(cfg, omega[lo:lo + _ROW_BLOCK, None], abs_k)
-        density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
-        density[~valid] = 0.0
+    for lo, density, valid in _density_blocks(cfg, omega, abs_k):
         # mode="clip" lets take write straight into out (indices are in range)
         np.take(density, column, axis=1, out=values[lo:lo + _ROW_BLOCK], mode="clip")
         invalid[lo:lo + _ROW_BLOCK] = ~valid @ repeats
@@ -162,6 +201,16 @@ def mirror(pairs):
     of the (image, source, op) pairs, in order, with op(source)."""
     for image, source, op in pairs:
         op(source, out=image)
+
+
+def unfold(symmetry, domain, shape):
+    """The array of shape whose fundamental domain under symmetry
+    (s_mirror, angle_mirror, coherence.map_mirror) is domain."""
+    full = np.empty(shape, domain.dtype)
+    view, pairs = symmetry(full)
+    view[...] = domain
+    mirror(pairs)
+    return full
 
 
 def s_mirror(values):
@@ -200,13 +249,18 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
     _GRID_MARGIN. The probe can miss density between its nodes, so a
     half-width whose grid edge still holds EDGE_DECAY_RATIO of the peak is
     widened 1% at a time until every edge decays: every grid returned
-    passes the edge check. A grid past the frequency cap of 0.49 omega_c
-    raises ConfigurationError naming the angle; a density with no finite
-    positive peak raises DensityPeakError.
+    passes the edge check. The probe spans up to 0.49 omega_c; a grid is
+    capped at the lesser of that and the |Omega| where signal or idler
+    leaves the material's dispersion range, and one past its cap raises
+    ConfigurationError naming the angle. A density with no finite positive
+    peak raises DensityPeakError.
     """
     omega_c = cfg.degenerate_omega
-    cap = 0.49 * omega_c
-    half_w, half_k = cap, 4e5
+    reach = 0.49 * omega_c
+    lo, hi = cfg.sellmeier.valid_range_um
+    # the -Omega_max row holds signal omega_c - Omega_max, idler omega_c + Omega_max
+    cap = min(reach, omega_c - 2e6 * math.pi * c / hi, 2e6 * math.pi * c / lo - omega_c)
+    half_w, half_k = reach, 4e5
     for _ in range(10):
         probe_w = omega_c + np.linspace(-half_w, half_w, 257)
         probe_k = np.linspace(-half_k, half_k, 129)
@@ -220,7 +274,7 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
         rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
         cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
         if rows[0] or rows[-1] or cols[0] or cols[-1]:
-            half_w = min(half_w * 1.5, cap)
+            half_w = min(half_w * 1.5, reach)
             half_k *= 1.5
             continue
         span_w = np.abs(probe_w[rows] - omega_c).max()
@@ -231,7 +285,9 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
                 raise ConfigurationError(
                     f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} "
                     f"deg: the density needs a grid to |Omega| = "
-                    f"{half_w / omega_c:.3f} omega_c, past the cap of 0.49 omega_c")
+                    f"{half_w / omega_c:.3f} omega_c, past its cap of "
+                    f"{cap / omega_c:.3f} omega_c (0.49 omega_c, or less where signal "
+                    f"or idler leaves the {lo:g}-{hi:g} um dispersion range)")
             grid = GridSpec(omega_center=omega_c, omega_half_width=half_w,
                             n_omega=n_omega, k_half_width=half_k, n_k=n_k)
             edges = _edge_ratios(cfg, grid)
@@ -248,29 +304,40 @@ def build_spectrum(cfg, grid=None):
     """Evaluate the density on a grid (auto-sized when grid is None).
 
     The grid is centred on the degenerate frequency, where S is even in
-    Omega: the rows Omega <= 0 are evaluated and s_mirror fills the rest.
-    Invalid nodes are zeroed and counted at their mirror weight; more than
-    1% of them is a configuration error. The provenance records the edge
-    decay ratio that the correlation transform checks before trusting it.
+    Omega and k: only the (|Omega|, |k|) quadrant that SpectralGrid holds
+    is evaluated, in _masked_density's blocks of the rows Omega <= 0, and
+    no full array is made. Invalid nodes are zeroed and counted at their
+    weight on the whole grid; more than 1% of them is a configuration
+    error. The provenance records the edge decay ratio, from the grid's
+    edge rows and columns, that the correlation transform checks before
+    trusting it.
     """
     if grid is None:
         grid = auto_grid(cfg)
     if grid.omega_center != cfg.degenerate_omega:
         raise ConfigurationError(f"grid omega_center {grid.omega_center!r} is not the "
                                  f"degenerate frequency {cfg.degenerate_omega!r} rad/s")
-    n = grid.n_omega // 2
-    values = np.empty((grid.n_omega, grid.n_k))
-    values[:n + 1], rows = _masked_density(cfg, grid.omega_axis()[:n + 1], grid.k_axis())
-    mirror(s_mirror(values)[1])
+    n, half = grid.n_omega // 2, grid.n_k // 2
+    # |k| = 0 .. k_max; each |k| but 0 and k_max (the -k_max column) is two columns
+    weight = np.r_[1, np.full(half - 1, 2), 1]
+    quadrant = np.empty((n + 1, half + 1))
+    rows = np.empty(n + 1, int)
+    for lo, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1],
+                                              np.abs(grid.k_axis()[half::-1])):
+        # omega row lo is Omega = (lo - n) steps, quadrant row n - lo
+        quadrant[::-1][lo:lo + _ROW_BLOCK] = density
+        rows[lo:lo + _ROW_BLOCK] = ~valid @ weight
     # row 0 (-Omega_max) and row n (Omega = 0) have no mirror on the grid
     invalid = int(2 * rows.sum() - rows[0] - rows[n])
-    if invalid > 0.01 * values.size:
+    if invalid > 0.01 * grid.n_omega * grid.n_k:
         raise ConfigurationError(
-            f"{invalid} of {values.size} grid nodes are unphysical "
+            f"{invalid} of {grid.n_omega * grid.n_k} grid nodes are unphysical "
             "(evanescent or outside the dispersion range); narrow the grid")
-    peak = values.max()
-    edges = max(values[0].max(), values[-1].max(),
-                values[:, 0].max(), values[:, -1].max())
+    peak = quadrant.max()
+    # the grid's edges: rows -Omega_max and Omega_max - step, columns -k_max
+    # and k_max - step
+    edges = max(quadrant[n].max(), quadrant[n - 1].max(),
+                quadrant[:, half].max(), quadrant[:, half - 1].max())
     provenance = {
         "crystal_hash": cfg.config_hash(),
         "material": cfg.sellmeier.name,
@@ -281,7 +348,7 @@ def build_spectrum(cfg, grid=None):
         "invalid_nodes": invalid,
         "edge_ratio": float(edges / peak) if peak > 0 else math.inf,
     }
-    return SpectralGrid(spec=grid, values=values, provenance=provenance)
+    return SpectralGrid(grid, quadrant, provenance)
 
 
 @dataclass

@@ -425,6 +425,10 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
 
 # config lines of a crystal whose grid auto_grid cannot widen within its cap
 CAPPED = ("gain = 3.4", "length = 23.3 mm")
+# auto_grid's cap for bbo_kato1986 pumped at 800 nm: the 1.6 um signal
+# reaches 3.1 um, the end of its dispersion range, at 0.484 omega_c
+CAP_OF_KATO = (r"past its cap of 0\.484 omega_c \(0\.49 omega_c, or less where signal "
+               r"or idler leaves the 0\.22-3\.1 um dispersion range\)")
 
 
 @pytest.mark.parametrize("command, flags, message", [
@@ -444,20 +448,26 @@ CAPPED = ("gain = 3.4", "length = 23.3 mm")
                  id="product-a-directory"),
     pytest.param("spectrum", ["--out="], "--out: empty", id="out-empty"),
     # a crystal whose density stays on the grid edge until widening it
-    # would pass the 0.49 omega_c cap
+    # would pass the cap, where the signal leaves the dispersion range
     pytest.param("interferogram", ["--theta=60.17deg", *CAPPED, "--out={taken}"],
                  r"--theta: bbo_kato1986 at theta 60.17 deg: the density needs a grid "
-                 r"to \|Omega\| = 0.491 omega_c, past the cap of 0.49 omega_c",
+                 r"to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO,
                  id="theta-with-density-on-the-grid-edge"),
     pytest.param("spectrum", ["--theta=60.17deg", *CAPPED, "--out={taken}"],
                  r"--theta: bbo_kato1986 at theta 60.17 deg: the density needs a grid "
-                 r"to \|Omega\| = 0.491 omega_c, past the cap of 0.49 omega_c",
+                 r"to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO,
                  id="spectrum-theta-with-density-on-the-grid-edge"),
     pytest.param("coherence", ["theta = 60.17 deg", *CAPPED, "--out={taken}"],
                  r"^error: \[crystal\] theta: bbo_kato1986 at theta 60.17 deg: the "
-                 r"density needs a grid to \|Omega\| = 0.491 omega_c, past the cap of "
-                 r"0.49 omega_c$",
+                 r"density needs a grid to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO
+                 + "$",
                  id="config-theta-with-density-on-the-grid-edge"),
+    # at gain 6 and 10 mm the grid would reach past the dispersion range
+    # (signal at 3.11 um), which no setting narrows: auto_grid refuses it
+    pytest.param("spectrum", ["--theta=71.75deg", "--out={taken}"],
+                 r"^error: --theta: bbo_kato1986 at theta 71.75 deg: the density needs a "
+                 r"grid to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO + "$",
+                 id="theta-with-a-grid-past-the-dispersion-range"),
     pytest.param("spectrum", ["gain = 1e3", "--out={taken}"],
                  r"^error: \[crystal\] gain and length: density peak is inf at "
                  r"gain 1000, length 0.01 m$",
@@ -504,9 +514,22 @@ def test_density_on_an_automatic_grid_edge_is_refused_without_a_remedy(tmp_path,
     assert main(["spectrum", str(small), "--theta=60.17deg"]) == 1
     err = capsys.readouterr().err
     assert re.search(r"^error: --theta: bbo_kato1986 at theta 60.17 deg: the density "
-                     r"needs a grid to \|Omega\| = 0\.\d+ omega_c, past the cap of "
-                     r"0.49 omega_c$", err, re.M), err
+                     r"needs a grid to \|Omega\| = 0\.\d+ omega_c, " + CAP_OF_KATO + "$",
+                     err, re.M), err
     assert "widen the grid" not in err
+
+
+def test_commands_hold_s_as_its_quadrant(tmp_path, monkeypatch):
+    # spectrum, coherence --blur and interferogram run from S's (|Omega|,
+    # |k|) quadrant: none of them unfolds the full array
+    def unfolded(sg):
+        raise AssertionError("S was unfolded")
+
+    monkeypatch.setattr(pdcoh.SpectralGrid, "values", property(unfolded))
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(out=tmp_path / "out"))
+    for argv in (["spectrum"], ["coherence", "--blur=1fs,6um"], ["interferogram"]):
+        assert main([argv[0], str(config), *argv[1:]]) == 0, argv
 
 
 def _two_orientation_csv(tmp_path):

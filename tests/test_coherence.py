@@ -141,7 +141,8 @@ _SPEC64 = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
 
 def _refused(cell, message):
     """A random even S is transformed, with its unpaired row and column
-    free; with the cell moved it is refused with the message."""
+    free; with the cell moved it is refused with the message as it enters
+    SpectralGrid, which holds S as its (|Omega|, |k|) quadrant."""
     values = _mirrored(np.random.default_rng(3).random((64, 64)))
     values[:, 0] = 5.0
     values[0] = 7.0
@@ -149,7 +150,7 @@ def _refused(cell, message):
                     oversample=2, extent_cells=4)
     values[cell] += 1e-3
     with pytest.raises(ConfigurationError, match=message):
-        correlation_map(SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0}))
+        SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0})
 
 
 def test_transform_refuses_a_density_odd_in_k():

@@ -18,6 +18,7 @@ from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, 
 from pdcoh.coherence import FWHM_TO_SIGMA, correlation_map, instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, c, gvd, index
 from pdcoh.phasematch import _mismatch, phase_matched_locus
+from pdcoh.spectrum import _masked_density, mirror, s_mirror
 
 SELL = load_sellmeier("bbo_kato1986")
 
@@ -32,7 +33,7 @@ def _bits(a):
 
 def _spectrum(theta_deg, gain, length_m):
     """(config, 256 x 128 density) of a drawn crystal, or None when auto_grid
-    refuses it up front, by name: its support reaches the 0.49 omega_c cap."""
+    refuses it up front, by name: its support reaches auto_grid's cap."""
     cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
                         pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
     try:
@@ -61,6 +62,32 @@ def test_density_is_bounded_and_exchange_symmetric(theta_deg, gain, length_m):
     assert pairs.max() <= 1e-10 * values.max()
     # the edge check that guards the transform passes on every accepted grid
     correlation_map(sg, oversample=2, extent_cells=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(*BOX)
+def test_quadrant_unfolds_to_the_full_grid_density(theta_deg, gain, length_m):
+    """S is held as its (|Omega|, |k|) quadrant. Unfolded, it is bit for bit
+    _masked_density over the rows Omega <= 0 and the whole k axis, mirrored
+    onto Omega > 0 by s_mirror (rows there evaluated directly differ from
+    their mirror by rounding only); its invalid nodes and edge ratio are
+    those of that full array."""
+    drawn = _spectrum(theta_deg, gain, length_m)
+    if drawn is None:
+        return
+    cfg, sg = drawn
+    omega, k = sg.omega_axis(), sg.k_axis()
+    n = omega.size // 2
+    full = np.empty((omega.size, k.size))
+    full[:n + 1], rows = _masked_density(cfg, omega[:n + 1], k)
+    mirror(s_mirror(full)[1])
+    assert np.array_equal(_bits(sg.values), _bits(full))
+    direct, invalid = _masked_density(cfg, omega, k)
+    assert np.abs(direct - full).max() <= 1e-10 * full.max()
+    assert sg.provenance["invalid_nodes"] == 2 * rows.sum() - rows[0] - rows[n]
+    assert sg.provenance["invalid_nodes"] == invalid.sum()
+    edges = max(full[0].max(), full[-1].max(), full[:, 0].max(), full[:, -1].max())
+    assert sg.edge_ratio == edges / full.max()
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,14 +186,16 @@ def test_width_ratio_follows_the_near_degenerate_dispersion(gain, length_m):
        st.sampled_from([64, 256, 1024]), st.sampled_from([64, 128, 512]))
 @example(75.25, 6.0, 0.01, 64, 64)
 @example(80.5, 6.0, 0.01, 64, 64)
+@example(71.75, 6.0, 0.01, 64, 64)
 def test_every_automatic_grid_passes_its_edge_check(theta_deg, gain, length_m,
                                                      n_omega, n_k):
     """auto_grid widens the grid its coarse probe sizes until S decays on
     every edge (at 75.25 and 80.5 deg the probe leaves 3.99e-3 and 3.67e-3
     of the peak on a 64 x 64 grid's edge), or refuses by name where that
-    would pass its cap.
-    Near the cap a grid may reach past the dispersion range; build_spectrum
-    refuses that one by its unphysical nodes."""
+    would pass its cap. The cap keeps every grid inside the dispersion
+    range, so build_spectrum builds every grid auto_grid returns (at 71.75
+    deg a 64 x 64 grid would need 0.486 omega_c, past the 0.484 omega_c
+    where the signal leaves it)."""
     cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
                         pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
     try:
@@ -175,9 +204,5 @@ def test_every_automatic_grid_passes_its_edge_check(theta_deg, gain, length_m,
         assert str(exc).startswith(
             f"{SELL.name} at theta {math.degrees(cfg.theta_rad):g} deg: ")
         return
-    try:
-        sg = build_spectrum(cfg, grid)
-    except ConfigurationError as exc:
-        assert "grid nodes are unphysical" in str(exc)
-        return
+    sg = build_spectrum(cfg, grid)
     sg.check_edge_decay()

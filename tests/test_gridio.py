@@ -49,7 +49,7 @@ def sg():
     rng = np.random.default_rng(7)
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=64, k_half_width=1e5, n_k=64)
-    values = rng.random((64, 64))
+    values = _even_in_omega_and_k(rng.random((64, 64)))
     return SpectralGrid(spec, values, provenance={
         "material": "bbo_kato1986", "gain": 6.0, "edge_ratio": 1e-5,
         "invalid_nodes": 0})
@@ -292,8 +292,8 @@ def test_products_in_the_older_full_layout_still_read(tmp_path):
         assert back.g.tobytes() == g.tobytes()
         assert back.tau_axis.tolist() == [-2e-15, 0.0, 2e-15]
         assert (back.intensity, back.provenance) == (2.5, {"oversample_tau": 16})
-    # S even in k, its unpaired first column odd one out
-    density = np.arange(64.0)[:, None] + np.abs(np.arange(64) - 32) / 64
+    # S even in Omega and k, its unpaired first column odd one out
+    density = np.abs(np.arange(64.0) - 32)[:, None] + np.abs(np.arange(64) - 32) / 64
     density[:, 0] = -1.0
     (tmp_path / "s.csv").write_text(OLD_S_HEAD + "".join(
         ",".join(map(repr, row)) + "\n" for row in density.tolist()))
@@ -321,6 +321,18 @@ def test_s_folded_in_k_alone_is_refused_naming_the_file(tmp_path):
                            match=r"spectral-density files have no fold '\|k\|'") as info:
             read_spectral_grid(path)
         assert str(path) in str(info.value)
+
+
+def test_s_in_the_full_layout_not_even_is_refused_naming_the_file(tmp_path):
+    # S is held as its (|Omega|, |k|) quadrant, so a full-layout S whose
+    # rows are not even in Omega is refused as it is read
+    density = np.arange(64.0)[:, None] + np.abs(np.arange(64) - 32) / 64
+    path = tmp_path / "s.csv"
+    path.write_text(OLD_S_HEAD + "".join(
+        ",".join(map(repr, row)) + "\n" for row in density.tolist()))
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: S is not "
+                       r"even in Omega: row 1 differs from its mirror 63$"):
+        read_spectral_grid(path)
 
 
 # a trace as written today: its stage sweep as the position axis
@@ -959,6 +971,13 @@ def _spectral_round_trip(draw, path, fmt):
                     omega_half_width=half_w, n_omega=n_omega,
                     k_half_width=draw(st.floats(1.0, 1e9)), n_k=n_k)
     values, expected = _laid_out(draw, "spectral grid", _values(draw, (n_omega, n_k)))
+    if expected is None or not expected[0]:
+        # S is held as its (|Omega|, |k|) quadrant: an S that the quadrant
+        # does not give back bit for bit is refused before any file
+        with pytest.raises(ConfigurationError, match=r"^S is not even in (k|Omega): "):
+            SpectralGrid(spec, values)
+        values = _even_in_omega_and_k(values)
+        expected = True, SYMMETRIES["spectral grid"][1](values)
     write_spectral_grid(path, SpectralGrid(spec, values), fmt=fmt)
     _check_stored(path, expected)
     back = read_spectral_grid(path)

@@ -15,8 +15,8 @@ from pdcoh import (
     build_spectrum,
     load_sellmeier,
 )
-from pdcoh.coherence import CoherenceColumn, _fwhm, correlation_columns, \
-    correlation_map, instrument_blur, metrics
+from pdcoh.coherence import CoherenceColumn, CoherenceMap, _fwhm, \
+    correlation_columns, correlation_map, instrument_blur, metrics
 from pdcoh.config import parse_length
 from pdcoh.interferometer import (
     AssembledMap,
@@ -498,3 +498,14 @@ def test_trace_records_offsets_and_hash(gauss, icfg):
     assert trace.icfg_hash == icfg.config_hash()
     assert trace.orientation == "19.94deg"
     assert trace.carrier_omega == 1.2e15
+
+
+def test_synthesize_trace_takes_only_a_column(flat, icfg):
+    # a map, as callers passed before traces came from columns, or its array
+    cmap = CoherenceMap(flat.tau_axis, np.zeros(1), flat.g[:, None],
+                        flat.carrier_omega, 1.0)
+    for given_ in (cmap, flat.g):
+        with pytest.raises(ConfigurationError, match=(
+                rf"^synthesize_trace takes a CoherenceColumn, got "
+                rf"{type(given_).__name__}; coherence\.correlation_columns\(sg\)")):
+            synthesize_trace(given_, icfg)

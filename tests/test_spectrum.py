@@ -266,7 +266,7 @@ def test_auto_grid_needs_nonzero_gain(theta_pm, sell):
 
 def test_auto_grid_refuses_a_support_past_its_cap(sell):
     # Eimerl's data match collinearly at 20.66 deg; at 19.94 the density
-    # spreads so wide that the margin would pass 0.49 omega_c
+    # spreads so wide that the margin would pass the cap
     cfg = CrystalConfig(length_m=L, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=G,
                         sellmeier=load_sellmeier("bbo_eimerl1987"))
