@@ -2,8 +2,9 @@
 
 Subcommands wire a configuration file to the computation pipeline and
 emit plot-ready data files. Outputs are deterministic: the same config
-and inputs produce byte-identical files. Exit codes: 0 success, 1
-configuration or validation problem, 2 runtime failure.
+and inputs produce byte-identical files on one numpy and BLAS build at one
+BLAS thread count. Exit codes: 0 success, 1 configuration or validation
+problem, 2 runtime failure.
 """
 
 from __future__ import annotations

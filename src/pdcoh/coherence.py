@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MapExtentError, ResolutionError
-from .spectrum import mirror
+from .spectrum import unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -39,14 +39,21 @@ _MIN_BLUR_SIGMA = 0.6
 
 @dataclass
 class CoherenceMap:
-    """Envelope of g1 on a uniform (tau, xi) grid; rows run along tau."""
+    """Envelope of g1 on a uniform (tau, xi) grid; rows run along tau. It is
+    held only as map_mirror's domain, the real tau >= 0, xi >= 0 quadrant."""
 
     tau_axis: np.ndarray
     xi_axis: np.ndarray
-    g: np.ndarray
+    quadrant: np.ndarray
     carrier_omega: float
     intensity: float
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def g(self):
+        """The envelope over the whole map, unfolded from the quadrant (a new array)."""
+        return unfold(map_mirror, self.quadrant,
+                      (self.tau_axis.size, self.xi_axis.size))
 
     @property
     def tau_step(self):
@@ -67,12 +74,12 @@ class CoherenceColumn:
 
 
 def map_mirror(g):
-    """(domain, mirror pairs) of a map g1 of a real S: the tau >= 0, xi >= 0
-    quadrant. g1 is even in xi, and g1(-tau, -xi) = conj g1(tau, xi) (for
-    an S even in Omega, g1 is real and this is g1(tau, xi))."""
+    """(domain, mirror pairs) of a map g1 of an S even in Omega and k: the
+    tau >= 0, xi >= 0 quadrant, copied onto xi < 0, then tau < 0 (g1 is
+    real and even in tau and xi)."""
     n, m = g.shape[0] // 2, g.shape[1] // 2
     return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m], np.positive),
-                       (g[:n], g[::-1, ::-1][:n], np.conjugate)]
+                       (g[:n], g[::-1][:n], np.positive)]
 
 
 def _tau_stage(sg, os_tau, ext_tau):
@@ -126,7 +133,7 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     with the unpaired column and row counted half at each end (the even
     quadrature of an even S), so g is real and even in tau and xi bit for
     bit: _tau_stage's R @ kernel(xi >= 0) is its tau >= 0, xi >= 0
-    quadrant, and the rest of g is the mirror.
+    quadrant, which the map holds.
     """
     (os_tau, os_xi), (ext_tau, ext_xi) = (
         v if np.ndim(v) else (v, v) for v in (oversample, extent_cells))
@@ -134,17 +141,14 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     spec, n_xi = sg.spec, os_xi * ext_xi
     xi = (np.arange(2 * n_xi + 1) - n_xi) * (
         2.0 * math.pi / (2.0 * spec.k_half_width) / os_xi)
-    re = r @ kernel(xi[n_xi:])
-    center = re[0, 0]
-    g = np.empty((tau.size, xi.size))
-    quadrant, pairs = map_mirror(g)
-    np.divide(re, center, out=quadrant)
-    mirror(pairs)
+    quadrant = r @ kernel(xi[n_xi:])
+    center = quadrant[0, 0]
+    quadrant /= center
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
     provenance.update(oversample_tau=os_tau, oversample_xi=os_xi,
                       extent_cells_tau=ext_tau, extent_cells_xi=ext_xi)
-    return CoherenceMap(tau_axis=tau, xi_axis=xi, g=g,
+    return CoherenceMap(tau_axis=tau, xi_axis=xi, quadrant=quadrant,
                         carrier_omega=spec.omega_center,
                         intensity=float(center * cell),
                         provenance=provenance)
@@ -184,8 +188,9 @@ def direct_correlation(sg, tau, xi):
     k = sg.k_axis()
     phase_k = np.exp(1j * k * xi)
     phase_k[0] = math.cos(k[0] * xi)
-    val = phase_w @ (sg.values @ phase_k)
-    return val / sg.values.sum() * np.exp(-1j * sg.spec.omega_center * tau)
+    values = sg.values
+    val = phase_w @ (values @ phase_k)
+    return val / values.sum() * np.exp(-1j * sg.spec.omega_center * tau)
 
 
 @dataclass
@@ -241,12 +246,12 @@ def metrics(cmap):
     with linear interpolation at the half-maximum crossings. The half level
     refers to the cut's own peak, so blurred maps (peak below 1) are
     measured consistently. A peak resolved by fewer than 8 samples per
-    FWHM raises ResolutionError carrying the needed refinement factor.
+    FWHM raises ResolutionError carrying the needed refinement factor. The
+    cuts are the quadrant's xi = 0 column and tau = 0 row, mirrored.
     """
-    i0 = int(np.argmin(np.abs(cmap.tau_axis)))
-    j0 = int(np.argmin(np.abs(cmap.xi_axis)))
-    tau_cut = np.abs(cmap.g[:, j0])
-    xi_cut = np.abs(cmap.g[i0, :])
+    q = cmap.quadrant
+    tau_cut = np.abs(unfold(map_mirror, q[:, :1], (cmap.tau_axis.size, 1))[:, 0])
+    xi_cut = np.abs(unfold(map_mirror, q[:1], (1, cmap.xi_axis.size))[0])
 
     tau_c = _fwhm(cmap.tau_axis, tau_cut)
     xi_c = _fwhm(cmap.xi_axis, xi_cut)
@@ -306,45 +311,54 @@ def blur_sigma(cmap, dtau, dxi):
     return sigma
 
 
+def _quadrant_rows(q, n, sigma):
+    """_gaussian_rows of the array of n rows whose map_mirror domain, its
+    last rows, is q, on those rows: q padded above with the rows that
+    mirror onto it within the kernel radius, zeros past the array's edge."""
+    radius = int(4.0 * sigma + 0.5)
+    # rows above q; row 0 of q is its own mirror when n is odd
+    above, skip = min(radius, n - len(q)), 2 * len(q) - n
+    padded = np.zeros((radius + len(q), q.shape[1]))
+    padded[radius - above:radius] = q[skip:skip + above][::-1]
+    padded[radius:] = q
+    return _gaussian_rows(padded, sigma)[radius:]
+
+
 def instrument_blur(cmap, dtau, dxi):
     """Map as a finite-resolution instrument would record it.
 
     |g1| is convolved with a normalized Gaussian of FWHM (dtau, dxi); the
-    phase is kept, which for a real map is its sign, so a real map blurs
-    to a real map. The result is deliberately not renormalized: a central
-    value below 1 is the signature of resolution-limited visibility. A
-    sigma of at most 1e-15 samples leaves its axis unblurred; blur_sigma
-    states what is refused.
+    phase is kept, which for a real map is its sign. The result is
+    deliberately not renormalized: a central value below 1 is the
+    signature of resolution-limited visibility. A sigma of at most 1e-15
+    samples leaves its axis unblurred; blur_sigma states what is refused.
+    Only the quadrant is blurred, bit for bit as the whole map would be.
     """
     sigma = blur_sigma(cmap, dtau, dxi)
+    q = cmap.quadrant
     if dtau == 0 and dxi == 0:
-        return CoherenceMap(cmap.tau_axis, cmap.xi_axis, cmap.g.copy(),
+        return CoherenceMap(cmap.tau_axis, cmap.xi_axis, q.copy(),
                             cmap.carrier_omega, cmap.intensity,
                             dict(cmap.provenance))
-    blurred = np.abs(cmap.g)
+    blurred = np.abs(q)
     if sigma[0] > 1e-15:
-        blurred = _gaussian_rows(blurred, sigma[0])
+        blurred = _quadrant_rows(blurred, cmap.tau_axis.size, sigma[0])
     if sigma[1] > 1e-15:
-        blurred = _gaussian_rows(blurred.T, sigma[1]).T
-    # the phase g / |g| (1 where g = 0), times the blurred magnitude in place;
-    # |g| is taken again here so that no copy of it lives through the blur
-    mag = np.abs(cmap.g)
-    g = np.ones_like(cmap.g)
-    np.divide(cmap.g, mag, out=g, where=mag > 0)
-    g *= blurred
+        blurred = _quadrant_rows(blurred.T, cmap.xi_axis.size, sigma[1]).T
     provenance = dict(cmap.provenance)
     provenance.update(blur_tau_s=dtau, blur_xi_m=dxi)
-    return CoherenceMap(cmap.tau_axis, cmap.xi_axis, g,
+    return CoherenceMap(cmap.tau_axis, cmap.xi_axis,
+                        np.where(q < 0, -blurred, blurred),
                         cmap.carrier_omega, cmap.intensity, provenance)
 
 
 def factorability_defect(cmap):
-    """max |g1(tau, xi) - g1(tau, 0) * g1(0, xi)|.
+    """max |g1(tau, xi) - g1(tau, 0) * g1(0, xi)|, over the quadrant, where
+    every value of the map and of the product lies.
 
     Zero for maps whose source density factorizes into S1(omega) * S2(k);
     a large value is the fingerprint of coupled time-space coherence.
     """
-    i0 = int(np.argmin(np.abs(cmap.tau_axis)))
-    j0 = int(np.argmin(np.abs(cmap.xi_axis)))
-    outer = np.outer(cmap.g[:, j0], cmap.g[i0, :])
-    return float(np.max(np.abs(np.subtract(cmap.g, outer, out=outer))))
+    q = cmap.quadrant
+    outer = np.outer(q[:, 0], q[0])
+    return float(np.max(np.abs(np.subtract(q, outer, out=outer))))

@@ -2,26 +2,25 @@
 
 Two encodings share one header model. CSV files open with `# key: value`
 lines (values JSON-encoded, so strings and numbers survive the round
-trip) followed by comma-separated rows; complex grids store re/im column
-pairs. Binary files carry a JSON header after an 8-byte magic and then
-raw little-endian arrays in C order. Every array product (grids, maps,
+trip) followed by comma-separated rows. Binary files carry a JSON header
+after an 8-byte magic and then raw little-endian float64 arrays in C
+order. Every array is real: a complex column or a binary array of
+another dtype is refused naming the file. Every array product (grids, maps,
 cuts, tables and fringe traces) goes through one writer, `_write`, and
 one reader, `_read`. Uniform axes persist as start/step/count, and an
-array read back must have one sample per axis value: a fringe trace is
-one row of intensities under the `position` axis of its stage sweep.
+array read back must have one sample per axis value, or per node of its
+fundamental domain: a fringe trace is one row of intensities under the
+`position` axis of its stage sweep.
 Headers carry no timestamp: the same inputs must produce the same bytes.
 
-A symmetric product stores only its fundamental domain, named by a `fold`
-header field: a coherence map its tau >= 0, xi >= 0 quadrant, S its
-(|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0 columns,
-and no other fold reads. The reader rebuilds a map or wavelength-angle
-grid bit for bit with the producer's own symmetry (coherence.map_mirror
-and spectrum.angle_mirror), so a file does not hold the full grid for a
-tool such as numpy.loadtxt. S is written from and read into the quadrant
-that SpectralGrid holds, and never unfolded. Where a fold would not give
-every bit back, the writer stores the whole array of a map or
-wavelength-angle grid with no fold field, as files from before folding
-do; S in that layout is folded as it is read. A CSV value is its repr, a
+A symmetric product is held in memory as its fundamental domain and
+stores just that, named by a `fold` header field: a coherence map its
+tau >= 0, xi >= 0 quadrant, S its (|Omega|, |k|) quadrant, a
+wavelength-angle grid its angle >= 0 columns. Each is written from and
+read into the domain its object holds, never unfolded, so a file does not
+hold the full grid for a tool such as numpy.loadtxt. A symmetric kind's
+file with no fold field, or with another fold, and a fold on any other
+kind are refused naming the file. A CSV value is its repr, a
 NaN whose sign bit is set -nan, byte for byte; one numpy kernel formats a
 block of values at a time and calls repr only for the few values it
 cannot settle exactly (_write_rows). Every write_* returns with its file
@@ -44,7 +43,7 @@ from .coherence import CoherenceMap, map_mirror
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
 from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    angle_mirror, s_mirror, unfold
+    angle_mirror, s_mirror
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -103,11 +102,8 @@ def _require(header, key, path):
 
 
 def _float_rows(arr):
-    # complex values become adjacent re/im floats, as the header declares
-    arr = np.atleast_2d(arr)
-    if np.iscomplexobj(arr):
-        return np.ascontiguousarray(arr, dtype=complex).view(float)
-    return np.asarray(arr, dtype=float)
+    # the float64 every array is stored as; a complex one raises TypeError
+    return np.atleast_2d(arr).astype("<f8", casting="safe", copy=False)
 
 
 # The CSV encoder: see _write_rows.
@@ -298,16 +294,15 @@ def _write_rows(fh, rows):
 
 
 def _write_csv(path, header, arrays):
+    arrays = [(name, _float_rows(arr)) for name, arr in arrays]
     lines = [f"# pdcoh_file: {_VERSION}"]
     for key, value in header.items():
         lines.append(f"# {key}: {json.dumps(value)}")
-    lines.append("# columns: " + json.dumps(
-        [[name, "complex" if np.iscomplexobj(arr) else "real"]
-         for name, arr in arrays]))
+    lines.append("# columns: " + json.dumps([[name, "real"] for name, _ in arrays]))
     with open(path, "wb") as fh:
         fh.write("".join(line + "\n" for line in lines).encode())
         for _, arr in arrays:
-            _write_rows(fh, _float_rows(arr))
+            _write_rows(fh, arr)
 
 
 def _read_csv(path):
@@ -339,10 +334,10 @@ def _read_csv(path):
         if len({row.size for row in chunk}) > 1:
             raise ConfigurationError(
                 f"{path}: rows of array {name!r} differ in length")
-        block = np.array(chunk)
-        # the exact inverse of the writer's view(float): signed zeros,
-        # infinities and NaNs keep their own part
-        arrays[name] = block.view(complex) if kind == "complex" else block
+        if kind != "real":
+            raise ConfigurationError(f"{path}: array {name!r} has column type "
+                                     f"{kind!r}; pdcoh files hold real arrays")
+        arrays[name] = np.array(chunk)
     return header, arrays
 
 
@@ -352,17 +347,16 @@ def _read_csv(path):
 def _write_binary(path, header, arrays):
     meta = dict(header)
     meta["pdcoh_file"] = _VERSION
-    meta["arrays"] = [[name, np.asarray(arr).dtype.newbyteorder("<").str,
-                       list(np.atleast_2d(arr).shape)] for name, arr in arrays]
+    arrays = [(name, _float_rows(arr)) for name, arr in arrays]
+    meta["arrays"] = [[name, "<f8", list(arr.shape)] for name, arr in arrays]
     blob = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         for _, arr in arrays:
-            # the array's own buffer when it is already C-ordered little-endian
-            data = np.atleast_2d(arr)
-            fh.write(np.ascontiguousarray(data, data.dtype.newbyteorder("<")).data)
+            # the array's own buffer when it is already C-ordered
+            fh.write(np.ascontiguousarray(arr).data)
 
 
 def _read_binary(path):
@@ -381,7 +375,10 @@ def _read_binary(path):
             raise ConfigurationError(f"{path}: unsupported format version")
         arrays = {}
         for name, dtype, shape in meta.pop("arrays"):
-            size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+            if dtype != "<f8":
+                raise ConfigurationError(f"{path}: array {name!r} has dtype "
+                                         f"{dtype!r}; pdcoh files hold <f8")
+            size = int(np.prod(shape)) * 8
             raw = fh.read(size)
             if len(raw) != size:
                 raise ConfigurationError(
@@ -394,12 +391,11 @@ def _read_binary(path):
 # --- one writer and one reader for every array product ---
 
 
-def _write(path, fmt, head, axes, provenance, arrays, folded=False):
+def _write(path, fmt, head, axes, provenance, arrays):
     """Write the head fields, each (name, axis) as start/step/count, the
     provenance, then the named arrays, in that header order; a symmetric
-    kind's arrays as their fundamental domain, where that gives every bit
-    back, declared by a last `fold` field. folded arrays are that domain
-    already."""
+    kind's arrays are its fundamental domain, declared by a last `fold`
+    field."""
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}; "
                                  f"choose one of {tuple(FORMATS)}")
@@ -407,46 +403,20 @@ def _write(path, fmt, head, axes, provenance, arrays, folded=False):
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
     header.update(_clean(provenance))
-    if folded:
+    if head["kind"] in _FOLDS:
         header["fold"] = _FOLDS[head["kind"]][0]
-    elif head["kind"] in _FOLDS:
-        fold, symmetry = _FOLDS[head["kind"]]
-        parts = [(name, *symmetry(np.atleast_2d(arr))) for name, arr in arrays]
-        if all(_mirrored(pairs) for _, _, pairs in parts):
-            header["fold"] = fold
-            arrays = [(name, domain) for name, domain, _ in parts]
     (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
 
 
-def _mirrored(pairs):
-    """Whether mirror(pairs) would leave every bit as it is, compared 64
-    rows at a time so that no temporary of the array's size is made."""
-    return all(op(source[i:i + 64]).tobytes() == image[i:i + 64].tobytes()
-               for image, source, op in pairs for i in range(0, len(image), 64))
-
-
-def _unfold(path, kind, fold, name, stored, shape, full):
-    """The array of `shape` whose fundamental domain a folded file stored,
-    or, unless full, that domain, once its shape is checked."""
-    ours, symmetry = _FOLDS.get(kind, (None, None))
-    if fold != ours:
-        raise ConfigurationError(f"{path}: {kind} files have no fold {fold!r}")
-    # the domain's shape, from a view of the shape that holds no memory
-    domain, _ = symmetry(np.broadcast_to(stored.dtype.type(0), shape))
-    if domain.shape != stored.shape:
-        raise ConfigurationError(f"{path}: folded array {name!r} has shape "
-                                 f"{stored.shape}, its axes give {domain.shape}")
-    return unfold(symmetry, stored, shape) if full else stored
-
-
-def _read(path, kind, axes=(), full=True):
+def _read(path, kind, axes=()):
     """(provenance, axes, arrays) of a product of this kind.
 
-    The encoding is sniffed from the magic. With axes named, each axis
-    must hold an integer count and a finite start and step (_axis), and
-    every array, rebuilt from its fundamental domain in a folded file
-    (left as that domain unless full), must have one row per value of the
-    first and one column per value of the second.
+    The encoding is sniffed from the magic. A symmetric kind must carry its
+    one fold, any other kind none. With axes named, each axis must hold an
+    integer count and a finite start and step (_axis), and every array
+    must have one row per value of the first and one column per value of
+    the second, or for a symmetric kind the shape of that grid's
+    fundamental domain.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
@@ -459,10 +429,15 @@ def _read(path, kind, axes=(), full=True):
         specs = [_axis(header, name, path) for name in axes]
         shape = tuple(n for _, _, n in specs)
         fold = header.pop("fold", None)
+        ours, symmetry = _FOLDS.get(kind, (None, None))
+        if fold != ours:
+            raise ConfigurationError(f"{path}: {kind} files have fold {ours!r}, "
+                                     f"this one {fold!r}")
+        if symmetry is not None:
+            # the domain's shape, from a view of the shape that holds no memory
+            shape = symmetry(np.broadcast_to(0.0, shape))[0].shape
         for name, arr in arrays.items() if axes else ():
-            if fold is not None:
-                arrays[name] = _unfold(path, kind, fold, name, arr, shape, full)
-            elif arr.shape != shape:
+            if arr.shape != shape:
                 raise ConfigurationError(f"{path}: array {name!r} has shape "
                                          f"{arr.shape}, its axes give {shape}")
     return header, [start + np.arange(n) * step for start, step, n in specs], arrays
@@ -490,15 +465,12 @@ def write_spectral_grid(path, sg, fmt="csv"):
     _write(path, fmt, {"kind": "spectral-density",
                        **{key: getattr(sg.spec, key) for key in _SPEC_KEYS}},
            [("omega", sg.omega_axis()), ("k", sg.k_axis())], sg.provenance,
-           [("density", sg.quadrant)], folded=True)
+           [("density", sg.quadrant)])
 
 
 def read_spectral_grid(path):
-    """S, built from the (|Omega|, |k|) quadrant a folded file stores; S in
-    a full-layout file is folded, and refused naming the file where it is
-    not even in Omega and k."""
-    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"),
-                                       full=False)
+    """S, built from the (|Omega|, |k|) quadrant its file stores."""
+    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"))
     spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
     density = _require(arrays, "density", path)
     try:
@@ -516,7 +488,7 @@ def read_spectral_grid(path):
 def write_wavelength_angle_grid(path, wag, fmt="csv"):
     _write(path, fmt, {"kind": "wavelength-angle-density"},
            [("wavelength", wag.wavelength_axis_m), ("angle", wag.angle_axis_rad)],
-           wag.provenance, [("density", wag.values)])
+           wag.provenance, [("density", wag.half)])
 
 
 def read_wavelength_angle_grid(path):
@@ -524,7 +496,7 @@ def read_wavelength_angle_grid(path):
         path, "wavelength-angle-density", ("wavelength", "angle"))
     return WavelengthAngleGrid(wavelength_axis_m=wavelength,
                                angle_axis_rad=angle,
-                               values=_require(arrays, "density", path),
+                               half=_require(arrays, "density", path),
                                provenance=header)
 
 
@@ -533,14 +505,13 @@ def write_coherence_map(path, cmap, fmt="csv"):
                        "carrier_omega": float(cmap.carrier_omega),
                        "intensity": float(cmap.intensity)},
            [("tau", cmap.tau_axis), ("xi", cmap.xi_axis)], cmap.provenance,
-           [("g", cmap.g)])
+           [("g", cmap.quadrant)])
 
 
 def read_coherence_map(path):
-    """A coherence map; g is real, or complex in files from before maps were real."""
     header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"))
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
-                        g=_require(arrays, "g", path),
+                        quadrant=_require(arrays, "g", path),
                         carrier_omega=_require(header, "carrier_omega", path),
                         intensity=_require(header, "intensity", path),
                         provenance=header)

@@ -196,20 +196,15 @@ def _masked_density(cfg, omega, k):
     return values, invalid
 
 
-def mirror(pairs):
-    """Fill a symmetric product from its fundamental domain: each image view
-    of the (image, source, op) pairs, in order, with op(source)."""
-    for image, source, op in pairs:
-        op(source, out=image)
-
-
 def unfold(symmetry, domain, shape):
     """The array of shape whose fundamental domain under symmetry
-    (s_mirror, angle_mirror, coherence.map_mirror) is domain."""
+    (s_mirror, angle_mirror, coherence.map_mirror) is domain: each image view
+    of the symmetry's (image, source, op) pairs, in order, is op(source)."""
     full = np.empty(shape, domain.dtype)
     view, pairs = symmetry(full)
     view[...] = domain
-    mirror(pairs)
+    for image, source, op in pairs:
+        op(source, out=image)
     return full
 
 
@@ -353,12 +348,20 @@ def build_spectrum(cfg, grid=None):
 
 @dataclass
 class WavelengthAngleGrid:
-    """Density on a uniform wavelength and external emission angle grid."""
+    """Density on a uniform wavelength and external emission angle grid,
+    held only as angle_mirror's domain, its angle >= 0 columns: S is even
+    in k, so the grid is even in angle."""
 
     wavelength_axis_m: np.ndarray
     angle_axis_rad: np.ndarray
-    values: np.ndarray
+    half: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def values(self):
+        """The density over the whole grid, unfolded from half (a new array)."""
+        return unfold(angle_mirror, self.half,
+                      (self.wavelength_axis_m.size, self.angle_axis_rad.size))
 
 
 def angle_mirror(values):
@@ -386,13 +389,11 @@ def to_wavelength_angle(sg, cfg):
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, spec.n_k)
 
-    values = np.empty((spec.n_omega, spec.n_k))
-    domain, pairs = angle_mirror(values)
+    half = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
     for lo in range(0, spec.n_omega, _ROW_BLOCK):
         lam_q = lam[lo:lo + _ROW_BLOCK, None]
         k = theta[spec.n_k // 2:] * 2 * math.pi / lam_q
         mismatch, valid = _mismatch(cfg, 2 * math.pi * c / lam_q, k)
         density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
-        domain[lo:lo + _ROW_BLOCK] = np.where(valid & (k <= k_max), density, 0.0)
-    mirror(pairs)
-    return WavelengthAngleGrid(lam, theta, values, dict(sg.provenance))
+        half[lo:lo + _ROW_BLOCK] = np.where(valid & (k <= k_max), density, 0.0)
+    return WavelengthAngleGrid(lam, theta, half, dict(sg.provenance))

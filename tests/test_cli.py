@@ -398,6 +398,35 @@ def test_csv_spectrum_and_blurred_coherence_load_no_numpy_ma(tmp_path):
     assert (tmp_path / "out" / "coherence_19p94_blur_map.csv").is_file()
 
 
+def test_maps_and_metrics_at_one_and_two_blas_threads_agree_to_rounding(tmp_path):
+    # products are byte-identical at one BLAS thread count only: the
+    # transform's matrix products sum in another order on 2 threads. At
+    # 1 and 2 threads the maps differ by at most 4 ulp of 1 (1.5 measured)
+    # and the metrics by at most 8 eps relative (1.9 measured). OpenBLAS
+    # runs the products of a smaller grid than the example's 1024 x 512 on
+    # one thread, where nothing would differ
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(out=tmp_path).replace("= 256", "= 1024")
+                      .replace("= 128", "= 512").replace("csv", "binary"))
+    src = str(Path(pdcoh.__file__).resolve().parents[1])
+    outs = [tmp_path / "1", tmp_path / "2"]
+    for out in outs:
+        threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                 "MKL_NUM_THREADS"), out.name)
+        subprocess.run([sys.executable, "-m", "pdcoh.cli", "coherence", str(config),
+                        "--blur=1fs,6um", f"--out={out}"], check=True, capture_output=True,
+                       env=dict(os.environ, PYTHONPATH=src, **threads), timeout=300)
+    for product in ("", "blur_"):
+        one, two = (read_coherence_map(out / f"coherence_19p94_{product}map.bin")
+                    for out in outs)
+        assert np.abs(one.quadrant - two.quadrant).max() <= 4 * np.spacing(1.0), product
+        one, two = (read_metrics(out / f"coherence_19p94_{product}metrics.txt")
+                    for out in outs)
+        for key in ("tau_c_s", "xi_c_m", "first_ring_height", "coupling"):
+            assert one[key] == pytest.approx(two[key], rel=8 * np.finfo(float).eps,
+                                             abs=0), (product, key)
+
+
 def test_bad_blur_flag_exits_1(ws, tmp_path, capsys):
     assert main(["coherence", str(ws["cfg"]), "--blur", "1fs"]) == 1
     assert "--blur" in capsys.readouterr().err
@@ -520,12 +549,15 @@ def test_density_on_an_automatic_grid_edge_is_refused_without_a_remedy(tmp_path,
 
 
 def test_commands_hold_s_as_its_quadrant(tmp_path, monkeypatch):
-    # spectrum, coherence --blur and interferogram run from S's (|Omega|,
-    # |k|) quadrant: none of them unfolds the full array
-    def unfolded(sg):
-        raise AssertionError("S was unfolded")
+    # spectrum, coherence --blur and interferogram run from the fundamental
+    # domains that S, the wavelength-angle grid and the map hold: none of
+    # them unfolds a full array
+    def unfolded(product):
+        raise AssertionError(f"{type(product).__name__} was unfolded")
 
-    monkeypatch.setattr(pdcoh.SpectralGrid, "values", property(unfolded))
+    for cls, name in ((pdcoh.SpectralGrid, "values"), (pdcoh.CoherenceMap, "g"),
+                      (pdcoh.WavelengthAngleGrid, "values")):
+        monkeypatch.setattr(cls, name, property(unfolded))
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.format(out=tmp_path / "out"))
     for argv in (["spectrum"], ["coherence", "--blur=1fs,6um"], ["interferogram"]):

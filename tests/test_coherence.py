@@ -23,6 +23,7 @@ from pdcoh.coherence import (
     direct_correlation,
     factorability_defect,
     instrument_blur,
+    map_mirror,
     metrics,
 )
 from pdcoh.gridio import read_coherence_map, write_coherence_map
@@ -67,9 +68,9 @@ def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
     tau = (np.arange(n) - n // 2) * tau_step
     xi = (np.arange(n) - n // 2) * xi_step
     g = np.exp(-0.5 * (tau / sigma_tau) ** 2)[:, None] \
-        * np.exp(-0.5 * (xi / sigma_xi) ** 2)[None, :] + 0j
-    return CoherenceMap(tau, xi, g, carrier_omega=1.2e15, intensity=1.0,
-                        provenance={})
+        * np.exp(-0.5 * (xi / sigma_xi) ** 2)[None, :]
+    return CoherenceMap(tau, xi, map_mirror(g)[0], carrier_omega=1.2e15,
+                        intensity=1.0, provenance={})
 
 
 def test_center_is_one_exactly(map94):
@@ -126,7 +127,7 @@ def test_hermitian_symmetry(map94):
     assert np.array_equal(map94.g[::-1, ::-1], np.conj(map94.g))
 
 
-def _mirrored(table):
+def _even_in_omega_and_k(table):
     """S even in Omega and k, as S(Omega^2, k^2) is, from its Omega >= 0,
     k >= 0 quadrant: row n/2 +- m and column n/2 +- m are table row and
     column m, and the unpaired first row and column (-n/2 steps) are table
@@ -143,7 +144,7 @@ def _refused(cell, message):
     """A random even S is transformed, with its unpaired row and column
     free; with the cell moved it is refused with the message as it enters
     SpectralGrid, which holds S as its (|Omega|, |k|) quadrant."""
-    values = _mirrored(np.random.default_rng(3).random((64, 64)))
+    values = _even_in_omega_and_k(np.random.default_rng(3).random((64, 64)))
     values[:, 0] = 5.0
     values[0] = 7.0
     correlation_map(SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0}),
@@ -165,7 +166,7 @@ def test_transform_refuses_a_density_odd_in_omega():
 def test_transform_is_exact_for_a_k_mirrored_density():
     # a random S, even in Omega and k, with mass in the unpaired Omega row
     # and k column
-    values = _mirrored(np.random.default_rng(3).random((64, 64)))
+    values = _even_in_omega_and_k(np.random.default_rng(3).random((64, 64)))
     assert np.all(values[0] > 0) and np.all(values[:, 0] > 0)
     sg = SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0})
     cm = correlation_map(sg, oversample=2, extent_cells=4)
@@ -330,8 +331,10 @@ def test_blur_on_pdc_map_changes_widths_marginally(map94):
 
 
 def _random_map(shape):
-    rng = np.random.default_rng(5)
-    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    """A map of this shape from a random quadrant of either sign; an even
+    count mirrors about the half cell."""
+    quadrant = map_mirror(np.empty(shape))[0]
+    g = np.random.default_rng(5).normal(size=quadrant.shape)
     return CoherenceMap(np.arange(shape[0]) * 1e-15, np.arange(shape[1]) * 1e-6,
                         g, carrier_omega=1.2e15, intensity=1.0, provenance={})
 

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
     load_sellmeier, spectral_density, to_wavelength_angle
-from pdcoh.coherence import FWHM_TO_SIGMA, correlation_map, instrument_blur, metrics
+from pdcoh.coherence import FWHM_TO_SIGMA, _gaussian_rows, blur_sigma, correlation_map, \
+    instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, c, gvd, index
 from pdcoh.phasematch import _mismatch, phase_matched_locus
-from pdcoh.spectrum import _masked_density, mirror, s_mirror
+from pdcoh.spectrum import _masked_density, s_mirror
 
 SELL = load_sellmeier("bbo_kato1986")
 
@@ -80,7 +81,8 @@ def test_quadrant_unfolds_to_the_full_grid_density(theta_deg, gain, length_m):
     n = omega.size // 2
     full = np.empty((omega.size, k.size))
     full[:n + 1], rows = _masked_density(cfg, omega[:n + 1], k)
-    mirror(s_mirror(full)[1])
+    for image, source, op in s_mirror(full)[1]:
+        op(source, out=image)
     assert np.array_equal(_bits(sg.values), _bits(full))
     direct, invalid = _masked_density(cfg, omega, k)
     assert np.abs(direct - full).max() <= 1e-10 * full.max()
@@ -160,6 +162,39 @@ def test_map_is_real_and_even_in_xi_but_for_the_unpaired_edge(theta_deg, gain,
         assert g.dtype == np.float64
         assert np.array_equal(_bits(g), _bits(g[::-1]))
         assert np.array_equal(_bits(g), _bits(g[:, ::-1]))
+
+
+# a blur sigma in samples: none, or one the sampling floor allows and a
+# 2-cell extent still holds (its FWHM within the map's 8-step span)
+SIGMA = st.one_of(st.just(0.0), st.floats(0.6, 3.3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(*BOX, st.sampled_from([2, 4, 8]), SIGMA, SIGMA)
+@example(19.94, 6.0, 0.01, 2, 3.3, 0.0)
+@example(19.94, 6.0, 0.01, 8, 0.0, 3.3)
+@example(19.94, 6.0, 0.01, 4, 0.6, 1.5)
+def test_quadrant_blur_is_the_full_blur_of_the_unfolded_map(theta_deg, gain, length_m,
+                                                            extent, sigma_tau, sigma_xi):
+    """instrument_blur blurs only the map's quadrant, padded with its
+    mirror rows; it is bit for bit _gaussian_rows of the unfolded map, its
+    sign kept, on either axis or both, with kernel radii (up to 13
+    samples) past the quadrant's far edge (2 * extent + 1 samples)."""
+    drawn = _spectrum(theta_deg, gain, length_m)
+    if drawn is None:
+        return
+    cm = correlation_map(drawn[1], oversample=2, extent_cells=extent)
+    dtau, dxi = (s * FWHM_TO_SIGMA * step for s, step in
+                 ((sigma_tau, cm.tau_step), (sigma_xi, cm.xi_step)))
+    g = cm.g
+    want = np.abs(g)
+    sigma = blur_sigma(cm, dtau, dxi)
+    if sigma[0] > 1e-15:
+        want = _gaussian_rows(want, sigma[0])
+    if sigma[1] > 1e-15:
+        want = _gaussian_rows(want.T, sigma[1]).T
+    want = np.where(g < 0, -want, want) if dtau or dxi else g
+    assert np.array_equal(_bits(instrument_blur(cm, dtau, dxi).g), _bits(want))
 
 
 @settings(max_examples=20, deadline=None)

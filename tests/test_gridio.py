@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from pdcoh import ConfigurationError, CrystalConfig, gridio, GridSpec, \
     PdcohError, SpectralGrid, auto_grid, build_spectrum, load_sellmeier
 from pdcoh.coherence import CoherenceColumn, CoherenceMap, correlation_map, \
-    instrument_blur
+    instrument_blur, map_mirror
 from pdcoh.gridio import (
     read_assembled_map,
     read_coherence_map,
@@ -41,7 +41,7 @@ from pdcoh.interferometer import (
     fringe_period_stage_m,
     synthesize_trace,
 )
-from pdcoh.spectrum import WavelengthAngleGrid, to_wavelength_angle
+from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, to_wavelength_angle
 
 
 @pytest.fixture()
@@ -120,13 +120,13 @@ def test_coherence_map_round_trip_is_exact(tmp_path, fmt):
     rng = np.random.default_rng(11)
     tau = (np.arange(33) - 16) * 2e-15
     xi = (np.arange(17) - 8) * 3e-6
-    g = rng.standard_normal((33, 17)) + 1j * rng.standard_normal((33, 17))
-    cmap = CoherenceMap(tau, xi, g, carrier_omega=1.18e15, intensity=42.5,
+    quadrant = rng.standard_normal((17, 9))
+    cmap = CoherenceMap(tau, xi, quadrant, carrier_omega=1.18e15, intensity=42.5,
                         provenance={"oversample": 16})
     path = tmp_path / "map.dat"
     write_coherence_map(path, cmap, fmt=fmt)
     back = read_coherence_map(path)
-    assert np.array_equal(back.g, g)
+    assert np.array_equal(back.quadrant, quadrant)
     assert np.allclose(back.tau_axis, tau, rtol=1e-12, atol=1e-27)
     assert back.carrier_omega == 1.18e15
     assert back.intensity == 42.5
@@ -139,8 +139,9 @@ def test_binary_arrays_round_trip_bit_for_bit_from_any_layout(tmp_path, layout):
     # other layout must still land as the same values, in C order
     rng = np.random.default_rng(3)
     arr = {"fortran": lambda: np.asfortranarray(rng.standard_normal((7, 5))),
+           # the real parts of a complex array: a float view of stride 16
            "complex view": lambda: (rng.standard_normal((9, 12))
-                                    + 1j * rng.standard_normal((9, 12)))[::2, 1::3],
+                                    + 1j * rng.standard_normal((9, 12)))[::2, 1::3].real,
            "big-endian": lambda: rng.standard_normal((6, 4)).astype(">f8")}[layout]()
     assert not (arr.flags.c_contiguous and arr.dtype.isnative)
     path = tmp_path / "a.bin"
@@ -151,33 +152,55 @@ def test_binary_arrays_round_trip_bit_for_bit_from_any_layout(tmp_path, layout):
     assert np.array_equal(back.view(np.uint64), np.ascontiguousarray(arr, back.dtype).view(np.uint64))
 
 
-@pytest.mark.parametrize("fmt", ["csv", "binary"])
-def test_complex_parts_survive_the_round_trip_exactly(tmp_path, fmt):
-    # re + 1j*im would turn an infinite imaginary part into a NaN real
-    # part and lose signed zeros and NaN signs; every pairing of these parts
-    # must survive
-    parts = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5]
-    pairs = np.array([(re, im) for re in parts for im in parts])
-    g = pairs.view(complex).reshape(7, 7)
-    cmap = CoherenceMap((np.arange(7) - 3) * 1e-15, (np.arange(7) - 3) * 1e-6,
-                        g, carrier_omega=1.18e15, intensity=1.0, provenance={})
-    path = tmp_path / "map.dat"
-    write_coherence_map(path, cmap, fmt=fmt)
-    back = read_coherence_map(path).g.view(float)
-    assert np.array_equal(back, g.view(float), equal_nan=True)
-    assert np.array_equal(np.signbit(back), np.signbit(g.view(float)))
+# a small product file (see _product_file) -> (what declares its array real,
+# what declares it complex instead, the refusal)
+COMPLEX = {
+    "csv": ('[["g", "real"]]', '[["g", "complex"]]', "array 'g' has column type 'complex'"),
+    "binary": (b'"<f8"', b'"<c16"', "array 'g' has dtype '<c16'"),
+    "profile csv": ('["magnitude", "real"]', '["magnitude", "complex"]',
+                    "array 'magnitude' has column type 'complex'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPLEX))
+def test_complex_arrays_are_refused_naming_the_file(tmp_path, case):
+    # pdcoh writes no complex array, and reads none: a map of the complex
+    # layout of older files, or any file declaring a complex column, is
+    # refused naming it
+    real, cplx, message = COMPLEX[case]
+    path, read = _product_file(tmp_path, case)
+    if case == "binary":
+        data = path.read_bytes()
+        (length,) = struct.unpack("<I", data[8:12])
+        blob = data[12:12 + length]
+        assert blob.count(real) == 1
+        path.write_bytes(_binary_file(json.loads(blob.replace(real, cplx)))
+                         + data[12 + length:])
+    else:
+        text = path.read_text()
+        assert text.count(real) == 1
+        path.write_text(text.replace(real, cplx))
+    with pytest.raises(ConfigurationError,
+                       match=rf"^{re.escape(str(path))}: {re.escape(message)}; "):
+        read(path)
+    # nor does the writer take a complex array: no file is made
+    new = tmp_path / "new.dat"
+    with pytest.raises(TypeError, match="complex"):
+        gridio._write(new, case.split()[-1], {"kind": "test"}, [], {},
+                      [("g", np.ones((2, 2)) + 0.5j)])
+    assert not new.exists()
 
 
 def test_wavelength_angle_round_trip(tmp_path):
     wag = WavelengthAngleGrid(
         wavelength_axis_m=np.linspace(1.2e-6, 2.2e-6, 41),
         angle_axis_rad=np.linspace(-0.02, 0.02, 31),
-        values=np.outer(np.arange(41.0), np.arange(31.0)),
+        half=np.outer(np.arange(41.0), np.arange(16.0)),
         provenance={"material": "bbo_kato1986"})
     path = tmp_path / "wag.csv"
     write_wavelength_angle_grid(path, wag)
     back = read_wavelength_angle_grid(path)
-    assert np.array_equal(back.values, wag.values)
+    assert np.array_equal(back.half, wag.half)
     assert np.allclose(back.wavelength_axis_m, wag.wavelength_axis_m,
                        rtol=1e-12)
     assert np.allclose(back.angle_axis_rad, wag.angle_axis_rad, rtol=0,
@@ -208,20 +231,6 @@ def test_single_column_map_keeps_its_shape(tmp_path):
     assert back.magnitude.shape == (9, 1)
     assert back.xi_axis.shape == (1,)
     assert back.xi_axis[0] == 3e-6
-
-
-def test_profile_round_trip_with_complex_column(tmp_path):
-    x = np.linspace(0, 1, 21)
-    z = np.exp(2j * np.pi * x)
-    path = tmp_path / "cut.csv"
-    write_profile(path, "coherence-cut", {"theta_tag": "19p94"},
-                  [("position", x), ("g", z)])
-    header, cols = read_profile(path, "coherence-cut")
-    assert header["theta_tag"] == "19p94"
-    assert np.array_equal(cols["position"], x)
-    assert np.array_equal(cols["g"], z)
-    with pytest.raises(ConfigurationError, match="expected"):
-        read_profile(path, "dispersion-table")
 
 
 def test_profile_rejects_ragged_columns(tmp_path):
@@ -259,15 +268,13 @@ def test_trace_round_trip(tmp_path):
     assert back.icfg_hash == "abc123"
 
 
-# a map as written before symmetric products were folded: every value of
-# the grid, and no fold field
+# a real map in the full layout: every value of the grid, and no fold field
 OLD_MAP = ('# pdcoh_file: 1\n# kind: "coherence-map"\n'
            '# carrier_omega: 1180000000000000.0\n# intensity: 2.5\n'
            '# tau_start: -2e-15\n# tau_step: 2e-15\n# n_tau: 3\n'
            '# xi_start: -3e-06\n# xi_step: 3e-06\n# n_xi: 3\n'
-           '# oversample_tau: 16\n# columns: [["g", "complex"]]\n'
-           '1.0,-2.0,3.0,0.5,1.0,-2.0\n0.25,-0.0,1.0,-0.0,0.25,-0.0\n'
-           '1.0,2.0,3.0,-0.5,1.0,2.0\n')
+           '# oversample_tau: 16\n# columns: [["g", "real"]]\n'
+           '0.5,3.0,0.5\n0.25,1.0,0.25\n0.5,3.0,0.5\n')
 OLD_S_HEAD = ('# pdcoh_file: 1\n# kind: "spectral-density"\n'
               '# omega_center: 1200000000000000.0\n'
               '# omega_half_width: 200000000000000.0\n# k_half_width: 100000.0\n'
@@ -276,30 +283,37 @@ OLD_S_HEAD = ('# pdcoh_file: 1\n# kind: "spectral-density"\n'
               '# gain: 6.0\n# columns: [["density", "real"]]\n')
 
 
-def test_products_in_the_older_full_layout_still_read(tmp_path):
-    # both arrays have the symmetry that a file written today would fold
-    g = np.array([[1 - 2j, 3 + 0.5j, 1 - 2j],
-                  [complex(0.25, -0.0), complex(1.0, -0.0), complex(0.25, -0.0)],
-                  [1 + 2j, 3 - 0.5j, 1 + 2j]])
+def test_products_in_the_full_layout_are_refused_naming_the_file(tmp_path):
+    # each array has the symmetry of its kind, but a symmetric kind is
+    # stored folded: a file of the whole grid, with no fold field, as files
+    # from before folding were, is refused
+    g = np.array([[0.5, 3.0, 0.5], [0.25, 1.0, 0.25], [0.5, 3.0, 0.5]])
     (tmp_path / "map.csv").write_text(OLD_MAP)
     (tmp_path / "map.bin").write_bytes(_binary_file({
-        "arrays": [["g", "<c16", [3, 3]]], "carrier_omega": 1.18e15,
+        "arrays": [["g", "<f8", [3, 3]]], "carrier_omega": 1.18e15,
         "intensity": 2.5, "kind": "coherence-map", "n_tau": 3, "n_xi": 3,
         "oversample_tau": 16, "pdcoh_file": 1, "tau_start": -2e-15,
         "tau_step": 2e-15, "xi_start": -3e-06, "xi_step": 3e-06}) + g.tobytes())
-    for name in ("map.csv", "map.bin"):
-        back = read_coherence_map(tmp_path / name)
-        assert back.g.tobytes() == g.tobytes()
-        assert back.tau_axis.tolist() == [-2e-15, 0.0, 2e-15]
-        assert (back.intensity, back.provenance) == (2.5, {"oversample_tau": 16})
-    # S even in Omega and k, its unpaired first column odd one out
+    # S even in Omega and k
     density = np.abs(np.arange(64.0) - 32)[:, None] + np.abs(np.arange(64) - 32) / 64
-    density[:, 0] = -1.0
     (tmp_path / "s.csv").write_text(OLD_S_HEAD + "".join(
         ",".join(map(repr, row)) + "\n" for row in density.tolist()))
-    back = read_spectral_grid(tmp_path / "s.csv")
-    assert back.values.tobytes() == density.tobytes()
-    assert back.spec == _SPEC and back.provenance == {"gain": 6.0}
+    (tmp_path / "wag.csv").write_text(
+        '# pdcoh_file: 1\n# kind: "wavelength-angle-density"\n'
+        '# wavelength_start: 1e-06\n# wavelength_step: 1e-07\n# n_wavelength: 2\n'
+        '# angle_start: -0.5\n# angle_step: 0.5\n# n_angle: 3\n'
+        '# columns: [["density", "real"]]\n1.0,2.0,1.0\n3.0,4.0,3.0\n')
+    map_fold = "coherence-map files have fold 'tau >= 0, xi >= 0'"
+    for name, read, fold in (
+            ("map.csv", read_coherence_map, map_fold),
+            ("map.bin", read_coherence_map, map_fold),
+            ("s.csv", read_spectral_grid, "spectral-density files have fold '|Omega|, |k|'"),
+            ("wag.csv", read_wavelength_angle_grid,
+             "wavelength-angle-density files have fold 'angle >= 0'")):
+        path = tmp_path / name
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{re.escape(f'{path}: {fold}')}, this one None$"):
+            read(path)
 
 
 def test_s_folded_in_k_alone_is_refused_naming_the_file(tmp_path):
@@ -317,21 +331,21 @@ def test_s_folded_in_k_alone_is_refused_naming_the_file(tmp_path):
         "omega_step": 6.25e12, "pdcoh_file": 1}) + columns.tobytes())
     for name in ("s.csv", "s.bin"):
         path = tmp_path / name
-        with pytest.raises(ConfigurationError,
-                           match=r"spectral-density files have no fold '\|k\|'") as info:
+        with pytest.raises(ConfigurationError, match=r"spectral-density files have fold "
+                           r"'\|Omega\|, \|k\|', this one '\|k\|'$") as info:
             read_spectral_grid(path)
         assert str(path) in str(info.value)
 
 
 def test_s_in_the_full_layout_not_even_is_refused_naming_the_file(tmp_path):
-    # S is held as its (|Omega|, |k|) quadrant, so a full-layout S whose
-    # rows are not even in Omega is refused as it is read
+    # S is stored as its (|Omega|, |k|) quadrant, so a full-layout S, even
+    # or not, is refused for its missing fold field before its values
     density = np.arange(64.0)[:, None] + np.abs(np.arange(64) - 32) / 64
     path = tmp_path / "s.csv"
     path.write_text(OLD_S_HEAD + "".join(
         ",".join(map(repr, row)) + "\n" for row in density.tolist()))
-    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: S is not "
-                       r"even in Omega: row 1 differs from its mirror 63$"):
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: "
+                       r"spectral-density files have fold '\|Omega\|, \|k\|', this one None$"):
         read_spectral_grid(path)
 
 
@@ -477,12 +491,16 @@ def test_readers_reject_foreign_files(tmp_path, sg):
     write_spectral_grid(gridfile, sg)
     with pytest.raises(ConfigurationError, match="expected a coherence-map"):
         read_coherence_map(gridfile)
+    cut = tmp_path / "cut.csv"
+    write_profile(cut, "coherence-cut", {}, [("position", np.arange(3.0))])
+    with pytest.raises(ConfigurationError, match="expected a dispersion-table"):
+        read_profile(cut, "dispersion-table")
 
 
 def test_nonuniform_axis_is_rejected(tmp_path):
     tau = np.array([0.0, 1e-15, 2.5e-15])
     cmap = CoherenceMap(tau, np.array([0.0, 1e-6]),
-                        np.zeros((3, 2), complex), carrier_omega=1e15,
+                        np.zeros((2, 1)), carrier_omega=1e15,
                         intensity=1.0, provenance={})
     with pytest.raises(ConfigurationError, match="uniform"):
         write_coherence_map(tmp_path / "bad.csv", cmap)
@@ -508,9 +526,7 @@ def _cell(v):
 def _reference_csv(header, arrays):
     lines = ["# pdcoh_file: 1"]
     lines += [f"# {key}: {json.dumps(value)}" for key, value in header.items()]
-    lines.append("# columns: " + json.dumps(
-        [[name, "complex" if np.iscomplexobj(arr) else "real"]
-         for name, arr in arrays]))
+    lines.append("# columns: " + json.dumps([[name, "real"] for name, _ in arrays]))
     for _, arr in arrays:
         lines += _reference_lines(arr)
     return "\n".join(lines) + "\n"
@@ -518,25 +534,7 @@ def _reference_csv(header, arrays):
 
 def _reference_lines(arr):
     """The CSV lines of an array, a repr call per value."""
-    lines = []
-    for row in np.atleast_2d(arr):
-        cells = []
-        for v in row:
-            if np.iscomplexobj(row):
-                cells += [_cell(v.real), _cell(v.imag)]
-            else:
-                cells.append(_cell(v))
-        lines.append(",".join(cells))
-    return lines
-
-
-def _even_about_centre(a):
-    """a with column n - 1 - j a copy of column j: every row even about a
-    centre that is no column when n is even."""
-    a = np.array(a)
-    n = a.shape[1]
-    a[:, n - n // 2:] = a[:, :n // 2][:, ::-1]
-    return a
+    return [",".join(_cell(v) for v in row) for row in np.atleast_2d(arr)]
 
 
 def _even_in_omega_and_k(a):
@@ -550,30 +548,16 @@ def _even_in_omega_and_k(a):
     return a
 
 
-def _conjugate_even(g):
-    """g even in its columns, and row k the conjugate of row n - 1 - k
-    reversed for k < n // 2: the symmetries of g1(tau, xi) of a real S
-    (for a real g, even in tau and xi)."""
-    g = _even_about_centre(g)
-    half = len(g) // 2
-    g[:half] = np.conj(g[::-1, ::-1][:half])
-    return g
-
-
 def _awkward_arrays(n=40):
     """Arrays of n rows, n even, of the values repr finds awkward."""
     rng = np.random.default_rng(3)
     real = rng.choice(AWKWARD, size=(n, 7))
-    cplx = np.empty((n, 5), complex)
-    cplx.real = rng.choice(AWKWARD, size=cplx.shape)
-    cplx.imag = rng.choice(AWKWARD + [-0.0] * 5, size=cplx.shape)
     return {
         "real": [("v", real)],
-        "complex": [("g", cplx)],
         "integer": [("n", np.arange(-3 * n // 2, 3 * n // 2,
                                     dtype=np.int64).reshape(n, 3))],
         "single-row": [("x", np.array(AWKWARD))],
-        "multi-array": [("x", real[:, :5]), ("g", cplx),
+        "multi-array": [("x", real[:, :5]), ("g", real[:, 2:]),
                         ("n", np.arange(5 * n, dtype=np.int32).reshape(n, 5))],
         "one and two columns": [("a", real[:, :1]), ("b", real[:, :2])],
     }
@@ -626,12 +610,11 @@ def _signed(draw):
 def test_csv_encoder_bytes_equal_per_value_repr(data):
     """The block encoder writes the bytes of a repr call per value, -nan for
     a NaN whose sign bit is set: one row or many, a row count that blocks
-    do not divide, and complex arrays as re/im pairs."""
+    do not divide."""
     shape = (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 12)))
-    is_complex = data.draw(st.booleans())
-    size = math.prod(shape) * (1 + is_complex)
+    size = math.prod(shape)
     values = data.draw(st.lists(_signed(), min_size=size, max_size=size))
-    arr = np.array(values).view(complex if is_complex else float).reshape(shape)
+    arr = np.array(values).reshape(shape)
     block = data.draw(st.sampled_from([gridio._BLOCK, 1, 5, 13, 40]))
     fh = io.BytesIO()
     with mock.patch.object(gridio, "_BLOCK", block):
@@ -693,15 +676,15 @@ def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
     cmap = correlation_map(sg)
     # product -> (writer, reader, its array, stored shape, floats formatted)
     products = {
-        "S": (write_spectral_grid, read_spectral_grid, sg, "values",
+        "S": (write_spectral_grid, read_spectral_grid, sg, "quadrant",
               (129, 65), 129 * 65),
         "wavelength-angle grid": (
             write_wavelength_angle_grid, read_wavelength_angle_grid,
-            to_wavelength_angle(sg, cfg), "values", (256, 64), 256 * 64),
-        "map": (write_coherence_map, read_coherence_map, cmap, "g",
+            to_wavelength_angle(sg, cfg), "half", (256, 64), 256 * 64),
+        "map": (write_coherence_map, read_coherence_map, cmap, "quadrant",
                 (513, 129), 513 * 129),
         "blurred map": (write_coherence_map, read_coherence_map,
-                        instrument_blur(cmap, 1e-15, 6e-6), "g",
+                        instrument_blur(cmap, 1e-15, 6e-6), "quadrant",
                         (513, 129), 513 * 129)}
     for name, (write, read, product, field, shape, formatted) in products.items():
         for fmt in ("csv", "binary"):
@@ -721,8 +704,8 @@ def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
 
 
 _TAU, _XI = (np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6
-# real and even in tau and xi, so that it is stored folded
-_G = _conjugate_even(np.arange(15.0).reshape(5, 3))
+# the tau >= 0, xi >= 0 quadrant of a 5 x 3 map
+_G = np.arange(6.0).reshape(3, 2)
 _POS = np.arange(8) * 4e-8
 _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
                  k_half_width=1e5, n_k=64)
@@ -737,7 +720,7 @@ _PRODUCTS = {
         read_spectral_grid),
     "wavelength-angle": (lambda p, fmt: write_wavelength_angle_grid(
         p, WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
-                               np.linspace(-0.02, 0.02, 3), np.ones((5, 3)),
+                               np.linspace(-0.02, 0.02, 3), np.ones((5, 2)),
                                provenance={}), fmt=fmt),
         read_wavelength_angle_grid),
     "assembled": (lambda p, fmt: write_assembled_map(p, AssembledMap(
@@ -896,90 +879,72 @@ def _exact_axis(draw, n=None):
     return (draw(st.integers(-600, 600)) + np.arange(n)) * _dyadic(draw)
 
 
-def _values(draw, shape, dtype=float):
+def _values(draw, shape):
     """Random values over many decades, a fifth of them AWKWARD."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    size = math.prod(shape) * (2 if dtype is complex else 1)
+    size = math.prod(shape)
     flat = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
     special = rng.random(size) < 0.2
     flat[special] = rng.choice(AWKWARD, int(special.sum()))
-    return flat.view(dtype).reshape(shape)
+    return flat.reshape(shape)
 
 
 def _header_float(draw):
     return draw(st.floats(allow_nan=False, allow_infinity=False))
 
 
-# product -> (what makes a drawn array symmetric as the product is, the
-# fundamental domain that a file of a symmetric array stores)
-SYMMETRIES = {
-    "coherence map": (_conjugate_even, lambda a: a[len(a) // 2:, a.shape[1] // 2:]),
-    "spectral grid": (_even_in_omega_and_k, lambda a: a[len(a) // 2::-1, a.shape[1] // 2::-1]),
-    "wavelength-angle grid": (_even_about_centre, lambda a: a[:, a.shape[1] // 2:]),
-}
+def _domain(draw, symmetry, shape):
+    """Random values of the shape of symmetry's domain of an array of shape."""
+    return _values(draw, symmetry(np.empty(shape))[0].shape)
 
 
-def _laid_out(draw, kind, values):
-    """(values, expected): the drawn values as they are, made symmetric
-    (NaN, +-inf and signed zeros land in mirror cells), or made symmetric
-    and then one mirror cell's real part set to a zero that differs from
-    it in its bits; and, unless the values are as drawn, whether the file
-    stores them folded and the array it stores."""
-    symmetric, domain = SYMMETRIES[kind]
-    layout = draw(st.sampled_from(["as drawn", "symmetric", "one cell off"]))
-    if layout == "as drawn":
-        return values, None
-    values = symmetric(values)
-    mirror_cells = np.ones(values.shape, bool)
-    domain(mirror_cells)[...] = False
-    cells = np.flatnonzero(mirror_cells)
-    if layout == "symmetric" or not cells.size:
-        return values, (True, domain(values))
-    cell = np.unravel_index(cells[draw(st.integers(0, cells.size - 1))], values.shape)
-    part = values.real[cell]
-    values.real[cell] = 0.0 if part == 0 and np.signbit(part) else -0.0
-    return values, (False, values)
-
-
-def _check_stored(path, expected):
-    if expected is not None:
-        folded, array = expected
-        header, stored = _stored(path)
-        assert ("fold" in header) == folded
-        assert stored.shape == array.shape
-        assert stored.tobytes() == np.ascontiguousarray(array).tobytes()
+def _check_stored(path, domain):
+    """The file is folded and stores domain, bit for bit."""
+    header, stored = _stored(path)
+    assert "fold" in header
+    assert stored.shape == domain.shape
+    assert stored.tobytes() == np.ascontiguousarray(domain).tobytes()
 
 
 def _coherence_round_trip(draw, path, fmt):
-    # real as written today, complex as in older files
     tau, xi = _exact_axis(draw), _exact_axis(draw)
-    g, expected = _laid_out(draw, "coherence map", _values(
-        draw, (tau.size, xi.size), draw(st.sampled_from([float, complex]))))
+    quadrant = _domain(draw, map_mirror, (tau.size, xi.size))
     write_coherence_map(path, CoherenceMap(
-        tau, xi, g, carrier_omega=_header_float(draw),
+        tau, xi, quadrant, carrier_omega=_header_float(draw),
         intensity=_header_float(draw), provenance={}), fmt=fmt)
-    _check_stored(path, expected)
+    _check_stored(path, quadrant)
     back = read_coherence_map(path)
-    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.g, g)]
+    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.quadrant, quadrant)]
 
 
 def _spectral_round_trip(draw, path, fmt):
+    """S is drawn whole as it is, made even in Omega and k (NaN, +-inf and
+    signed zeros land in mirror cells), or made even and then one mirror
+    cell set to a zero that differs from it in its bits."""
     # any spec, not one whose axes the start/step/count header holds exactly
     n_omega, n_k = draw(st.sampled_from([64, 128])), draw(st.sampled_from([64, 128]))
     half_w = draw(st.floats(1e9, 1e16))
     spec = GridSpec(omega_center=half_w * draw(st.floats(1.001, 1e3)),
                     omega_half_width=half_w, n_omega=n_omega,
                     k_half_width=draw(st.floats(1.0, 1e9)), n_k=n_k)
-    values, expected = _laid_out(draw, "spectral grid", _values(draw, (n_omega, n_k)))
-    if expected is None or not expected[0]:
+    values = _values(draw, (n_omega, n_k))
+    layout = draw(st.sampled_from(["as drawn", "even", "one cell off"]))
+    if layout != "as drawn":
+        values = _even_in_omega_and_k(values)
+    if layout == "one cell off":
+        mirror_cells = np.ones(values.shape, bool)
+        mirror_cells[:n_omega // 2 + 1, :n_k // 2 + 1] = False
+        cells = np.flatnonzero(mirror_cells)
+        cell = np.unravel_index(cells[draw(st.integers(0, cells.size - 1))], values.shape)
+        values[cell] = 0.0 if values[cell] == 0 and np.signbit(values[cell]) else -0.0
+    if layout != "even":
         # S is held as its (|Omega|, |k|) quadrant: an S that the quadrant
         # does not give back bit for bit is refused before any file
         with pytest.raises(ConfigurationError, match=r"^S is not even in (k|Omega): "):
             SpectralGrid(spec, values)
         values = _even_in_omega_and_k(values)
-        expected = True, SYMMETRIES["spectral grid"][1](values)
     write_spectral_grid(path, SpectralGrid(spec, values), fmt=fmt)
-    _check_stored(path, expected)
+    _check_stored(path, values[n_omega // 2::-1, n_k // 2::-1])
     back = read_spectral_grid(path)
     assert back.spec == spec
     return [(back.omega_axis(), spec.omega_axis()), (back.k_axis(), spec.k_axis()),
@@ -988,13 +953,12 @@ def _spectral_round_trip(draw, path, fmt):
 
 def _wavelength_angle_round_trip(draw, path, fmt):
     lam, theta = _exact_axis(draw), _exact_axis(draw)
-    values, expected = _laid_out(draw, "wavelength-angle grid",
-                                 _values(draw, (lam.size, theta.size)))
-    write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, values), fmt=fmt)
-    _check_stored(path, expected)
+    half = _domain(draw, angle_mirror, (lam.size, theta.size))
+    write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, half), fmt=fmt)
+    _check_stored(path, half)
     back = read_wavelength_angle_grid(path)
     return [(back.wavelength_axis_m, lam), (back.angle_axis_rad, theta),
-            (back.values, values)]
+            (back.half, half)]
 
 
 def _assembled_round_trip(draw, path, fmt):
@@ -1007,8 +971,7 @@ def _assembled_round_trip(draw, path, fmt):
 
 def _profile_round_trip(draw, path, fmt):
     n = draw(st.integers(1, 30))
-    columns = [(f"c{i}", _values(draw, (n,), draw(st.sampled_from([float, complex]))))
-               for i in range(draw(st.integers(1, 4)))]
+    columns = [(f"c{i}", _values(draw, (n,))) for i in range(draw(st.integers(1, 4)))]
     write_profile(path, "coherence-cut", {"theta_tag": "19p94"}, columns, fmt=fmt)
     _, back = read_profile(path, "coherence-cut")
     assert list(back) == [name for name, _ in columns]

@@ -3,10 +3,12 @@
 Runs dispersion, phasematch, spectrum, coherence --blur 1fs,6um and
 interferogram on the config, once with CSV and once with binary output,
 then analyze of each manifest into a directory of its own, all with the
-pdcoh of this checkout and into a temporary directory. Prints each
-command's exit code, then one sorted "sha256  format/path" line per
-product. Diff its output for two checkouts to list the products a change
-moves:
+pdcoh of this checkout, at one BLAS thread, and into a temporary
+directory. Prints numpy's version and BLAS build, each command's exit
+code, then one sorted "sha256  format/path" line per product. Maps,
+metrics and traces differ at rounding level between BLAS thread counts
+and builds, so only lists whose first lines agree compare. Diff its
+output for two checkouts to list the products a change moves:
 
     python3 tools/product_digests.py > change.txt
     python3 /path/to/parent/tools/product_digests.py > parent.txt
@@ -22,9 +24,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = (["dispersion"], ["phasematch"], ["spectrum"],
             ["coherence", "--blur", "1fs,6um"], ["interferogram"])
+BLAS_THREADS = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                              "MKL_NUM_THREADS"), "1")
 
 
 def _run(argv, env):
@@ -41,7 +47,9 @@ def main(argv=None):
                         help="write the products into DIR, which must be empty "
                              "or absent, and keep them")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **BLAS_THREADS)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"numpy {np.__version__}  BLAS {blas['name']} {blas['version']}  1 thread")
     text = Path(args.config).read_text()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(args.keep or tmp)
