@@ -4,7 +4,9 @@ Subcommands wire a configuration file to the computation pipeline and
 emit plot-ready data files. Outputs are deterministic: the same config
 and inputs produce byte-identical files on one numpy and BLAS build at one
 BLAS thread count. Exit codes: 0 success, 1 configuration or validation
-problem, 2 runtime failure.
+problem, 2 runtime failure. A command that builds S hands each orientation's
+S, unnamed, to that orientation's product writer, so nothing of one
+orientation is held while the next S is built.
 """
 
 from __future__ import annotations
@@ -178,20 +180,22 @@ def _build_spectrum(rc, theta, args):
 
 def cmd_spectrum(args):
     rc, out = _load(args)
-    ext = FORMATS[rc.out_format]
     for theta in _select_thetas(rc, args):
-        sg = _build_spectrum(rc, theta, args)
-        tag = _theta_tag(theta)
-        _write(args, write_spectral_grid, out / f"spectrum_{tag}_omega_k.{ext}",
-               sg, fmt=rc.out_format)
-        _write(args, write_wavelength_angle_grid,
-               out / f"spectrum_{tag}_wavelength_angle.{ext}",
-               to_wavelength_angle(sg, rc.crystal_config(theta)),
-               fmt=rc.out_format)
+        _spectrum_products(args, out, rc, theta, _build_spectrum(rc, theta, args))
     return 0
 
 
-def _coherence_products(args, out, rc, tag, cmap, suffix=""):
+def _spectrum_products(args, out, rc, theta, sg):
+    """S at one orientation and its wavelength-angle grid."""
+    ext, tag = FORMATS[rc.out_format], _theta_tag(theta)
+    _write(args, write_spectral_grid, out / f"spectrum_{tag}_omega_k.{ext}",
+           sg, fmt=rc.out_format)
+    _write(args, write_wavelength_angle_grid,
+           out / f"spectrum_{tag}_wavelength_angle.{ext}",
+           to_wavelength_angle(sg, rc.crystal_config(theta)), fmt=rc.out_format)
+
+
+def _map_products(args, out, rc, tag, cmap, suffix=""):
     ext = FORMATS[rc.out_format]
     _write(args, write_coherence_map, out / f"coherence_{tag}_{suffix}map.{ext}",
            cmap, fmt=rc.out_format)
@@ -224,41 +228,53 @@ def cmd_coherence(args):
             raise ConfigurationError(f"--blur: widths must be >= 0, got {args.blur}")
     rc, out = _load(args)
     for theta in _select_thetas(rc, args):
-        tag = _theta_tag(theta)
-        cmap = correlation_map(_build_spectrum(rc, theta, args))
-        if blur:  # refused before this orientation writes anything
-            with blamed("--blur", MapExtentError, ResolutionError):
-                blur_sigma(cmap, *blur)
-        _coherence_products(args, out, rc, tag, cmap)
-        if blur:
-            _coherence_products(args, out, rc, tag,
-                                instrument_blur(cmap, *blur), suffix="blur_")
+        _coherence_products(args, out, rc, theta,
+                            _build_spectrum(rc, theta, args), blur)
     return 0
+
+
+def _coherence_products(args, out, rc, theta, sg, blur):
+    """The map of S at one orientation, and its blurred map if blur is a
+    (time, length) pair, each with its cuts and metrics."""
+    tag = _theta_tag(theta)
+    cmap = correlation_map(sg)
+    if blur:  # refused before this orientation writes anything
+        with blamed("--blur", MapExtentError, ResolutionError):
+            blur_sigma(cmap, *blur)
+    _map_products(args, out, rc, tag, cmap)
+    if blur:
+        _map_products(args, out, rc, tag, instrument_blur(cmap, *blur),
+                      suffix="blur_")
 
 
 def cmd_interferogram(args):
     rc, out = _load(args)
-    icfg = rc.interferometer
     for theta in _select_thetas(rc, args):
-        tag = _theta_tag(theta)
-        column = correlation_columns(_build_spectrum(rc, theta, args))
-        paths = []
-        for j in range(rc.bs2_count):
-            bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m
-            # the fields that place the sweep in tau and xi
-            with blamed("[interferometer] stage_span, bs2_step, bs2_count and "
-                        f"magnification: BS2 at {bs2 * 1e6:g} um",
-                        SamplingError, MapExtentError):
-                trace = synthesize_trace(column(bs2 * icfg.shift_to_xi), icfg,
-                                         bs2_position_m=bs2,
-                                         stage_span_m=rc.stage_span_m,
-                                         orientation=tag)
-            tpath = out / f"interferogram_{tag}_trace{j:02d}.csv"
-            _write(args, write_trace, tpath, trace)
-            paths.append(tpath)
-        _write(args, write_manifest, out / f"interferogram_{tag}_manifest.txt",
-               paths)
+        _interferogram_products(args, out, rc, theta,
+                                _build_spectrum(rc, theta, args))
     return 0
+
+
+def _interferogram_products(args, out, rc, theta, sg):
+    """The fringe traces of S at one orientation's BS2 steps, and their
+    manifest."""
+    icfg, tag = rc.interferometer, _theta_tag(theta)
+    column = correlation_columns(sg)
+    paths = []
+    for j in range(rc.bs2_count):
+        bs2 = (j - (rc.bs2_count - 1) / 2.0) * rc.bs2_step_m
+        # the fields that place the sweep in tau and xi
+        with blamed("[interferometer] stage_span, bs2_step, bs2_count and "
+                    f"magnification: BS2 at {bs2 * 1e6:g} um",
+                    SamplingError, MapExtentError):
+            trace = synthesize_trace(column(bs2 * icfg.shift_to_xi), icfg,
+                                     bs2_position_m=bs2,
+                                     stage_span_m=rc.stage_span_m,
+                                     orientation=tag)
+        tpath = out / f"interferogram_{tag}_trace{j:02d}.csv"
+        _write(args, write_trace, tpath, trace)
+        paths.append(tpath)
+    _write(args, write_manifest, out / f"interferogram_{tag}_manifest.txt", paths)
 
 
 def cmd_analyze(args):

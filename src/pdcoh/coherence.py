@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MapExtentError, ResolutionError
-from .spectrum import unfold
+from .spectrum import check_domain, unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -48,6 +48,10 @@ class CoherenceMap:
     carrier_omega: float
     intensity: float
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        shape = (self.tau_axis.size, self.xi_axis.size)
+        check_domain(map_mirror, self.quadrant, shape, "CoherenceMap quadrant")
 
     @property
     def g(self):

@@ -34,6 +34,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -43,7 +44,7 @@ from .coherence import CoherenceMap, map_mirror
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
 from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    angle_mirror, s_mirror
+    angle_mirror, domain_shape, s_mirror
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -110,7 +111,7 @@ def _float_rows(arr):
 _K_MIN, _K_MAX = -240, 272  # the 10^k table
 _FAST_RANGE = (1e-250, 1e250)
 _MARGIN = 1e-9  # in units of the 17th digit
-_BLOCK = 1 << 14  # values per block
+_BLOCK = 1 << 12  # values per block: about 1 MB of temporaries
 _SLOT = 25  # bytes per value: sign, at most 23 characters, separator
 
 
@@ -361,6 +362,7 @@ def _write_binary(path, header, arrays):
 
 def _read_binary(path):
     with open(path, "rb") as fh:
+        end = os.fstat(fh.fileno()).st_size
         fh.seek(len(_MAGIC))
         (length,) = struct.unpack("<I", fh.read(4))
         blob = fh.read(length)
@@ -378,13 +380,13 @@ def _read_binary(path):
             if dtype != "<f8":
                 raise ConfigurationError(f"{path}: array {name!r} has dtype "
                                          f"{dtype!r}; pdcoh files hold <f8")
-            size = int(np.prod(shape)) * 8
-            raw = fh.read(size)
-            if len(raw) != size:
-                raise ConfigurationError(
-                    f"{path}: truncated: array {name!r} needs {size} bytes, "
-                    f"{len(raw)} remain")
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            size, left = math.prod(shape) * 8, end - fh.tell()
+            if size > left:  # checked before a header's shape is allocated
+                raise ConfigurationError(f"{path}: truncated: array {name!r} "
+                                         f"needs {size} bytes, {left} remain")
+            # read into the array itself: no copy of its bytes beside it
+            arrays[name] = np.empty(shape, dtype)
+            fh.readinto(arrays[name])
     return meta, arrays
 
 
@@ -434,8 +436,7 @@ def _read(path, kind, axes=()):
             raise ConfigurationError(f"{path}: {kind} files have fold {ours!r}, "
                                      f"this one {fold!r}")
         if symmetry is not None:
-            # the domain's shape, from a view of the shape that holds no memory
-            shape = symmetry(np.broadcast_to(0.0, shape))[0].shape
+            shape = domain_shape(symmetry, shape)
         for name, arr in arrays.items() if axes else ():
             if arr.shape != shape:
                 raise ConfigurationError(f"{path}: array {name!r} has shape "

@@ -208,6 +208,21 @@ def unfold(symmetry, domain, shape):
     return full
 
 
+def domain_shape(symmetry, shape):
+    """The shape of symmetry's fundamental domain in an array of shape, from
+    a view of that shape that holds no memory."""
+    return symmetry(np.broadcast_to(0.0, shape))[0].shape
+
+
+def check_domain(symmetry, domain, shape, name):
+    """Refuse a domain that is not symmetry's fundamental domain of a grid
+    of shape, naming the domain and the shape its axes give."""
+    want = domain_shape(symmetry, shape)
+    if np.shape(domain) != want:
+        raise ConfigurationError(f"{name} has shape {np.shape(domain)}; axes "
+                                 f"of {shape[0]} x {shape[1]} nodes give {want}")
+
+
 def s_mirror(values):
     """(domain, mirror pairs) of an S even in Omega and k, as S(Omega^2, k^2)
     is: the block Omega = 0 .. -Omega_max, k = 0 .. -k_max (-Omega_max and
@@ -356,6 +371,10 @@ class WavelengthAngleGrid:
     angle_axis_rad: np.ndarray
     half: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        shape = (self.wavelength_axis_m.size, self.angle_axis_rad.size)
+        check_domain(angle_mirror, self.half, shape, "WavelengthAngleGrid half")
 
     @property
     def values(self):

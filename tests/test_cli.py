@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -366,36 +367,84 @@ def test_cli_import_loads_no_scipy(tmp_path):
     assert (tmp_path / "out" / "coherence_19p94_blur_map.bin").is_file()
 
 
-def _numpy_ma_after(*argvs):
-    """Each command's exit code and whether numpy.ma was loaded after it,
+def _loaded_after(module, *argvs):
+    """Each command's exit code and whether module was loaded after it,
     the commands run in turn in one fresh interpreter."""
     code = ("import json, sys, pdcoh.cli\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    print(pdcoh.cli.main(argv), 'numpy.ma' in sys.modules)\n")
+            "module, argvs = json.loads(sys.argv[1])\n"
+            "for argv in argvs:\n"
+            "    print(pdcoh.cli.main(argv), module in sys.modules)\n")
     src = str(Path(pdcoh.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
-                         check=True, capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code, json.dumps([module, argvs])],
+                         env=env, check=True, capture_output=True, text=True).stdout
     return [line for line in out.splitlines() if not line.startswith("wrote ")]
+
+
+def _small_config(tmp_path):
+    small = tmp_path / "small.ini"
+    small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
+                     .replace("= 128", "= 64"))
+    return small
 
 
 def test_analyze_loads_no_numpy_ma(ws, tmp_path):
     # numpy.ma takes about 18 ms to import; np.median loads it lazily
-    assert _numpy_ma_after(["analyze", str(ws["manifest"]), "--config", str(ws["cfg"]),
-                            "--out", str(tmp_path / "an")]) == ["0 False"]
+    argv = ["analyze", str(ws["manifest"]), "--config", str(ws["cfg"]),
+            "--out", str(tmp_path / "an")]
+    assert _loaded_after("numpy.ma", argv) == ["0 False"]
     assert (tmp_path / "an" / "analyze_metrics.txt").is_file()
 
 
 def test_csv_spectrum_and_blurred_coherence_load_no_numpy_ma(tmp_path):
     # the CSV encoder must not load it either (np.union1d and other set
     # operations do)
-    small = tmp_path / "small.ini"
-    small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
-                     .replace("= 128", "= 64"))
-    assert _numpy_ma_after(["spectrum", str(small)],
-                           ["coherence", str(small), "--blur", "1fs,6um"]) == ["0 False"] * 2
+    small = _small_config(tmp_path)
+    assert _loaded_after("numpy.ma", ["spectrum", str(small)],
+                         ["coherence", str(small), "--blur", "1fs,6um"]) == ["0 False"] * 2
     assert (tmp_path / "out" / "spectrum_19p94_omega_k.csv").is_file()
     assert (tmp_path / "out" / "coherence_19p94_blur_map.csv").is_file()
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib loads OpenSSL's _hashlib, about 3.5 MB of every launch's peak;
+    # the config digest takes the interpreter's built-in sha256
+    small = _small_config(tmp_path)
+    manifest = tmp_path / "out" / "interferogram_19p94_manifest.txt"
+    assert _loaded_after("_hashlib", ["dispersion", str(small)],
+                         ["phasematch", str(small)], ["spectrum", str(small)],
+                         ["coherence", str(small), "--blur", "1fs,6um"],
+                         ["interferogram", str(small)],
+                         ["analyze", str(manifest), "--config", str(small),
+                          "--out", str(tmp_path / "an")]) == ["0 False"] * 6
+    assert (tmp_path / "an" / "analyze_metrics.txt").is_file()
+
+
+def _main_peak(argv):
+    """tracemalloc's peak during main(argv), above what was held at its start."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command", [["interferogram"], ["coherence", "--blur=1fs,6um"]])
+def test_no_orientation_holds_its_arrays_past_its_products(tmp_path, command):
+    """Two orientations peak no higher than the higher of them alone: none
+    of the first one's S, map, blurred map or column is held while the
+    second is built. The 32 kB slack covers the run's own small objects
+    (7 kB measured); a map of this grid takes 530 kB, the interferogram's
+    column 285 kB."""
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.format(out=tmp_path / "out"))
+    argv = [command[0], str(config), *command[1:]]
+    thetas = ["--theta=19.90deg", "--theta=19.94deg"]
+    main(argv + thetas)  # fills what a first run caches
+    one = max(_main_peak(argv + [theta]) for theta in thetas)
+    assert _main_peak(argv + thetas) <= one + 32_000
 
 
 def test_maps_and_metrics_at_one_and_two_blas_threads_agree_to_rounding(tmp_path):

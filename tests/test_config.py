@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -17,6 +19,7 @@ from pdcoh.config import (
     parse_quantity,
     parse_time,
 )
+from pdcoh.hashing import config_digest
 
 FULL = """\
 [crystal]
@@ -200,6 +203,14 @@ def test_digests_are_pinned():
     # products carry these; a refactor of the loader must not move them
     assert load_run_config(EXAMPLE).config_hash() == "28ae62fb584b44c9"
     assert InterferometerConfig().config_hash() == "b627084064ac68bf"
+
+
+@pytest.mark.parametrize("fields", [{}, {"b": [1.5, "x"], "a": None},
+                                    {"theta": 0.3468, "gain": 6, "name": "bbo\u00e9"}])
+def test_the_digest_is_sha256_of_the_sorted_json(fields):
+    # the interpreter's built-in sha256, not hashlib's OpenSSL one, gives it
+    text = json.dumps(fields, sort_keys=True)
+    assert config_digest(fields) == hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_an_omitted_field_loads_as_its_default_text(tmp_path):

@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import os
 import re
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -218,6 +220,18 @@ def test_assembled_map_round_trip(tmp_path, fmt):
     back = read_assembled_map(path)
     assert np.array_equal(back.magnitude, amap.magnitude)
     assert back.provenance["n_traces"] == 5
+
+
+def test_a_domain_of_the_wrong_shape_is_refused_at_construction():
+    # a whole 5 x 3 map or grid, where its quadrant or half belongs, would
+    # be written as a file that its reader refuses
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "CoherenceMap quadrant has shape (5, 3); axes of 5 x 3 nodes give (3, 2)")):
+        CoherenceMap(_TAU, _XI, np.ones((5, 3)), carrier_omega=1.2e15, intensity=1.0)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "WavelengthAngleGrid half has shape (5, 3); axes of 5 x 3 nodes give (5, 2)")):
+        WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5), np.linspace(-0.02, 0.02, 3),
+                            np.ones((5, 3)))
 
 
 def test_single_column_map_keeps_its_shape(tmp_path):
@@ -620,6 +634,52 @@ def test_csv_encoder_bytes_equal_per_value_repr(data):
     with mock.patch.object(gridio, "_BLOCK", block):
         gridio._write_rows(fh, gridio._float_rows(arr))
     assert fh.getvalue().decode() == "".join(line + "\n" for line in _reference_lines(arr))
+
+
+def test_csv_encoder_blocks_hold_about_a_megabyte():
+    # a block's temporaries take about 240 bytes a value: 4,096-value
+    # blocks peak at 0.99 MB above the rows, 16,384-value blocks at 4.1 MB
+    rows = np.random.default_rng(32).standard_normal((513, 257))
+    gridio._tables()  # cached from the first CSV write on
+    with open(os.devnull, "wb") as sink:
+        tracemalloc.start()
+        try:
+            gridio._write_rows(sink, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.5e6
+
+
+def test_binary_reader_holds_one_copy_of_an_array(tmp_path):
+    # each array is read into its own buffer; a bytes copy beside it
+    # doubled the peak of a read
+    half = np.random.default_rng(7).random((1024, 256))
+    path = tmp_path / "wag.bin"
+    write_wavelength_angle_grid(path, WavelengthAngleGrid(
+        np.linspace(1.2e-6, 2.2e-6, 1024), np.linspace(-0.02, 0.02, 512), half),
+        fmt="binary")
+    tracemalloc.start()
+    try:
+        back = read_wavelength_angle_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.half, half)
+    assert peak < 1.25 * half.nbytes
+
+
+def test_an_array_its_file_cannot_hold_is_refused_before_it_is_allocated(tmp_path):
+    # a 10^6 x 10^6 array (7.3 TiB) ended in numpy's MemoryError
+    path = tmp_path / "huge.bin"
+    path.write_bytes(_binary_file({
+        "arrays": [["density", "<f8", [10**6, 10**6]]], "pdcoh_file": 1,
+        "kind": "wavelength-angle-density", "fold": "angle >= 0",
+        "wavelength_start": 1e-06, "wavelength_step": 1e-09, "n_wavelength": 10**6,
+        "angle_start": -0.1, "angle_step": 1e-07, "n_angle": 2 * 10**6}) + bytes(64))
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"{path}: truncated: array 'density' needs 8000000000000 bytes, 64 remain")):
+        read_wavelength_angle_grid(path)
 
 
 def test_csv_encoder_matches_repr_over_a_seeded_sweep():
