@@ -196,7 +196,11 @@ def load_sellmeier(source):
             raise ConfigurationError(
                 f"unknown Sellmeier set {source!r}: not one of {SHIPPED_SETS} "
                 f"and not a readable file")
-        text = path.read_text()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigurationError(
+                f"cannot read Sellmeier file {source}: {exc}") from exc
         origin = str(path)
     return _parse_sellmeier(text, origin).validate()
 

@@ -112,14 +112,15 @@ def synthesize_trace(column, icfg, bs2_position_m=0.0, stage_span_m=None,
 
     column is g1's CoherenceColumn at the trace's xi, bs2_position_m *
     icfg.shift_to_xi, linear between its tau nodes, which the sweep must
-    not pass (MapExtentError); the detector reads (r1 + r2) + 2 sqrt(r1 r2)
-    g(tau) cos(omega_c tau). The sweep is centred where the stage
-    compensates the BS2-induced delay, as an operator re-finding the fringe
-    packet would, and must cover at least 3 fringes (default 4), sampled 20
-    times per fringe. The sweep is a _uniform axis, so a trace file rebuilds
-    it bit for bit. The BS2 delay enters the synthesized signal; analysis
-    derives it from the recorded BS2 position to realign the trace.
-    Anything but a CoherenceColumn raises ConfigurationError.
+    not pass (MapExtentError, from its two ends before it is sampled, so a
+    sweep of any length is refused at once); the detector reads (r1 + r2)
+    + 2 sqrt(r1 r2) g(tau) cos(omega_c tau). The sweep is centred where the
+    stage compensates the BS2-induced delay, as an operator re-finding the
+    fringe packet would, and must cover at least 3 fringes (default 4),
+    sampled 20 times per fringe. The sweep is a _uniform axis, so a trace
+    file rebuilds it bit for bit. The BS2 delay enters the synthesized
+    signal; analysis derives it from the recorded BS2 position to realign
+    the trace. Anything but a CoherenceColumn raises ConfigurationError.
     """
     if not isinstance(column, CoherenceColumn):
         raise ConfigurationError(
@@ -132,18 +133,22 @@ def synthesize_trace(column, icfg, bs2_position_m=0.0, stage_span_m=None,
     if fringes < 3.0:
         raise SamplingError(
             f"sweep spans {fringes:.2f} fringes; cover at least 3")
+    center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
+    start = center - 0.5 * stage_span_m
+    # the delays at the sweep's ends; its last sample's lies within rounding
+    # of the second
+    ends = [(start + span) * icfg.stage_to_delay
+            + bs2_position_m * icfg.shift_to_delay for span in (0.0, stage_span_m)]
+    if not column.tau_axis[0] <= ends[0] <= ends[1] <= column.tau_axis[-1]:
+        raise MapExtentError(f"sweep delays {ends[0]:.4g} to {ends[1]:.4g} s pass "
+                             f"the map's tau axis, +-{column.tau_axis[-1]:.4g} s")
     # a sweep of whole fringes is whole only up to the carrier's last bits
     samples = 20.0 * fringes
     if abs(samples - round(samples)) < 1e-9:
         samples = round(samples)
     n_samples = int(math.ceil(samples)) + 1
-    center = -bs2_position_m * icfg.shift_to_delay / icfg.stage_to_delay
-    start = center - 0.5 * stage_span_m
     positions = _uniform(start, stage_span_m / (n_samples - 1), n_samples)
     tau = positions * icfg.stage_to_delay + bs2_position_m * icfg.shift_to_delay
-    if not column.tau_axis[0] <= tau[0] <= tau[-1] <= column.tau_axis[-1]:
-        raise MapExtentError(f"sweep delays {tau[0]:.4g} to {tau[-1]:.4g} s pass "
-                             f"the map's tau axis, +-{column.tau_axis[-1]:.4g} s")
     intensities = sum(icfg.split_ratio) + icfg.fringe_amplitude * np.interp(
         tau, column.tau_axis, column.g) * np.cos(column.carrier_omega * tau)
     return FringeTrace(positions_m=positions, intensities=intensities,

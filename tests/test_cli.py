@@ -759,6 +759,9 @@ def test_runtime_failures_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command, old, new, fields", [
     ("interferogram", "stage_span = 16 um", "stage_span = 1 um",
      r"\[interferometer\] stage_span.*cover at least 3"),
+    # refused from the sweep's ends, before any of it is sampled
+    ("interferogram", "stage_span = 16 um", "stage_span = 1e300 um",
+     r"\[interferometer\] stage_span.*pass the map's tau axis"),
     ("interferogram", "bs2_step = 40 um", "bs2_step = 5 mm",
      r"\[interferometer\] .*bs2_step.*BS2 at -25000 um.*outside the map"),
     ("interferogram", "bs2_count = 11", "bs2_count = 11\nmagnification = 1e-6",
@@ -779,6 +782,20 @@ def test_refusals_that_config_values_cause_exit_1_naming_them(
         argv = ["analyze", str(ws["manifest"]), "--config", str(bad)]
     assert main(argv) == 1
     assert re.search(fields, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["dispersion", "spectrum"])
+def test_unreadable_sellmeier_file_exits_1_naming_it(tmp_path, capsys, command):
+    sellmeier = tmp_path / "random.txt"
+    sellmeier.write_bytes(bytes(range(128, 192)))  # not UTF-8 text
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG.format(out=tmp_path)
+                   .replace("bbo_kato1986", str(sellmeier)))
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"\[crystal\] material: cannot read Sellmeier file .*random\.txt",
+                     err), err
+    assert "internal error" not in err
 
 
 def test_readme_commands_run(tmp_path, monkeypatch):

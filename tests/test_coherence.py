@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -393,3 +394,19 @@ def test_provenance_flows_through(map94, sell):
     out = instrument_blur(map94, 1e-15, 6e-6)
     assert out.provenance["blur_tau_s"] == 1e-15
     assert map94.provenance.get("blur_tau_s") is None
+
+
+def test_tau_stage_holds_r_and_a_few_blocks_not_the_whole_cos_kernel(sell):
+    """On the example's 1024 x 512 grid either transform's peak stays within
+    R (513 x 257, 1.05 MB) and a few 64-row blocks (0.26 MB each): the
+    whole 513 x 513 cos kernel, 2.1 MB more, took it to 3.32 MB."""
+    cfg = _cfg(19.94, sell)
+    sg = build_spectrum(cfg, auto_grid(cfg, 1024, 512))
+    for transform in (correlation_columns, correlation_map):
+        tracemalloc.start()
+        try:
+            transform(sg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_300_000, (transform.__name__, peak)

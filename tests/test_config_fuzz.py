@@ -26,7 +26,7 @@ BASE = {key: value for section in _EXAMPLE.sections()
 BASE.update(n_omega="64", n_k="64", theta="19.94 deg", format="binary")
 
 # huge valid values of these are large jobs, not bad inputs
-_NO_HUGE = {"n_omega", "n_k", "bs2_count", "stage_span"}
+_NO_HUGE = {"n_omega", "n_k", "bs2_count"}
 
 
 @contextlib.contextmanager

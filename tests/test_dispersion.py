@@ -1,4 +1,6 @@
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -191,3 +193,16 @@ def test_loader_reports_missing_keys(tmp_path):
     with pytest.raises(ConfigurationError) as err:
         load_sellmeier(str(path))
     assert "extraordinary" in str(err.value)
+
+
+def test_loader_refuses_an_unreadable_file_naming_it(tmp_path):
+    path = tmp_path / "random.txt"
+    path.write_bytes(bytes(range(128, 192)))  # not UTF-8 text
+    with pytest.raises(ConfigurationError,
+                       match=r"cannot read Sellmeier file .*random\.txt.*utf-8"):
+        load_sellmeier(str(path))
+    path.write_text("material = BBO\n")
+    with mock.patch.object(Path, "read_text", side_effect=PermissionError(
+            13, "Permission denied")), pytest.raises(
+            ConfigurationError, match=r"random\.txt.*Permission denied"):
+        load_sellmeier(str(path))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -509,3 +510,17 @@ def test_synthesize_trace_takes_only_a_column(flat, icfg):
                 rf"^synthesize_trace takes a CoherenceColumn, got "
                 rf"{type(given_).__name__}; coherence\.correlation_columns\(sg\)")):
             synthesize_trace(given_, icfg)
+
+
+@pytest.mark.parametrize("span_m", [1.0, 1e294, 1e308, math.nan])
+def test_a_sweep_past_the_column_is_refused_before_it_is_sampled(flat, icfg, span_m):
+    # 1 m of stage travel is 25 M samples, 200 MB of positions; the
+    # refusal comes from the sweep's two ends, before any array is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(MapExtentError, match="pass the map's tau axis"):
+            synthesize_trace(flat, icfg, stage_span_m=span_m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
