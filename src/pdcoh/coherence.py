@@ -80,12 +80,11 @@ class CoherenceColumn:
 
 
 def map_mirror(g):
-    """(domain, mirror pairs) of a map g1 of an S even in Omega and k: the
-    tau >= 0, xi >= 0 quadrant, copied onto xi < 0, then tau < 0 (g1 is
-    real and even in tau and xi)."""
+    """(domain, (image, source) pairs) of a map g1 of an S even in Omega
+    and k: the tau >= 0, xi >= 0 quadrant, copied onto xi < 0, then tau < 0
+    (g1 is real and even in tau and xi)."""
     n, m = g.shape[0] // 2, g.shape[1] // 2
-    return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m], np.positive),
-                       (g[:n], g[::-1][:n], np.positive)]
+    return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m]), (g[:n], g[::-1][:n])]
 
 
 def _tau_stage(sg, os_tau, ext_tau):
@@ -140,9 +139,8 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     aliasing.
 
     S is even in k and in Omega, as S(Omega^2, k^2) about the degenerate
-    frequency is, and SpectralGrid holds its (|Omega|, |k|) quadrant (it
-    refuses a full array that is not even). Each node is the exact Riemann
-    sum over the grid,
+    frequency is, and SpectralGrid holds only its (|Omega|, |k|) quadrant.
+    Each node is the exact Riemann sum over the grid,
     with the unpaired column and row counted half at each end (the even
     quadrature of an even S), so g is real and even in tau and xi bit for
     bit: _tau_stage's R @ kernel(xi >= 0) is its tau >= 0, xi >= 0

@@ -87,17 +87,17 @@ class SpectralGrid:
     """Sampled density S(omega_axis[i], k_axis[j]), held only as s_mirror's
     domain, the C-ordered (|Omega|, |k|) quadrant: quadrant[i, j] is S at
     Omega = -i omega_step, |k| = j k_step, i <= n_omega / 2, j <= n_k / 2.
-
-    values is that quadrant, or S over the whole grid, folded on entry: S
-    is even in Omega and k, as S(Omega^2, k^2) about the degenerate
-    frequency is, and a full array that is not, bit for bit (the unpaired
-    -Omega_max row and -k_max column may hold any values), raises
-    ConfigurationError naming its first asymmetric column or row.
+    S is even in Omega and k, as S(Omega^2, k^2) about the degenerate
+    frequency is, so the quadrant is all of it; any other shape raises
+    ConfigurationError. An even full array folds to it with
+    np.ascontiguousarray(s_mirror(full)[0]).
     """
 
-    def __init__(self, spec, values, provenance=None):
+    def __init__(self, spec, quadrant, provenance=None):
+        check_domain(s_mirror, quadrant, (spec.n_omega, spec.n_k),
+                     "SpectralGrid quadrant")
         self.spec = spec
-        self.quadrant = _fold(spec, values)
+        self.quadrant = quadrant
         self.provenance = {} if provenance is None else provenance
 
     @property
@@ -124,25 +124,6 @@ class SpectralGrid:
                 f"spectral density at the grid edge is {self.edge_ratio:.2e} of the "
                 f"peak (limit {EDGE_DECAY_RATIO:.0e}); widen the grid before "
                 "transforming")
-
-
-def _fold(spec, values):
-    """S's (|Omega|, |k|) quadrant from values of its shape or of the grid's."""
-    values = np.ascontiguousarray(values, dtype=float)
-    shape, n, half = (spec.n_omega, spec.n_k), spec.n_omega // 2, spec.n_k // 2
-    if values.shape == (n + 1, half + 1):
-        return values
-    if values.shape != shape:
-        raise ConfigurationError(f"S has shape {values.shape}; its grid gives {shape}, "
-                                 f"its (|Omega|, |k|) quadrant {(n + 1, half + 1)}")
-    bits = values.view(np.uint64)
-    for axis, name, unequal in (("k", "column", bits[:, 1:] != bits[:, :0:-1]),
-                                ("Omega", "row", (bits[1:] != bits[:0:-1]).T)):
-        odd = np.flatnonzero(unequal.any(axis=0))
-        if odd.size:
-            raise ConfigurationError(f"S is not even in {axis}: {name} {odd[0] + 1} "
-                                     f"differs from its mirror {unequal.shape[1] - odd[0]}")
-    return np.ascontiguousarray(s_mirror(values)[0])
 
 
 def _density_from_mismatch(mismatch, length_m, gain):
@@ -199,12 +180,12 @@ def _masked_density(cfg, omega, k):
 def unfold(symmetry, domain, shape):
     """The array of shape whose fundamental domain under symmetry
     (s_mirror, angle_mirror, coherence.map_mirror) is domain: each image view
-    of the symmetry's (image, source, op) pairs, in order, is op(source)."""
+    of the symmetry's (image, source) pairs, in order, is a copy of source."""
     full = np.empty(shape, domain.dtype)
     view, pairs = symmetry(full)
     view[...] = domain
-    for image, source, op in pairs:
-        op(source, out=image)
+    for image, source in pairs:
+        image[...] = source
     return full
 
 
@@ -224,14 +205,15 @@ def check_domain(symmetry, domain, shape, name):
 
 
 def s_mirror(values):
-    """(domain, mirror pairs) of an S even in Omega and k, as S(Omega^2, k^2)
-    is: the block Omega = 0 .. -Omega_max, k = 0 .. -k_max (-Omega_max and
-    -k_max are the Omega_max and k_max nodes), copied onto k > 0, then Omega > 0."""
+    """(domain, (image, source) pairs) of an S even in Omega and k, as
+    S(Omega^2, k^2) is: the block Omega = 0 .. -Omega_max, k = 0 .. -k_max
+    (-Omega_max and -k_max are the Omega_max and k_max nodes), whose sources
+    are copied onto the images k > 0, then Omega > 0."""
     n, half = values.shape[0] // 2, values.shape[1] // 2
     low = values[:n + 1]
     return low[::-1, half::-1], [
-        (low[:, half + 1:], low[:, half - 1::-1][:, :low.shape[1] - half - 1], np.positive),
-        (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1], np.positive)]
+        (low[:, half + 1:], low[:, half - 1::-1][:, :low.shape[1] - half - 1]),
+        (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1])]
 
 
 def _edge_ratios(cfg, grid):
@@ -315,7 +297,7 @@ def build_spectrum(cfg, grid=None):
 
     The grid is centred on the degenerate frequency, where S is even in
     Omega and k: only the (|Omega|, |k|) quadrant that SpectralGrid holds
-    is evaluated, in _masked_density's blocks of the rows Omega <= 0, and
+    is evaluated, by _density_blocks over the rows Omega <= 0, and
     no full array is made. Invalid nodes are zeroed and counted at their
     weight on the whole grid; more than 1% of them is a configuration
     error. The provenance records the edge decay ratio, from the grid's
@@ -384,10 +366,10 @@ class WavelengthAngleGrid:
 
 
 def angle_mirror(values):
-    """(domain, mirror pairs) of a wavelength-angle grid of an S even in k:
-    the theta >= 0 columns, copied onto theta < 0."""
+    """(domain, (image, source) pairs) of a wavelength-angle grid of an S
+    even in k: the theta >= 0 columns, copied onto theta < 0."""
     half = values.shape[1] // 2
-    return values[:, half:], [(values[:, :half], values[:, ::-1][:, :half], np.positive)]
+    return values[:, half:], [(values[:, :half], values[:, ::-1][:, :half])]
 
 
 def to_wavelength_angle(sg, cfg):

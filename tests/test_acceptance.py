@@ -171,12 +171,14 @@ def test_criterion_4_ring_heights(pipelines):
 def test_criterion_5_coupling_functional(pipelines):
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=256, k_half_width=1e5, n_k=128)
-    big_omega = spec.omega_axis() - spec.omega_center
-    values = np.exp(-0.5 * (big_omega / 2e13) ** 2)[:, None] \
-        * np.exp(-0.5 * (spec.k_axis() / 1e4) ** 2)[None, :]
-    separable = SpectralGrid(spec, values, {"edge_ratio": float(
-        max(values[0].max(), values[-1].max(),
-            values[:, 0].max(), values[:, -1].max()) / values.max())})
+    # S's (|Omega|, |k|) quadrant; its last two rows and columns are the
+    # grid's edges
+    abs_omega = np.arange(spec.n_omega // 2 + 1) * spec.omega_step
+    abs_k = np.arange(spec.n_k // 2 + 1) * spec.k_step
+    quadrant = np.exp(-0.5 * (abs_omega / 2e13) ** 2)[:, None] \
+        * np.exp(-0.5 * (abs_k / 1e4) ** 2)[None, :]
+    separable = SpectralGrid(spec, quadrant, {"edge_ratio": float(
+        max(quadrant[-2:].max(), quadrant[:, -2:].max()) / quadrant.max())})
     defect_sep = factorability_defect(correlation_map(separable))
     defect_ring = factorability_defect(pipelines[19.94][1])
     ok = defect_sep < 1e-6 and defect_ring > 0.1

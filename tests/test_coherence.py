@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pdcoh import (
-    ConfigurationError,
     CrystalConfig,
     EdgeDecayError,
     GridSpec,
@@ -56,12 +55,14 @@ def spectra(sell):
 def _gaussian_grid(sigma_w=2e13, sigma_k=1e4):
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=256, k_half_width=1e5, n_k=128)
-    big_omega = spec.omega_axis() - spec.omega_center
-    values = np.exp(-0.5 * (big_omega / sigma_w) ** 2)[:, None] \
-        * np.exp(-0.5 * (spec.k_axis() / sigma_k) ** 2)[None, :]
-    edge = max(values[0].max(), values[-1].max(),
-               values[:, 0].max(), values[:, -1].max())
-    return SpectralGrid(spec, values, {"edge_ratio": edge / values.max()})
+    # the (|Omega|, |k|) quadrant; its last two rows and columns are the
+    # grid's edges
+    abs_omega = np.arange(spec.n_omega // 2 + 1) * spec.omega_step
+    abs_k = np.arange(spec.n_k // 2 + 1) * spec.k_step
+    quadrant = np.exp(-0.5 * (abs_omega / sigma_w) ** 2)[:, None] \
+        * np.exp(-0.5 * (abs_k / sigma_k) ** 2)[None, :]
+    edge = max(quadrant[-2:].max(), quadrant[:, -2:].max())
+    return SpectralGrid(spec, quadrant, {"edge_ratio": edge / quadrant.max()})
 
 
 def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
@@ -128,48 +129,16 @@ def test_hermitian_symmetry(map94):
     assert np.array_equal(map94.g[::-1, ::-1], np.conj(map94.g))
 
 
-def _even_in_omega_and_k(table):
-    """S even in Omega and k, as S(Omega^2, k^2) is, from its Omega >= 0,
-    k >= 0 quadrant: row n/2 +- m and column n/2 +- m are table row and
-    column m, and the unpaired first row and column (-n/2 steps) are table
-    row and column n/2."""
-    n_w, n_k = table.shape
-    return table[np.abs(np.arange(n_w) - n_w // 2)][:, np.abs(np.arange(n_k) - n_k // 2)]
-
-
 _SPEC64 = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                    n_omega=64, k_half_width=1e5, n_k=64)
 
 
-def _refused(cell, message):
-    """A random even S is transformed, with its unpaired row and column
-    free; with the cell moved it is refused with the message as it enters
-    SpectralGrid, which holds S as its (|Omega|, |k|) quadrant."""
-    values = _even_in_omega_and_k(np.random.default_rng(3).random((64, 64)))
-    values[:, 0] = 5.0
-    values[0] = 7.0
-    correlation_map(SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0}),
-                    oversample=2, extent_cells=4)
-    values[cell] += 1e-3
-    with pytest.raises(ConfigurationError, match=message):
-        SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0})
-
-
-def test_transform_refuses_a_density_odd_in_k():
-    _refused((10, 37), "^S is not even in k: column 27 differs from its mirror 37$")
-
-
-def test_transform_refuses_a_density_odd_in_omega():
-    # both columns move, so S stays even in k
-    _refused((10, [27, 37]), "^S is not even in Omega: row 10 differs from its mirror 54$")
-
-
 def test_transform_is_exact_for_a_k_mirrored_density():
     # a random S, even in Omega and k, with mass in the unpaired Omega row
-    # and k column
-    values = _even_in_omega_and_k(np.random.default_rng(3).random((64, 64)))
-    assert np.all(values[0] > 0) and np.all(values[:, 0] > 0)
-    sg = SpectralGrid(_SPEC64, values, {"edge_ratio": 0.0})
+    # and k column: the quadrant's last row and column
+    quadrant = np.random.default_rng(3).random((33, 33))
+    assert np.all(quadrant[-1] > 0) and np.all(quadrant[:, -1] > 0)
+    sg = SpectralGrid(_SPEC64, quadrant, {"edge_ratio": 0.0})
     cm = correlation_map(sg, oversample=2, extent_cells=4)
     for i, tau in enumerate(cm.tau_axis):
         for j, xi in enumerate(cm.xi_axis):
@@ -185,11 +154,11 @@ def test_zero_lag_intensity_is_grid_sum(map94, sell):
 
 def test_refuses_undecayed_grid(sell):
     sg = build_spectrum(_cfg(19.94, sell))
-    bad = SpectralGrid(sg.spec, sg.values, {"edge_ratio": 0.02})
+    bad = SpectralGrid(sg.spec, sg.quadrant, {"edge_ratio": 0.02})
     with pytest.raises(EdgeDecayError, match="widen"):
         correlation_map(bad)
     with pytest.raises(EdgeDecayError):
-        correlation_map(SpectralGrid(sg.spec, sg.values, {}))
+        correlation_map(SpectralGrid(sg.spec, sg.quadrant, {}))
 
 
 def test_separable_gaussian_factorizes():
@@ -205,9 +174,10 @@ def test_separable_gaussian_factorizes():
 def test_delta_spectrum_is_fully_coherent():
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=128, k_half_width=1e5, n_k=64)
-    values = np.zeros((128, 64))
-    values[64, 32] = 1.0
-    cm = correlation_map(SpectralGrid(spec, values, {"edge_ratio": 0.0}))
+    # S at Omega = 0, k = 0 alone: its quadrant's first node
+    quadrant = np.zeros((65, 33))
+    quadrant[0, 0] = 1.0
+    cm = correlation_map(SpectralGrid(spec, quadrant, {"edge_ratio": 0.0}))
     assert np.max(np.abs(np.abs(cm.g) - 1.0)) < 1e-12
 
 

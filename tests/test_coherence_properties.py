@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pdcoh import GridSpec, SpectralGrid
 from pdcoh.coherence import correlation_columns, correlation_map, direct_correlation, \
     factorability_defect
+from pdcoh.spectrum import s_mirror
 
 # small maps keep each example to about a millisecond
 SIDE = dict(oversample=2, extent_cells=6)
@@ -16,10 +17,12 @@ n_omegas = st.sampled_from([64, 128])
 
 
 def _grid(values):
+    """S over the whole grid, an even array, held as its quadrant."""
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=values.shape[0], k_half_width=1e5,
                     n_k=values.shape[1])
-    return SpectralGrid(spec, values, {"edge_ratio": 0.0})
+    return SpectralGrid(spec, np.ascontiguousarray(s_mirror(values)[0]),
+                        {"edge_ratio": 0.0})
 
 
 def _mirror(n):

@@ -43,7 +43,7 @@ from pdcoh.interferometer import (
     fringe_period_stage_m,
     synthesize_trace,
 )
-from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, to_wavelength_angle
+from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, s_mirror, to_wavelength_angle
 
 
 @pytest.fixture()
@@ -51,8 +51,7 @@ def sg():
     rng = np.random.default_rng(7)
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=64, k_half_width=1e5, n_k=64)
-    values = _even_in_omega_and_k(rng.random((64, 64)))
-    return SpectralGrid(spec, values, provenance={
+    return SpectralGrid(spec, rng.random((33, 33)), provenance={
         "material": "bbo_kato1986", "gain": 6.0, "edge_ratio": 1e-5,
         "invalid_nodes": 0})
 
@@ -223,8 +222,8 @@ def test_assembled_map_round_trip(tmp_path, fmt):
 
 
 def test_a_domain_of_the_wrong_shape_is_refused_at_construction():
-    # a whole 5 x 3 map or grid, where its quadrant or half belongs, would
-    # be written as a file that its reader refuses
+    # a whole map or grid, where its quadrant or half belongs, would be
+    # written as a file that its reader refuses
     with pytest.raises(ConfigurationError, match=re.escape(
             "CoherenceMap quadrant has shape (5, 3); axes of 5 x 3 nodes give (3, 2)")):
         CoherenceMap(_TAU, _XI, np.ones((5, 3)), carrier_omega=1.2e15, intensity=1.0)
@@ -232,6 +231,10 @@ def test_a_domain_of_the_wrong_shape_is_refused_at_construction():
             "WavelengthAngleGrid half has shape (5, 3); axes of 5 x 3 nodes give (5, 2)")):
         WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5), np.linspace(-0.02, 0.02, 3),
                             np.ones((5, 3)))
+    # S over the whole grid, where its (|Omega|, |k|) quadrant belongs
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "SpectralGrid quadrant has shape (64, 64); axes of 64 x 64 nodes give (33, 33)")):
+        SpectralGrid(_SPEC, np.ones((64, 64)))
 
 
 def test_single_column_map_keeps_its_shape(tmp_path):
@@ -551,17 +554,6 @@ def _reference_lines(arr):
     return [",".join(_cell(v) for v in row) for row in np.atleast_2d(arr)]
 
 
-def _even_in_omega_and_k(a):
-    """a, of even numbers of rows and columns, with row n // 2 + j a copy of
-    row n // 2 - j and column m // 2 + j a copy of column m // 2 - j: even
-    in Omega and k, as S is; row and column 0 are any."""
-    a = np.array(a)
-    for b in (a, a.T):
-        half = len(b) // 2
-        b[half + 1:] = b[half - 1:0:-1]
-    return a
-
-
 def _awkward_arrays(n=40):
     """Arrays of n rows, n even, of the values repr finds awkward."""
     rng = np.random.default_rng(3)
@@ -776,7 +768,7 @@ _PRODUCTS = {
         _TAU, _XI, _G, carrier_omega=1.2e15,
         intensity=1.0, provenance={}), fmt=fmt), read_coherence_map),
     "spectral": (lambda p, fmt: write_spectral_grid(p, SpectralGrid(
-        _SPEC, np.ones((64, 64)), provenance={"gain": 6.0}), fmt=fmt),
+        _SPEC, np.ones((33, 33)), provenance={"gain": 6.0}), fmt=fmt),
         read_spectral_grid),
     "wavelength-angle": (lambda p, fmt: write_wavelength_angle_grid(
         p, WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
@@ -978,37 +970,19 @@ def _coherence_round_trip(draw, path, fmt):
 
 
 def _spectral_round_trip(draw, path, fmt):
-    """S is drawn whole as it is, made even in Omega and k (NaN, +-inf and
-    signed zeros land in mirror cells), or made even and then one mirror
-    cell set to a zero that differs from it in its bits."""
     # any spec, not one whose axes the start/step/count header holds exactly
     n_omega, n_k = draw(st.sampled_from([64, 128])), draw(st.sampled_from([64, 128]))
     half_w = draw(st.floats(1e9, 1e16))
     spec = GridSpec(omega_center=half_w * draw(st.floats(1.001, 1e3)),
                     omega_half_width=half_w, n_omega=n_omega,
                     k_half_width=draw(st.floats(1.0, 1e9)), n_k=n_k)
-    values = _values(draw, (n_omega, n_k))
-    layout = draw(st.sampled_from(["as drawn", "even", "one cell off"]))
-    if layout != "as drawn":
-        values = _even_in_omega_and_k(values)
-    if layout == "one cell off":
-        mirror_cells = np.ones(values.shape, bool)
-        mirror_cells[:n_omega // 2 + 1, :n_k // 2 + 1] = False
-        cells = np.flatnonzero(mirror_cells)
-        cell = np.unravel_index(cells[draw(st.integers(0, cells.size - 1))], values.shape)
-        values[cell] = 0.0 if values[cell] == 0 and np.signbit(values[cell]) else -0.0
-    if layout != "even":
-        # S is held as its (|Omega|, |k|) quadrant: an S that the quadrant
-        # does not give back bit for bit is refused before any file
-        with pytest.raises(ConfigurationError, match=r"^S is not even in (k|Omega): "):
-            SpectralGrid(spec, values)
-        values = _even_in_omega_and_k(values)
-    write_spectral_grid(path, SpectralGrid(spec, values), fmt=fmt)
-    _check_stored(path, values[n_omega // 2::-1, n_k // 2::-1])
+    quadrant = _domain(draw, s_mirror, (n_omega, n_k))
+    write_spectral_grid(path, SpectralGrid(spec, quadrant), fmt=fmt)
+    _check_stored(path, quadrant)
     back = read_spectral_grid(path)
     assert back.spec == spec
     return [(back.omega_axis(), spec.omega_axis()), (back.k_axis(), spec.k_axis()),
-            (back.values, values)]
+            (back.quadrant, quadrant)]
 
 
 def _wavelength_angle_round_trip(draw, path, fmt):
