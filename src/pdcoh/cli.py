@@ -174,8 +174,11 @@ def _build_spectrum(rc, theta, args):
     except DensityPeakError as exc:
         raise ConfigurationError(f"[crystal] gain and length: {exc}") from exc
     except ConfigurationError as exc:
-        field = "--theta" if args.theta else "[crystal] theta"
-        raise ConfigurationError(f"{field}: {exc}") from exc
+        raise ConfigurationError(f"{_theta_field(args)}: {exc}") from exc
+
+
+def _theta_field(args):
+    return "--theta" if args.theta else "[crystal] theta"
 
 
 def cmd_spectrum(args):
@@ -197,9 +200,9 @@ def _spectrum_products(args, out, rc, theta, sg):
 
 def _map_products(args, out, rc, tag, cmap, suffix=""):
     ext = FORMATS[rc.out_format]
+    m = metrics(cmap)
     _write(args, write_coherence_map, out / f"coherence_{tag}_{suffix}map.{ext}",
            cmap, fmt=rc.out_format)
-    m = metrics(cmap)
     for axis, cut, name in ((m.tau_axis, m.tau_cut, "tau_cut"),
                             (m.xi_axis, m.xi_cut, "xi_cut")):
         _write(args, write_profile, out / f"coherence_{tag}_{suffix}{name}.{ext}",
@@ -241,7 +244,9 @@ def _coherence_products(args, out, rc, theta, sg, blur):
     if blur:  # refused before this orientation writes anything
         with blamed("--blur", MapExtentError, ResolutionError):
             blur_sigma(cmap, *blur)
-    _map_products(args, out, rc, tag, cmap)
+    # an angle whose central peak the auto-sized grid resolves too coarsely
+    with blamed(_theta_field(args), ResolutionError):
+        _map_products(args, out, rc, tag, cmap)
     if blur:
         _map_products(args, out, rc, tag, instrument_blur(cmap, *blur),
                       suffix="blur_")

@@ -10,7 +10,7 @@ import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdcoh.cli import main
@@ -131,6 +131,9 @@ def _commands(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_commands())
+# near the angle cap, the auto-sized grid resolves the central peak too coarsely
+@example((["coherence", "base.ini", "--theta=68.9375deg", "--out=new/out"],
+          ["--theta", "--out"]))
 def test_drawn_flags_exit_0_or_1_naming_the_flag(command):
     argv, flags = command
     err = io.StringIO()
