@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +57,7 @@ class SellmeierSet:
         lo, hi = self.valid_range_um
         if not (0 < lo < hi):
             raise ConfigurationError(
-                f"{self.material}: valid_range_um must be ordered and positive, "
+                f"{self.name}: valid_range_um must be ordered and positive, "
                 f"got ({lo}, {hi})")
         lam = np.linspace(lo, hi, 65)
         n_o2 = _n_squared(lam, self.ordinary)
@@ -66,11 +65,11 @@ class SellmeierSet:
         for name, n2 in (("ordinary", n_o2), ("extraordinary", n_e2)):
             if not (np.all(np.isfinite(n2)) and np.all(n2 > 1.0)):
                 raise ConfigurationError(
-                    f"{self.material}: {name} index not real and above 1 "
+                    f"{self.name}: {name} index not real and above 1 "
                     f"over ({lo}, {hi}) um")
         if not np.all(n_e2 < n_o2):
             raise ConfigurationError(
-                f"{self.material}: not negative uniaxial over ({lo}, {hi}) um")
+                f"{self.name}: not negative uniaxial over ({lo}, {hi}) um")
         return self
 
 
@@ -187,21 +186,16 @@ def load_sellmeier(source):
     source is either a shipped set name (see SHIPPED_SETS) or a path to a
     text file in the same key = value format.
     """
-    if source in SHIPPED_SETS:
-        text = (resources.files("pdcoh") / "data" / f"{source}.txt").read_text()
-        origin = source
-    else:
-        path = Path(source)
-        if not path.is_file():
-            raise ConfigurationError(
-                f"unknown Sellmeier set {source!r}: not one of {SHIPPED_SETS} "
-                f"and not a readable file")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigurationError(
-                f"cannot read Sellmeier file {source}: {exc}") from exc
-        origin = str(path)
+    shipped = source in SHIPPED_SETS
+    path = Path(__file__).parent / "data" / f"{source}.txt" if shipped else Path(source)
+    if not path.is_file():
+        raise ConfigurationError(f"Sellmeier set {source!r}: {path} is not a "
+                                 f"readable file (shipped sets: {SHIPPED_SETS})")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read Sellmeier file {path}: {exc}") from exc
+    origin = source if shipped else str(path)
     return _parse_sellmeier(text, origin).validate()
 
 

@@ -159,22 +159,9 @@ def _density_blocks(cfg, omega, k):
         yield lo, density, valid
 
 
-def _masked_density(cfg, omega, k):
-    """Density over an axis product with invalid nodes set to 0.
-
-    Returns (values, invalid count per row), values C-ordered. The mismatch
-    depends on k only through k^2, so each distinct |k| is evaluated once
-    (_density_blocks) and taken back out to its columns.
-    """
-    abs_k, column = np.unique(np.abs(k), return_inverse=True)
-    repeats = np.bincount(column)
-    values = np.empty((omega.size, k.size))
-    invalid = np.empty(omega.size, int)
-    for lo, density, valid in _density_blocks(cfg, omega, abs_k):
-        # mode="clip" lets take write straight into out (indices are in range)
-        np.take(density, column, axis=1, out=values[lo:lo + _ROW_BLOCK], mode="clip")
-        invalid[lo:lo + _ROW_BLOCK] = ~valid @ repeats
-    return values, invalid
+def _density(cfg, omega, k):
+    """Density over omega x k, stacked from _density_blocks (C-ordered)."""
+    return np.concatenate([density for _, density, _ in _density_blocks(cfg, omega, k)])
 
 
 def unfold(symmetry, domain, shape):
@@ -218,18 +205,18 @@ def s_mirror(values):
 
 def _edge_ratios(cfg, grid):
     """(Omega, k) edge ratios of the S build_spectrum builds on grid, from
-    its Omega <= 0 half as there (row 1 is the last row's mirror, column 1
-    the last column's |k|). The Omega = 0 row and k = 0 column bound the
-    peak from below; the whole half is searched only when that bound does
-    not clear the edges."""
+    its quadrant as there: rows -Omega_max and the last row's mirror,
+    columns |k| = k_max and the last column's |k|. The Omega = 0 row and
+    k = 0 column bound the peak from below; the whole quadrant is searched
+    only when that bound does not clear the edges."""
     n, half = grid.n_omega // 2, grid.n_k // 2
-    omega, k = grid.omega_axis()[:n + 1], grid.k_axis()
-    rows, _ = _masked_density(cfg, omega[[0, 1, n]], k)
-    cols, _ = _masked_density(cfg, omega, k[[0, 1, half]])
+    omega, k = grid.omega_axis()[:n + 1], np.abs(grid.k_axis()[half::-1])
+    rows = _density(cfg, omega[[0, 1, n]], k)
+    cols = _density(cfg, omega, k[[half, half - 1, 0]])
     edges = np.array([rows[:2].max(), cols[:, :2].max()])
     peak = max(rows.max(), cols.max())
     if edges.max() >= EDGE_DECAY_RATIO * peak:
-        peak = _masked_density(cfg, omega, k)[0].max()
+        peak = _density(cfg, omega, k).max()
     return edges / peak
 
 
@@ -255,22 +242,23 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
     half_w, half_k = reach, 4e5
     for _ in range(10):
         probe_w = omega_c + np.linspace(-half_w, half_w, 257)
-        probe_k = np.linspace(-half_k, half_k, 129)
+        # the k >= 0 half; S is even in k and this axis mirrors bit for bit
+        probe_k = np.linspace(-half_k, half_k, 129)[64:]
         # a gain or length so large that S overflows is refused just below
         with np.errstate(over="ignore", invalid="ignore"):
-            values, _ = _masked_density(cfg, probe_w, probe_k)
+            values = _density(cfg, probe_w, probe_k)
         peak = values.max()
         if not 0 < peak < math.inf:
             raise DensityPeakError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
                                    f"length {cfg.length_m:g} m")
         rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
         cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
-        if rows[0] or rows[-1] or cols[0] or cols[-1]:
+        if rows[0] or rows[-1] or cols[-1]:
             half_w = min(half_w * 1.5, reach)
             half_k *= 1.5
             continue
         span_w = np.abs(probe_w[rows] - omega_c).max()
-        span_k = np.abs(probe_k[cols]).max()
+        span_k = probe_k[cols].max()
         half_w, half_k = _GRID_MARGIN * span_w, _GRID_MARGIN * span_k
         for _ in range(_WIDEN_ROUNDS):
             if half_w > cap:

@@ -798,6 +798,50 @@ def test_unreadable_sellmeier_file_exits_1_naming_it(tmp_path, capsys, command):
     assert "internal error" not in err
 
 
+@pytest.mark.parametrize("old, new, refusal", [
+    ("0.22 3.1", "3.1 0.22", r"bad\.txt: valid_range_um must be ordered and positive"),
+    ("= 2.7359", "= 0.5", r"bad\.txt: ordinary index not real and above 1"),
+    ("material = BBO", "material BBO", r"bad\.txt:15: expected key = value"),
+    ("0.22 3.1", "0.22 3.1 5", r"bad\.txt: valid_range_um needs 2 numbers, got 3"),
+    ("2.3753", "2.3753x", r"bad\.txt: extraordinary: could not convert .*2\.3753x"),
+], ids=["unordered range", "index below 1", "line without =", "number count",
+        "non-numeric coefficient"])
+def test_malformed_sellmeier_file_exits_1_naming_it(tmp_path, capsys, old, new, refusal):
+    kato = (Path(pdcoh.__file__).parent / "data" / "bbo_kato1986.txt").read_text()
+    assert kato.count(old) == 1
+    (tmp_path / "bad.txt").write_text(kato.replace(old, new))
+    bad = tmp_path / "bad.ini"
+    bad.write_text(CONFIG.format(out=tmp_path / "out")
+                   .replace("bbo_kato1986", str(tmp_path / "bad.txt")))
+    assert main(["dispersion", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"\[crystal\] material: .*" + refusal, err), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_phasematch_below_the_collinear_angle_writes_no_locus(tmp_path, capsys):
+    cfg = _small_config(tmp_path)
+    assert main(["phasematch", str(cfg), "--theta", "19.80deg"]) == 0
+    assert "theta 19.8 deg: no phase-matched ring in range, nothing written" \
+        in capsys.readouterr().out
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["phasematch.txt"]
+
+
+def test_cli_import_loads_no_importlib_resources():
+    # the shipped Sellmeier sets are read by path, so no launch pays for
+    # importing importlib.resources; -S keeps site hooks from importing it
+    src = str(Path(pdcoh.__file__).resolve().parents[1])
+    site = str(Path(np.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            f"sys.path[:0] = [{src!r}, {site!r}]\n"
+            "import pdcoh.cli\n"
+            "pdcoh.load_sellmeier('bbo_kato1986')\n"
+            "print('importlib.resources' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "False\n"
+
+
 def test_readme_commands_run(tmp_path, monkeypatch):
     # the README's command block, line by line, on a 64 x 64 example grid
     root = Path(__file__).resolve().parents[1]

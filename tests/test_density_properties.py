@@ -19,7 +19,7 @@ from pdcoh.coherence import FWHM_TO_SIGMA, _gaussian_rows, blur_sigma, correlati
     instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, c, gvd, index
 from pdcoh.phasematch import _mismatch, phase_matched_locus
-from pdcoh.spectrum import _masked_density, s_mirror
+from pdcoh.spectrum import _density_blocks, s_mirror
 
 SELL = load_sellmeier("bbo_kato1986")
 
@@ -30,6 +30,13 @@ BOX = (st.floats(19.6, 20.1), st.floats(0.5, 8.0), st.floats(2e-3, 20e-3))
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _stacked_blocks(cfg, omega, k):
+    """_density_blocks over omega x k stacked: (density, invalid nodes per row)."""
+    blocks = list(_density_blocks(cfg, omega, k))
+    return (np.concatenate([density for _, density, _ in blocks]),
+            np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
 def _spectrum(theta_deg, gain, length_m):
@@ -69,7 +76,7 @@ def test_density_is_bounded_and_exchange_symmetric(theta_deg, gain, length_m):
 @given(*BOX)
 def test_quadrant_unfolds_to_the_full_grid_density(theta_deg, gain, length_m):
     """S is held as its (|Omega|, |k|) quadrant. Unfolded, it is bit for bit
-    _masked_density over the rows Omega <= 0 and the whole k axis, mirrored
+    _density_blocks over the rows Omega <= 0 and the whole k axis, mirrored
     onto Omega > 0 by s_mirror (rows there evaluated directly differ from
     their mirror by rounding only); its invalid nodes and edge ratio are
     those of that full array."""
@@ -80,11 +87,11 @@ def test_quadrant_unfolds_to_the_full_grid_density(theta_deg, gain, length_m):
     omega, k = sg.omega_axis(), sg.k_axis()
     n = omega.size // 2
     full = np.empty((omega.size, k.size))
-    full[:n + 1], rows = _masked_density(cfg, omega[:n + 1], k)
+    full[:n + 1], rows = _stacked_blocks(cfg, omega[:n + 1], k)
     for image, source in s_mirror(full)[1]:
         image[...] = source
     assert np.array_equal(_bits(sg.values), _bits(full))
-    direct, invalid = _masked_density(cfg, omega, k)
+    direct, invalid = _stacked_blocks(cfg, omega, k)
     assert np.abs(direct - full).max() <= 1e-10 * full.max()
     assert sg.provenance["invalid_nodes"] == 2 * rows.sum() - rows[0] - rows[n]
     assert sg.provenance["invalid_nodes"] == invalid.sum()

@@ -833,6 +833,8 @@ CORRUPTIONS = {
     "oversized length prefix": (
         "binary", lambda b: b[:8] + struct.pack("<I", 1 << 30) + b[12:]),
     "non-JSON binary header": ("binary", _garble_header),
+    "binary header that is not a JSON object": (
+        "binary", lambda _: _binary_file(["pdcoh_file", 1])),
     "binary header without arrays": (
         "binary", lambda _: _binary_file({"pdcoh_file": 1,
                                           "kind": "coherence-map"})),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -477,6 +478,11 @@ def test_assembly_rejects_inconsistent_inputs(flat, icfg):
     t_skew = _centered_sweep(flat, icfg, 100e-6, 30e-15)
     with pytest.raises(ConfigurationError, match="uniform"):
         assemble_map([t0, t1, t_skew], icfg)
+
+    # a sweep whose delays all lie past the others' ends
+    t_far = dataclasses.replace(t2, positions_m=t2.positions_m + 100e-6)
+    with pytest.raises(ConfigurationError, match="traces share no common delay range"):
+        assemble_map([t0, t1, t_far], icfg)
 
 
 def test_assembly_refuses_traces_of_two_orientations(flat, icfg):

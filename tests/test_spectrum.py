@@ -18,7 +18,7 @@ from pdcoh import (
 )
 from pdcoh.dispersion import c
 from pdcoh.phasematch import _mismatch
-from pdcoh.spectrum import _density_from_mismatch, _masked_density
+from pdcoh.spectrum import _density_blocks, _density_from_mismatch
 
 L = 0.01
 G = 6.0
@@ -113,7 +113,7 @@ def test_built_grid_is_the_density_over_the_axis_product(sell, theta_deg):
 
 
 def _density_by_column(cfg, omega, k):
-    """_masked_density's definition, one k column at a time."""
+    """_density_blocks' definition, one k column at a time."""
     columns, invalid = [], 0
     for kj in k:
         mismatch, valid = _mismatch(cfg, omega, kj)
@@ -123,8 +123,15 @@ def _density_by_column(cfg, omega, k):
     return np.column_stack(columns), invalid
 
 
+def _stacked_blocks(cfg, omega, k):
+    """_density_blocks over omega x k stacked: (density, invalid nodes per row)."""
+    blocks = list(_density_blocks(cfg, omega, k))
+    return (np.concatenate([density for _, density, _ in blocks]),
+            np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
+
+
 @pytest.mark.parametrize("axis", ["random", "probe"])
-def test_masked_density_equals_the_column_by_column_evaluation(theta_pm, sell, axis):
+def test_density_blocks_equal_the_column_by_column_evaluation(theta_pm, sell, axis):
     cfg = _cfg(theta_pm, sell)
     wc = cfg.degenerate_omega
     if axis == "random":
@@ -135,13 +142,24 @@ def test_masked_density_equals_the_column_by_column_evaluation(theta_pm, sell, a
         k = np.sort(np.concatenate([rng.uniform(-4e5, 4e5, 95),
                                     rng.uniform(7e6, 9e6, 2) * [-1, 1]]))
     else:
-        # auto_grid's first probe axes
+        # auto_grid's first probe axes, k >= 0 as it evaluates them
         omega = wc + np.linspace(-0.49 * wc, 0.49 * wc, 257)
-        k = np.linspace(-4e5, 4e5, 129)
-    values, invalid = _masked_density(cfg, omega, k)
+        k = np.linspace(-4e5, 4e5, 129)[64:]
+    values, invalid = _stacked_blocks(cfg, omega, k)
     want, want_invalid = _density_by_column(cfg, omega, k)
     assert values.tobytes() == want.tobytes()
     assert invalid.tolist() == want_invalid.tolist() and invalid.sum() > 0
+
+
+def test_auto_grid_probes_a_k_axis_that_mirrors_bit_for_bit():
+    # auto_grid evaluates only the k >= 0 half of each probe axis it can
+    # take; S is even in k, so that half stands for the whole axis only if
+    # every node's mirror is a node to the bit
+    half_k = 4e5
+    for _ in range(10):
+        k = np.linspace(-half_k, half_k, 129)
+        assert np.array_equal(-k[:65][::-1], k[64:]), half_k
+        half_k *= 1.5
 
 
 def test_grid_spec_validation():
