@@ -108,9 +108,7 @@ def _write(args, write, path, *data, **kwargs):
 def cmd_dispersion(args):
     rc, out = _load(args)
     s = rc.sellmeier
-    lo, hi = s.valid_range_um
-    # stay clear of the range ends: the gvd stencil probes +-0.1%
-    lam_um = np.linspace(lo * 1.02, hi * 0.98, args.points)
+    lam_um = np.linspace(*s.valid_range_um, args.points)
     header = {"material": rc.material}
     # a set whose ordinary gvd has no zero in range still has its table
     with contextlib.suppress(RootNotFoundError):

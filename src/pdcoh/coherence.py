@@ -218,21 +218,26 @@ class CoherenceMetrics:
 
 
 def _fwhm(axis, cut):
-    """Width of the central peak at half its own height, interpolated."""
+    """Width of the central peak at half its own height. Each crossing is a
+    root of the cubic through its two nodes and their outer neighbours, or
+    of the chord of its nodes where a neighbour is off the cut."""
     ipk = int(np.argmax(cut))
     half = cut[ipk] / 2.0
-    step = axis[1] - axis[0]
 
     def crossing(direction):
-        i = ipk
-        while 0 < i < cut.size - 1:
-            j = i + direction
-            if cut[j] < half:
-                frac = (cut[i] - half) / (cut[i] - cut[j])
-                return axis[i] + frac * direction * step
-            i = j
-        raise MapExtentError(
-            "half-maximum crossing lies outside the map; enlarge the extent")
+        below = np.flatnonzero(cut[ipk::direction] < half)
+        if not below.size:
+            raise MapExtentError(
+                "half-maximum crossing lies outside the map; enlarge the extent")
+        j = ipk + direction * below[0]
+        i = j - direction
+        frac = (cut[i] - half) / (cut[i] - cut[j])
+        if 0 <= j + direction < cut.size:
+            roots = np.polynomial.Polynomial.fit(
+                [-1, 0, 1, 2], cut[[i - direction, i, j, j + direction]] - half, 3).roots()
+            frac = min((r.real for r in roots if not r.imag and 0 <= r.real <= 1),
+                       key=lambda r: abs(r - frac), default=frac)
+        return axis[i] + frac * direction * (axis[1] - axis[0])
 
     return crossing(+1) - crossing(-1)
 
@@ -254,7 +259,7 @@ def metrics(cmap):
     """Coherence time, coherence radius, and ring height from the axis cuts.
 
     Widths are FWHM of |g1| along tau at xi = 0 and along xi at tau = 0,
-    with linear interpolation at the half-maximum crossings. The half level
+    with cubic interpolation at the half-maximum crossings. The half level
     refers to the cut's own peak, so blurred maps (peak below 1) are
     measured consistently. A peak resolved by fewer than 8 samples per
     FWHM raises ResolutionError carrying the needed refinement factor. The

@@ -27,9 +27,6 @@ c = 299_792_458.0
 
 SHIPPED_SETS = ("bbo_kato1986", "bbo_eimerl1987")
 
-# gvd's central-difference step, relative to omega
-_GVD_REL_STEP = 1e-3
-
 
 @dataclass(frozen=True)
 class SellmeierSet:
@@ -102,11 +99,10 @@ def _n_squared(lam_um, coeffs):
 def _check_range(lam_um, s, branch):
     lo, hi = s.valid_range_um
     lam = np.asarray(lam_um)
-    if np.any(lam < lo) or np.any(lam > hi):
-        bad = lam[(lam < lo) | (lam > hi)]
-        worst = float(bad.flat[0]) if bad.size else float(lam)
+    bad = lam[(lam < lo) | (lam > hi)]
+    if bad.size:
         raise WavelengthRangeError(
-            f"{worst:.6g} um outside {s.material} {branch} valid range "
+            f"{float(bad.flat[0]):.6g} um outside {s.material} {branch} valid range "
             f"({lo}, {hi}) um")
 
 
@@ -138,24 +134,24 @@ def wavenumber(omega, branch, s):
 
 
 def gvd(lam_um, branch, s):
-    """Group-velocity dispersion d2k/domega2 in fs^2/mm.
-
-    Central finite difference in angular frequency with step
-    _GVD_REL_STEP * omega; the three-point stencil must stay inside the
-    valid wavelength range. 1 s^2/m equals 1e27 fs^2/mm.
+    """Group-velocity dispersion d2k/domega2 in fs^2/mm, exact:
+    lambda^3 / (2 pi c^2) * d2n/dlambda2, with d2n/dlambda2 from the
+    Sellmeier form by the chain rule through w = 1/n^2 = cos^2(theta)/n_o^2
+    + sin^2(theta)/n_e^2, n = w^(-1/2); the ordinary branch is theta = 0.
     """
-    omega = 2e6 * math.pi * c / np.asarray(lam_um, dtype=float)
-    h = _GVD_REL_STEP * omega
-    for probe in (omega - h, omega + h):
-        _check_range(2e6 * math.pi * c / probe, s, _branch_name(branch))
-    k_minus = wavenumber(omega - h, branch, s)
-    k_mid = wavenumber(omega, branch, s)
-    k_plus = wavenumber(omega + h, branch, s)
-    return (k_minus - 2.0 * k_mid + k_plus) / h**2 * 1e27
-
-
-def _branch_name(branch):
-    return "ordinary" if isinstance(branch, Ordinary) else "extraordinary"
+    lam = np.asarray(lam_um, dtype=float)
+    n, theta = index(lam, branch, s), getattr(branch, "theta", 0.0)  # index checks lam
+    dw = d2w = 0.0
+    for weight, (a, b, cc, d) in ((math.cos(theta) ** 2, s.ordinary),
+                                  (math.sin(theta) ** 2, s.extraordinary)):
+        p = np.square(lam) - cc
+        n2, dn2 = a + b / p - d * np.square(lam), -2 * lam * (b / p**2 + d)
+        d2n2 = 8 * b * np.square(lam) / p**3 - 2 * b / p**2 - 2 * d
+        dw = dw - weight * dn2 / n2**2
+        d2w = d2w + weight * (2 * dn2**2 / n2**3 - d2n2 / n2**2)
+    d2n = 0.75 * n**5 * dw**2 - 0.5 * n**3 * d2w
+    # lambda in um, d2n/dlambda2 in 1/um^2; 1 s^2/m is 1e27 fs^2/mm
+    return lam**3 * d2n / (2 * math.pi * c**2) * 1e21
 
 
 def zero_dispersion_wavelength(s):

@@ -138,12 +138,23 @@ def collinear_degenerate_angle(pump_wavelength_m, sellmeier):
 
 
 def in_sellmeier_range(cfg, omega_s):
-    """Mask of signal frequencies whose signal and idler lie in the Sellmeier range."""
+    """Mask of signal frequencies whose signal and idler wavelengths, as
+    wavenumber checks them, lie in the Sellmeier range."""
     lo, hi = cfg.sellmeier.valid_range_um
-    w_lo, w_hi = 2e6 * math.pi * c / hi, 2e6 * math.pi * c / lo
-    omega_i = cfg.pump_omega - omega_s
-    return ((omega_s >= w_lo) & (omega_s <= w_hi)
-            & (omega_i >= w_lo) & (omega_i <= w_hi))
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = 2e6 * math.pi * c / np.array([omega_s, cfg.pump_omega - omega_s])
+    return np.all((lam >= lo) & (lam <= hi), axis=0)
+
+
+def _ring_squared(cfg, omega_s, offset=0.0):
+    """k^2 where delta_k(omega_s, k) = offset, exact: with k_p' = k_p - offset
+    and a = (k_p'^2 + k_s^2 - k_i^2) / 2 k_p', k^2 = k_s^2 - a^2. delta_k
+    grows with k^2, so a root exists where the on-axis mismatch <= offset."""
+    k_s = wavenumber(omega_s, ORDINARY, cfg.sellmeier)
+    k_i = wavenumber(cfg.pump_omega - omega_s, ORDINARY, cfg.sellmeier)
+    k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
+                     cfg.sellmeier) - offset
+    return np.square(k_s) - np.square((k_p**2 + np.square(k_s) - np.square(k_i)) / (2 * k_p))
 
 
 def phase_matched_locus(cfg, omega_grid):
@@ -151,21 +162,15 @@ def phase_matched_locus(cfg, omega_grid):
 
     Returns a list of (omega, k_ring) for every grid frequency where a root
     exists; frequencies without a root (or outside the dispersion range)
-    contribute nothing. With a = (k_p^2 + k_s^2 - k_i^2) / 2 k_p the root
-    is exact, k^2 = k_s^2 - a^2; it exists where the on-axis mismatch is
-    negative, and a ring whose on-axis |delta_k * L| is within rounding of
-    zero is reported collapsed, at k = 0.
+    contribute nothing. The root is _ring_squared's; it exists where the
+    on-axis mismatch is negative, and a ring whose on-axis |delta_k * L| is
+    within rounding of zero is reported collapsed, at k = 0.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     omega = omega[in_sellmeier_range(cfg, omega)]
-    k_s = wavenumber(omega, ORDINARY, cfg.sellmeier)
-    k_i = wavenumber(cfg.pump_omega - omega, ORDINARY, cfg.sellmeier)
-    k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
-                     cfg.sellmeier)
     at_axis = delta_k(omega, 0.0, cfg) * cfg.length_m
     collapsed = np.abs(at_axis) <= _LOCUS_TOL
-    k2 = np.square(k_s) - np.square((k_p**2 + np.square(k_s) - np.square(k_i)) / (2 * k_p))
-    ring = np.where(collapsed, 0.0, np.sqrt(np.maximum(k2, 0.0)))
+    ring = np.where(collapsed, 0.0, np.sqrt(np.maximum(_ring_squared(cfg, omega), 0.0)))
     keep = collapsed | (at_axis < 0)
     return [(float(w), float(k)) for w, k in zip(omega[keep], ring[keep])]
 

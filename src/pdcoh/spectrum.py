@@ -7,9 +7,9 @@ The density at mismatch delta_k is
 continued analytically to sin for an imaginary g. delta_k is unchanged when
 signal and idler exchange and depends on k only through k^2, so on a grid
 centred on the degenerate frequency S is even in Omega and k: it is
-evaluated once per (|Omega|, |k|). Grids are sized so the density decays
-below 1e-3 of its peak at every edge, which the correlation transform
-relies on.
+evaluated once per (|Omega|, |k|). Grids are sized from the density's
+closed-form support so that it decays below 1e-3 of its peak at every
+edge, which the correlation transform relies on.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ import numpy as np
 from .dispersion import c
 from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
 from .errors import ConfigurationError, DensityPeakError, EdgeDecayError
-from .phasematch import _mismatch, delta_k
+from .phasematch import _mismatch, _ring_squared, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
 
-# auto_grid's half-widths: the probed support of S widened by this factor,
-# then by 1% per round, for at most this many rounds, until the edges decay
+# auto_grid: the factor on S's closed-form support, and its |Omega| pass's nodes
 _GRID_MARGIN = 1.35
-_WIDEN_ROUNDS = 100
+_SUPPORT_NODES = 4097
 
 # series window for sinh(x)/x around the branch point, in u = x^2
 _SERIES_U = 1e-8
@@ -203,12 +202,18 @@ def s_mirror(values):
         (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1])]
 
 
+def _check_peak(cfg, peak):
+    if not 0 < peak < math.inf:
+        raise DensityPeakError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
+                               f"length {cfg.length_m:g} m")
+
+
 def _edge_ratios(cfg, grid):
-    """(Omega, k) edge ratios of the S build_spectrum builds on grid, from
-    its quadrant as there: rows -Omega_max and the last row's mirror,
-    columns |k| = k_max and the last column's |k|. The Omega = 0 row and
-    k = 0 column bound the peak from below; the whole quadrant is searched
-    only when that bound does not clear the edges."""
+    """((Omega, k) edge ratios, sampled peak) of the S build_spectrum builds
+    on grid, from its quadrant as there: rows -Omega_max and the last row's
+    mirror, columns |k| = k_max and the last column's |k|. The Omega = 0
+    row and k = 0 column bound the peak from below; the whole quadrant is
+    searched only when that bound does not clear the edges."""
     n, half = grid.n_omega // 2, grid.n_k // 2
     omega, k = grid.omega_axis()[:n + 1], np.abs(grid.k_axis()[half::-1])
     rows = _density(cfg, omega[[0, 1, n]], k)
@@ -217,67 +222,57 @@ def _edge_ratios(cfg, grid):
     peak = max(rows.max(), cols.max())
     if edges.max() >= EDGE_DECAY_RATIO * peak:
         peak = _density(cfg, omega, k).max()
-    return edges / peak
+    return edges / peak, peak
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
-    """Size a grid from the density's own support.
+    """Size a grid from the density's closed-form support.
 
-    A coarse probe locates where the density exceeds 1e-3 of its peak,
-    widening itself until that support is interior, and the half-widths add
-    _GRID_MARGIN. The probe can miss density between its nodes, so a
-    half-width whose grid edge still holds EDGE_DECAY_RATIO of the peak is
-    widened 1% at a time until every edge decays: every grid returned
-    passes the edge check. The probe spans up to 0.49 omega_c; a grid is
-    capped at the lesser of that and the |Omega| where signal or idler
-    leaves the material's dispersion range, and one past its cap raises
-    ConfigurationError naming the angle. A density with no finite positive
-    peak raises DensityPeakError.
+    With r = delta_k L / 2, S <= G^2 / (r^2 - G^2) past |r| = G, so S is
+    below EDGE_DECAY_RATIO of a peak P where |delta_k| >= delta; P is
+    sinh^2 G where delta_k = 0 is reachable, else S at the least on-axis
+    delta_k. delta_k grows with k^2, so the support spans the |Omega| of
+    one pass up to the cap whose on-axis delta_k is at most delta, and |k|
+    up to the exact root of delta_k = delta. The half-widths add
+    _GRID_MARGIN, |Omega| clamped to the pass's last in-range node. The
+    cap is 0.49 omega_c, or less where signal or idler leaves the
+    dispersion range. A support that reaches it, or a grid that fails the
+    edge check, raises ConfigurationError naming the angle; a density with
+    no finite positive peak raises DensityPeakError.
     """
     omega_c = cfg.degenerate_omega
-    reach = 0.49 * omega_c
     lo, hi = cfg.sellmeier.valid_range_um
     # the -Omega_max row holds signal omega_c - Omega_max, idler omega_c + Omega_max
-    cap = min(reach, omega_c - 2e6 * math.pi * c / hi, 2e6 * math.pi * c / lo - omega_c)
-    half_w, half_k = reach, 4e5
-    for _ in range(10):
-        probe_w = omega_c + np.linspace(-half_w, half_w, 257)
-        # the k >= 0 half; S is even in k and this axis mirrors bit for bit
-        probe_k = np.linspace(-half_k, half_k, 129)[64:]
-        # a gain or length so large that S overflows is refused just below
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = _density(cfg, probe_w, probe_k)
-        peak = values.max()
-        if not 0 < peak < math.inf:
-            raise DensityPeakError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
-                                   f"length {cfg.length_m:g} m")
-        rows = np.any(values >= EDGE_DECAY_RATIO * peak, axis=1)
-        cols = np.any(values >= EDGE_DECAY_RATIO * peak, axis=0)
-        if rows[0] or rows[-1] or cols[-1]:
-            half_w = min(half_w * 1.5, reach)
-            half_k *= 1.5
-            continue
-        span_w = np.abs(probe_w[rows] - omega_c).max()
-        span_k = probe_k[cols].max()
-        half_w, half_k = _GRID_MARGIN * span_w, _GRID_MARGIN * span_k
-        for _ in range(_WIDEN_ROUNDS):
-            if half_w > cap:
-                raise ConfigurationError(
-                    f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} "
-                    f"deg: the density needs a grid to |Omega| = "
-                    f"{half_w / omega_c:.3f} omega_c, past its cap of "
-                    f"{cap / omega_c:.3f} omega_c (0.49 omega_c, or less where signal "
-                    f"or idler leaves the {lo:g}-{hi:g} um dispersion range)")
-            grid = GridSpec(omega_center=omega_c, omega_half_width=half_w,
-                            n_omega=n_omega, k_half_width=half_k, n_k=n_k)
-            edges = _edge_ratios(cfg, grid)
-            if edges.max() < EDGE_DECAY_RATIO:
-                return grid
-            grow = np.where(edges < EDGE_DECAY_RATIO, 1.0, 1.01)
-            half_w, half_k = half_w * grow[0], half_k * grow[1]
-        break
-    raise ConfigurationError("could not bound the density support; check the "
-                             "crystal configuration")
+    cap = min(0.49 * omega_c, omega_c - 2e6 * math.pi * c / hi, 2e6 * math.pi * c / lo - omega_c)
+    big_omega = np.linspace(0.0, cap, _SUPPORT_NODES)
+    on_axis, valid = _mismatch(cfg, omega_c - big_omega, 0.0)
+    # a gain or length so large that S overflows is refused, here or on the grid
+    with np.errstate(over="ignore"):
+        peak = float(_density_from_mismatch(max(on_axis[valid].min(), 0), cfg.length_m, cfg.gain))
+    _check_peak(cfg, peak)
+    delta = 2 * cfg.gain * math.sqrt(1 + 1 / (EDGE_DECAY_RATIO * peak)) / cfg.length_m
+    support, end = big_omega[valid & (on_axis <= delta)], big_omega[valid].max()
+    need = _GRID_MARGIN * support.max()
+    crystal = f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} deg"
+    # a support that ends inside the pass has S below the threshold at its end
+    if support.max() == end:
+        raise ConfigurationError(
+            f"{crystal}: the density needs a grid to |Omega| = {need / omega_c:.3f} "
+            f"omega_c, past its cap of {cap / omega_c:.3f} omega_c (0.49 omega_c, "
+            f"or less where signal or idler leaves the {lo:g}-{hi:g} um dispersion "
+            "range)")
+    span_k = math.sqrt(_ring_squared(cfg, omega_c - support, delta).max())
+    grid = GridSpec(omega_center=omega_c, omega_half_width=min(need, end),
+                    n_omega=n_omega, k_half_width=_GRID_MARGIN * span_k, n_k=n_k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        edges, sampled = _edge_ratios(cfg, grid)
+    _check_peak(cfg, sampled)
+    if edges.max() >= EDGE_DECAY_RATIO:
+        raise ConfigurationError(
+            f"{crystal}: S holds {edges.max():.2e} of its sampled peak on the edge of "
+            f"the {n_omega} x {n_k} grid its support sizes (limit "
+            f"{EDGE_DECAY_RATIO:.0e})")
+    return grid
 
 
 def build_spectrum(cfg, grid=None):

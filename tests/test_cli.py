@@ -501,7 +501,7 @@ def test_bad_count_and_width_flags_exit_1_before_any_work(ws, tmp_path, capsys,
     assert not out.exists()
 
 
-# config lines of a crystal whose grid auto_grid cannot widen within its cap
+# config lines of a crystal whose density auto_grid finds past its cap
 CAPPED = ("gain = 3.4", "length = 23.3 mm")
 # auto_grid's cap for bbo_kato1986 pumped at 800 nm: the 1.6 um signal
 # reaches 3.1 um, the end of its dispersion range, at 0.484 omega_c
@@ -525,26 +525,26 @@ CAP_OF_KATO = (r"past its cap of 0\.484 omega_c \(0\.49 omega_c, or less where s
                  "--out: cannot write {taken}/spectrum_19p94_omega_k.bin: ",
                  id="product-a-directory"),
     pytest.param("spectrum", ["--out="], "--out: empty", id="out-empty"),
-    # a crystal whose density stays on the grid edge until widening it
-    # would pass the cap, where the signal leaves the dispersion range
+    # a crystal whose density reaches the cap, where the signal leaves the
+    # dispersion range: the grid would need the cap times auto_grid's margin
     pytest.param("interferogram", ["--theta=60.17deg", *CAPPED, "--out={taken}"],
                  r"--theta: bbo_kato1986 at theta 60.17 deg: the density needs a grid "
-                 r"to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO,
+                 r"to \|Omega\| = 0.653 omega_c, " + CAP_OF_KATO,
                  id="theta-with-density-on-the-grid-edge"),
     pytest.param("spectrum", ["--theta=60.17deg", *CAPPED, "--out={taken}"],
                  r"--theta: bbo_kato1986 at theta 60.17 deg: the density needs a grid "
-                 r"to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO,
+                 r"to \|Omega\| = 0.653 omega_c, " + CAP_OF_KATO,
                  id="spectrum-theta-with-density-on-the-grid-edge"),
     pytest.param("coherence", ["theta = 60.17 deg", *CAPPED, "--out={taken}"],
                  r"^error: \[crystal\] theta: bbo_kato1986 at theta 60.17 deg: the "
-                 r"density needs a grid to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO
+                 r"density needs a grid to \|Omega\| = 0.653 omega_c, " + CAP_OF_KATO
                  + "$",
                  id="config-theta-with-density-on-the-grid-edge"),
-    # at gain 6 and 10 mm the grid would reach past the dispersion range
-    # (signal at 3.11 um), which no setting narrows: auto_grid refuses it
+    # at gain 6 and 10 mm the ring runs to the end of the dispersion range,
+    # which no setting narrows: auto_grid refuses it
     pytest.param("spectrum", ["--theta=71.75deg", "--out={taken}"],
                  r"^error: --theta: bbo_kato1986 at theta 71.75 deg: the density needs a "
-                 r"grid to \|Omega\| = 0.486 omega_c, " + CAP_OF_KATO + "$",
+                 r"grid to \|Omega\| = 0.653 omega_c, " + CAP_OF_KATO + "$",
                  id="theta-with-a-grid-past-the-dispersion-range"),
     pytest.param("spectrum", ["gain = 1e3", "--out={taken}"],
                  r"^error: \[crystal\] gain and length: density peak is inf at "
@@ -579,14 +579,17 @@ def test_flag_and_output_refusals_exit_1_naming_them(tmp_path, capsys, command,
 
 def test_density_on_an_automatic_grid_edge_is_refused_without_a_remedy(tmp_path,
                                                                         capsys):
-    # auto_grid widens its grid until S decays on every edge: at 75.25 deg
-    # its coarse probe leaves 3.99e-3 of the peak on a 64 x 64 grid's edge.
-    # No setting widens it past the cap, so there the refusal names the
-    # angle and the cap instead of a remedy
+    # auto_grid sizes its grid from S's closed-form support: at 75.25 deg
+    # the ring runs to the end of the dispersion range, past the cap. No
+    # setting widens the grid past the cap, so the refusal names the angle
+    # and the cap instead of a remedy
     small = tmp_path / "small.ini"
     small.write_text(CONFIG.format(out=tmp_path / "out").replace("= 256", "= 64")
                      .replace("= 128", "= 64").replace("csv", "binary"))
-    assert main(["spectrum", str(small), "--theta=75.25deg"]) == 0
+    assert main(["spectrum", str(small), "--theta=75.25deg"]) == 1
+    assert re.search(r"^error: --theta: bbo_kato1986 at theta 75.25 deg: the density "
+                     r"needs a grid to \|Omega\| = 0\.653 omega_c, " + CAP_OF_KATO + "$",
+                     capsys.readouterr().err, re.M)
     small.write_text(small.read_text().replace("gain = 6", CAPPED[0])
                      .replace("length = 10 mm", CAPPED[1]))
     assert main(["spectrum", str(small), "--theta=60.17deg"]) == 1

@@ -10,11 +10,12 @@ Sellmeier set and the angle.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdcoh import ConfigurationError, CrystalConfig, auto_grid, build_spectrum, \
-    load_sellmeier, spectral_density, to_wavelength_angle
+from pdcoh import ConfigurationError, CrystalConfig, GridSpec, auto_grid, \
+    build_spectrum, load_sellmeier, spectral_density, to_wavelength_angle
 from pdcoh.coherence import FWHM_TO_SIGMA, _gaussian_rows, blur_sigma, correlation_map, \
     instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, c, gvd, index
@@ -231,13 +232,11 @@ def test_width_ratio_follows_the_near_degenerate_dispersion(gain, length_m):
 @example(71.75, 6.0, 0.01, 64, 64)
 def test_every_automatic_grid_passes_its_edge_check(theta_deg, gain, length_m,
                                                      n_omega, n_k):
-    """auto_grid widens the grid its coarse probe sizes until S decays on
-    every edge (at 75.25 and 80.5 deg the probe leaves 3.99e-3 and 3.67e-3
-    of the peak on a 64 x 64 grid's edge), or refuses by name where that
-    would pass its cap. The cap keeps every grid inside the dispersion
-    range, so build_spectrum builds every grid auto_grid returns (at 71.75
-    deg a 64 x 64 grid would need 0.486 omega_c, past the 0.484 omega_c
-    where the signal leaves it)."""
+    """auto_grid sizes the grid from S's closed-form support and checks its
+    edges once, or refuses by name where the support reaches its cap (at
+    75.25, 80.5 and 71.75 deg the ring runs to the end of the dispersion
+    range). The cap keeps every grid inside the dispersion range, so
+    build_spectrum builds every grid auto_grid returns."""
     cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
                         pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
     try:
@@ -248,3 +247,21 @@ def test_every_automatic_grid_passes_its_edge_check(theta_deg, gain, length_m,
         return
     sg = build_spectrum(cfg, grid)
     sg.check_edge_decay()
+
+
+@pytest.mark.parametrize("theta_deg", [75.25, 80.5])
+def test_an_automatic_grid_passes_its_edge_check_at_16_times_its_nodes(theta_deg):
+    """Nodes can miss S between them: a grid auto_grid returns must also
+    pass the edge check on its own window sampled 16 times finer. At 75.25
+    and 80.5 deg (gain 6, 10 mm, 64 x 64) the ring runs to the end of the
+    dispersion range, so S stands at its peak on that window's edge."""
+    cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(theta_deg),
+                        pump_wavelength_m=800e-9, gain=6.0, sellmeier=SELL)
+    try:
+        grid = auto_grid(cfg, 64, 64)
+    except ConfigurationError as exc:
+        assert str(exc).startswith(f"{SELL.name} at theta {theta_deg:g} deg: ")
+        return
+    fine = GridSpec(omega_center=grid.omega_center, omega_half_width=grid.omega_half_width,
+                    n_omega=16 * 64, k_half_width=grid.k_half_width, n_k=16 * 64)
+    build_spectrum(cfg, fine).check_edge_decay()

@@ -99,14 +99,23 @@ def test_gvd_signs_and_values(bbo):
     assert v_degen == pytest.approx(-22.000, abs=0.05)
 
 
-def test_gvd_step_convergence(bbo):
-    # reference: the same central difference of wavenumber at half the step
-    for lam in (0.8, 1.3, 1.6):
+@pytest.mark.parametrize("branch", [ORDINARY, ExtraordinaryAtAngle(math.radians(19.9))],
+                         ids=["ordinary", "extraordinary"])
+def test_gvd_matches_a_central_difference_of_wavenumber(bbo, branch):
+    # reference: a three-point stencil of wavenumber in omega, step 1e-3 omega
+    for lam in (0.8, 1.0, 1.6, 2.5):
         omega = 2e6 * math.pi * c / lam
-        h = 5e-4 * omega
-        k = [wavenumber(w, ORDINARY, bbo) for w in (omega - h, omega, omega + h)]
-        fine = (k[0] - 2.0 * k[1] + k[2]) / h**2 * 1e27
-        assert fine == pytest.approx(gvd(lam, ORDINARY, bbo), rel=0.01, abs=0.01)
+        h = 1e-3 * omega
+        k = [wavenumber(w, branch, bbo) for w in (omega - h, omega, omega + h)]
+        stencil = (k[0] - 2.0 * k[1] + k[2]) / h**2 * 1e27
+        assert gvd(lam, branch, bbo) == pytest.approx(stencil, rel=1e-4, abs=0), lam
+
+
+@pytest.mark.parametrize("name", ["bbo_kato1986", "bbo_eimerl1987"])
+def test_gvd_vanishes_at_the_zero_dispersion_wavelength(name):
+    # both are exact: the closed-form gvd at the quintic's root
+    s = load_sellmeier(name)
+    assert abs(gvd(zero_dispersion_wavelength(s), ORDINARY, s)) < 1e-9
 
 
 def test_zero_dispersion_wavelength(bbo):
@@ -132,10 +141,15 @@ def test_out_of_range_wavelength(bbo):
         wavenumber(2 * math.pi * c / 4e-6, ORDINARY, bbo)
 
 
-def test_gvd_stencil_must_stay_in_range(bbo):
-    hi = bbo.valid_range_um[1]
-    with pytest.raises(WavelengthRangeError):
-        gvd(hi * 0.9999, ORDINARY, bbo)
+@pytest.mark.parametrize("branch, name", [(ORDINARY, "ordinary"),
+                                          (ExtraordinaryAtAngle(0.35), "extraordinary")],
+                         ids=["ordinary", "extraordinary"])
+def test_gvd_evaluates_its_whole_range_and_refuses_past_it(bbo, branch, name):
+    lo, hi = bbo.valid_range_um
+    assert np.all(np.isfinite(gvd(np.array([lo, hi]), branch, bbo)))
+    for lam in (np.nextafter(lo, 0), np.nextafter(hi, 4)):
+        with pytest.raises(WavelengthRangeError, match=f"{name} valid range"):
+            gvd(lam, branch, bbo)
 
 
 def test_speed_of_light_is_the_exact_si_value():
@@ -144,7 +158,7 @@ def test_speed_of_light_is_the_exact_si_value():
 
 @pytest.mark.parametrize("name", ["bbo_kato1986", "bbo_eimerl1987"])
 def test_zero_dispersion_root_matches_brentq_on_gvd(name):
-    # scipy is the reference only: a bracketed root of the finite-difference gvd
+    # scipy is the reference only: a bracketed root of the closed-form gvd
     from scipy.optimize import brentq
     s = load_sellmeier(name)
     want = brentq(lambda x: gvd(x, ORDINARY, s), 1.2, 1.7, xtol=1e-12)

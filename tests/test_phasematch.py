@@ -111,8 +111,8 @@ def test_out_of_range_frequency_rejected(bbo):
 
 
 def test_range_mask_raises_no_floating_point_error(bbo):
-    # the mask compares frequencies, so no frequency, however close to 0,
-    # overflows; it agrees with the wavelengths' mask everywhere
+    # the mask takes the wavelengths wavenumber checks, with their overflow
+    # ignored, so no frequency, however close to 0, raises
     cfg = _cfg(bbo, 19.90)
     lo, hi = bbo.valid_range_um
     omega = np.concatenate([[0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan],
@@ -125,6 +125,17 @@ def test_range_mask_raises_no_floating_point_error(bbo):
     expected = (lam_s >= lo) & (lam_s <= hi) & (lam_i >= lo) & (lam_i <= hi)
     assert np.array_equal(mask, expected)
     assert mask.any()
+
+
+def test_frequencies_at_the_range_ends_evaluate_or_are_marked_invalid(bbo):
+    # a few ulps either side of each range end's frequency: the mask and
+    # wavenumber's range check agree on every one, so none raises
+    cfg = _cfg(bbo, 19.90)
+    ends = 2e6 * math.pi * c / np.array(bbo.valid_range_um)
+    omega = (ends[:, None] * (1 + 2.2e-16 * np.arange(-4, 5))).ravel()
+    omega = np.concatenate([omega, cfg.pump_omega - omega])
+    _, valid = _mismatch(cfg, omega, 0.0)
+    assert np.array_equal(valid, in_sellmeier_range(cfg, omega)) and valid.any()
 
 
 def test_ring_opens_monotonically_past_matching(bbo):

@@ -16,9 +16,10 @@ from pdcoh import (
     spectral_density,
     to_wavelength_angle,
 )
+from pdcoh import spectrum
 from pdcoh.dispersion import c
 from pdcoh.phasematch import _mismatch
-from pdcoh.spectrum import _density_blocks, _density_from_mismatch
+from pdcoh.spectrum import EDGE_DECAY_RATIO, _density_blocks, _density_from_mismatch
 
 L = 0.01
 G = 6.0
@@ -130,7 +131,7 @@ def _stacked_blocks(cfg, omega, k):
             np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
-@pytest.mark.parametrize("axis", ["random", "probe"])
+@pytest.mark.parametrize("axis", ["random", "grid"])
 def test_density_blocks_equal_the_column_by_column_evaluation(theta_pm, sell, axis):
     cfg = _cfg(theta_pm, sell)
     wc = cfg.degenerate_omega
@@ -142,24 +143,52 @@ def test_density_blocks_equal_the_column_by_column_evaluation(theta_pm, sell, ax
         k = np.sort(np.concatenate([rng.uniform(-4e5, 4e5, 95),
                                     rng.uniform(7e6, 9e6, 2) * [-1, 1]]))
     else:
-        # auto_grid's first probe axes, k >= 0 as it evaluates them
-        omega = wc + np.linspace(-0.49 * wc, 0.49 * wc, 257)
-        k = np.linspace(-4e5, 4e5, 129)[64:]
+        # a quadrant's axes as build_spectrum and _edge_ratios evaluate them,
+        # on a grid whose outermost rows leave the Sellmeier range
+        g = GridSpec(omega_center=wc, omega_half_width=0.49 * wc, n_omega=256,
+                     k_half_width=4e5, n_k=128)
+        omega, k = g.omega_axis()[:129], np.abs(g.k_axis()[64::-1])
     values, invalid = _stacked_blocks(cfg, omega, k)
     want, want_invalid = _density_by_column(cfg, omega, k)
     assert values.tobytes() == want.tobytes()
     assert invalid.tolist() == want_invalid.tolist() and invalid.sum() > 0
 
 
-def test_auto_grid_probes_a_k_axis_that_mirrors_bit_for_bit():
-    # auto_grid evaluates only the k >= 0 half of each probe axis it can
-    # take; S is even in k, so that half stands for the whole axis only if
-    # every node's mirror is a node to the bit
-    half_k = 4e5
-    for _ in range(10):
-        k = np.linspace(-half_k, half_k, 129)
-        assert np.array_equal(-k[:65][::-1], k[64:]), half_k
-        half_k *= 1.5
+@pytest.mark.parametrize("gain", [0.5, 3.0, 6.0, 9.0])
+def test_density_past_delta_is_below_the_edge_ratio_of_its_peak(gain):
+    # auto_grid's support bound: past |r| = G, with r = delta_k L / 2,
+    # S <= G^2 / (r^2 - G^2), so S is at most EDGE_DECAY_RATIO of sinh^2 G
+    # wherever r^2 >= G^2 (1 + 1 / (EDGE_DECAY_RATIO sinh^2 G)), lobes and all
+    peak = math.sinh(gain) ** 2
+    r_delta = gain * math.sqrt(1 + 1 / (EDGE_DECAY_RATIO * peak))
+    r = r_delta * np.linspace(1.0, 50.0, 200_001)
+    assert _density_from_mismatch(2 * r / L, L, gain).max() <= EDGE_DECAY_RATIO * peak
+
+
+def test_auto_grid_clamps_a_support_that_ends_inside_its_cap(sell):
+    # the margined |Omega| half-width would pass the cap, but S ends inside
+    # it: the grid stops at the pass's last in-range node, so every row
+    # evaluates and the edges still decay
+    cfg = CrystalConfig(length_m=8.5e-3, theta_rad=math.radians(19.8216),
+                        pump_wavelength_m=800e-9, gain=1.49, sellmeier=sell)
+    grid = auto_grid(cfg, 256, 128)
+    hi = sell.valid_range_um[1]
+    assert grid.omega_half_width == pytest.approx(cfg.degenerate_omega
+                                                  - 2e6 * math.pi * c / hi, rel=1e-3)
+    sg = build_spectrum(cfg, grid)
+    assert sg.provenance["invalid_nodes"] == 0
+    assert sg.edge_ratio < EDGE_DECAY_RATIO
+
+
+def test_auto_grid_refuses_a_grid_whose_edges_hold_its_sampled_peak(sell, monkeypatch):
+    # the closed form bounds S on every edge by EDGE_DECAY_RATIO of sinh^2 G;
+    # only nodes that miss the peak can fail the edge check, which names them
+    monkeypatch.setattr(spectrum, "_edge_ratios",
+                        lambda cfg, grid: (np.array([2e-3, 1e-6]), SINH2_G))
+    with pytest.raises(ConfigurationError,
+                       match=r"^bbo_kato1986 at theta 19\.94 deg: S holds 2\.00e-03 of its "
+                             r"sampled peak on the edge of the 256 x 128 grid"):
+        auto_grid(_cfg(math.radians(19.94), sell), 256, 128)
 
 
 def test_grid_spec_validation():
