@@ -218,9 +218,9 @@ class CoherenceMetrics:
 
 
 def _fwhm(axis, cut):
-    """Width of the central peak at half its own height. Each crossing is a
-    root of the cubic through its two nodes and their outer neighbours, or
-    of the chord of its nodes where a neighbour is off the cut."""
+    """Width of the central peak at half its own height. Newton steps from
+    each crossing's chord find the root of the cubic through its two nodes
+    and their outer neighbours; the chord's root stands at a cut's end."""
     ipk = int(np.argmax(cut))
     half = cut[ipk] / 2.0
 
@@ -231,13 +231,15 @@ def _fwhm(axis, cut):
                 "half-maximum crossing lies outside the map; enlarge the extent")
         j = ipk + direction * below[0]
         i = j - direction
-        frac = (cut[i] - half) / (cut[i] - cut[j])
+        frac = t = (cut[i] - half) / (cut[i] - cut[j])
         if 0 <= j + direction < cut.size:
-            roots = np.polynomial.Polynomial.fit(
-                [-1, 0, 1, 2], cut[[i - direction, i, j, j + direction]] - half, 3).roots()
-            frac = min((r.real for r in roots if not r.imag and 0 <= r.real <= 1),
-                       key=lambda r: abs(r - frac), default=frac)
-        return axis[i] + frac * direction * (axis[1] - axis[0])
+            # p(t) = y1 + a1 t + a2 t^2 + a3 t^3 through t = -1, 0, 1, 2
+            y0, y1, y2, y3 = cut[[i - direction, i, j, j + direction]] - half
+            a1 = y2 - y0 / 3 - y1 / 2 - y3 / 6
+            a2, a3 = (y0 + y2) / 2 - y1, (y1 - y2) / 2 + (y3 - y0) / 6
+            for _ in range(4):
+                t -= (y1 + t * (a1 + t * (a2 + t * a3))) / (a1 + t * (2 * a2 + 3 * t * a3))
+        return axis[i] + (t if 0 <= t <= 1 else frac) * direction * (axis[1] - axis[0])
 
     return crossing(+1) - crossing(-1)
 
@@ -315,10 +317,11 @@ def blur_sigma(cmap, dtau, dxi):
     if dtau > tau_span or dxi > xi_span:
         raise MapExtentError(
             "blur kernel is wider than the map; enlarge the extent")
-    sigma = (dtau / FWHM_TO_SIGMA / cmap.tau_step,
-             dxi / FWHM_TO_SIGMA / cmap.xi_step)
-    for axis, samples in zip(("tau", "xi"), sigma):
-        if 1e-15 < samples < _MIN_BLUR_SIGMA:
+    steps = (cmap.tau_step, cmap.xi_step)
+    sigma = tuple(width / FWHM_TO_SIGMA / step for width, step in zip((dtau, dxi), steps))
+    for axis, samples, width, step in zip(("tau", "xi"), sigma, (dtau, dxi), steps):
+        # the floor in the width's own units: a width of 0.6 samples' FWHM passes
+        if 1e-15 < samples and width < _MIN_BLUR_SIGMA * FWHM_TO_SIGMA * step:
             factor = math.ceil(_MIN_BLUR_SIGMA / samples)
             raise ResolutionError(
                 f"{axis} blur sigma spans {samples:.2f} samples (need "

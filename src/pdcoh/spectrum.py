@@ -254,13 +254,12 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
     support, end = big_omega[valid & (on_axis <= delta)], big_omega[valid].max()
     need = _GRID_MARGIN * support.max()
     crystal = f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} deg"
-    # a support that ends inside the pass has S below the threshold at its end
+    # a support that reaches the pass's last in-range node may go on past the cap
     if support.max() == end:
         raise ConfigurationError(
-            f"{crystal}: the density needs a grid to |Omega| = {need / omega_c:.3f} "
-            f"omega_c, past its cap of {cap / omega_c:.3f} omega_c (0.49 omega_c, "
-            f"or less where signal or idler leaves the {lo:g}-{hi:g} um dispersion "
-            "range)")
+            f"{crystal}: the density needs a grid to |Omega| = {need / omega_c:.3f} omega_c, "
+            f"past its cap of {cap / omega_c:.3f} omega_c (0.49 omega_c, or less where signal "
+            f"or idler leaves the {lo:g}-{hi:g} um dispersion range)")
     span_k = math.sqrt(_ring_squared(cfg, omega_c - support, delta).max())
     grid = GridSpec(omega_center=omega_c, omega_half_width=min(need, end),
                     n_omega=n_omega, k_half_width=_GRID_MARGIN * span_k, n_k=n_k)
@@ -268,10 +267,8 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
         edges, sampled = _edge_ratios(cfg, grid)
     _check_peak(cfg, sampled)
     if edges.max() >= EDGE_DECAY_RATIO:
-        raise ConfigurationError(
-            f"{crystal}: S holds {edges.max():.2e} of its sampled peak on the edge of "
-            f"the {n_omega} x {n_k} grid its support sizes (limit "
-            f"{EDGE_DECAY_RATIO:.0e})")
+        raise ConfigurationError(f"{crystal}: S holds {edges.max():.2e} of its sampled "
+                                 f"peak on the edge of its {n_omega} x {n_k} grid")
     return grid
 
 

@@ -182,6 +182,7 @@ SIGMA = st.one_of(st.just(0.0), st.floats(0.6, 3.3))
 @example(19.94, 6.0, 0.01, 2, 3.3, 0.0)
 @example(19.94, 6.0, 0.01, 8, 0.0, 3.3)
 @example(19.94, 6.0, 0.01, 4, 0.6, 1.5)
+@example(20.0, 0.6015625, 0.019190280537865978, 2, 0.6, 0.0)
 def test_quadrant_blur_is_the_full_blur_of_the_unfolded_map(theta_deg, gain, length_m,
                                                             extent, sigma_tau, sigma_xi):
     """instrument_blur blurs only the map's quadrant, padded with its

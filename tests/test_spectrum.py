@@ -187,7 +187,7 @@ def test_auto_grid_refuses_a_grid_whose_edges_hold_its_sampled_peak(sell, monkey
                         lambda cfg, grid: (np.array([2e-3, 1e-6]), SINH2_G))
     with pytest.raises(ConfigurationError,
                        match=r"^bbo_kato1986 at theta 19\.94 deg: S holds 2\.00e-03 of its "
-                             r"sampled peak on the edge of the 256 x 128 grid"):
+                             r"sampled peak on the edge of its 256 x 128 grid$"):
         auto_grid(_cfg(math.radians(19.94), sell), 256, 128)
 
 
