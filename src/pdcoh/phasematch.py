@@ -88,27 +88,35 @@ def delta_k(omega_s, k, cfg):
     range and EvanescentWaveError when |k| reaches the smaller of the two
     ordinary wavevectors; inputs are rejected, never clamped.
     """
-    if not np.all(in_sellmeier_range(cfg, np.asarray(omega_s, dtype=float))):
+    waves = _wavenumbers(cfg, omega_s)
+    if not np.all(waves[0]):
         raise WavelengthRangeError("signal or idler outside the Sellmeier range "
                                    f"{cfg.sellmeier.valid_range_um} um")
-    value, valid = _mismatch(cfg, omega_s, k)
+    value, valid = _mismatch(waves, k)
     if not np.all(valid):
         raise EvanescentWaveError("transverse wavevector reaches the evanescent "
                                   f"limit (|k| max {np.max(np.abs(k)):.4g} rad/m)")
     return value if value.ndim else float(value)
 
 
-def _mismatch(cfg, omega_s, k):
-    """(delta_k, valid) at the broadcast points. Signal frequencies outside
-    the Sellmeier range are evaluated at the degenerate frequency and, like
-    evanescent |k|, marked invalid; their values are placeholders."""
+def _wavenumbers(cfg, omega_s):
+    """(in_sellmeier_range mask, k_s, k_i, k_p) at signal frequencies
+    omega_s, one wavenumber call each. Frequencies outside the range are
+    evaluated at the degenerate frequency: their k_s, k_i are placeholders."""
     omega_s = np.asarray(omega_s, dtype=float)
     rows = in_sellmeier_range(cfg, omega_s)
     omega_s = np.where(rows, omega_s, cfg.degenerate_omega)
-    k_s = wavenumber(omega_s, ORDINARY, cfg.sellmeier)
-    k_i = wavenumber(cfg.pump_omega - omega_s, ORDINARY, cfg.sellmeier)
-    k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
-                     cfg.sellmeier)
+    return (rows, wavenumber(omega_s, ORDINARY, cfg.sellmeier),
+            wavenumber(cfg.pump_omega - omega_s, ORDINARY, cfg.sellmeier),
+            wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
+                       cfg.sellmeier))
+
+
+def _mismatch(waves, k):
+    """(delta_k, valid) at the broadcast points of waves, a _wavenumbers
+    result, and k. Frequencies outside the Sellmeier range and evanescent
+    |k| are marked invalid; their values are placeholders."""
+    rows, k_s, k_i, k_p = waves
     k2 = np.square(np.asarray(k, dtype=float))
     rad_s = np.square(k_s) - k2
     rad_i = np.square(k_i) - k2
@@ -146,14 +154,13 @@ def in_sellmeier_range(cfg, omega_s):
     return np.all((lam >= lo) & (lam <= hi), axis=0)
 
 
-def _ring_squared(cfg, omega_s, offset=0.0):
-    """k^2 where delta_k(omega_s, k) = offset, exact: with k_p' = k_p - offset
-    and a = (k_p'^2 + k_s^2 - k_i^2) / 2 k_p', k^2 = k_s^2 - a^2. delta_k
-    grows with k^2, so a root exists where the on-axis mismatch <= offset."""
-    k_s = wavenumber(omega_s, ORDINARY, cfg.sellmeier)
-    k_i = wavenumber(cfg.pump_omega - omega_s, ORDINARY, cfg.sellmeier)
-    k_p = wavenumber(cfg.pump_omega, ExtraordinaryAtAngle(cfg.theta_rad),
-                     cfg.sellmeier) - offset
+def _ring_squared(waves, offset=0.0):
+    """k^2 where delta_k = offset at the frequencies of waves, a
+    _wavenumbers result, exact: with k_p' = k_p - offset and a = (k_p'^2 +
+    k_s^2 - k_i^2) / 2 k_p', k^2 = k_s^2 - a^2. delta_k grows with k^2, so
+    a root exists where the on-axis mismatch <= offset."""
+    _, k_s, k_i, k_p = waves
+    k_p = k_p - offset
     return np.square(k_s) - np.square((k_p**2 + np.square(k_s) - np.square(k_i)) / (2 * k_p))
 
 
@@ -162,16 +169,18 @@ def phase_matched_locus(cfg, omega_grid):
 
     Returns a list of (omega, k_ring) for every grid frequency where a root
     exists; frequencies without a root (or outside the dispersion range)
-    contribute nothing. The root is _ring_squared's; it exists where the
-    on-axis mismatch is negative, and a ring whose on-axis |delta_k * L| is
-    within rounding of zero is reported collapsed, at k = 0.
+    contribute nothing. The on-axis mismatch and the root, _ring_squared's,
+    share one _wavenumbers evaluation. A root exists where the on-axis
+    mismatch is negative, and a ring whose on-axis |delta_k * L| is within
+    rounding of zero is reported collapsed, at k = 0.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
-    omega = omega[in_sellmeier_range(cfg, omega)]
-    at_axis = delta_k(omega, 0.0, cfg) * cfg.length_m
+    waves = _wavenumbers(cfg, omega)
+    at_axis, valid = _mismatch(waves, 0.0)
+    at_axis = at_axis * cfg.length_m
     collapsed = np.abs(at_axis) <= _LOCUS_TOL
-    ring = np.where(collapsed, 0.0, np.sqrt(np.maximum(_ring_squared(cfg, omega), 0.0)))
-    keep = collapsed | (at_axis < 0)
+    ring = np.where(collapsed, 0.0, np.sqrt(np.maximum(_ring_squared(waves), 0.0)))
+    keep = valid & (collapsed | (at_axis < 0))
     return [(float(w), float(k)) for w, k in zip(omega[keep], ring[keep])]
 
 

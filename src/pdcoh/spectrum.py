@@ -22,7 +22,7 @@ import numpy as np
 from .dispersion import c
 from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
 from .errors import ConfigurationError, DensityPeakError, EdgeDecayError
-from .phasematch import _mismatch, _ring_squared, delta_k
+from .phasematch import _mismatch, _ring_squared, _wavenumbers, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
 
@@ -125,6 +125,9 @@ class SpectralGrid:
                 "transforming")
 
 
+# a gain or length so large that S overflows gives inf or nan, which the
+# peak checks refuse
+@np.errstate(over="ignore", invalid="ignore")
 def _density_from_mismatch(mismatch, length_m, gain):
     r = np.asarray(mismatch, dtype=float) * length_m / 2.0
     u = gain * gain - np.square(r)
@@ -147,20 +150,19 @@ def spectral_density(omega_s, k, cfg):
 
 
 def _density_blocks(cfg, omega, k):
-    """(row offset, density, valid) over omega x k, _ROW_BLOCK frequencies
-    at a time, so a block's temporaries stay in cache; invalid nodes are 0.
-    Nodes whose signal or idler leaves the dispersion range, or whose k is
-    evanescent, do not evaluate."""
+    """(rows, density, valid) over the frequencies omega, _ROW_BLOCK at a
+    time, so a block's temporaries stay in cache: rows is the block's slice
+    of omega, and k(rows) its transverse wavevectors, broadcast against
+    omega[rows, None]. The wavenumbers of every frequency come from one
+    _wavenumbers call. Nodes whose signal or idler leaves the dispersion
+    range, or whose k is evanescent, do not evaluate: they are 0."""
+    in_range, k_s, k_i, k_p = _wavenumbers(cfg, omega[:, None])
     for lo in range(0, omega.size, _ROW_BLOCK):
-        mismatch, valid = _mismatch(cfg, omega[lo:lo + _ROW_BLOCK, None], k)
+        rows = slice(lo, lo + _ROW_BLOCK)
+        mismatch, valid = _mismatch((in_range[rows], k_s[rows], k_i[rows], k_p), k(rows))
         density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
         density[~valid] = 0.0
-        yield lo, density, valid
-
-
-def _density(cfg, omega, k):
-    """Density over omega x k, stacked from _density_blocks (C-ordered)."""
-    return np.concatenate([density for _, density, _ in _density_blocks(cfg, omega, k)])
+        yield rows, density, valid
 
 
 def unfold(symmetry, domain, shape):
@@ -208,21 +210,9 @@ def _check_peak(cfg, peak):
                                f"length {cfg.length_m:g} m")
 
 
-def _edge_ratios(cfg, grid):
-    """((Omega, k) edge ratios, sampled peak) of the S build_spectrum builds
-    on grid, from its quadrant as there: rows -Omega_max and the last row's
-    mirror, columns |k| = k_max and the last column's |k|. The Omega = 0
-    row and k = 0 column bound the peak from below; the whole quadrant is
-    searched only when that bound does not clear the edges."""
-    n, half = grid.n_omega // 2, grid.n_k // 2
-    omega, k = grid.omega_axis()[:n + 1], np.abs(grid.k_axis()[half::-1])
-    rows = _density(cfg, omega[[0, 1, n]], k)
-    cols = _density(cfg, omega, k[[half, half - 1, 0]])
-    edges = np.array([rows[:2].max(), cols[:, :2].max()])
-    peak = max(rows.max(), cols.max())
-    if edges.max() >= EDGE_DECAY_RATIO * peak:
-        peak = _density(cfg, omega, k).max()
-    return edges / peak, peak
+def _crystal(cfg):
+    """The set and angle that name a crystal in a refusal."""
+    return f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} deg"
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -233,43 +223,35 @@ def auto_grid(cfg, n_omega=1024, n_k=512):
     sinh^2 G where delta_k = 0 is reachable, else S at the least on-axis
     delta_k. delta_k grows with k^2, so the support spans the |Omega| of
     one pass up to the cap whose on-axis delta_k is at most delta, and |k|
-    up to the exact root of delta_k = delta. The half-widths add
-    _GRID_MARGIN, |Omega| clamped to the pass's last in-range node. The
-    cap is 0.49 omega_c, or less where signal or idler leaves the
-    dispersion range. A support that reaches it, or a grid that fails the
-    edge check, raises ConfigurationError naming the angle; a density with
-    no finite positive peak raises DensityPeakError.
+    up to the exact root of delta_k = delta; the pass's one _wavenumbers
+    evaluation serves both. The half-widths add _GRID_MARGIN, |Omega|
+    clamped to the pass's last in-range node. The cap is 0.49 omega_c, or
+    less where signal or idler leaves the dispersion range. A support that
+    reaches it raises ConfigurationError naming the angle; a density with
+    no finite positive peak raises DensityPeakError. S is not sampled here:
+    build_spectrum checks the peak and the edges of the S it builds.
     """
     omega_c = cfg.degenerate_omega
     lo, hi = cfg.sellmeier.valid_range_um
     # the -Omega_max row holds signal omega_c - Omega_max, idler omega_c + Omega_max
     cap = min(0.49 * omega_c, omega_c - 2e6 * math.pi * c / hi, 2e6 * math.pi * c / lo - omega_c)
     big_omega = np.linspace(0.0, cap, _SUPPORT_NODES)
-    on_axis, valid = _mismatch(cfg, omega_c - big_omega, 0.0)
-    # a gain or length so large that S overflows is refused, here or on the grid
-    with np.errstate(over="ignore"):
-        peak = float(_density_from_mismatch(max(on_axis[valid].min(), 0), cfg.length_m, cfg.gain))
+    waves = _wavenumbers(cfg, omega_c - big_omega)
+    on_axis, valid = _mismatch(waves, 0.0)
+    peak = float(_density_from_mismatch(max(on_axis[valid].min(), 0), cfg.length_m, cfg.gain))
     _check_peak(cfg, peak)
     delta = 2 * cfg.gain * math.sqrt(1 + 1 / (EDGE_DECAY_RATIO * peak)) / cfg.length_m
-    support, end = big_omega[valid & (on_axis <= delta)], big_omega[valid].max()
-    need = _GRID_MARGIN * support.max()
-    crystal = f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} deg"
+    support = valid & (on_axis <= delta)
+    reach, end = big_omega[support].max(), big_omega[valid].max()
     # a support that reaches the pass's last in-range node may go on past the cap
-    if support.max() == end:
+    if reach == end:
         raise ConfigurationError(
-            f"{crystal}: the density needs a grid to |Omega| = {need / omega_c:.3f} omega_c, "
-            f"past its cap of {cap / omega_c:.3f} omega_c (0.49 omega_c, or less where signal "
-            f"or idler leaves the {lo:g}-{hi:g} um dispersion range)")
-    span_k = math.sqrt(_ring_squared(cfg, omega_c - support, delta).max())
-    grid = GridSpec(omega_center=omega_c, omega_half_width=min(need, end),
+            f"{_crystal(cfg)}: the density's support reaches its grid's cap of "
+            f"{cap / omega_c:.3f} omega_c (0.49 omega_c, or less where signal or idler "
+            f"leaves the {lo:g}-{hi:g} um dispersion range)")
+    span_k = math.sqrt(_ring_squared(waves, delta)[support].max())
+    return GridSpec(omega_center=omega_c, omega_half_width=min(_GRID_MARGIN * reach, end),
                     n_omega=n_omega, k_half_width=_GRID_MARGIN * span_k, n_k=n_k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        edges, sampled = _edge_ratios(cfg, grid)
-    _check_peak(cfg, sampled)
-    if edges.max() >= EDGE_DECAY_RATIO:
-        raise ConfigurationError(f"{crystal}: S holds {edges.max():.2e} of its sampled "
-                                 f"peak on the edge of its {n_omega} x {n_k} grid")
-    return grid
 
 
 def build_spectrum(cfg, grid=None):
@@ -277,12 +259,14 @@ def build_spectrum(cfg, grid=None):
 
     The grid is centred on the degenerate frequency, where S is even in
     Omega and k: only the (|Omega|, |k|) quadrant that SpectralGrid holds
-    is evaluated, by _density_blocks over the rows Omega <= 0, and
-    no full array is made. Invalid nodes are zeroed and counted at their
-    weight on the whole grid; more than 1% of them is a configuration
-    error. The provenance records the edge decay ratio, from the grid's
-    edge rows and columns, that the correlation transform checks before
-    trusting it.
+    is evaluated, by _density_blocks over the rows Omega <= 0 with one
+    _wavenumbers evaluation, and no full array is made. Invalid nodes are
+    zeroed and counted at their weight on the whole grid; more than 1% of
+    them is a configuration error. A quadrant with no finite positive peak
+    raises DensityPeakError. The provenance records the edge decay ratio,
+    from the grid's edge rows and columns, that the correlation transform
+    checks before trusting it; a ratio of EDGE_DECAY_RATIO or more is
+    refused here, with a ConfigurationError naming the angle.
     """
     if grid is None:
         grid = auto_grid(cfg)
@@ -291,26 +275,26 @@ def build_spectrum(cfg, grid=None):
                                  f"degenerate frequency {cfg.degenerate_omega!r} rad/s")
     n, half = grid.n_omega // 2, grid.n_k // 2
     # |k| = 0 .. k_max; each |k| but 0 and k_max (the -k_max column) is two columns
-    weight = np.r_[1, np.full(half - 1, 2), 1]
+    k, weight = np.abs(grid.k_axis()[half::-1]), np.r_[1, np.full(half - 1, 2), 1]
     quadrant = np.empty((n + 1, half + 1))
-    rows = np.empty(n + 1, int)
-    for lo, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1],
-                                              np.abs(grid.k_axis()[half::-1])):
-        # omega row lo is Omega = (lo - n) steps, quadrant row n - lo
-        quadrant[::-1][lo:lo + _ROW_BLOCK] = density
-        rows[lo:lo + _ROW_BLOCK] = ~valid @ weight
+    invalid_rows = np.empty(n + 1, int)
+    for rows, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1], lambda rows: k):
+        # omega row i is Omega = (i - n) steps, quadrant row n - i
+        quadrant[::-1][rows] = density
+        invalid_rows[rows] = ~valid @ weight
     # row 0 (-Omega_max) and row n (Omega = 0) have no mirror on the grid
-    invalid = int(2 * rows.sum() - rows[0] - rows[n])
+    invalid = int(2 * invalid_rows.sum() - invalid_rows[0] - invalid_rows[n])
     if invalid > 0.01 * grid.n_omega * grid.n_k:
         raise ConfigurationError(
             f"{invalid} of {grid.n_omega * grid.n_k} grid nodes are unphysical "
             "(evanescent or outside the dispersion range); narrow the grid")
     peak = quadrant.max()
+    _check_peak(cfg, peak)
     # the grid's edges: rows -Omega_max and Omega_max - step, columns -k_max
     # and k_max - step
     edges = max(quadrant[n].max(), quadrant[n - 1].max(),
                 quadrant[:, half].max(), quadrant[:, half - 1].max())
-    provenance = {
+    sg = SpectralGrid(grid, quadrant, {
         "crystal_hash": cfg.config_hash(),
         "material": cfg.sellmeier.name,
         "length_m": cfg.length_m,
@@ -318,9 +302,12 @@ def build_spectrum(cfg, grid=None):
         "pump_wavelength_m": cfg.pump_wavelength_m,
         "gain": cfg.gain,
         "invalid_nodes": invalid,
-        "edge_ratio": float(edges / peak) if peak > 0 else math.inf,
-    }
-    return SpectralGrid(grid, quadrant, provenance)
+        "edge_ratio": float(edges / peak),
+    })
+    if sg.edge_ratio >= EDGE_DECAY_RATIO:
+        raise ConfigurationError(f"{_crystal(cfg)}: S holds {sg.edge_ratio:.2e} of its sampled "
+                                 f"peak on the edge of its {grid.n_omega} x {grid.n_k} grid")
+    return sg
 
 
 @dataclass
@@ -355,10 +342,11 @@ def angle_mirror(values):
 def to_wavelength_angle(sg, cfg):
     """S's closed form on a uniform (wavelength 2*pi*c/omega, external angle
     k * wavelength / (2*pi)) grid over S's omega range and k half-width, of
-    S's node counts. Each node of angle_mirror's domain, _ROW_BLOCK rows at a
-    time, is the density of cfg at its (omega, k), or zero where |k| passes
-    S's largest k node or the node does not evaluate. A cfg whose digest is
-    not S's crystal_hash is refused."""
+    S's node counts. Each node of angle_mirror's domain is the density of
+    cfg at its (omega, k), by _density_blocks, whose k varies per row and is
+    computed a block at a time; it is zero where |k| passes S's largest k
+    node or the node does not evaluate. A cfg whose digest is not S's
+    crystal_hash is refused."""
     if sg.provenance.get("crystal_hash") != cfg.config_hash():
         raise ConfigurationError(
             f"S was built from crystal_hash {sg.provenance.get('crystal_hash')}, "
@@ -370,11 +358,10 @@ def to_wavelength_angle(sg, cfg):
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, spec.n_k)
 
+    def k(rows):
+        return theta[spec.n_k // 2:] * 2 * math.pi / lam[rows, None]
+
     half = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
-    for lo in range(0, spec.n_omega, _ROW_BLOCK):
-        lam_q = lam[lo:lo + _ROW_BLOCK, None]
-        k = theta[spec.n_k // 2:] * 2 * math.pi / lam_q
-        mismatch, valid = _mismatch(cfg, 2 * math.pi * c / lam_q, k)
-        density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
-        half[lo:lo + _ROW_BLOCK] = np.where(valid & (k <= k_max), density, 0.0)
+    for rows, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k):
+        half[rows] = np.where(k(rows) <= k_max, density, 0.0)
     return WavelengthAngleGrid(lam, theta, half, dict(sg.provenance))

@@ -1,10 +1,10 @@
 """Physical invariants of S(omega, k) and of its map g1(tau, xi), checked
 over the crystal parameter box.
 
-The orientation, gain and length are drawn; each draw is either accepted
-by `auto_grid` on a 256 x 128 grid, and then its density and map must obey
-the invariants below, or refused with the one refusal that names the
-Sellmeier set and the angle.
+The orientation, gain and length are drawn; each draw is either built
+by `build_spectrum` on `auto_grid`'s 256 x 128 grid, and then its density
+and map must obey the invariants below, or refused with a refusal that
+names the Sellmeier set and the angle.
 """
 
 import math
@@ -19,7 +19,7 @@ from pdcoh import ConfigurationError, CrystalConfig, GridSpec, auto_grid, \
 from pdcoh.coherence import FWHM_TO_SIGMA, _gaussian_rows, blur_sigma, correlation_map, \
     instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, c, gvd, index
-from pdcoh.phasematch import _mismatch, phase_matched_locus
+from pdcoh.phasematch import _mismatch, _wavenumbers, phase_matched_locus
 from pdcoh.spectrum import _density_blocks, s_mirror
 
 SELL = load_sellmeier("bbo_kato1986")
@@ -35,23 +35,23 @@ def _bits(a):
 
 def _stacked_blocks(cfg, omega, k):
     """_density_blocks over omega x k stacked: (density, invalid nodes per row)."""
-    blocks = list(_density_blocks(cfg, omega, k))
+    blocks = list(_density_blocks(cfg, omega, lambda rows: k))
     return (np.concatenate([density for _, density, _ in blocks]),
             np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
 def _spectrum(theta_deg, gain, length_m):
-    """(config, 256 x 128 density) of a drawn crystal, or None when auto_grid
-    refuses it up front, by name: its support reaches auto_grid's cap."""
+    """(config, 256 x 128 density) of a drawn crystal, or None when it is
+    refused by name: its support reaches auto_grid's cap, or the S built
+    holds EDGE_DECAY_RATIO of its peak on an edge."""
     cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
                         pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
     try:
-        spec = auto_grid(cfg, 256, 128)
+        return cfg, build_spectrum(cfg, auto_grid(cfg, 256, 128))
     except ConfigurationError as exc:
         assert str(exc).startswith(
             f"{SELL.name} at theta {math.degrees(cfg.theta_rad):g} deg: ")
         return None
-    return cfg, build_spectrum(cfg, spec)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,7 +136,7 @@ def test_wavelength_angle_nodes_are_the_closed_form(theta_deg, gain, length_m):
     wa = to_wavelength_angle(sg, cfg)
     lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad, indexing="ij")
     omega, k = 2 * math.pi * c / lam, theta * 2 * math.pi / lam
-    support = _mismatch(cfg, omega, k)[1] & (np.abs(k) <= sg.k_axis()[-1])
+    support = _mismatch(_wavenumbers(cfg, omega), k)[1] & (np.abs(k) <= sg.k_axis()[-1])
     want = np.zeros_like(wa.values)
     want[support] = spectral_density(omega[support], k[support], cfg)
     half = wa.values.shape[1] // 2
@@ -233,20 +233,20 @@ def test_width_ratio_follows_the_near_degenerate_dispersion(gain, length_m):
 @example(71.75, 6.0, 0.01, 64, 64)
 def test_every_automatic_grid_passes_its_edge_check(theta_deg, gain, length_m,
                                                      n_omega, n_k):
-    """auto_grid sizes the grid from S's closed-form support and checks its
-    edges once, or refuses by name where the support reaches its cap (at
-    75.25, 80.5 and 71.75 deg the ring runs to the end of the dispersion
-    range). The cap keeps every grid inside the dispersion range, so
-    build_spectrum builds every grid auto_grid returns."""
+    """auto_grid sizes the grid from S's closed-form support, or refuses by
+    name where the support reaches its cap (at 75.25, 80.5 and 71.75 deg
+    the ring runs to the end of the dispersion range); build_spectrum
+    checks the edges of the S it builds once, and refuses by name where
+    they fail. The cap keeps every grid inside the dispersion range, so
+    build_spectrum evaluates every grid auto_grid returns."""
     cfg = CrystalConfig(length_m=length_m, theta_rad=math.radians(theta_deg),
                         pump_wavelength_m=800e-9, gain=gain, sellmeier=SELL)
     try:
-        grid = auto_grid(cfg, n_omega, n_k)
+        sg = build_spectrum(cfg, auto_grid(cfg, n_omega, n_k))
     except ConfigurationError as exc:
         assert str(exc).startswith(
             f"{SELL.name} at theta {math.degrees(cfg.theta_rad):g} deg: ")
         return
-    sg = build_spectrum(cfg, grid)
     sg.check_edge_decay()
 
 

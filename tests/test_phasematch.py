@@ -28,7 +28,7 @@ from pdcoh.phasematch import (
     in_sellmeier_range,
     phase_matched_locus,
 )
-from pdcoh.phasematch import _mismatch
+from pdcoh.phasematch import _mismatch, _wavenumbers
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +134,7 @@ def test_frequencies_at_the_range_ends_evaluate_or_are_marked_invalid(bbo):
     ends = 2e6 * math.pi * c / np.array(bbo.valid_range_um)
     omega = (ends[:, None] * (1 + 2.2e-16 * np.arange(-4, 5))).ravel()
     omega = np.concatenate([omega, cfg.pump_omega - omega])
-    _, valid = _mismatch(cfg, omega, 0.0)
+    _, valid = _mismatch(_wavenumbers(cfg, omega), 0.0)
     assert np.array_equal(valid, in_sellmeier_range(cfg, omega)) and valid.any()
 
 
@@ -243,7 +243,7 @@ def test_delta_k_raises_exactly_where_the_mismatch_is_invalid(bbo, points):
     k_degen = wavenumber(cfg.degenerate_omega, ORDINARY, bbo)
     omega = np.array([p[0] for p in points]) * cfg.pump_omega
     k = np.array([p[1] for p in points]) * k_degen
-    value, valid = _mismatch(cfg, omega, k)
+    value, valid = _mismatch(_wavenumbers(cfg, omega), k)
     for i in range(omega.size):
         if valid[i]:
             assert delta_k(omega[i], k[i], cfg) == value[i]

@@ -16,9 +16,9 @@ from pdcoh import (
     spectral_density,
     to_wavelength_angle,
 )
-from pdcoh import spectrum
+from pdcoh import phasematch, spectrum
 from pdcoh.dispersion import c
-from pdcoh.phasematch import _mismatch
+from pdcoh.phasematch import _mismatch, _wavenumbers, phase_matched_locus
 from pdcoh.spectrum import EDGE_DECAY_RATIO, _density_blocks, _density_from_mismatch
 
 L = 0.01
@@ -114,10 +114,12 @@ def test_built_grid_is_the_density_over_the_axis_product(sell, theta_deg):
 
 
 def _density_by_column(cfg, omega, k):
-    """_density_blocks' definition, one k column at a time."""
+    """_density_blocks' definition, one k column at a time; k holds one
+    row of columns for every frequency, or a row per frequency."""
     columns, invalid = [], 0
-    for kj in k:
-        mismatch, valid = _mismatch(cfg, omega, kj)
+    waves = _wavenumbers(cfg, omega)
+    for kj in np.broadcast_to(k, (omega.size, np.shape(k)[-1])).T:
+        mismatch, valid = _mismatch(waves, kj)
         columns.append(np.where(
             valid, _density_from_mismatch(mismatch, cfg.length_m, cfg.gain), 0.0))
         invalid = invalid + ~valid
@@ -125,13 +127,15 @@ def _density_by_column(cfg, omega, k):
 
 
 def _stacked_blocks(cfg, omega, k):
-    """_density_blocks over omega x k stacked: (density, invalid nodes per row)."""
-    blocks = list(_density_blocks(cfg, omega, k))
+    """_density_blocks over omega and k stacked, k as in _density_by_column:
+    (density, invalid nodes per row)."""
+    k = np.broadcast_to(k, (omega.size, np.shape(k)[-1]))
+    blocks = list(_density_blocks(cfg, omega, lambda rows: k[rows]))
     return (np.concatenate([density for _, density, _ in blocks]),
             np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
-@pytest.mark.parametrize("axis", ["random", "grid"])
+@pytest.mark.parametrize("axis", ["random", "grid", "wavelength-angle"])
 def test_density_blocks_equal_the_column_by_column_evaluation(theta_pm, sell, axis):
     cfg = _cfg(theta_pm, sell)
     wc = cfg.degenerate_omega
@@ -143,11 +147,19 @@ def test_density_blocks_equal_the_column_by_column_evaluation(theta_pm, sell, ax
         k = np.sort(np.concatenate([rng.uniform(-4e5, 4e5, 95),
                                     rng.uniform(7e6, 9e6, 2) * [-1, 1]]))
     else:
-        # a quadrant's axes as build_spectrum and _edge_ratios evaluate them,
-        # on a grid whose outermost rows leave the Sellmeier range
+        # a grid whose outermost rows leave the Sellmeier range
         g = GridSpec(omega_center=wc, omega_half_width=0.49 * wc, n_omega=256,
                      k_half_width=4e5, n_k=128)
+        # a quadrant's axes as build_spectrum evaluates them
         omega, k = g.omega_axis()[:129], np.abs(g.k_axis()[64::-1])
+        if axis == "wavelength-angle":
+            # the angle >= 0 half as to_wavelength_angle lays it out over
+            # this grid: k = angle * 2 pi / wavelength varies per row
+            lam = np.linspace(2 * math.pi * c / g.omega_axis()[-1],
+                              2 * math.pi * c / g.omega_axis()[0], 256)
+            theta_max = g.k_half_width * lam[-1] / (2 * math.pi)
+            theta = np.linspace(-theta_max, theta_max, 128)[64:]
+            omega, k = 2 * math.pi * c / lam, theta * 2 * math.pi / lam[:, None]
     values, invalid = _stacked_blocks(cfg, omega, k)
     want, want_invalid = _density_by_column(cfg, omega, k)
     assert values.tobytes() == want.tobytes()
@@ -180,15 +192,17 @@ def test_auto_grid_clamps_a_support_that_ends_inside_its_cap(sell):
     assert sg.edge_ratio < EDGE_DECAY_RATIO
 
 
-def test_auto_grid_refuses_a_grid_whose_edges_hold_its_sampled_peak(sell, monkeypatch):
+def test_build_spectrum_refuses_a_grid_whose_edges_hold_its_sampled_peak(sell, monkeypatch):
     # the closed form bounds S on every edge by EDGE_DECAY_RATIO of sinh^2 G;
-    # only nodes that miss the peak can fail the edge check, which names them
-    monkeypatch.setattr(spectrum, "_edge_ratios",
-                        lambda cfg, grid: (np.array([2e-3, 1e-6]), SINH2_G))
+    # only nodes that miss the peak can fail the edge check of the S built,
+    # which names them
+    cfg = _cfg(math.radians(19.94), sell)
+    grid = auto_grid(cfg, 256, 128)
+    monkeypatch.setattr(spectrum.SpectralGrid, "edge_ratio", 2e-3)
     with pytest.raises(ConfigurationError,
                        match=r"^bbo_kato1986 at theta 19\.94 deg: S holds 2\.00e-03 of its "
                              r"sampled peak on the edge of its 256 x 128 grid$"):
-        auto_grid(_cfg(math.radians(19.94), sell), 256, 128)
+        build_spectrum(cfg, grid)
 
 
 def test_grid_spec_validation():
@@ -377,7 +391,7 @@ def _assert_closed_form(wa, sg, cfg):
     for bit."""
     lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad, indexing="ij")
     omega, k = 2 * math.pi * c / lam, np.abs(theta) * 2 * math.pi / lam
-    support = _mismatch(cfg, omega, k)[1] & (k <= sg.k_axis()[-1])
+    support = _mismatch(_wavenumbers(cfg, omega), k)[1] & (k <= sg.k_axis()[-1])
     assert np.count_nonzero(~support) > 0  # the zero rule is exercised
     half = wa.values.shape[1] // 2
     want = np.zeros_like(wa.values)
@@ -418,3 +432,27 @@ def test_wavelength_angle_round_trip(spot):
     theta = np.outer(lam, k) * (1 / (2 * math.pi))
     assert np.allclose(theta * 2 * math.pi / lam[:, None], k, rtol=1e-14,
                        atol=1e-18)
+
+
+def test_each_pass_evaluates_the_wavenumbers_once(sell, monkeypatch):
+    # k_s, k_i and k_p, one wavenumber call each, per pass: auto_grid's
+    # |Omega| pass serves its support and its k root, build_spectrum's and
+    # to_wavelength_angle's blocks slice one evaluation, and the locus's
+    # on-axis mismatch and ring root share one
+    calls = []
+    wavenumber = phasematch.wavenumber
+    monkeypatch.setattr(phasematch, "wavenumber",
+                        lambda *args: calls.append(1) or wavenumber(*args))
+    cfg = _cfg(math.radians(19.94), sell)
+
+    def counted(run, *args):
+        calls.clear()
+        result = run(*args)
+        return result, len(calls)
+
+    grid, n_grid = counted(auto_grid, cfg)
+    sg, n_build = counted(build_spectrum, cfg, grid)
+    _, n_angle = counted(to_wavelength_angle, sg, cfg)
+    _, n_locus = counted(phase_matched_locus, cfg,
+                         cfg.degenerate_omega * np.linspace(0.55, 1.45, 181))
+    assert (n_grid, n_build, n_angle, n_locus) == (3, 3, 3, 3)
