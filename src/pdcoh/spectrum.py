@@ -149,21 +149,20 @@ def spectral_density(omega_s, k, cfg):
     return _density_from_mismatch(delta_k(omega_s, k, cfg), cfg.length_m, cfg.gain)
 
 
-def _density_blocks(cfg, omega, k_of):
-    """(rows, k, density, valid) over the frequencies omega, _ROW_BLOCK at
-    a time, so a block's temporaries stay in cache: rows is the block's
-    slice of omega, and k = k_of(rows) its transverse wavevectors, broadcast
-    against omega[rows, None]. The wavenumbers of every frequency come from
-    one _wavenumbers call. Nodes whose signal or idler leaves the dispersion
+def _density_blocks(cfg, omega, k):
+    """(rows, density, valid) over the frequencies omega, _ROW_BLOCK at a
+    time, so a block's temporaries stay in cache: rows is the block's slice
+    of omega, and k(rows) its transverse wavevectors, broadcast against
+    omega[rows, None]. The wavenumbers of every frequency come from one
+    _wavenumbers call. Nodes whose signal or idler leaves the dispersion
     range, or whose k is evanescent, do not evaluate: they are 0."""
     in_range, k_s, k_i, k_p = _wavenumbers(cfg, omega[:, None])
     for lo in range(0, omega.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        k = k_of(rows)
-        mismatch, valid = _mismatch((in_range[rows], k_s[rows], k_i[rows], k_p), k)
+        mismatch, valid = _mismatch((in_range[rows], k_s[rows], k_i[rows], k_p), k(rows))
         density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
         density[~valid] = 0.0
-        yield rows, k, density, valid
+        yield rows, density, valid
 
 
 def unfold(symmetry, domain, shape):
@@ -279,8 +278,7 @@ def build_spectrum(cfg, grid=None):
     k, weight = np.abs(grid.k_axis()[half::-1]), np.r_[1, np.full(half - 1, 2), 1]
     quadrant = np.empty((n + 1, half + 1))
     invalid_rows = np.empty(n + 1, int)
-    for rows, _, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1],
-                                                   lambda rows: k):
+    for rows, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1], lambda rows: k):
         # omega row i is Omega = (i - n) steps, quadrant row n - i
         quadrant[::-1][rows] = density
         invalid_rows[rows] = ~valid @ weight
@@ -360,10 +358,10 @@ def to_wavelength_angle(sg, cfg):
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, spec.n_k)
 
-    def k_of(rows):
+    def k(rows):
         return theta[spec.n_k // 2:] * 2 * math.pi / lam[rows, None]
 
     half = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
-    for rows, k, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k_of):
-        half[rows] = np.where(k <= k_max, density, 0.0)
+    for rows, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k):
+        half[rows] = np.where(k(rows) <= k_max, density, 0.0)
     return WavelengthAngleGrid(lam, theta, half, dict(sg.provenance))

@@ -36,8 +36,8 @@ def _bits(a):
 def _stacked_blocks(cfg, omega, k):
     """_density_blocks over omega x k stacked: (density, invalid nodes per row)."""
     blocks = list(_density_blocks(cfg, omega, lambda rows: k))
-    return (np.concatenate([density for _, _, density, _ in blocks]),
-            np.concatenate([np.count_nonzero(~valid, axis=1) for *_, valid in blocks]))
+    return (np.concatenate([density for _, density, _ in blocks]),
+            np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
 def _spectrum(theta_deg, gain, length_m):

@@ -131,8 +131,8 @@ def _stacked_blocks(cfg, omega, k):
     (density, invalid nodes per row)."""
     k = np.broadcast_to(k, (omega.size, np.shape(k)[-1]))
     blocks = list(_density_blocks(cfg, omega, lambda rows: k[rows]))
-    return (np.concatenate([density for _, _, density, _ in blocks]),
-            np.concatenate([np.count_nonzero(~valid, axis=1) for *_, valid in blocks]))
+    return (np.concatenate([density for _, density, _ in blocks]),
+            np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
 @pytest.mark.parametrize("axis", ["random", "grid", "wavelength-angle"])
