@@ -134,9 +134,9 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     (cell 2*pi/span), refined `oversample` times and truncated to
     +-`extent_cells` conjugate cells, each a (tau, xi) pair or one value for
     both. tau keeps oversample 16 so a 1 fs blur keeps its variance; xi is
-    sized by the metric floor: a 1025 x 257 map. Refusal to transform a
-    grid whose density has not decayed at the edges guards against
-    aliasing.
+    sized by the metric floor: a 1025 x 257 map. An S that fails
+    sg.check_edge_decay, judged from its quadrant whatever its provenance
+    says, is refused: its transform would alias.
 
     S is even in k and in Omega, as S(Omega^2, k^2) about the degenerate
     frequency is, and SpectralGrid holds only its (|Omega|, |k|) quadrant.
@@ -350,15 +350,13 @@ def instrument_blur(cmap, dtau, dxi):
     phase is kept, which for a real map is its sign. The result is
     deliberately not renormalized: a central value below 1 is the
     signature of resolution-limited visibility. A sigma of at most 1e-15
-    samples leaves its axis unblurred; blur_sigma states what is refused.
-    Only the quadrant is blurred, bit for bit as the whole map would be.
+    samples leaves its axis unblurred, so a zero blur keeps the values and
+    records both widths as every blur does; blur_sigma states what is
+    refused. Only the quadrant is blurred, bit for bit as the whole map
+    would be.
     """
     sigma = blur_sigma(cmap, dtau, dxi)
     q = cmap.quadrant
-    if dtau == 0 and dxi == 0:
-        return CoherenceMap(cmap.tau_axis, cmap.xi_axis, q.copy(),
-                            cmap.carrier_omega, cmap.intensity,
-                            dict(cmap.provenance))
     blurred = np.abs(q)
     if sigma[0] > 1e-15:
         blurred = _quadrant_rows(blurred, cmap.tau_axis.size, sigma[0])

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dispersion import c
 from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
-from .errors import ConfigurationError, DensityPeakError, EdgeDecayError
+from .errors import ConfigurationError, DensityPeakError, EdgeDecayError, blamed
 from .phasematch import _mismatch, _ring_squared, _wavenumbers, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
@@ -89,7 +89,8 @@ class SpectralGrid:
     S is even in Omega and k, as S(Omega^2, k^2) about the degenerate
     frequency is, so the quadrant is all of it; any other shape raises
     ConfigurationError. An even full array folds to it with
-    np.ascontiguousarray(s_mirror(full)[0]).
+    np.ascontiguousarray(s_mirror(full)[0]). The provenance is carried to
+    files and maps; nothing here reads it: the edge ratio is S's own.
     """
 
     def __init__(self, spec, quadrant, provenance=None):
@@ -112,17 +113,23 @@ class SpectralGrid:
 
     @property
     def edge_ratio(self):
-        """Largest edge value relative to the grid peak."""
-        return self.provenance.get("edge_ratio", math.inf)
+        """The largest value on the grid's edges over the peak, from the
+        quadrant: its last two rows (Omega = -Omega_max and Omega_max - step)
+        and columns (k = -k_max and k_max - step). inf where the quadrant
+        has no finite positive peak."""
+        q = self.quadrant
+        peak = q.max()
+        if not 0 < peak < math.inf:
+            return math.inf
+        return float(max(q[-2:].max(), q[:, -2:].max()) / peak)
 
     def check_edge_decay(self):
-        """Refuse a grid whose density has not decayed below EDGE_DECAY_RATIO
-        of its peak at every edge: its correlation transform would alias."""
+        """Refuse, with EdgeDecayError, an S that holds EDGE_DECAY_RATIO of
+        its peak on an edge: its correlation transform would alias."""
         if not self.edge_ratio < EDGE_DECAY_RATIO:
             raise EdgeDecayError(
-                f"spectral density at the grid edge is {self.edge_ratio:.2e} of the "
-                f"peak (limit {EDGE_DECAY_RATIO:.0e}); widen the grid before "
-                "transforming")
+                f"S holds {self.edge_ratio:.2e} of its sampled peak on the edge of "
+                f"its {self.spec.n_omega} x {self.spec.n_k} grid")
 
 
 # a gain or length so large that S overflows gives inf or nan, which the
@@ -263,10 +270,9 @@ def build_spectrum(cfg, grid=None):
     _wavenumbers evaluation, and no full array is made. Invalid nodes are
     zeroed and counted at their weight on the whole grid; more than 1% of
     them is a configuration error. A quadrant with no finite positive peak
-    raises DensityPeakError. The provenance records the edge decay ratio,
-    from the grid's edge rows and columns, that the correlation transform
-    checks before trusting it; a ratio of EDGE_DECAY_RATIO or more is
-    refused here, with a ConfigurationError naming the angle.
+    raises DensityPeakError. The provenance records S's edge_ratio; an S
+    that fails SpectralGrid.check_edge_decay is refused here, with a
+    ConfigurationError naming the angle.
     """
     if grid is None:
         grid = auto_grid(cfg)
@@ -288,12 +294,7 @@ def build_spectrum(cfg, grid=None):
         raise ConfigurationError(
             f"{invalid} of {grid.n_omega * grid.n_k} grid nodes are unphysical "
             "(evanescent or outside the dispersion range); narrow the grid")
-    peak = quadrant.max()
-    _check_peak(cfg, peak)
-    # the grid's edges: rows -Omega_max and Omega_max - step, columns -k_max
-    # and k_max - step
-    edges = max(quadrant[n].max(), quadrant[n - 1].max(),
-                quadrant[:, half].max(), quadrant[:, half - 1].max())
+    _check_peak(cfg, quadrant.max())
     sg = SpectralGrid(grid, quadrant, {
         "crystal_hash": cfg.config_hash(),
         "material": cfg.sellmeier.name,
@@ -302,11 +303,10 @@ def build_spectrum(cfg, grid=None):
         "pump_wavelength_m": cfg.pump_wavelength_m,
         "gain": cfg.gain,
         "invalid_nodes": invalid,
-        "edge_ratio": float(edges / peak),
     })
-    if sg.edge_ratio >= EDGE_DECAY_RATIO:
-        raise ConfigurationError(f"{_crystal(cfg)}: S holds {sg.edge_ratio:.2e} of its sampled "
-                                 f"peak on the edge of its {grid.n_omega} x {grid.n_k} grid")
+    sg.provenance["edge_ratio"] = sg.edge_ratio
+    with blamed(_crystal(cfg), EdgeDecayError):
+        sg.check_edge_decay()
     return sg
 
 

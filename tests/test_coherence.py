@@ -26,7 +26,8 @@ from pdcoh.coherence import (
     map_mirror,
     metrics,
 )
-from pdcoh.gridio import read_coherence_map, write_coherence_map
+from pdcoh.gridio import read_coherence_map, read_spectral_grid, write_coherence_map, \
+    write_spectral_grid
 
 ANGLES_DEG = (19.87, 19.90, 19.94)
 FWHM_SIGMA = 2.3548200450309493
@@ -55,14 +56,12 @@ def spectra(sell):
 def _gaussian_grid(sigma_w=2e13, sigma_k=1e4):
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=256, k_half_width=1e5, n_k=128)
-    # the (|Omega|, |k|) quadrant; its last two rows and columns are the
-    # grid's edges
+    # the (|Omega|, |k|) quadrant
     abs_omega = np.arange(spec.n_omega // 2 + 1) * spec.omega_step
     abs_k = np.arange(spec.n_k // 2 + 1) * spec.k_step
     quadrant = np.exp(-0.5 * (abs_omega / sigma_w) ** 2)[:, None] \
         * np.exp(-0.5 * (abs_k / sigma_k) ** 2)[None, :]
-    edge = max(quadrant[-2:].max(), quadrant[:, -2:].max())
-    return SpectralGrid(spec, quadrant, {"edge_ratio": edge / quadrant.max()})
+    return SpectralGrid(spec, quadrant)
 
 
 def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
@@ -135,10 +134,13 @@ _SPEC64 = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
 
 def test_transform_is_exact_for_a_k_mirrored_density():
     # a random S, even in Omega and k, with mass in the unpaired Omega row
-    # and k column: the quadrant's last row and column
+    # and k column: the quadrant's last row and column. Its two outermost
+    # rows and columns are tapered by 1e-4, so it decays at the edges
     quadrant = np.random.default_rng(3).random((33, 33))
+    quadrant[-2:] *= 1e-4
+    quadrant[:, -2:] *= 1e-4
     assert np.all(quadrant[-1] > 0) and np.all(quadrant[:, -1] > 0)
-    sg = SpectralGrid(_SPEC64, quadrant, {"edge_ratio": 0.0})
+    sg = SpectralGrid(_SPEC64, quadrant)
     cm = correlation_map(sg, oversample=2, extent_cells=4)
     for i, tau in enumerate(cm.tau_axis):
         for j, xi in enumerate(cm.xi_axis):
@@ -152,13 +154,39 @@ def test_zero_lag_intensity_is_grid_sum(map94, sell):
     assert map94.intensity == pytest.approx(sg.values.sum() * cell, rel=1e-9)
 
 
-def test_refuses_undecayed_grid(sell):
-    sg = build_spectrum(_cfg(19.94, sell))
-    bad = SpectralGrid(sg.spec, sg.quadrant, {"edge_ratio": 0.02})
-    with pytest.raises(EdgeDecayError, match="widen"):
-        correlation_map(bad)
-    with pytest.raises(EdgeDecayError):
-        correlation_map(SpectralGrid(sg.spec, sg.quadrant, {}))
+def test_refuses_undecayed_grid(spectra, map94):
+    # the edge ratio is S's own, from its quadrant, whatever its provenance
+    # says: an S whose -Omega_max row holds its peak is refused though its
+    # provenance says 0.0, and one with no positive peak is refused too
+    sg = spectra[19.94]
+    bad = sg.quadrant.copy()
+    bad[-1, 0] = bad.max()
+    with pytest.raises(EdgeDecayError, match=r"^S holds 1\.00e\+00 of its sampled "
+                                             r"peak on the edge of its 1024 x 512 grid$"):
+        correlation_map(SpectralGrid(sg.spec, bad, {"edge_ratio": 0.0}))
+    with pytest.raises(EdgeDecayError, match=r"^S holds inf "):
+        correlation_map(SpectralGrid(sg.spec, np.zeros_like(bad)))
+    # build_spectrum's S without its provenance transforms to the same map
+    bare = correlation_map(SpectralGrid(sg.spec, sg.quadrant))
+    assert bare.quadrant.tobytes() == map94.quadrant.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_a_read_spectrum_is_judged_by_its_quadrant(sell, tmp_path, fmt):
+    # a file's header keeps the edge ratio of the S it was written from; the
+    # transforms judge the quadrant read back, whose -Omega_max row holds
+    # its peak
+    cfg = _cfg(19.94, sell)
+    sg = build_spectrum(cfg, auto_grid(cfg, 64, 64))
+    bad = sg.quadrant.copy()
+    bad[-1, 0] = bad.max()
+    path = tmp_path / f"spectrum.{fmt}"
+    write_spectral_grid(path, SpectralGrid(sg.spec, bad, sg.provenance), fmt=fmt)
+    back = read_spectral_grid(path)
+    assert back.provenance["edge_ratio"] == sg.edge_ratio < 1e-3
+    for transform in (correlation_map, correlation_columns):
+        with pytest.raises(EdgeDecayError, match=r"^S holds 1\.00e\+00 "):
+            transform(back)
 
 
 def test_separable_gaussian_factorizes():
@@ -177,7 +205,7 @@ def test_delta_spectrum_is_fully_coherent():
     # S at Omega = 0, k = 0 alone: its quadrant's first node
     quadrant = np.zeros((65, 33))
     quadrant[0, 0] = 1.0
-    cm = correlation_map(SpectralGrid(spec, quadrant, {"edge_ratio": 0.0}))
+    cm = correlation_map(SpectralGrid(spec, quadrant))
     assert np.max(np.abs(np.abs(cm.g) - 1.0)) < 1e-12
 
 
@@ -270,6 +298,13 @@ def test_blur_zero_is_identity(map94):
     out = instrument_blur(map94, 0.0, 0.0)
     assert np.array_equal(out.g, map94.g)
     assert out.g is not map94.g
+
+
+def test_zero_blur_records_its_widths_and_keeps_the_values(map94):
+    out = instrument_blur(map94, 0.0, 0.0)
+    assert out.quadrant.tobytes() == map94.quadrant.tobytes()
+    assert out.quadrant is not map94.quadrant
+    assert (out.provenance["blur_tau_s"], out.provenance["blur_xi_m"]) == (0.0, 0.0)
 
 
 def test_blur_keeps_phase_and_caps_peak(map94):

@@ -21,8 +21,7 @@ def _grid(values):
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=values.shape[0], k_half_width=1e5,
                     n_k=values.shape[1])
-    return SpectralGrid(spec, np.ascontiguousarray(s_mirror(values)[0]),
-                        {"edge_ratio": 0.0})
+    return SpectralGrid(spec, np.ascontiguousarray(s_mirror(values)[0]))
 
 
 def _mirror(n):
@@ -32,12 +31,22 @@ def _mirror(n):
     return np.abs(np.arange(n) - n // 2)
 
 
-MIRROR = _mirror(64)
+def _taper(n):
+    """1 along an even axis of n nodes, but 1e-4 on its two outermost
+    |index| values (n/2 and n/2 - 1 steps): S decays at the grid's edges,
+    as the transform requires, and its unpaired row and column stay
+    nonzero."""
+    return np.where(_mirror(n) >= n // 2 - 1, 1e-4, 1.0)
+
+
+MIRROR, TAPER = _mirror(64), _taper(64)
 
 
 def _random_density(seed, n_omega):
-    """A random S, even in Omega and k as every S(Omega^2, k^2) is."""
-    return np.random.default_rng(seed).random((n_omega, 64))[_mirror(n_omega)][:, MIRROR]
+    """A random S, even in Omega and k as every S(Omega^2, k^2) is, and
+    tapered at the edges."""
+    table = np.random.default_rng(seed).random((n_omega, 64))
+    return table[_mirror(n_omega)][:, MIRROR] * _taper(n_omega)[:, None] * TAPER
 
 
 @settings(max_examples=25, deadline=None)
@@ -81,7 +90,8 @@ def test_reference_differs_from_the_plain_sum_only_in_the_unpaired_column(
 @given(seeds, n_omegas)
 def test_separable_density_factorizes(seed, n_omega):
     rng = np.random.default_rng(seed)
-    values = np.outer(rng.random(n_omega)[_mirror(n_omega)], rng.random(64)[MIRROR])
+    values = np.outer(rng.random(n_omega)[_mirror(n_omega)] * _taper(n_omega),
+                      rng.random(64)[MIRROR] * TAPER)
     assert factorability_defect(correlation_map(_grid(values), **SIDE)) < 1e-12
 
 

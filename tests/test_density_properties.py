@@ -20,24 +20,15 @@ from pdcoh.coherence import FWHM_TO_SIGMA, _gaussian_rows, blur_sigma, correlati
     instrument_blur, metrics
 from pdcoh.dispersion import ORDINARY, c, gvd, index
 from pdcoh.phasematch import _mismatch, _wavenumbers, phase_matched_locus
-from pdcoh.spectrum import _density_blocks, s_mirror
+from pdcoh.spectrum import s_mirror
+
+from test_spectrum import _bits, _stacked_blocks
 
 SELL = load_sellmeier("bbo_kato1986")
 
 # the box the README states as a limit: theta 19.6-20.1 deg, gain 0.5-8,
 # length 2-20 mm
 BOX = (st.floats(19.6, 20.1), st.floats(0.5, 8.0), st.floats(2e-3, 20e-3))
-
-
-def _bits(a):
-    return np.ascontiguousarray(a).view(np.uint64)
-
-
-def _stacked_blocks(cfg, omega, k):
-    """_density_blocks over omega x k stacked: (density, invalid nodes per row)."""
-    blocks = list(_density_blocks(cfg, omega, lambda rows: k))
-    return (np.concatenate([density for _, density, _ in blocks]),
-            np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
 
 
 def _spectrum(theta_deg, gain, length_m):
