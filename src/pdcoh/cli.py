@@ -193,7 +193,7 @@ def _spectrum_products(args, out, rc, theta, sg):
            sg, fmt=rc.out_format)
     _write(args, write_wavelength_angle_grid,
            out / f"spectrum_{tag}_wavelength_angle.{ext}",
-           to_wavelength_angle(sg, rc.crystal_config(theta)), fmt=rc.out_format)
+           to_wavelength_angle(rc.crystal_config(theta), sg.spec), fmt=rc.out_format)
 
 
 def _map_products(args, out, rc, tag, cmap, suffix=""):

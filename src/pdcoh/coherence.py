@@ -12,12 +12,12 @@ Omega, so the envelope is real and even in tau and xi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import MapExtentError, ResolutionError
-from .spectrum import check_domain, unfold
+from .spectrum import Folded, unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -39,27 +39,33 @@ _TAU_BLOCK = 64
 _MIN_BLUR_SIGMA = 0.6
 
 
-@dataclass
-class CoherenceMap:
+def map_mirror(g):
+    """(domain, (image, source) pairs) of a map g1 of an S even in Omega
+    and k: the tau >= 0, xi >= 0 quadrant, copied onto xi < 0, then tau < 0
+    (g1 is real and even in tau and xi)."""
+    n, m = g.shape[0] // 2, g.shape[1] // 2
+    return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m]), (g[:n], g[::-1][:n])]
+
+
+@dataclass(eq=False)
+class CoherenceMap(Folded):
     """Envelope of g1 on a uniform (tau, xi) grid; rows run along tau. It is
     held only as map_mirror's domain, the real tau >= 0, xi >= 0 quadrant."""
 
+    symmetry = staticmethod(map_mirror)
+    fold = "tau >= 0, xi >= 0"
+
     tau_axis: np.ndarray
     xi_axis: np.ndarray
-    quadrant: np.ndarray
     carrier_omega: float
     intensity: float
-    provenance: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        shape = (self.tau_axis.size, self.xi_axis.size)
-        check_domain(map_mirror, self.quadrant, shape, "CoherenceMap quadrant")
+    # the unfolded envelope under the name perfbench's checks read
+    g = Folded.values
 
     @property
-    def g(self):
-        """The envelope over the whole map, unfolded from the quadrant (a new array)."""
-        return unfold(map_mirror, self.quadrant,
-                      (self.tau_axis.size, self.xi_axis.size))
+    def shape(self):
+        return (self.tau_axis.size, self.xi_axis.size)
 
     @property
     def tau_step(self):
@@ -79,17 +85,9 @@ class CoherenceColumn:
     carrier_omega: float
 
 
-def map_mirror(g):
-    """(domain, (image, source) pairs) of a map g1 of an S even in Omega
-    and k: the tau >= 0, xi >= 0 quadrant, copied onto xi < 0, then tau < 0
-    (g1 is real and even in tau and xi)."""
-    n, m = g.shape[0] // 2, g.shape[1] // 2
-    return g[n:, m:], [(g[n:, :m], g[n:, ::-1][:, :m]), (g[:n], g[::-1][:n])]
-
-
 def _tau_stage(sg, os_tau, ext_tau):
     """(tau axis, R, kernel) of an S that passes its edge check: R = t_cos @
-    sg.quadrant, the (|Omega|, |k|) quadrant of S, and R @ kernel(xi) the
+    sg.domain, the (|Omega|, |k|) quadrant of S, and R @ kernel(xi) the
     unnormalized envelope on the tau >= 0 nodes at each xi. Each step m of
     |Omega| and |k| weighs 2, m = 0 and the unpaired edge 1: the cos sum of
     the whole grid. tau_step * Omega_step = 2 pi / L, so t_cos reads one
@@ -117,7 +115,7 @@ def _tau_stage(sg, os_tau, ext_tau):
         # mode="clip" lets take write straight into out (indices are in range)
         table.take(idx, out=t_cos, mode="clip")
         t_cos[:, 1:n_w] *= 2.0
-        np.matmul(t_cos, sg.quadrant, out=r[lo:lo + _TAU_BLOCK])
+        np.matmul(t_cos, sg.domain, out=r[lo:lo + _TAU_BLOCK])
     k = np.arange(half + 1) * spec.k_step
     weight = np.r_[1.0, np.full(half - 1, 2.0), 1.0]
 
@@ -136,7 +134,9 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     both. tau keeps oversample 16 so a 1 fs blur keeps its variance; xi is
     sized by the metric floor: a 1025 x 257 map. An S that fails
     sg.check_edge_decay, judged from its quadrant whatever its provenance
-    says, is refused: its transform would alias.
+    says, is refused: its transform would alias. The map's provenance is
+    S's, with the edge ratio computed from S's quadrant written over any
+    copied one, and the transform's settings.
 
     S is even in k and in Omega, as S(Omega^2, k^2) about the degenerate
     frequency is, and SpectralGrid holds only its (|Omega|, |k|) quadrant.
@@ -157,9 +157,10 @@ def correlation_map(sg, oversample=OVERSAMPLE, extent_cells=EXTENT_CELLS):
     quadrant /= center
     cell = spec.omega_step * spec.k_step
     provenance = dict(sg.provenance)
-    provenance.update(oversample_tau=os_tau, oversample_xi=os_xi,
-                      extent_cells_tau=ext_tau, extent_cells_xi=ext_xi)
-    return CoherenceMap(tau_axis=tau, xi_axis=xi, quadrant=quadrant,
+    provenance.update(edge_ratio=sg.edge_ratio, oversample_tau=os_tau,
+                      oversample_xi=os_xi, extent_cells_tau=ext_tau,
+                      extent_cells_xi=ext_xi)
+    return CoherenceMap(tau_axis=tau, xi_axis=xi, domain=quadrant,
                         carrier_omega=spec.omega_center,
                         intensity=float(center * cell),
                         provenance=provenance)
@@ -267,7 +268,7 @@ def metrics(cmap):
     FWHM raises ResolutionError carrying the needed refinement factor. The
     cuts are the quadrant's xi = 0 column and tau = 0 row, mirrored.
     """
-    q = cmap.quadrant
+    q = cmap.domain
     tau_cut = np.abs(unfold(map_mirror, q[:, :1], (cmap.tau_axis.size, 1))[:, 0])
     xi_cut = np.abs(unfold(map_mirror, q[:1], (1, cmap.xi_axis.size))[0])
 
@@ -356,7 +357,7 @@ def instrument_blur(cmap, dtau, dxi):
     would be.
     """
     sigma = blur_sigma(cmap, dtau, dxi)
-    q = cmap.quadrant
+    q = cmap.domain
     blurred = np.abs(q)
     if sigma[0] > 1e-15:
         blurred = _quadrant_rows(blurred, cmap.tau_axis.size, sigma[0])
@@ -364,9 +365,7 @@ def instrument_blur(cmap, dtau, dxi):
         blurred = _quadrant_rows(blurred.T, cmap.xi_axis.size, sigma[1]).T
     provenance = dict(cmap.provenance)
     provenance.update(blur_tau_s=dtau, blur_xi_m=dxi)
-    return CoherenceMap(cmap.tau_axis, cmap.xi_axis,
-                        np.where(q < 0, -blurred, blurred),
-                        cmap.carrier_omega, cmap.intensity, provenance)
+    return replace(cmap, domain=np.where(q < 0, -blurred, blurred), provenance=provenance)
 
 
 def factorability_defect(cmap):
@@ -376,6 +375,6 @@ def factorability_defect(cmap):
     Zero for maps whose source density factorizes into S1(omega) * S2(k);
     a large value is the fingerprint of coupled time-space coherence.
     """
-    q = cmap.quadrant
+    q = cmap.domain
     outer = np.outer(q[:, 0], q[0])
     return float(np.max(np.abs(np.subtract(q, outer, out=outer))))

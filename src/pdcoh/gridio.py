@@ -13,14 +13,15 @@ fundamental domain: a fringe trace is one row of intensities under the
 `position` axis of its stage sweep.
 Headers carry no timestamp: the same inputs must produce the same bytes.
 
-A symmetric product is held in memory as its fundamental domain and
-stores just that, named by a `fold` header field: a coherence map its
-tau >= 0, xi >= 0 quadrant, S its (|Omega|, |k|) quadrant, a
-wavelength-angle grid its angle >= 0 columns. Each is written from and
-read into the domain its object holds, never unfolded, so a file does not
-hold the full grid for a tool such as numpy.loadtxt. A symmetric kind's
-file with no fold field, or with another fold, and a fold on any other
-kind are refused naming the file. A CSV value is its repr, a
+A symmetric product is a spectrum.Folded, held in memory as its
+fundamental domain, and stores just that, named by its class's `fold` in
+a `fold` header field: a coherence map its tau >= 0, xi >= 0 quadrant, S
+its (|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0
+columns. Each is written from and read into the domain its object holds,
+never unfolded, so a file does not hold the full grid for a tool such as
+numpy.loadtxt; the domain's shape comes from the class's symmetry. A
+symmetric kind's file with no fold field, or with another fold, and a
+fold on any other kind are refused naming the file. A CSV value is its repr, a
 NaN whose sign bit is set -nan, byte for byte; one numpy kernel formats a
 block of values at a time and calls repr only for the few values it
 cannot settle exactly (_write_rows). Every write_* returns with its file
@@ -40,23 +41,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import CoherenceMap, map_mirror
+from .coherence import CoherenceMap
 from .errors import ConfigurationError
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, \
-    angle_mirror, domain_shape, s_mirror
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, domain_shape
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
 
 # output format -> file extension
 FORMATS = {"csv": "csv", "binary": "bin"}
-
-# kind -> (its fold field, the symmetry that fold stores the domain of)
-_FOLDS = {"spectral-density": ("|Omega|, |k|", s_mirror),
-          "wavelength-angle-density": ("angle >= 0", angle_mirror),
-          "coherence-map": ("tau >= 0, xi >= 0", map_mirror)}
-
 
 def _clean(header):
     out = {}
@@ -393,11 +387,11 @@ def _read_binary(path):
 # --- one writer and one reader for every array product ---
 
 
-def _write(path, fmt, head, axes, provenance, arrays):
+def _write(path, fmt, head, axes, provenance, arrays, fold=None):
     """Write the head fields, each (name, axis) as start/step/count, the
-    provenance, then the named arrays, in that header order; a symmetric
-    kind's arrays are its fundamental domain, declared by a last `fold`
-    field."""
+    provenance, then the named arrays, in that header order; a Folded
+    product's arrays are its fundamental domain, declared by its fold as a
+    last `fold` field."""
     if fmt not in FORMATS:
         raise ConfigurationError(f"unknown output format {fmt!r}; "
                                  f"choose one of {tuple(FORMATS)}")
@@ -405,20 +399,20 @@ def _write(path, fmt, head, axes, provenance, arrays):
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
     header.update(_clean(provenance))
-    if head["kind"] in _FOLDS:
-        header["fold"] = _FOLDS[head["kind"]][0]
+    if fold is not None:
+        header["fold"] = fold
     (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
 
 
-def _read(path, kind, axes=()):
+def _read(path, kind, axes=(), folded=None):
     """(provenance, axes, arrays) of a product of this kind.
 
-    The encoding is sniffed from the magic. A symmetric kind must carry its
-    one fold, any other kind none. With axes named, each axis must hold an
-    integer count and a finite start and step (_axis), and every array
-    must have one row per value of the first and one column per value of
-    the second, or for a symmetric kind the shape of that grid's
-    fundamental domain.
+    The encoding is sniffed from the magic. The file of a folded kind, read
+    for its Folded class, must carry the class's one fold, any other file
+    none. With axes named, each axis must hold an integer count and a
+    finite start and step (_axis), and every array must have one row per
+    value of the first and one column per value of the second, or for a
+    folded kind the shape of that grid's domain under the class's symmetry.
     """
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
@@ -431,12 +425,12 @@ def _read(path, kind, axes=()):
         specs = [_axis(header, name, path) for name in axes]
         shape = tuple(n for _, _, n in specs)
         fold = header.pop("fold", None)
-        ours, symmetry = _FOLDS.get(kind, (None, None))
+        ours = None if folded is None else folded.fold
         if fold != ours:
             raise ConfigurationError(f"{path}: {kind} files have fold {ours!r}, "
                                      f"this one {fold!r}")
-        if symmetry is not None:
-            shape = domain_shape(symmetry, shape)
+        if folded is not None:
+            shape = domain_shape(folded.symmetry, shape)
         for name, arr in arrays.items() if axes else ():
             if arr.shape != shape:
                 raise ConfigurationError(f"{path}: array {name!r} has shape "
@@ -466,12 +460,13 @@ def write_spectral_grid(path, sg, fmt="csv"):
     _write(path, fmt, {"kind": "spectral-density",
                        **{key: getattr(sg.spec, key) for key in _SPEC_KEYS}},
            [("omega", sg.omega_axis()), ("k", sg.k_axis())], sg.provenance,
-           [("density", sg.quadrant)])
+           [("density", sg.domain)], sg.fold)
 
 
 def read_spectral_grid(path):
     """S, built from the (|Omega|, |k|) quadrant its file stores."""
-    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"))
+    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"),
+                                       SpectralGrid)
     spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
     density = _require(arrays, "density", path)
     try:
@@ -481,7 +476,7 @@ def read_spectral_grid(path):
                 ("k", spec.k_axis(), k, spec.k_step)):
             if not np.allclose(ours, read, rtol=0, atol=1e-6 * step):
                 raise ConfigurationError(f"the grid spec disagrees with the {name} axis")
-        return SpectralGrid(spec, density, provenance=header)
+        return SpectralGrid(spec, domain=density, provenance=header)
     except (ConfigurationError, TypeError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
 
@@ -489,15 +484,15 @@ def read_spectral_grid(path):
 def write_wavelength_angle_grid(path, wag, fmt="csv"):
     _write(path, fmt, {"kind": "wavelength-angle-density"},
            [("wavelength", wag.wavelength_axis_m), ("angle", wag.angle_axis_rad)],
-           wag.provenance, [("density", wag.half)])
+           wag.provenance, [("density", wag.domain)], wag.fold)
 
 
 def read_wavelength_angle_grid(path):
     header, (wavelength, angle), arrays = _read(
-        path, "wavelength-angle-density", ("wavelength", "angle"))
+        path, "wavelength-angle-density", ("wavelength", "angle"), WavelengthAngleGrid)
     return WavelengthAngleGrid(wavelength_axis_m=wavelength,
                                angle_axis_rad=angle,
-                               half=_require(arrays, "density", path),
+                               domain=_require(arrays, "density", path),
                                provenance=header)
 
 
@@ -506,13 +501,13 @@ def write_coherence_map(path, cmap, fmt="csv"):
                        "carrier_omega": float(cmap.carrier_omega),
                        "intensity": float(cmap.intensity)},
            [("tau", cmap.tau_axis), ("xi", cmap.xi_axis)], cmap.provenance,
-           [("g", cmap.quadrant)])
+           [("g", cmap.domain)], cmap.fold)
 
 
 def read_coherence_map(path):
-    header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"))
+    header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"), CoherenceMap)
     return CoherenceMap(tau_axis=tau, xi_axis=xi,
-                        quadrant=_require(arrays, "g", path),
+                        domain=_require(arrays, "g", path),
                         carrier_omega=_require(header, "carrier_omega", path),
                         intensity=_require(header, "intensity", path),
                         provenance=header)

@@ -82,28 +82,81 @@ class GridSpec:
         return (np.arange(self.n_k) - self.n_k // 2) * self.k_step
 
 
-class SpectralGrid:
-    """Sampled density S(omega_axis[i], k_axis[j]), held only as s_mirror's
-    domain, the C-ordered (|Omega|, |k|) quadrant: quadrant[i, j] is S at
-    Omega = -i omega_step, |k| = j k_step, i <= n_omega / 2, j <= n_k / 2.
-    S is even in Omega and k, as S(Omega^2, k^2) about the degenerate
-    frequency is, so the quadrant is all of it; any other shape raises
-    ConfigurationError. An even full array folds to it with
-    np.ascontiguousarray(s_mirror(full)[0]). The provenance is carried to
-    files and maps; nothing here reads it: the edge ratio is S's own.
-    """
+def unfold(symmetry, domain, shape):
+    """The array of shape whose fundamental domain under symmetry
+    (s_mirror, angle_mirror, coherence.map_mirror) is domain: each image view
+    of the symmetry's (image, source) pairs, in order, is a copy of source."""
+    full = np.empty(shape, domain.dtype)
+    view, pairs = symmetry(full)
+    view[...] = domain
+    for image, source in pairs:
+        image[...] = source
+    return full
 
-    def __init__(self, spec, quadrant, provenance=None):
-        check_domain(s_mirror, quadrant, (spec.n_omega, spec.n_k),
-                     "SpectralGrid quadrant")
-        self.spec = spec
-        self.quadrant = quadrant
-        self.provenance = {} if provenance is None else provenance
+
+def domain_shape(symmetry, shape):
+    """The shape of symmetry's fundamental domain in an array of shape, from
+    a view of that shape that holds no memory."""
+    return symmetry(np.broadcast_to(0.0, shape))[0].shape
+
+
+@dataclass(kw_only=True, eq=False)
+class Folded:
+    """A grid held only as its fundamental domain under a symmetry.
+
+    A subclass names its symmetry (a full array's (domain, (image, source)
+    pairs) view), the `fold` its files declare, and its full `shape` from
+    its axes. A domain of another shape raises ConfigurationError as it
+    enters; `values` unfolds a new full array on each access. Products
+    compare by identity (eq=False): a field-wise == of arrays has no truth."""
+
+    domain: np.ndarray
+    provenance: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        want = domain_shape(self.symmetry, self.shape)
+        if np.shape(self.domain) != want:
+            raise ConfigurationError(
+                f"{type(self).__name__} domain has shape {np.shape(self.domain)}; "
+                f"axes of {self.shape[0]} x {self.shape[1]} nodes give {want}")
 
     @property
     def values(self):
-        """S over the whole grid, unfolded from the quadrant (a new array)."""
-        return unfold(s_mirror, self.quadrant, (self.spec.n_omega, self.spec.n_k))
+        """The whole grid, unfolded from the domain (a new array)."""
+        return unfold(self.symmetry, self.domain, self.shape)
+
+
+def s_mirror(values):
+    """(domain, (image, source) pairs) of an S even in Omega and k, as
+    S(Omega^2, k^2) is: the block Omega = 0 .. -Omega_max, k = 0 .. -k_max
+    (-Omega_max and -k_max are the Omega_max and k_max nodes), whose sources
+    are copied onto the images k > 0, then Omega > 0."""
+    n, half = values.shape[0] // 2, values.shape[1] // 2
+    low = values[:n + 1]
+    return low[::-1, half::-1], [
+        (low[:, half + 1:], low[:, half - 1::-1][:, :low.shape[1] - half - 1]),
+        (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1])]
+
+
+@dataclass(eq=False)
+class SpectralGrid(Folded):
+    """Sampled density S(omega_axis[i], k_axis[j]) on spec's grid, held only
+    as s_mirror's domain, the C-ordered (|Omega|, |k|) quadrant: domain[i, j]
+    is S at Omega = -i omega_step, |k| = j k_step, i <= n_omega / 2,
+    j <= n_k / 2. S is even in Omega and k, as S(Omega^2, k^2) about the
+    degenerate frequency is, so the quadrant is all of it. An even full
+    array folds to it with np.ascontiguousarray(s_mirror(full)[0]). Nothing
+    here reads the provenance: the edge ratio is S's own.
+    """
+
+    symmetry = staticmethod(s_mirror)
+    fold = "|Omega|, |k|"
+
+    spec: GridSpec
+
+    @property
+    def shape(self):
+        return (self.spec.n_omega, self.spec.n_k)
 
     def omega_axis(self):
         return self.spec.omega_axis()
@@ -117,7 +170,7 @@ class SpectralGrid:
         quadrant: its last two rows (Omega = -Omega_max and Omega_max - step)
         and columns (k = -k_max and k_max - step). inf where the quadrant
         has no finite positive peak."""
-        q = self.quadrant
+        q = self.domain
         peak = q.max()
         if not 0 < peak < math.inf:
             return math.inf
@@ -172,45 +225,6 @@ def _density_blocks(cfg, omega, k):
         yield rows, density, valid
 
 
-def unfold(symmetry, domain, shape):
-    """The array of shape whose fundamental domain under symmetry
-    (s_mirror, angle_mirror, coherence.map_mirror) is domain: each image view
-    of the symmetry's (image, source) pairs, in order, is a copy of source."""
-    full = np.empty(shape, domain.dtype)
-    view, pairs = symmetry(full)
-    view[...] = domain
-    for image, source in pairs:
-        image[...] = source
-    return full
-
-
-def domain_shape(symmetry, shape):
-    """The shape of symmetry's fundamental domain in an array of shape, from
-    a view of that shape that holds no memory."""
-    return symmetry(np.broadcast_to(0.0, shape))[0].shape
-
-
-def check_domain(symmetry, domain, shape, name):
-    """Refuse a domain that is not symmetry's fundamental domain of a grid
-    of shape, naming the domain and the shape its axes give."""
-    want = domain_shape(symmetry, shape)
-    if np.shape(domain) != want:
-        raise ConfigurationError(f"{name} has shape {np.shape(domain)}; axes "
-                                 f"of {shape[0]} x {shape[1]} nodes give {want}")
-
-
-def s_mirror(values):
-    """(domain, (image, source) pairs) of an S even in Omega and k, as
-    S(Omega^2, k^2) is: the block Omega = 0 .. -Omega_max, k = 0 .. -k_max
-    (-Omega_max and -k_max are the Omega_max and k_max nodes), whose sources
-    are copied onto the images k > 0, then Omega > 0."""
-    n, half = values.shape[0] // 2, values.shape[1] // 2
-    low = values[:n + 1]
-    return low[::-1, half::-1], [
-        (low[:, half + 1:], low[:, half - 1::-1][:, :low.shape[1] - half - 1]),
-        (values[n + 1:], values[n - 1::-1][:values.shape[0] - n - 1])]
-
-
 def _check_peak(cfg, peak):
     if not 0 < peak < math.inf:
         raise DensityPeakError(f"density peak is {peak:g} at gain {cfg.gain:g}, "
@@ -220,6 +234,14 @@ def _check_peak(cfg, peak):
 def _crystal(cfg):
     """The set and angle that name a crystal in a refusal."""
     return f"{cfg.sellmeier.name} at theta {math.degrees(cfg.theta_rad):g} deg"
+
+
+def _crystal_facts(cfg):
+    """The crystal config's facts that S and its wavelength-angle grid
+    record, in their header order."""
+    return {"crystal_hash": cfg.config_hash(), "material": cfg.sellmeier.name,
+            "length_m": cfg.length_m, "theta_rad": cfg.theta_rad,
+            "pump_wavelength_m": cfg.pump_wavelength_m, "gain": cfg.gain}
 
 
 def auto_grid(cfg, n_omega=1024, n_k=512):
@@ -295,41 +317,12 @@ def build_spectrum(cfg, grid=None):
             f"{invalid} of {grid.n_omega * grid.n_k} grid nodes are unphysical "
             "(evanescent or outside the dispersion range); narrow the grid")
     _check_peak(cfg, quadrant.max())
-    sg = SpectralGrid(grid, quadrant, {
-        "crystal_hash": cfg.config_hash(),
-        "material": cfg.sellmeier.name,
-        "length_m": cfg.length_m,
-        "theta_rad": cfg.theta_rad,
-        "pump_wavelength_m": cfg.pump_wavelength_m,
-        "gain": cfg.gain,
-        "invalid_nodes": invalid,
-    })
+    sg = SpectralGrid(grid, domain=quadrant,
+                      provenance={**_crystal_facts(cfg), "invalid_nodes": invalid})
     sg.provenance["edge_ratio"] = sg.edge_ratio
     with blamed(_crystal(cfg), EdgeDecayError):
         sg.check_edge_decay()
     return sg
-
-
-@dataclass
-class WavelengthAngleGrid:
-    """Density on a uniform wavelength and external emission angle grid,
-    held only as angle_mirror's domain, its angle >= 0 columns: S is even
-    in k, so the grid is even in angle."""
-
-    wavelength_axis_m: np.ndarray
-    angle_axis_rad: np.ndarray
-    half: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        shape = (self.wavelength_axis_m.size, self.angle_axis_rad.size)
-        check_domain(angle_mirror, self.half, shape, "WavelengthAngleGrid half")
-
-    @property
-    def values(self):
-        """The density over the whole grid, unfolded from half (a new array)."""
-        return unfold(angle_mirror, self.half,
-                      (self.wavelength_axis_m.size, self.angle_axis_rad.size))
 
 
 def angle_mirror(values):
@@ -339,20 +332,32 @@ def angle_mirror(values):
     return values[:, half:], [(values[:, :half], values[:, ::-1][:, :half])]
 
 
-def to_wavelength_angle(sg, cfg):
+@dataclass(eq=False)
+class WavelengthAngleGrid(Folded):
+    """Density on a uniform wavelength and external emission angle grid,
+    held only as angle_mirror's domain, its angle >= 0 columns: S is even
+    in k, so the grid is even in angle."""
+
+    symmetry = staticmethod(angle_mirror)
+    fold = "angle >= 0"
+
+    wavelength_axis_m: np.ndarray
+    angle_axis_rad: np.ndarray
+
+    @property
+    def shape(self):
+        return (self.wavelength_axis_m.size, self.angle_axis_rad.size)
+
+
+def to_wavelength_angle(cfg, spec):
     """S's closed form on a uniform (wavelength 2*pi*c/omega, external angle
-    k * wavelength / (2*pi)) grid over S's omega range and k half-width, of
-    S's node counts. Each node of angle_mirror's domain is the density of
-    cfg at its (omega, k), by _density_blocks, whose k varies per row and is
-    computed a block at a time; it is zero where |k| passes S's largest k
-    node or the node does not evaluate. A cfg whose digest is not S's
-    crystal_hash is refused."""
-    if sg.provenance.get("crystal_hash") != cfg.config_hash():
-        raise ConfigurationError(
-            f"S was built from crystal_hash {sg.provenance.get('crystal_hash')}, "
-            f"not from this crystal config ({cfg.config_hash()})")
-    spec = sg.spec
-    omega, k_max = sg.omega_axis(), sg.k_axis()[-1]
+    k * wavelength / (2*pi)) grid over the omega range and k half-width of
+    S's grid spec, of its node counts. Each node of angle_mirror's domain is
+    the density of cfg at its (omega, k), by _density_blocks, whose k varies
+    per row and is computed a block at a time; it is zero where |k| passes
+    spec's largest k node or the node does not evaluate. The provenance is
+    cfg's facts: no value of S is read, so none of S's is recorded."""
+    omega, k_max = spec.omega_axis(), spec.k_axis()[-1]
     lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
                       spec.n_omega)
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
@@ -361,7 +366,7 @@ def to_wavelength_angle(sg, cfg):
     def k(rows):
         return theta[spec.n_k // 2:] * 2 * math.pi / lam[rows, None]
 
-    half = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
+    domain = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
     for rows, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k):
-        half[rows] = np.where(k(rows) <= k_max, density, 0.0)
-    return WavelengthAngleGrid(lam, theta, half, dict(sg.provenance))
+        domain[rows] = np.where(k(rows) <= k_max, density, 0.0)
+    return WavelengthAngleGrid(lam, theta, domain=domain, provenance=_crystal_facts(cfg))

@@ -125,7 +125,7 @@ def test_criterion_2_degenerate_wavelength_peak(sell):
     theta_pm = collinear_degenerate_angle(800e-9, sell)
     cfg = _cfg(theta_pm, sell)
     sg = build_spectrum(cfg, auto_grid(cfg, 1024, 512))
-    wag = to_wavelength_angle(sg, cfg)
+    wag = to_wavelength_angle(cfg, sg.spec)
     i, j = np.unravel_index(np.argmax(wag.values), wag.values.shape)
     lam = wag.wavelength_axis_m[i]
     cell = abs(wag.wavelength_axis_m[1] - wag.wavelength_axis_m[0])
@@ -176,7 +176,7 @@ def test_criterion_5_coupling_functional(pipelines):
     abs_k = np.arange(spec.n_k // 2 + 1) * spec.k_step
     quadrant = np.exp(-0.5 * (abs_omega / 2e13) ** 2)[:, None] \
         * np.exp(-0.5 * (abs_k / 1e4) ** 2)[None, :]
-    separable = SpectralGrid(spec, quadrant)
+    separable = SpectralGrid(spec, domain=quadrant)
     defect_sep = factorability_defect(correlation_map(separable))
     defect_ring = factorability_defect(pipelines[19.94][1])
     ok = defect_sep < 1e-6 and defect_ring > 0.1

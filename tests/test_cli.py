@@ -33,6 +33,8 @@ from pdcoh.gridio import (
     write_trace,
 )
 from pdcoh.interferometer import assemble_map, extract_visibility
+from pdcoh.coherence import correlation_map
+from pdcoh.spectrum import Folded, SpectralGrid, auto_grid, build_spectrum, to_wavelength_angle
 
 CONFIG = """\
 [crystal]
@@ -148,6 +150,37 @@ def test_spectrum_emits_both_grids_deterministically(ws, tmp_path):
     assert sg.provenance["theta_rad"] == pytest.approx(math.radians(19.94),
                                                        rel=1e-12, abs=0)
 
+
+
+def test_products_record_facts_not_copied_labels(ws, tmp_path):
+    # to_wavelength_angle takes only the crystal and S's grid spec, and a map
+    # records the edge ratio of the quadrant it transforms: an S built by
+    # hand, with no provenance, gives the command's wavelength-angle grid
+    # bit for bit and a map with its own edge ratio
+    out = tmp_path / "out"
+    assert main(["spectrum", str(ws["cfg"]), "--out", str(out)]) == 0
+    rc = load_run_config(ws["cfg"])
+    cfg = rc.crystal_config(rc.thetas_rad[0])
+    built = build_spectrum(cfg, auto_grid(cfg, rc.n_omega, rc.n_k))
+    sg = SpectralGrid(built.spec, domain=built.domain.copy())
+    wag = to_wavelength_angle(cfg, sg.spec)
+    command = read_wavelength_angle_grid(out / "spectrum_19p94_wavelength_angle.csv")
+    assert wag.domain.tobytes() == command.domain.tobytes()
+    assert wag.provenance == command.provenance
+    assert not {"edge_ratio", "invalid_nodes"} & set(wag.provenance)
+    assert correlation_map(sg).provenance["edge_ratio"] == sg.edge_ratio
+    # a file whose edge_ratio label was changed, its quadrant not: the map
+    # carries the quadrant's ratio, in the label's place
+    path = out / "spectrum_19p94_omega_k.csv"
+    label = f"# edge_ratio: {json.dumps(sg.edge_ratio)}\n"
+    text = path.read_text()
+    assert label in text
+    path.write_text(text.replace(label, "# edge_ratio: 0.5\n"))
+    relabelled = read_spectral_grid(path)
+    assert relabelled.provenance["edge_ratio"] == 0.5
+    provenance = correlation_map(relabelled).provenance
+    assert provenance["edge_ratio"] == relabelled.edge_ratio == sg.edge_ratio
+    assert list(provenance)[:len(relabelled.provenance)] == list(relabelled.provenance)
 
 def test_coherence_emits_maps_cuts_and_metrics(ws, tmp_path):
     out = tmp_path / "coh"
@@ -468,7 +501,7 @@ def test_maps_and_metrics_at_one_and_two_blas_threads_agree_to_rounding(tmp_path
     for product in ("", "blur_"):
         one, two = (read_coherence_map(out / f"coherence_19p94_{product}map.bin")
                     for out in outs)
-        assert np.abs(one.quadrant - two.quadrant).max() <= 4 * np.spacing(1.0), product
+        assert np.abs(one.domain - two.domain).max() <= 4 * np.spacing(1.0), product
         one, two = (read_metrics(out / f"coherence_19p94_{product}metrics.txt")
                     for out in outs)
         for key in ("tau_c_s", "xi_c_m", "first_ring_height", "coupling"):
@@ -605,8 +638,8 @@ def test_commands_hold_s_as_its_quadrant(tmp_path, monkeypatch):
     def unfolded(product):
         raise AssertionError(f"{type(product).__name__} was unfolded")
 
-    for cls, name in ((pdcoh.SpectralGrid, "values"), (pdcoh.CoherenceMap, "g"),
-                      (pdcoh.WavelengthAngleGrid, "values")):
+    # every Folded product unfolds through Folded.values; a map also under g
+    for cls, name in ((Folded, "values"), (pdcoh.CoherenceMap, "g")):
         monkeypatch.setattr(cls, name, property(unfolded))
     config = tmp_path / "run.ini"
     config.write_text(CONFIG.format(out=tmp_path / "out"))

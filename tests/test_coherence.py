@@ -61,7 +61,7 @@ def _gaussian_grid(sigma_w=2e13, sigma_k=1e4):
     abs_k = np.arange(spec.n_k // 2 + 1) * spec.k_step
     quadrant = np.exp(-0.5 * (abs_omega / sigma_w) ** 2)[:, None] \
         * np.exp(-0.5 * (abs_k / sigma_k) ** 2)[None, :]
-    return SpectralGrid(spec, quadrant)
+    return SpectralGrid(spec, domain=quadrant)
 
 
 def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
@@ -70,7 +70,7 @@ def _gaussian_map(sigma_tau=2e-14, sigma_xi=4e-5, n=257, tau_step=1e-15,
     xi = (np.arange(n) - n // 2) * xi_step
     g = np.exp(-0.5 * (tau / sigma_tau) ** 2)[:, None] \
         * np.exp(-0.5 * (xi / sigma_xi) ** 2)[None, :]
-    return CoherenceMap(tau, xi, map_mirror(g)[0], carrier_omega=1.2e15,
+    return CoherenceMap(tau, xi, domain=map_mirror(g)[0], carrier_omega=1.2e15,
                         intensity=1.0, provenance={})
 
 
@@ -140,7 +140,7 @@ def test_transform_is_exact_for_a_k_mirrored_density():
     quadrant[-2:] *= 1e-4
     quadrant[:, -2:] *= 1e-4
     assert np.all(quadrant[-1] > 0) and np.all(quadrant[:, -1] > 0)
-    sg = SpectralGrid(_SPEC64, quadrant)
+    sg = SpectralGrid(_SPEC64, domain=quadrant)
     cm = correlation_map(sg, oversample=2, extent_cells=4)
     for i, tau in enumerate(cm.tau_axis):
         for j, xi in enumerate(cm.xi_axis):
@@ -159,16 +159,16 @@ def test_refuses_undecayed_grid(spectra, map94):
     # says: an S whose -Omega_max row holds its peak is refused though its
     # provenance says 0.0, and one with no positive peak is refused too
     sg = spectra[19.94]
-    bad = sg.quadrant.copy()
+    bad = sg.domain.copy()
     bad[-1, 0] = bad.max()
     with pytest.raises(EdgeDecayError, match=r"^S holds 1\.00e\+00 of its sampled "
                                              r"peak on the edge of its 1024 x 512 grid$"):
-        correlation_map(SpectralGrid(sg.spec, bad, {"edge_ratio": 0.0}))
+        correlation_map(SpectralGrid(sg.spec, domain=bad, provenance={"edge_ratio": 0.0}))
     with pytest.raises(EdgeDecayError, match=r"^S holds inf "):
-        correlation_map(SpectralGrid(sg.spec, np.zeros_like(bad)))
+        correlation_map(SpectralGrid(sg.spec, domain=np.zeros_like(bad)))
     # build_spectrum's S without its provenance transforms to the same map
-    bare = correlation_map(SpectralGrid(sg.spec, sg.quadrant))
-    assert bare.quadrant.tobytes() == map94.quadrant.tobytes()
+    bare = correlation_map(SpectralGrid(sg.spec, domain=sg.domain))
+    assert bare.domain.tobytes() == map94.domain.tobytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
@@ -178,10 +178,11 @@ def test_a_read_spectrum_is_judged_by_its_quadrant(sell, tmp_path, fmt):
     # its peak
     cfg = _cfg(19.94, sell)
     sg = build_spectrum(cfg, auto_grid(cfg, 64, 64))
-    bad = sg.quadrant.copy()
+    bad = sg.domain.copy()
     bad[-1, 0] = bad.max()
     path = tmp_path / f"spectrum.{fmt}"
-    write_spectral_grid(path, SpectralGrid(sg.spec, bad, sg.provenance), fmt=fmt)
+    write_spectral_grid(path, SpectralGrid(sg.spec, domain=bad, provenance=sg.provenance),
+                        fmt=fmt)
     back = read_spectral_grid(path)
     assert back.provenance["edge_ratio"] == sg.edge_ratio < 1e-3
     for transform in (correlation_map, correlation_columns):
@@ -205,7 +206,7 @@ def test_delta_spectrum_is_fully_coherent():
     # S at Omega = 0, k = 0 alone: its quadrant's first node
     quadrant = np.zeros((65, 33))
     quadrant[0, 0] = 1.0
-    cm = correlation_map(SpectralGrid(spec, quadrant))
+    cm = correlation_map(SpectralGrid(spec, domain=quadrant))
     assert np.max(np.abs(np.abs(cm.g) - 1.0)) < 1e-12
 
 
@@ -302,8 +303,8 @@ def test_blur_zero_is_identity(map94):
 
 def test_zero_blur_records_its_widths_and_keeps_the_values(map94):
     out = instrument_blur(map94, 0.0, 0.0)
-    assert out.quadrant.tobytes() == map94.quadrant.tobytes()
-    assert out.quadrant is not map94.quadrant
+    assert out.domain.tobytes() == map94.domain.tobytes()
+    assert out.domain is not map94.domain
     assert (out.provenance["blur_tau_s"], out.provenance["blur_xi_m"]) == (0.0, 0.0)
 
 
@@ -342,7 +343,7 @@ def _random_map(shape):
     quadrant = map_mirror(np.empty(shape))[0]
     g = np.random.default_rng(5).normal(size=quadrant.shape)
     return CoherenceMap(np.arange(shape[0]) * 1e-15, np.arange(shape[1]) * 1e-6,
-                        g, carrier_omega=1.2e15, intensity=1.0, provenance={})
+                        domain=g, carrier_omega=1.2e15, intensity=1.0, provenance={})
 
 
 @pytest.mark.parametrize("shape, sigma", [

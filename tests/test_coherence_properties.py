@@ -21,7 +21,7 @@ def _grid(values):
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=values.shape[0], k_half_width=1e5,
                     n_k=values.shape[1])
-    return SpectralGrid(spec, np.ascontiguousarray(s_mirror(values)[0]))
+    return SpectralGrid(spec, domain=np.ascontiguousarray(s_mirror(values)[0]))
 
 
 def _mirror(n):

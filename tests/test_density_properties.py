@@ -124,7 +124,7 @@ def test_wavelength_angle_nodes_are_the_closed_form(theta_deg, gain, length_m):
     if drawn is None:
         return
     cfg, sg = drawn
-    wa = to_wavelength_angle(sg, cfg)
+    wa = to_wavelength_angle(cfg, sg.spec)
     lam, theta = np.meshgrid(wa.wavelength_axis_m, wa.angle_axis_rad, indexing="ij")
     omega, k = 2 * math.pi * c / lam, theta * 2 * math.pi / lam
     support = _mismatch(_wavenumbers(cfg, omega), k)[1] & (np.abs(k) <= sg.k_axis()[-1])

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -51,7 +52,7 @@ def sg():
     rng = np.random.default_rng(7)
     spec = GridSpec(omega_center=1.2e15, omega_half_width=2e14,
                     n_omega=64, k_half_width=1e5, n_k=64)
-    return SpectralGrid(spec, rng.random((33, 33)), provenance={
+    return SpectralGrid(spec, domain=rng.random((33, 33)), provenance={
         "material": "bbo_kato1986", "gain": 6.0, "edge_ratio": 1e-5,
         "invalid_nodes": 0})
 
@@ -122,12 +123,12 @@ def test_coherence_map_round_trip_is_exact(tmp_path, fmt):
     tau = (np.arange(33) - 16) * 2e-15
     xi = (np.arange(17) - 8) * 3e-6
     quadrant = rng.standard_normal((17, 9))
-    cmap = CoherenceMap(tau, xi, quadrant, carrier_omega=1.18e15, intensity=42.5,
+    cmap = CoherenceMap(tau, xi, domain=quadrant, carrier_omega=1.18e15, intensity=42.5,
                         provenance={"oversample": 16})
     path = tmp_path / "map.dat"
     write_coherence_map(path, cmap, fmt=fmt)
     back = read_coherence_map(path)
-    assert np.array_equal(back.quadrant, quadrant)
+    assert np.array_equal(back.domain, quadrant)
     assert np.allclose(back.tau_axis, tau, rtol=1e-12, atol=1e-27)
     assert back.carrier_omega == 1.18e15
     assert back.intensity == 42.5
@@ -196,12 +197,12 @@ def test_wavelength_angle_round_trip(tmp_path):
     wag = WavelengthAngleGrid(
         wavelength_axis_m=np.linspace(1.2e-6, 2.2e-6, 41),
         angle_axis_rad=np.linspace(-0.02, 0.02, 31),
-        half=np.outer(np.arange(41.0), np.arange(16.0)),
+        domain=np.outer(np.arange(41.0), np.arange(16.0)),
         provenance={"material": "bbo_kato1986"})
     path = tmp_path / "wag.csv"
     write_wavelength_angle_grid(path, wag)
     back = read_wavelength_angle_grid(path)
-    assert np.array_equal(back.half, wag.half)
+    assert np.array_equal(back.domain, wag.domain)
     assert np.allclose(back.wavelength_axis_m, wag.wavelength_axis_m,
                        rtol=1e-12)
     assert np.allclose(back.angle_axis_rad, wag.angle_axis_rad, rtol=0,
@@ -222,20 +223,32 @@ def test_assembled_map_round_trip(tmp_path, fmt):
 
 
 def test_a_domain_of_the_wrong_shape_is_refused_at_construction():
-    # a whole map or grid, where its quadrant or half belongs, would be
+    # a whole map or grid, where its fundamental domain belongs, would be
     # written as a file that its reader refuses
     with pytest.raises(ConfigurationError, match=re.escape(
-            "CoherenceMap quadrant has shape (5, 3); axes of 5 x 3 nodes give (3, 2)")):
-        CoherenceMap(_TAU, _XI, np.ones((5, 3)), carrier_omega=1.2e15, intensity=1.0)
+            "CoherenceMap domain has shape (5, 3); axes of 5 x 3 nodes give (3, 2)")):
+        CoherenceMap(_TAU, _XI, domain=np.ones((5, 3)), carrier_omega=1.2e15, intensity=1.0)
     with pytest.raises(ConfigurationError, match=re.escape(
-            "WavelengthAngleGrid half has shape (5, 3); axes of 5 x 3 nodes give (5, 2)")):
+            "WavelengthAngleGrid domain has shape (5, 3); axes of 5 x 3 nodes give (5, 2)")):
         WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5), np.linspace(-0.02, 0.02, 3),
-                            np.ones((5, 3)))
+                            domain=np.ones((5, 3)))
     # S over the whole grid, where its (|Omega|, |k|) quadrant belongs
     with pytest.raises(ConfigurationError, match=re.escape(
-            "SpectralGrid quadrant has shape (64, 64); axes of 64 x 64 nodes give (33, 33)")):
-        SpectralGrid(_SPEC, np.ones((64, 64)))
+            "SpectralGrid domain has shape (64, 64); axes of 64 x 64 nodes give (33, 33)")):
+        SpectralGrid(_SPEC, domain=np.ones((64, 64)))
 
+
+
+def test_folded_products_compare_by_identity():
+    # a field-wise == of their arrays has no truth value; each product is
+    # equal to itself only, and hashable, as S was before it was a Folded
+    for product in (SpectralGrid(_SPEC, domain=np.ones((33, 33))),
+                    CoherenceMap(_TAU, _XI, 1.2e15, 1.0, domain=_G),
+                    WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
+                                        np.linspace(-0.02, 0.02, 3), domain=np.ones((5, 2)))):
+        twin = dataclasses.replace(product)
+        assert product == product and product != twin
+        assert len({product, twin}) == 2
 
 def test_single_column_map_keeps_its_shape(tmp_path):
     amap = AssembledMap(tau_axis=np.arange(9) * 1e-15,
@@ -517,7 +530,7 @@ def test_readers_reject_foreign_files(tmp_path, sg):
 def test_nonuniform_axis_is_rejected(tmp_path):
     tau = np.array([0.0, 1e-15, 2.5e-15])
     cmap = CoherenceMap(tau, np.array([0.0, 1e-6]),
-                        np.zeros((2, 1)), carrier_omega=1e15,
+                        domain=np.zeros((2, 1)), carrier_omega=1e15,
                         intensity=1.0, provenance={})
     with pytest.raises(ConfigurationError, match="uniform"):
         write_coherence_map(tmp_path / "bad.csv", cmap)
@@ -649,7 +662,7 @@ def test_binary_reader_holds_one_copy_of_an_array(tmp_path):
     half = np.random.default_rng(7).random((1024, 256))
     path = tmp_path / "wag.bin"
     write_wavelength_angle_grid(path, WavelengthAngleGrid(
-        np.linspace(1.2e-6, 2.2e-6, 1024), np.linspace(-0.02, 0.02, 512), half),
+        np.linspace(1.2e-6, 2.2e-6, 1024), np.linspace(-0.02, 0.02, 512), domain=half),
         fmt="binary")
     tracemalloc.start()
     try:
@@ -657,7 +670,7 @@ def test_binary_reader_holds_one_copy_of_an_array(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.half, half)
+    assert np.array_equal(back.domain, half)
     assert peak < 1.25 * half.nbytes
 
 
@@ -728,15 +741,15 @@ def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
     cmap = correlation_map(sg)
     # product -> (writer, reader, its array, stored shape, floats formatted)
     products = {
-        "S": (write_spectral_grid, read_spectral_grid, sg, "quadrant",
+        "S": (write_spectral_grid, read_spectral_grid, sg, "domain",
               (129, 65), 129 * 65),
         "wavelength-angle grid": (
             write_wavelength_angle_grid, read_wavelength_angle_grid,
-            to_wavelength_angle(sg, cfg), "half", (256, 64), 256 * 64),
-        "map": (write_coherence_map, read_coherence_map, cmap, "quadrant",
+            to_wavelength_angle(cfg, sg.spec), "domain", (256, 64), 256 * 64),
+        "map": (write_coherence_map, read_coherence_map, cmap, "domain",
                 (513, 129), 513 * 129),
         "blurred map": (write_coherence_map, read_coherence_map,
-                        instrument_blur(cmap, 1e-15, 6e-6), "quadrant",
+                        instrument_blur(cmap, 1e-15, 6e-6), "domain",
                         (513, 129), 513 * 129)}
     for name, (write, read, product, field, shape, formatted) in products.items():
         for fmt in ("csv", "binary"):
@@ -765,14 +778,14 @@ _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
 # product -> (writer taking a path and an encoding, reader)
 _PRODUCTS = {
     "map": (lambda p, fmt: write_coherence_map(p, CoherenceMap(
-        _TAU, _XI, _G, carrier_omega=1.2e15,
+        _TAU, _XI, domain=_G, carrier_omega=1.2e15,
         intensity=1.0, provenance={}), fmt=fmt), read_coherence_map),
     "spectral": (lambda p, fmt: write_spectral_grid(p, SpectralGrid(
-        _SPEC, np.ones((33, 33)), provenance={"gain": 6.0}), fmt=fmt),
+        _SPEC, domain=np.ones((33, 33)), provenance={"gain": 6.0}), fmt=fmt),
         read_spectral_grid),
     "wavelength-angle": (lambda p, fmt: write_wavelength_angle_grid(
         p, WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
-                               np.linspace(-0.02, 0.02, 3), np.ones((5, 2)),
+                               np.linspace(-0.02, 0.02, 3), domain=np.ones((5, 2)),
                                provenance={}), fmt=fmt),
         read_wavelength_angle_grid),
     "assembled": (lambda p, fmt: write_assembled_map(p, AssembledMap(
@@ -964,11 +977,11 @@ def _coherence_round_trip(draw, path, fmt):
     tau, xi = _exact_axis(draw), _exact_axis(draw)
     quadrant = _domain(draw, map_mirror, (tau.size, xi.size))
     write_coherence_map(path, CoherenceMap(
-        tau, xi, quadrant, carrier_omega=_header_float(draw),
+        tau, xi, domain=quadrant, carrier_omega=_header_float(draw),
         intensity=_header_float(draw), provenance={}), fmt=fmt)
     _check_stored(path, quadrant)
     back = read_coherence_map(path)
-    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.quadrant, quadrant)]
+    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.domain, quadrant)]
 
 
 def _spectral_round_trip(draw, path, fmt):
@@ -979,22 +992,22 @@ def _spectral_round_trip(draw, path, fmt):
                     omega_half_width=half_w, n_omega=n_omega,
                     k_half_width=draw(st.floats(1.0, 1e9)), n_k=n_k)
     quadrant = _domain(draw, s_mirror, (n_omega, n_k))
-    write_spectral_grid(path, SpectralGrid(spec, quadrant), fmt=fmt)
+    write_spectral_grid(path, SpectralGrid(spec, domain=quadrant), fmt=fmt)
     _check_stored(path, quadrant)
     back = read_spectral_grid(path)
     assert back.spec == spec
     return [(back.omega_axis(), spec.omega_axis()), (back.k_axis(), spec.k_axis()),
-            (back.quadrant, quadrant)]
+            (back.domain, quadrant)]
 
 
 def _wavelength_angle_round_trip(draw, path, fmt):
     lam, theta = _exact_axis(draw), _exact_axis(draw)
     half = _domain(draw, angle_mirror, (lam.size, theta.size))
-    write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, half), fmt=fmt)
+    write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, domain=half), fmt=fmt)
     _check_stored(path, half)
     back = read_wavelength_angle_grid(path)
     return [(back.wavelength_axis_m, lam), (back.angle_axis_rad, theta),
-            (back.half, half)]
+            (back.domain, half)]
 
 
 def _assembled_round_trip(draw, path, fmt):

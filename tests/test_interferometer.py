@@ -509,8 +509,8 @@ def test_trace_records_offsets_and_hash(gauss, icfg):
 
 def test_synthesize_trace_takes_only_a_column(flat, icfg):
     # a map, as callers passed before traces came from columns, or its array
-    cmap = CoherenceMap(flat.tau_axis, np.zeros(1), flat.g[flat.g.size // 2:, None],
-                        flat.carrier_omega, 1.0)
+    cmap = CoherenceMap(flat.tau_axis, np.zeros(1), flat.carrier_omega, 1.0,
+                        domain=flat.g[flat.g.size // 2:, None])
     for given_ in (cmap, flat.g):
         with pytest.raises(ConfigurationError, match=(
                 rf"^synthesize_trace takes a CoherenceColumn, got "

@@ -24,7 +24,7 @@ def _tree(root, moved=0.0):
     quadrant = np.arange(6.0).reshape(3, 2)
     quadrant[1, 1] += moved
     gridio.write_coherence_map(root / MAP, CoherenceMap(
-        (np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6, quadrant,
+        (np.arange(5) - 2) * 1e-15, (np.arange(3) - 1) * 1e-6, domain=quadrant,
         carrier_omega=1.2e15, intensity=1.0))
     gridio.write_metrics(root / METRICS, {"theta_tag": "19p94", "tau_c_s": 1.7e-14})
 
