@@ -261,7 +261,7 @@ def cmd_interferogram(args):
 def _interferogram_products(args, out, rc, theta, sg):
     """The fringe traces of S at one orientation's BS2 steps, and their
     manifest."""
-    icfg, tag = rc.interferometer, _theta_tag(theta)
+    icfg, tag, ext = rc.interferometer, _theta_tag(theta), FORMATS[rc.out_format]
     column = correlation_columns(sg)
     paths = []
     for j in range(rc.bs2_count):
@@ -274,8 +274,8 @@ def _interferogram_products(args, out, rc, theta, sg):
                                      bs2_position_m=bs2,
                                      stage_span_m=rc.stage_span_m,
                                      orientation=tag)
-        tpath = out / f"interferogram_{tag}_trace{j:02d}.csv"
-        _write(args, write_trace, tpath, trace)
+        tpath = out / f"interferogram_{tag}_trace{j:02d}.{ext}"
+        _write(args, write_trace, tpath, trace, fmt=rc.out_format)
         paths.append(tpath)
     _write(args, write_manifest, out / f"interferogram_{tag}_manifest.txt", paths)
 

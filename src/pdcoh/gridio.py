@@ -2,7 +2,8 @@
 
 Two encodings share one header model. CSV files open with `# key: value`
 lines (values JSON-encoded, so strings and numbers survive the round
-trip) followed by comma-separated rows. Binary files carry a JSON header
+trip) followed by comma-separated rows, which the reader parses in one
+numpy.loadtxt call. Binary files carry a JSON header
 after an 8-byte magic and then raw little-endian float64 arrays in C
 order. Every array is real: a complex column or a binary array of
 another dtype is refused naming the file. Every array product (grids, maps,
@@ -10,7 +11,7 @@ cuts, tables and fringe traces) goes through one writer, `_write`, and
 one reader, `_read`. Uniform axes persist as start/step/count, and an
 array read back must have one sample per axis value, or per node of its
 fundamental domain: a fringe trace is one row of intensities under the
-`position` axis of its stage sweep.
+`position` axis of its stage sweep, in either encoding.
 Headers carry no timestamp: the same inputs must produce the same bytes.
 
 A symmetric product is a spectrum.Folded, held in memory as its
@@ -301,38 +302,35 @@ def _write_csv(path, header, arrays):
 
 
 def _read_csv(path):
-    header, columns, rows = {}, None, []
+    """The `#` header lines, then the whole body in one parse, whose rows
+    divide evenly between the arrays `# columns:` lists, in listed order.
+    The body holds no comments: a `#` or an empty cell in it, or rows of
+    unequal width, fail the parse."""
+    header = {}
     with open(path) as fh:
-        first = fh.readline().strip()
-        if first != f"# pdcoh_file: {_VERSION}":
+        if fh.readline().strip() != f"# pdcoh_file: {_VERSION}":
             raise ConfigurationError(f"{path}: not a pdcoh CSV file")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("# columns:"):
-                columns = json.loads(line.split(":", 1)[1])
-            elif line.startswith("#"):
+        body = fh.tell()
+        while (line := fh.readline()).startswith("#") or line.isspace():
+            if line.startswith("#"):
                 key, _, raw = line[1:].partition(":")
-                header[key.strip()] = json.loads(raw.strip())
-            else:
-                rows.append(np.array(line.split(","), dtype=float))
-    if columns is None:
-        raise ConfigurationError(f"{path}: header lacks the column listing")
-    # rows divide evenly between the named arrays, in listed order
+                header[key.strip()] = json.loads(raw)
+            body = fh.tell()
+        if (columns := header.pop("columns", None)) is None:
+            raise ConfigurationError(f"{path}: header lacks the column listing")
+        if not line:  # loadtxt would only warn
+            raise ConfigurationError(f"{path}: no rows follow the header")
+        fh.seek(body)
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if len(columns) == 0 or len(rows) % len(columns):
         raise ConfigurationError(f"{path}: row count does not match columns")
     per = len(rows) // len(columns)
     arrays = {}
     for idx, (name, kind) in enumerate(columns):
-        chunk = rows[idx * per:(idx + 1) * per]
-        if len({row.size for row in chunk}) > 1:
-            raise ConfigurationError(
-                f"{path}: rows of array {name!r} differ in length")
         if kind != "real":
             raise ConfigurationError(f"{path}: array {name!r} has column type "
                                      f"{kind!r}; pdcoh files hold real arrays")
-        arrays[name] = np.array(chunk)
+        arrays[name] = rows[idx * per:(idx + 1) * per]
     return header, arrays
 
 
@@ -527,10 +525,11 @@ def read_assembled_map(path):
 
 
 def write_profile(path, kind, header, columns, fmt="csv"):
-    """One-dimensional cuts: equal-length named columns side by side."""
+    """One-dimensional cuts: equal-length named columns side by side, of
+    at least one value, so that a CSV body holds rows."""
     sizes = {np.asarray(arr).size for _, arr in columns}
-    if len(sizes) != 1:
-        raise ConfigurationError("profile columns differ in length")
+    if len(sizes) != 1 or 0 in sizes:
+        raise ConfigurationError("profile columns are empty or differ in length")
     _write(path, fmt, {"kind": kind}, [], header,
            [(name, np.asarray(arr).reshape(1, -1)) for name, arr in columns])
 
@@ -540,11 +539,11 @@ def read_profile(path, kind):
     return header, {name: arr.ravel() for name, arr in arrays.items()}
 
 
-def write_trace(path, trace):
-    """A fringe trace as CSV: its stage sweep as the uniform `position`
-    axis (a sweep that is not uniform is refused), its intensities as the
-    one row of the `intensity` array."""
-    _write(path, "csv", {"kind": "fringe-trace"},
+def write_trace(path, trace, fmt="csv"):
+    """A fringe trace: its stage sweep as the uniform `position` axis (a
+    sweep that is not uniform is refused), its intensities as the one row
+    of the `intensity` array."""
+    _write(path, fmt, {"kind": "fringe-trace"},
            [("position", trace.positions_m)], {
                "bs2_position_m": float(trace.bs2_position_m),
                "carrier_omega": float(trace.carrier_omega),

@@ -311,6 +311,31 @@ def test_analyze_rebuilds_the_map(ws, tmp_path):
     assert 3.0e-05 < record["xi_c_m"] < 5.5e-05
 
 
+def test_a_binary_run_writes_binary_traces_that_analyze_reads_as_csv_ones(ws, tmp_path):
+    out, cfg = tmp_path / "out", tmp_path / "run.ini"
+    cfg.write_text(CONFIG.format(out=out).replace("format = csv", "format = binary"))
+    assert main(["interferogram", str(cfg)]) == 0
+    manifest = out / "interferogram_19p94_manifest.txt"
+    paths = read_manifest(manifest)
+    assert paths == sorted(out.glob("interferogram_*_trace*"))
+    assert [p.name for p in paths] == [f"interferogram_19p94_trace{j:02d}.bin"
+                                       for j in range(11)]
+    for path, csv_path in zip(paths, read_manifest(ws["manifest"]), strict=True):
+        assert path.read_bytes().startswith(b"PDCOHBIN")
+        binary, text = read_trace(path), read_trace(csv_path)
+        assert binary.positions_m.tobytes() == text.positions_m.tobytes()
+        assert binary.intensities.tobytes() == text.intensities.tobytes()
+    maps = []
+    for run_cfg, run_manifest, name in ((cfg, manifest, "analyze_map.bin"),
+                                        (ws["cfg"], ws["manifest"], "analyze_map.csv")):
+        an = tmp_path / name
+        assert main(["analyze", str(run_manifest), "--config", str(run_cfg),
+                     "--out", str(an)]) == 0
+        maps.append(read_assembled_map(an / name))
+    for field in ("tau_axis", "xi_axis", "magnitude"):
+        assert getattr(maps[0], field).tobytes() == getattr(maps[1], field).tobytes()
+
+
 def test_analyze_keeps_every_window_of_the_sweep(tmp_path):
     # the example's 48 um sweeps: their common delay range is a whole
     # number of window steps only up to rounding, and must keep its last row

@@ -43,6 +43,21 @@ def test_moved_and_unpaired_files_are_listed_and_exit_1(tmp_path, capsys):
         "1 files byte-identical, 2 differ"]
 
 
+def test_a_key_one_side_lacks_is_named_and_counted_as_no_value(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _tree(parent)
+    _tree(change)
+    gridio.write_metrics(parent / METRICS, {"theta_tag": "19p94", "tau_c_s": 1.7e-14,
+                                            "xi_c_m": 4.2e-5})
+    assert product_moves.main([str(parent), str(change)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"{METRICS}  0/2 values differ, max |diff| 0; only in parent: xi_c_m",
+        "1 files byte-identical, 1 differ"]
+    assert product_moves.main([str(change), str(parent)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{METRICS}  0/2 values differ, max |diff| 0; only in change: xi_c_m")
+
+
 def test_identical_trees_exit_0(tmp_path, capsys):
     _tree(tmp_path / "parent")
     _tree(tmp_path / "change")

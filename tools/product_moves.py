@@ -2,8 +2,9 @@
 
 Reads every file that is not byte-identical in the two trees through the
 public gridio readers of this checkout, and prints one line per file: how
-many of its values differ and the largest |difference|, and which of its
-fields differ in text or shape. A value is a number of an array, an axis, a header or a
+many of its values differ and the largest |difference|, which of its
+fields differ in text or shape, and which fields only one side holds,
+counted as no value. A value is a number of an array, an axis, a header or a
 metrics record; NaN equals NaN. Exits 1 if any file differs, else 0:
 
     python3 tools/product_digests.py --keep /tmp/change
@@ -67,14 +68,15 @@ def _numeric(value):
 
 def compare(path_a, path_b):
     """(values, values that differ, largest |difference|, names of the
-    fields that differ in text or shape) of two files of one product."""
+    fields that differ in text or shape, names of the fields only in a,
+    names of those only in b) of two files of one product."""
     reader = next(read for pattern, read in READERS
                   if fnmatch.fnmatch(path_a.name, pattern))
     a, b = (dict(_leaves(reader(p))) for p in (path_a, path_b))
     total = differ = 0
     largest, others = 0.0, []
-    for name in sorted(a.keys() | b.keys()):
-        x, y = a.get(name), b.get(name)
+    for name in sorted(a.keys() & b.keys()):
+        x, y = a[name], b[name]
         if _numeric(x) and _numeric(y) and np.shape(x) == np.shape(y):
             x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
             moved = (x != y) & ~(np.isnan(x) & np.isnan(y))
@@ -88,7 +90,8 @@ def compare(path_a, path_b):
                 continue
             differ += 1
             others.append(name)
-    return total, differ, largest, others
+    return (total, differ, largest, others,
+            sorted(a.keys() - b.keys()), sorted(b.keys() - a.keys()))
 
 
 def _products(root):
@@ -111,10 +114,13 @@ def main(argv=None):
             same += 1
             continue
         else:
-            total, differ, largest, others = compare(a, b)
+            total, differ, largest, others, only_a, only_b = compare(a, b)
             line = f"{rel}  {differ}/{total} values differ, max |diff| {largest:.2g}"
-            print(line + (f"; text or shape differs: {', '.join(others)}"
-                          if others else ""))
+            for what, names in (("text or shape differs", others),
+                                ("only in parent", only_a), ("only in change", only_b)):
+                if names:
+                    line += f"; {what}: {', '.join(names)}"
+            print(line)
         moved += 1
     print(f"{same} files byte-identical, {moved} differ")
     return 1 if moved else 0
