@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import _fwhm, blur_sigma, correlation_columns, \
+from .coherence import _fwhm, correlation_columns, \
     correlation_map, factorability_defect, instrument_blur, metrics
 from .config import default, load_run_config, parse_angle, parse_length, \
     parse_time
@@ -196,9 +196,9 @@ def _spectrum_products(args, out, rc, theta, sg):
            to_wavelength_angle(rc.crystal_config(theta), sg.spec), fmt=rc.out_format)
 
 
-def _map_products(args, out, rc, tag, cmap, suffix=""):
+def _map_products(args, out, rc, tag, cmap, m, suffix=""):
+    """cmap with its metrics m: the map, its two cuts and the metrics file."""
     ext = FORMATS[rc.out_format]
-    m = metrics(cmap)
     _write(args, write_coherence_map, out / f"coherence_{tag}_{suffix}map.{ext}",
            cmap, fmt=rc.out_format)
     for axis, cut, name in ((m.tau_axis, m.tau_cut, "tau_cut"),
@@ -239,15 +239,20 @@ def _coherence_products(args, out, rc, theta, sg, blur):
     (time, length) pair, each with its cuts and metrics."""
     tag = _theta_tag(theta)
     cmap = correlation_map(sg)
-    if blur:  # refused before this orientation writes anything
+    # each refusal comes before this orientation writes anything
+    if blur:
         with blamed("--blur", MapExtentError, ResolutionError):
-            blur_sigma(cmap, *blur)
+            blurred = instrument_blur(cmap, *blur)
     # an angle whose central peak the auto-sized grid resolves too coarsely
     with blamed(_theta_field(args), ResolutionError):
-        _map_products(args, out, rc, tag, cmap)
+        m = metrics(cmap)
     if blur:
-        _map_products(args, out, rc, tag, instrument_blur(cmap, *blur),
-                      suffix="blur_")
+        # a blur that widens the peak past the map's edge
+        with blamed("--blur", MapExtentError):
+            blurred_metrics = metrics(blurred)
+    _map_products(args, out, rc, tag, cmap, m)
+    if blur:
+        _map_products(args, out, rc, tag, blurred, blurred_metrics, suffix="blur_")
 
 
 def cmd_interferogram(args):

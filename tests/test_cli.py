@@ -575,6 +575,10 @@ CAP_OF_KATO = (r"the density's support reaches its grid's cap of 0\.484 omega_c 
     pytest.param("coherence", ["--blur=0.01fs,6um", "--out={taken}"],
                  r"--blur: tau blur sigma spans .* refine the tau axis \d+x",
                  id="blur-too-narrow"),
+    # within the map, but the blurred peak's half maximum lies past its edge
+    pytest.param("coherence", ["--blur=529fs,0um", "--out={taken}"],
+                 "^error: --blur: half-maximum crossing lies outside the map",
+                 id="blur-past-the-half-maximum"),
     pytest.param("coherence", ["--out={file}/out"],
                  "--out: cannot write {file}/out: ", id="out-under-a-file"),
     pytest.param("spectrum", ["--out={file}"], "--out: cannot write {file}: ",

@@ -134,6 +134,9 @@ def _commands(draw):
 # near the angle cap, the auto-sized grid resolves the central peak too coarsely
 @example((["coherence", "base.ini", "--theta=68.9375deg", "--out=new/out"],
           ["--theta", "--out"]))
+# a blur within the map that widens the peak's half maximum past its edge
+@example((["coherence", "base.ini", "--blur=529fs,0um", "--out=new/out"],
+          ["--blur", "--out"]))
 def test_drawn_flags_exit_0_or_1_naming_the_flag(command):
     argv, flags = command
     err = io.StringIO()
