@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import os
 import sys
@@ -79,12 +80,16 @@ def _config_path(args):
     return path
 
 
+def _theta_field(args):
+    return "--theta" if args.theta else "[crystal] theta"
+
+
 def _select_thetas(rc, args):
     """The orientations to run, checked before any work, each with a product
     tag of its own."""
-    field, thetas = "[crystal] theta", list(rc.thetas_rad)
-    if getattr(args, "theta", None):
-        field, thetas = "--theta", [parse_angle(t, field="--theta") for t in args.theta]
+    field, thetas = _theta_field(args), list(rc.thetas_rad)
+    if args.theta:
+        thetas = [parse_angle(t, field=field) for t in args.theta]
         with blamed(field, ConfigurationError):
             for theta in thetas:
                 rc.crystal_config(theta)
@@ -175,14 +180,12 @@ def _build_spectrum(rc, theta, args):
         raise ConfigurationError(f"{_theta_field(args)}: {exc}") from exc
 
 
-def _theta_field(args):
-    return "--theta" if args.theta else "[crystal] theta"
-
-
-def cmd_spectrum(args):
+def _per_orientation(products, args, *extra):
+    """Run products(args, out, rc, theta, S, *extra) at each orientation,
+    handing it S unnamed, so no orientation's S outlives the next build."""
     rc, out = _load(args)
     for theta in _select_thetas(rc, args):
-        _spectrum_products(args, out, rc, theta, _build_spectrum(rc, theta, args))
+        products(args, out, rc, theta, _build_spectrum(rc, theta, args), *extra)
     return 0
 
 
@@ -227,11 +230,7 @@ def cmd_coherence(args):
                 parse_length(parts[1], field="--blur"))
         if min(blur) < 0:
             raise ConfigurationError(f"--blur: widths must be >= 0, got {args.blur}")
-    rc, out = _load(args)
-    for theta in _select_thetas(rc, args):
-        _coherence_products(args, out, rc, theta,
-                            _build_spectrum(rc, theta, args), blur)
-    return 0
+    return _per_orientation(_coherence_products, args, blur)
 
 
 def _coherence_products(args, out, rc, theta, sg, blur):
@@ -253,14 +252,6 @@ def _coherence_products(args, out, rc, theta, sg, blur):
     _map_products(args, out, rc, tag, cmap, m)
     if blur:
         _map_products(args, out, rc, tag, blurred, blurred_metrics, suffix="blur_")
-
-
-def cmd_interferogram(args):
-    rc, out = _load(args)
-    for theta in _select_thetas(rc, args):
-        _interferogram_products(args, out, rc, theta,
-                                _build_spectrum(rc, theta, args))
-    return 0
 
 
 def _interferogram_products(args, out, rc, theta, sg):
@@ -296,11 +287,8 @@ def cmd_analyze(args):
                                              "out_dir"))
     traces = []
     for tpath in read_manifest(args.manifest):
-        try:
+        with blamed(f"unreadable trace file {tpath}", OSError, ValueError, ConfigurationError):
             traces.append(read_trace(tpath))
-        except (OSError, ValueError, ConfigurationError) as exc:
-            raise ConfigurationError(
-                f"unreadable trace file {tpath}: {exc}") from exc
     with blamed(f"[interferometer] on {args.manifest}", ConfigurationError,
                 SamplingError):
         amap = assemble_map(traces, icfg, window_fringes=window)
@@ -354,7 +342,7 @@ def _build_parser():
 
     p = sub.add_parser("spectrum", help="S(omega,k) and S(lambda,angle) grids")
     common(p)
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(func=functools.partial(_per_orientation, _spectrum_products))
 
     p = sub.add_parser("coherence",
                        help="correlation maps, cuts, and width metrics")
@@ -367,7 +355,7 @@ def _build_parser():
     p = sub.add_parser("interferogram",
                        help="synthesize fringe traces at stepped BS2 positions")
     common(p)
-    p.set_defaults(func=cmd_interferogram)
+    p.set_defaults(func=functools.partial(_per_orientation, _interferogram_products))
 
     p = sub.add_parser("analyze",
                        help="rebuild |g1| from a manifest of fringe traces")

@@ -200,17 +200,13 @@ class RunConfig:
 
 def load_run_config(path):
     path = Path(path)
-    try:
+    with blamed(f"cannot read config file {path}", OSError, ValueError):
         text = path.read_text()
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
 
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                    interpolation=None)
-    try:
+    with blamed("malformed config file", configparser.Error):
         cp.read_string(text, source=str(path))
-    except configparser.Error as exc:
-        raise ConfigurationError(f"malformed config file: {exc}") from exc
 
     known = {(f.section, f.key) for f in FIELDS}
     for section in cp.sections():

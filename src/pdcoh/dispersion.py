@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, RootNotFoundError, WavelengthRangeError
+from .errors import ConfigurationError, RootNotFoundError, WavelengthRangeError, blamed
 
 # speed of light in vacuum, m/s (exact by the SI definition of the metre)
 c = 299_792_458.0
@@ -187,10 +187,8 @@ def load_sellmeier(source):
     if not path.is_file():
         raise ConfigurationError(f"Sellmeier set {source!r}: {path} is not a "
                                  f"readable file (shipped sets: {SHIPPED_SETS})")
-    try:
+    with blamed(f"cannot read Sellmeier file {path}", OSError, UnicodeDecodeError):
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigurationError(f"cannot read Sellmeier file {path}: {exc}") from exc
     origin = source if shipped else str(path)
     return _parse_sellmeier(text, origin).validate()
 
@@ -214,10 +212,8 @@ def _parse_sellmeier(text, origin):
         if len(parts) != count:
             raise ConfigurationError(
                 f"{origin}: {key} needs {count} numbers, got {len(parts)}")
-        try:
+        with blamed(f"{origin}: {key}", ValueError):
             return tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigurationError(f"{origin}: {key}: {exc}") from None
 
     return SellmeierSet(
         material=fields["material"],

@@ -58,8 +58,10 @@ class MapExtentError(PdcohError):
 
 @contextlib.contextmanager
 def blamed(field, *kinds):
-    """Re-raise a refusal of the given kinds (any PdcohError by default) as
-    a ConfigurationError prefixed with the field that caused it."""
+    """Re-raise an exception of the given kinds as a ConfigurationError
+    prefixed with the field or file that caused it, chained from it. Any
+    kinds serve (OSError, ValueError, configparser.Error); the default is
+    any PdcohError."""
     try:
         yield
     except kinds or PdcohError as exc:

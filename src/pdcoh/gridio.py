@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import CoherenceMap
-from .errors import ConfigurationError
+from .errors import ConfigurationError, blamed
 from .interferometer import AssembledMap, FringeTrace
 from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, domain_shape
 
@@ -281,9 +281,6 @@ def _write_rows(fh, rows):
     (subnormals among them), and powers of two, whose neighbour below is
     nearer than the one above. Zeros are written directly.
     """
-    if rows.shape[1] == 0:
-        fh.write(b"\n" * len(rows))
-        return
     step = max(1, _BLOCK // rows.shape[1])
     for start in range(0, len(rows), step):
         fh.write(_encode(rows[start:start + step]))
@@ -467,7 +464,7 @@ def read_spectral_grid(path):
                                        SpectralGrid)
     spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
     density = _require(arrays, "density", path)
-    try:
+    with blamed(path, ConfigurationError, TypeError):
         spec = GridSpec(n_omega=omega.size, n_k=k.size, **spec)
         for name, ours, read, step in (
                 ("omega", spec.omega_axis(), omega, spec.omega_step),
@@ -475,8 +472,6 @@ def read_spectral_grid(path):
             if not np.allclose(ours, read, rtol=0, atol=1e-6 * step):
                 raise ConfigurationError(f"the grid spec disagrees with the {name} axis")
         return SpectralGrid(spec, domain=density, provenance=header)
-    except (ConfigurationError, TypeError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def write_wavelength_angle_grid(path, wag, fmt="csv"):
@@ -577,15 +572,13 @@ def read_trace(path):
     positions = _stage_axis(header, intensities.shape, path)
     bs2, carrier = (_require(header, key, path)
                     for key in ("bs2_position_m", "carrier_omega"))
-    try:
+    # a sweep that does not advance, or a negative or non-finite sample
+    with blamed(path, ConfigurationError):
         return FringeTrace(positions_m=positions.ravel(),
                            intensities=intensities.ravel(),
                            bs2_position_m=bs2, carrier_omega=carrier,
                            orientation=header.get("orientation", ""),
                            icfg_hash=header.get("icfg_hash", ""))
-    except ConfigurationError as exc:
-        # a sweep that does not advance, or a negative or non-finite sample
-        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 # --- metrics and manifests ---
@@ -629,10 +622,8 @@ def write_manifest(path, trace_paths):
 
 def read_manifest(path):
     base = Path(path).parent.resolve()
-    try:
+    with blamed(f"cannot read trace manifest {path}", OSError, ValueError):
         lines = Path(path).read_text().splitlines()
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read trace manifest {path}: {exc}") from exc
     if not lines or lines[0].strip() != f"# pdcoh_manifest: {_VERSION}":
         raise ConfigurationError(f"{path}: not a pdcoh trace manifest")
     out = []

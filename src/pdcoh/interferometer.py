@@ -223,6 +223,13 @@ class AssembledMap:
     magnitude: np.ndarray
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        want = (np.size(self.tau_axis), np.size(self.xi_axis))
+        if np.shape(self.magnitude) != want:
+            raise ConfigurationError(
+                f"AssembledMap magnitude has shape {np.shape(self.magnitude)}; "
+                f"axes of {want[0]} x {want[1]} nodes give {want}")
+
 
 def assemble_map(traces, icfg, window_fringes=1.0):
     """Rebuild |g1|(tau, xi) from traces taken at stepped BS2 positions.

@@ -239,6 +239,15 @@ def test_a_domain_of_the_wrong_shape_is_refused_at_construction():
         SpectralGrid(_SPEC, domain=np.ones((64, 64)))
 
 
+@pytest.mark.parametrize("shape", [(3, 0), (2, 5)])
+def test_an_assembled_magnitude_its_axes_do_not_give_is_refused_at_construction(shape):
+    # either was written, in both encodings, as a file that
+    # read_assembled_map refuses
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"AssembledMap magnitude has shape {shape}; axes of 3 x 2 nodes give (3, 2)")):
+        AssembledMap(np.arange(3) * 1e-15, np.arange(2) * 1e-6, np.ones(shape))
+
+
 
 def test_folded_products_compare_by_identity():
     # a field-wise == of their arrays has no truth value; each product is
