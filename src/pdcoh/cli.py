@@ -287,7 +287,8 @@ def cmd_analyze(args):
                                              "out_dir"))
     traces = []
     for tpath in read_manifest(args.manifest):
-        with blamed(f"unreadable trace file {tpath}", OSError, ValueError, ConfigurationError):
+        # read_trace's ConfigurationError names the file already
+        with blamed(f"unreadable trace file {tpath}", OSError, ValueError):
             traces.append(read_trace(tpath))
     with blamed(f"[interferometer] on {args.manifest}", ConfigurationError,
                 SamplingError):

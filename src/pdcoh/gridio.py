@@ -8,10 +8,13 @@ after an 8-byte magic and then raw little-endian float64 arrays in C
 order. Every array is real: a complex column or a binary array of
 another dtype is refused naming the file. Every array product (grids, maps,
 cuts, tables and fringe traces) goes through one writer, `_write`, and
-one reader, `_read`. Uniform axes persist as start/step/count, and an
-array read back must have one sample per axis value, or per node of its
-fundamental domain: a fringe trace is one row of intensities under the
-`position` axis of its stage sweep, in either encoding.
+one reader, `_read`. Uniform axes persist as start/step/count; an axis
+holding a NaN or an infinity is refused before any file is opened. The
+_KINDS table drives one `write` and one `read` for the wavelength-angle
+grid and the coherence and assembled maps; the class built from a file
+refuses an array of another shape than its axes give, prefixed with the
+file. S (its grid spec), fringe traces (one intensity row under the
+`position` axis of the stage sweep) and profiles keep their own functions.
 Headers carry no timestamp: the same inputs must produce the same bytes.
 
 A symmetric product is a spectrum.Folded, held in memory as its
@@ -20,14 +23,13 @@ a `fold` header field: a coherence map its tau >= 0, xi >= 0 quadrant, S
 its (|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0
 columns. Each is written from and read into the domain its object holds,
 never unfolded, so a file does not hold the full grid for a tool such as
-numpy.loadtxt; the domain's shape comes from the class's symmetry. A
-symmetric kind's file with no fold field, or with another fold, and a
-fold on any other kind are refused naming the file. A CSV value is its repr, a
-NaN whose sign bit is set -nan, byte for byte; one numpy kernel formats a
-block of values at a time and calls repr only for the few values it
-cannot settle exactly (_write_rows). Every write_* returns with its file
-complete, written by the calling process: the command line writes every
-product itself.
+numpy.loadtxt. A symmetric kind's file with no fold field, or with
+another fold, and a fold on any other kind are refused naming the file.
+A CSV value is its repr, a NaN whose sign bit is set -nan, byte for byte;
+one numpy kernel formats a block of values at a time and calls repr only
+for the few values it cannot settle exactly (_write_rows). Every write
+returns with its file complete, written by the calling process: the
+command line writes every product itself.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .coherence import CoherenceMap
 from .errors import ConfigurationError, blamed
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, domain_shape
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -68,6 +70,8 @@ def _axis_spec(name, axis):
     axis = np.asarray(axis, dtype=float)
     if axis.size == 0:
         raise ConfigurationError(f"axis {name} is empty")
+    if not np.isfinite(axis).all():
+        raise ConfigurationError(f"axis {name} holds a non-finite value")
     step = float(axis[1] - axis[0]) if axis.size > 1 else 0.0
     if axis.size > 1:
         dev = np.max(np.abs(np.diff(axis) - step))
@@ -399,16 +403,12 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
     (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
 
 
-def _read(path, kind, axes=(), folded=None):
-    """(provenance, axes, arrays) of a product of this kind.
-
-    The encoding is sniffed from the magic. The file of a folded kind, read
-    for its Folded class, must carry the class's one fold, any other file
-    none. With axes named, each axis must hold an integer count and a
-    finite start and step (_axis), and every array must have one row per
-    value of the first and one column per value of the second, or for a
-    folded kind the shape of that grid's domain under the class's symmetry.
-    """
+def _read(path, kind, axes=(), fold=None):
+    """(provenance, axes, arrays) of a product of this kind, its encoding
+    sniffed from the magic. The file must declare the fold given (a folded
+    class's one fold), or none; each axis named must hold an integer count
+    and a finite start and step (_axis). The class built from the arrays
+    checks their shapes."""
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
     with _decoding(path):
@@ -418,18 +418,9 @@ def _read(path, kind, axes=(), folded=None):
             raise ConfigurationError(
                 f"{path}: expected a {kind} file, found {found!r}")
         specs = [_axis(header, name, path) for name in axes]
-        shape = tuple(n for _, _, n in specs)
-        fold = header.pop("fold", None)
-        ours = None if folded is None else folded.fold
-        if fold != ours:
-            raise ConfigurationError(f"{path}: {kind} files have fold {ours!r}, "
-                                     f"this one {fold!r}")
-        if folded is not None:
-            shape = domain_shape(folded.symmetry, shape)
-        for name, arr in arrays.items() if axes else ():
-            if arr.shape != shape:
-                raise ConfigurationError(f"{path}: array {name!r} has shape "
-                                         f"{arr.shape}, its axes give {shape}")
+        if (declared := header.pop("fold", None)) != fold:
+            raise ConfigurationError(f"{path}: {kind} files have fold {fold!r}, "
+                                     f"this one {declared!r}")
     return header, [start + np.arange(n) * step for start, step, n in specs], arrays
 
 
@@ -461,62 +452,55 @@ def write_spectral_grid(path, sg, fmt="csv"):
 def read_spectral_grid(path):
     """S, built from the (|Omega|, |k|) quadrant its file stores."""
     header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"),
-                                       SpectralGrid)
+                                       SpectralGrid.fold)
     spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
     density = _require(arrays, "density", path)
     with blamed(path, ConfigurationError, TypeError):
-        spec = GridSpec(n_omega=omega.size, n_k=k.size, **spec)
-        for name, ours, read, step in (
-                ("omega", spec.omega_axis(), omega, spec.omega_step),
-                ("k", spec.k_axis(), k, spec.k_step)):
-            if not np.allclose(ours, read, rtol=0, atol=1e-6 * step):
+        sg = SpectralGrid(GridSpec(n_omega=omega.size, n_k=k.size, **spec),
+                          domain=density, provenance=header)
+        for name, ours, stored, step in (
+                ("omega", sg.omega_axis(), omega, sg.spec.omega_step),
+                ("k", sg.k_axis(), k, sg.spec.k_step)):
+            if not np.allclose(ours, stored, rtol=0, atol=1e-6 * step):
                 raise ConfigurationError(f"the grid spec disagrees with the {name} axis")
-        return SpectralGrid(spec, domain=density, provenance=header)
+    return sg
 
 
-def write_wavelength_angle_grid(path, wag, fmt="csv"):
-    _write(path, fmt, {"kind": "wavelength-angle-density"},
-           [("wavelength", wag.wavelength_axis_m), ("angle", wag.angle_axis_rad)],
-           wag.provenance, [("density", wag.domain)], wag.fold)
+# class -> (kind, head fields, {file axis: field}, (file array, field))
+_KINDS = {
+    WavelengthAngleGrid: ("wavelength-angle-density", (), {
+        "wavelength": "wavelength_axis_m", "angle": "angle_axis_rad"}, ("density", "domain")),
+    CoherenceMap: ("coherence-map", ("carrier_omega", "intensity"),
+                   {"tau": "tau_axis", "xi": "xi_axis"}, ("g", "domain")),
+    AssembledMap: ("assembled-map", (), {"tau": "tau_axis", "xi": "xi_axis"},
+                   ("magnitude", "magnitude")),
+}
 
 
-def read_wavelength_angle_grid(path):
-    header, (wavelength, angle), arrays = _read(
-        path, "wavelength-angle-density", ("wavelength", "angle"), WavelengthAngleGrid)
-    return WavelengthAngleGrid(wavelength_axis_m=wavelength,
-                               angle_axis_rad=angle,
-                               domain=_require(arrays, "density", path),
-                               provenance=header)
+def write(path, obj, fmt="csv"):
+    """A product of a _KINDS class: its kind and head fields, its axes, its
+    provenance, its one array, and its class's fold if it has one."""
+    kind, head, axes, (array, field) = _KINDS[type(obj)]
+    _write(path, fmt, {"kind": kind, **{key: float(getattr(obj, key)) for key in head}},
+           [(name, getattr(obj, attr)) for name, attr in axes.items()],
+           obj.provenance, [(array, getattr(obj, field))], getattr(obj, "fold", None))
 
 
-def write_coherence_map(path, cmap, fmt="csv"):
-    _write(path, fmt, {"kind": "coherence-map",
-                       "carrier_omega": float(cmap.carrier_omega),
-                       "intensity": float(cmap.intensity)},
-           [("tau", cmap.tau_axis), ("xi", cmap.xi_axis)], cmap.provenance,
-           [("g", cmap.domain)], cmap.fold)
+def read(path, cls):
+    """A product of a _KINDS class, built from its file; the class refuses
+    an array of another shape than its axes give, prefixed with the file."""
+    kind, head, axes, (array, field) = _KINDS[cls]
+    header, values, arrays = _read(path, kind, tuple(axes), getattr(cls, "fold", None))
+    fields = {key: _require(header, key, path) for key in head}
+    fields[field] = _require(arrays, array, path)
+    with blamed(path, ConfigurationError):
+        return cls(**dict(zip(axes.values(), values)), **fields, provenance=header)
 
 
-def read_coherence_map(path):
-    header, (tau, xi), arrays = _read(path, "coherence-map", ("tau", "xi"), CoherenceMap)
-    return CoherenceMap(tau_axis=tau, xi_axis=xi,
-                        domain=_require(arrays, "g", path),
-                        carrier_omega=_require(header, "carrier_omega", path),
-                        intensity=_require(header, "intensity", path),
-                        provenance=header)
-
-
-def write_assembled_map(path, amap, fmt="csv"):
-    _write(path, fmt, {"kind": "assembled-map"},
-           [("tau", amap.tau_axis), ("xi", amap.xi_axis)], amap.provenance,
-           [("magnitude", amap.magnitude)])
-
-
-def read_assembled_map(path):
-    header, (tau, xi), arrays = _read(path, "assembled-map", ("tau", "xi"))
-    return AssembledMap(tau_axis=tau, xi_axis=xi,
-                        magnitude=_require(arrays, "magnitude", path),
-                        provenance=header)
+write_wavelength_angle_grid = write_coherence_map = write_assembled_map = write
+read_wavelength_angle_grid = functools.partial(read, cls=WavelengthAngleGrid)
+read_coherence_map = functools.partial(read, cls=CoherenceMap)
+read_assembled_map = functools.partial(read, cls=AssembledMap)
 
 
 def write_profile(path, kind, header, columns, fmt="csv"):

@@ -270,7 +270,9 @@ def test_a_malformed_stage_header_exits_1_naming_the_trace(ws, tmp_path, capsys)
     write_manifest(manifest, [bad])
     assert main(["analyze", str(manifest), "--config", str(ws["cfg"]),
                  "--out", str(tmp_path / "an")]) == 1
-    assert f"unreadable trace file {bad}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}: array 'intensity' has shape (1, 401)" in err
+    assert err.count(str(bad)) == 1
 
 
 def test_a_two_column_trace_exits_1_naming_it(ws, tmp_path, capsys):
@@ -291,7 +293,9 @@ def test_a_two_column_trace_exits_1_naming_it(ws, tmp_path, capsys):
     assert main(["analyze", str(manifest), "--config", str(ws["cfg"]),
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"unreadable trace file {bad}: {bad}: header lacks 'position_start'" in err
+    # named once: read_trace's refusal carries the file, analyze adds nothing
+    assert f"error: {bad}: header lacks 'position_start'" in err
+    assert err.count(str(bad)) == 1
     assert not out.exists()
 
 
@@ -786,17 +790,28 @@ def test_missing_manifest_exits_1_naming_it(tmp_path, capsys):
     assert not out.exists()
 
 
+def _perfbench_table(module, name):
+    """The literal value of a module-level table in perfbench/<module>.py."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / f"{module}.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == name)
+
+
 def test_benchmark_wrapped_names_resolve():
     # perfbench/spans.py WRAPS lists (module, attribute, span) triples that
     # the traced benchmark launcher replaces; a missing name kills the launch
-    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    wraps = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
-                 if isinstance(node, ast.Assign)
-                 and getattr(node.targets[0], "id", None) == "WRAPS")
+    wraps = _perfbench_table("spans", "WRAPS")
     import pdcoh.cli  # noqa: F401 - binds the consumer modules
     missing = [(module, name) for module, name, _ in wraps
                if not hasattr(importlib.import_module(module), name)]
     assert wraps and missing == []
+    # perfbench/checks.py READERS names the gridio reader of each product;
+    # a lost name would fail every readback of its products
+    readers = _perfbench_table("checks", "READERS")
+    from pdcoh import gridio
+    lost = [name for _, name, _ in readers if not callable(getattr(gridio, name, None))]
+    assert readers and lost == []
 
 
 def test_unreadable_trace_exits_1_naming_the_file(ws, tmp_path, capsys):

@@ -550,6 +550,17 @@ def test_nonuniform_axis_is_rejected(tmp_path):
         write_coherence_map(tmp_path / "bad.csv", cmap)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("tau", [[np.nan, 1, 2], [0, np.inf, 2]])
+def test_a_non_finite_axis_is_refused_before_anything_is_written(tmp_path, tau, fmt):
+    # such a file was written, and then refused by its reader
+    path = tmp_path / "amap.dat"
+    amap = AssembledMap(np.array(tau) * 1e-15, _XI, np.ones((3, 3)))
+    with pytest.raises(ConfigurationError, match="axis tau holds a non-finite value"):
+        write_assembled_map(path, amap, fmt=fmt)
+    assert not path.exists()
+
+
 def test_unknown_format_is_rejected(tmp_path, sg):
     with pytest.raises(ConfigurationError, match="format"):
         write_spectral_grid(tmp_path / "grid.xyz", sg, fmt="hdf5")
@@ -928,6 +939,44 @@ def test_malformed_files_are_configuration_errors(tmp_path, corruption):
     with pytest.raises(ConfigurationError, match=re.escape(str(path))) as info:
         read(path)
     assert "broadcast" not in str(info.value)
+
+
+def _set_header(path, key, value):
+    """Rewrite one header field of a product file, in either encoding."""
+    data = path.read_bytes()
+    if data.startswith(b"PDCOHBIN"):
+        (length,) = struct.unpack("<I", data[8:12])
+        meta = json.loads(data[12:12 + length])
+        path.write_bytes(_binary_file({**meta, key: value}) + data[12 + length:])
+    else:
+        path.write_text(re.sub(f"^# {key}: .*$", f"# {key}: {json.dumps(value)}",
+                               path.read_text(), flags=re.M))
+
+
+# product -> (an axis count, a count its stored array does not fit, the
+# refusal of the product's class)
+_RESHAPED = {
+    "map": ("n_tau", 7,
+            "CoherenceMap domain has shape (3, 2); axes of 7 x 3 nodes give (4, 2)"),
+    "spectral": ("n_k", 128,
+                 "SpectralGrid domain has shape (33, 33); axes of 64 x 128 nodes give (33, 65)"),
+    "wavelength-angle": ("n_angle", 9, "WavelengthAngleGrid domain has shape (5, 2); "
+                         "axes of 5 x 9 nodes give (5, 5)"),
+    "assembled": ("n_xi", 2,
+                  "AssembledMap magnitude has shape (5, 3); axes of 5 x 2 nodes give (5, 2)"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("product", sorted(_RESHAPED))
+def test_an_array_its_axes_do_not_give_is_refused_by_its_class_naming_the_file(
+        tmp_path, product, fmt):
+    key, count, words = _RESHAPED[product]
+    path, read = _product_file(tmp_path, f"{product} {fmt}")
+    _set_header(path, key, count)
+    with pytest.raises(ConfigurationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {words}"
 
 
 def _intact(kind):
