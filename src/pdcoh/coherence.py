@@ -309,10 +309,10 @@ def _gaussian_rows(x, sigma):
 
 def blur_sigma(cmap, dtau, dxi):
     """(tau, xi) sigma in samples of a blur of FWHM (dtau, dxi) on this map.
-    Negative widths or a kernel wider than the map raise MapExtentError; a
+    Negative, non-finite or wider-than-the-map widths raise MapExtentError; a
     sigma of 1e-15 to 0.6 samples, ResolutionError with its refine factor."""
-    if dtau < 0 or dxi < 0:
-        raise MapExtentError("blur widths must be nonnegative")
+    if not (0 <= dtau < math.inf and 0 <= dxi < math.inf):
+        raise MapExtentError("blur widths must be finite and nonnegative")
     tau_span = cmap.tau_axis[-1] - cmap.tau_axis[0]
     xi_span = cmap.xi_axis[-1] - cmap.xi_axis[0]
     if dtau > tau_span or dxi > xi_span:

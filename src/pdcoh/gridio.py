@@ -9,13 +9,14 @@ order. Every array is real: a complex column or a binary array of
 another dtype is refused naming the file. Every array product (grids, maps,
 cuts, tables and fringe traces) goes through one writer, `_write`, and
 one reader, `_read`. Uniform axes persist as start/step/count; an axis
-holding a NaN or an infinity is refused before any file is opened. The
+holding a NaN or an infinity is refused before any file is opened, a count
+above twice the largest array's size plus one before any axis is built. The
 _KINDS table drives one `write` and one `read` for the wavelength-angle
 grid and the coherence and assembled maps; the class built from a file
 refuses an array of another shape than its axes give, prefixed with the
-file. S (its grid spec), fringe traces (one intensity row under the
-`position` axis of the stage sweep) and profiles keep their own functions.
-Headers carry no timestamp: the same inputs must produce the same bytes.
+file, as FringeTrace refuses a trace's sweep. S (its grid spec), traces
+(one `intensity` row) and profiles keep their own functions. Headers carry
+no timestamp: the same inputs must produce the same bytes.
 
 A symmetric product is a spectrum.Folded, held in memory as its
 fundamental domain, and stores just that, named by its class's `fold` in
@@ -406,9 +407,10 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
 def _read(path, kind, axes=(), fold=None):
     """(provenance, axes, arrays) of a product of this kind, its encoding
     sniffed from the magic. The file must declare the fold given (a folded
-    class's one fold), or none; each axis named must hold an integer count
-    and a finite start and step (_axis). The class built from the arrays
-    checks their shapes."""
+    class's one fold), or none. Each axis named needs a finite start and
+    step and an integer count of at most 2 m + 1, m the largest array's
+    size: an axis of n nodes stores at least half of them. The class built
+    from the arrays checks their shapes."""
     with open(path, "rb") as fh:
         binary = fh.read(len(_MAGIC)) == _MAGIC
     with _decoding(path):
@@ -417,25 +419,34 @@ def _read(path, kind, axes=(), fold=None):
         if found != kind:
             raise ConfigurationError(
                 f"{path}: expected a {kind} file, found {found!r}")
-        specs = [_axis(header, name, path) for name in axes]
+        nodes = 2 * max((arr.size for arr in arrays.values()), default=0) + 1
+        specs = [_axis(header, name, path, nodes) for name in axes]
         if (declared := header.pop("fold", None)) != fold:
             raise ConfigurationError(f"{path}: {kind} files have fold {fold!r}, "
                                      f"this one {declared!r}")
     return header, [start + np.arange(n) * step for start, step, n in specs], arrays
 
 
-def _axis(header, name, path):
-    """(start, step, count) of an axis: an integer count, finite start and step."""
+def _axis(header, name, path, nodes):
+    """(start, step, count) of an axis, checked as _read says."""
     start, step, n = (_require(header, key, path) for key in
                       (f"{name}_start", f"{name}_step", f"n_{name}"))
     if type(n) is not int:
         raise ConfigurationError(
             f"{path}: n_{name} must be an integer, got {n!r}")
     for key, value in ((f"{name}_start", start), (f"{name}_step", step)):
-        if type(value) not in (int, float) or not math.isfinite(value):
-            raise ConfigurationError(
-                f"{path}: {key} must be a finite number, got {value!r}")
+        _finite(key, value, path)
+    if n > nodes:
+        raise ConfigurationError(f"{path}: n_{name} is {n}, more nodes than "
+                                 f"the file's data can fill (at most {nodes})")
     return start, step, n
+
+
+def _finite(key, value, path):
+    """value, if an int or float (not a bool) that is finite."""
+    if type(value) in (int, float) and math.isfinite(value):
+        return value
+    raise ConfigurationError(f"{path}: {key} must be a finite number, got {value!r}")
 
 
 # the GridSpec numbers that the axes' start/step/count do not carry exactly
@@ -531,35 +542,18 @@ def write_trace(path, trace, fmt="csv"):
            }, [("intensity", np.reshape(trace.intensities, (1, -1)))])
 
 
-def _stage_axis(header, shape, path):
-    """The stage positions start + j * step of a trace's `position` axis,
-    which must be an increasing sweep of one position per intensity."""
-    start, step, n = _axis(header, "position", path)
-    if n < 2:
-        raise ConfigurationError(
-            f"{path}: n_position must be an integer >= 2, got {n!r}")
-    if step <= 0:
-        raise ConfigurationError(
-            f"{path}: position_step must be positive, got {step!r}")
-    if shape != (1, n):
-        raise ConfigurationError(f"{path}: array 'intensity' has shape "
-                                 f"{shape}, n_position gives {(1, n)}")
-    return start + np.arange(n) * step
-
-
 def read_trace(path):
     """A fringe trace: the stage sweep from its `position` axis, which a file
     must have, the intensities from its one `intensity` row; header keys a
     trace does not use (tau_offset_s, source) are ignored."""
-    header, _, arrays = _read(path, "fringe-trace")
-    intensities = _require(arrays, "intensity", path)
-    positions = _stage_axis(header, intensities.shape, path)
-    bs2, carrier = (_require(header, key, path)
+    header, (positions,), arrays = _read(path, "fringe-trace", ("position",))
+    if (intensities := _require(arrays, "intensity", path)).shape[:1] != (1,):
+        raise ConfigurationError(f"{path}: array 'intensity' has shape "
+                                 f"{intensities.shape}; a trace is one row")
+    bs2, carrier = (_finite(key, _require(header, key, path), path)
                     for key in ("bs2_position_m", "carrier_omega"))
-    # a sweep that does not advance, or a negative or non-finite sample
     with blamed(path, ConfigurationError):
-        return FringeTrace(positions_m=positions.ravel(),
-                           intensities=intensities.ravel(),
+        return FringeTrace(positions_m=positions, intensities=intensities[0],
                            bs2_position_m=bs2, carrier_omega=carrier,
                            orientation=header.get("orientation", ""),
                            icfg_hash=header.get("icfg_hash", ""))

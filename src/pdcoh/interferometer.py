@@ -81,11 +81,14 @@ class FringeTrace:
     def __post_init__(self):
         self.positions_m = np.asarray(self.positions_m, dtype=float)
         self.intensities = np.asarray(self.intensities, dtype=float)
-        if self.positions_m.size != self.intensities.size:
-            raise ConfigurationError("positions and intensities differ in length")
         if not (self.positions_m.size >= 2 and np.all(np.isfinite(self.positions_m))
                 and np.all(np.diff(self.positions_m) > 0)):
-            raise ConfigurationError("stage positions must be finite and increase strictly")
+            raise ConfigurationError(
+                "stage positions must be two or more, finite and increase strictly")
+        if self.positions_m.ndim != 1 or self.intensities.shape != self.positions_m.shape:
+            raise ConfigurationError(
+                "positions and intensities must be one-dimensional, of one length; "
+                f"got shapes {self.positions_m.shape} and {self.intensities.shape}")
         if not np.all(np.isfinite(self.intensities) & (self.intensities >= 0)):
             raise ConfigurationError("detector intensities must be finite and nonnegative")
 
@@ -179,10 +182,10 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
             "stage sampling varies by more than 1%; resample the trace first")
     period = fringe_period_stage_m(trace.carrier_omega)
     per_fringe = period / step
-    if per_fringe < 8.0:
+    if not per_fringe >= 8.0:
         raise SamplingError(
             f"{per_fringe:.1f} samples per fringe; at least 8 are needed")
-    if window_fringes < 1.0:
+    if not 1.0 <= window_fringes < math.inf:
         raise ConfigurationError("window must cover at least one fringe")
     w = int(round(window_fringes * per_fringe)) + 1
     n = trace.positions_m.size

@@ -271,8 +271,28 @@ def test_a_malformed_stage_header_exits_1_naming_the_trace(ws, tmp_path, capsys)
     assert main(["analyze", str(manifest), "--config", str(ws["cfg"]),
                  "--out", str(tmp_path / "an")]) == 1
     err = capsys.readouterr().err
-    assert f"error: {bad}: array 'intensity' has shape (1, 401)" in err
+    assert f"error: {bad}: positions and intensities must be one-dimensional" in err
+    assert "got shapes (400,) and (401,)" in err
     assert err.count(str(bad)) == 1
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"abc"'])
+@pytest.mark.parametrize("key", ["bs2_position_m", "carrier_omega"])
+def test_a_trace_header_number_that_is_not_finite_exits_1_naming_the_trace(
+        ws, tmp_path, capsys, key, value):
+    # checked as an axis start or step is: NaN once reached int(round(...))
+    # in extract_visibility, a string a comparison with a float
+    traces = read_manifest(ws["manifest"])
+    bad = tmp_path / traces[5].name
+    bad.write_text(re.sub(f"^# {key}: .*$", f"# {key}: {value}", traces[5].read_text(),
+                          flags=re.M))
+    manifest = tmp_path / "bad_manifest.txt"
+    write_manifest(manifest, [*traces[:5], bad, *traces[6:]])
+    assert main(["analyze", str(manifest), "--config", str(ws["cfg"]),
+                 "--out", str(tmp_path / "an")]) == 1
+    got = {"NaN": "nan", "Infinity": "inf", '"abc"': "'abc'"}[value]
+    assert capsys.readouterr().err == (
+        f"error: {bad}: {key} must be a finite number, got {got}\n")
 
 
 def test_a_two_column_trace_exits_1_naming_it(ws, tmp_path, capsys):

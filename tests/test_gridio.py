@@ -432,7 +432,7 @@ MALFORMED_STAGE = {
     "fractional n_position": (
         "n_position: 3", "n_position: 3.0", "n_position must be an integer"),
     "one-sample n_position": (
-        "n_position: 3", "n_position: 1", "n_position must be an integer >= 2"),
+        "n_position: 3", "n_position: 1", "stage positions must be two or more"),
     "boolean n_position": (
         "n_position: 3", "n_position: true", "n_position must be an integer"),
     "non-finite position_start": (
@@ -445,19 +445,18 @@ MALFORMED_STAGE = {
         "position_start: 0.0", 'position_start: "0.0"',
         "position_start must be a finite number"),
     "zero position_step": (
-        "position_step: 4e-08", "position_step: 0.0",
-        "position_step must be positive"),
+        "position_step: 4e-08", "position_step: 0.0", "increase strictly"),
     "negative position_step": (
-        "position_step: 4e-08", "position_step: -4e-08",
-        "position_step must be positive"),
+        "position_step: 4e-08", "position_step: -4e-08", "increase strictly"),
     "position_step too small to advance the sweep": (
         "position_start: 0.0\n# position_step: 4e-08",
         "position_start: 1.0\n# position_step: 1e-20", "increase strictly"),
     "intensity row shorter than n_position": (
-        "2.0,1.0,0.5", "2.0,1.0", r"shape \(1, 2\), n_position gives \(1, 3\)"),
+        "2.0,1.0,0.5", "2.0,1.0",
+        r"of one length; got shapes \(3,\) and \(2,\)"),
     "intensities in two rows": (
         "2.0,1.0,0.5", "2.0,1.0,0.5\n0.5,1.0,2.0",
-        r"shape \(2, 3\), n_position gives \(1, 3\)"),
+        r"array 'intensity' has shape \(2, 3\); a trace is one row"),
 }
 
 
@@ -859,6 +858,15 @@ def _replace_line(text, index, new):
     return "\n".join(lines)
 
 
+def _header_set(data, key, value):
+    """A product file's text or bytes with one header field rewritten."""
+    if isinstance(data, bytes):
+        (length,) = struct.unpack("<I", data[8:12])
+        meta = json.loads(data[12:12 + length])
+        return _binary_file({**meta, key: value}) + data[12 + length:]
+    return re.sub(f"^# {key}: .*$", f"# {key}: {json.dumps(value)}", data, flags=re.M)
+
+
 def _one_omega_row(text):
     lines = text.splitlines(keepends=True)
     head = [line.replace("# n_omega: 64", "# n_omega: 1")
@@ -924,6 +932,15 @@ CORRUPTIONS = {
     "CSV row with an empty cell": (
         "csv", lambda t: _replace_line(t, -2, lambda s: "," + s.split(",", 1)[1])),
 }
+# product -> one of its axis counts
+_COUNTS = {"map": "n_tau", "spectral": "n_k", "wavelength-angle": "n_angle",
+           "assembled": "n_xi", "trace": "n_position"}
+# a count whose axis numpy refuses to allocate at once (72.8 TiB); one of
+# 10^9 to 10^10 would really allocate gigabytes before the bound was there
+CORRUPTIONS.update({
+    f"{product} {fmt} axis count of 10**13": (
+        f"{product} {fmt}", lambda data, key=key: _header_set(data, key, 10 ** 13))
+    for product, key in _COUNTS.items() for fmt in ("csv", "binary")})
 
 
 # and no warning reaches the caller, such as loadtxt's on an empty body
@@ -943,14 +960,26 @@ def test_malformed_files_are_configuration_errors(tmp_path, corruption):
 
 def _set_header(path, key, value):
     """Rewrite one header field of a product file, in either encoding."""
-    data = path.read_bytes()
-    if data.startswith(b"PDCOHBIN"):
-        (length,) = struct.unpack("<I", data[8:12])
-        meta = json.loads(data[12:12 + length])
-        path.write_bytes(_binary_file({**meta, key: value}) + data[12 + length:])
+    if path.read_bytes().startswith(b"PDCOHBIN"):
+        path.write_bytes(_header_set(path.read_bytes(), key, value))
     else:
-        path.write_text(re.sub(f"^# {key}: .*$", f"# {key}: {json.dumps(value)}",
-                               path.read_text(), flags=re.M))
+        path.write_text(_header_set(path.read_text(), key, value))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_an_axis_count_is_bounded_by_the_data_before_its_axis_is_built(tmp_path, fmt):
+    # a trace's 8 intensities fill at most 2 * 8 + 1 nodes: one more is
+    # refused by _read, that count itself by FringeTrace, both naming the file
+    path, read = _product_file(tmp_path, f"trace {fmt}")
+    _set_header(path, "n_position", 18)
+    with pytest.raises(ConfigurationError) as info:
+        read(path)
+    assert str(info.value) == (f"{path}: n_position is 18, more nodes than the "
+                               "file's data can fill (at most 17)")
+    _set_header(path, "n_position", 17)
+    with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: "
+                       r"positions and .* got shapes \(17,\) and \(8,\)$"):
+        read(path)
 
 
 # product -> (an axis count, a count its stored array does not fit, the

@@ -212,6 +212,12 @@ def test_trace_rejects_malformed_data():
             FringeTrace(pos, np.where(pos == pos[7], bad, good), 0.0, OMEGA_DEG)
     with pytest.raises(ConfigurationError, match="finite"):
         FringeTrace(np.where(pos == pos[7], np.nan, pos), good, 0.0, OMEGA_DEG)
+    # a (1, n) intensity row, or positions in two rows, hold n values each
+    # but are no sweep of one intensity per position
+    with pytest.raises(ConfigurationError, match=r"got shapes \(50,\) and \(1, 50\)$"):
+        FringeTrace(pos, good[None, :], 0.0, OMEGA_DEG)
+    with pytest.raises(ConfigurationError, match=r"got shapes \(2, 25\) and \(50,\)$"):
+        FringeTrace(pos.reshape(2, 25), good, 0.0, OMEGA_DEG)
 
 
 def test_sweep_preconditions(flat, icfg):
@@ -222,8 +228,15 @@ def test_sweep_preconditions(flat, icfg):
 
 def test_extraction_preconditions(flat, icfg):
     trace = synthesize_trace(flat, icfg)
-    with pytest.raises(ConfigurationError, match="at least one fringe"):
-        extract_visibility(trace, icfg, window_fringes=0.5)
+    # a NaN or infinite window has no length, a NaN carrier gives NaN
+    # samples per fringe: each is refused before int(round(...))
+    for window in (0.5, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="^window must cover at least one fringe$"):
+            extract_visibility(trace, icfg, window_fringes=window)
+        with pytest.raises(ConfigurationError, match="at least one fringe"):
+            assemble_map([trace], icfg, window_fringes=window)
+    with pytest.raises(SamplingError, match="^nan samples per fringe; at least 8"):
+        extract_visibility(dataclasses.replace(trace, carrier_omega=math.nan), icfg)
     with pytest.raises(SamplingError, match="longer than the trace"):
         extract_visibility(trace, icfg, window_fringes=5.0)
     other = InterferometerConfig(split_ratio=(0.7, 0.3))
