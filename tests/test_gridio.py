@@ -960,10 +960,11 @@ def test_malformed_files_are_configuration_errors(tmp_path, corruption):
 
 def _set_header(path, key, value):
     """Rewrite one header field of a product file, in either encoding."""
-    if path.read_bytes().startswith(b"PDCOHBIN"):
-        path.write_bytes(_header_set(path.read_bytes(), key, value))
+    data = path.read_bytes()
+    if data.startswith(b"PDCOHBIN"):
+        path.write_bytes(_header_set(data, key, value))
     else:
-        path.write_text(_header_set(path.read_text(), key, value))
+        path.write_text(_header_set(data.decode(), key, value))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
