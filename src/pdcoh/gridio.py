@@ -3,20 +3,22 @@
 Two encodings share one header model. CSV files open with `# key: value`
 lines (values JSON-encoded, so strings and numbers survive the round
 trip) followed by comma-separated rows, which the reader parses in one
-numpy.loadtxt call. Binary files carry a JSON header
-after an 8-byte magic and then raw little-endian float64 arrays in C
-order. Every array is real: a complex column or a binary array of
-another dtype is refused naming the file. Every array product (grids, maps,
-cuts, tables and fringe traces) goes through one writer, `_write`, and
-one reader, `_read`. Uniform axes persist as start/step/count; an axis
-holding a NaN or an infinity is refused before any file is opened, a count
-above twice the largest array's size plus one before any axis is built. The
-_KINDS table drives one `write` and one `read` for the wavelength-angle
-grid and the coherence and assembled maps; the class built from a file
-refuses an array of another shape than its axes give, prefixed with the
-file, as FringeTrace refuses a trace's sweep. S (its grid spec), traces
-(one `intensity` row) and profiles keep their own functions. Headers carry
-no timestamp: the same inputs must produce the same bytes.
+numpy.loadtxt call. Binary files carry a JSON header after an 8-byte magic
+and then raw little-endian float64 arrays in C order. Every array is real:
+a complex column or a binary array of another dtype is refused naming the
+file. Every array product (grids, maps, cuts, tables and fringe traces)
+goes through one writer, `_write`, and one reader, `_read`. Uniform axes
+persist as start/step/count; an axis holding a NaN or an infinity is
+refused before any file is opened, a count above twice the largest array's
+size plus one before any axis is built, and an axis whose nodes are not
+finite and strictly increasing as it is built. The _KINDS table drives one
+`write` and one `read` for the wavelength-angle grid and the coherence and
+assembled maps, whose head fields must be finite numbers; the class built
+from a file refuses an array of another shape than its axes give,
+prefixed with the file, as FringeTrace refuses a trace's sweep or header.
+S, traces and profiles keep their own functions. `load` reads any file by
+the kind its header names, through one READERS table. Headers carry no
+timestamp: the same inputs must produce the same bytes.
 
 A symmetric product is a spectrum.Folded, held in memory as its
 fundamental domain, and stores just that, named by its class's `fold` in
@@ -303,7 +305,7 @@ def _write_csv(path, header, arrays):
             _write_rows(fh, arr)
 
 
-def _read_csv(path):
+def _read_csv(path, body=True):
     """The `#` header lines, then the whole body in one parse, whose rows
     divide evenly between the arrays `# columns:` lists, in listed order.
     The body holds no comments: a `#` or an empty cell in it, or rows of
@@ -312,17 +314,19 @@ def _read_csv(path):
     with open(path) as fh:
         if fh.readline().strip() != f"# pdcoh_file: {_VERSION}":
             raise ConfigurationError(f"{path}: not a pdcoh CSV file")
-        body = fh.tell()
+        start = fh.tell()
         while (line := fh.readline()).startswith("#") or line.isspace():
             if line.startswith("#"):
                 key, _, raw = line[1:].partition(":")
                 header[key.strip()] = json.loads(raw)
-            body = fh.tell()
+            start = fh.tell()
+        if not body:
+            return header, None
         if (columns := header.pop("columns", None)) is None:
             raise ConfigurationError(f"{path}: header lacks the column listing")
         if not line:  # loadtxt would only warn
             raise ConfigurationError(f"{path}: no rows follow the header")
-        fh.seek(body)
+        fh.seek(start)
         rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     if len(columns) == 0 or len(rows) % len(columns):
         raise ConfigurationError(f"{path}: row count does not match columns")
@@ -354,10 +358,13 @@ def _write_binary(path, header, arrays):
             fh.write(np.ascontiguousarray(arr).data)
 
 
-def _read_binary(path):
-    with open(path, "rb") as fh:
+def _decode(path, body=True):
+    """(header, arrays) of an array product's file, CSV unless it opens with
+    the binary magic; with body false, (header, None), no array read."""
+    with open(path, "rb") as fh, _decoding(path):
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            return _read_csv(path, body)
         end = os.fstat(fh.fileno()).st_size
-        fh.seek(len(_MAGIC))
         (length,) = struct.unpack("<I", fh.read(4))
         blob = fh.read(length)
         if len(blob) != length:
@@ -369,6 +376,8 @@ def _read_binary(path):
             raise ConfigurationError(f"{path}: header is not a JSON object")
         if meta.pop("pdcoh_file", None) != _VERSION:
             raise ConfigurationError(f"{path}: unsupported format version")
+        if not body:
+            return meta, None
         arrays = {}
         for name, dtype, shape in meta.pop("arrays"):
             if dtype != "<f8":
@@ -405,30 +414,26 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
 
 
 def _read(path, kind, axes=(), fold=None):
-    """(provenance, axes, arrays) of a product of this kind, its encoding
-    sniffed from the magic. The file must declare the fold given (a folded
-    class's one fold), or none. Each axis named needs a finite start and
-    step and an integer count of at most 2 m + 1, m the largest array's
-    size: an axis of n nodes stores at least half of them. The class built
-    from the arrays checks their shapes."""
-    with open(path, "rb") as fh:
-        binary = fh.read(len(_MAGIC)) == _MAGIC
-    with _decoding(path):
-        header, arrays = (_read_binary if binary else _read_csv)(path)
-        found = _require(header, "kind", path)
-        if found != kind:
-            raise ConfigurationError(
-                f"{path}: expected a {kind} file, found {found!r}")
-        nodes = 2 * max((arr.size for arr in arrays.values()), default=0) + 1
-        specs = [_axis(header, name, path, nodes) for name in axes]
-        if (declared := header.pop("fold", None)) != fold:
-            raise ConfigurationError(f"{path}: {kind} files have fold {fold!r}, "
-                                     f"this one {declared!r}")
-    return header, [start + np.arange(n) * step for start, step, n in specs], arrays
+    """(provenance, axes, arrays) of a product of this kind. The file must
+    declare the fold given (a folded class's one fold), or none. Each axis
+    named needs a finite start and step, an integer count of at most
+    2 m + 1, m the largest array's size (an axis of n nodes stores at least
+    half of them), and nodes start + j step that are finite and increase
+    strictly. The class built from the arrays checks their shapes."""
+    header, arrays = _decode(path)
+    found = _require(header, "kind", path)
+    if found != kind:
+        raise ConfigurationError(f"{path}: expected a {kind} file, found {found!r}")
+    nodes = 2 * max((arr.size for arr in arrays.values()), default=0) + 1
+    values = [_axis(header, name, path, nodes) for name in axes]
+    if (declared := header.pop("fold", None)) != fold:
+        raise ConfigurationError(f"{path}: {kind} files have fold {fold!r}, "
+                                 f"this one {declared!r}")
+    return header, values, arrays
 
 
 def _axis(header, name, path, nodes):
-    """(start, step, count) of an axis, checked as _read says."""
+    """An axis, built from its start, step and count, checked as _read says."""
     start, step, n = (_require(header, key, path) for key in
                       (f"{name}_start", f"{name}_step", f"n_{name}"))
     if type(n) is not int:
@@ -439,7 +444,13 @@ def _axis(header, name, path, nodes):
     if n > nodes:
         raise ConfigurationError(f"{path}: n_{name} is {n}, more nodes than "
                                  f"the file's data can fill (at most {nodes})")
-    return start, step, n
+    with np.errstate(over="ignore"):
+        axis = start + np.arange(n) * step
+    if not (np.isfinite(axis).all() and (np.diff(axis) > 0).all()):
+        raise ConfigurationError(
+            f"{path}: the {n} nodes of axis {name} ({name}_start {start!r}, "
+            f"{name}_step {step!r}) must be finite and increase strictly")
+    return axis
 
 
 def _finite(key, value, path):
@@ -502,7 +513,7 @@ def read(path, cls):
     an array of another shape than its axes give, prefixed with the file."""
     kind, head, axes, (array, field) = _KINDS[cls]
     header, values, arrays = _read(path, kind, tuple(axes), getattr(cls, "fold", None))
-    fields = {key: _require(header, key, path) for key in head}
+    fields = {key: _finite(key, _require(header, key, path), path) for key in head}
     fields[field] = _require(arrays, array, path)
     with blamed(path, ConfigurationError):
         return cls(**dict(zip(axes.values(), values)), **fields, provenance=header)
@@ -550,11 +561,9 @@ def read_trace(path):
     if (intensities := _require(arrays, "intensity", path)).shape[:1] != (1,):
         raise ConfigurationError(f"{path}: array 'intensity' has shape "
                                  f"{intensities.shape}; a trace is one row")
-    bs2, carrier = (_finite(key, _require(header, key, path), path)
-                    for key in ("bs2_position_m", "carrier_omega"))
+    fields = {key: _require(header, key, path) for key in ("bs2_position_m", "carrier_omega")}
     with blamed(path, ConfigurationError):
-        return FringeTrace(positions_m=positions, intensities=intensities[0],
-                           bs2_position_m=bs2, carrier_omega=carrier,
+        return FringeTrace(positions_m=positions, intensities=intensities[0], **fields,
                            orientation=header.get("orientation", ""),
                            icfg_hash=header.get("icfg_hash", ""))
 
@@ -612,3 +621,23 @@ def read_manifest(path):
         p = Path(line)
         out.append(p if p.is_absolute() else base / p)
     return out
+
+
+# kind -> its one reader; metrics files and manifests go by their first line
+READERS = {"spectral-density": read_spectral_grid, "fringe-trace": read_trace,
+           f"# pdcoh_metrics: {_VERSION}": read_metrics,
+           f"# pdcoh_manifest: {_VERSION}": read_manifest,
+           **{kind: functools.partial(read, cls=cls) for cls, (kind, *_) in _KINDS.items()},
+           **{kind: functools.partial(read_profile, kind=kind) for kind in (
+               "coherence-cut", "dispersion-table", "phase-matched-locus")}}
+
+
+def load(path):
+    """The product of any pdcoh file, read by the one reader READERS holds
+    for the kind its header names; a missing or unknown kind is refused."""
+    with open(path, "rb") as fh:
+        first = fh.readline(32).decode(errors="replace").strip()
+    kind = first if first in READERS else _require(_decode(path, False)[0], "kind", path)
+    if not (isinstance(kind, str) and kind in READERS):
+        raise ConfigurationError(f"{path}: unknown kind {kind!r}")
+    return READERS[kind](path)

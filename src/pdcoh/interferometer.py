@@ -17,6 +17,7 @@ reassembled into |g1|(tau, xi) by one path.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,10 @@ class InterferometerConfig:
 
 @dataclass
 class FringeTrace:
-    """Detector intensity versus delay-stage position at one BS2 setting."""
+    """Detector intensity versus delay-stage position at one BS2 setting.
+
+    The BS2 position and the carrier are finite numbers, the carrier
+    positive; the orientation and icfg_hash are text."""
 
     positions_m: np.ndarray
     intensities: np.ndarray
@@ -79,6 +83,17 @@ class FringeTrace:
     icfg_hash: str = ""
 
     def __post_init__(self):
+        for name in ("bs2_position_m", "carrier_omega"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+        if not self.carrier_omega > 0:
+            raise ConfigurationError(
+                f"carrier_omega must be positive, got {self.carrier_omega!r}")
+        for name in ("orientation", "icfg_hash"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigurationError(f"{name} must be text, got {getattr(self, name)!r}")
         self.positions_m = np.asarray(self.positions_m, dtype=float)
         self.intensities = np.asarray(self.intensities, dtype=float)
         if not (self.positions_m.size >= 2 and np.all(np.isfinite(self.positions_m))

@@ -62,8 +62,8 @@ class GridSpec:
     def __post_init__(self):
         check_grid_size("n_omega", self.n_omega)
         check_grid_size("n_k", self.n_k)
-        if self.omega_half_width <= 0 or self.k_half_width <= 0:
-            raise ConfigurationError("grid half-widths must be positive")
+        if not (0 < self.omega_half_width < math.inf and 0 < self.k_half_width < math.inf):
+            raise ConfigurationError("grid half-widths must be positive and finite")
         if self.omega_center <= self.omega_half_width:
             raise ConfigurationError("omega grid extends to nonpositive frequencies")
 

@@ -1,6 +1,8 @@
 import ast
+import contextlib
 import errno
 import importlib
+import io
 import json
 import math
 import os
@@ -8,12 +10,15 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pdcoh
 from pdcoh import cli, gridio
@@ -293,6 +298,32 @@ def test_a_trace_header_number_that_is_not_finite_exits_1_naming_the_trace(
     got = {"NaN": "nan", "Infinity": "inf", '"abc"': "'abc'"}[value]
     assert capsys.readouterr().err == (
         f"error: {bad}: {key} must be a finite number, got {got}\n")
+
+
+# what a hand-edited header may hold where a number or a text belongs
+REWRITES = [math.nan, math.inf, -math.inf, "abc", 0, -1, True, None, 10 ** 13]
+TRACE_KEYS = ["kind", "position_start", "position_step", "n_position", "bs2_position_m",
+              "carrier_omega", "orientation", "icfg_hash"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10), st.sampled_from(["csv", "binary"]),
+       st.sampled_from(TRACE_KEYS), st.sampled_from(REWRITES))
+def test_a_rewritten_trace_header_value_never_ends_analyze_in_an_internal_error(
+        ws, index, fmt, key, value):
+    traces = read_manifest(ws["manifest"])
+    header, arrays = gridio._decode(traces[index])
+    with tempfile.TemporaryDirectory() as root:
+        bad = Path(root) / f"trace.{gridio.FORMATS[fmt]}"
+        (gridio._write_csv if fmt == "csv" else gridio._write_binary)(
+            bad, {**header, key: value}, list(arrays.items()))
+        manifest = Path(root) / "bad_manifest.txt"
+        write_manifest(manifest, [*traces[:index], bad, *traces[index + 1:]])
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", str(manifest), "--config", str(ws["cfg"]),
+                         "--out", str(Path(root) / "an")])
+    assert code in (0, 1, 2) and "internal error" not in err.getvalue()
 
 
 def test_a_two_column_trace_exits_1_naming_it(ws, tmp_path, capsys):

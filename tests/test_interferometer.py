@@ -229,14 +229,20 @@ def test_sweep_preconditions(flat, icfg):
 def test_extraction_preconditions(flat, icfg):
     trace = synthesize_trace(flat, icfg)
     # a NaN or infinite window has no length, a NaN carrier gives NaN
-    # samples per fringe: each is refused before int(round(...))
+    # samples per fringe: each is refused before int(round(...)); a trace
+    # refuses a NaN carrier itself, so only one altered after it was made
+    # reaches extract_visibility
     for window in (0.5, math.nan, math.inf):
         with pytest.raises(ConfigurationError, match="^window must cover at least one fringe$"):
             extract_visibility(trace, icfg, window_fringes=window)
         with pytest.raises(ConfigurationError, match="at least one fringe"):
             assemble_map([trace], icfg, window_fringes=window)
+    with pytest.raises(ConfigurationError, match="^carrier_omega must be a finite number, got nan$"):
+        dataclasses.replace(trace, carrier_omega=math.nan)
+    altered = dataclasses.replace(trace)
+    altered.carrier_omega = math.nan
     with pytest.raises(SamplingError, match="^nan samples per fringe; at least 8"):
-        extract_visibility(dataclasses.replace(trace, carrier_omega=math.nan), icfg)
+        extract_visibility(altered, icfg)
     with pytest.raises(SamplingError, match="longer than the trace"):
         extract_visibility(trace, icfg, window_fringes=5.0)
     other = InterferometerConfig(split_ratio=(0.7, 0.3))

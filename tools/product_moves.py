@@ -1,11 +1,12 @@
 """How far each product moved between two trees of product_digests --keep.
 
-Reads every file that is not byte-identical in the two trees through the
-public gridio readers of this checkout, and prints one line per file: how
-many of its values differ and the largest |difference|, which of its
-fields differ in text or shape, and which fields only one side holds,
-counted as no value. A value is a number of an array, an axis, a header or a
-metrics record; NaN equals NaN. Exits 1 if any file differs, else 0:
+Reads every file that is not byte-identical in the two trees through
+gridio.load of this checkout, by the kind the file names, and prints one
+line per file: how many of its values differ and the largest |difference|,
+which of its fields differ in text or shape, and which fields only one side
+holds, counted as no value. A value is a number of an array, an axis, a
+header or a metrics record; NaN equals NaN. Exits 1 if any file differs,
+else 0:
 
     python3 tools/product_digests.py --keep /tmp/change
     python3 /path/to/parent/tools/product_digests.py --keep /tmp/parent
@@ -13,7 +14,6 @@ metrics record; NaN equals NaN. Exits 1 if any file differs, else 0:
 """
 
 import argparse
-import fnmatch
 import sys
 from pathlib import Path
 
@@ -25,24 +25,12 @@ sys.path.insert(0, str(ROOT / "src"))
 from pdcoh import gridio  # noqa: E402
 
 
-def _manifest(path):
-    base = path.parent.resolve()
-    return [str(p.relative_to(base)) for p in gridio.read_manifest(path)]
-
-
-# (file name pattern, reader); the first pattern that matches reads the file
-READERS = (
-    ("spectrum_*_omega_k.*", gridio.read_spectral_grid),
-    ("spectrum_*_wavelength_angle.*", gridio.read_wavelength_angle_grid),
-    ("coherence_*map.*", gridio.read_coherence_map),
-    ("coherence_*cut.*", lambda p: gridio.read_profile(p, "coherence-cut")),
-    ("dispersion_*", lambda p: gridio.read_profile(p, "dispersion-table")),
-    ("phasematch_*_locus.*", lambda p: gridio.read_profile(p, "phase-matched-locus")),
-    ("interferogram_*_trace*", gridio.read_trace),
-    ("analyze_map.*", gridio.read_assembled_map),
-    ("*_manifest.txt", _manifest),
-    ("*.txt", gridio.read_metrics),
-)
+def _load(path):
+    """The file's product; a manifest's as the relative paths it lists."""
+    product = gridio.load(path)
+    if isinstance(product, list):
+        return [str(p.relative_to(path.parent.resolve())) for p in product]
+    return product
 
 
 def _leaves(value, name=""):
@@ -70,9 +58,7 @@ def compare(path_a, path_b):
     """(values, values that differ, largest |difference|, names of the
     fields that differ in text or shape, names of the fields only in a,
     names of those only in b) of two files of one product."""
-    reader = next(read for pattern, read in READERS
-                  if fnmatch.fnmatch(path_a.name, pattern))
-    a, b = (dict(_leaves(reader(p))) for p in (path_a, path_b))
+    a, b = (dict(_leaves(_load(p))) for p in (path_a, path_b))
     total = differ = 0
     largest, others = 0.0, []
     for name in sorted(a.keys() & b.keys()):
