@@ -299,10 +299,10 @@ def cmd_analyze(args):
            amap, fmt=fmt)
     jc = int(np.argmin(np.abs(amap.xi_axis)))
     record = {"n_traces": len(traces), "icfg_hash": icfg.config_hash(),
-              "tau_c_s": _fwhm(amap.tau_axis, amap.magnitude[:, jc])}
+              "tau_c_s": _fwhm(amap.tau_axis, amap.domain[:, jc])}
     if amap.xi_axis.size > 1:
-        ic = int(np.argmax(amap.magnitude[:, jc]))
-        record["xi_c_m"] = _fwhm(amap.xi_axis, amap.magnitude[ic, :])
+        ic = int(np.argmax(amap.domain[:, jc]))
+        record["xi_c_m"] = _fwhm(amap.xi_axis, amap.domain[ic, :])
     _write(args, write_metrics, out / "analyze_metrics.txt", record)
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MapExtentError, ResolutionError
-from .spectrum import Folded, unfold
+from .spectrum import Folded, finite, unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -50,10 +50,12 @@ def map_mirror(g):
 @dataclass(eq=False)
 class CoherenceMap(Folded):
     """Envelope of g1 on a uniform (tau, xi) grid; rows run along tau. It is
-    held only as map_mirror's domain, the real tau >= 0, xi >= 0 quadrant."""
+    held only as map_mirror's domain, the real tau >= 0, xi >= 0 quadrant.
+    The carrier and the zero-lag intensity are finite positive numbers."""
 
     symmetry = staticmethod(map_mirror)
     fold = "tau >= 0, xi >= 0"
+    axes = ("tau_axis", "xi_axis")
 
     tau_axis: np.ndarray
     xi_axis: np.ndarray
@@ -63,9 +65,10 @@ class CoherenceMap(Folded):
     # the unfolded envelope under the name perfbench's checks read
     g = Folded.values
 
-    @property
-    def shape(self):
-        return (self.tau_axis.size, self.xi_axis.size)
+    def __post_init__(self):
+        finite("carrier_omega", self.carrier_omega, positive=True)
+        finite("intensity", self.intensity, positive=True)
+        super().__post_init__()
 
     @property
     def tau_step(self):

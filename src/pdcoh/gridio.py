@@ -8,15 +8,14 @@ and then raw little-endian float64 arrays in C order. Every array is real:
 a complex column or a binary array of another dtype is refused naming the
 file. Every array product (grids, maps, cuts, tables and fringe traces)
 goes through one writer, `_write`, and one reader, `_read`. Uniform axes
-persist as start/step/count; an axis holding a NaN or an infinity is
-refused before any file is opened, a count above twice the largest array's
-size plus one before any axis is built, and an axis whose nodes are not
-finite and strictly increasing as it is built. The _KINDS table drives one
-`write` and one `read` for the wavelength-angle grid and the coherence and
-assembled maps, whose head fields must be finite numbers; the class built
-from a file refuses an array of another shape than its axes give,
-prefixed with the file, as FringeTrace refuses a trace's sweep or header.
-S, traces and profiles keep their own functions. `load` reads any file by
+persist as start/step/count. This module checks only the format: the kind,
+the fold, the raw types of an axis's start, step and count, and a count
+above twice the largest array's size plus one, before any axis is built.
+The product classes own their invariants (axes, carriers, array shapes),
+in memory as from a file, and a reader builds one so that its refusal is
+prefixed with the file. The _KINDS table drives one `write` and one `read`
+for the wavelength-angle grid and the coherence and assembled maps; S,
+traces and profiles keep their own functions. `load` reads any file by
 the kind its header names, through one READERS table. Headers carry no
 timestamp: the same inputs must produce the same bytes.
 
@@ -50,7 +49,7 @@ import numpy as np
 from .coherence import CoherenceMap
 from .errors import ConfigurationError, blamed
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, finite
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -59,22 +58,13 @@ _MAGIC = b"PDCOHBIN"
 FORMATS = {"csv": "csv", "binary": "bin"}
 
 def _clean(header):
-    out = {}
-    for key, value in header.items():
-        if isinstance(value, (np.floating, np.integer)):
-            value = value.item()
-        if not isinstance(value, (str, int, float, bool)):
-            value = str(value)
-        out[str(key)] = value
-    return out
+    """header, with numpy scalars as the Python values JSON encodes."""
+    return {str(key): value.item() if isinstance(value, np.generic) else value
+            for key, value in header.items()}
 
 
 def _axis_spec(name, axis):
     axis = np.asarray(axis, dtype=float)
-    if axis.size == 0:
-        raise ConfigurationError(f"axis {name} is empty")
-    if not np.isfinite(axis).all():
-        raise ConfigurationError(f"axis {name} holds a non-finite value")
     step = float(axis[1] - axis[0]) if axis.size > 1 else 0.0
     if axis.size > 1:
         dev = np.max(np.abs(np.diff(axis) - step))
@@ -416,10 +406,9 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
 def _read(path, kind, axes=(), fold=None):
     """(provenance, axes, arrays) of a product of this kind. The file must
     declare the fold given (a folded class's one fold), or none. Each axis
-    named needs a finite start and step, an integer count of at most
+    named needs a finite start and step and an integer count of at most
     2 m + 1, m the largest array's size (an axis of n nodes stores at least
-    half of them), and nodes start + j step that are finite and increase
-    strictly. The class built from the arrays checks their shapes."""
+    half of them). The class built from the axes and arrays checks them."""
     header, arrays = _decode(path)
     found = _require(header, "kind", path)
     if found != kind:
@@ -439,25 +428,14 @@ def _axis(header, name, path, nodes):
     if type(n) is not int:
         raise ConfigurationError(
             f"{path}: n_{name} must be an integer, got {n!r}")
-    for key, value in ((f"{name}_start", start), (f"{name}_step", step)):
-        _finite(key, value, path)
+    with blamed(path, ConfigurationError):
+        finite(f"{name}_start", start)
+        finite(f"{name}_step", step)
     if n > nodes:
         raise ConfigurationError(f"{path}: n_{name} is {n}, more nodes than "
                                  f"the file's data can fill (at most {nodes})")
     with np.errstate(over="ignore"):
-        axis = start + np.arange(n) * step
-    if not (np.isfinite(axis).all() and (np.diff(axis) > 0).all()):
-        raise ConfigurationError(
-            f"{path}: the {n} nodes of axis {name} ({name}_start {start!r}, "
-            f"{name}_step {step!r}) must be finite and increase strictly")
-    return axis
-
-
-def _finite(key, value, path):
-    """value, if an int or float (not a bool) that is finite."""
-    if type(value) in (int, float) and math.isfinite(value):
-        return value
-    raise ConfigurationError(f"{path}: {key} must be a finite number, got {value!r}")
+        return start + np.arange(n) * step
 
 
 # the GridSpec numbers that the axes' start/step/count do not carry exactly
@@ -488,35 +466,32 @@ def read_spectral_grid(path):
     return sg
 
 
-# class -> (kind, head fields, {file axis: field}, (file array, field))
+# class -> (kind, head fields, file names of its axes, file name of its domain)
 _KINDS = {
-    WavelengthAngleGrid: ("wavelength-angle-density", (), {
-        "wavelength": "wavelength_axis_m", "angle": "angle_axis_rad"}, ("density", "domain")),
-    CoherenceMap: ("coherence-map", ("carrier_omega", "intensity"),
-                   {"tau": "tau_axis", "xi": "xi_axis"}, ("g", "domain")),
-    AssembledMap: ("assembled-map", (), {"tau": "tau_axis", "xi": "xi_axis"},
-                   ("magnitude", "magnitude")),
+    WavelengthAngleGrid: ("wavelength-angle-density", (), ("wavelength", "angle"), "density"),
+    CoherenceMap: ("coherence-map", ("carrier_omega", "intensity"), ("tau", "xi"), "g"),
+    AssembledMap: ("assembled-map", (), ("tau", "xi"), "magnitude"),
 }
 
 
 def write(path, obj, fmt="csv"):
     """A product of a _KINDS class: its kind and head fields, its axes, its
-    provenance, its one array, and its class's fold if it has one."""
-    kind, head, axes, (array, field) = _KINDS[type(obj)]
+    provenance, its domain, and its class's fold."""
+    kind, head, axes, array = _KINDS[type(obj)]
     _write(path, fmt, {"kind": kind, **{key: float(getattr(obj, key)) for key in head}},
-           [(name, getattr(obj, attr)) for name, attr in axes.items()],
-           obj.provenance, [(array, getattr(obj, field))], getattr(obj, "fold", None))
+           [(name, getattr(obj, attr)) for name, attr in zip(axes, obj.axes)],
+           obj.provenance, [(array, obj.domain)], obj.fold)
 
 
 def read(path, cls):
     """A product of a _KINDS class, built from its file; the class refuses
-    an array of another shape than its axes give, prefixed with the file."""
-    kind, head, axes, (array, field) = _KINDS[cls]
-    header, values, arrays = _read(path, kind, tuple(axes), getattr(cls, "fold", None))
-    fields = {key: _finite(key, _require(header, key, path), path) for key in head}
-    fields[field] = _require(arrays, array, path)
+    axes, head fields and a domain it does not hold, prefixed with the file."""
+    kind, head, axes, array = _KINDS[cls]
+    header, values, arrays = _read(path, kind, axes, cls.fold)
+    fields = {key: _require(header, key, path) for key in head}
+    domain = _require(arrays, array, path)
     with blamed(path, ConfigurationError):
-        return cls(**dict(zip(axes.values(), values)), **fields, provenance=header)
+        return cls(**dict(zip(cls.axes, values)), **fields, domain=domain, provenance=header)
 
 
 write_wavelength_angle_grid = write_coherence_map = write_assembled_map = write

@@ -17,8 +17,7 @@ reassembled into |g1|(tau, xi) by one path.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .coherence import CoherenceColumn
 from .dispersion import c
 from .errors import ConfigurationError, MapExtentError, SamplingError
 from .hashing import config_digest
+from .spectrum import Folded, finite
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,13 @@ class InterferometerConfig:
         return 2.0 * math.sqrt(self.split_ratio[0] * self.split_ratio[1])
 
 
-@dataclass
+@dataclass(eq=False)
 class FringeTrace:
     """Detector intensity versus delay-stage position at one BS2 setting.
 
     The BS2 position and the carrier are finite numbers, the carrier
-    positive; the orientation and icfg_hash are text."""
+    positive; the orientation and icfg_hash are text. Traces compare by
+    identity, as Folded products do."""
 
     positions_m: np.ndarray
     intensities: np.ndarray
@@ -83,14 +84,8 @@ class FringeTrace:
     icfg_hash: str = ""
 
     def __post_init__(self):
-        for name in ("bs2_position_m", "carrier_omega"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-        if not self.carrier_omega > 0:
-            raise ConfigurationError(
-                f"carrier_omega must be positive, got {self.carrier_omega!r}")
+        finite("bs2_position_m", self.bs2_position_m)
+        finite("carrier_omega", self.carrier_omega, positive=True)
         for name in ("orientation", "icfg_hash"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigurationError(f"{name} must be text, got {getattr(self, name)!r}")
@@ -232,21 +227,18 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     return taus, vis
 
 
-@dataclass
-class AssembledMap:
-    """|g1| reconstruction on a uniform (tau, xi) grid; rows run along tau."""
+@dataclass(eq=False)
+class AssembledMap(Folded):
+    """|g1| reconstruction on a uniform (tau, xi) grid; rows run along tau.
+    No symmetry folds it: its domain is the whole map, and its files
+    declare no fold."""
+
+    symmetry = staticmethod(lambda values: (values, ()))
+    fold = None
+    axes = ("tau_axis", "xi_axis")
 
     tau_axis: np.ndarray
     xi_axis: np.ndarray
-    magnitude: np.ndarray
-    provenance: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        want = (np.size(self.tau_axis), np.size(self.xi_axis))
-        if np.shape(self.magnitude) != want:
-            raise ConfigurationError(
-                f"AssembledMap magnitude has shape {np.shape(self.magnitude)}; "
-                f"axes of {want[0]} x {want[1]} nodes give {want}")
 
 
 def assemble_map(traces, icfg, window_fringes=1.0):
@@ -301,8 +293,7 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     tau_axis = _uniform(lo, step, n)
     magnitude = np.column_stack(
         [np.interp(tau_axis, tau, mag) for tau, mag, _ in envelopes])
-    return AssembledMap(tau_axis=tau_axis, xi_axis=xi_axis,
-                        magnitude=magnitude,
+    return AssembledMap(tau_axis=tau_axis, xi_axis=xi_axis, domain=magnitude,
                         provenance={"icfg_hash": icfg.config_hash(),
                                     "n_traces": len(envelopes),
                                     "window_fringes": window_fringes})

@@ -15,6 +15,7 @@ edge, which the correlation transform relies on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,25 +101,49 @@ def domain_shape(symmetry, shape):
     return symmetry(np.broadcast_to(0.0, shape))[0].shape
 
 
+def finite(name, value, positive=False):
+    """value, if a real number (not a bool) that is finite, and above 0
+    where positive; else ConfigurationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not -math.inf < value < math.inf:
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return value
+
+
 @dataclass(kw_only=True, eq=False)
 class Folded:
     """A grid held only as its fundamental domain under a symmetry.
 
     A subclass names its symmetry (a full array's (domain, (image, source)
-    pairs) view), the `fold` its files declare, and its full `shape` from
-    its axes. A domain of another shape raises ConfigurationError as it
-    enters; `values` unfolds a new full array on each access. Products
-    compare by identity (eq=False): a field-wise == of arrays has no truth."""
+    pairs) view), the `fold` its files declare, and the fields of its
+    `axes`, each of one or more finite nodes that increase strictly, whose
+    sizes are its full `shape`. A bad axis, then a domain of another shape,
+    raises ConfigurationError as it enters; `values` unfolds a new full
+    array on each access. Products compare by identity (eq=False): a
+    field-wise == of arrays has no truth."""
 
     domain: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in self.axes:
+            axis = np.asarray(getattr(self, name), dtype=float)
+            if not (axis.ndim == 1 and axis.size and np.isfinite(axis).all()
+                    and (axis[1:] > axis[:-1]).all()):
+                raise ConfigurationError(f"{type(self).__name__} {name} must hold one "
+                                         "or more finite nodes that increase strictly")
+            setattr(self, name, axis)
         want = domain_shape(self.symmetry, self.shape)
         if np.shape(self.domain) != want:
             raise ConfigurationError(
                 f"{type(self).__name__} domain has shape {np.shape(self.domain)}; "
                 f"axes of {self.shape[0]} x {self.shape[1]} nodes give {want}")
+
+    @property
+    def shape(self):
+        return tuple(getattr(self, name).size for name in self.axes)
 
     @property
     def values(self):
@@ -151,6 +176,7 @@ class SpectralGrid(Folded):
 
     symmetry = staticmethod(s_mirror)
     fold = "|Omega|, |k|"
+    axes = ()  # GridSpec checks spec's
 
     spec: GridSpec
 
@@ -336,17 +362,18 @@ def angle_mirror(values):
 class WavelengthAngleGrid(Folded):
     """Density on a uniform wavelength and external emission angle grid,
     held only as angle_mirror's domain, its angle >= 0 columns: S is even
-    in k, so the grid is even in angle."""
+    in k, so the grid is even in angle. Its wavelengths are positive."""
 
     symmetry = staticmethod(angle_mirror)
     fold = "angle >= 0"
+    axes = ("wavelength_axis_m", "angle_axis_rad")
 
     wavelength_axis_m: np.ndarray
     angle_axis_rad: np.ndarray
 
-    @property
-    def shape(self):
-        return (self.wavelength_axis_m.size, self.angle_axis_rad.size)
+    def __post_init__(self):
+        super().__post_init__()
+        finite("wavelengths", float(self.wavelength_axis_m[0]), positive=True)
 
 
 def to_wavelength_angle(cfg, spec):

@@ -249,7 +249,7 @@ def test_criterion_8_interferometer_closed_loop(pipelines, tmp_path):
     column = correlation_columns(sg)
     ref = np.abs(np.column_stack([np.interp(amap.tau_axis, c.tau_axis, c.g) for c in
                                   map(column, amap.xi_axis)]))
-    err = amap.magnitude - ref
+    err = amap.domain - ref
     rms = math.sqrt(np.mean(err ** 2))
 
     # fringe carrier from the phase slope at the envelope peak; naive
@@ -280,7 +280,7 @@ def test_criterion_8_interferometer_closed_loop(pipelines, tmp_path):
     ok = (rms < 0.03 and period_ok and abs(vis_ideal - 1.0) < 1e-3
           and vis_blurred >= 0.8)
     _report(8, ok, f"closed-loop rms {rms:.4f} (< 0.03) over "
-            f"{amap.magnitude.shape[0]}x{amap.magnitude.shape[1]} nodes, "
+            f"{amap.domain.shape[0]}x{amap.domain.shape[1]} nodes, "
             f"path fringe period {path_period * 1e9:.4f} nm (1600 +/- 0.16), "
             f"unit-envelope visibility {vis_ideal:.6f} (= 1 +/- 1e-3), "
             f"blurred central visibility {vis_blurred:.4f} (>= 0.8)")

@@ -355,7 +355,7 @@ def test_analyze_rebuilds_the_map(ws, tmp_path):
     assert main(["analyze", str(ws["manifest"]), "--config", str(ws["cfg"]),
                  "--out", str(out)]) == 0
     amap = read_assembled_map(out / "analyze_map.csv")
-    assert amap.magnitude.shape[1] == 11
+    assert amap.domain.shape[1] == 11
     assert np.allclose(amap.xi_axis,
                        np.arange(-5, 6) * 40e-6 / 6.6, rtol=1e-9)
     record = read_metrics(out / "analyze_metrics.txt")
@@ -387,7 +387,7 @@ def test_a_binary_run_writes_binary_traces_that_analyze_reads_as_csv_ones(ws, tm
         assert main(["analyze", str(run_manifest), "--config", str(run_cfg),
                      "--out", str(an)]) == 0
         maps.append(read_assembled_map(an / name))
-    for field in ("tau_axis", "xi_axis", "magnitude"):
+    for field in ("tau_axis", "xi_axis", "domain"):
         assert getattr(maps[0], field).tobytes() == getattr(maps[1], field).tobytes()
 
 
@@ -417,9 +417,9 @@ def test_analyze_single_trace_gives_an_envelope(ws, tmp_path):
     amap = read_assembled_map(out / "analyze_map.csv")
     taus, _ = extract_visibility(read_trace(read_manifest(solo)[0]),
                                  load_run_config(ws["cfg"]).interferometer)
-    assert amap.magnitude.shape == (taus.size, 1)
+    assert amap.domain.shape == (taus.size, 1)
     assert amap.xi_axis == pytest.approx([0.0], abs=1e-18)
-    assert amap.magnitude.max() <= 1.0 + 1e-9
+    assert amap.domain.max() <= 1.0 + 1e-9
     assert amap.provenance["window_fringes"] == 1.0
     assert sorted(p.name for p in out.iterdir()) == ["analyze_map.csv",
                                                     "analyze_metrics.txt"]

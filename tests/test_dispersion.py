@@ -64,6 +64,12 @@ def test_angle_tuned_index_between_principals(bbo):
     assert all(a > b for a, b in zip(vals[:-1], vals[1:]))  # monotone decrease
 
 
+def test_index_refuses_a_branch_it_does_not_know(bbo):
+    # neither Ordinary nor ExtraordinaryAtAngle: a caller's text, say
+    with pytest.raises(ConfigurationError, match="^unknown branch 'o'$"):
+        index(0.8, "o", bbo)
+
+
 def test_angle_out_of_bounds():
     with pytest.raises(ConfigurationError):
         ExtraordinaryAtAngle(-0.1)

@@ -216,12 +216,12 @@ def test_wavelength_angle_round_trip(tmp_path):
 def test_assembled_map_round_trip(tmp_path, fmt):
     amap = AssembledMap(tau_axis=np.arange(11) * 1e-15 - 5e-15,
                         xi_axis=np.arange(5) * 6e-6 - 12e-6,
-                        magnitude=np.linspace(0, 1, 55).reshape(11, 5),
+                        domain=np.linspace(0, 1, 55).reshape(11, 5),
                         provenance={"n_traces": 5})
     path = tmp_path / "amap.dat"
     write_assembled_map(path, amap, fmt=fmt)
     back = read_assembled_map(path)
-    assert np.array_equal(back.magnitude, amap.magnitude)
+    assert np.array_equal(back.domain, amap.domain)
     assert back.provenance["n_traces"] == 5
 
 
@@ -246,18 +246,21 @@ def test_an_assembled_magnitude_its_axes_do_not_give_is_refused_at_construction(
     # either was written, in both encodings, as a file that
     # read_assembled_map refuses
     with pytest.raises(ConfigurationError, match=re.escape(
-            f"AssembledMap magnitude has shape {shape}; axes of 3 x 2 nodes give (3, 2)")):
-        AssembledMap(np.arange(3) * 1e-15, np.arange(2) * 1e-6, np.ones(shape))
+            f"AssembledMap domain has shape {shape}; axes of 3 x 2 nodes give (3, 2)")):
+        AssembledMap(np.arange(3) * 1e-15, np.arange(2) * 1e-6, domain=np.ones(shape))
 
 
 
 def test_folded_products_compare_by_identity():
     # a field-wise == of their arrays has no truth value; each product is
-    # equal to itself only, and hashable, as S was before it was a Folded
+    # equal to itself only, and hashable, as S was before it was a Folded.
+    # Two equal assembled maps or traces compared with == raised "The truth
+    # value of an array with more than one element is ambiguous".
     for product in (SpectralGrid(_SPEC, domain=np.ones((33, 33))),
                     CoherenceMap(_TAU, _XI, 1.2e15, 1.0, domain=_G),
                     WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
-                                        np.linspace(-0.02, 0.02, 3), domain=np.ones((5, 2)))):
+                                        np.linspace(-0.02, 0.02, 3), domain=np.ones((5, 2))),
+                    AssembledMap(**_HELD[AssembledMap]), FringeTrace(**_HELD[FringeTrace])):
         twin = dataclasses.replace(product)
         assert product == product and product != twin
         assert len({product, twin}) == 2
@@ -265,12 +268,12 @@ def test_folded_products_compare_by_identity():
 def test_single_column_map_keeps_its_shape(tmp_path):
     amap = AssembledMap(tau_axis=np.arange(9) * 1e-15,
                         xi_axis=np.array([3e-6]),
-                        magnitude=np.arange(9.0).reshape(9, 1),
+                        domain=np.arange(9.0).reshape(9, 1),
                         provenance={})
     path = tmp_path / "one.csv"
     write_assembled_map(path, amap)
     back = read_assembled_map(path)
-    assert back.magnitude.shape == (9, 1)
+    assert back.domain.shape == (9, 1)
     assert back.xi_axis.shape == (1,)
     assert back.xi_axis[0] == 3e-6
 
@@ -295,6 +298,26 @@ def test_metrics_round_trip_preserves_types(tmp_path):
     assert back["tau_c_s"] == 2.79486e-14
     assert back["n_traces"] == 11
     assert back["converged"] is True
+
+
+def test_a_header_value_json_holds_is_written_as_it_is(tmp_path):
+    # null, a list and a numpy bool were written as their str: "None",
+    # "[1, 'a']" and "True"
+    record = {"none": None, "list": [1, "a"], "flag": np.bool_(True), "n": np.int64(3)}
+    want = {"none": None, "list": [1, "a"], "flag": True, "n": 3}
+    write_metrics(tmp_path / "metrics.txt", record)
+    write_profile(tmp_path / "cut.csv", "coherence-cut", record, [("position", np.arange(3.0))])
+    assert read_metrics(tmp_path / "metrics.txt") == want
+    assert read_profile(tmp_path / "cut.csv", "coherence-cut")[0] == want
+
+
+def test_metrics_and_manifests_skip_blank_and_comment_lines(tmp_path):
+    # pdcoh writes neither, but a hand-edited record or listing may hold them
+    metrics, manifest = tmp_path / "metrics.txt", tmp_path / "manifest.txt"
+    metrics.write_text("# pdcoh_metrics: 1\n\n# a note\na = 1.5\n")
+    manifest.write_text("# pdcoh_manifest: 1\n\n# a note\nt0.csv\n")
+    assert read_metrics(metrics) == {"a": 1.5}
+    assert read_manifest(manifest) == [tmp_path.resolve() / "t0.csv"]
 
 
 def test_trace_round_trip(tmp_path):
@@ -554,11 +577,13 @@ def test_nonuniform_axis_is_rejected(tmp_path):
 @pytest.mark.parametrize("fmt", ["csv", "binary"])
 @pytest.mark.parametrize("tau", [[np.nan, 1, 2], [0, np.inf, 2]])
 def test_a_non_finite_axis_is_refused_before_anything_is_written(tmp_path, tau, fmt):
-    # such a file was written, and then refused by its reader
+    # such a file was written, and then refused by its reader; the map is
+    # now refused as it is built, so no writer is reached
     path = tmp_path / "amap.dat"
-    amap = AssembledMap(np.array(tau) * 1e-15, _XI, np.ones((3, 3)))
-    with pytest.raises(ConfigurationError, match="axis tau holds a non-finite value"):
-        write_assembled_map(path, amap, fmt=fmt)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "AssembledMap tau_axis must hold one or more finite nodes that increase strictly")):
+        write_assembled_map(path, AssembledMap(np.array(tau) * 1e-15, _XI,
+                                               domain=np.ones((3, 3))), fmt=fmt)
     assert not path.exists()
 
 
@@ -813,7 +838,7 @@ _PRODUCTS = {
                                provenance={}), fmt=fmt),
         read_wavelength_angle_grid),
     "assembled": (lambda p, fmt: write_assembled_map(p, AssembledMap(
-        _TAU, _XI, np.linspace(0, 1, 15).reshape(5, 3), provenance={}),
+        _TAU, _XI, domain=np.linspace(0, 1, 15).reshape(5, 3), provenance={}),
         fmt=fmt), read_assembled_map),
     "profile": (lambda p, fmt: write_profile(
         p, "coherence-cut", {"theta_tag": "19p94"},
@@ -840,6 +865,59 @@ def _product_file(tmp_path, fmt):
     path = tmp_path / "product.dat"
     write(path, encoding)
     return path, read
+
+
+# each class's fields of a product it holds
+_HELD = {
+    CoherenceMap: {"tau_axis": _TAU, "xi_axis": _XI, "domain": _G,
+                   "carrier_omega": 1.2e15, "intensity": 1.0},
+    WavelengthAngleGrid: {"wavelength_axis_m": np.linspace(1.2e-6, 2.2e-6, 5),
+                          "angle_axis_rad": np.linspace(-0.02, 0.02, 3),
+                          "domain": np.ones((5, 2))},
+    AssembledMap: {"tau_axis": _TAU, "xi_axis": _XI, "domain": np.ones((5, 3))},
+    FringeTrace: {"positions_m": _POS, "intensities": np.ones(8),
+                  "bs2_position_m": 2e-4, "carrier_omega": 1.18e15},
+}
+
+
+def _bad_axes(axis):
+    """axis with a NaN or an infinite node, a zero or a negative step,
+    reversed, or empty."""
+    return {**{f"{name} node": np.r_[axis[:1], value, axis[2:]] for name, value in
+               (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf))},
+            "zero step": np.r_[axis[:1], axis[:-1]],
+            "negative step": np.r_[axis[1], axis[0], axis[2:]],
+            "reversed": axis[::-1], "empty": axis[:0]}
+
+
+_BAD_NUMBERS = {"zero": 0, "negative": -1, "nan": math.nan, "text": "abc", "bool": True}
+
+# "<class> <field> <case>" -> (class, field, value)
+_REFUSED = {
+    **{f"{cls.__name__} {name} {case}": (cls, name, bad) for cls, held in _HELD.items()
+       for name in ("tau_axis", "xi_axis", "wavelength_axis_m", "angle_axis_rad",
+                    "positions_m") if name in held
+       for case, bad in _bad_axes(held[name]).items()},
+    **{f"{cls.__name__} {name} {case}": (cls, name, bad)
+       for cls, names in ((CoherenceMap, ("carrier_omega", "intensity")),
+                          (FringeTrace, ("carrier_omega", "bs2_position_m")))
+       for name in names for case, bad in _BAD_NUMBERS.items()
+       # a BS2 position of 0 or -1 m is a position
+       if name != "bs2_position_m" or case not in ("zero", "negative")},
+    **{f"WavelengthAngleGrid wavelength_axis_m from {start}": (
+        WavelengthAngleGrid, "wavelength_axis_m", np.linspace(start, 1e-6, 5))
+       for start in (0.0, -1.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_a_product_built_in_memory_refuses_what_its_file_would(case):
+    # the maps and the grid took each of these as given; only a file's
+    # reader refused some
+    cls, name, bad = _REFUSED[case]
+    cls(**_HELD[cls])
+    with pytest.raises(ConfigurationError):
+        cls(**{**_HELD[cls], name: bad})
 
 
 def _binary_file(meta):
@@ -944,6 +1022,12 @@ CORRUPTIONS = {
         "csv", lambda t: _header_set(t, "carrier_omega", "abc")),
     "binary map with a NaN intensity": (
         "binary", lambda b: _header_set(b, "intensity", math.nan)),
+    "CSV map with a zero carrier_omega": (
+        "csv", lambda t: _header_set(t, "carrier_omega", 0)),
+    "binary map with a negative intensity": (
+        "binary", lambda b: _header_set(b, "intensity", -1)),
+    "CSV wavelength-angle grid with a negative wavelength_start": (
+        "wavelength-angle csv", lambda t: _header_set(t, "wavelength_start", -1)),
     "binary trace with a zero carrier_omega": (
         "trace binary", lambda b: _header_set(b, "carrier_omega", 0.0)),
     "CSV trace with a numeric orientation": (
@@ -1015,7 +1099,7 @@ _RESHAPED = {
     "wavelength-angle": ("n_angle", 9, "WavelengthAngleGrid domain has shape (5, 2); "
                          "axes of 5 x 9 nodes give (5, 5)"),
     "assembled": ("n_xi", 2,
-                  "AssembledMap magnitude has shape (5, 3); axes of 5 x 2 nodes give (5, 2)"),
+                  "AssembledMap domain has shape (5, 3); axes of 5 x 2 nodes give (5, 2)"),
 }
 
 
@@ -1147,13 +1231,15 @@ def _rewrite(data, key, value):
 REWRITES = [math.nan, math.inf, -math.inf, "abc", 0, -1, True, None, 10 ** 13]
 # fields that hold an axis: finite and strictly increasing
 AXES = {"tau_axis", "xi_axis", "wavelength_axis_m", "angle_axis_rad", "positions_m"}
+# fields, or axes, whose every value is positive
+POSITIVE = {"carrier_omega", "intensity", "wavelength_axis_m"}
 
 
 def _check_fields(back, intact):
     """back, read from a rewritten file, holds the intact file's arrays and
     fields of their kinds: text where text was, a finite number where a
-    number was, an axis finite and increasing. Provenance and metrics
-    records are not checked."""
+    number was, an axis finite and increasing, a carrier, an intensity and
+    a wavelength positive. Provenance and metrics records are not checked."""
     if isinstance(back, dict):
         return
     if isinstance(back, tuple):  # a profile: (header, columns)
@@ -1163,6 +1249,8 @@ def _check_fields(back, intact):
     want = dict(_fields(intact))
     for name, value in got.items():
         old = want[name]
+        if name.rsplit(".", 1)[-1] in POSITIVE:
+            assert np.all(np.asarray(value) > 0), name
         if isinstance(old, np.ndarray):
             assert value.dtype == old.dtype and value.shape == old.shape, name
             if name.rsplit(".", 1)[-1] in AXES:
@@ -1239,11 +1327,12 @@ def _dyadic(draw):
     return math.ldexp(draw(st.integers(1, 1023)), draw(st.integers(-60, 20)))
 
 
-def _exact_axis(draw, n=None):
+def _exact_axis(draw, n=None, first=-600):
     """A uniform axis that the start/step/count header holds exactly: a
-    dyadic step, and nodes that are small integer multiples of it."""
+    dyadic step, and nodes that are small integer multiples of it, the
+    first node k steps, k >= first."""
     n = n or draw(st.integers(1, 12))
-    return (draw(st.integers(-600, 600)) + np.arange(n)) * _dyadic(draw)
+    return (draw(st.integers(first, 600)) + np.arange(n)) * _dyadic(draw)
 
 
 def _values(draw, shape):
@@ -1258,6 +1347,10 @@ def _values(draw, shape):
 
 def _header_float(draw):
     return draw(st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _positive_float(draw):
+    return draw(st.floats(0, exclude_min=True, allow_infinity=False))
 
 
 def _domain(draw, symmetry, shape):
@@ -1277,8 +1370,8 @@ def _coherence_round_trip(draw, path, fmt):
     tau, xi = _exact_axis(draw), _exact_axis(draw)
     quadrant = _domain(draw, map_mirror, (tau.size, xi.size))
     write_coherence_map(path, CoherenceMap(
-        tau, xi, domain=quadrant, carrier_omega=_header_float(draw),
-        intensity=_header_float(draw), provenance={}), fmt=fmt)
+        tau, xi, domain=quadrant, carrier_omega=_positive_float(draw),
+        intensity=_positive_float(draw), provenance={}), fmt=fmt)
     _check_stored(path, quadrant)
     back = read_coherence_map(path)
     return [(back.tau_axis, tau), (back.xi_axis, xi), (back.domain, quadrant)]
@@ -1301,7 +1394,7 @@ def _spectral_round_trip(draw, path, fmt):
 
 
 def _wavelength_angle_round_trip(draw, path, fmt):
-    lam, theta = _exact_axis(draw), _exact_axis(draw)
+    lam, theta = _exact_axis(draw, first=1), _exact_axis(draw)
     half = _domain(draw, angle_mirror, (lam.size, theta.size))
     write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, domain=half), fmt=fmt)
     _check_stored(path, half)
@@ -1313,9 +1406,9 @@ def _wavelength_angle_round_trip(draw, path, fmt):
 def _assembled_round_trip(draw, path, fmt):
     tau, xi = _exact_axis(draw), _exact_axis(draw)
     magnitude = _values(draw, (tau.size, xi.size))
-    write_assembled_map(path, AssembledMap(tau, xi, magnitude), fmt=fmt)
+    write_assembled_map(path, AssembledMap(tau, xi, domain=magnitude), fmt=fmt)
     back = read_assembled_map(path)
-    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.magnitude, magnitude)]
+    return [(back.tau_axis, tau), (back.xi_axis, xi), (back.domain, magnitude)]
 
 
 def _profile_round_trip(draw, path, fmt):
@@ -1337,8 +1430,7 @@ def _trace_round_trip(draw, path, fmt):
     intensities = np.where(values < 0, -values, values)
     # and a finite, positive carrier
     trace = FringeTrace(positions, intensities, _header_float(draw),
-                        draw(st.floats(0, exclude_min=True, allow_infinity=False)),
-                        "19p94")
+                        _positive_float(draw), "19p94")
     write_trace(path, trace, fmt=fmt)
     back = read_trace(path)
     assert (back.bs2_position_m, back.carrier_omega) == (

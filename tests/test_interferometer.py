@@ -417,11 +417,11 @@ def test_gaussian_closed_loop_reconstruction(gauss, icfg):
     traces = [_centered_sweep(gauss(j * 40e-6 * icfg.shift_to_xi), icfg, j * 40e-6,
                               200e-15) for j in range(-5, 6)]
     amap = assemble_map(traces, icfg)
-    assert amap.magnitude.shape == (amap.tau_axis.size, 11)
+    assert amap.domain.shape == (amap.tau_axis.size, 11)
     assert np.allclose(amap.xi_axis, np.arange(-5, 6) * 40e-6 / 6.6, rtol=1e-12)
     ref = np.exp(-0.5 * (amap.tau_axis[:, None] / SIG_TAU) ** 2
                  - 0.5 * (amap.xi_axis[None, :] / SIG_XI) ** 2)
-    err = amap.magnitude - ref
+    err = amap.domain - ref
     assert math.sqrt(np.mean(err ** 2)) < 0.02
     assert np.max(np.abs(err)) < 0.07
 
@@ -434,7 +434,7 @@ def test_assembled_coherence_time_tracks_the_map(map94, columns94, icfg):
                                stage_span_m=48e-6) for b in bs2]
     amap = assemble_map(traces, icfg)
     jc = int(np.argmin(np.abs(amap.xi_axis)))
-    tau_c = _fwhm(amap.tau_axis, amap.magnitude[:, jc])
+    tau_c = _fwhm(amap.tau_axis, amap.domain[:, jc])
     # the fit reads 16.95 fs against the map's 16.82 fs (+0.8 %)
     assert tau_c == pytest.approx(metrics(map94).tau_c, rel=0.02, abs=0)
 
@@ -465,10 +465,10 @@ def test_single_trace_assembles_to_one_column(flat):
     assert np.mean(trace.positions_m) == pytest.approx(-20e-6, rel=1e-9, abs=0)
     amap = assemble_map([trace], unbalanced)
     assert isinstance(amap, AssembledMap)
-    assert amap.magnitude.shape == (amap.tau_axis.size, 1)
+    assert amap.domain.shape == (amap.tau_axis.size, 1)
     assert amap.xi_axis == pytest.approx([40e-6 / 6.6], rel=1e-12, abs=0)
     # the split-ratio ceiling is divided out: flat envelope reads 1
-    assert np.max(np.abs(amap.magnitude - 1.0)) < 1e-9
+    assert np.max(np.abs(amap.domain - 1.0)) < 1e-9
 
 
 def test_assembly_rejects_inconsistent_inputs(flat, icfg):
@@ -514,7 +514,7 @@ def test_assembly_refuses_traces_of_two_orientations(flat, icfg):
         assemble_map(traces, icfg)
     for trace in traces:
         trace.orientation = "19p94"
-    assert assemble_map(traces, icfg).magnitude.shape[1] == 3
+    assert assemble_map(traces, icfg).domain.shape[1] == 3
 
 
 def test_trace_records_offsets_and_hash(gauss, icfg):
