@@ -4,6 +4,8 @@ beam-splitter-scanning interferometer emulator."""
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .errors import (
     ConfigurationError,
     EdgeDecayError,
@@ -65,54 +67,6 @@ from .interferometer import (
     synthesize_trace,
 )
 
-__all__ = [
-    "ConfigurationError",
-    "EdgeDecayError",
-    "EvanescentWaveError",
-    "MapExtentError",
-    "PdcohError",
-    "ResolutionError",
-    "RootNotFoundError",
-    "SamplingError",
-    "WavelengthRangeError",
-    "ORDINARY",
-    "ExtraordinaryAtAngle",
-    "Ordinary",
-    "SellmeierSet",
-    "SHIPPED_SETS",
-    "gvd",
-    "index",
-    "load_sellmeier",
-    "wavenumber",
-    "zero_dispersion_wavelength",
-    "CrystalConfig",
-    "collinear_degenerate_angle",
-    "delta_k",
-    "external_angle",
-    "phase_matched_locus",
-    "GridSpec",
-    "SpectralGrid",
-    "WavelengthAngleGrid",
-    "build_spectrum",
-    "auto_grid",
-    "spectral_density",
-    "to_wavelength_angle",
-    "CoherenceColumn",
-    "CoherenceMap",
-    "CoherenceMetrics",
-    "correlation_columns",
-    "correlation_map",
-    "direct_correlation",
-    "factorability_defect",
-    "instrument_blur",
-    "metrics",
-    "AssembledMap",
-    "FringeTrace",
-    "InterferometerConfig",
-    "assemble_map",
-    "extract_visibility",
-    "fringe_period_path_m",
-    "fringe_period_stage_m",
-    "synthesize_trace",
-    "__version__",
-]
+# every name imported above, once
+__all__ = ["__version__"] + [name for name, value in globals().items() if not (
+    name.startswith("_") or isinstance(value, _types.ModuleType))]

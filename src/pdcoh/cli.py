@@ -33,7 +33,7 @@ from .gridio import FORMATS, write_assembled_map, write_coherence_map, \
     write_manifest, write_metrics, write_profile, write_spectral_grid, \
     write_trace, write_wavelength_angle_grid, read_manifest, read_trace
 from .interferometer import InterferometerConfig, assemble_map, \
-    synthesize_trace
+    synthesize_trace, trace_check
 from .phasematch import collinear_degenerate_angle, external_angle, \
     phase_matched_locus
 from .spectrum import auto_grid, build_spectrum, to_wavelength_angle
@@ -285,13 +285,17 @@ def cmd_analyze(args):
         icfg = InterferometerConfig()
         window, fmt, out_dir = map(default, ("window_fringes", "out_format",
                                              "out_dir"))
-    traces = []
-    for tpath in read_manifest(args.manifest):
+    paths, traces = read_manifest(args.manifest), []
+    for tpath in paths:
         # read_trace's ConfigurationError names the file already
         with blamed(f"unreadable trace file {tpath}", OSError, ValueError):
             traces.append(read_trace(tpath))
     with blamed(f"[interferometer] on {args.manifest}", ConfigurationError,
                 SamplingError):
+        check = trace_check(traces, icfg)
+        for tpath, trace in zip(paths, traces):
+            with blamed(tpath, ConfigurationError):
+                check(trace)
         amap = assemble_map(traces, icfg, window_fringes=window)
 
     out = _out_dir(args, out_dir)

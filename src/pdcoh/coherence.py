@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MapExtentError, ResolutionError
-from .spectrum import Folded, finite, unfold
+from .errors import MapExtentError, ResolutionError, finite
+from .spectrum import Folded, unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -226,7 +226,7 @@ def _fwhm(axis, cut):
     each crossing's chord find the root of the cubic through its two nodes
     and their outer neighbours; the chord's root stands at a cut's end."""
     ipk = int(np.argmax(cut))
-    half = cut[ipk] / 2.0
+    half = finite("central peak", float(cut[ipk])) / 2.0
 
     def crossing(direction):
         below = np.flatnonzero(cut[ipk::direction] < half)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, RootNotFoundError, WavelengthRangeError, blamed
+from .errors import ConfigurationError, RootNotFoundError, WavelengthRangeError, blamed, finite
 
 # speed of light in vacuum, m/s (exact by the SI definition of the metre)
 c = 299_792_458.0
@@ -82,7 +82,7 @@ class ExtraordinaryAtAngle:
     theta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi / 2:
+        if not 0.0 <= finite("propagation angle", self.theta) <= math.pi / 2:
             raise ConfigurationError(
                 f"propagation angle must lie in [0, pi/2] rad, got {self.theta}")
 

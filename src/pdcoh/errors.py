@@ -6,6 +6,8 @@ from genuine bugs.
 """
 
 import contextlib
+import math
+import numbers
 
 
 class PdcohError(Exception):
@@ -54,6 +56,17 @@ class SamplingError(PdcohError):
 
 class MapExtentError(PdcohError):
     """Requested (tau, xi) point lies outside the correlation map."""
+
+
+def finite(name, value, positive=False):
+    """value, if a real number (not a bool) that is finite, and above 0
+    where positive; else ConfigurationError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not -math.inf < value < math.inf:
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigurationError(f"{name} must be positive, got {value!r}")
+    return value
 
 
 @contextlib.contextmanager

@@ -36,7 +36,6 @@ command line writes every product itself.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -47,15 +46,18 @@ from pathlib import Path
 import numpy as np
 
 from .coherence import CoherenceMap
-from .errors import ConfigurationError, blamed
+from .errors import ConfigurationError, blamed, finite
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid, finite
+from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
 
 # output format -> file extension
 FORMATS = {"csv": "csv", "binary": "bin"}
+
+_UNDECODABLE = (ValueError, KeyError, TypeError, struct.error)
+
 
 def _clean(header):
     """header, with numpy scalars as the Python values JSON encodes."""
@@ -72,16 +74,6 @@ def _axis_spec(name, axis):
             raise ConfigurationError(f"axis {name} is not uniform")
     return {f"{name}_start": float(axis[0]), f"{name}_step": step,
             f"n_{name}": int(axis.size)}
-
-
-@contextlib.contextmanager
-def _decoding(path):
-    """Report a file that fails to decode as a ConfigurationError naming it."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError, struct.error) as exc:
-        raise ConfigurationError(
-            f"{path}: cannot decode: {type(exc).__name__}: {exc}") from exc
 
 
 def _require(header, key, path):
@@ -351,7 +343,7 @@ def _write_binary(path, header, arrays):
 def _decode(path, body=True):
     """(header, arrays) of an array product's file, CSV unless it opens with
     the binary magic; with body false, (header, None), no array read."""
-    with open(path, "rb") as fh, _decoding(path):
+    with open(path, "rb") as fh, blamed(f"{path}: cannot decode", *_UNDECODABLE):
         if fh.read(len(_MAGIC)) != _MAGIC:
             return _read_csv(path, body)
         end = os.fstat(fh.fileno()).st_size
@@ -455,7 +447,7 @@ def read_spectral_grid(path):
                                        SpectralGrid.fold)
     spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
     density = _require(arrays, "density", path)
-    with blamed(path, ConfigurationError, TypeError):
+    with blamed(path, ConfigurationError):
         sg = SpectralGrid(GridSpec(n_omega=omega.size, n_k=k.size, **spec),
                           domain=density, provenance=header)
         for name, ours, stored, step in (
@@ -556,7 +548,7 @@ def write_metrics(path, mapping):
 
 def read_metrics(path):
     out = {}
-    with open(path) as fh, _decoding(path):
+    with open(path) as fh, blamed(f"{path}: cannot decode", *_UNDECODABLE):
         first = fh.readline().strip()
         if first != f"# pdcoh_metrics: {_VERSION}":
             raise ConfigurationError(f"{path}: not a pdcoh metrics file")

@@ -23,9 +23,9 @@ import numpy as np
 
 from .coherence import CoherenceColumn
 from .dispersion import c
-from .errors import ConfigurationError, MapExtentError, SamplingError
+from .errors import ConfigurationError, MapExtentError, SamplingError, finite
 from .hashing import config_digest
-from .spectrum import Folded, finite
+from .spectrum import Folded, increasing
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,11 @@ class InterferometerConfig:
     stage_to_delay = 2.0 / c
 
     def __post_init__(self):
-        r1, r2 = self.split_ratio
+        r1, r2 = (finite("split ratio", r) for r in self.split_ratio)
         if not (0 < r1 < 1 and 0 < r2 < 1 and abs(r1 + r2 - 1) < 1e-9):
             raise ConfigurationError(
                 f"split ratios must lie in (0,1) and sum to 1, got {self.split_ratio}")
-        if not (math.isfinite(self.magnification) and self.magnification > 0):
-            raise ConfigurationError(
-                f"magnification must be finite and positive, got {self.magnification}")
+        finite("magnification", self.magnification, positive=True)
 
     @property
     def shift_to_xi(self):
@@ -91,14 +89,13 @@ class FringeTrace:
                 raise ConfigurationError(f"{name} must be text, got {getattr(self, name)!r}")
         self.positions_m = np.asarray(self.positions_m, dtype=float)
         self.intensities = np.asarray(self.intensities, dtype=float)
-        if not (self.positions_m.size >= 2 and np.all(np.isfinite(self.positions_m))
-                and np.all(np.diff(self.positions_m) > 0)):
-            raise ConfigurationError(
-                "stage positions must be two or more, finite and increase strictly")
-        if self.positions_m.ndim != 1 or self.intensities.shape != self.positions_m.shape:
+        if self.positions_m.size < 2:
+            raise ConfigurationError("stage positions must be two or more")
+        if self.intensities.shape != self.positions_m.shape:
             raise ConfigurationError(
                 "positions and intensities must be one-dimensional, of one length; "
                 f"got shapes {self.positions_m.shape} and {self.intensities.shape}")
+        self.positions_m = increasing("FringeTrace positions_m", self.positions_m)
         if not np.all(np.isfinite(self.intensities) & (self.intensities >= 0)):
             raise ConfigurationError("detector intensities must be finite and nonnegative")
 
@@ -170,6 +167,36 @@ def synthesize_trace(column, icfg, bs2_position_m=0.0, stage_span_m=None,
                        orientation=orientation, icfg_hash=icfg.config_hash())
 
 
+def trace_check(traces, icfg):
+    """check(trace): ConfigurationError for a trace of traces whose icfg_hash
+    (if any) is not icfg's, whose carrier or orientation is not the first's,
+    or whose BS2 step from the next below is not the two least's, to 1%."""
+    expected, ordered = icfg.config_hash(), sorted(traces, key=lambda t: t.bs2_position_m)
+    below = dict(zip(ordered[1:], ordered))
+    step = ordered[1].bs2_position_m - ordered[0].bs2_position_m if below else 0.0
+
+    def check(trace):
+        first = traces[0]
+        if trace.icfg_hash and trace.icfg_hash != expected:
+            raise ConfigurationError(
+                "trace was recorded under a different interferometer configuration"
+                f" (icfg_hash {trace.icfg_hash}, expected {expected})")
+        # a trace matches itself even when its carrier is NaN
+        if trace is not first and trace.carrier_omega != first.carrier_omega:
+            raise ConfigurationError(f"traces mix carrier frequencies {trace.carrier_omega!r} "
+                                     f"and {first.carrier_omega!r} rad/s")
+        if trace.orientation != first.orientation:
+            raise ConfigurationError(
+                f"traces mix orientations {trace.orientation!r} and {first.orientation!r}")
+        if trace in below:
+            rise = trace.bs2_position_m - below[trace].bs2_position_m
+            if not (rise > 0 and abs(rise - step) <= 0.01 * step):
+                raise ConfigurationError(f"BS2 step {rise * 1e6:g} um, not {step * 1e6:g} "
+                                         "um: BS2 positions must step uniformly")
+
+    return check
+
+
 def extract_visibility(trace, icfg, window_fringes=1.0):
     """Sliding-window fringe visibility along a trace.
 
@@ -181,10 +208,7 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     applied here (assemble_map undoes it). A window whose fitted a is <= 0
     is dark and refused: it has no visibility.
     """
-    if trace.icfg_hash and trace.icfg_hash != icfg.config_hash():
-        raise ConfigurationError(
-            "trace was recorded under a different interferometer configuration"
-            f" (icfg_hash {trace.icfg_hash}, expected {icfg.config_hash()})")
+    trace_check([trace], icfg)(trace)
     steps = np.diff(trace.positions_m)
     step = steps.mean()
     if np.max(np.abs(steps - step)) > 0.01 * step:
@@ -249,35 +273,26 @@ def assemble_map(traces, icfg, window_fringes=1.0):
     onto the common tau range, one row per window step; xi comes from the
     BS2 kinematics. Both axes are _uniform, so a file of the map rebuilds
     them bit for bit. One trace goes the same way and gives a one-column
-    map; two are refused as ambiguous, and so are traces of different
-    orientations.
+    map; two are refused as ambiguous, and so is a trace trace_check refuses.
     """
     if not traces:
         raise ConfigurationError("no traces given")
     if len(traces) == 2:
         raise ConfigurationError(
             "a two-trace map is ambiguous; supply one trace or at least 3")
-    if len({t.carrier_omega for t in traces}) > 1:
-        raise ConfigurationError("traces mix carrier frequencies")
-    # every orientation has the same degenerate carrier
-    tags = sorted({t.orientation for t in traces})
-    if len(tags) > 1:
-        raise ConfigurationError(
-            "traces mix orientations " + " and ".join(map(repr, tags)))
+    check = trace_check(traces, icfg)
+    for t in traces:
+        check(t)
 
     scale = icfg.fringe_amplitude / sum(icfg.split_ratio)
     envelopes = []
     for t in sorted(traces, key=lambda t: t.bs2_position_m):
-        # extract_visibility refuses a trace of another configuration
         tau, vis = extract_visibility(t, icfg, window_fringes)
         envelopes.append((tau + t.bs2_position_m * icfg.shift_to_delay,
                           vis / scale, t.bs2_position_m * icfg.shift_to_xi))
 
     xi = np.array([xi for _, _, xi in envelopes])
     dxi = np.diff(xi)
-    if np.any(dxi <= 0) or np.any(np.abs(dxi - dxi[:1]) > 0.01 * dxi[:1]):
-        raise ConfigurationError(
-            "BS2 positions must step uniformly for a uniform xi axis")
     xi_axis = _uniform(xi[0], dxi.mean() if dxi.size else 0.0, xi.size)
 
     lo = max(t[0][0] for t in envelopes)

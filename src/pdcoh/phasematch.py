@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dispersion import ORDINARY, ExtraordinaryAtAngle, SellmeierSet, c, wavenumber
-from .errors import ConfigurationError, EvanescentWaveError, RootNotFoundError, WavelengthRangeError
+from .errors import ConfigurationError, EvanescentWaveError, RootNotFoundError, \
+    WavelengthRangeError, finite
 from .hashing import config_digest
 
 # on-axis |delta_k * L| at or below which a ring is reported collapsed to
@@ -45,16 +46,14 @@ class CrystalConfig:
     sellmeier: SellmeierSet
 
     def __post_init__(self):
-        if not (math.isfinite(self.length_m) and self.length_m > 0):
-            raise ConfigurationError(
-                f"crystal length must be finite and > 0, got {self.length_m}")
-        if not (math.isfinite(self.gain) and self.gain >= 0):
-            raise ConfigurationError(f"gain must be finite and >= 0, got {self.gain}")
-        if not 0.0 < self.theta_rad < math.pi / 2:
+        finite("crystal length", self.length_m, positive=True)
+        if not finite("gain", self.gain) >= 0:
+            raise ConfigurationError(f"gain must be >= 0, got {self.gain!r}")
+        if not 0.0 < finite("pump angle", self.theta_rad) < math.pi / 2:
             raise ConfigurationError(
                 f"pump angle must lie in (0, pi/2) rad, got {self.theta_rad}")
         lo, hi = self.sellmeier.valid_range_um
-        lam_p = self.pump_wavelength_m * 1e6
+        lam_p = finite("pump wavelength", self.pump_wavelength_m) * 1e6
         if not lo <= lam_p <= hi:
             raise ConfigurationError(
                 f"pump wavelength {lam_p:.4g} um outside Sellmeier range ({lo}, {hi})")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dispersion import c
 from .dispersion import wavenumber  # unused here; perfbench/spans.py wraps this name
-from .errors import ConfigurationError, DensityPeakError, EdgeDecayError, blamed
+from .errors import ConfigurationError, DensityPeakError, EdgeDecayError, blamed, finite
 from .phasematch import _mismatch, _ring_squared, _wavenumbers, delta_k
 
 EDGE_DECAY_RATIO = 1e-3
@@ -40,9 +40,9 @@ _ROW_BLOCK = 64
 
 
 def check_grid_size(field, n):
-    """The rule for a grid's sample count: a power of two, at least 64."""
-    if n < 64 or n & (n - 1):
-        raise ConfigurationError(f"{field} must be a power of two >= 64, got {n}")
+    """The rule for a grid's sample count: an integer power of two >= 64."""
+    if not isinstance(n, numbers.Integral) or n < 64 or n & (n - 1):
+        raise ConfigurationError(f"{field} must be an integer power of two >= 64, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,9 @@ class GridSpec:
     def __post_init__(self):
         check_grid_size("n_omega", self.n_omega)
         check_grid_size("n_k", self.n_k)
-        if not (0 < self.omega_half_width < math.inf and 0 < self.k_half_width < math.inf):
-            raise ConfigurationError("grid half-widths must be positive and finite")
-        if self.omega_center <= self.omega_half_width:
+        finite("k_half_width", self.k_half_width, positive=True)
+        if finite("omega_center", self.omega_center) <= finite(
+                "omega_half_width", self.omega_half_width, positive=True):
             raise ConfigurationError("omega grid extends to nonpositive frequencies")
 
     @property
@@ -101,15 +101,15 @@ def domain_shape(symmetry, shape):
     return symmetry(np.broadcast_to(0.0, shape))[0].shape
 
 
-def finite(name, value, positive=False):
-    """value, if a real number (not a bool) that is finite, and above 0
-    where positive; else ConfigurationError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not -math.inf < value < math.inf:
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigurationError(f"{name} must be positive, got {value!r}")
-    return value
+def increasing(name, axis):
+    """axis as a float array, if one-dimensional, of one or more finite
+    nodes that increase strictly; else ConfigurationError naming it."""
+    axis = np.asarray(axis, dtype=float)
+    if not (axis.ndim == 1 and axis.size and np.isfinite(axis).all()
+            and (axis[1:] > axis[:-1]).all()):
+        raise ConfigurationError(
+            f"{name} must hold one or more finite nodes that increase strictly")
+    return axis
 
 
 @dataclass(kw_only=True, eq=False)
@@ -118,23 +118,18 @@ class Folded:
 
     A subclass names its symmetry (a full array's (domain, (image, source)
     pairs) view), the `fold` its files declare, and the fields of its
-    `axes`, each of one or more finite nodes that increase strictly, whose
-    sizes are its full `shape`. A bad axis, then a domain of another shape,
-    raises ConfigurationError as it enters; `values` unfolds a new full
-    array on each access. Products compare by identity (eq=False): a
-    field-wise == of arrays has no truth."""
+    `axes`, each `increasing`, whose sizes are its full `shape`. A bad
+    axis, then a domain of another shape, raises ConfigurationError as it
+    enters; `values` unfolds a new full array on each access. Products
+    compare by identity (eq=False): a field-wise == of arrays has no truth."""
 
     domain: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in self.axes:
-            axis = np.asarray(getattr(self, name), dtype=float)
-            if not (axis.ndim == 1 and axis.size and np.isfinite(axis).all()
-                    and (axis[1:] > axis[:-1]).all()):
-                raise ConfigurationError(f"{type(self).__name__} {name} must hold one "
-                                         "or more finite nodes that increase strictly")
-            setattr(self, name, axis)
+            setattr(self, name, increasing(f"{type(self).__name__} {name}",
+                                           getattr(self, name)))
         want = domain_shape(self.symmetry, self.shape)
         if np.shape(self.domain) != want:
             raise ConfigurationError(
@@ -236,19 +231,20 @@ def spectral_density(omega_s, k, cfg):
 
 
 def _density_blocks(cfg, omega, k):
-    """(rows, density, valid) over the frequencies omega, _ROW_BLOCK at a
+    """(rows, k, density, valid) over the frequencies omega, _ROW_BLOCK at a
     time, so a block's temporaries stay in cache: rows is the block's slice
-    of omega, and k(rows) its transverse wavevectors, broadcast against
-    omega[rows, None]. The wavenumbers of every frequency come from one
-    _wavenumbers call. Nodes whose signal or idler leaves the dispersion
-    range, or whose k is evanescent, do not evaluate: they are 0."""
+    of omega, and k, k(rows) evaluated once, its transverse wavevectors,
+    broadcast against omega[rows, None]. The wavenumbers of every frequency
+    come from one _wavenumbers call. Nodes whose signal or idler leaves the
+    dispersion range, or whose k is evanescent, do not evaluate: they are 0."""
     in_range, k_s, k_i, k_p = _wavenumbers(cfg, omega[:, None])
     for lo in range(0, omega.size, _ROW_BLOCK):
         rows = slice(lo, lo + _ROW_BLOCK)
-        mismatch, valid = _mismatch((in_range[rows], k_s[rows], k_i[rows], k_p), k(rows))
+        k_rows = k(rows)
+        mismatch, valid = _mismatch((in_range[rows], k_s[rows], k_i[rows], k_p), k_rows)
         density = _density_from_mismatch(mismatch, cfg.length_m, cfg.gain)
         density[~valid] = 0.0
-        yield rows, density, valid
+        yield rows, k_rows, density, valid
 
 
 def _check_peak(cfg, peak):
@@ -332,7 +328,7 @@ def build_spectrum(cfg, grid=None):
     k, weight = np.abs(grid.k_axis()[half::-1]), np.r_[1, np.full(half - 1, 2), 1]
     quadrant = np.empty((n + 1, half + 1))
     invalid_rows = np.empty(n + 1, int)
-    for rows, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1], lambda rows: k):
+    for rows, _, density, valid in _density_blocks(cfg, grid.omega_axis()[:n + 1], lambda rows: k):
         # omega row i is Omega = (i - n) steps, quadrant row n - i
         quadrant[::-1][rows] = density
         invalid_rows[rows] = ~valid @ weight
@@ -381,7 +377,7 @@ def to_wavelength_angle(cfg, spec):
     k * wavelength / (2*pi)) grid over the omega range and k half-width of
     S's grid spec, of its node counts. Each node of angle_mirror's domain is
     the density of cfg at its (omega, k), by _density_blocks, whose k varies
-    per row and is computed a block at a time; it is zero where |k| passes
+    per row and is computed once a block; it is zero where |k| passes
     spec's largest k node or the node does not evaluate. The provenance is
     cfg's facts: no value of S is read, so none of S's is recorded."""
     omega, k_max = spec.omega_axis(), spec.k_axis()[-1]
@@ -394,6 +390,6 @@ def to_wavelength_angle(cfg, spec):
         return theta[spec.n_k // 2:] * 2 * math.pi / lam[rows, None]
 
     domain = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
-    for rows, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k):
-        domain[rows] = np.where(k(rows) <= k_max, density, 0.0)
+    for rows, k_rows, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k):
+        domain[rows] = np.where(k_rows <= k_max, density, 0.0)
     return WavelengthAngleGrid(lam, theta, domain=domain, provenance=_crystal_facts(cfg))

@@ -248,23 +248,55 @@ def test_trace_files_hand_analyze_the_synthesized_traces_bit_for_bit(ws, tmp_pat
     assert back.xi_axis.tobytes() == made.xi_axis.tobytes()
 
 
-def test_analyze_refuses_traces_of_two_orientations(ws, tmp_path, capsys):
-    # both orientations share the degenerate carrier: only the tags differ
+def _manifest_changed_from_the_seventh_trace(ws, tmp_path, change):
+    """A manifest of copies of the run's 11 traces, change(trace) applied
+    to the seventh and every later one; and the seventh's file, the first
+    that differs."""
     paths = []
     for j, path in enumerate(read_manifest(ws["manifest"])):
         trace = read_trace(path)
-        if j > 5:
-            trace.orientation = "19p90"
+        if j >= 6:
+            change(trace)
         paths.append(tmp_path / path.name)
         write_trace(paths[-1], trace)
     mixed = tmp_path / "mixed_manifest.txt"
     write_manifest(mixed, paths)
+    return mixed, read_manifest(mixed)[6]
+
+
+def test_analyze_refuses_traces_of_two_orientations(ws, tmp_path, capsys):
+    # both orientations share the degenerate carrier: only the tags differ;
+    # the refusal names the first trace that differs, not only the manifest
+    mixed, named = _manifest_changed_from_the_seventh_trace(
+        ws, tmp_path, lambda trace: setattr(trace, "orientation", "19p90"))
     out = tmp_path / "an"
     assert main(["analyze", str(mixed), "--config", str(ws["cfg"]),
                  "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert str(mixed) in err and "orientations '19p90' and '19p94'" in err
+    assert capsys.readouterr().err == (
+        f"error: [interferometer] on {mixed}: {named}: "
+        "traces mix orientations '19p90' and '19p94'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change, words", [
+    pytest.param(lambda t: setattr(t, "carrier_omega", t.carrier_omega * 1.01),
+                 "traces mix carrier frequencies", id="carrier_omega"),
+    pytest.param(lambda t: setattr(t, "icfg_hash", "0" * 16),
+                 "different interferometer configuration (icfg_hash 0000000000000000",
+                 id="icfg_hash"),
+    # the later traces shift with it: only its own step is 43 um
+    pytest.param(lambda t: setattr(t, "bs2_position_m", t.bs2_position_m + 3e-6),
+                 "BS2 step 43 um, not 40 um: BS2 positions must step uniformly",
+                 id="bs2_position_m"),
+])
+def test_analyze_names_the_first_trace_that_does_not_fit_the_rest(
+        ws, tmp_path, capsys, change, words):
+    mixed, named = _manifest_changed_from_the_seventh_trace(ws, tmp_path, change)
+    assert main(["analyze", str(mixed), "--config", str(ws["cfg"]),
+                 "--out", str(tmp_path / "an")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [interferometer] on {mixed}: {named}: ")
+    assert words in err and err.count(str(named)) == 1
 
 
 def test_a_malformed_stage_header_exits_1_naming_the_trace(ws, tmp_path, capsys):

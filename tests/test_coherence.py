@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pdcoh import (
+    ConfigurationError,
     CrystalConfig,
     EdgeDecayError,
     GridSpec,
@@ -285,6 +286,19 @@ def test_metrics_needs_the_crossing_inside_the_map():
     wide = _gaussian_map(sigma_tau=1e-12, sigma_xi=1e-3)
     with pytest.raises(MapExtentError, match="extent"):
         metrics(wide)
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (3, 0)])
+def test_metrics_refuses_a_cut_whose_peak_is_infinite(cell):
+    # the infinity won _fwhm's argmax, and its half gave a NaN width after a
+    # RuntimeWarning; a map file may hold Infinity, so the map takes it
+    tau, xi = (np.arange(201) - 100) * 1e-15, (np.arange(101) - 50) * 2e-6
+    g = np.exp(-0.5 * (tau / 2e-14) ** 2)[:, None] * np.exp(-0.5 * (xi / 4e-5) ** 2)
+    quadrant = map_mirror(g)[0].copy()
+    quadrant[cell] = np.inf
+    cmap = CoherenceMap(tau, xi, domain=quadrant, carrier_omega=1.2e15, intensity=1.0)
+    with pytest.raises(ConfigurationError, match="^central peak must be a finite number, got inf$"):
+        metrics(cmap)
 
 
 def test_grid_convergence_of_downstream_metrics(sell):

@@ -22,6 +22,7 @@ from pdcoh import ConfigurationError, CrystalConfig, gridio, GridSpec, \
     PdcohError, SpectralGrid, auto_grid, build_spectrum, load_sellmeier
 from pdcoh.coherence import CoherenceColumn, CoherenceMap, correlation_map, \
     instrument_blur, map_mirror
+from pdcoh.dispersion import ExtraordinaryAtAngle
 from pdcoh.gridio import (
     read_assembled_map,
     read_coherence_map,
@@ -47,7 +48,8 @@ from pdcoh.interferometer import (
     fringe_period_stage_m,
     synthesize_trace,
 )
-from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, s_mirror, to_wavelength_angle
+from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, check_grid_size, s_mirror, \
+    to_wavelength_angle
 
 
 @pytest.fixture()
@@ -867,7 +869,8 @@ def _product_file(tmp_path, fmt):
     return path, read
 
 
-# each class's fields of a product it holds
+# each class's fields of a product or value it holds; check_grid_size's
+# arguments of a count it holds
 _HELD = {
     CoherenceMap: {"tau_axis": _TAU, "xi_axis": _XI, "domain": _G,
                    "carrier_omega": 1.2e15, "intensity": 1.0},
@@ -877,6 +880,12 @@ _HELD = {
     AssembledMap: {"tau_axis": _TAU, "xi_axis": _XI, "domain": np.ones((5, 3))},
     FringeTrace: {"positions_m": _POS, "intensities": np.ones(8),
                   "bs2_position_m": 2e-4, "carrier_omega": 1.18e15},
+    GridSpec: dataclasses.asdict(_SPEC),
+    CrystalConfig: {"length_m": 0.01, "theta_rad": 0.35, "pump_wavelength_m": 800e-9,
+                    "gain": 6.0, "sellmeier": load_sellmeier("bbo_kato1986")},
+    InterferometerConfig: {"split_ratio": (0.5, 0.5), "magnification": 6.6},
+    ExtraordinaryAtAngle: {"theta": 0.35},
+    check_grid_size: {"field": "n_omega", "n": 64},
 }
 
 
@@ -890,7 +899,21 @@ def _bad_axes(axis):
             "reversed": axis[::-1], "empty": axis[:0]}
 
 
-_BAD_NUMBERS = {"zero": 0, "negative": -1, "nan": math.nan, "text": "abc", "bool": True}
+_BAD_NUMBERS = {"zero": 0, "negative": -1, "nan": math.nan, "inf": math.inf,
+                "-inf": -math.inf, "text": "abc", "none": None, "bool": True}
+
+# each class's number fields, with the cases of _BAD_NUMBERS that each holds:
+# a BS2 position of 0 or -1 m is a position, a gain and an angle may be 0
+_NUMBERS = {
+    CoherenceMap: {"carrier_omega": (), "intensity": ()},
+    FringeTrace: {"carrier_omega": (), "bs2_position_m": ("zero", "negative")},
+    GridSpec: dict.fromkeys(dataclasses.asdict(_SPEC), ()),
+    CrystalConfig: {"length_m": (), "theta_rad": (), "pump_wavelength_m": (),
+                    "gain": ("zero",)},
+    InterferometerConfig: {"magnification": ()},
+    ExtraordinaryAtAngle: {"theta": ("zero",)},
+    check_grid_size: {"n": ()},
+}
 
 # "<class> <field> <case>" -> (class, field, value)
 _REFUSED = {
@@ -899,11 +922,10 @@ _REFUSED = {
                     "positions_m") if name in held
        for case, bad in _bad_axes(held[name]).items()},
     **{f"{cls.__name__} {name} {case}": (cls, name, bad)
-       for cls, names in ((CoherenceMap, ("carrier_omega", "intensity")),
-                          (FringeTrace, ("carrier_omega", "bs2_position_m")))
-       for name in names for case, bad in _BAD_NUMBERS.items()
-       # a BS2 position of 0 or -1 m is a position
-       if name != "bs2_position_m" or case not in ("zero", "negative")},
+       for cls, fields in _NUMBERS.items() for name, holds in fields.items()
+       for case, bad in _BAD_NUMBERS.items() if case not in holds},
+    **{f"InterferometerConfig split_ratio {case}": (
+        InterferometerConfig, "split_ratio", (bad, 0.5)) for case, bad in _BAD_NUMBERS.items()},
     **{f"WavelengthAngleGrid wavelength_axis_m from {start}": (
         WavelengthAngleGrid, "wavelength_axis_m", np.linspace(start, 1e-6, 5))
        for start in (0.0, -1.0)},
@@ -912,8 +934,9 @@ _REFUSED = {
 
 @pytest.mark.parametrize("case", sorted(_REFUSED))
 def test_a_product_built_in_memory_refuses_what_its_file_would(case):
-    # the maps and the grid took each of these as given; only a file's
-    # reader refused some
+    # the maps and the grid took each of these as given, and only a file's
+    # reader refused some; the value classes raised a raw TypeError for text,
+    # None or a NaN grid count, and took True or an infinite grid centre
     cls, name, bad = _REFUSED[case]
     cls(**_HELD[cls])
     with pytest.raises(ConfigurationError):

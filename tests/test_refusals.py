@@ -86,8 +86,8 @@ def _spectral_spec_off_its_axes(tmp_path):
 def _spectral_spec_of_the_wrong_type(tmp_path):
     path = _spectral_file(tmp_path, "omega_center", '"x"')
     return (lambda: read_spectral_grid(path),
-            f"{path}: '<=' not supported between instances of 'str' and 'float'",
-            TypeError)
+            f"{path}: omega_center must be a finite number, got 'x'",
+            ConfigurationError)
 
 
 def _negative_trace(tmp_path):

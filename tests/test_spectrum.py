@@ -128,11 +128,12 @@ def _density_by_column(cfg, omega, k):
 
 def _stacked_blocks(cfg, omega, k):
     """_density_blocks over omega and k stacked, k as in _density_by_column:
-    (density, invalid nodes per row)."""
+    (density, invalid nodes per row). Each block yields the k it used."""
     k = np.broadcast_to(k, (omega.size, np.shape(k)[-1]))
     blocks = list(_density_blocks(cfg, omega, lambda rows: k[rows]))
-    return (np.concatenate([density for _, density, _ in blocks]),
-            np.concatenate([np.count_nonzero(~valid, axis=1) for _, _, valid in blocks]))
+    assert all(np.array_equal(used, k[rows]) for rows, used, _, _ in blocks)
+    return (np.concatenate([density for _, _, density, _ in blocks]),
+            np.concatenate([np.count_nonzero(~valid, axis=1) for *_, valid in blocks]))
 
 
 @pytest.mark.parametrize("axis", ["random", "grid", "wavelength-angle"])
