@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MapExtentError, ResolutionError, finite
+from .errors import MapExtentError, ResolutionError, finite, real
 from .spectrum import Folded, unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -81,11 +81,15 @@ class CoherenceMap(Folded):
 
 @dataclass
 class CoherenceColumn:
-    """Real envelope of g1 along a uniform ascending tau axis, at one xi."""
+    """Real envelope of g1 along a uniform ascending tau axis, at one xi,
+    of a finite, positive carrier."""
 
     tau_axis: np.ndarray
     g: np.ndarray
     carrier_omega: float
+
+    def __post_init__(self):
+        finite("carrier_omega", self.carrier_omega, positive=True)
 
 
 def _tau_stage(sg, os_tau, ext_tau):
@@ -312,9 +316,11 @@ def _gaussian_rows(x, sigma):
 
 def blur_sigma(cmap, dtau, dxi):
     """(tau, xi) sigma in samples of a blur of FWHM (dtau, dxi) on this map.
-    Negative, non-finite or wider-than-the-map widths raise MapExtentError; a
+    A width that is not a number raises ConfigurationError naming it;
+    negative, non-finite or wider-than-the-map widths MapExtentError; a
     sigma of 1e-15 to 0.6 samples, ResolutionError with its refine factor."""
-    if not (0 <= dtau < math.inf and 0 <= dxi < math.inf):
+    if not (0 <= real("blur tau width", dtau) < math.inf
+            and 0 <= real("blur xi width", dxi) < math.inf):
         raise MapExtentError("blur widths must be finite and nonnegative")
     tau_span = cmap.tau_axis[-1] - cmap.tau_axis[0]
     xi_span = cmap.xi_axis[-1] - cmap.xi_axis[0]

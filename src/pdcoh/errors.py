@@ -58,11 +58,19 @@ class MapExtentError(PdcohError):
     """Requested (tau, xi) point lies outside the correlation map."""
 
 
+def real(name, value):
+    """value, if a real number (not a bool), finite or not; else
+    ConfigurationError naming it. For a range test that words NaN and
+    infinities itself; finite builds on it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def finite(name, value, positive=False):
     """value, if a real number (not a bool) that is finite, and above 0
     where positive; else ConfigurationError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not -math.inf < value < math.inf:
+    if not -math.inf < real(name, value) < math.inf:
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")

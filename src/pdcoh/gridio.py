@@ -23,10 +23,14 @@ A symmetric product is a spectrum.Folded, held in memory as its
 fundamental domain, and stores just that, named by its class's `fold` in
 a `fold` header field: a coherence map its tau >= 0, xi >= 0 quadrant, S
 its (|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0
-columns. Each is written from and read into the domain its object holds,
-never unfolded, so a file does not hold the full grid for a tool such as
-numpy.loadtxt. A symmetric kind's file with no fold field, or with
-another fold, and a fold on any other kind are refused naming the file.
+columns, each row without its trailing run of +0.0 values (the nodes past
+the grid's largest k): the kept values are packed row after row into rows
+of the domain's width, the last zero-padded, and a `row_lengths` header
+list holds the count kept per row (_pack, _unpack). Each is written from
+and read into the domain its object holds, never unfolded, so a file does
+not hold the full grid for a tool such as numpy.loadtxt. A symmetric
+kind's file with no fold field, or with another fold, and a fold on any
+other kind are refused naming the file.
 A CSV value is its repr, a NaN whose sign bit is set -nan, byte for byte;
 one numpy kernel formats a block of values at a time and calls repr only
 for the few values it cannot settle exactly (_write_rows). Every write
@@ -342,10 +346,17 @@ def _write_binary(path, header, arrays):
 
 def _decode(path, body=True):
     """(header, arrays) of an array product's file, CSV unless it opens with
-    the binary magic; with body false, (header, None), no array read."""
+    the binary magic; with body false, (header, None), no array read. The
+    arrays of a file of the _PACKED fold are returned unpacked."""
     with open(path, "rb") as fh, blamed(f"{path}: cannot decode", *_UNDECODABLE):
         if fh.read(len(_MAGIC)) != _MAGIC:
-            return _read_csv(path, body)
+            header, arrays = _read_csv(path, body)
+            if arrays is not None and header.get("fold") == _PACKED:
+                lengths = _require(header, "row_lengths", path)
+                arrays = {name: _unpack(path, lengths, rows.shape,
+                                        functools.partial(np.copyto, src=rows))
+                          for name, rows in arrays.items()}
+            return header, arrays
         end = os.fstat(fh.fileno()).st_size
         (length,) = struct.unpack("<I", fh.read(4))
         blob = fh.read(length)
@@ -360,6 +371,7 @@ def _decode(path, body=True):
             raise ConfigurationError(f"{path}: unsupported format version")
         if not body:
             return meta, None
+        lengths = _require(meta, "row_lengths", path) if meta.get("fold") == _PACKED else None
         arrays = {}
         for name, dtype, shape in meta.pop("arrays"):
             if dtype != "<f8":
@@ -369,10 +381,71 @@ def _decode(path, body=True):
             if size > left:  # checked before a header's shape is allocated
                 raise ConfigurationError(f"{path}: truncated: array {name!r} "
                                          f"needs {size} bytes, {left} remain")
-            # read into the array itself: no copy of its bytes beside it
-            arrays[name] = np.empty(shape, dtype)
-            fh.readinto(arrays[name])
+            if lengths is None:
+                # read into the array itself: no copy of its bytes beside it
+                arrays[name] = np.empty(shape, dtype)
+                fh.readinto(arrays[name])
+            else:
+                arrays[name] = _unpack(path, lengths, shape, fh.readinto)
     return meta, arrays
+
+
+# --- rows stored without their trailing zeros ---
+
+
+# the fold whose files store each row of the domain without its trailing
+# run of +0.0 values, with the count kept per row in a row_lengths list
+_PACKED = WavelengthAngleGrid.fold
+
+
+def _pack(domain):
+    """(row_lengths, stored) of a domain of the _PACKED fold: the count of
+    values each row keeps once its trailing +0.0 values are dropped (a -0.0
+    is kept), and the kept values, row after row, in an array of the
+    domain's width whose last row is zero-padded; one row of zeros where no
+    row keeps a value."""
+    domain = np.ascontiguousarray(_float_rows(domain))
+    width = domain.shape[1]
+    kept = domain.view(np.uint64) != 0
+    lengths = np.where(kept.any(axis=1), width - kept[:, ::-1].argmax(axis=1), 0).tolist()
+    total = sum(lengths)
+    stored = np.zeros(max(1, -(-total // width)) * width)
+    # the kept row slices are views: only the stored array is allocated
+    np.concatenate([row[:n] for row, n in zip(domain, lengths)], out=stored[:total])
+    return lengths, stored.reshape(-1, width)
+
+
+def _unpack(path, lengths, shape, fill):
+    """The domain whose rows, row_lengths long, _pack stored in an array of
+    shape: fill(front) writes the stored array into the front of the
+    domain's own buffer, which is then unpacked in place, back to front,
+    each row zero-filled past its length. Refused naming the file: a
+    row_lengths that is not one integer in [0, width] per row, one whose
+    sum the stored rows do not fit, or a pad that is not +0.0."""
+    if len(shape) != 2 or shape[1] < 1:
+        raise ConfigurationError(f"{path}: an array of shape {shape} is not rows of values")
+    rows, width = shape
+    if not (isinstance(lengths, list)
+            and all(type(n) is int and 0 <= n <= width for n in lengths)):
+        raise ConfigurationError(
+            f"{path}: row_lengths must list one integer in [0, {width}] per row")
+    total = sum(lengths)
+    if (need := max(1, -(-total // width))) != rows:
+        raise ConfigurationError(f"{path}: row_lengths keep {total} values, which "
+                                 f"fill {need} rows of {width}, not the {rows} stored")
+    buffer = np.empty((max(len(lengths), rows), width))
+    fill(buffer[:rows])
+    flat = buffer.reshape(-1)
+    if flat[total:rows * width].view(np.uint64).any():
+        raise ConfigurationError(f"{path}: the pad after the stored rows is not +0.0")
+    end = total
+    for row in reversed(range(len(lengths))):
+        start, at = end - lengths[row], row * width
+        if start != at:
+            flat[at:at + lengths[row]] = flat[start:end]
+        flat[at + lengths[row]:at + width] = 0.0
+        end = start
+    return buffer[:len(lengths)]
 
 
 # --- one writer and one reader for every array product ---
@@ -392,6 +465,10 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
     header.update(_clean(provenance))
     if fold is not None:
         header["fold"] = fold
+    if fold == _PACKED:
+        ((name, domain),) = arrays
+        header["row_lengths"], stored = _pack(domain)
+        arrays = [(name, stored)]
     (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
 
 

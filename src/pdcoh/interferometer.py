@@ -23,7 +23,8 @@ import numpy as np
 
 from .coherence import CoherenceColumn
 from .dispersion import c
-from .errors import ConfigurationError, MapExtentError, SamplingError, finite
+from .errors import ConfigurationError, MapExtentError, SamplingError, blamed, \
+    finite, real
 from .hashing import config_digest
 from .spectrum import Folded, increasing
 
@@ -45,7 +46,9 @@ class InterferometerConfig:
     stage_to_delay = 2.0 / c
 
     def __post_init__(self):
-        r1, r2 = (finite("split ratio", r) for r in self.split_ratio)
+        with blamed("split_ratio", TypeError, ValueError):
+            r1, r2 = self.split_ratio
+        r1, r2 = finite("split ratio", r1), finite("split ratio", r2)
         if not (0 < r1 < 1 and 0 < r2 < 1 and abs(r1 + r2 - 1) < 1e-9):
             raise ConfigurationError(
                 f"split ratios must lie in (0,1) and sum to 1, got {self.split_ratio}")
@@ -87,8 +90,9 @@ class FringeTrace:
         for name in ("orientation", "icfg_hash"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigurationError(f"{name} must be text, got {getattr(self, name)!r}")
-        self.positions_m = np.asarray(self.positions_m, dtype=float)
-        self.intensities = np.asarray(self.intensities, dtype=float)
+        for name in ("positions_m", "intensities"):
+            with blamed(name, TypeError, ValueError):
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.positions_m.size < 2:
             raise ConfigurationError("stage positions must be two or more")
         if self.intensities.shape != self.positions_m.shape:
@@ -219,7 +223,7 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     if not per_fringe >= 8.0:
         raise SamplingError(
             f"{per_fringe:.1f} samples per fringe; at least 8 are needed")
-    if not 1.0 <= window_fringes < math.inf:
+    if not 1.0 <= real("window_fringes", window_fringes) < math.inf:
         raise ConfigurationError("window must cover at least one fringe")
     w = int(round(window_fringes * per_fringe)) + 1
     n = trace.positions_m.size

@@ -773,7 +773,7 @@ def _two_orientation_csv(tmp_path):
 
 # kind -> the one fold of a symmetric kind
 FOLDS = {"spectral-density": "|Omega|, |k|",
-         "wavelength-angle-density": "angle >= 0",
+         "wavelength-angle-density": "angle >= 0, rows without trailing zeros",
          "coherence-map": "tau >= 0, xi >= 0"}
 
 

@@ -48,8 +48,8 @@ from pdcoh.interferometer import (
     fringe_period_stage_m,
     synthesize_trace,
 )
-from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, check_grid_size, s_mirror, \
-    to_wavelength_angle
+from pdcoh.spectrum import WavelengthAngleGrid, angle_mirror, check_grid_size, domain_shape, \
+    s_mirror, to_wavelength_angle
 
 
 @pytest.fixture()
@@ -380,11 +380,35 @@ def test_products_in_the_full_layout_are_refused_naming_the_file(tmp_path):
             ("map.bin", read_coherence_map, map_fold),
             ("s.csv", read_spectral_grid, "spectral-density files have fold '|Omega|, |k|'"),
             ("wag.csv", read_wavelength_angle_grid,
-             "wavelength-angle-density files have fold 'angle >= 0'")):
+             f"wavelength-angle-density files have fold {WAG_FOLD!r}")):
         path = tmp_path / name
         with pytest.raises(ConfigurationError,
                            match=rf"^{re.escape(f'{path}: {fold}')}, this one None$"):
             read(path)
+
+
+WAG_FOLD = "angle >= 0, rows without trailing zeros"
+
+
+def test_a_wavelength_angle_grid_of_every_angle_ge_0_column_is_refused(tmp_path):
+    # files that stored the grid's whole angle >= 0 half, trailing zeros
+    # and all, declared the fold "angle >= 0": refused in either encoding
+    head = {"kind": "wavelength-angle-density", "wavelength_start": 1e-06,
+            "wavelength_step": 1e-07, "n_wavelength": 2, "angle_start": -0.5,
+            "angle_step": 0.5, "n_angle": 3, "fold": "angle >= 0"}
+    half = np.array([[2.0, 1.0], [4.0, 0.0]])
+    (tmp_path / "wag.csv").write_text(
+        "# pdcoh_file: 1\n" + "".join(f"# {key}: {json.dumps(value)}\n"
+                                      for key, value in head.items())
+        + '# columns: [["density", "real"]]\n2.0,1.0\n4.0,0.0\n')
+    (tmp_path / "wag.bin").write_bytes(_binary_file({
+        **head, "pdcoh_file": 1, "arrays": [["density", "<f8", [2, 2]]]}) + half.tobytes())
+    for name in ("wag.csv", "wag.bin"):
+        path = tmp_path / name
+        with pytest.raises(ConfigurationError) as info:
+            read_wavelength_angle_grid(path)
+        assert str(info.value) == (f"{path}: wavelength-angle-density files have fold "
+                                   f"{WAG_FOLD!r}, this one 'angle >= 0'")
 
 
 def test_s_folded_in_k_alone_is_refused_naming_the_file(tmp_path):
@@ -773,18 +797,28 @@ def encoded(monkeypatch):
 
 
 def _stored(path):
-    """The header and the one array a product file stores, as it stores them."""
-    header, arrays = gridio._decode(path)
-    (stored,) = arrays.values()
-    return header, stored
+    """The header and the one array a product file stores, as it stores
+    them, read past gridio, whose reader unpacks a packed domain."""
+    data = path.read_bytes()
+    if data.startswith(b"PDCOHBIN"):
+        (length,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + length])
+        ((_, _, shape),) = header["arrays"]
+        return header, np.frombuffer(data[12 + length:], "<f8").reshape(shape)
+    lines = data.decode().splitlines()
+    header = {key.strip(): json.loads(raw) for key, _, raw in
+              (line[1:].partition(":") for line in lines if line.startswith("#"))}
+    return header, np.loadtxt([line for line in lines if not line.startswith("#")],
+                              delimiter=",", ndmin=2)
 
 
 def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
     """At 256 x 128, S stores its 129 x 65 (|Omega|, |k|) quadrant, the
-    wavelength-angle grid its 64 angle >= 0 columns, the real map and
-    blurred map their 513 x 129 tau >= 0, xi >= 0 quadrant; CSV hands
-    each stored value to the encoder once, and each product reads back bit
-    for bit."""
+    wavelength-angle grid the 12,116 values of its 256 x 64 angle >= 0
+    columns that precede each row's trailing zeros, packed into 190 rows of
+    64, the real map and blurred map their 513 x 129 tau >= 0, xi >= 0
+    quadrant; CSV hands each stored value to the encoder once, and each
+    product reads back bit for bit."""
     cfg = CrystalConfig(length_m=0.01, theta_rad=math.radians(19.94),
                         pump_wavelength_m=800e-9, gain=6.0,
                         sellmeier=load_sellmeier("bbo_kato1986"))
@@ -796,7 +830,7 @@ def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
               (129, 65), 129 * 65),
         "wavelength-angle grid": (
             write_wavelength_angle_grid, read_wavelength_angle_grid,
-            to_wavelength_angle(cfg, sg.spec), "domain", (256, 64), 256 * 64),
+            to_wavelength_angle(cfg, sg.spec), "domain", (190, 64), 190 * 64),
         "map": (write_coherence_map, read_coherence_map, cmap, "domain",
                 (513, 129), 513 * 129),
         "blurred map": (write_coherence_map, read_coherence_map,
@@ -811,6 +845,8 @@ def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
                 formatted if fmt == "csv" else 0), name
             header, stored = _stored(path)
             assert "fold" in header and stored.shape == shape, (name, fmt)
+            assert sum(header.get("row_lengths", ())) == (
+                12116 if name == "wavelength-angle grid" else 0), (name, fmt)
             back = getattr(read(path), field)
             assert back.dtype == np.float64, (name, fmt)
             assert back.tobytes() == getattr(product, field).tobytes(), (name, fmt)
@@ -825,6 +861,9 @@ _G = np.arange(6.0).reshape(3, 2)
 _POS = np.arange(8) * 4e-8
 _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
                  k_half_width=1e5, n_k=64)
+# the angle >= 0 half of a 5 x 3 grid: a full row, trailing zero runs of one
+# and two values, a zero kept before a value; stored as 7 values in 4 rows
+_WAG = np.array([[1.0, 2.0], [3.0, 0.0], [0.0, 0.0], [4.0, 5.0], [0.0, 6.0]])
 
 # product -> (writer taking a path and an encoding, reader)
 _PRODUCTS = {
@@ -836,7 +875,7 @@ _PRODUCTS = {
         read_spectral_grid),
     "wavelength-angle": (lambda p, fmt: write_wavelength_angle_grid(
         p, WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
-                               np.linspace(-0.02, 0.02, 3), domain=np.ones((5, 2)),
+                               np.linspace(-0.02, 0.02, 3), domain=_WAG,
                                provenance={}), fmt=fmt),
         read_wavelength_angle_grid),
     "assembled": (lambda p, fmt: write_assembled_map(p, AssembledMap(
@@ -1416,11 +1455,34 @@ def _spectral_round_trip(draw, path, fmt):
             (back.domain, quadrant)]
 
 
+def _packed(domain):
+    """(row_lengths, stored) of a wavelength-angle domain, row by row: each
+    row without its trailing values whose bits are +0.0's, the kept values
+    in rows of the domain's width, the last padded with +0.0, one at least."""
+    rows = [list(row) for row in domain]
+    for row in rows:
+        while row and np.float64(row[-1]).tobytes() == bytes(8):
+            row.pop()
+    kept = [value for row in rows for value in row]
+    width = domain.shape[1]
+    stored = np.zeros(max(1, math.ceil(len(kept) / width)) * width)
+    stored[:len(kept)] = kept
+    return [len(row) for row in rows], stored.reshape(-1, width)
+
+
+def _check_packed(path, domain):
+    """The file is folded and stores domain packed, as _packed packs it."""
+    header, stored = _stored(path)
+    lengths, want = _packed(domain)
+    assert header["fold"] == WAG_FOLD and header["row_lengths"] == lengths
+    assert stored.shape == want.shape and stored.tobytes() == want.tobytes()
+
+
 def _wavelength_angle_round_trip(draw, path, fmt):
     lam, theta = _exact_axis(draw, first=1), _exact_axis(draw)
     half = _domain(draw, angle_mirror, (lam.size, theta.size))
     write_wavelength_angle_grid(path, WavelengthAngleGrid(lam, theta, domain=half), fmt=fmt)
-    _check_stored(path, half)
+    _check_packed(path, half)
     back = read_wavelength_angle_grid(path)
     return [(back.wavelength_axis_m, lam), (back.angle_axis_rad, theta),
             (back.domain, half)]
@@ -1481,3 +1543,84 @@ def test_every_product_round_trips_bit_for_bit(kind, fmt, data):
     for back, written in pairs:
         assert back.dtype == written.dtype and back.shape == written.shape
         assert back.tobytes() == written.tobytes()
+
+
+def _trailing_zeros(draw, shape):
+    """Random values of shape, each row ending in a drawn run of +0.0 (none
+    to all of it), whose last value is sometimes -0.0 instead."""
+    rows = _values(draw, shape)
+    for row in rows:
+        row[draw(st.integers(0, row.size)):] = 0.0
+        if draw(st.booleans()):
+            row[-1] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_wavelength_angle_domain_round_trips_bit_for_bit(fmt, data):
+    # rows stored without their trailing +0.0 values: a -0.0, a NaN or an
+    # infinity is kept, and each row reads back as it was written
+    n_lam, n_theta = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 12))
+    half = _trailing_zeros(data.draw, domain_shape(angle_mirror, (n_lam, n_theta)))
+    grid = WavelengthAngleGrid((1 + np.arange(n_lam)) * 1e-7, np.arange(n_theta) * 0.25,
+                               domain=half)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "wag.dat"
+        write_wavelength_angle_grid(path, grid, fmt=fmt)
+        _check_packed(path, half)
+        back = read_wavelength_angle_grid(path)
+    assert back.domain.dtype == np.float64 and back.domain.tobytes() == half.tobytes()
+
+
+# row_lengths of the _WAG fixture, which stores 7 values in 4 rows of 2 ->
+# the refusal of each
+_ROW_LENGTHS = {
+    "a row longer than the width": (
+        [2, 1, 0, 3, 1], "row_lengths must list one integer in [0, 2] per row"),
+    "a negative row": ([2, 1, -1, 2, 2], "row_lengths must list one integer in [0, 2] per row"),
+    "a fractional row": ([2, 1.0, 0, 2, 2], "row_lengths must list one integer in [0, 2] per row"),
+    "a boolean row": ([2, True, 0, 2, 2], "row_lengths must list one integer in [0, 2] per row"),
+    "no list": (7, "row_lengths must list one integer in [0, 2] per row"),
+    "more values than the stored rows hold": (
+        [2, 2, 2, 2, 2], "row_lengths keep 10 values, which fill 5 rows of 2, not the 4 stored"),
+    "fewer values than the stored rows hold": (
+        [2, 1, 0, 2, 0], "row_lengths keep 5 values, which fill 3 rows of 2, not the 4 stored"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+@pytest.mark.parametrize("case", sorted(_ROW_LENGTHS))
+def test_row_lengths_the_stored_rows_do_not_fit_are_refused_naming_the_file(
+        tmp_path, case, fmt):
+    lengths, words = _ROW_LENGTHS[case]
+    path, read = _product_file(tmp_path, f"wavelength-angle {fmt}")
+    _set_header(path, "row_lengths", lengths)
+    with pytest.raises(ConfigurationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: {words}"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "binary"])
+def test_a_packed_file_without_row_lengths_or_with_a_nonzero_pad_is_refused(tmp_path, fmt):
+    path, read = _product_file(tmp_path, f"wavelength-angle {fmt}")
+    intact = path.read_bytes()
+    # the last stored row is 6.0 and the pad; -0.0 is not +0.0
+    if fmt == "binary":
+        path.write_bytes(intact[:-8] + np.float64(-0.0).tobytes())
+    else:
+        path.write_bytes(intact.replace(b"6.0,0.0\n", b"6.0,-0.0\n"))
+    with pytest.raises(ConfigurationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: the pad after the stored rows is not +0.0"
+    if fmt == "binary":
+        (length,) = struct.unpack("<I", intact[8:12])
+        meta = json.loads(intact[12:12 + length])
+        del meta["row_lengths"]
+        path.write_bytes(_binary_file(meta) + intact[12 + length:])
+    else:
+        path.write_bytes(re.sub(rb"^# row_lengths: .*\n", b"", intact, flags=re.M))
+    with pytest.raises(ConfigurationError) as info:
+        read(path)
+    assert str(info.value) == f"{path}: header lacks 'row_lengths'"

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from pdcoh import ConfigurationError, GridSpec, SpectralGrid, cli
+from pdcoh.coherence import CoherenceColumn, CoherenceMap, blur_sigma
 from pdcoh.config import load_run_config
 from pdcoh.dispersion import load_sellmeier
 from pdcoh.gridio import read_manifest, read_spectral_grid, read_trace, \
     write_manifest, write_spectral_grid, write_trace
-from pdcoh.interferometer import FringeTrace
+from pdcoh.interferometer import FringeTrace, InterferometerConfig, extract_visibility
 
 _SELLMEIER = """\
 material = BBO
@@ -100,6 +101,41 @@ def _negative_trace(tmp_path):
             ConfigurationError)
 
 
+def _words(call):
+    """The message of the exception that call raises."""
+    try:
+        call()
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("call raised nothing")
+
+
+def _unpack_two(ratios):
+    r1, r2 = ratios
+    return r1, r2
+
+
+def _split_ratio_none(tmp_path):
+    return (lambda: InterferometerConfig(split_ratio=None),
+            f"split_ratio: {_words(lambda: _unpack_two(None))}", TypeError)
+
+
+def _split_ratio_of_three(tmp_path):
+    ratios = (0.25, 0.25, 0.5)
+    return (lambda: InterferometerConfig(split_ratio=ratios),
+            f"split_ratio: {_words(lambda: _unpack_two(ratios))}", ValueError)
+
+
+def _text_intensities(tmp_path):
+    return (lambda: FringeTrace(np.arange(8) * 4e-8, "abc", 0.0, 1.18e15),
+            "intensities: could not convert string to float: 'abc'", ValueError)
+
+
+def _text_positions(tmp_path):
+    return (lambda: FringeTrace("abc", np.ones(8), 0.0, 1.18e15),
+            "positions_m: could not convert string to float: 'abc'", ValueError)
+
+
 def _manifest_is_a_directory(tmp_path):
     return (lambda: read_manifest(tmp_path),
             f"cannot read trace manifest {tmp_path}: "
@@ -121,6 +157,7 @@ def _manifest_lists_a_missing_trace(tmp_path):
     _unreadable_config, _malformed_config, _sellmeier_not_utf8,
     _sellmeier_not_a_float, _spectral_spec_off_its_axes,
     _spectral_spec_of_the_wrong_type, _negative_trace,
+    _split_ratio_none, _split_ratio_of_three, _text_intensities, _text_positions,
     _manifest_is_a_directory, _manifest_lists_a_missing_trace,
 ], ids=lambda case: case.__name__.lstrip("_"))
 def test_a_prefixed_refusal_keeps_its_words_and_its_cause(case, tmp_path, monkeypatch):
@@ -131,3 +168,35 @@ def test_a_prefixed_refusal_keeps_its_words_and_its_cause(case, tmp_path, monkey
     assert type(info.value) is ConfigurationError
     assert str(info.value) == words
     assert type(info.value.__cause__) is cause
+
+
+_TAU = np.arange(-2.0, 3.0) * 1e-15
+_TRACE = FringeTrace(np.arange(64) * 1e-8, np.ones(64), 0.0, 1.18e15,
+                     icfg_hash=InterferometerConfig().config_hash())
+_MAP = CoherenceMap(_TAU, np.arange(-1.0, 2.0) * 1e-6, domain=np.ones((3, 2)),
+                    carrier_omega=1.18e15, intensity=1.0)
+
+# a value that is not a number, where one is wanted -> the refusal naming it;
+# such values raised TypeError from a comparison, or were taken
+_NOT_A_NUMBER = {
+    "column carrier": (lambda: CoherenceColumn(_TAU, np.ones(5), "abc"),
+                       "carrier_omega must be a finite number, got 'abc'"),
+    "column carrier of zero": (lambda: CoherenceColumn(_TAU, np.ones(5), 0.0),
+                               "carrier_omega must be positive, got 0.0"),
+    "visibility window": (
+        lambda: extract_visibility(_TRACE, InterferometerConfig(), window_fringes="abc"),
+        "window_fringes must be a finite number, got 'abc'"),
+    "blur tau width": (lambda: blur_sigma(_MAP, "abc", 1.0),
+                       "blur tau width must be a finite number, got 'abc'"),
+    "blur xi width": (lambda: blur_sigma(_MAP, 0.0, None),
+                      "blur xi width must be a finite number, got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_A_NUMBER))
+def test_a_value_that_is_not_a_number_is_refused_naming_it(case):
+    call, words = _NOT_A_NUMBER[case]
+    with pytest.raises(ConfigurationError) as info:
+        call()
+    assert type(info.value) is ConfigurationError and str(info.value) == words
+
