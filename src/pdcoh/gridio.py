@@ -23,10 +23,13 @@ A symmetric product is a spectrum.Folded, held in memory as its
 fundamental domain, and stores just that, named by its class's `fold` in
 a `fold` header field: a coherence map its tau >= 0, xi >= 0 quadrant, S
 its (|Omega|, |k|) quadrant, a wavelength-angle grid its angle >= 0
-columns, each row without its trailing run of +0.0 values (the nodes past
-the grid's largest k): the kept values are packed row after row into rows
-of the domain's width, the last zero-padded, and a `row_lengths` header
-list holds the count kept per row (_pack, _unpack). Each is written from
+columns, each row without the run of +0.0 values that trails its first
+half (the nodes past the grid's largest k): the kept values are packed row
+after row into rows of the domain's width, the last zero-padded, and a
+`row_lengths` header list holds the count kept per row (_pack, _unpack).
+As every row keeps at least half its width, a file's domain is at most
+twice the values it stores, so a read allocates within the file's own
+bytes, as it does for the other folds. Each is written from
 and read into the domain its object holds, never unfolded, so a file does
 not hold the full grid for a tool such as numpy.loadtxt. A symmetric
 kind's file with no fold field, or with another fold, and a fold on any
@@ -393,23 +396,30 @@ def _decode(path, body=True):
 # --- rows stored without their trailing zeros ---
 
 
-# the fold whose files store each row of the domain without its trailing
-# run of +0.0 values, with the count kept per row in a row_lengths list
+# the fold whose files store each row of the domain without the run of
+# +0.0 values that trails its first half, with the count kept per row in a
+# row_lengths list
 _PACKED = WavelengthAngleGrid.fold
+
+
+def _half(width):
+    """The fewest values a row of this width keeps: its first half, so that
+    a domain is at most twice the values its file stores."""
+    return -(-width // 2)
 
 
 def _pack(domain):
     """(row_lengths, stored) of a domain of the _PACKED fold: the count of
-    values each row keeps once its trailing +0.0 values are dropped (a -0.0
-    is kept), and the kept values, row after row, in an array of the
-    domain's width whose last row is zero-padded; one row of zeros where no
-    row keeps a value."""
+    values each row keeps once the +0.0 values that trail its first half
+    are dropped (a -0.0 is kept), and the kept values, row after row, in an
+    array of the domain's width whose last row is zero-padded."""
     domain = np.ascontiguousarray(_float_rows(domain))
     width = domain.shape[1]
     kept = domain.view(np.uint64) != 0
-    lengths = np.where(kept.any(axis=1), width - kept[:, ::-1].argmax(axis=1), 0).tolist()
+    lengths = np.where(kept.any(axis=1), width - kept[:, ::-1].argmax(axis=1), 0)
+    lengths = np.maximum(lengths, _half(width)).tolist()
     total = sum(lengths)
-    stored = np.zeros(max(1, -(-total // width)) * width)
+    stored = np.zeros(-(-total // width) * width)
     # the kept row slices are views: only the stored array is allocated
     np.concatenate([row[:n] for row, n in zip(domain, lengths)], out=stored[:total])
     return lengths, stored.reshape(-1, width)
@@ -419,18 +429,21 @@ def _unpack(path, lengths, shape, fill):
     """The domain whose rows, row_lengths long, _pack stored in an array of
     shape: fill(front) writes the stored array into the front of the
     domain's own buffer, which is then unpacked in place, back to front,
-    each row zero-filled past its length. Refused naming the file: a
-    row_lengths that is not one integer in [0, width] per row, one whose
-    sum the stored rows do not fit, or a pad that is not +0.0."""
+    each row zero-filled past its length. Refused naming the file, before
+    the domain is allocated: a row_lengths that is not one integer in
+    [half the width, width] per row, one whose sum the stored rows do not
+    fit; after: a pad that is not +0.0. The domain is then at most twice
+    the stored array, which the file holds."""
     if len(shape) != 2 or shape[1] < 1:
         raise ConfigurationError(f"{path}: an array of shape {shape} is not rows of values")
     rows, width = shape
+    half = _half(width)
     if not (isinstance(lengths, list)
-            and all(type(n) is int and 0 <= n <= width for n in lengths)):
+            and all(type(n) is int and half <= n <= width for n in lengths)):
         raise ConfigurationError(
-            f"{path}: row_lengths must list one integer in [0, {width}] per row")
+            f"{path}: row_lengths must list one integer in [{half}, {width}] per row")
     total = sum(lengths)
-    if (need := max(1, -(-total // width))) != rows:
+    if (need := -(-total // width)) != rows:
         raise ConfigurationError(f"{path}: row_lengths keep {total} values, which "
                                  f"fill {need} rows of {width}, not the {rows} stored")
     buffer = np.empty((max(len(lengths), rows), width))

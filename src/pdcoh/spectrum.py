@@ -359,8 +359,9 @@ class WavelengthAngleGrid(Folded):
     """Density on a uniform wavelength and external emission angle grid,
     held only as angle_mirror's domain, its angle >= 0 columns: S is even
     in k, so the grid is even in angle. Its wavelengths are positive. Its
-    files store each row of the domain without its trailing +0.0 values,
-    the nodes past the grid's largest k, as their fold declares."""
+    files store each row of the domain without the +0.0 values that trail
+    its first half, the nodes past the grid's largest k, as their fold
+    declares."""
 
     symmetry = staticmethod(angle_mirror)
     fold = "angle >= 0, rows without trailing zeros"
@@ -380,26 +381,18 @@ def to_wavelength_angle(cfg, spec):
     S's grid spec, of its node counts. Each node of angle_mirror's domain is
     the density of cfg at its (omega, k), by _density_blocks, whose k varies
     per row and is computed once a block; it is zero where |k| passes
-    spec's largest k node or the node does not evaluate. k grows with the
-    angle and falls with the wavelength, so a block is evaluated only up to
-    the last angle in support at its longest wavelength, and is +0.0 past
-    it. The provenance is cfg's facts: no value of S is read, so none of
-    S's is recorded."""
+    spec's largest k node or the node does not evaluate. The provenance is
+    cfg's facts: no value of S is read, so none of S's is recorded."""
     omega, k_max = spec.omega_axis(), spec.k_axis()[-1]
     lam = np.linspace(2 * math.pi * c / omega[-1], 2 * math.pi * c / omega[0],
                       spec.n_omega)
     theta_max = spec.k_half_width * lam[-1] / (2 * math.pi)
     theta = np.linspace(-theta_max, theta_max, spec.n_k)
-    angles = theta[spec.n_k // 2:]
 
     def k(rows):
-        # the rows' k up to the last column in support on the block's last row
-        last = np.count_nonzero(angles * 2 * math.pi / lam[rows][-1] <= k_max)
-        return angles[:last] * 2 * math.pi / lam[rows, None]
+        return theta[spec.n_k // 2:] * 2 * math.pi / lam[rows, None]
 
-    domain = np.empty((spec.n_omega, angles.size))
+    domain = np.empty((spec.n_omega, spec.n_k - spec.n_k // 2))
     for rows, k_rows, density, _ in _density_blocks(cfg, 2 * math.pi * c / lam, k):
-        last = k_rows.shape[1]
-        domain[rows, :last] = np.where(k_rows <= k_max, density, 0.0)
-        domain[rows, last:] = 0.0
+        domain[rows] = np.where(k_rows <= k_max, density, 0.0)
     return WavelengthAngleGrid(lam, theta, domain=domain, provenance=_crystal_facts(cfg))

@@ -764,6 +764,32 @@ def test_an_array_its_file_cannot_hold_is_refused_before_it_is_allocated(tmp_pat
         read_wavelength_angle_grid(path)
 
 
+@pytest.mark.parametrize("lengths, words", [
+    ([0] * 10**4, "row_lengths must list one integer in [500, 1000] per row"),
+    ([500] * 10**4, "row_lengths keep 5000000 values, which fill 5000 rows of 1000, "
+                    "not the 1 stored")])
+def test_row_lengths_that_unpack_past_the_file_are_refused_before_the_domain_is_allocated(
+        tmp_path, lengths, words):
+    # a 10^4 x 1000 domain (80 MB) from a file of one stored row: all-zero
+    # rows, two header bytes each, once unpacked it at about 2,000 times
+    # the file's size
+    path = tmp_path / "wag.bin"
+    path.write_bytes(_binary_file({
+        "arrays": [["density", "<f8", [1, 1000]]], "pdcoh_file": 1,
+        "kind": "wavelength-angle-density", "fold": WAG_FOLD, "row_lengths": lengths,
+        "wavelength_start": 1e-06, "wavelength_step": 1e-10, "n_wavelength": 10**4,
+        "angle_start": -0.1, "angle_step": 1e-4, "n_angle": 1999}) + bytes(8000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError) as info:
+            read_wavelength_angle_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{path}: {words}"
+    assert peak < 20 * path.stat().st_size
+
+
 def test_csv_encoder_matches_repr_over_a_seeded_sweep():
     """Random bit patterns, log-uniform values, short decimals, large
     integers, the neighbours of 10^k and 2^e, and doubles of few bits,
@@ -800,16 +826,14 @@ def _stored(path):
     """The header and the one array a product file stores, as it stores
     them, read past gridio, whose reader unpacks a packed domain."""
     data = path.read_bytes()
-    if data.startswith(b"PDCOHBIN"):
-        (length,) = struct.unpack("<I", data[8:12])
-        header = json.loads(data[12:12 + length])
-        ((_, _, shape),) = header["arrays"]
-        return header, np.frombuffer(data[12 + length:], "<f8").reshape(shape)
-    lines = data.decode().splitlines()
-    header = {key.strip(): json.loads(raw) for key, _, raw in
-              (line[1:].partition(":") for line in lines if line.startswith("#"))}
-    return header, np.loadtxt([line for line in lines if not line.startswith("#")],
-                              delimiter=",", ndmin=2)
+    if not data.startswith(b"PDCOHBIN"):
+        header, arrays = gridio._read_csv(path)
+        ((stored,),) = [arrays.values()]
+        return header, stored
+    (length,) = struct.unpack("<I", data[8:12])
+    header = json.loads(data[12:12 + length])
+    ((_, _, shape),) = header["arrays"]
+    return header, np.frombuffer(data[12 + length:], "<f8").reshape(shape)
 
 
 def test_example_products_store_their_fundamental_domain(tmp_path, encoded):
@@ -861,9 +885,12 @@ _G = np.arange(6.0).reshape(3, 2)
 _POS = np.arange(8) * 4e-8
 _SPEC = GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
                  k_half_width=1e5, n_k=64)
-# the angle >= 0 half of a 5 x 3 grid: a full row, trailing zero runs of one
-# and two values, a zero kept before a value; stored as 7 values in 4 rows
-_WAG = np.array([[1.0, 2.0], [3.0, 0.0], [0.0, 0.0], [4.0, 5.0], [0.0, 6.0]])
+# the angle >= 0 half of a 5 x 7 grid: a full row, a trailing zero run of
+# one value, one that runs into the row's first half, an all-zero row, zeros
+# kept before a value; each row keeps its first half, so 15 values are
+# stored in 4 rows of 4, the last padded
+_WAG = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 0.0], [8.0, 0.0, 0.0, 0.0],
+                 [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 9.0]])
 
 # product -> (writer taking a path and an encoding, reader)
 _PRODUCTS = {
@@ -875,7 +902,7 @@ _PRODUCTS = {
         read_spectral_grid),
     "wavelength-angle": (lambda p, fmt: write_wavelength_angle_grid(
         p, WavelengthAngleGrid(np.linspace(1.2e-6, 2.2e-6, 5),
-                               np.linspace(-0.02, 0.02, 3), domain=_WAG,
+                               np.linspace(-0.02, 0.02, 7), domain=_WAG,
                                provenance={}), fmt=fmt),
         read_wavelength_angle_grid),
     "assembled": (lambda p, fmt: write_assembled_map(p, AssembledMap(
@@ -1051,7 +1078,7 @@ CORRUPTIONS = {
         "spectral csv", lambda t: t.replace("# n_omega: 64", "# n_omega: 63")
         .rsplit("\n", 2)[0] + "\n"),
     "folded binary wavelength-angle grid with more angles than it stores": (
-        "wavelength-angle binary", lambda b: b.replace(b'"n_angle":3', b'"n_angle":9')),
+        "wavelength-angle binary", lambda b: b.replace(b'"n_angle":7', b'"n_angle":13')),
     "CSV map of an unknown fold": (
         "csv", lambda t: t.replace('# fold: "tau >= 0, xi >= 0"', '# fold: "xi"')),
     "CSV map with a NaN tau_start": (
@@ -1158,8 +1185,8 @@ _RESHAPED = {
             "CoherenceMap domain has shape (3, 2); axes of 7 x 3 nodes give (4, 2)"),
     "spectral": ("n_k", 128,
                  "SpectralGrid domain has shape (33, 33); axes of 64 x 128 nodes give (33, 65)"),
-    "wavelength-angle": ("n_angle", 9, "WavelengthAngleGrid domain has shape (5, 2); "
-                         "axes of 5 x 9 nodes give (5, 5)"),
+    "wavelength-angle": ("n_angle", 13, "WavelengthAngleGrid domain has shape (5, 4); "
+                         "axes of 5 x 13 nodes give (5, 7)"),
     "assembled": ("n_xi", 2,
                   "AssembledMap domain has shape (5, 3); axes of 5 x 2 nodes give (5, 2)"),
 }
@@ -1457,15 +1484,16 @@ def _spectral_round_trip(draw, path, fmt):
 
 def _packed(domain):
     """(row_lengths, stored) of a wavelength-angle domain, row by row: each
-    row without its trailing values whose bits are +0.0's, the kept values
-    in rows of the domain's width, the last padded with +0.0, one at least."""
+    row without the values whose bits are +0.0's that trail its first half,
+    the kept values in rows of the domain's width, the last padded with
+    +0.0."""
+    width = domain.shape[1]
     rows = [list(row) for row in domain]
     for row in rows:
-        while row and np.float64(row[-1]).tobytes() == bytes(8):
+        while len(row) > math.ceil(width / 2) and np.float64(row[-1]).tobytes() == bytes(8):
             row.pop()
     kept = [value for row in rows for value in row]
-    width = domain.shape[1]
-    stored = np.zeros(max(1, math.ceil(len(kept) / width)) * width)
+    stored = np.zeros(math.ceil(len(kept) / width) * width)
     stored[:len(kept)] = kept
     return [len(row) for row in rows], stored.reshape(-1, width)
 
@@ -1574,19 +1602,20 @@ def test_a_wavelength_angle_domain_round_trips_bit_for_bit(fmt, data):
     assert back.domain.dtype == np.float64 and back.domain.tobytes() == half.tobytes()
 
 
-# row_lengths of the _WAG fixture, which stores 7 values in 4 rows of 2 ->
+# row_lengths of the _WAG fixture, which stores 15 values in 4 rows of 4 ->
 # the refusal of each
+_RANGE = "row_lengths must list one integer in [2, 4] per row"
 _ROW_LENGTHS = {
-    "a row longer than the width": (
-        [2, 1, 0, 3, 1], "row_lengths must list one integer in [0, 2] per row"),
-    "a negative row": ([2, 1, -1, 2, 2], "row_lengths must list one integer in [0, 2] per row"),
-    "a fractional row": ([2, 1.0, 0, 2, 2], "row_lengths must list one integer in [0, 2] per row"),
-    "a boolean row": ([2, True, 0, 2, 2], "row_lengths must list one integer in [0, 2] per row"),
-    "no list": (7, "row_lengths must list one integer in [0, 2] per row"),
+    "a row longer than the width": ([4, 3, 2, 5, 1], _RANGE),
+    "a row shorter than its first half": ([4, 4, 2, 1, 4], _RANGE),
+    "a negative row": ([4, 3, -1, 2, 4], _RANGE),
+    "a fractional row": ([4, 3.0, 2, 2, 4], _RANGE),
+    "a boolean row": ([4, 3, 2, 2, True], _RANGE),
+    "no list": (15, _RANGE),
     "more values than the stored rows hold": (
-        [2, 2, 2, 2, 2], "row_lengths keep 10 values, which fill 5 rows of 2, not the 4 stored"),
+        [4, 4, 4, 4, 4], "row_lengths keep 20 values, which fill 5 rows of 4, not the 4 stored"),
     "fewer values than the stored rows hold": (
-        [2, 1, 0, 2, 0], "row_lengths keep 5 values, which fill 3 rows of 2, not the 4 stored"),
+        [4, 2, 2, 2, 2], "row_lengths keep 12 values, which fill 3 rows of 4, not the 4 stored"),
 }
 
 
@@ -1606,11 +1635,11 @@ def test_row_lengths_the_stored_rows_do_not_fit_are_refused_naming_the_file(
 def test_a_packed_file_without_row_lengths_or_with_a_nonzero_pad_is_refused(tmp_path, fmt):
     path, read = _product_file(tmp_path, f"wavelength-angle {fmt}")
     intact = path.read_bytes()
-    # the last stored row is 6.0 and the pad; -0.0 is not +0.0
+    # the last stored row ends in 9.0 and the pad; -0.0 is not +0.0
     if fmt == "binary":
         path.write_bytes(intact[:-8] + np.float64(-0.0).tobytes())
     else:
-        path.write_bytes(intact.replace(b"6.0,0.0\n", b"6.0,-0.0\n"))
+        path.write_bytes(intact.replace(b"9.0,0.0\n", b"9.0,-0.0\n"))
     with pytest.raises(ConfigurationError) as info:
         read(path)
     assert str(info.value) == f"{path}: the pad after the stored rows is not +0.0"

@@ -44,9 +44,10 @@ def _moves(tmp_path, keep):
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
     _digests(tree, tmp_path / "pinned")
-    return subprocess.run([sys.executable, str(ROOT / "tools" / "product_moves.py"),
-                           str(tmp_path / "pinned"), str(keep)],
-                          capture_output=True, text=True).stdout
+    moves = subprocess.run([sys.executable, str(ROOT / "tools" / "product_moves.py"),
+                            str(tmp_path / "pinned"), str(keep)],
+                           capture_output=True, text=True)
+    return moves.stdout + moves.stderr
 
 
 def test_every_product_matches_its_pinned_digest(tmp_path):

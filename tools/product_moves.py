@@ -5,7 +5,9 @@ gridio.load of this checkout, by the kind the file names, and prints one
 line per file: how many of its values differ and the largest |difference|,
 which of its fields differ in text or shape, and which fields only one side
 holds, counted as no value. A value is a number of an array, an axis, a
-header or a metrics record; NaN equals NaN. Exits 1 if any file differs,
+header or a metrics record; NaN equals NaN. A file that this checkout's
+gridio refuses, as it refuses a product of an older format, is listed as
+differing with the refusal, not compared. Exits 1 if any file differs,
 else 0:
 
     python3 tools/product_digests.py --keep /tmp/change
@@ -22,7 +24,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from pdcoh import gridio  # noqa: E402
+from pdcoh import PdcohError, gridio  # noqa: E402
 
 
 def _load(path):
@@ -100,13 +102,17 @@ def main(argv=None):
             same += 1
             continue
         else:
-            total, differ, largest, others, only_a, only_b = compare(a, b)
-            line = f"{rel}  {differ}/{total} values differ, max |diff| {largest:.2g}"
-            for what, names in (("text or shape differs", others),
-                                ("only in parent", only_a), ("only in change", only_b)):
-                if names:
-                    line += f"; {what}: {', '.join(names)}"
-            print(line)
+            try:
+                total, differ, largest, others, only_a, only_b = compare(a, b)
+            except PdcohError as exc:
+                print(f"{rel}  differs, not compared: {exc}")
+            else:
+                line = f"{rel}  {differ}/{total} values differ, max |diff| {largest:.2g}"
+                for what, names in (("text or shape differs", others),
+                                    ("only in parent", only_a), ("only in change", only_b)):
+                    if names:
+                        line += f"; {what}: {', '.join(names)}"
+                print(line)
         moved += 1
     print(f"{same} files byte-identical, {moved} differ")
     return 1 if moved else 0
