@@ -60,16 +60,11 @@ def _out_dir(args, configured):
     return out
 
 
-@contextlib.contextmanager
 def _writing(args, path):
     """Report a path that cannot be written as a ConfigurationError naming
     it and the setting that placed it."""
-    try:
-        yield
-    except OSError as exc:
-        where = "[output] directory" if args.out is None else "--out"
-        raise ConfigurationError(
-            f"{where}: cannot write {path}: {exc.strerror or exc}") from exc
+    where = "[output] directory" if args.out is None else "--out"
+    return blamed(f"{where}: cannot write {path}", OSError)
 
 
 def _config_path(args):
@@ -147,12 +142,11 @@ def cmd_phasematch(args):
         cfg = rc.crystal_config(theta)
         omega = cfg.degenerate_omega * np.linspace(0.55, 1.45, 181)
         locus = phase_matched_locus(cfg, omega)
-        if not locus:
+        if not len(locus):
             print(f"theta {math.degrees(theta):g} deg: no phase-matched "
                   "ring in range, nothing written")
             continue
-        w = np.array([p[0] for p in locus])
-        k = np.array([p[1] for p in locus])
+        w, k = locus.T
         lam = 2.0 * math.pi * c / w
         lpath = out / f"phasematch_{_theta_tag(theta)}_locus.{ext}"
         _write(args, write_profile, lpath, "phase-matched-locus", {

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MapExtentError, ResolutionError, finite, real
+from .errors import MapExtentError, ResolutionError, finite
 from .spectrum import Folded, unfold
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -316,11 +316,10 @@ def _gaussian_rows(x, sigma):
 
 def blur_sigma(cmap, dtau, dxi):
     """(tau, xi) sigma in samples of a blur of FWHM (dtau, dxi) on this map.
-    A width that is not a number raises ConfigurationError naming it;
-    negative, non-finite or wider-than-the-map widths MapExtentError; a
-    sigma of 1e-15 to 0.6 samples, ResolutionError with its refine factor."""
-    if not (0 <= real("blur tau width", dtau) < math.inf
-            and 0 <= real("blur xi width", dxi) < math.inf):
+    A width that is not a finite number raises ConfigurationError naming
+    it; negative or wider-than-the-map widths MapExtentError; a sigma of
+    1e-15 to 0.6 samples, ResolutionError with its refine factor."""
+    if not (finite("blur tau width", dtau) >= 0 and finite("blur xi width", dxi) >= 0):
         raise MapExtentError("blur widths must be finite and nonnegative")
     tau_span = cmap.tau_axis[-1] - cmap.tau_axis[0]
     xi_span = cmap.xi_axis[-1] - cmap.xi_axis[0]

@@ -58,19 +58,11 @@ class MapExtentError(PdcohError):
     """Requested (tau, xi) point lies outside the correlation map."""
 
 
-def real(name, value):
-    """value, if a real number (not a bool), finite or not; else
-    ConfigurationError naming it. For a range test that words NaN and
-    infinities itself; finite builds on it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
-    return value
-
-
 def finite(name, value, positive=False):
     """value, if a real number (not a bool) that is finite, and above 0
     where positive; else ConfigurationError naming it."""
-    if not -math.inf < real(name, value) < math.inf:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not -math.inf < value < math.inf):
         raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
@@ -82,8 +74,9 @@ def blamed(field, *kinds):
     """Re-raise an exception of the given kinds as a ConfigurationError
     prefixed with the field or file that caused it, chained from it. Any
     kinds serve (OSError, ValueError, configparser.Error); the default is
-    any PdcohError."""
+    any PdcohError. An OSError is worded by its strerror alone, as the
+    prefix names the path."""
     try:
         yield
     except kinds or PdcohError as exc:
-        raise ConfigurationError(f"{field}: {exc}") from exc
+        raise ConfigurationError(f"{field}: {getattr(exc, 'strerror', None) or exc}") from exc

@@ -294,7 +294,7 @@ def _write_csv(path, header, arrays):
             _write_rows(fh, arr)
 
 
-def _read_csv(path, body=True):
+def _read_csv(path):
     """The `#` header lines, then the whole body in one parse, whose rows
     divide evenly between the arrays `# columns:` lists, in listed order.
     The body holds no comments: a `#` or an empty cell in it, or rows of
@@ -309,8 +309,6 @@ def _read_csv(path, body=True):
                 key, _, raw = line[1:].partition(":")
                 header[key.strip()] = json.loads(raw)
             start = fh.tell()
-        if not body:
-            return header, None
         if (columns := header.pop("columns", None)) is None:
             raise ConfigurationError(f"{path}: header lacks the column listing")
         if not line:  # loadtxt would only warn
@@ -347,14 +345,14 @@ def _write_binary(path, header, arrays):
             fh.write(np.ascontiguousarray(arr).data)
 
 
-def _decode(path, body=True):
+def _decode(path):
     """(header, arrays) of an array product's file, CSV unless it opens with
-    the binary magic; with body false, (header, None), no array read. The
-    arrays of a file of the _PACKED fold are returned unpacked."""
+    the binary magic. The arrays of a file of the _PACKED fold are returned
+    unpacked."""
     with open(path, "rb") as fh, blamed(f"{path}: cannot decode", *_UNDECODABLE):
         if fh.read(len(_MAGIC)) != _MAGIC:
-            header, arrays = _read_csv(path, body)
-            if arrays is not None and header.get("fold") == _PACKED:
+            header, arrays = _read_csv(path)
+            if header.get("fold") == _PACKED:
                 lengths = _require(header, "row_lengths", path)
                 arrays = {name: _unpack(path, lengths, rows.shape,
                                         functools.partial(np.copyto, src=rows))
@@ -372,8 +370,6 @@ def _decode(path, body=True):
             raise ConfigurationError(f"{path}: header is not a JSON object")
         if meta.pop("pdcoh_file", None) != _VERSION:
             raise ConfigurationError(f"{path}: unsupported format version")
-        if not body:
-            return meta, None
         lengths = _require(meta, "row_lengths", path) if meta.get("fold") == _PACKED else None
         arrays = {}
         for name, dtype, shape in meta.pop("arrays"):
@@ -446,7 +442,7 @@ def _unpack(path, lengths, shape, fill):
     if (need := -(-total // width)) != rows:
         raise ConfigurationError(f"{path}: row_lengths keep {total} values, which "
                                  f"fill {need} rows of {width}, not the {rows} stored")
-    buffer = np.empty((max(len(lengths), rows), width))
+    buffer = np.empty((len(lengths), width))
     fill(buffer[:rows])
     flat = buffer.reshape(-1)
     if flat[total:rows * width].view(np.uint64).any():
@@ -458,7 +454,7 @@ def _unpack(path, lengths, shape, fill):
             flat[at:at + lengths[row]] = flat[start:end]
         flat[at + lengths[row]:at + width] = 0.0
         end = start
-    return buffer[:len(lengths)]
+    return buffer
 
 
 # --- one writer and one reader for every array product ---
@@ -694,7 +690,7 @@ def load(path):
     for the kind its header names; a missing or unknown kind is refused."""
     with open(path, "rb") as fh:
         first = fh.readline(32).decode(errors="replace").strip()
-    kind = first if first in READERS else _require(_decode(path, False)[0], "kind", path)
+    kind = first if first in READERS else _require(_decode(path)[0], "kind", path)
     if not (isinstance(kind, str) and kind in READERS):
         raise ConfigurationError(f"{path}: unknown kind {kind!r}")
     return READERS[kind](path)

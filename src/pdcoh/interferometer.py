@@ -24,7 +24,7 @@ import numpy as np
 from .coherence import CoherenceColumn
 from .dispersion import c
 from .errors import ConfigurationError, MapExtentError, SamplingError, blamed, \
-    finite, real
+    finite
 from .hashing import config_digest
 from .spectrum import Folded, increasing
 
@@ -134,15 +134,18 @@ def synthesize_trace(column, icfg, bs2_position_m=0.0, stage_span_m=None,
     sampled 20 times per fringe. The sweep is a _uniform axis, so a trace
     file rebuilds it bit for bit. The BS2 delay enters the synthesized
     signal; analysis derives it from the recorded BS2 position to realign
-    the trace. Anything but a CoherenceColumn raises ConfigurationError.
+    the trace. Anything but a CoherenceColumn raises ConfigurationError, as
+    do a BS2 position that is not a finite number and a stage span that is
+    not a positive one.
     """
     if not isinstance(column, CoherenceColumn):
         raise ConfigurationError(
             f"synthesize_trace takes a CoherenceColumn, got {type(column).__name__}; "
             "coherence.correlation_columns(sg) gives g1's column at any xi")
+    finite("bs2_position_m", bs2_position_m)
     period = fringe_period_stage_m(column.carrier_omega)
-    if stage_span_m is None:
-        stage_span_m = 4.0 * period
+    stage_span_m = 4.0 * period if stage_span_m is None else finite(
+        "stage_span_m", stage_span_m, positive=True)
     fringes = stage_span_m / period
     if fringes < 3.0:
         raise SamplingError(
@@ -223,7 +226,7 @@ def extract_visibility(trace, icfg, window_fringes=1.0):
     if not per_fringe >= 8.0:
         raise SamplingError(
             f"{per_fringe:.1f} samples per fringe; at least 8 are needed")
-    if not 1.0 <= real("window_fringes", window_fringes) < math.inf:
+    if not finite("window_fringes", window_fringes) >= 1.0:
         raise ConfigurationError("window must cover at least one fringe")
     w = int(round(window_fringes * per_fringe)) + 1
     n = trace.positions_m.size

@@ -166,12 +166,12 @@ def _ring_squared(waves, offset=0.0):
 def phase_matched_locus(cfg, omega_grid):
     """Nonnegative ring radii k with delta_k(omega, k) = 0, one per frequency.
 
-    Returns a list of (omega, k_ring) for every grid frequency where a root
-    exists; frequencies without a root (or outside the dispersion range)
-    contribute nothing. The on-axis mismatch and the root, _ring_squared's,
-    share one _wavenumbers evaluation. A root exists where the on-axis
-    mismatch is negative, and a ring whose on-axis |delta_k * L| is within
-    rounding of zero is reported collapsed, at k = 0.
+    Returns an (n, 2) array of (omega, k_ring) rows for the grid frequencies
+    with a root; those without one (or outside the dispersion range) give
+    no row. The on-axis mismatch and the root, _ring_squared's, share one
+    _wavenumbers evaluation. A root exists where the on-axis mismatch is
+    negative, and a ring whose on-axis |delta_k * L| is within rounding of
+    zero is reported collapsed, at k = 0.
     """
     omega = np.atleast_1d(np.asarray(omega_grid, dtype=float))
     waves = _wavenumbers(cfg, omega)
@@ -180,7 +180,7 @@ def phase_matched_locus(cfg, omega_grid):
     collapsed = np.abs(at_axis) <= _LOCUS_TOL
     ring = np.where(collapsed, 0.0, np.sqrt(np.maximum(_ring_squared(waves), 0.0)))
     keep = valid & (collapsed | (at_axis < 0))
-    return [(float(w), float(k)) for w, k in zip(omega[keep], ring[keep])]
+    return np.column_stack((omega[keep], ring[keep]))
 
 
 def external_angle(k, wavelength_m):

@@ -405,11 +405,16 @@ def test_blur_kernel_must_fit_the_map(map94):
     span = map94.tau_axis[-1] - map94.tau_axis[0]
     with pytest.raises(MapExtentError, match="kernel"):
         instrument_blur(map94, 2 * span, 0.0)
+    with pytest.raises(MapExtentError, match="^blur widths must be finite and nonnegative$"):
+        instrument_blur(map94, -1e-15, 0.0)
     # a NaN width once blurred only the other axis and recorded NaN in the
     # provenance of every blurred product
-    for widths in ((-1e-15, 0.0), (math.nan, 6e-6), (1e-15, math.nan), (math.inf, 0.0)):
-        with pytest.raises(MapExtentError, match="^blur widths must be finite and nonnegative$"):
+    for widths, words in (((math.nan, 6e-6), "blur tau width must be a finite number, got nan"),
+                          ((1e-15, math.nan), "blur xi width must be a finite number, got nan"),
+                          ((math.inf, 0.0), "blur tau width must be a finite number, got inf")):
+        with pytest.raises(ConfigurationError) as info:
             instrument_blur(map94, *widths)
+        assert type(info.value) is ConfigurationError and str(info.value) == words
 
 
 def test_provenance_flows_through(map94, sell):

@@ -183,9 +183,9 @@ def test_locus_skips_unmatched_and_out_of_range_frequencies(bbo):
     cfg = _cfg(bbo, 19.94)
     far = 2 * math.pi * c / 4.0e-6  # signal beyond the Sellmeier range
     omega_c = cfg.degenerate_omega
-    assert phase_matched_locus(cfg, [far, -omega_c, 1.2 * cfg.pump_omega]) == []
+    assert phase_matched_locus(cfg, [far, -omega_c, 1.2 * cfg.pump_omega]).shape == (0, 2)
     below = _cfg(bbo, 19.80)  # below theta_pm: no ring at all
-    assert phase_matched_locus(below, omega_c * np.linspace(0.9, 1.1, 5)) == []
+    assert phase_matched_locus(below, omega_c * np.linspace(0.9, 1.1, 5)).shape == (0, 2)
 
 
 def test_external_angle_relation():

@@ -18,7 +18,8 @@ from pdcoh.config import load_run_config
 from pdcoh.dispersion import load_sellmeier
 from pdcoh.gridio import read_manifest, read_spectral_grid, read_trace, \
     write_manifest, write_spectral_grid, write_trace
-from pdcoh.interferometer import FringeTrace, InterferometerConfig, extract_visibility
+from pdcoh.interferometer import FringeTrace, InterferometerConfig, extract_visibility, \
+    synthesize_trace
 
 _SELLMEIER = """\
 material = BBO
@@ -28,14 +29,10 @@ valid_range_um = 0.22 1.06
 """
 
 
-def _oserror(code, path):
-    return f"[Errno {code}] {os.strerror(code)}: '{path}'"
-
-
 def _unreadable_config(tmp_path):
     path = tmp_path / "absent.ini"
     return (lambda: load_run_config(path),
-            f"cannot read config file {path}: {_oserror(errno.ENOENT, path)}",
+            f"cannot read config file {path}: {os.strerror(errno.ENOENT)}",
             FileNotFoundError)
 
 
@@ -138,8 +135,7 @@ def _text_positions(tmp_path):
 
 def _manifest_is_a_directory(tmp_path):
     return (lambda: read_manifest(tmp_path),
-            f"cannot read trace manifest {tmp_path}: "
-            f"{_oserror(errno.EISDIR, tmp_path)}",
+            f"cannot read trace manifest {tmp_path}: {os.strerror(errno.EISDIR)}",
             IsADirectoryError)
 
 
@@ -149,7 +145,7 @@ def _manifest_lists_a_missing_trace(tmp_path):
     args = cli._build_parser().parse_args(
         ["analyze", str(manifest), "--out", str(tmp_path / "out")])
     return (lambda: args.func(args),
-            f"unreadable trace file {trace}: {_oserror(errno.ENOENT, trace)}",
+            f"unreadable trace file {trace}: {os.strerror(errno.ENOENT)}",
             FileNotFoundError)
 
 
@@ -175,6 +171,7 @@ _TRACE = FringeTrace(np.arange(64) * 1e-8, np.ones(64), 0.0, 1.18e15,
                      icfg_hash=InterferometerConfig().config_hash())
 _MAP = CoherenceMap(_TAU, np.arange(-1.0, 2.0) * 1e-6, domain=np.ones((3, 2)),
                     carrier_omega=1.18e15, intensity=1.0)
+_COLUMN = CoherenceColumn(_TAU, np.ones(5), 1.18e15)
 
 # a value that is not a number, where one is wanted -> the refusal naming it;
 # such values raised TypeError from a comparison, or were taken
@@ -190,6 +187,21 @@ _NOT_A_NUMBER = {
                        "blur tau width must be a finite number, got 'abc'"),
     "blur xi width": (lambda: blur_sigma(_MAP, 0.0, None),
                       "blur xi width must be a finite number, got None"),
+    "sweep BS2 position": (
+        lambda: synthesize_trace(_COLUMN, InterferometerConfig(), bs2_position_m="abc"),
+        "bs2_position_m must be a finite number, got 'abc'"),
+    "sweep BS2 position of NaN": (
+        lambda: synthesize_trace(_COLUMN, InterferometerConfig(), bs2_position_m=float("nan")),
+        "bs2_position_m must be a finite number, got nan"),
+    "sweep stage span": (
+        lambda: synthesize_trace(_COLUMN, InterferometerConfig(), stage_span_m="abc"),
+        "stage_span_m must be a finite number, got 'abc'"),
+    "sweep stage span of NaN": (
+        lambda: synthesize_trace(_COLUMN, InterferometerConfig(), stage_span_m=float("nan")),
+        "stage_span_m must be a finite number, got nan"),
+    "sweep stage span of zero": (
+        lambda: synthesize_trace(_COLUMN, InterferometerConfig(), stage_span_m=0.0),
+        "stage_span_m must be positive, got 0.0"),
 }
 
 
