@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherence import _fwhm, correlation_columns, \
+from .coherence import _fwhm, check_blur, correlation_columns, \
     correlation_map, factorability_defect, instrument_blur, metrics
 from .config import default, load_run_config, parse_angle, parse_length, \
     parse_time
@@ -222,8 +222,8 @@ def cmd_coherence(args):
                 "--blur: expected a time,length pair such as 1fs,6um")
         blur = (parse_time(parts[0], field="--blur"),
                 parse_length(parts[1], field="--blur"))
-        if min(blur) < 0:
-            raise ConfigurationError(f"--blur: widths must be >= 0, got {args.blur}")
+        with blamed("--blur", ConfigurationError):
+            check_blur(*blur)
     return _per_orientation(_coherence_products, args, blur)
 
 
@@ -279,11 +279,8 @@ def cmd_analyze(args):
         icfg = InterferometerConfig()
         window, fmt, out_dir = map(default, ("window_fringes", "out_format",
                                              "out_dir"))
-    paths, traces = read_manifest(args.manifest), []
-    for tpath in paths:
-        # read_trace's ConfigurationError names the file already
-        with blamed(f"unreadable trace file {tpath}", OSError, ValueError):
-            traces.append(read_trace(tpath))
+    paths = read_manifest(args.manifest)
+    traces = [read_trace(tpath) for tpath in paths]
     with blamed(f"[interferometer] on {args.manifest}", ConfigurationError,
                 SamplingError):
         check = trace_check(traces, icfg)

@@ -6,18 +6,19 @@ trip) followed by comma-separated rows, which the reader parses in one
 numpy.loadtxt call. Binary files carry a JSON header after an 8-byte magic
 and then raw little-endian float64 arrays in C order. Every array is real:
 a complex column or a binary array of another dtype is refused naming the
-file. Every array product (grids, maps, cuts, tables and fringe traces)
-goes through one writer, `_write`, and one reader, `_read`. Uniform axes
-persist as start/step/count. This module checks only the format: the kind,
-the fold, the raw types of an axis's start, step and count, and a count
-above twice the largest array's size plus one, before any axis is built.
-The product classes own their invariants (axes, carriers, array shapes),
-in memory as from a file, and a reader builds one so that its refusal is
-prefixed with the file. The _KINDS table drives one `write` and one `read`
-for the wavelength-angle grid and the coherence and assembled maps; S,
-traces and profiles keep their own functions. `load` reads any file by
-the kind its header names, through one READERS table. Headers carry no
-timestamp: the same inputs must produce the same bytes.
+file. One table, _KINDS, gives S, the wavelength-angle grid, the coherence
+and assembled maps and fringe traces each its kind, header fields, axes
+(uniform, as start/step/count) and array, and drives one `write` and one
+`read`; profiles keep their own pair. S's header gives its grid once, as
+its GridSpec's five numbers: axis[i] = center + (i - n//2) * 2 *
+half_width / n. This module checks only the format: the kind, the fold,
+the raw types of an axis's start, step and count, and a count above twice
+the largest array's size plus one, before any axis is built. The product
+classes own their invariants (axes, carriers, array shapes), in memory as
+from a file, and a reader builds one so that its refusal is prefixed with
+the file, as is a file that cannot be opened. `load` reads any file by the
+kind its header names, through one READERS table, from one decode of the
+file. Headers carry no timestamp: the same inputs give the same bytes.
 
 A symmetric product is a spectrum.Folded, held in memory as its
 fundamental domain, and stores just that, named by its class's `fold` in
@@ -55,7 +56,7 @@ import numpy as np
 from .coherence import CoherenceMap
 from .errors import ConfigurationError, blamed, finite
 from .interferometer import AssembledMap, FringeTrace
-from .spectrum import GridSpec, SpectralGrid, WavelengthAngleGrid
+from .spectrum import Folded, GridSpec, SpectralGrid, WavelengthAngleGrid
 
 _VERSION = 1
 _MAGIC = b"PDCOHBIN"
@@ -349,7 +350,8 @@ def _decode(path):
     """(header, arrays) of an array product's file, CSV unless it opens with
     the binary magic. The arrays of a file of the _PACKED fold are returned
     unpacked."""
-    with open(path, "rb") as fh, blamed(f"{path}: cannot decode", *_UNDECODABLE):
+    with blamed(path, OSError), open(path, "rb") as fh, \
+            blamed(f"{path}: cannot decode", *_UNDECODABLE):
         if fh.read(len(_MAGIC)) != _MAGIC:
             header, arrays = _read_csv(path)
             if header.get("fold") == _PACKED:
@@ -460,9 +462,9 @@ def _unpack(path, lengths, shape, fill):
 # --- one writer and one reader for every array product ---
 
 
-def _write(path, fmt, head, axes, provenance, arrays, fold=None):
+def _write(path, fmt, head, axes, tail, arrays, fold=None):
     """Write the head fields, each (name, axis) as start/step/count, the
-    provenance, then the named arrays, in that header order; a Folded
+    tail fields, then the named arrays, in that header order; a Folded
     product's arrays are its fundamental domain, declared by its fold as a
     last `fold` field."""
     if fmt not in FORMATS:
@@ -471,7 +473,7 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
     header = dict(head)
     for name, axis in axes:
         header.update(_axis_spec(name, axis))
-    header.update(_clean(provenance))
+    header = _clean({**header, **tail})
     if fold is not None:
         header["fold"] = fold
     if fold == _PACKED:
@@ -481,13 +483,14 @@ def _write(path, fmt, head, axes, provenance, arrays, fold=None):
     (_write_csv if fmt == "csv" else _write_binary)(path, header, arrays)
 
 
-def _read(path, kind, axes=(), fold=None):
-    """(provenance, axes, arrays) of a product of this kind. The file must
-    declare the fold given (a folded class's one fold), or none. Each axis
-    named needs a finite start and step and an integer count of at most
-    2 m + 1, m the largest array's size (an axis of n nodes stores at least
-    half of them). The class built from the axes and arrays checks them."""
-    header, arrays = _decode(path)
+def _read(path, kind, axes=(), fold=None, decoded=None):
+    """(rest of the header, axes, arrays) of a product of this kind, from
+    its file or from what _decode gave of it. The file must declare the
+    fold given (a folded class's one fold), or none. Each axis named needs
+    a finite start and step and an integer count of at most 2 m + 1, m the
+    largest array's size (an axis of n nodes stores at least half of
+    them). The class built from the axes and arrays checks them."""
+    header, arrays = decoded or _decode(path)
     found = _require(header, "kind", path)
     if found != kind:
         raise ConfigurationError(f"{path}: expected a {kind} file, found {found!r}")
@@ -516,66 +519,61 @@ def _axis(header, name, path, nodes):
         return start + np.arange(n) * step
 
 
-# the GridSpec numbers that the axes' start/step/count do not carry exactly
-_SPEC_KEYS = ("omega_center", "omega_half_width", "k_half_width")
-
-
-def write_spectral_grid(path, sg, fmt="csv"):
-    _write(path, fmt, {"kind": "spectral-density",
-                       **{key: getattr(sg.spec, key) for key in _SPEC_KEYS}},
-           [("omega", sg.omega_axis()), ("k", sg.k_axis())], sg.provenance,
-           [("density", sg.domain)], sg.fold)
-
-
-def read_spectral_grid(path):
-    """S, built from the (|Omega|, |k|) quadrant its file stores."""
-    header, (omega, k), arrays = _read(path, "spectral-density", ("omega", "k"),
-                                       SpectralGrid.fold)
-    spec = {key: _require(header, key, path) for key in _SPEC_KEYS}
-    density = _require(arrays, "density", path)
-    with blamed(path, ConfigurationError):
-        sg = SpectralGrid(GridSpec(n_omega=omega.size, n_k=k.size, **spec),
-                          domain=density, provenance=header)
-        for name, ours, stored, step in (
-                ("omega", sg.omega_axis(), omega, sg.spec.omega_step),
-                ("k", sg.k_axis(), k, sg.spec.k_step)):
-            if not np.allclose(ours, stored, rtol=0, atol=1e-6 * step):
-                raise ConfigurationError(f"the grid spec disagrees with the {name} axis")
-    return sg
-
-
-# class -> (kind, head fields, file names of its axes, file name of its domain)
+# class -> (kind, fields before its axes, file names of its axes, fields
+# after them, file name and attribute of its array). A file's header holds
+# the kind, the fields before, each axis as start/step/count, the fields
+# after, a Folded product's provenance and its class's fold, in that
+# order. S's fields are its spec's, from which its axes follow exactly; a
+# trace's array is its intensities, stored as one row.
 _KINDS = {
-    WavelengthAngleGrid: ("wavelength-angle-density", (), ("wavelength", "angle"), "density"),
-    CoherenceMap: ("coherence-map", ("carrier_omega", "intensity"), ("tau", "xi"), "g"),
-    AssembledMap: ("assembled-map", (), ("tau", "xi"), "magnitude"),
+    SpectralGrid: ("spectral-density", ("omega_center", "omega_half_width", "n_omega",
+                                        "k_half_width", "n_k"), (), (), ("density", "domain")),
+    WavelengthAngleGrid: ("wavelength-angle-density", (), ("wavelength", "angle"), (),
+                          ("density", "domain")),
+    CoherenceMap: ("coherence-map", ("carrier_omega", "intensity"), ("tau", "xi"), (),
+                   ("g", "domain")),
+    AssembledMap: ("assembled-map", (), ("tau", "xi"), (), ("magnitude", "domain")),
+    FringeTrace: ("fringe-trace", (), ("position",),
+                  ("bs2_position_m", "carrier_omega", "orientation", "icfg_hash"),
+                  ("intensity", "intensities")),
 }
 
 
 def write(path, obj, fmt="csv"):
-    """A product of a _KINDS class: its kind and head fields, its axes, its
-    provenance, its domain, and its class's fold."""
-    kind, head, axes, array = _KINDS[type(obj)]
-    _write(path, fmt, {"kind": kind, **{key: float(getattr(obj, key)) for key in head}},
-           [(name, getattr(obj, attr)) for name, attr in zip(axes, obj.axes)],
-           obj.provenance, [(array, obj.domain)], obj.fold)
+    """A product of a _KINDS class, laid out as its row says."""
+    kind, head, axes, tail, (array, attr) = _KINDS[type(obj)]
+    fields = vars(obj.spec if isinstance(obj, SpectralGrid) else obj)
+    _write(path, fmt, {"kind": kind, **{key: fields[key] for key in head}},
+           [(name, getattr(obj, field)) for name, field in zip(axes, obj.axes)],
+           {**{key: fields[key] for key in tail}, **getattr(obj, "provenance", {})},
+           [(array, getattr(obj, attr))], obj.fold)
 
 
-def read(path, cls):
-    """A product of a _KINDS class, built from its file; the class refuses
-    axes, head fields and a domain it does not hold, prefixed with the file."""
-    kind, head, axes, array = _KINDS[cls]
-    header, values, arrays = _read(path, kind, axes, cls.fold)
-    fields = {key: _require(header, key, path) for key in head}
-    domain = _require(arrays, array, path)
+def read(path, cls, decoded=None):
+    """A product of a _KINDS class, built from its file, or from what
+    _decode gave of it; the class refuses axes, fields and an array it does
+    not hold, prefixed with the file: FringeTrace refuses intensities of
+    more than one row. A trace ignores header keys it does not use
+    (tau_offset_s, source)."""
+    kind, head, axes, tail, (array, attr) = _KINDS[cls]
+    header, values, arrays = _read(path, kind, axes, cls.fold, decoded)
+    fields = {key: _require(header, key, path) for key in head + tail}
+    stored = _require(arrays, array, path)
+    if issubclass(cls, Folded):
+        fields["provenance"] = header
+    elif len(stored) == 1:  # a trace's intensities, its file's one row
+        stored = stored[0]
     with blamed(path, ConfigurationError):
-        return cls(**dict(zip(cls.axes, values)), **fields, domain=domain, provenance=header)
+        if cls is SpectralGrid:  # its head fields are its spec's
+            fields["spec"] = GridSpec(**{key: fields.pop(key) for key in head})
+        return cls(**dict(zip(cls.axes, values)), **fields, **{attr: stored})
 
 
-write_wavelength_angle_grid = write_coherence_map = write_assembled_map = write
-read_wavelength_angle_grid = functools.partial(read, cls=WavelengthAngleGrid)
-read_coherence_map = functools.partial(read, cls=CoherenceMap)
-read_assembled_map = functools.partial(read, cls=AssembledMap)
+# the per-kind names, in _KINDS order, that perfbench calls and times
+write_spectral_grid = write_wavelength_angle_grid = write_coherence_map = \
+    write_assembled_map = write_trace = write
+(read_spectral_grid, read_wavelength_angle_grid, read_coherence_map, read_assembled_map,
+ read_trace) = (functools.partial(read, cls=cls) for cls in _KINDS)
 
 
 def write_profile(path, kind, header, columns, fmt="csv"):
@@ -588,37 +586,9 @@ def write_profile(path, kind, header, columns, fmt="csv"):
            [(name, np.asarray(arr).reshape(1, -1)) for name, arr in columns])
 
 
-def read_profile(path, kind):
-    header, _, arrays = _read(path, kind)
+def read_profile(path, kind, decoded=None):
+    header, _, arrays = _read(path, kind, decoded=decoded)
     return header, {name: arr.ravel() for name, arr in arrays.items()}
-
-
-def write_trace(path, trace, fmt="csv"):
-    """A fringe trace: its stage sweep as the uniform `position` axis (a
-    sweep that is not uniform is refused), its intensities as the one row
-    of the `intensity` array."""
-    _write(path, fmt, {"kind": "fringe-trace"},
-           [("position", trace.positions_m)], {
-               "bs2_position_m": float(trace.bs2_position_m),
-               "carrier_omega": float(trace.carrier_omega),
-               "orientation": trace.orientation,
-               "icfg_hash": trace.icfg_hash,
-           }, [("intensity", np.reshape(trace.intensities, (1, -1)))])
-
-
-def read_trace(path):
-    """A fringe trace: the stage sweep from its `position` axis, which a file
-    must have, the intensities from its one `intensity` row; header keys a
-    trace does not use (tau_offset_s, source) are ignored."""
-    header, (positions,), arrays = _read(path, "fringe-trace", ("position",))
-    if (intensities := _require(arrays, "intensity", path)).shape[:1] != (1,):
-        raise ConfigurationError(f"{path}: array 'intensity' has shape "
-                                 f"{intensities.shape}; a trace is one row")
-    fields = {key: _require(header, key, path) for key in ("bs2_position_m", "carrier_omega")}
-    with blamed(path, ConfigurationError):
-        return FringeTrace(positions_m=positions, intensities=intensities[0], **fields,
-                           orientation=header.get("orientation", ""),
-                           icfg_hash=header.get("icfg_hash", ""))
 
 
 # --- metrics and manifests ---
@@ -634,7 +604,8 @@ def write_metrics(path, mapping):
 
 def read_metrics(path):
     out = {}
-    with open(path) as fh, blamed(f"{path}: cannot decode", *_UNDECODABLE):
+    with blamed(path, OSError), open(path) as fh, \
+            blamed(f"{path}: cannot decode", *_UNDECODABLE):
         first = fh.readline().strip()
         if first != f"# pdcoh_metrics: {_VERSION}":
             raise ConfigurationError(f"{path}: not a pdcoh metrics file")
@@ -677,8 +648,7 @@ def read_manifest(path):
 
 
 # kind -> its one reader; metrics files and manifests go by their first line
-READERS = {"spectral-density": read_spectral_grid, "fringe-trace": read_trace,
-           f"# pdcoh_metrics: {_VERSION}": read_metrics,
+READERS = {f"# pdcoh_metrics: {_VERSION}": read_metrics,
            f"# pdcoh_manifest: {_VERSION}": read_manifest,
            **{kind: functools.partial(read, cls=cls) for cls, (kind, *_) in _KINDS.items()},
            **{kind: functools.partial(read_profile, kind=kind) for kind in (
@@ -687,10 +657,14 @@ READERS = {"spectral-density": read_spectral_grid, "fringe-trace": read_trace,
 
 def load(path):
     """The product of any pdcoh file, read by the one reader READERS holds
-    for the kind its header names; a missing or unknown kind is refused."""
-    with open(path, "rb") as fh:
+    for the kind its header names, from the file's one decode; a missing
+    or unknown kind is refused."""
+    with blamed(path, OSError), open(path, "rb") as fh:
         first = fh.readline(32).decode(errors="replace").strip()
-    kind = first if first in READERS else _require(_decode(path)[0], "kind", path)
+    if first in READERS:
+        return READERS[first](path)
+    header, arrays = _decode(path)
+    kind = _require(header, "kind", path)
     if not (isinstance(kind, str) and kind in READERS):
         raise ConfigurationError(f"{path}: unknown kind {kind!r}")
-    return READERS[kind](path)
+    return READERS[kind](path, decoded=({"kind": kind, **header}, arrays))

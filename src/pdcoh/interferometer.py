@@ -75,7 +75,11 @@ class FringeTrace:
 
     The BS2 position and the carrier are finite numbers, the carrier
     positive; the orientation and icfg_hash are text. Traces compare by
-    identity, as Folded products do."""
+    identity, as Folded products do. A file stores the intensities as one
+    row under the positions as its one axis, and declares no fold."""
+
+    fold = None
+    axes = ("positions_m",)
 
     positions_m: np.ndarray
     intensities: np.ndarray

@@ -627,7 +627,9 @@ def test_bad_blur_flag_exits_1(ws, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["coherence", str(ws["cfg"]), "--blur", "1fs,-6um",
                  "--out", str(out)]) == 1
-    assert "--blur" in capsys.readouterr().err
+    # coherence.check_blur's refusal, as blur_sigma gives it, before any S
+    assert capsys.readouterr().err == (
+        "error: --blur: blur widths must be nonnegative, got 1e-15 s and -6e-06 m\n")
     assert not out.exists()
 
 

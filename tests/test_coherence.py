@@ -405,7 +405,8 @@ def test_blur_kernel_must_fit_the_map(map94):
     span = map94.tau_axis[-1] - map94.tau_axis[0]
     with pytest.raises(MapExtentError, match="kernel"):
         instrument_blur(map94, 2 * span, 0.0)
-    with pytest.raises(MapExtentError, match="^blur widths must be finite and nonnegative$"):
+    with pytest.raises(ConfigurationError,
+                       match=r"^blur widths must be nonnegative, got -1e-15 s and 0.0 m$"):
         instrument_blur(map94, -1e-15, 0.0)
     # a NaN width once blurred only the other axis and recorded NaN in the
     # provenance of every blurred product

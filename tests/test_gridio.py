@@ -75,17 +75,39 @@ def test_example_grid_specs_round_trip(tmp_path, theta_deg):
     assert back.provenance["material"] == "bbo_kato1986"
 
 
-def test_spectral_grid_spec_must_match_its_axes(tmp_path, sg):
+def test_spectral_grid_header_gives_its_grid_once(tmp_path, sg):
+    # the five GridSpec numbers, the counts as integers, and no axis
+    # start/step beside them
     path = tmp_path / "grid.csv"
     write_spectral_grid(path, sg)
     text = path.read_text()
-    path.write_text(text.replace("# omega_center: 1200000000000000.0",
-                                 "# omega_center: 1300000000000000.0"))
-    with pytest.raises(ConfigurationError, match="disagrees with the omega axis"):
-        read_spectral_grid(path)
-    path.write_text(text.replace("# k_half_width: ", "# k_half: "))
-    with pytest.raises(ConfigurationError, match="k_half_width"):
-        read_spectral_grid(path)
+    assert text.startswith('# pdcoh_file: 1\n# kind: "spectral-density"\n'
+                           "# omega_center: 1200000000000000.0\n"
+                           "# omega_half_width: 200000000000000.0\n# n_omega: 64\n"
+                           "# k_half_width: 100000.0\n# n_k: 64\n")
+    assert "_start" not in text and "_step" not in text
+    for key in ("omega_center", "omega_half_width", "n_omega", "k_half_width", "n_k"):
+        path.write_text(text.replace(f"# {key}: ", "# other: "))
+        with pytest.raises(ConfigurationError) as info:
+            read_spectral_grid(path)
+        assert str(info.value) == f"{path}: header lacks {key!r}"
+
+
+def test_an_old_spectral_header_is_read_by_its_grid_spec(tmp_path):
+    # files from before S gave its grid once also held each axis's
+    # start/step/count; the GridSpec numbers decide, and the axis keys are
+    # kept as provenance
+    density = np.arange(33.0)[:, None] + np.arange(33) / 64
+    path = tmp_path / "s.csv"
+    path.write_text(OLD_S_HEAD.replace("# columns:", '# fold: "|Omega|, |k|"\n# columns:')
+                    .replace("# k_step: 3125.0", "# k_step: 1.0") + "".join(
+        ",".join(map(repr, row)) + "\n" for row in density.tolist()))
+    back = read_spectral_grid(path)
+    assert back.spec == GridSpec(omega_center=1.2e15, omega_half_width=2e14, n_omega=64,
+                                 k_half_width=1e5, n_k=64)
+    assert back.k_axis()[1] - back.k_axis()[0] == 3125.0
+    assert back.provenance["k_step"] == 1.0
+    assert np.array_equal(back.domain, density)
 
 
 def test_trace_with_a_non_finite_intensity_is_refused(tmp_path):
@@ -507,7 +529,7 @@ MALFORMED_STAGE = {
         r"of one length; got shapes \(3,\) and \(2,\)"),
     "intensities in two rows": (
         "2.0,1.0,0.5", "2.0,1.0,0.5\n0.5,1.0,2.0",
-        r"array 'intensity' has shape \(2, 3\); a trace is one row"),
+        r"of one length; got shapes \(3,\) and \(2, 3\)"),
 }
 
 
@@ -1083,8 +1105,9 @@ CORRUPTIONS = {
         "csv", lambda t: t.replace('# fold: "tau >= 0, xi >= 0"', '# fold: "xi"')),
     "CSV map with a NaN tau_start": (
         "csv", lambda t: t.replace("# tau_start: -2e-15", "# tau_start: NaN")),
-    "CSV spectral grid with an infinite k_step": (
-        "spectral csv", lambda t: t.replace("# k_step: 3125.0", "# k_step: Infinity")),
+    "CSV spectral grid with an infinite k_half_width": (
+        "spectral csv", lambda t: t.replace("# k_half_width: 100000.0",
+                                            "# k_half_width: Infinity")),
     "binary map with a fractional axis count": (
         "binary", lambda b: b.replace(b'"n_xi":3', b'"n_xi":3.0')),
     # the body is parsed whole, with no comments: loadtxt's default would
@@ -1294,6 +1317,22 @@ def test_load_refuses_a_header_without_a_kind_naming_the_file(tmp_path):
         gridio.load(path)
     assert str(info.value) == f"{path}: header lacks 'kind'"
 
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "empty"])
+@pytest.mark.parametrize("reader", [*gridio.READERS, "load"])
+def test_every_reader_refuses_a_file_it_cannot_read_naming_it(tmp_path, reader, case):
+    # a path that is not there, a directory or an empty file ends in a
+    # PdcohError naming the path, never in a raw OSError
+    path = tmp_path / "product.dat"
+    if case == "directory":
+        path.mkdir()
+    elif case == "empty":
+        path.touch()
+    read = gridio.load if reader == "load" else gridio.READERS[reader]
+    with pytest.raises(PdcohError) as info:
+        read(path)
+    assert str(path) in str(info.value)
 
 def _header_keys(data):
     """The keys of a file's header: a binary file's JSON header, the `# key:`

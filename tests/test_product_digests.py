@@ -5,12 +5,16 @@ same commit, so the commit shows its moves as one diff."""
 
 import difflib
 import io
+import re
 import subprocess
 import sys
 import tarfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from pdcoh import gridio
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "product_digests.txt"
@@ -64,3 +68,24 @@ def test_every_product_matches_its_pinned_digest(tmp_path):
         diff = "\n".join(difflib.unified_diff(pinned, got, "pinned", "this checkout",
                                               lineterm="", n=0))
         pytest.fail(f"products moved:\n{diff}\n\n{_moves(tmp_path, tmp_path / 'change')}")
+
+
+
+def test_load_decodes_each_product_of_the_example_run_once(tmp_path):
+    # one file of each product of the example run, in either format: load
+    # decodes an array product's file once, and reads a metrics file or a
+    # manifest, which go by their first line, with no decode
+    _digests(ROOT, tmp_path)
+    files = {}
+    for path in sorted(tmp_path.rglob("*.*")):
+        if path.is_file() and path.suffix != ".ini":
+            files.setdefault(re.sub(r"\d", "", str(path.relative_to(tmp_path))), path)
+    kinds = set()
+    for name, path in files.items():
+        text = path.suffix == ".txt"
+        kinds.add(path.read_text().split("\n")[0] if text
+                  else gridio._decode(path)[0]["kind"])
+        with mock.patch.object(gridio, "_decode", wraps=gridio._decode) as decode:
+            gridio.load(path)
+        assert decode.call_count == (0 if text else 1), name
+    assert kinds == set(gridio.READERS)
